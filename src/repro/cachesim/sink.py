@@ -1,12 +1,12 @@
 """Streaming cache simulation as a trace sink (zero materialization).
 
-:class:`CacheSink` implements both entry points of the engines' sink
-protocol (:class:`repro.sim.trace.TraceSink`): the batched
-:meth:`emit_block` hot path — attach it to a live run via
-``run_compiled(compiled, sinks=(sink,))`` — and the per-record
-:meth:`emit` used to replay stored traces. Either way the trace is
-consumed access by access and only counters survive, exactly like the
-extractor and the validation sink.
+:class:`CacheSink` implements every entry point of the engines' sink
+protocol (:class:`repro.sim.trace.TraceSink`): the columnar
+:meth:`emit_columns` hot path — attach it to a live run via
+``run_compiled(compiled, sinks=(sink,))`` — the tuple-block
+:meth:`emit_block` and the per-record :meth:`emit` used to replay stored
+traces. Either way the trace is consumed access by access and only
+counters survive, exactly like the extractor and the validation sink.
 
 Hybrid (SPM + cache) mode replays an SPM allocation's address intervals:
 every access whose address falls inside a selected buffer's interval is
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.cachesim.model import CacheHierarchy, CacheSimResult
-from repro.sim.trace import HAVE_NUMPY, Access, ColumnBlock, TraceRecord
-from repro.spm.graph import reference_interval
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.cachesim.model import CacheHierarchy, CacheSimResult
+from repro.sim.trace import Access, ColumnBlock, TraceRecord
+from repro.spm.graph import reference_interval
 
 
 def merge_intervals(
@@ -76,9 +75,8 @@ class CacheSink:
         self._intervals = merge_intervals(spm_intervals)
         self._starts = [lo for lo, _hi in self._intervals]
         self._ends = [hi for _lo, hi in self._intervals]
-        if HAVE_NUMPY and self._starts:
-            self._np_starts = _np.array(self._starts, dtype=_np.int64)
-            self._np_ends = _np.array(self._ends, dtype=_np.int64)
+        self._np_starts = np.array(self._starts, dtype=np.int64)
+        self._np_ends = np.array(self._ends, dtype=np.int64)
         self.reads = 0
         self.writes = 0
         self.spm_reads = 0
@@ -134,20 +132,17 @@ class CacheSink:
         """
         if block.n == 0:
             return
-        if not HAVE_NUMPY:
-            self.emit_block(*block.to_tuples())
-            return
         addrs = block.addr
         sizes = block.size
         w = block.is_write != 0
         if self._starts:
-            index = _np.searchsorted(self._np_starts, addrs,
-                                     side="right") - 1
+            index = np.searchsorted(self._np_starts, addrs,
+                                    side="right") - 1
             inside = index >= 0
-            inside &= addrs < self._np_ends[_np.where(inside, index, 0)]
-            spm_count = int(_np.count_nonzero(inside))
+            inside &= addrs < self._np_ends[np.where(inside, index, 0)]
+            spm_count = int(np.count_nonzero(inside))
             if spm_count:
-                spm_writes = int(_np.count_nonzero(inside & w))
+                spm_writes = int(np.count_nonzero(inside & w))
                 self.spm_writes += spm_writes
                 self.spm_reads += spm_count - spm_writes
                 keep = ~inside
@@ -157,7 +152,7 @@ class CacheSink:
                 if addrs.shape[0] == 0:
                     return
         n = addrs.shape[0]
-        writes = int(_np.count_nonzero(w))
+        writes = int(np.count_nonzero(w))
         self.writes += writes
         self.reads += n - writes
         hierarchy = self.hierarchy

@@ -1,9 +1,11 @@
 """Algorithm 3 — online identification of (partial) affine index expressions.
 
 One :class:`ReferenceSolver` exists per (loop-tree node, instruction pc)
-pair. Every executed access of the reference calls :meth:`observe` with the
-access address and the current iterator vector (innermost loop first), and
-the solver incrementally maintains:
+pair. Every executed access of the reference is fed, in order, to
+:meth:`~ReferenceSolver.observe` (or many at once to
+:meth:`~ReferenceSolver.observe_rows`) with the access address and the
+current iterator vector (innermost loop first), and the solver
+incrementally maintains:
 
 * ``CONST`` — the constant term (initially the first address seen);
 * ``C1..CN`` — iterator coefficients, each ``None`` (the paper's UNKNOWN)
@@ -21,11 +23,33 @@ Note on the coefficient formula: the paper's step 3 prints
 worked example (Figure 4: coefficient 103 for the outer ``while``) requires
 the delta form ``ADJ = Σ (ITi − ITPi)·Ci``; we implement the delta form
 (see DESIGN.md) and reproduce the paper's numbers in the test suite.
+
+Bulk entry: :meth:`ReferenceSolver.observe_rows` takes many executions of
+one reference at once, as int64 columns. Between solving steps the
+coefficients are fixed, and step 6 reduces to a comparison: with
+``R = addr − Σ Ci·ITi`` over the known coefficients, a row mispredicts
+exactly when its ``R`` differs from the previous row's (the constant after
+any row is that row's ``R``). Such *settled runs* are checked with one
+int64 dot product; first encounters, solving steps (an UNKNOWN-coefficient
+iterator changes) and runs whose products could overflow int64 go through
+the scalar :meth:`~ReferenceSolver.observe`. The final state is the one
+row-by-row observation reaches.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.foray.model import AffineExpression
+
+#: Rows below which a group is cheaper to feed through
+#: :meth:`ReferenceSolver.observe` one by one than to convert to columns
+#: for :meth:`ReferenceSolver.observe_rows`.
+BULK_MIN_ROWS = 32
+
+#: Settled runs whose ``|addr| + Σ |Ci|·max|ITi|`` (or ``|CONST|``) reach
+#: this bound could overflow int64 and take the scalar path instead.
+_INT64_BOUND = 2**63
 
 
 class ReferenceSolver:
@@ -167,6 +191,107 @@ class ReferenceSolver:
         # Step 7: remember state for the next execution.
         self.prev_iterators = iterators
         self.prev_addr = addr
+
+    def observe_rows(self, addrs: np.ndarray, iterators: np.ndarray,
+                     writes: np.ndarray, sizes: np.ndarray) -> None:
+        """:meth:`observe` every row in order, vectorizing settled runs.
+
+        ``addrs``, ``writes`` (0/1) and ``sizes`` are int64 arrays of
+        length ``k``; ``iterators`` is a ``(k, N)`` int64 array, innermost
+        loop first. The resulting state equals ``k`` scalar calls.
+        """
+        k = addrs.shape[0]
+        start = 0
+        if self.exec_count == 0:
+            self._observe_row(addrs, iterators, writes, sizes, 0)
+            start = 1
+        magnitudes = None  # (max |addr|, max |iterator|), for the guard
+        while start < k:
+            if self.non_analyzable:
+                self._count_rows(addrs, iterators, writes, sizes, start, k)
+                return
+            unknown = [i for i, c in enumerate(self.coefficients) if c is None]
+            stop = k
+            if unknown:
+                solving = self._moved(iterators, start, k)[:, unknown].any(
+                    axis=1)
+                if solving.any():
+                    stop = start + int(solving.argmax())
+            if stop > start:
+                known = [c or 0 for c in self.coefficients]
+                if magnitudes is None:
+                    # An iterator magnitude of at least 1 makes the bound
+                    # cover each coefficient on its own as well.
+                    magnitudes = (int(np.abs(addrs).max()),
+                                  int(np.abs(iterators).max(initial=1)))
+                bound = magnitudes[0] + magnitudes[1] * sum(map(abs, known))
+                if bound < _INT64_BOUND and abs(self.const) < _INT64_BOUND:
+                    self._settled_run(addrs, iterators, writes, sizes,
+                                      known, start, stop)
+                else:
+                    for row in range(start, stop):
+                        self._observe_row(addrs, iterators, writes, sizes,
+                                          row)
+            if stop < k:
+                # A solving step (or step 4) — always scalar.
+                self._observe_row(addrs, iterators, writes, sizes, stop)
+            start = stop + 1
+
+    def _observe_row(self, addrs, iterators, writes, sizes, row: int) -> None:
+        self.observe(int(addrs[row]), tuple(iterators[row].tolist()),
+                     bool(writes[row]), int(sizes[row]))
+
+    def _moved(self, iterators: np.ndarray, start: int,
+               stop: int) -> np.ndarray:
+        """``moved[j, i]``: iterator ``i`` of row ``start + j`` differs
+        from the previous execution's (the row before, or the state's
+        ``prev_iterators`` for row 0)."""
+        if start:
+            previous = iterators[start - 1:stop - 1]
+        else:
+            previous = np.concatenate((
+                np.array(self.prev_iterators, dtype=np.int64).reshape(
+                    1, self.nest_depth),
+                iterators[:stop - 1]))
+        return iterators[start:stop] != previous
+
+    def _count_rows(self, addrs, iterators, writes, sizes, start: int,
+                    stop: int) -> None:
+        """The counter updates and step 7 of rows ``start:stop``."""
+        count = stop - start
+        written = int(np.count_nonzero(writes[start:stop]))
+        self.exec_count += count
+        self.writes += written
+        self.reads += count - written
+        size = int(sizes[start:stop].max())
+        if size > self.access_size:
+            self.access_size = size
+        self.addresses.update(addrs[start:stop].tolist())
+        self.prev_iterators = tuple(iterators[stop - 1].tolist())
+        self.prev_addr = int(addrs[stop - 1])
+
+    def _settled_run(self, addrs, iterators, writes, sizes, known,
+                     start: int, stop: int) -> None:
+        """Steps 5–6 over rows ``start:stop``, during which no iterator
+        with an UNKNOWN coefficient changes (so steps 2–4 do nothing)."""
+        residual = addrs[start:stop] - iterators[start:stop] @ np.array(
+            known, dtype=np.int64)
+        if (residual != self.const).any():
+            missed = np.empty(stop - start, dtype=bool)
+            missed[0] = residual[0] != self.const
+            np.not_equal(residual[1:], residual[:-1], out=missed[1:])
+            self.mispredictions += int(np.count_nonzero(missed))
+            stayed = ~self._moved(iterators, start, stop)[missed]
+            s_vector = self.s_vector
+            for i in np.flatnonzero(stayed.any(axis=0)).tolist():
+                s_vector[i] = 1
+            m = 0
+            for i in range(self.nest_depth):
+                if s_vector[i] == 0:
+                    m = i
+            self.num_iterators = m
+        self.const = int(residual[-1])
+        self._count_rows(addrs, iterators, writes, sizes, start, stop)
 
     # ------------------------------------------------------------------
 

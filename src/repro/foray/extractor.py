@@ -1,16 +1,24 @@
 """The FORAY-GEN driver — Algorithm 1 of the paper.
 
-:class:`ForayExtractor` is a trace *sink*: it consumes checkpoint and
-memory-access records one at a time, routing checkpoints to the loop-tree
-builder (Algorithm 2) and accesses to per-reference affine solvers
-(Algorithm 3). Because it never looks back at earlier records, it can be
+:class:`ForayExtractor` is a trace *sink*: it routes checkpoints to the
+loop-tree builder (Algorithm 2) and accesses to per-reference affine
+solvers (Algorithm 3). Because it never looks back at earlier blocks, it
+can be
 
 * attached directly to the running simulator (the paper's "no need to save
   the typically large trace file" mode — constant space in the trace
   length), or
 * fed from a written trace file via :func:`repro.sim.trace.parse_trace`.
 
-Both modes produce identical models (tested).
+The two entry points share that design. :meth:`ForayExtractor.emit` takes
+one record at a time — the plain reading of the algorithms.
+:meth:`ForayExtractor.emit_columns`, the engines' hot path, takes one
+:class:`~repro.sim.trace.ColumnBlock` at a time: one loop-tree walk cuts
+the block into segments, the accesses are grouped per solver (node uid,
+pc) and visited in order of first occurrence, and long groups are
+checked in bulk by :meth:`ReferenceSolver.observe_rows`. Grouping is
+exact because a solver's state depends only on its own accesses, in
+order. Both entry points produce identical models (tested).
 
 Convenience entry points: :func:`extract_from_source` runs the whole
 pipeline (annotate → profile → analyze → purge) on MiniC source text.
@@ -19,14 +27,17 @@ pipeline (annotate → profile → analyze → purge) on MiniC source text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
-from repro.foray.affine import ReferenceSolver
+import numpy as np
+
+from repro.foray.affine import BULK_MIN_ROWS, ReferenceSolver
 from repro.foray.filters import FilterConfig
 from repro.foray.looptree import LoopNode, LoopTreeBuilder
 from repro.foray.model import ForayLoop, ForayModel, ForayReference
 from repro.sim.trace import (
-    HAVE_NUMPY,
+    KIND_TO_CODE,
     LIB_PC_BASE,
     Access,
     CheckpointMap,
@@ -35,8 +46,7 @@ from repro.sim.trace import (
     is_library_pc,
 )
 
-if HAVE_NUMPY:
-    import numpy as _np
+_uid = attrgetter("uid")
 
 
 @dataclass
@@ -84,125 +94,101 @@ class ForayExtractor:
         if type(record) is Access:
             self._on_access(record)
         else:
-            self._tree.on_checkpoint(record)  # type: ignore[arg-type]
+            self._tree.on_checkpoint_code(
+                record.checkpoint_id,  # type: ignore[union-attr]
+                KIND_TO_CODE[record.kind])  # type: ignore[union-attr]
 
     def consume(self, records: Iterable[TraceRecord]) -> None:
         for record in records:
             self.emit(record)
 
-    def emit_block(self, accesses, checkpoints) -> None:
-        """Batched sink entry point (the engines' hot path).
-
-        ``accesses`` are ``(pc, addr, size, is_write)`` tuples and
-        ``checkpoints`` are ``(pos, checkpoint_id, kind_code)`` tuples as
-        described in :mod:`repro.sim.trace`. Processing stays strictly
-        online and constant-space: the block is consumed event by event
-        without constructing record objects, and the paper's loop-iterator
-        vector is recomputed only when a checkpoint changes it.
-        """
-        tree = self._tree
-        stats = self.stats
-        on_checkpoint = tree.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
-        node = tree.current
-        iterators = tree.current_iterators()
-        for i, (pc, addr, size, is_write) in enumerate(accesses):
-            if ci < ncp and checkpoints[ci][0] <= i:
-                while ci < ncp and checkpoints[ci][0] <= i:
-                    entry = checkpoints[ci]
-                    ci += 1
-                    on_checkpoint(entry[1], entry[2])
-                node = tree.current
-                iterators = tree.current_iterators()
-            stats.total_accesses += 1
-            if pc >= LIB_PC_BASE:
-                # System-library references are not handled by FORAY-GEN
-                # (paper Section 5.2) but are counted for Table III.
-                stats.lib_accesses += 1
-                stats.lib_refs.add((node.uid, pc))
-                stats.lib_addresses.add(addr)
-                continue
-            stats.user_accesses += 1
-            stats.user_refs.add((node.uid, pc))
-            stats.user_addresses.add(addr)
-            solver = node.references.get(pc)
-            if solver is None:
-                solver = ReferenceSolver(pc, node.depth)
-                node.references[pc] = solver
-            solver.observe(addr, iterators, is_write, size)
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
-
     def emit_columns(self, block: ColumnBlock) -> None:
-        """Columnar sink entry point.
+        """Columnar sink entry point (the engines' hot path).
 
-        The segment-independent Table III tallies (access counts and
-        footprint sets) are computed block-wide from the columns; the
-        order-dependent work — loop-tree checkpoints, per-reference
-        solver observations — walks the plain-list views, which keeps
-        every value stashed in long-lived sets a native Python int.
+        One :meth:`LoopTreeBuilder.walk` applies the block's checkpoints
+        and cuts its accesses into segments. The Table III tallies are
+        block-wide column operations. User accesses are then grouped by
+        (node uid, pc) — one group per Algorithm-3 solver — and the groups
+        are visited in order of first occurrence, so solvers are created
+        in stream order. Short groups feed :meth:`ReferenceSolver.observe`
+        row by row; longer ones go to :meth:`ReferenceSolver.observe_rows`.
+        Grouping is exact because a solver's state depends only on its
+        own accesses, in order.
         """
-        checkpoints = block.checkpoints
-        tree = self._tree
-        on_checkpoint = tree.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
         n = block.n
-        if n == 0:
-            while ci < ncp:
-                entry = checkpoints[ci]
-                ci += 1
-                on_checkpoint(entry[1], entry[2])
+        segments = self._tree.walk(block.checkpoints, n)
+        if not n:
             return
-        pcs, addrs, sizes, writes = block.lists()
         stats = self.stats
+        pc_column = block.pc
+        addr_column = block.addr
+        nodes = segments.nodes
+        seg_of = np.zeros(n, dtype=np.int64)  # access -> segment index
+        seg_of[segments.starts[1:]] = 1
+        np.cumsum(seg_of, out=seg_of)
+        uids = np.fromiter(map(_uid, nodes), dtype=np.int64, count=len(nodes))
+        # (node uid, pc) packed into one int64; pcs stay below 2**32.
+        keys = (uids[seg_of] << 32) | pc_column
+        is_lib = pc_column >= LIB_PC_BASE
+        lib_count = int(np.count_nonzero(is_lib))
         stats.total_accesses += n
-        if HAVE_NUMPY:
-            lib_count = int(_np.count_nonzero(block.pc >= LIB_PC_BASE))
-        else:
-            lib_count = sum(1 for pc in pcs if pc >= LIB_PC_BASE)
         stats.lib_accesses += lib_count
         stats.user_accesses += n - lib_count
-        if lib_count == 0:
-            stats.user_addresses.update(addrs)
-        elif lib_count == n:
-            stats.lib_addresses.update(addrs)
-        elif HAVE_NUMPY:
-            lib_mask = block.pc >= LIB_PC_BASE
-            stats.lib_addresses.update(block.addr[lib_mask].tolist())
-            stats.user_addresses.update(block.addr[~lib_mask].tolist())
+        if lib_count:
+            # System-library references are not handled by FORAY-GEN
+            # (paper Section 5.2) but are counted for Table III.
+            # (A set, not np.unique: that imports numpy.ma, ~1 MB.)
+            stats.lib_refs.update(
+                (key >> 32, key & 0xFFFFFFFF)
+                for key in set(keys[is_lib].tolist()))
+            stats.lib_addresses.update(addr_column[is_lib].tolist())
+            if lib_count == n:
+                return
+            user = np.flatnonzero(~is_lib)
+            grouped = user[np.argsort(keys[user], kind="stable")]
         else:
-            for pc, addr in zip(pcs, addrs):
-                if pc >= LIB_PC_BASE:
-                    stats.lib_addresses.add(addr)
-                else:
-                    stats.user_addresses.add(addr)
-        node = tree.current
-        iterators = tree.current_iterators()
-        for i, pc in enumerate(pcs):
-            if ci < ncp and checkpoints[ci][0] <= i:
-                while ci < ncp and checkpoints[ci][0] <= i:
-                    entry = checkpoints[ci]
-                    ci += 1
-                    on_checkpoint(entry[1], entry[2])
-                node = tree.current
-                iterators = tree.current_iterators()
-            if pc >= LIB_PC_BASE:
-                stats.lib_refs.add((node.uid, pc))
-                continue
-            stats.user_refs.add((node.uid, pc))
+            grouped = np.argsort(keys, kind="stable")
+        # ``grouped``: the user accesses' indices, group after group, in
+        # stream order within each group.
+        stats.user_addresses.update(addr_column[grouped].tolist())
+        sorted_keys = keys[grouped]
+        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(grouped)]
+        firsts = grouped[bounds[:-1]]
+        write_column = block.is_write
+        size_column = block.size
+        user_refs = stats.user_refs
+        # uid -> (the node's segments, their iterator matrix), built for
+        # the nodes that own at least one long group.
+        node_iterators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for g in np.argsort(firsts).tolist():
+            first = int(firsts[g])
+            node = nodes[seg_of[first]]
+            uid = node.uid
+            pc = int(pc_column[first])
+            user_refs.add((uid, pc))
             solver = node.references.get(pc)
             if solver is None:
                 solver = ReferenceSolver(pc, node.depth)
                 node.references[pc] = solver
-            solver.observe(addrs[i], iterators, writes[i], sizes[i])
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
+            rows = grouped[bounds[g]:bounds[g + 1]]
+            if len(rows) < BULK_MIN_ROWS:
+                _pcs, addrs, sizes, writes = block.lists()  # memoized
+                observe = solver.observe
+                iterators = segments.iterators
+                for i, seg in zip(rows.tolist(), seg_of[rows].tolist()):
+                    observe(addrs[i], iterators(seg), writes[i], sizes[i])
+                continue
+            cached = node_iterators.get(uid)
+            if cached is None:
+                segs = np.flatnonzero(uids == uid)
+                cached = node_iterators[uid] = (segs, segments.iterator_matrix(
+                    segs.tolist(), node.depth))
+            segs, matrix = cached
+            solver.observe_rows(
+                addr_column[rows],
+                matrix[np.searchsorted(segs, seg_of[rows])],
+                write_column[rows], size_column[rows])
 
     # -- record processing ---------------------------------------------------
 

@@ -20,13 +20,23 @@ Because a node is identified by its *path* from the root, a loop executed
 under two different call sites (or two different outer loops) yields two
 distinct nodes — this is the "functions appear inlined" property the paper
 uses for inlining hints.
+
+Checkpoints arrive one at a time (:meth:`LoopTreeBuilder.on_checkpoint_code`)
+or a trace block at a time (:meth:`LoopTreeBuilder.walk`). The walk
+applies a block's checkpoints in one loop, handling the common
+no-pop events inline, and returns the block's access :class:`Segments`:
+the runs of accesses between checkpoint positions, each with its loop
+node and iterator vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
-from repro.sim.trace import Checkpoint, CheckpointKind, CheckpointMap
+import numpy as np
+
+from repro.sim.trace import CheckpointKind, CheckpointMap, CheckpointTuple
 
 
 @dataclass
@@ -101,13 +111,60 @@ class LoopNode:
             yield from child.iter_subtree()
 
 
+class Segments:
+    """The access segments of one trace block, as parallel lists.
+
+    Segment ``s`` covers the accesses from index ``starts[s]`` up to the
+    next segment's start (or the end of the block). They all execute in
+    ``nodes[s]``, whose iterator was ``iterations[s]``, inside enclosing
+    loops whose iterators, innermost first, are ``outers[s]``. Splitting
+    the IT1..ITN vector this way lets a walk record a segment without
+    building a tuple: the outer part only changes when a loop is entered
+    or left, and consecutive segments share it.
+    """
+
+    __slots__ = ("starts", "nodes", "iterations", "outers")
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.nodes: list[LoopNode] = []
+        self.iterations: list[int] = []
+        self.outers: list[tuple[int, ...]] = []
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def iterators(self, index: int) -> tuple[int, ...]:
+        """IT1..ITN of segment ``index`` (empty at the root)."""
+        if self.nodes[index].parent is None:
+            return ()
+        return (self.iterations[index],) + self.outers[index]
+
+    def iterator_matrix(self, indices: list[int], depth: int) -> np.ndarray:
+        """IT1..ITN of the given segments of one node (of nest ``depth``)
+        as a ``(len(indices), depth)`` int64 array."""
+        count = len(indices)
+        matrix = np.empty((count, depth), dtype=np.int64)
+        if depth:
+            matrix[:, 0] = np.fromiter(
+                map(self.iterations.__getitem__, indices),
+                dtype=np.int64, count=count)
+        if depth > 1:
+            matrix[:, 1:] = np.fromiter(
+                chain.from_iterable(map(self.outers.__getitem__, indices)),
+                dtype=np.int64, count=count * (depth - 1),
+            ).reshape(count, depth - 1)
+        return matrix
+
+
 class LoopTreeBuilder:
     """Streaming implementation of Algorithm 2.
 
-    Feed :class:`Checkpoint` records through :meth:`on_checkpoint`; between
-    checkpoints, :attr:`current` is the loop node that subsequent memory
-    accesses belong to and :meth:`current_iterators` gives the paper's
-    IT1..ITN vector (innermost first).
+    Feed checkpoints one at a time through :meth:`on_checkpoint_code`, or
+    a whole block's at once through :meth:`walk`; between checkpoints,
+    :attr:`current` is the loop node that subsequent memory accesses
+    belong to and :meth:`current_iterators` gives the paper's IT1..ITN
+    vector (innermost first).
     """
 
     def __init__(self, checkpoint_map: CheckpointMap):
@@ -132,28 +189,77 @@ class LoopTreeBuilder:
             self._stack[i][0].iteration for i in range(len(self._stack) - 1, 0, -1)
         )
 
-    def on_checkpoint(self, record: Checkpoint) -> None:
-        kind = record.kind
-        checkpoint_id = record.checkpoint_id
-        if kind is CheckpointKind.LOOP_BEGIN:
-            self._on_loop_begin(checkpoint_id)
-        elif kind is CheckpointKind.BODY_BEGIN:
-            self._on_body_begin(checkpoint_id)
-        else:
-            self._on_body_end(checkpoint_id)
-
     def on_checkpoint_code(self, checkpoint_id: int, kind_code: int) -> None:
-        """Batched-protocol entry point: kind as a compact integer code.
-
-        Avoids constructing a :class:`Checkpoint` record per event (see
-        :data:`repro.sim.trace.KIND_TO_CODE`).
-        """
+        """Apply one checkpoint, its kind given as the compact integer
+        code of :data:`repro.sim.trace.KIND_TO_CODE`."""
         if kind_code == 0:  # LOOP_BEGIN
             self._on_loop_begin(checkpoint_id)
         elif kind_code == 1:  # BODY_BEGIN
             self._on_body_begin(checkpoint_id)
         else:  # BODY_END
             self._on_body_end(checkpoint_id)
+
+    def walk(self, checkpoints: list[CheckpointTuple], n: int) -> Segments:
+        """Apply one block's ``(pos, checkpoint_id, kind_code)`` checkpoints
+        and return the segments of its ``n`` accesses, in order.
+
+        The common events are handled inline: a body-begin or body-end
+        whose loop is already on top of the stack (nothing to pop) and a
+        loop-begin under an open body. Every other checkpoint goes through
+        :meth:`on_checkpoint_code`, so stack pops, node creation, uid
+        order, trip counts and the unmatched-checkpoint ``ValueError``
+        are exactly those of one-at-a-time processing.
+        """
+        stack = self._stack
+        root = self.root
+        owner_of = self._map.begin_ids().get
+        segments = Segments()
+        add_start = segments.starts.append
+        add_node = segments.nodes.append
+        add_iteration = segments.iterations.append
+        add_outer = segments.outers.append
+        top = stack[-1]
+        node = top[0]
+        outer = self.current_iterators()[1:]
+        start = 0
+        for pos, checkpoint_id, code in checkpoints:
+            if pos > start:
+                add_start(start)
+                add_node(node)
+                add_iteration(node.iteration)
+                add_outer(outer)
+                start = pos
+            if code:
+                if owner_of(checkpoint_id) == node.begin_id:
+                    if code == 1:  # body-begin: LoopNode.begin_iteration
+                        top[1] = True
+                        iteration = node.iteration + 1
+                        node.iteration = iteration
+                        node.total_iterations += 1
+                        if iteration >= node.max_trip:
+                            node.max_trip = iteration + 1
+                    else:
+                        top[1] = False
+                    continue
+            elif top[1]:
+                # A loop-begin under an open body pops nothing: the top
+                # becomes the new loop's innermost enclosing loop.
+                if node is not root:
+                    outer = (node.iteration,) + outer
+                self._on_loop_begin(checkpoint_id)
+                top = stack[-1]
+                node = top[0]
+                continue
+            self.on_checkpoint_code(checkpoint_id, code)
+            top = stack[-1]
+            node = top[0]
+            outer = self.current_iterators()[1:]
+        if start < n:
+            add_start(start)
+            add_node(node)
+            add_iteration(node.iteration)
+            add_outer(outer)
+        return segments
 
     def _on_loop_begin(self, begin_id: int) -> None:
         # A new loop starting while the top's body is closed means the top

@@ -37,9 +37,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.foray.looptree import LoopTreeBuilder
+from repro.foray.looptree import LoopNode, LoopTreeBuilder
 from repro.foray.model import ForayModel, ForayReference
 from repro.sim.trace import (
+    KIND_TO_CODE,
     LIB_PC_BASE,
     Access,
     CheckpointMap,
@@ -155,11 +156,14 @@ class ValidationReport:
 
 
 class _RefState:
-    __slots__ = ("validation", "expression", "rebase", "offset", "anchor_iters")
+    __slots__ = ("validation", "expression", "coefficients", "rebase",
+                 "offset", "anchor_iters")
 
     def __init__(self, validation: ReferenceValidation):
         self.validation = validation
         self.expression = validation.reference.expression
+        #: C1..CM, computed once instead of once per scored access.
+        self.coefficients = self.expression.used_coefficients()
         #: Partial expressions may re-anchor their constant per context.
         self.rebase = not validation.reference.is_full
         self.offset: int | None = None
@@ -170,8 +174,8 @@ class ValidationSink:
     """A trace sink that scores a model online while an engine runs.
 
     Implements both entry points of the sink protocol: the per-record
-    :meth:`emit` (stored-trace replay) and the batched :meth:`emit_block`
-    hot path (attach directly to a simulation via
+    :meth:`emit` (stored-trace replay) and the columnar
+    :meth:`emit_columns` hot path (attach directly to a simulation via
     ``run_compiled(..., sinks=(sink,))``). References are matched by
     (loop-begin-id path, pc), which is stable across runs — and across
     input scenarios, whose sources share one AST skeleton by construction.
@@ -186,83 +190,49 @@ class ValidationSink:
             path_key = tuple(loop.begin_id for loop in reference.loop_path)
             self._states[(path_key, reference.pc)] = _RefState(validation)
         self._builder = LoopTreeBuilder(checkpoint_map)
+        #: node uid -> {pc: state} of the user references scored there.
+        self._node_states: dict[int, dict[int, _RefState]] = {}
 
     def emit(self, record: TraceRecord) -> None:
         if isinstance(record, Access):
             if not is_library_pc(record.pc):
                 self._score_at_current(record.pc, record.addr)
         else:
-            self._builder.on_checkpoint(record)
-
-    def emit_block(self, accesses, checkpoints) -> None:
-        # Mirrors the extractor's batched loop: the loop position (and so
-        # the path key and iterator vector) only changes at checkpoints,
-        # so both are recomputed per checkpoint run, not per access.
-        builder = self._builder
-        states = self._states
-        on_checkpoint = builder.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
-        path_key = tuple(
-            n.begin_id for n in builder.current.path_from_root()
-        )
-        iterators = builder.current_iterators()
-        for i, (pc, addr, _size, _is_write) in enumerate(accesses):
-            if ci < ncp and checkpoints[ci][0] <= i:
-                while ci < ncp and checkpoints[ci][0] <= i:
-                    entry = checkpoints[ci]
-                    ci += 1
-                    on_checkpoint(entry[1], entry[2])
-                path_key = tuple(
-                    n.begin_id for n in builder.current.path_from_root()
-                )
-                iterators = builder.current_iterators()
-            if pc >= LIB_PC_BASE:
-                continue
-            state = states.get((path_key, pc))
-            if state is not None:
-                _score_access(state, addr, iterators)
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
+            self._builder.on_checkpoint_code(record.checkpoint_id,
+                                             KIND_TO_CODE[record.kind])
 
     def emit_columns(self, block: ColumnBlock) -> None:
-        """Columnar sink entry point: same per-segment recomputation as
-        :meth:`emit_block`, walking the block's plain-list views (sizes
-        and write flags are never consulted by scoring)."""
-        checkpoints = block.checkpoints
-        builder = self._builder
-        states = self._states
-        on_checkpoint = builder.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
-        if block.n:
-            pcs, addrs, _sizes, _writes = block.lists()
-            path_key = tuple(
-                node.begin_id for node in builder.current.path_from_root()
-            )
-            iterators = builder.current_iterators()
-            for i, pc in enumerate(pcs):
-                if ci < ncp and checkpoints[ci][0] <= i:
-                    while ci < ncp and checkpoints[ci][0] <= i:
-                        entry = checkpoints[ci]
-                        ci += 1
-                        on_checkpoint(entry[1], entry[2])
-                    path_key = tuple(
-                        node.begin_id
-                        for node in builder.current.path_from_root()
-                    )
-                    iterators = builder.current_iterators()
-                if pc >= LIB_PC_BASE:
-                    continue
-                state = states.get((path_key, pc))
+        """Columnar sink entry point: one :meth:`LoopTreeBuilder.walk`
+        per block, then the accesses segment by segment, skipping the
+        segments of nodes no model reference lives in (sizes and write
+        flags are never consulted by scoring)."""
+        n = block.n
+        segments = self._builder.walk(block.checkpoints, n)
+        if not n:
+            return
+        pcs, addrs, _sizes, _writes = block.lists()
+        starts = segments.starts
+        for index, node in enumerate(segments.nodes):
+            states = self._node_states.get(node.uid)
+            if states is None:
+                states = self._states_of(node)
+            if not states:
+                continue
+            iterators = segments.iterators(index)
+            end = starts[index + 1] if index + 1 < len(starts) else n
+            for i in range(starts[index], end):
+                state = states.get(pcs[i])
                 if state is not None:
                     _score_access(state, addrs[i], iterators)
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
+
+    def _states_of(self, node: LoopNode) -> dict[int, _RefState]:
+        path_key = tuple(loop.begin_id for loop in node.path_from_root())
+        states = {
+            pc: state for (path, pc), state in self._states.items()
+            if path == path_key and pc < LIB_PC_BASE
+        }
+        self._node_states[node.uid] = states
+        return states
 
     def _score_at_current(self, pc: int, addr: int) -> None:
         node = self._builder.current
@@ -301,10 +271,9 @@ def _score_access(state: _RefState, addr: int, iterators: tuple[int, ...]) -> No
         # vector into a garbage match.
         state.validation.checked += 1
         return
-    inner = iterators[:m]
     inner_part = sum(
         coefficient * value
-        for coefficient, value in zip(expression.used_coefficients(), inner)
+        for coefficient, value in zip(state.coefficients, iterators)
     )
     if state.rebase:
         outer = iterators[m:]

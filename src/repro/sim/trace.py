@@ -68,15 +68,7 @@ import io
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable, Iterator, Protocol, Union
 
-_np: Any = None
-HAVE_NUMPY = False
-try:
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    pass
-else:
-    _np = _numpy
-    HAVE_NUMPY = True
+import numpy as np
 
 #: Base pc for user-code memory access sites.
 USER_PC_BASE = 0x400000
@@ -195,11 +187,15 @@ class CheckpointMap:
         return self.infos[checkpoint_id].kind
 
     def begin_id_for(self, checkpoint_id: int) -> int | None:
-        """The loop-begin checkpoint id of the loop owning ``checkpoint_id``.
+        """Loop-begin checkpoint id of the loop owning ``checkpoint_id``."""
+        return self.begin_ids().get(checkpoint_id)
+
+    def begin_ids(self) -> dict[int, int | None]:
+        """checkpoint id → loop-begin id of its loop, for every id.
 
         All three checkpoints of one loop share a ``loop_node_id``; the
         mapping is cached (invalidated by :meth:`add`) because this sits on
-        the trace-processing hot path.
+        the trace-processing hot path. Callers must not mutate it.
         """
         cache = self._begin_cache
         if cache is None:
@@ -213,7 +209,7 @@ class CheckpointMap:
                 for cid, info in self.infos.items()
             }
             self._begin_cache = cache
-        return cache.get(checkpoint_id)
+        return cache
 
     def __contains__(self, checkpoint_id: int) -> bool:
         return checkpoint_id in self.infos
@@ -285,17 +281,13 @@ class ColumnBlock:
         """The (n, 4) int64 matrix backing the column properties."""
         arr = self._arr
         if arr is None:
-            if not HAVE_NUMPY:
-                raise RuntimeError(
-                    "ColumnBlock column arrays require numpy; use "
-                    ".lists() or .to_tuples() instead"
-                )
             if self._flat is not None:
-                arr = _np.array(self._flat, dtype=_np.int64).reshape(-1, 4)
+                arr = np.fromiter(self._flat, dtype=np.int64,
+                                  count=len(self._flat)).reshape(-1, 4)
             elif self._tuples:
-                arr = _np.array(self._tuples, dtype=_np.int64)
+                arr = np.array(self._tuples, dtype=np.int64)
             else:
-                arr = _np.empty((0, 4), dtype=_np.int64)
+                arr = np.empty((0, 4), dtype=np.int64)
             self._arr = arr
         return arr
 

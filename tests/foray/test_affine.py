@@ -1,26 +1,78 @@
 """Unit tests for Algorithm 3 (the online affine solver), including the
-paper's worked Figure 4 example and hypothesis property tests."""
+paper's worked Figure 4 example and hypothesis property tests.
 
+Every access sequence is fed twice: row by row through
+:meth:`ReferenceSolver.observe`, and through the bulk
+:meth:`ReferenceSolver.observe_rows` on copies of the solver — once whole
+and once split into two calls at every position. Both must reach the same
+full solver state.
+"""
+
+import copy
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.foray.affine import ReferenceSolver
 
 
+def solver_state(solver):
+    """Every slot of ``solver``, scalars tagged with their type (the bulk
+    path must leave native ints, not numpy scalars, behind)."""
+    state = {}
+    for slot in ReferenceSolver.__slots__:
+        value = getattr(solver, slot)
+        if isinstance(value, set):
+            assert all(type(item) is int for item in value)
+            state[slot] = sorted(value)
+        elif isinstance(value, (list, tuple)):
+            state[slot] = (type(value), [(type(item), item) for item in value])
+        else:
+            state[slot] = (type(value), value)
+    return state
+
+
+def observe_bulk(solver, rows):
+    """Feed ``(addr, iterators, is_write, size)`` rows to observe_rows."""
+    addrs, iterators, writes, sizes = zip(*rows)
+    solver.observe_rows(
+        np.array(addrs, dtype=np.int64),
+        np.array(iterators, dtype=np.int64).reshape(len(rows),
+                                                    solver.nest_depth),
+        np.array(writes, dtype=np.int64), np.array(sizes, dtype=np.int64))
+
+
+def observe_all(solver, rows):
+    """Feed ``rows`` through observe, and check observe_rows against it."""
+    before = copy.deepcopy(solver)
+    for addr, iterators, is_write, size in rows:
+        solver.observe(addr, iterators, is_write, size)
+    expected = solver_state(solver)
+    for split in range(len(rows) + 1):
+        twin = copy.deepcopy(before)
+        for part in (rows[:split], rows[split:]):
+            if part:
+                observe_bulk(twin, part)
+        assert solver_state(twin) == expected, split
+
+
 def feed_nest(solver, trips, address_fn, writes=False):
     """Execute a perfect nest (trips outer->inner) calling address_fn with
     iterator values (innermost first)."""
     depth = len(trips)
+    rows = []
 
     def rec(level, outer):
         if level == depth:
             iterators = tuple(reversed(outer))
-            solver.observe(address_fn(iterators), iterators, writes)
+            rows.append((address_fn(iterators), iterators, writes, 1))
             return
         for value in range(trips[level]):
             rec(level + 1, outer + [value])
 
     rec(0, [])
+    observe_all(solver, rows)
 
 
 class TestPaperFigure4:
@@ -31,11 +83,13 @@ class TestPaperFigure4:
 
     def solve(self):
         solver = ReferenceSolver(pc=0x4002A0, nest_depth=2)
+        rows = []
         index = 0
         for outer in range(2):
             for inner in range(3):
-                solver.observe(self.ADDRESSES[index], (inner, outer), True)
+                rows.append((self.ADDRESSES[index], (inner, outer), True, 4))
                 index += 1
+        observe_all(solver, rows)
         return solver
 
     def test_coefficients_match_paper(self):
@@ -149,17 +203,19 @@ class TestPartialAffine:
         # First and second observation differ in BOTH iterators while both
         # coefficients are unknown (H > 1): step 4 gives up.
         solver = ReferenceSolver(0x400000, 2)
-        solver.observe(100, (0, 0), False)
-        solver.observe(200, (1, 1), False)
+        observe_all(solver, [(100, (0, 0), False, 1),
+                             (200, (1, 1), False, 1)])
         assert solver.non_analyzable
 
     def test_non_analyzable_still_counts(self):
         solver = ReferenceSolver(0x400000, 2)
-        solver.observe(100, (0, 0), False)
-        solver.observe(200, (1, 1), False)
-        solver.observe(300, (2, 2), True)
+        observe_all(solver, [(100, (0, 0), False, 1),
+                             (200, (1, 1), False, 2),
+                             (300, (2, 2), True, 4)])
         assert solver.exec_count == 3
         assert solver.footprint == 3
+        assert solver.access_size == 4
+        assert (solver.reads, solver.writes) == (2, 1)
 
     def test_irregular_single_loop_drops_to_zero_iterators(self):
         # A permutation-gather: every prediction misses while the iterator
@@ -230,7 +286,52 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_footprint_and_exec_count_invariants(self, addresses):
         solver = ReferenceSolver(0x400000, 1)
-        for index, addr in enumerate(addresses):
-            solver.observe(addr, (index,), False)
+        observe_all(solver, [(addr, (index,), index % 3 == 0, 1 + index % 4)
+                             for index, addr in enumerate(addresses)])
         assert solver.exec_count == len(addresses)
         assert solver.footprint == len(set(addresses))
+
+
+class TestBulkEntry:
+    """Cases aimed at observe_rows' own branches."""
+
+    def test_depth_zero_reference(self):
+        solver = ReferenceSolver(0x400000, 0)
+        observe_all(solver, [(addr, (), False, 1)
+                             for addr in (40, 40, 44, 44, 40)])
+        assert solver.mispredictions == 2
+        assert solver.num_iterators == 0
+
+    def test_mispredictions_mark_unchanged_iterators(self):
+        # The base jumps whenever the middle iterator wraps, while the
+        # outer one stays put: S marks both outer iterators.
+        bases = {(0, 0): 0, (1, 0): 500, (2, 0): 90, (0, 1): 7000,
+                 (1, 1): 12, (2, 1): 3300}
+        solver = ReferenceSolver(0x400000, 3)
+        feed_nest(solver, [2, 3, 4],
+                  lambda it: bases[(it[1], it[2])] + 4 * it[0])
+        assert solver.s_vector[0] == 0
+        assert solver.num_iterators == 1
+
+    def test_int64_overflow_takes_scalar_path(self):
+        # C1 = 2**40 makes C1 * IT1 leave int64 once IT1 reaches 2**23:
+        # a wrapped residual would corrupt CONST, so these rows must go
+        # through the exact scalar observe.
+        rows = [(0, (0,), False, 1), (2**40, (1,), False, 1)]
+        rows += [(5 + index, (2**22 * index,), index % 2 == 1, 1)
+                 for index in range(1, 6)]
+        solver = ReferenceSolver(0x400000, 1)
+        observe_all(solver, rows)
+        assert solver.coefficients == [2**40]
+        assert solver.const == 10 - 2**40 * 5 * 2**22
+
+    def test_coefficient_beyond_int64_takes_scalar_path(self):
+        # The solved coefficient (2**64 - 2) does not fit in int64. The
+        # split that bulk-feeds only the two rows whose iterator is 0
+        # must still take the scalar path.
+        rows = [(-2**63 + 1, (0,), False, 1), (2**63 - 1, (1,), False, 1),
+                (7, (0,), False, 1), (9, (0,), True, 1)]
+        solver = ReferenceSolver(0x400000, 1)
+        observe_all(solver, rows)
+        assert solver.coefficients == [2**64 - 2]
+        assert (solver.const, solver.mispredictions) == (9, 2)

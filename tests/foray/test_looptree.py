@@ -3,14 +3,18 @@
 These tests drive the builder with synthetic checkpoint streams so the
 tricky disambiguation cases (nested vs sequential, zero-iteration loops,
 re-entry, missing body-ends after break) are pinned independently of the
-simulator.
+simulator. Every stream goes through both entry points: one checkpoint at
+a time (:meth:`LoopTreeBuilder.on_checkpoint_code`, the record path) and
+whole blocks (:meth:`LoopTreeBuilder.walk`), with the stream split into
+two blocks at every position; both must build the same tree and place
+every access in the same node under the same iterators.
 """
 
 import pytest
 
 from repro.foray.looptree import LoopTreeBuilder
 from repro.sim.trace import (
-    Checkpoint,
+    KIND_TO_CODE,
     CheckpointInfo,
     CheckpointKind,
     CheckpointMap,
@@ -30,10 +34,73 @@ def make_map(num_loops: int, kind: str = "for") -> CheckpointMap:
     return cmap
 
 
-def build(cmap, events):
-    builder = LoopTreeBuilder(cmap)
+def feed(builder, events):
+    """The record path: one checkpoint at a time."""
     for checkpoint_id, kind in events:
-        builder.on_checkpoint(Checkpoint(checkpoint_id, kind))
+        builder.on_checkpoint_code(checkpoint_id, KIND_TO_CODE[kind])
+
+
+def snapshot(builder):
+    """Every node's state plus the stack, comparable across builders."""
+    nodes = [
+        (node.uid, node.begin_id, node.kind, node.depth, node.ast_node_id,
+         list(node.children), node.iteration, node.entries,
+         node.total_iterations, node.max_trip, node.min_trip)
+        for node in builder.root.iter_subtree()
+    ]
+    stack = [(node.uid, body_open) for node, body_open in builder._stack]
+    return nodes, stack
+
+
+def block_of(events, with_accesses):
+    """One block of ``events``. With accesses, one follows every event
+    but the last, so the last checkpoint trails the block (pos == n);
+    without, every checkpoint sits at pos 0 of an access-free block."""
+    checkpoints = []
+    n = 0
+    for index, (checkpoint_id, kind) in enumerate(events):
+        checkpoints.append((n, checkpoint_id, KIND_TO_CODE[kind]))
+        if with_accesses and index < len(events) - 1:
+            n += 1
+    return checkpoints, n
+
+
+def access_states(segments, n):
+    """(node uid, iterators) of each of a walk's ``n`` accesses."""
+    states = []
+    for index, start in enumerate(segments.starts):
+        end = segments.starts[index + 1] if index + 1 < len(segments) else n
+        states.extend([(segments.nodes[index].uid,
+                        segments.iterators(index))] * (end - start))
+    return states
+
+
+def build(cmap, events):
+    """Feed ``events`` on the record path and check the block walk
+    against it at every split; returns the record-path builder."""
+    builder = LoopTreeBuilder(cmap)
+    expected_states = []
+    for index, event in enumerate(events):
+        feed(builder, [event])
+        if index < len(events) - 1:
+            expected_states.append(
+                (builder.current.uid, builder.current_iterators()))
+    for with_accesses in (True, False):
+        for split in range(len(events) + 1):
+            walked = LoopTreeBuilder(cmap)
+            states = []
+            for part in (events[:split], events[split:]):
+                checkpoints, n = block_of(part, with_accesses)
+                states += access_states(walked.walk(checkpoints, n), n)
+            assert snapshot(walked) == snapshot(builder), (split,
+                                                           with_accesses)
+            if with_accesses:
+                # Each block's last event trails it, so the access after
+                # event ``split - 1`` is missing from the walk.
+                expected = [state for index, state
+                            in enumerate(expected_states)
+                            if index != split - 1]
+                assert states == expected, split
     return builder
 
 
@@ -150,6 +217,76 @@ class TestStructure:
         assert nested.ast_node_id == top.ast_node_id
 
 
+class TestBlockWalk:
+    """Cases aimed at the block walk's inline fast paths."""
+
+    def test_same_static_loop_twice_on_stack(self):
+        # A recursive function whose loop body calls it again: loop 10
+        # nests inside itself as a distinct node. Once the inner instance
+        # is on top, every body checkpoint of loop 10 matches it (nothing
+        # is popped), so the outer body's end and next begin land on the
+        # inner node too — on both paths.
+        builder = build(make_map(1), [
+            (10, B), (11, S),
+            (10, B), (11, S), (12, E), (11, S), (12, E),
+            (12, E), (11, S), (12, E),
+        ])
+        outer = builder.root.children[10]
+        inner = outer.children[10]
+        assert outer.uid != inner.uid
+        assert inner.depth == 2
+        assert inner.total_iterations == 3
+        assert outer.total_iterations == 1
+        assert builder.current_iterators() == (2, 0)
+
+    def test_unmatched_body_checkpoint_same_error(self):
+        events = [(10, B), (11, S), (12, E), (14, S)]
+        with pytest.raises(ValueError) as record_error:
+            feed(LoopTreeBuilder(make_map(2)), events)
+        checkpoints, n = block_of(events, with_accesses=True)
+        with pytest.raises(ValueError) as walk_error:
+            LoopTreeBuilder(make_map(2)).walk(checkpoints, n)
+        assert str(walk_error.value) == str(record_error.value)
+        assert "body-begin checkpoint for loop 13" in str(walk_error.value)
+
+    def test_checkpoint_only_block(self):
+        builder = LoopTreeBuilder(make_map(2))
+        segments = builder.walk(
+            [(0, 10, 0), (0, 11, 1), (0, 13, 0), (0, 14, 1)], 0)
+        assert len(segments) == 0
+        assert builder.current_iterators() == (0, 0)
+
+    def test_trailing_checkpoints(self):
+        # Checkpoints at pos == n fire after the block's last access.
+        builder = LoopTreeBuilder(make_map(1))
+        segments = builder.walk(
+            [(0, 10, 0), (0, 11, 1), (2, 12, 2), (2, 11, 1)], 2)
+        assert segments.starts == [0]
+        assert segments.iterators(0) == (0,)
+        assert builder.current_iterators() == (1,)
+
+    def test_zero_trip_loop_accesses(self):
+        # Accesses in a loop condition that never admits the body run
+        # under iteration -1; the loop still counts one entry, and the
+        # next loop-begin pops it (its body never opened).
+        builder = LoopTreeBuilder(make_map(2))
+        segments = builder.walk([(0, 10, 0), (1, 13, 0), (2, 14, 1)], 3)
+        assert [segments.iterators(i) for i in range(len(segments))] == [
+            (-1,), (-1,), (0,)]
+        assert [node.begin_id for node in segments.nodes] == [10, 13, 13]
+        root = builder.finish()
+        assert root.children[10].max_trip == 0
+        assert root.children[10].entries == 1
+        build(make_map(2), [(10, B), (13, B), (14, S), (15, E),
+                            (10, B), (11, S), (12, E)])
+
+    def test_access_at_root_has_no_iterators(self):
+        builder = LoopTreeBuilder(make_map(1))
+        segments = builder.walk([(1, 10, 0), (2, 11, 1)], 3)
+        assert [segments.iterators(i) for i in range(len(segments))] == [
+            (), (-1,), (0,)]
+
+
 class TestIterators:
     def test_iterator_values_track_body_begins(self):
         cmap = make_map(2)
@@ -162,9 +299,10 @@ class TestIterators:
             (11, S),
             (13, B), (14, S),
         ]
-        for checkpoint_id, kind in events:
-            builder.on_checkpoint(Checkpoint(checkpoint_id, kind))
+        for event in events:
+            feed(builder, [event])
             seen.append(builder.current_iterators())
+        build(cmap, events)
         # After the last body-begin of loop 13 under outer iteration 1:
         assert seen[-1] == (0, 1)  # innermost first
 
@@ -174,8 +312,11 @@ class TestIterators:
 
     def test_unknown_checkpoint_rejected(self):
         builder = LoopTreeBuilder(make_map(1))
-        with pytest.raises(ValueError):
-            builder.on_checkpoint(Checkpoint(99, S))
+        with pytest.raises(ValueError, match="unknown checkpoint id 99"):
+            feed(builder, [(99, S)])
+        with pytest.raises(ValueError, match="unknown checkpoint id 99"):
+            LoopTreeBuilder(make_map(1)).walk(
+                [(0, 10, KIND_TO_CODE[B]), (1, 99, KIND_TO_CODE[S])], 2)
 
     def test_kind_recorded_from_map(self):
         builder = build(make_map(1, kind="do"), [(10, B), (11, S), (12, E)])
