@@ -152,10 +152,9 @@ def _bench_names() -> tuple[str, ...]:
 def _measure_workloads() -> dict:
     """steps/sec for every engine tier plus static fusion coverage.
 
-    The bytecode engine is timed three ways — fused with interval-analysis
-    guard elimination (the default), fused with every memory access fully
-    checked (``guard_elim=False``), and unfused — so ``BENCH_steps.json``
-    records what the dataflow framework is worth on the hot path."""
+    The bytecode engine is timed fused (the specialized fast path, the
+    default) and unfused (the plain dispatch loop); the AST oracle is
+    timed as the reference point."""
     rounds = 2 if SCALING_QUICK else 3
     out = {}
     for name in _bench_names():
@@ -164,26 +163,21 @@ def _measure_workloads() -> dict:
         stats = fusion_stats(bp)
         fused_t, steps = _time_engine(
             compiled, EngineConfig(engine="bytecode"), rounds)
-        noguard_t, noguard_steps = _time_engine(
-            compiled, EngineConfig(engine="bytecode", guard_elim=False),
-            rounds)
         unfused_t, unfused_steps = _time_engine(
             compiled, EngineConfig(engine="bytecode", fusion=False), rounds)
         # The AST oracle is an order of magnitude slower; one round is
         # plenty for a best-of comparison that only sanity-checks it.
         ast_t, ast_steps = _time_engine(
             compiled, EngineConfig(engine="ast"), 1 if SCALING_QUICK else 2)
-        assert steps == noguard_steps == unfused_steps == ast_steps, (
+        assert steps == unfused_steps == ast_steps, (
             f"engines disagree on simulated steps for {name}")
         out[name] = {
             "steps": steps,
             "ast_sps": steps / ast_t,
             "unfused_sps": steps / unfused_t,
-            "noguard_sps": steps / noguard_t,
             "fused_sps": steps / fused_t,
             "fused_over_unfused": unfused_t / fused_t,
             "fused_over_ast": ast_t / fused_t,
-            "guard_elim_over_checked": noguard_t / fused_t,
             "memory_fused_share": stats["memory_fused_share"],
             "instructions_before": stats["instructions_before"],
             "instructions_after": stats["instructions_after"],
@@ -310,10 +304,8 @@ def test_engine_steps_json(results_dir):
     lines = [
         f"{name:8s} steps={m['steps']:>9} "
         f"ast={m['ast_sps']:>10.0f} unfused={m['unfused_sps']:>10.0f} "
-        f"checked={m['noguard_sps']:>10.0f} "
         f"fused={m['fused_sps']:>10.0f} sps "
         f"({m['fused_over_unfused']:.2f}x over unfused, "
-        f"{m['guard_elim_over_checked']:.2f}x over checked, "
         f"{m['fused_over_ast']:.2f}x over ast, "
         f"{m['memory_fused_share']:.0%} mem ops fused)"
         for name, m in workloads.items()

@@ -25,8 +25,8 @@ Commands
     arbitrary files via ``--file``): definite assignment before use,
     static array bounds, dead stores, unused variables/parameters,
     constant branch conditions and zero-trip/non-terminating loops —
-    driven by the same dataflow framework the bytecode engine uses for
-    guard elimination. Stable rule codes (L1xx errors, L2xx warnings),
+    driven by the same dataflow solver the fusion pass and the IR
+    verifier use. Stable rule codes (L1xx errors, L2xx warnings),
     ``--json`` payload, non-zero exit on any error-severity finding.
 
 ``gen [--seeds N --profile SIZE --check NAME,... --jobs K]``

@@ -4,12 +4,12 @@ Design note
 ===========
 
 The suite's verification tower — fused-VM/AST parity, the IR verifier,
-guard-elimination safety, the static-vs-dynamic FORAY oracle, the MiniC
-linter, the SPM allocator invariants — was only ever exercised on seven
-hand-written workloads. This package turns each of those invariants into
-a population-scale differential-testing result, in the same shape
-compiler fuzzers like Csmith use: generate random-but-valid programs,
-run every implementation we have, and demand they agree.
+the static-vs-dynamic FORAY oracle, the MiniC linter, the SPM allocator
+invariants — was only ever exercised on seven hand-written workloads.
+This package turns each of those invariants into a population-scale
+differential-testing result, in the same shape compiler fuzzers like
+Csmith use: generate random-but-valid programs, run every
+implementation we have, and demand they agree.
 
 The subsystem is four small passes with one rule each:
 
@@ -51,10 +51,10 @@ The subsystem is four small passes with one rule each:
 ``fuzz``
     The differential harness: fans (profile, seed) cells through the
     pipeline's process pool and runs the check battery per program —
-    engine parity across guard-eliminated/checked/unfused/AST
-    configurations, IR verification, static-oracle agreement, lint
-    triage, allocator dominance (DP >= both greedies), replay traffic
-    drop == prediction, and cross-input model transfer.
+    three-way engine parity (specialized, unfused, AST), IR
+    verification, static-oracle agreement, lint triage, allocator
+    dominance (DP >= both greedies), replay traffic drop == prediction,
+    and cross-input model transfer.
 
 The generator version (:data:`~repro.gen.profiles.GENERATOR_VERSION`)
 is stamped into every emitted source header, so content-addressed

@@ -4,9 +4,9 @@ Every invariant the repo asserts on its seven hand-written workloads is
 re-asserted here on ``--seeds N`` generated programs, per program:
 
 ``parity``
-    Guard-eliminated, fully-checked, unfused and AST engines must agree
-    byte-for-byte on exit code, stdout, step/call counts and the
-    formatted trace.
+    The specialized fast path, the unfused dispatch loop and the AST
+    reference interpreter must agree byte-for-byte on exit code, stdout,
+    step/call counts and the formatted trace.
 ``ir``
     The structural bytecode verifier accepts the lowered + fused forms.
 ``lint``
@@ -85,10 +85,7 @@ KNOWN_CHECKS = FUZZ_CHECKS + (SEEDED_BUG_CHECK,)
 
 #: Engine configurations whose observable behaviour must be identical.
 PARITY_CONFIGS = (
-    ("guard_elim", EngineConfig(engine="bytecode", fusion=True,
-                                guard_elim=True)),
-    ("checked", EngineConfig(engine="bytecode", fusion=True,
-                             guard_elim=False)),
+    ("specialized", EngineConfig(engine="bytecode", fusion=True)),
     ("unfused", EngineConfig(engine="bytecode", fusion=False)),
     ("ast", EngineConfig(engine="ast")),
 )

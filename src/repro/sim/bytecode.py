@@ -38,6 +38,7 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass, field
+from types import FrameType
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.lang import ast_nodes as ast
@@ -196,6 +197,16 @@ def _c_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
+def _stack_depth() -> int:
+    """The number of Python frames on the calling thread's stack."""
+    depth = 0
+    frame: FrameType | None = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
 # ---------------------------------------------------------------------------
 # Compiled artifacts
 # ---------------------------------------------------------------------------
@@ -238,11 +249,11 @@ class BytecodeProgram:
     #: Code run once at VM startup (tracing off) to initialize globals.
     globals_init: BytecodeFunction
     #: Per-process derived caches, rebuilt on demand after unpickling
-    #: (see :meth:`__getstate__`): the fused twin and the compiled
-    #: specializations keyed by (guard_elim, check_ranges).
+    #: (see :meth:`__getstate__`): the fused twin and its compiled
+    #: specialization.
     _fused: "BytecodeProgram | None" = field(
         default=None, init=False, repr=False, compare=False)
-    _specializations: "dict[tuple[bool, bool], specialize.Specialization] | None" = field(
+    _specialization: "specialize.Specialization | None" = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -256,7 +267,7 @@ class BytecodeProgram:
         # after unpickling instead of shipping them across processes.
         state = dict(self.__dict__)
         state.pop("_fused", None)
-        state.pop("_specializations", None)
+        state.pop("_specialization", None)
         return state
 
 
@@ -1138,7 +1149,6 @@ class BytecodeVM:
         trace_block_size: int = DEFAULT_TRACE_BLOCK,
         input_spec: InputSpec | None = None,
         fusion: bool = True,
-        guard_elim: bool = True,
     ) -> None:
         self.bytecode = bytecode
         self.program = bytecode.program
@@ -1151,10 +1161,6 @@ class BytecodeVM:
         # the flush threshold is scaled once here.
         self._flat_limit = 4 * self._block_size
         self._fusion = bool(fusion)
-        #: Interval-analysis guard elimination in the specialized code
-        #: (only meaningful with fusion; off compiles the fully checked
-        #: variant for timing and differential testing).
-        self._guard_elim = bool(guard_elim)
 
         self.memory = Memory()
         self._globals_alloc = BumpAllocator(GLOBAL_BASE)
@@ -1266,9 +1272,8 @@ class BytecodeVM:
             raise MiniCRuntimeError(f"no entry function {entry!r}")
         if self._fusion:
             from repro.sim.specialize import get_specialization
-            return self._run_specialized(
-                get_specialization(self.bytecode,
-                                   guard_elim=self._guard_elim), entry)
+            return self._run_specialized(get_specialization(self.bytecode),
+                                         entry)
         self._tracing = True
         try:
             result = self._execute(fn, [], budget_active=True)
@@ -1286,11 +1291,15 @@ class BytecodeVM:
         observable: stats, trace stream, stdout and exit code."""
         env = spec.bind(self)
         driver = env[spec.drivers[entry]]
-        # Simulated calls become nested Python calls here (one driver and
-        # one block frame per simulated frame), so deep simulated
-        # recursion needs real recursion headroom.
+        # Simulated calls become nested Python calls here, each adding at
+        # most ``spec.frames_per_call`` frames. The limit covers the
+        # frames already on the stack plus the deepest simulated call
+        # chain the depth budget allows, with slack for a builtin or an
+        # unwind at the bottom, so the budget's own error always fires
+        # before Python's.
         limit = sys.getrecursionlimit()
-        needed = self._max_call_depth * 4 + 200
+        needed = (_stack_depth() + 200
+                  + spec.frames_per_call * self._max_call_depth)
         if limit < needed:
             sys.setrecursionlimit(needed)
         env["_S"][0] = self.stats.steps

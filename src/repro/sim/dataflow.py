@@ -1,9 +1,9 @@
 """Dataflow analysis framework over the bytecode CFG.
 
-The fusion pass, the block compiler and the IR verifier all need facts
+The fusion pass, the IR verifier and the MiniC linter all need facts
 that hold *along every execution path* — which registers are live, which
-are definitely assigned, what integer range a slot can hold. This module
-factors the machinery they share into one place:
+are definitely assigned. This module factors the machinery they share
+into one place:
 
 * a basic-block CFG over a function's instruction tuple
   (:func:`build_cfg`), with the exact successor rules the ad-hoc passes
@@ -11,56 +11,23 @@ factors the machinery they share into one place:
   edges because an abort ends the run);
 * a generic worklist fixpoint solver (:func:`solve`) over any numbered
   graph — forward or backward, pluggable join/transfer — reused by the
-  MiniC linter for its statement-level CFG;
-* four concrete bytecode analyses:
+  MiniC linter (:mod:`repro.lang.lint`) for its statement-level CFG and
+  by the verifier's int/float register-domain check;
+* two bytecode analyses on top of it:
 
   - :func:`liveness` — per-instruction live-out bitmasks (the backward
     pass :func:`repro.sim.bytecode.fuse_function` fuses against);
   - :func:`definite_assignment` / :func:`maybe_uninitialized_reads` —
     forward must-analysis behind the verifier's defined-before-use
-    check;
-  - :func:`reaching_definitions` — which writes can reach each block;
-  - :func:`constants` — sparse conditional constant propagation over
-    the zero-filled frame (tracks executable edges, so code behind a
-    statically-false branch stays unreached);
-
-* an integer **value-range analysis** (:func:`interval_analysis`) whose
-  abstract value is an interval plus a congruence — ``value in [lo, hi]
-  and value ≡ rem (mod m)`` — precise enough to prove that an affine
-  access sequence (``GADDR``/``MEMBOFF``/indexed loads and stores over
-  a counted loop) stays inside one 4 KiB page, or at least never
-  crosses a page boundary. :func:`access_facts` condenses that into one
-  :class:`AccessFact` per memory instruction; the block compiler
-  (:mod:`repro.sim.specialize`) uses them to drop per-access paged
-  dispatch (guard elimination), and ``REPRO_CHECK_RANGES=1`` asserts
-  every derived fact at runtime.
-
-Soundness notes for the interval domain:
-
-* every integer-producing opcode wraps (``& mask`` plus sign fold) or
-  masks to 32 bits, so all tracked values are bounded; widening to
-  ±infinity after a few visits only speeds convergence up;
-* masking with a power of two preserves congruences modulo any divisor
-  of it, so alignment facts survive address arithmetic and wrapping;
-* a slot is tracked only while it provably holds a Python int — any
-  float or opaque write removes it from the state.
+    check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.sim import bytecode as bc
-from repro.sim.memory import GLOBAL_BASE, STACK_LIMIT, STACK_TOP
-
-#: Saturation bound for interval endpoints (far outside any 64-bit
-#: domain, so clamping never loses a representable fact).
-INF = 1 << 66
-
-_M32 = 0xFFFFFFFF
-_PAGE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -79,43 +46,15 @@ class BasicBlock:
 
 @dataclass
 class CFG:
-    """Basic blocks plus successor/predecessor block-index lists.
+    """Basic blocks plus successor block-index lists.
 
     A jump target equal to ``len(code)`` (or a fallthrough off the end)
     goes to a virtual exit and contributes no edge, mirroring the
     liveness pass's ``live_in[n] == 0`` convention.
     """
 
-    code: tuple[tuple[Any, ...], ...]
     blocks: list[BasicBlock]
     succs: list[tuple[int, ...]]
-    preds: list[tuple[int, ...]]
-    #: Instruction index -> owning block index.
-    block_at: list[int]
-
-    def rpo(self) -> list[int]:
-        """Reverse postorder from block 0 (unreachable blocks appended
-        in index order so every block is processed exactly once)."""
-        seen = [False] * len(self.blocks)
-        order: list[int] = []
-        for root in range(len(self.blocks)):
-            if seen[root]:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            seen[root] = True
-            while stack:
-                node, child = stack[-1]
-                if child < len(self.succs[node]):
-                    stack[-1] = (node, child + 1)
-                    nxt = self.succs[node][child]
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append((nxt, 0))
-                else:
-                    stack.pop()
-                    order.append(node)
-        order.reverse()
-        return order
 
 
 def _succ_indices(code: Sequence[tuple[Any, ...]],
@@ -161,16 +100,7 @@ def build_cfg(code: Sequence[tuple[Any, ...]]) -> CFG:
     for block in blocks:
         targets = _succ_indices(code, block.end - 1) if n else ()
         succs.append(tuple(index_of[t] for t in targets if t < n))
-    preds_acc: list[list[int]] = [[] for _ in blocks]
-    for j, ss in enumerate(succs):
-        for t in ss:
-            preds_acc[t].append(j)
-    block_at = [0] * n
-    for block in blocks:
-        for i in range(block.start, block.end):
-            block_at[i] = block.index
-    return CFG(code=tuple(code), blocks=blocks, succs=succs,
-               preds=[tuple(p) for p in preds_acc], block_at=block_at)
+    return CFG(blocks=blocks, succs=succs)
 
 
 # ---------------------------------------------------------------------------
@@ -342,1051 +272,3 @@ def maybe_uninitialized_reads(
                 rogue ^= low
             assigned |= wr
     return sorted(set(out))
-
-
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReachingDefs:
-    """Definition sites reaching each block entry.
-
-    ``sites[d]`` is ``(instruction index, slot)``; index ``-1`` marks
-    the synthetic entry definition (zero fill or parameter binding).
-    ``block_in[b]`` is a bitmask over ``sites``.
-    """
-
-    cfg: CFG
-    sites: list[tuple[int, int]]
-    block_in: list[int]
-
-    def reaching_at(self, index: int, slot: int) -> list[int]:
-        """Instruction indices of the definitions of ``slot`` that can
-        reach instruction ``index`` (``-1`` for the entry definition)."""
-        block = self.cfg.blocks[self.cfg.block_at[index]]
-        mask = self.block_in[block.index]
-        by_slot = [d for d, (_, s) in enumerate(self.sites) if s == slot]
-        slot_mask = 0
-        for d in by_slot:
-            slot_mask |= 1 << d
-        last: int | None = None
-        for i in range(block.start, index):
-            wr = _use_kill(self.cfg.code[i])[1]
-            if (wr >> slot) & 1:
-                last = i
-        if last is not None:
-            return [last]
-        return [self.sites[d][0] for d in by_slot if (mask >> d) & 1]
-
-
-def reaching_definitions(fn: "bc.BytecodeFunction") -> ReachingDefs:
-    """Classic may-analysis over numbered definition sites."""
-    code = fn.code
-    cfg = build_cfg(code)
-    sites: list[tuple[int, int]] = [(-1, s) for s in range(fn.n_slots)]
-    for i, ins in enumerate(code):
-        wr = _use_kill(ins)[1]
-        if wr:
-            sites.append((i, wr.bit_length() - 1))
-    slot_defs = [0] * fn.n_slots
-    for d, (_, slot) in enumerate(sites):
-        slot_defs[slot] |= 1 << d
-    entry = 0
-    for s in range(fn.n_slots):
-        entry |= 1 << s  # the synthetic defs come first, one per slot
-
-    gen = [0] * len(cfg.blocks)
-    kill = [0] * len(cfg.blocks)
-    site_at = {(i, s): d for d, (i, s) in enumerate(sites)}
-    for block in cfg.blocks:
-        g = k = 0
-        for i in range(block.start, block.end):
-            wr = _use_kill(code[i])[1]
-            if not wr:
-                continue
-            slot = wr.bit_length() - 1
-            k |= slot_defs[slot]
-            g = (g & ~slot_defs[slot]) | (1 << site_at[(i, slot)])
-        gen[block.index] = g
-        kill[block.index] = k
-
-    def xfer(b: int, reaching: int) -> int:
-        return (reaching & ~kill[b]) | gen[b]
-
-    block_in, _ = solve(
-        len(cfg.blocks), cfg.succs, forward=True, bottom=0,
-        boundary=entry, transfer=xfer, join=lambda a, b: a | b)
-    return ReachingDefs(cfg=cfg, sites=sites, block_in=block_in)
-
-
-# ---------------------------------------------------------------------------
-# Sparse conditional constant propagation
-# ---------------------------------------------------------------------------
-
-
-def _wrap_int(value: int, mask: int, maxv: int) -> int:
-    value &= mask
-    if maxv >= 0 and value > maxv:
-        value -= mask + 1
-    return value
-
-
-def _const_eval(ins: tuple[Any, ...],
-                state: dict[int, Any]) -> tuple[bool, Any]:
-    """(known, value) of a pure instruction under known constants."""
-    op = ins[0]
-
-    def get(pos: int) -> tuple[bool, Any]:
-        slot = ins[pos]
-        if slot in state:
-            return True, state[slot]
-        return False, None
-
-    if op == bc.OP_CONST:
-        return True, ins[2]
-    if op == bc.OP_MOV:
-        return get(2)
-    if op in (bc.OP_ADD_I, bc.OP_SUB_I, bc.OP_MUL_I):
-        ka, a = get(2)
-        kb, b = get(3)
-        if not (ka and kb and type(a) is int and type(b) is int):
-            return False, None
-        raw = a + b if op == bc.OP_ADD_I else (
-            a - b if op == bc.OP_SUB_I else a * b)
-        return True, _wrap_int(raw, ins[4], ins[5])
-    if op == bc.OP_ADDK_I:
-        ka, a = get(2)
-        if not (ka and type(a) is int):
-            return False, None
-        return True, _wrap_int(a + ins[3], ins[4], ins[5])
-    if op == bc.OP_NEG_I:
-        ka, a = get(2)
-        if not (ka and type(a) is int):
-            return False, None
-        return True, _wrap_int(-a, ins[3], ins[4])
-    if op == bc.OP_CONV_I:
-        ka, a = get(2)
-        if not (ka and type(a) is int):
-            return False, None
-        return True, _wrap_int(a, ins[3], ins[4])
-    if op == bc.OP_NOT:
-        ka, a = get(2)
-        return (True, 0 if a else 1) if ka else (False, None)
-    if op in bc._CMP_OPS:
-        ka, a = get(2)
-        kb, b = get(3)
-        if not (ka and kb):
-            return False, None
-        if op == bc.OP_LT:
-            return True, 1 if a < b else 0
-        if op == bc.OP_LE:
-            return True, 1 if a <= b else 0
-        if op == bc.OP_GT:
-            return True, 1 if a > b else 0
-        if op == bc.OP_GE:
-            return True, 1 if a >= b else 0
-        if op == bc.OP_EQ:
-            return True, 1 if a == b else 0
-        return True, 1 if a != b else 0
-    return False, None
-
-
-@dataclass
-class ConstantFacts:
-    """Result of :func:`constants` (sparse conditional propagation)."""
-
-    cfg: CFG
-    #: Block entry states; ``None`` marks a block SCCP proved unreached.
-    block_in: list[dict[int, Any] | None]
-    #: ``(from_block, to_block)`` edges that can execute.
-    executable_edges: set[tuple[int, int]]
-
-    def reachable(self, b: int) -> bool:
-        return self.block_in[b] is not None
-
-
-def constants(fn: "bc.BytecodeFunction") -> ConstantFacts:
-    """Conditional constant propagation with executable-edge tracking.
-
-    Starts from the concrete frame state (zero-filled slots, opaque
-    parameters) and only propagates along branch edges whose condition
-    can actually evaluate that way, so blocks behind statically-decided
-    branches keep a ``None`` entry state.
-    """
-    code = fn.code
-    cfg = build_cfg(code)
-    nb = len(cfg.blocks)
-    params = {spec.slot for spec in fn.params}
-    entry = {s: 0 for s in range(fn.n_slots) if s not in params}
-    block_in: list[dict[int, Any] | None] = [None] * nb
-    edges: set[tuple[int, int]] = set()
-    if not nb:
-        return ConstantFacts(cfg=cfg, block_in=block_in,
-                             executable_edges=edges)
-    block_in[0] = entry
-    worklist = [0]
-    while worklist:
-        b = worklist.pop()
-        state_in = block_in[b]
-        assert state_in is not None
-        state = dict(state_in)
-        block = cfg.blocks[b]
-        for i in range(block.start, block.end - 1):
-            _const_step(code[i], state)
-        term = code[block.end - 1]
-        out_edges = _executable_successors(term, state, cfg, block)
-        _const_step(term, state)
-        for succ in out_edges:
-            edges.add((b, succ))
-            old = block_in[succ]
-            new = state if old is None else _const_join(old, state)
-            if new != old:
-                block_in[succ] = dict(new)
-                worklist.append(succ)
-    return ConstantFacts(cfg=cfg, block_in=block_in,
-                         executable_edges=edges)
-
-
-def _const_step(ins: tuple[Any, ...], state: dict[int, Any]) -> None:
-    known, value = _const_eval(ins, state)
-    wr = _use_kill(ins)[1]
-    if not wr:
-        return
-    slot = wr.bit_length() - 1
-    if known:
-        state[slot] = value
-    else:
-        state.pop(slot, None)
-
-
-def _executable_successors(term: tuple[Any, ...], state: dict[int, Any],
-                           cfg: CFG, block: BasicBlock) -> tuple[int, ...]:
-    code_len = len(cfg.code)
-    op = term[0]
-    index = block.end - 1
-    targets = _succ_indices(cfg.code, index)
-    if op == bc.OP_JZ or op == bc.OP_JNZ:
-        if term[1] in state:
-            taken = bool(state[term[1]]) == (op == bc.OP_JNZ)
-            targets = (term[2],) if taken else (index + 1,)
-    elif op == bc.OP_BR:
-        known, flag = _const_eval((term[1], 0, term[2], term[3]), state)
-        if known:
-            taken = bool(flag) == bool(term[5])
-            targets = (term[4],) if taken else (index + 1,)
-    return tuple(cfg.block_at[t] for t in targets if t < code_len)
-
-
-def _const_join(a: dict[int, Any], b: dict[int, Any]) -> dict[int, Any]:
-    out: dict[int, Any] = {}
-    for slot, value in a.items():
-        other = b.get(slot, _MISSING)
-        if other is not _MISSING and type(other) is type(value) \
-                and other == value:
-            out[slot] = value
-    return out
-
-
-_MISSING = object()
-
-
-# ---------------------------------------------------------------------------
-# Interval + congruence domain
-# ---------------------------------------------------------------------------
-
-#: Abstract value: (lo, hi, mod, rem). Invariants after :func:`_norm`:
-#: ``lo <= hi``; a singleton is ``(v, v, 0, v)``; otherwise ``mod >= 1``
-#: and ``0 <= rem < mod`` (mod 1 carries no congruence information).
-AVal = tuple[int, int, int, int]
-
-TOP_INT: AVal = (-INF, INF, 1, 0)
-
-
-def _norm(lo: int, hi: int, mod: int, rem: int) -> AVal | None:
-    """Normalize; ``None`` when the set is empty (dead path)."""
-    if mod > 1:
-        rem %= mod
-        # Tighten the bounds onto the residue class.
-        if lo > -INF:
-            delta = (rem - lo) % mod
-            lo += delta
-        if hi < INF:
-            delta = (hi - rem) % mod
-            hi -= delta
-    if lo > hi:
-        return None
-    lo = max(lo, -INF)
-    hi = min(hi, INF)
-    if lo == hi and -INF < lo < INF:
-        return (lo, lo, 0, lo)
-    if mod <= 1:
-        return (lo, hi, 1, 0)
-    return (lo, hi, mod, rem % mod)
-
-
-def _exact(value: int) -> AVal:
-    return (value, value, 0, value)
-
-
-def join_aval(a: AVal, b: AVal) -> AVal:
-    lo = min(a[0], b[0])
-    hi = max(a[1], b[1])
-    mod = gcd(a[2], b[2], abs(a[3] - b[3]))
-    out = _norm(lo, hi, mod, a[3])
-    assert out is not None  # a union of non-empty sets is non-empty
-    return out
-
-
-def _sat(value: int) -> int:
-    if value > INF:
-        return INF
-    if value < -INF:
-        return -INF
-    return value
-
-
-def add_aval(a: AVal, b: AVal) -> AVal:
-    out = _norm(_sat(a[0] + b[0]), _sat(a[1] + b[1]),
-                gcd(a[2], b[2]), a[3] + b[3])
-    assert out is not None
-    return out
-
-
-def scale_aval(a: AVal, c: int) -> AVal:
-    if c == 0:
-        return _exact(0)
-    if c > 0:
-        out = _norm(_sat(a[0] * c), _sat(a[1] * c), a[2] * c, a[3] * c)
-    else:
-        out = _norm(_sat(a[1] * c), _sat(a[0] * c), a[2] * -c, a[3] * c)
-    assert out is not None
-    return out
-
-
-def neg_aval(a: AVal) -> AVal:
-    return scale_aval(a, -1)
-
-
-def mul_aval(a: AVal, b: AVal) -> AVal:
-    if a[0] == a[1]:
-        return scale_aval(b, a[0])
-    if b[0] == b[1]:
-        return scale_aval(a, b[0])
-    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    out = _norm(_sat(min(corners)), _sat(max(corners)),
-                gcd(a[2], b[2]), a[3] * b[3])
-    assert out is not None
-    return out
-
-
-def mask32_aval(a: AVal) -> AVal:
-    if a[0] == a[1]:
-        return _exact(a[0] & _M32)
-    if 0 <= a[0] and a[1] <= _M32:
-        return a
-    out = _norm(0, _M32, gcd(a[2], 1 << 32), a[3])
-    assert out is not None
-    return out
-
-
-def _dom_interval(mask: int, maxv: int) -> tuple[int, int]:
-    if maxv < 0:
-        return 0, mask
-    return -(maxv + 1), maxv
-
-
-def wrap_aval(a: AVal, mask: int, maxv: int) -> AVal:
-    lo, hi = _dom_interval(mask, maxv)
-    if lo <= a[0] and a[1] <= hi:
-        return a
-    if a[0] == a[1]:
-        return _exact(_wrap_int(a[0], mask, maxv))
-    out = _norm(lo, hi, gcd(a[2], mask + 1), a[3])
-    assert out is not None
-    return out
-
-
-def _meet_bounds(a: AVal, lo: int, hi: int) -> AVal | None:
-    """Intersect with ``[lo, hi]`` (congruence kept); None when empty."""
-    return _norm(max(a[0], lo), min(a[1], hi), a[2], a[3])
-
-
-#: Comparison refinement: on the edge where ``a OP b`` is known true,
-#: the operand intervals tighten against each other.
-def refine_cmp(op: int, a: AVal, b: AVal,
-               truth: bool) -> tuple[AVal, AVal] | None:
-    if not truth:
-        op = {bc.OP_LT: bc.OP_GE, bc.OP_LE: bc.OP_GT,
-              bc.OP_GT: bc.OP_LE, bc.OP_GE: bc.OP_LT,
-              bc.OP_EQ: bc.OP_NE, bc.OP_NE: bc.OP_EQ}[op]
-    if op == bc.OP_GT:
-        swapped = refine_cmp(bc.OP_LT, b, a, True)
-        return None if swapped is None else (swapped[1], swapped[0])
-    if op == bc.OP_GE:
-        swapped = refine_cmp(bc.OP_LE, b, a, True)
-        return None if swapped is None else (swapped[1], swapped[0])
-    if op == bc.OP_LT:
-        na = _meet_bounds(a, -INF, _sat(b[1] - 1))
-        nb = _meet_bounds(b, _sat(a[0] + 1), INF)
-    elif op == bc.OP_LE:
-        na = _meet_bounds(a, -INF, b[1])
-        nb = _meet_bounds(b, a[0], INF)
-    elif op == bc.OP_EQ:
-        na = _meet_bounds(a, b[0], b[1])
-        nb = _meet_bounds(b, a[0], a[1])
-    else:  # NE: only a singleton on one side can shave an endpoint
-        na, nb = a, b
-        if b[0] == b[1]:
-            if a[0] == b[0]:
-                na = _norm(a[0] + 1, a[1], a[2], a[3])
-            elif a[1] == b[0]:
-                na = _norm(a[0], a[1] - 1, a[2], a[3])
-        if na is not None and a[0] == a[1]:
-            if b[0] == a[0]:
-                nb = _norm(b[0] + 1, b[1], b[2], b[3])
-            elif b[1] == a[0]:
-                nb = _norm(b[0], b[1] - 1, b[2], b[3])
-    if na is None or nb is None:
-        return None
-    return na, nb
-
-
-# ---------------------------------------------------------------------------
-# Interval analysis: transfer function
-# ---------------------------------------------------------------------------
-
-#: Interval state: slot -> AVal for slots that provably hold an int.
-IState = dict[int, AVal]
-
-_STACK_LO = STACK_TOP - STACK_LIMIT
-
-
-def _get(state: IState, slot: int) -> AVal:
-    return state.get(slot, TOP_INT)
-
-
-def _iload_bounds(size: int, signed: Any) -> AVal:
-    if signed:
-        half = 1 << (8 * size - 1)
-        value = _norm(-half, half - 1, 1, 0)
-    else:
-        value = _norm(0, (1 << (8 * size)) - 1, 1, 0)
-    assert value is not None
-    return value
-
-
-def _interval_step(ins: tuple[Any, ...], state: IState) -> None:
-    """Apply one instruction's effect on the interval state in place.
-
-    Mirrors the dispatch loop's concrete semantics: every arithmetic
-    result wraps to its (mask, maxv) domain, addresses mask to 32 bits,
-    loads are bounded by their access width, and anything opaque (a
-    call, a float) evicts the destination slot.
-    """
-    op = ins[0]
-    if op == bc.OP_CONST:
-        if type(ins[2]) is int:
-            state[ins[1]] = _exact(ins[2])
-        else:
-            state.pop(ins[1], None)
-        return
-    if op == bc.OP_MOV:
-        src = state.get(ins[2])
-        if src is None:
-            state.pop(ins[1], None)
-        else:
-            state[ins[1]] = src
-        return
-    if op == bc.OP_ELEM or op == bc.OP_ADD_P:
-        state[ins[1]] = mask32_aval(
-            add_aval(_get(state, ins[2]),
-                     scale_aval(_get(state, ins[3]), ins[4])))
-        return
-    if op == bc.OP_SUB_PI:
-        state[ins[1]] = mask32_aval(
-            add_aval(_get(state, ins[2]),
-                     scale_aval(_get(state, ins[3]), -ins[4])))
-        return
-    if op == bc.OP_MEMBOFF or op == bc.OP_ADDK_P:
-        state[ins[1]] = mask32_aval(
-            add_aval(_get(state, ins[2]), _exact(ins[3])))
-        return
-    if op == bc.OP_ADD_I:
-        state[ins[1]] = wrap_aval(
-            add_aval(_get(state, ins[2]), _get(state, ins[3])),
-            ins[4], ins[5])
-        return
-    if op == bc.OP_SUB_I:
-        state[ins[1]] = wrap_aval(
-            add_aval(_get(state, ins[2]), neg_aval(_get(state, ins[3]))),
-            ins[4], ins[5])
-        return
-    if op == bc.OP_MUL_I:
-        state[ins[1]] = wrap_aval(
-            mul_aval(_get(state, ins[2]), _get(state, ins[3])),
-            ins[4], ins[5])
-        return
-    if op == bc.OP_ADDK_I:
-        state[ins[1]] = wrap_aval(
-            add_aval(_get(state, ins[2]), _exact(ins[3])),
-            ins[4], ins[5])
-        return
-    if op == bc.OP_NEG_I:
-        state[ins[1]] = wrap_aval(neg_aval(_get(state, ins[2])),
-                                  ins[3], ins[4])
-        return
-    if op == bc.OP_CONV_I:
-        state[ins[1]] = wrap_aval(_get(state, ins[2]), ins[3], ins[4])
-        return
-    if op in bc._CMP_OPS or op == bc.OP_NOT:
-        value = _norm(0, 1, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_SHL:
-        b = state.get(ins[3])
-        if b is not None and b[0] == b[1] and 0 <= b[0] <= 63:
-            state[ins[1]] = wrap_aval(
-                scale_aval(_get(state, ins[2]), 1 << b[0]),
-                ins[4], ins[5])
-        else:
-            lo, hi = _dom_interval(ins[4], ins[5])
-            value = _norm(lo, hi, 1, 0)
-            assert value is not None
-            state[ins[1]] = value
-        return
-    if op == bc.OP_SHR:
-        a = state.get(ins[2])
-        b = state.get(ins[3])
-        if (a is not None and a[0] >= 0 and b is not None
-                and b[0] == b[1] and 0 <= b[0] <= 63):
-            value = _norm(a[0] >> b[0], a[1] >> b[0], 1, 0)
-        else:
-            lo, hi = _dom_interval(ins[4], ins[5])
-            value = _norm(lo, hi, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_AND:
-        a = state.get(ins[2])
-        b = state.get(ins[3])
-        hi = None
-        if a is not None and a[0] >= 0:
-            hi = a[1]
-        if b is not None and b[0] >= 0:
-            hi = b[1] if hi is None else min(hi, b[1])
-        if hi is not None:
-            value = _norm(0, hi, 1, 0)
-        else:
-            dlo, dhi = _dom_interval(ins[4], ins[5])
-            value = _norm(dlo, dhi, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_BNOT:
-        # (op, dst, a, mask, maxv) — domain operands sit one earlier
-        # than the binary bitwise ops.
-        lo, hi = _dom_interval(ins[3], ins[4])
-        value = _norm(lo, hi, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op in (bc.OP_OR, bc.OP_XOR, bc.OP_DIV_I, bc.OP_MOD_I):
-        if op == bc.OP_MOD_I:
-            a = state.get(ins[2])
-            b = state.get(ins[3])
-            if (b is not None and b[0] == b[1] and b[0] > 0
-                    and a is not None and a[0] >= 0):
-                value = _norm(0, min(a[1], b[0] - 1), 1, 0)
-                assert value is not None
-                state[ins[1]] = value
-                return
-        lo, hi = _dom_interval(ins[4], ins[5])
-        value = _norm(lo, hi, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_LOAD_I:
-        state[ins[1]] = _iload_bounds(ins[4], ins[6])
-        return
-    if op == bc.OP_LDELEM_I:
-        state[ins[1]] = _iload_bounds(ins[5], ins[7])
-        return
-    if op == bc.OP_STORE_I:
-        state[ins[4]] = wrap_aval(_get(state, ins[3]), ins[6], ins[7])
-        return
-    if op == bc.OP_STELEM_I:
-        state[ins[5]] = wrap_aval(_get(state, ins[4]), ins[7], ins[8])
-        return
-    if op == bc.OP_STORE_P:
-        state[ins[4]] = mask32_aval(_get(state, ins[3]))
-        return
-    if op == bc.OP_STELEM_P:
-        state[ins[5]] = mask32_aval(_get(state, ins[4]))
-        return
-    if op == bc.OP_DECL:
-        value = _norm(_STACK_LO, STACK_TOP - 1, max(1, ins[3]), 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_STR:
-        value = _norm(GLOBAL_BASE, _M32, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_SUB_PP:
-        value = _norm(-_M32, _M32, 1, 0)
-        assert value is not None
-        state[ins[1]] = value
-        return
-    if op == bc.OP_CONV_P:
-        state[ins[1]] = mask32_aval(_get(state, ins[2]))
-        return
-    # Everything else that writes a register (float ops, calls, any
-    # future opcode) is untracked: evict the destination rather than
-    # keep a stale value. GADDR is handled by the caller (needs the
-    # layout); STEP, CKPT, jumps, RET, ZFILL and WBYTES touch no
-    # register.
-    if op == bc.OP_CALL or op == bc.OP_CALLB:
-        state.pop(ins[1], None)
-        return
-    wr = bc._WRITES.get(op)
-    if wr is not None:
-        state.pop(ins[wr], None)
-
-
-def _interval_step_with_layout(
-    ins: tuple[Any, ...], state: IState,
-    layout: Sequence[int] | None,
-) -> None:
-    if ins[0] == bc.OP_GADDR:
-        if layout is not None:
-            state[ins[1]] = _exact(layout[ins[2]])
-        else:
-            value = _norm(GLOBAL_BASE, _M32, 1, 0)
-            assert value is not None
-            state[ins[1]] = value
-        return
-    _interval_step(ins, state)
-
-
-def _entry_interval_state(fn: "bc.BytecodeFunction") -> IState:
-    """The frame state at function entry: zero-filled slots, parameter
-    slots bounded by their conversion (an in-memory parameter's slot
-    holds the spilled stack address, aligned to its type)."""
-    state: IState = {s: _exact(0) for s in range(fn.n_slots)}
-    for spec in fn.params:
-        if spec.in_memory:
-            value = _norm(_STACK_LO, STACK_TOP - 1,
-                          max(1, spec.ctype.alignment), 0)
-            assert value is not None
-            state[spec.slot] = value
-        elif spec.conv == 1:
-            lo, hi = _dom_interval(spec.mask, spec.maxv)
-            value = _norm(lo, hi, 1, 0)
-            assert value is not None
-            state[spec.slot] = value
-        elif spec.conv == 3:
-            value = _norm(0, _M32, 1, 0)
-            assert value is not None
-            state[spec.slot] = value
-        else:
-            state.pop(spec.slot, None)
-    return state
-
-
-# ---------------------------------------------------------------------------
-# Interval analysis: fixpoint with widening and narrowing
-# ---------------------------------------------------------------------------
-
-_WIDEN_AFTER = 4
-_NARROW_PASSES = 2
-
-
-def _join_istate(a: IState, b: IState) -> IState:
-    out: IState = {}
-    for slot, value in a.items():
-        other = b.get(slot)
-        if other is not None:
-            out[slot] = join_aval(value, other)
-    return out
-
-
-def _widen_thresholds(code: Sequence[tuple[Any, ...]]) -> tuple[int, ...]:
-    """Widening thresholds: the integer constants materialized by the
-    function (plus 0). A counted loop's bound is always a ``CONST``
-    operand of its governing compare, so widening an induction variable
-    *to the threshold* instead of straight to infinity keeps it inside
-    its int domain — and then the wrap transfer cannot smear the other
-    bound across the whole 32-bit range."""
-    values = {0}
-    for ins in code:
-        if ins[0] == bc.OP_CONST and type(ins[2]) is int:
-            values.add(ins[2])
-    return tuple(sorted(values))
-
-
-def _widen_istate(old: IState, new: IState,
-                  thresholds: tuple[int, ...] = ()) -> IState:
-    """Jump growing bounds to the next threshold, then to ±infinity
-    (congruences join by gcd and need no widening: divisor chains are
-    finite)."""
-    out: IState = {}
-    for slot, ov in old.items():
-        nv = new.get(slot)
-        if nv is None:
-            continue
-        if nv[0] >= ov[0]:
-            lo = ov[0]
-        else:
-            lo = max((t for t in thresholds if t <= nv[0]), default=-INF)
-        if nv[1] <= ov[1]:
-            hi = ov[1]
-        else:
-            hi = min((t for t in thresholds if t >= nv[1]), default=INF)
-        mod = gcd(ov[2], nv[2], abs(ov[3] - nv[3]))
-        value = _norm(lo, hi, mod, nv[3])
-        assert value is not None
-        out[slot] = value
-    return out
-
-
-def _edge_states(
-    code: tuple[tuple[Any, ...], ...], cfg: CFG, block: BasicBlock,
-    state: IState, layout: Sequence[int] | None,
-) -> list[tuple[int, IState | None]]:
-    """(successor block, refined state) pairs for one block's exit.
-
-    ``None`` marks an edge the refinement proved dead (an interval
-    became empty, e.g. the false arm of ``x == x0`` with ``x`` exact).
-    """
-    term = code[block.end - 1]
-    op = term[0]
-    index = block.end - 1
-    out: list[tuple[int, IState | None]] = []
-    if op == bc.OP_BR:
-        a = state.get(term[2])
-        b = state.get(term[3])
-        for target, truth in ((term[4], bool(term[5])),
-                              (index + 1, not term[5])):
-            if target >= len(code):
-                continue
-            succ = cfg.block_at[target]
-            if a is None or b is None:
-                out.append((succ, state))
-                continue
-            refined = refine_cmp(term[1], a, b, truth)
-            if refined is None:
-                out.append((succ, None))
-                continue
-            edge = dict(state)
-            edge[term[2]] = refined[0]
-            edge[term[3]] = refined[1]
-            out.append((succ, edge))
-        return out
-    if op == bc.OP_JZ or op == bc.OP_JNZ:
-        src = state.get(term[1])
-        for target, zero in ((term[2], op == bc.OP_JZ),
-                             (index + 1, op == bc.OP_JNZ)):
-            if target >= len(code):
-                continue
-            succ = cfg.block_at[target]
-            if src is None:
-                out.append((succ, state))
-                continue
-            if zero:
-                refined_src = _meet_bounds(src, 0, 0)
-                if refined_src is None:
-                    out.append((succ, None))
-                    continue
-                edge = dict(state)
-                edge[term[1]] = refined_src
-                out.append((succ, edge))
-            else:
-                if src[0] == src[1] == 0:
-                    out.append((succ, None))
-                    continue
-                out.append((succ, state))
-        return out
-    for target in _succ_indices(code, index):
-        if target < len(code):
-            out.append((cfg.block_at[target], state))
-    return out
-
-
-@dataclass
-class IntervalResult:
-    """Per-block interval states of one function (fused or lowered)."""
-
-    cfg: CFG
-    #: Entry state per block; ``None`` for blocks never reached.
-    block_in: list[IState | None]
-
-    def state_before(self, index: int,
-                     layout: Sequence[int] | None = None) -> IState | None:
-        """The abstract state just before instruction ``index``."""
-        block = self.cfg.blocks[self.cfg.block_at[index]]
-        entry = self.block_in[block.index]
-        if entry is None:
-            return None
-        state = dict(entry)
-        for i in range(block.start, index):
-            _interval_step_with_layout(self.cfg.code[i], state, layout)
-        return state
-
-
-def interval_analysis(
-    fn: "bc.BytecodeFunction",
-    layout: Sequence[int] | None = None,
-) -> IntervalResult:
-    """Value-range + congruence fixpoint over one function.
-
-    ``layout`` (see :func:`static_global_layout`) resolves ``GADDR`` to
-    exact addresses; without it globals stay an opaque 32-bit range.
-    Branch edges refine the compared operands, so counted loops bound
-    their induction variables; widening caps the iteration count and
-    two narrowing passes recover the post-loop precision widening gave
-    up.
-    """
-    code = fn.code
-    cfg = build_cfg(code)
-    nb = len(cfg.blocks)
-    block_in: list[IState | None] = [None] * nb
-    if not nb:
-        return IntervalResult(cfg=cfg, block_in=block_in)
-    block_in[0] = _entry_interval_state(fn)
-    thresholds = _widen_thresholds(code)
-    visits = [0] * nb
-    worklist = [0]
-    while worklist:
-        b = worklist.pop()
-        entry = block_in[b]
-        assert entry is not None
-        state = dict(entry)
-        block = cfg.blocks[b]
-        # The terminator's transfer is included too: a fall-through
-        # block can end in any instruction (control ops are register
-        # no-ops, so this is always safe).
-        for i in range(block.start, block.end):
-            _interval_step_with_layout(code[i], state, layout)
-        for succ, edge in _edge_states(code, cfg, block, state, layout):
-            if edge is None:
-                continue
-            old = block_in[succ]
-            if old is None:
-                new = dict(edge)
-            else:
-                new = _join_istate(old, edge)
-                if new == old:
-                    continue
-                visits[succ] += 1
-                if visits[succ] >= _WIDEN_AFTER:
-                    new = _widen_istate(old, new, thresholds)
-                    if new == old:
-                        continue
-            block_in[succ] = new
-            worklist.append(succ)
-    # Narrowing: recompute entries from the (stable) edge states a few
-    # times without widening. Transfers are monotone and the current
-    # assignment is a post-fixpoint, so each pass only shrinks values
-    # and any number of passes is sound.
-    rpo = cfg.rpo()
-    for _ in range(_NARROW_PASSES):
-        edge_in: list[list[IState]] = [[] for _ in range(nb)]
-        for b in range(nb):
-            entry = block_in[b]
-            if entry is None:
-                continue
-            state = dict(entry)
-            block = cfg.blocks[b]
-            for i in range(block.start, block.end):
-                _interval_step_with_layout(code[i], state, layout)
-            for succ, edge in _edge_states(code, cfg, block, state,
-                                           layout):
-                if edge is not None:
-                    edge_in[succ].append(edge)
-        for b in rpo:
-            if b == 0 or block_in[b] is None:
-                continue
-            joined: IState | None = None
-            for edge in edge_in[b]:
-                joined = dict(edge) if joined is None \
-                    else _join_istate(joined, edge)
-            if joined is not None:
-                block_in[b] = joined
-    return IntervalResult(cfg=cfg, block_in=block_in)
-
-
-# ---------------------------------------------------------------------------
-# Cashing the intervals in: static layout, access facts, trip counts
-# ---------------------------------------------------------------------------
-
-
-def static_global_layout(bp: "bc.BytecodeProgram") -> tuple[int, ...]:
-    """The address of every global, computed without running the VM.
-
-    Replays :meth:`BytecodeVM._layout_globals` against a fresh bump
-    allocator: globals are laid out in declaration order *before* any
-    string interning or heap use, so the addresses are a pure function
-    of the program. :meth:`Specialization.bind` re-checks the real VM's
-    layout against this prediction before trusting it.
-    """
-    next_addr = GLOBAL_BASE
-    out: list[int] = []
-    for symbol in bp.global_symbols:
-        align = max(1, symbol.ctype.alignment)
-        addr = (next_addr + align - 1) // align * align
-        next_addr = addr + max(1, symbol.ctype.size)
-        out.append(addr)
-    return tuple(out)
-
-
-#: Memory opcode -> (address mode, operand positions, size).
-#: Mode "off": address = (slots[0] + constant offset) & M32;
-#: mode "elem": address = (slots[0] + slots[1] * elem_size) & M32.
-_ACCESS_SHAPE: dict[int, tuple[str, tuple[int, ...], int | None]] = {
-    bc.OP_LOAD_I: ("off", (2, 3), 4), bc.OP_LOAD_F: ("off", (2, 3), 4),
-    bc.OP_STORE_I: ("off", (1, 2), 5), bc.OP_STORE_F: ("off", (1, 2), 5),
-    bc.OP_STORE_P: ("off", (1, 2), None),
-    bc.OP_LDELEM_I: ("elem", (2, 3, 4), 5),
-    bc.OP_LDELEM_F: ("elem", (2, 3, 4), 5),
-    bc.OP_STELEM_I: ("elem", (1, 2, 3), 6),
-    bc.OP_STELEM_F: ("elem", (1, 2, 3), 6),
-    bc.OP_STELEM_P: ("elem", (1, 2, 3), None),
-}
-
-
-@dataclass(frozen=True)
-class AccessFact:
-    """What the interval analysis knows about one memory access.
-
-    ``lo``/``hi``/``mod``/``rem`` describe the effective (masked)
-    address; ``size`` is the access width in bytes. ``page`` is the
-    page index when every possible address lands in one page *and* the
-    access cannot cross out of it; ``no_cross`` alone still licenses
-    dropping the page-crossing check (alignment proof).
-    """
-
-    lo: int
-    hi: int
-    mod: int
-    rem: int
-    size: int
-
-    @property
-    def no_cross(self) -> bool:
-        if (self.hi - self.lo) < _PAGE and \
-                self.lo >> 12 == (self.hi + self.size - 1) >> 12:
-            return True
-        g = gcd(self.mod, _PAGE) if self.mod else _PAGE
-        if g <= 1:
-            return self.size <= 1
-        return (self.rem % g) + self.size <= g
-
-    @property
-    def page(self) -> int | None:
-        if self.lo >> 12 == (self.hi + self.size - 1) >> 12:
-            return self.lo >> 12
-        return None
-
-    @property
-    def nontrivial(self) -> bool:
-        return self.lo > 0 or self.hi < _M32 or self.mod > 1
-
-
-def _effective_address(ins: tuple[Any, ...], state: IState) -> AVal:
-    mode, positions, _size_pos = _ACCESS_SHAPE[ins[0]]
-    if mode == "off":
-        base = _get(state, ins[positions[0]])
-        return mask32_aval(add_aval(base, _exact(ins[positions[1]])))
-    base = _get(state, ins[positions[0]])
-    index = _get(state, ins[positions[1]])
-    return mask32_aval(add_aval(base,
-                                scale_aval(index, ins[positions[2]])))
-
-
-def _access_size(ins: tuple[Any, ...]) -> int:
-    size_pos = _ACCESS_SHAPE[ins[0]][2]
-    return 4 if size_pos is None else ins[size_pos]
-
-
-def access_facts(
-    fn: "bc.BytecodeFunction",
-    layout: Sequence[int] | None = None,
-    result: IntervalResult | None = None,
-) -> dict[int, AccessFact]:
-    """One :class:`AccessFact` per reachable memory instruction of
-    ``fn``, keyed by instruction index."""
-    if result is None:
-        result = interval_analysis(fn, layout)
-    facts: dict[int, AccessFact] = {}
-    code = fn.code
-    for block in result.cfg.blocks:
-        entry = result.block_in[block.index]
-        if entry is None:
-            continue
-        state = dict(entry)
-        for i in range(block.start, block.end):
-            ins = code[i]
-            if ins[0] in _ACCESS_SHAPE:
-                addr = _effective_address(ins, state)
-                facts[i] = AccessFact(lo=addr[0], hi=addr[1],
-                                      mod=addr[2], rem=addr[3],
-                                      size=_access_size(ins))
-            _interval_step_with_layout(ins, state, layout)
-    return facts
-
-
-def loop_trip_counts(
-    fn: "bc.BytecodeFunction",
-    checkpoint_map: Any,
-    layout: Sequence[int] | None = None,
-) -> dict[int, int | None]:
-    """Best-effort static trip-count bound per loop-begin checkpoint.
-
-    For each ``OP_CKPT`` carrying a loop-begin id, the governing fused
-    branch (the first conditional terminator reachable from the
-    checkpoint's block) compares the induction variable against its
-    bound; the refined interval on the *body* edge bounds how many
-    values the variable can take. Returns ``{checkpoint_id: max_trips}``
-    with ``None`` when no finite bound is provable — enough to recognise
-    the paper's counted affine loops without a full induction-variable
-    analysis.
-    """
-    from repro.sim.trace import LOOP_BEGIN_CODE as loop_code
-    result = interval_analysis(fn, layout)
-    cfg = result.cfg
-    out: dict[int, int | None] = {}
-    for i, ins in enumerate(fn.code):
-        if ins[0] != bc.OP_CKPT or ins[2] != loop_code:
-            continue
-        info = checkpoint_map.infos.get(ins[1]) if checkpoint_map else None
-        if info is None:
-            continue
-        bound: int | None = None
-        # Walk forward (through unconditional chains) to the branch.
-        block = cfg.blocks[cfg.block_at[i]]
-        for _hop in range(4):
-            term = fn.code[block.end - 1]
-            if term[0] == bc.OP_BR:
-                state = result.state_before(block.end - 1, layout)
-                if state is not None:
-                    a = state.get(term[2])
-                    b = state.get(term[3])
-                    if a is not None and b is not None:
-                        refined = refine_cmp(term[1], a, b, True)
-                        if refined is not None:
-                            lo, hi, mod, _ = refined[0]
-                            if -INF < lo and hi < INF:
-                                step = mod if mod > 1 else 1
-                                bound = (hi - lo) // step + 1
-                break
-            successors = cfg.succs[block.index]
-            if len(successors) == 1:  # JMP or plain fall-through
-                block = cfg.blocks[successors[0]]
-                continue
-            break
-        out[ins[1]] = bound
-    return out

@@ -53,11 +53,9 @@ class EngineConfig:
     trace_block_size: int = DEFAULT_TRACE_BLOCK
     #: Superinstruction fusion on the bytecode engine (the AST engine
     #: ignores this; disable to time or debug the plain dispatch loop).
+    #: Fused programs run as one block-compiled specialization whose
+    #: memory accesses are fully checked (see :mod:`repro.sim.specialize`).
     fusion: bool = True
-    #: Interval-analysis guard elimination in the specialized fast path
-    #: (see :mod:`repro.sim.dataflow`; disable to time or debug the
-    #: fully checked memory-access code).
-    guard_elim: bool = True
     #: Input ensemble consumed by the ``read_samples`` builtin.
     input: InputSpec = InputSpec()
     #: Run the structural IR verifier over the lowered and fused bytecode
@@ -179,7 +177,6 @@ def run_compiled(
             trace_block_size=config.trace_block_size,
             input_spec=config.input,
             fusion=config.fusion,
-            guard_elim=config.guard_elim,
         )
     exit_code = machine.run(entry)
     return RunResult(exit_code, machine.stdout, machine.stats, machine)

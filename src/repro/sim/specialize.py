@@ -38,20 +38,20 @@ serves any number of VM runs. Registers ``r`` carry three extra slots:
 the return value, the current call pc (read by the ``exit()`` unwind
 path to replay pending body-end checkpoints per frame), and the stack
 frame marker.
+
+Every memory access is fully checked: the page is looked up per access
+and a multi-byte access that would cross a 4 KiB page boundary takes the
+generic ``Memory`` path, exactly like the dispatch loop.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import CodeType
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.lang.ctypes_ import FloatType, IntType, PointerType
 from repro.sim import bytecode as bc
-
-if TYPE_CHECKING:
-    from repro.sim.dataflow import AccessFact
 
 #: One lowered/fused instruction: ``(op, *operands)``.
 _Ins = tuple[Any, ...]
@@ -167,21 +167,16 @@ class Specialization:
     #: MiniC function name → generated driver symbol (index-mangled, so
     #: simulated names that collide with Python keywords stay legal).
     drivers: dict[str, str]
-    #: Page indices the interval analysis pinned accesses to; their
-    #: bytearrays are resolved once at bind time (``_pg{index}``).
-    pages: tuple[int, ...] = ()
-    #: Predicted static global layout the guard-eliminated code was
-    #: compiled against; re-checked against the real VM at bind time.
-    layout: tuple[int, ...] = ()
+    #: Most Python frames one simulated call can add to the stack: the
+    #: callee's driver, the block function the trampoline entered, and
+    #: one ``_rg`` function per loop region enclosing the call site.
+    #: The VM sizes the recursion limit from it.
+    frames_per_call: int
 
     def bind(self, vm: "bc.BytecodeVM") -> dict[str, Any]:
         """Exec the generated module against one VM's state; returns the
         module namespace (driver functions live under ``drivers``)."""
         memory = vm.memory
-        if self.layout and tuple(vm._global_addrs) != self.layout:
-            raise bc.MiniCRuntimeError(
-                "specializer: static global layout prediction does not "
-                "match the VM (guard elimination would be unsound)")
         env: dict[str, Any] = {
             "_VM": vm,
             "_PG": memory._pages,
@@ -221,55 +216,23 @@ class Specialization:
         for i, fmt in enumerate(self.fmts):
             env[f"_U{i}"] = bc._UNPACK.get(fmt)
             env[f"_P{i}"] = bc._PACK.get(fmt)
-        # Preresolve the statically proven pages: creating a page eagerly
-        # is invisible (an untouched page reads as zeros either way, and
-        # page bytearrays are never replaced once created).
-        for p in self.pages:
-            env[f"_pg{p}"] = memory._page(p)
         exec(self.code, env)
         return env
 
 
-def _check_ranges_enabled() -> bool:
-    """REPRO_CHECK_RANGES=1 compiles runtime asserts for every derived
-    interval into the specialized code (the guard-elim debug mode)."""
-    return os.environ.get("REPRO_CHECK_RANGES", "") not in ("", "0")
-
-
-def get_specialization(bp: "bc.BytecodeProgram",
-                       guard_elim: bool = True) -> Specialization:
-    """The (cached) specialization of a lowered program.
-
-    Variants are keyed by (guard_elim, check_ranges): the interval-based
-    guard elimination can be disabled for timing/debugging, and the
-    check-ranges debug mode compiles different (asserting) code.
-    """
-    key = (bool(guard_elim), _check_ranges_enabled())
-    cache = getattr(bp, "_specializations", None)
-    if cache is None:
-        cache = {}
-        bp._specializations = cache
-    spec = cache.get(key)
+def get_specialization(bp: "bc.BytecodeProgram") -> Specialization:
+    """The specialization of a lowered program, compiled once and cached
+    on the program."""
+    spec = bp._specialization
     if spec is None:
-        spec = _specialize(bc.fuse_program(bp), guard_elim=key[0],
-                           check_ranges=key[1])
-        cache[key] = spec
+        spec = _specialize(bc.fuse_program(bp))
+        bp._specialization = spec
     return spec
 
 
-def _specialize(fbp: "bc.BytecodeProgram", guard_elim: bool = True,
-                check_ranges: bool = False) -> Specialization:
-    facts: dict[str, dict[int, "AccessFact"]] = {}
-    layout: tuple[int, ...] = ()
-    if guard_elim:
-        from repro.sim import dataflow
-
-        layout = dataflow.static_global_layout(fbp)
-        facts = {name: dataflow.access_facts(fn, layout)
-                 for name, fn in fbp.functions.items()}
+def _specialize(fbp: "bc.BytecodeProgram") -> Specialization:
     fidx = {name: i for i, name in enumerate(fbp.functions)}
-    gen = _Codegen(fidx, facts=facts, guard_elim=guard_elim,
-                   check_ranges=check_ranges)
+    gen = _Codegen(fidx)
     for name, fn in fbp.functions.items():
         gen.emit_function(fidx[name], name, fn)
     source = "\n".join(gen.lines) + "\n"
@@ -279,13 +242,7 @@ def _specialize(fbp: "bc.BytecodeProgram", guard_elim: bool = True,
                           fmts=tuple(gen.fmts),
                           drivers={name: f"_fn{i}"
                                    for name, i in fidx.items()},
-                          pages=tuple(sorted(gen.pages)),
-                          layout=layout)
-
-
-_CMP_SYM = {
-    "LT": "<", "LE": "<=", "GT": ">", "GE": ">=", "EQ": "==", "NE": "!=",
-}
+                          frames_per_call=gen.frames_per_call)
 
 
 def _cmp_sym(op: int) -> str:
@@ -303,22 +260,15 @@ def _cmp_sym(op: int) -> str:
 
 
 class _Codegen:
-    def __init__(self, fidx: dict[str, int],
-                 facts: dict[str, dict[int, "AccessFact"]] | None = None,
-                 guard_elim: bool = False,
-                 check_ranges: bool = False) -> None:
+    def __init__(self, fidx: dict[str, int]) -> None:
         self.fidx = fidx
         self.lines: list[str] = []
         self.consts: list[Any] = []
         self.fmts: list[str] = []
         self._fmt_index: dict[str, int] = {}
-        #: Function name → {instruction index → interval access fact}.
-        self._all_facts = facts or {}
-        self._facts: dict[int, "AccessFact"] = {}
-        self._guard = guard_elim
-        self._check = check_ranges
-        #: Pages referenced by page-pinned fast paths (bound as _pg{p}).
-        self.pages: set[int] = set()
+        #: See :attr:`Specialization.frames_per_call`; a call outside
+        #: every loop costs the driver plus the trampolined block.
+        self.frames_per_call = 2
         #: Block-local slot → local-name map (register localization).
         self._cur: dict[int, str] = {}
         #: Block-local constant tracking: slot → (literal expr, value).
@@ -359,6 +309,8 @@ class _Codegen:
         #: Slots carried in ``t`` locals across the current region's
         #: iterations (sorted; empty outside regions).
         self._carried: tuple[int, ...] = ()
+        #: Region functions enclosing the chain being emitted.
+        self._depth = 0
 
     # -- shared tables -----------------------------------------------------
 
@@ -488,7 +440,6 @@ class _Codegen:
 
     def emit_function(self, findex: int, name: str,
                       fn: "bc.BytecodeFunction") -> None:
-        self._facts = self._all_facts.get(name, {})
         code = fn.code
         n = len(code)
         leaders = {0}
@@ -585,12 +536,13 @@ class _Codegen:
         emit = (chains, ranges, code, blk, rv, pcs, mk, live_out)
         for c in sorted(straight):
             self._route = {}
+            self._depth = 0
             self.lines.append(f"def _bk{findex}_{c}(r):")
             self._emit_chain_body(chains[c], ranges, code, blk, rv, pcs,
                                   mk, live_out)
             self.lines.append("")
         for reg in regions:
-            self._emit_region(findex, reg, *emit)
+            self._emit_region(findex, reg, 1, *emit)
             for m in reg.members:
                 # Trampoline entry: jump into the loop at chain m.
                 self.lines.append(f"def _bk{findex}_{m}(r):")
@@ -650,7 +602,7 @@ class _Codegen:
             for line in self._goto(blk[end], live_out[end - 1]):
                 self.lines.append("    " + line)
 
-    def _emit_region(self, findex: int, reg: _Region,
+    def _emit_region(self, findex: int, reg: _Region, depth: int,
                      chains: list[list[int]],
                      ranges: list[tuple[int, int]],
                      code: Sequence[_Ins], blk: dict[int, int], rv: int,
@@ -664,12 +616,16 @@ class _Codegen:
         the caller (ultimately the trampoline). Every transition still
         flushes live registers and re-reads ``r`` at the next chain
         top, so the dispatch shape is invisible to the simulation.
+        ``depth`` counts the region functions on the Python stack while
+        this region's own chains run (1 for an outermost loop).
         """
         child_carried = {
-            child.id: self._emit_region(findex, child, chains, ranges,
-                                        code, blk, rv, pcs, mk, live_out)
+            child.id: self._emit_region(findex, child, depth + 1, chains,
+                                        ranges, code, blk, rv, pcs, mk,
+                                        live_out)
             for child in reg.children
         }
+        self._depth = depth
         # Carry every slot the region's chains touch in a local for the
         # whole stay: the preheader loads them once, in-region edges
         # sync locals only, exits (and nested-region hand-offs) flush
@@ -928,34 +884,20 @@ class _Codegen:
         if self._snap is not None:
             self._snap += 1
 
-    def _access_fact(
-        self, size: int,
-    ) -> tuple["AccessFact | None", int | None, bool]:
-        """(fact, pinned page, crossing provably impossible) for the
-        instruction being emitted, under the current optimization mode.
-
-        The interval facts are keyed by the *fused-code* instruction
-        index (``self._pc``), which is exactly what `_emit_ins` walks.
-        """
-        fact = self._facts.get(self._pc)
-        if fact is None:
-            return None, None, False
-        if fact.size != size:  # defensive; shapes always agree
-            return None, None, False
-        page = fact.page if self._guard else None
-        if page is not None:
-            self.pages.add(page)
-        return fact, page, self._guard and fact.no_cross
-
-    def _range_check(self, w: _W, fact: "AccessFact | None") -> None:
-        """REPRO_CHECK_RANGES: assert the derived interval + congruence
-        against the concrete address (``a_`` is already assigned)."""
-        if not self._check or fact is None or not fact.nontrivial:
-            return
-        cond = f"{fact.lo} <= a_ <= {fact.hi}"
-        if fact.mod > 1:
-            cond += f" and a_ % {fact.mod} == {fact.rem}"
-        w(f"    assert {cond}, ('interval fact violated', {self._pc}, a_)")
+    def _paged(self, w: _W, size: int, fast: Sequence[str],
+               slow: Sequence[str]) -> None:
+        """A multi-byte access at ``a_``: ``fast`` runs on the page's
+        bytearray ``p_`` at offset ``o_`` when the access fits in one
+        page, ``slow`` (the generic ``Memory`` call) when it crosses."""
+        w("    o_ = a_ & 4095")
+        w(f"    if o_ <= {4096 - size}:")
+        w("        p_ = _PG.get(a_ >> 12)")
+        w("        if p_ is None: p_ = _MP(a_ >> 12)")
+        for line in fast:
+            w("        " + line)
+        w("    else:")
+        for line in slow:
+            w("        " + line)
 
     def _emit_load_i(self, w: _W, dst: int, addr_expr: str, size: int,
                      fmt: str, signed: int, pc: int) -> None:
@@ -965,21 +907,7 @@ class _Codegen:
         name = self._wr(dst, is_int=True,
                         dom=(mask, mask >> 1 if signed else -1))
         w(f"    a_ = {addr_expr}")
-        fact, page, no_cross = self._access_fact(size)
-        self._range_check(w, fact)
-        if page is not None:
-            # Interval-proven single page: the bytearray was resolved
-            # at bind time, no dict lookup and no crossing check.
-            if size == 1:
-                w(f"    {name} = _pg{page}[a_ & 4095]")
-                if signed:
-                    # Raw byte indexing skips the struct format, so the
-                    # sign fold stays manual (as in the generic path).
-                    w(f"    if {name} > 127: {name} -= 256")
-            else:
-                w(f"    {name} = _U{self._fmt(fmt)}(_pg{page}, "
-                  f"a_ & 4095)[0]")
-        elif size == 1:
+        if size == 1:
             # A byte never crosses a page: plain bytearray indexing
             # replaces the struct call (and the crossing check).
             w("    p_ = _PG.get(a_ >> 12)")
@@ -987,42 +915,18 @@ class _Codegen:
             w(f"    {name} = p_[a_ & 4095]")
             if signed:
                 w(f"    if {name} > 127: {name} -= 256")
-        elif no_cross:
-            # Alignment-proven in-page access: the crossing check (and
-            # its slow-path arm) drops; the page is still dynamic.
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"    {name} = _U{self._fmt(fmt)}(p_, a_ & 4095)[0]")
         else:
-            w("    o_ = a_ & 4095")
-            w(f"    if o_ <= {4096 - size}:")
-            w("        p_ = _PG.get(a_ >> 12)")
-            w("        if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"        {name} = _U{self._fmt(fmt)}(p_, o_)[0]")
-            w("    else:")
-            w(f"        {name} = _RI(a_, {size}, {bool(signed)})")
+            self._paged(w, size,
+                        (f"{name} = _U{self._fmt(fmt)}(p_, o_)[0]",),
+                        (f"{name} = _RI(a_, {size}, {bool(signed)})",))
         self._trace(w, pc, size, False)
 
     def _emit_load_f(self, w: _W, dst: int, addr_expr: str, size: int,
                      fmt: str, pc: int) -> None:
         name = self._wr(dst)
         w(f"    a_ = {addr_expr}")
-        fact, page, no_cross = self._access_fact(size)
-        self._range_check(w, fact)
-        if page is not None:
-            w(f"    {name} = _U{self._fmt(fmt)}(_pg{page}, a_ & 4095)[0]")
-        elif no_cross:
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"    {name} = _U{self._fmt(fmt)}(p_, a_ & 4095)[0]")
-        else:
-            w("    o_ = a_ & 4095")
-            w(f"    if o_ <= {4096 - size}:")
-            w("        p_ = _PG.get(a_ >> 12)")
-            w("        if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"        {name} = _U{self._fmt(fmt)}(p_, o_)[0]")
-            w("    else:")
-            w(f"        {name} = _RF(a_, {size})")
+        self._paged(w, size, (f"{name} = _U{self._fmt(fmt)}(p_, o_)[0]",),
+                    (f"{name} = _RF(a_, {size})",))
         self._trace(w, pc, size, False)
 
     def _emit_store_i(self, w: _W, addr_expr: str, src: int, dst: int,
@@ -1030,31 +934,15 @@ class _Codegen:
                       pc: int) -> None:
         w(f"    a_ = {addr_expr}")
         w(f"    v_ = {self._rd_int(src)} & {mask}")
-        fact, page, no_cross = self._access_fact(size)
-        self._range_check(w, fact)
-        if page is not None:
-            if size == 1:
-                w(f"    _pg{page}[a_ & 4095] = v_")
-            else:
-                w(f"    _P{self._fmt(fmt)}(_pg{page}, a_ & 4095, v_)")
-        elif size == 1:
+        if size == 1:
             # A byte never crosses a page; the masked value is already
             # in [0, 255], so bytearray assignment stores it verbatim.
             w("    p_ = _PG.get(a_ >> 12)")
             w("    if p_ is None: p_ = _MP(a_ >> 12)")
             w("    p_[a_ & 4095] = v_")
-        elif no_cross:
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"    _P{self._fmt(fmt)}(p_, a_ & 4095, v_)")
         else:
-            w("    o_ = a_ & 4095")
-            w(f"    if o_ <= {4096 - size}:")
-            w("        p_ = _PG.get(a_ >> 12)")
-            w("        if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"        _P{self._fmt(fmt)}(p_, o_, v_)")
-            w("    else:")
-            w(f"        _WI(a_, v_, {size})")
+            self._paged(w, size, (f"_P{self._fmt(fmt)}(p_, o_, v_)",),
+                        (f"_WI(a_, v_, {size})",))
         if maxv >= 0:
             w(f"    if v_ > {maxv}: v_ -= {mask + 1}")
         w(f"    {self._wr(dst, is_int=True, dom=(mask, maxv))} = v_")
@@ -1065,33 +953,13 @@ class _Codegen:
                       size: int, fmt: str, pc: int) -> None:
         w(f"    a_ = {addr_expr}")
         w(f"    v_ = float({self._rd(src)})")
-        fact, page, no_cross = self._access_fact(size)
-        self._range_check(w, fact)
-        if page is not None:
-            # Out-of-range doubles still divert to write_float, which
-            # owns the overflow-to-inf packing semantics.
-            w("    try:")
-            w(f"        _P{self._fmt(fmt)}(_pg{page}, a_ & 4095, v_)")
-            w("    except OverflowError:")
-            w(f"        _WF(a_, v_, {size})")
-        elif no_cross:
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w("    try:")
-            w(f"        _P{self._fmt(fmt)}(p_, a_ & 4095, v_)")
-            w("    except OverflowError:")
-            w(f"        _WF(a_, v_, {size})")
-        else:
-            w("    o_ = a_ & 4095")
-            w(f"    if o_ <= {4096 - size}:")
-            w("        p_ = _PG.get(a_ >> 12)")
-            w("        if p_ is None: p_ = _MP(a_ >> 12)")
-            w("        try:")
-            w(f"            _P{self._fmt(fmt)}(p_, o_, v_)")
-            w("        except OverflowError:")
-            w(f"            _WF(a_, v_, {size})")
-            w("    else:")
-            w(f"        _WF(a_, v_, {size})")
+        # Out-of-range doubles divert to write_float, which owns the
+        # overflow-to-inf packing semantics.
+        self._paged(w, size, ("try:",
+                              f"    _P{self._fmt(fmt)}(p_, o_, v_)",
+                              "except OverflowError:",
+                              f"    _WF(a_, v_, {size})"),
+                    (f"_WF(a_, v_, {size})",))
         w(f"    {self._wr(dst)} = v_")
         if pc >= 0:
             self._trace(w, pc, size, True)
@@ -1100,22 +968,8 @@ class _Codegen:
                       pc: int) -> None:
         w(f"    a_ = {addr_expr}")
         w(f"    v_ = {self._rd_int(src)} & {_M32}")
-        fact, page, no_cross = self._access_fact(4)
-        self._range_check(w, fact)
-        if page is not None:
-            w(f"    _P{self._fmt('<I')}(_pg{page}, a_ & 4095, v_)")
-        elif no_cross:
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"    _P{self._fmt('<I')}(p_, a_ & 4095, v_)")
-        else:
-            w("    o_ = a_ & 4095")
-            w("    if o_ <= 4092:")
-            w("        p_ = _PG.get(a_ >> 12)")
-            w("        if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"        _P{self._fmt('<I')}(p_, o_, v_)")
-            w("    else:")
-            w("        _WI(a_, v_, 4)")
+        self._paged(w, 4, (f"_P{self._fmt('<I')}(p_, o_, v_)",),
+                    ("_WI(a_, v_, 4)",))
         w(f"    {self._wr(dst, is_int=True, dom=(4294967295, -1))} = v_")
         if pc >= 0:
             self._trace(w, pc, 4, True)
@@ -1410,6 +1264,8 @@ class _Codegen:
         elif op == B.OP_CALL:
             args = ", ".join(self._rd(slot) for slot in ins[3])
             message = f"call depth exceeded in {ins[2]!r}"
+            self.frames_per_call = max(self.frames_per_call,
+                                       2 + self._depth)
             self._flush_steps()
             w(f"    r[{pcs}] = {pc}")
             w(f"    if _D[0] + 1 >= _MAXD: raise _RTE({message!r})")

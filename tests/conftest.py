@@ -15,11 +15,6 @@ import pytest
 # and fused bytecode first (memoized per compiled program, so the cost is
 # one pass per program). See repro.sim.verify.
 os.environ.setdefault("REPRO_VERIFY_IR", "1")
-# ... and every specialized run asserts the interval analysis' derived
-# address ranges at runtime, so a guard eliminated on a wrong fact fails
-# loudly instead of silently touching the wrong page. See
-# repro.sim.dataflow / repro.sim.specialize.
-os.environ.setdefault("REPRO_CHECK_RANGES", "1")
 
 from repro.foray.filters import FilterConfig
 from repro.pipeline import WorkloadReport, extract_foray_model, run_workload

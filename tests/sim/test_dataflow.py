@@ -1,33 +1,22 @@
 """Unit tests for the generic dataflow framework (repro.sim.dataflow).
 
-The framework is the foundation under three consumers — fusion liveness,
-guard elimination in the specializer, and the strengthened IR verifier —
-so these tests pin the analyses directly at the bytecode level:
-solver fixpoints, liveness equivalence with the naive per-instruction
-iteration, definite assignment, SCCP edge pruning, interval/access
-facts, the static global layout replay and loop trip counts.
+The framework sits under three consumers — fusion liveness, the IR
+verifier and the MiniC linter — so these tests pin the solver and the
+analyses directly at the bytecode level: solver fixpoints, liveness
+equivalence with the naive per-instruction iteration, and definite
+assignment.
 """
 
 import pytest
 
 from repro.sim import bytecode as bc
 from repro.sim import dataflow as df
-from repro.sim.machine import compile_program, lower_compiled, run_compiled
+from repro.sim.machine import compile_program, lower_compiled
 from repro.workloads.registry import MIBENCH_WORKLOADS
 
 
 def lower(source: str):
     return lower_compiled(compile_program(source))
-
-
-LOOP_SRC = """
-int a[10];
-int main(void) {
-    int i;
-    for (i = 0; i < 10; i++) a[i] = i;
-    return a[3];
-}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -134,124 +123,3 @@ class TestDefiniteAssignment:
         )
         fn = bc.BytecodeFunction("f", code=code, n_slots=2)
         assert df.maybe_uninitialized_reads(fn) == []
-
-
-# ---------------------------------------------------------------------------
-# Sparse conditional constant propagation
-# ---------------------------------------------------------------------------
-
-
-class TestConstants:
-    def test_statically_dead_branch_is_unreached(self):
-        program = lower("""
-        int main(void) {
-            int x = 3;
-            if (x < 1) { return 7; }
-            return 0;
-        }
-        """)
-        facts = df.constants(program.functions["main"])
-        assert any(not facts.reachable(b.index)
-                   for b in facts.cfg.blocks)
-        # ... and the pruned edge is absent from the executable set.
-        reachable = {b.index for b in facts.cfg.blocks
-                     if facts.reachable(b.index)}
-        for src, dst in facts.executable_edges:
-            assert src in reachable and dst in reachable
-
-    def test_loop_body_is_reachable(self):
-        # The loop condition is not statically decided, so every block
-        # holding a store (the body) must stay reachable.
-        program = lower(LOOP_SRC)
-        fn = program.functions["main"]
-        facts = df.constants(fn)
-        for block in facts.cfg.blocks:
-            ops = {fn.code[i][0]
-                   for i in range(block.start, block.end)}
-            if ops & {bc.OP_STORE_I, bc.OP_STELEM_I}:
-                assert facts.reachable(block.index)
-
-
-# ---------------------------------------------------------------------------
-# Interval domain algebra
-# ---------------------------------------------------------------------------
-
-
-class TestAValAlgebra:
-    def test_join_widens_bounds_and_meets_congruence(self):
-        a = df._exact(4)
-        b = df._exact(8)
-        lo, hi, mod, rem = df.join_aval(a, b)
-        assert (lo, hi) == (4, 8)
-        assert mod == 4 and rem == 0     # gcd congruence survives
-
-    def test_add_and_scale(self):
-        stride = df.scale_aval((0, 9, 1, 0), 4)
-        assert stride == (0, 36, 4, 0)
-        based = df.add_aval(stride, df._exact(100))
-        assert based == (100, 136, 4, 0)
-
-    def test_wrap_keeps_in_domain_values(self):
-        aval = (0, 100, 1, 0)
-        assert df.wrap_aval(aval, 0xFFFFFFFF, 0x7FFFFFFF) == aval
-
-    def test_refine_cmp_lt(self):
-        refined = df.refine_cmp(bc.OP_LT, (0, 100, 1, 0),
-                                df._exact(10), True)
-        assert refined is not None
-        assert refined[0][1] == 9        # a < 10 caps hi at 9
-
-
-# ---------------------------------------------------------------------------
-# Access facts, layout replay and trip counts on a real program
-# ---------------------------------------------------------------------------
-
-
-class TestProgramFacts:
-    def test_affine_store_is_page_local(self):
-        # The specializer analyzes the *fused* code, where the governing
-        # branch (OP_BR) lets the interval analysis refine the induction
-        # variable on the body edge.
-        program = bc.fuse_program(lower(LOOP_SRC))
-        layout = df.static_global_layout(program)
-        fn = program.functions["main"]
-        facts = df.access_facts(fn, layout)
-        stores = [facts[i] for i, ins in enumerate(fn.code)
-                  if i in facts and ins[0] in (bc.OP_STORE_I,
-                                               bc.OP_STELEM_I)]
-        assert stores, "expected at least one analyzed store"
-        fact = stores[0]
-        base = layout[0]
-        assert (fact.lo, fact.hi) == (base, base + 36)
-        assert fact.mod == 4 and fact.size == 4
-        assert fact.page == base >> 12
-        assert fact.no_cross
-
-    def test_static_layout_matches_vm(self):
-        compiled = compile_program(LOOP_SRC)
-        program = lower_compiled(compiled)
-        result = run_compiled(compiled)
-        assert tuple(result.machine._global_addrs) == \
-            df.static_global_layout(program)
-
-    def test_loop_trip_count_bound(self):
-        # Trip counts read the governing fused branch (OP_BR), so they
-        # are computed over the fused twin like the specializer's facts.
-        compiled = compile_program(LOOP_SRC)
-        program = bc.fuse_program(lower_compiled(compiled))
-        counts = df.loop_trip_counts(program.functions["main"],
-                                     compiled.checkpoint_map)
-        assert 10 in counts.values()
-
-    def test_unbounded_loop_reports_none(self):
-        compiled = compile_program("""
-        int main(void) {
-            int i, n = 0;
-            for (i = 0; i != -1; i++) { n++; if (n > 3) break; }
-            return n;
-        }
-        """)
-        program = bc.fuse_program(lower_compiled(compiled))
-        counts = df.loop_trip_counts(program.functions["main"],
-                                     compiled.checkpoint_map)
-        assert counts and all(v is None or v >= 4 for v in counts.values())

@@ -1,7 +1,7 @@
 """Fault paths of the simulated memory, unit-level and end-to-end.
 
 ``tests/sim/test_memory.py`` covers the happy paths; these tests pin
-the failure behavior the guard-eliminated fast paths lean on: unmapped
+the failure behavior the specialized fast path leans on: unmapped
 pages read as zeros (pages are demand-created and never replaced),
 multi-byte accesses straddling a page boundary stay coherent, negative
 addresses fault, and runaway frames hit the simulated stack limit.

@@ -9,7 +9,11 @@ paper figure examples) both engines must produce
 * identical extracted :class:`ForayModel`s (and identical emitted model
   text, which is what the paper tables are computed from).
 
-A hypothesis property extends the check to generated loop nests.
+A hypothesis property extends the check to generated loop nests. The
+three execution tiers — the specialized fast path, the unfused dispatch
+loop and the AST oracle — are also held to each other on selected
+programs, on a cross-page store stress and at the call-depth boundary,
+where a failing run must fail the same way on every tier.
 """
 
 from hypothesis import given, settings
@@ -20,7 +24,14 @@ import pytest
 from repro.foray.extractor import ForayExtractor
 from repro.foray.emitter import emit_model
 from repro.foray.filters import FilterConfig
-from repro.sim.machine import EngineConfig, compile_program, run_compiled
+from repro.gen.fuzz import PARITY_CONFIGS
+from repro.sim.machine import (
+    EngineConfig,
+    compile_program,
+    lower_compiled,
+    run_compiled,
+)
+from repro.sim.specialize import get_specialization
 from repro.sim.trace import TraceCollector, format_trace
 from repro.workloads.registry import ALL_WORKLOADS, MIBENCH_WORKLOADS
 
@@ -191,3 +202,97 @@ def test_validation_report_parity(name, suite_reports):
             reports[engine] = sink.finish()
         assert reports["bytecode"] == reports["ast"], scenario.name
         assert reports["bytecode"].unexercised == 0
+
+
+#: The execution tiers whose observable behaviour must be identical
+#: (the fuzz battery's parity check runs the same three).
+TIERS = dict(PARITY_CONFIGS)
+
+
+def assert_three_way_parity(source: str) -> None:
+    """Exit code, stdout, step/call counts and the formatted trace agree
+    on every tier (each run compiles the source afresh)."""
+    observed = {}
+    for tier, config in TIERS.items():
+        collector = TraceCollector()
+        result = run_compiled(compile_program(source), sinks=(collector,),
+                              config=config)
+        observed[tier] = (result.exit_code, result.stdout,
+                          result.stats.steps, result.stats.calls,
+                          format_trace(collector.records))
+    for tier, signature in observed.items():
+        assert signature == observed["ast"], f"{tier} vs ast"
+
+
+@pytest.mark.parametrize("name", ["adpcm", "mpeg2", "fig1a", "fig9"])
+def test_three_way_parity(name):
+    assert_three_way_parity(ALL_WORKLOADS[name].source)
+
+
+def test_cross_page_access_parity():
+    # Pointer-cast int stores straddling the 4 KiB page boundary: the
+    # specialized code's generic crossing path must match the others.
+    assert_three_way_parity("""
+    char buf[8192];
+    int main(void) {
+        int i;
+        for (i = 0; i < 8192; i += 1021) {
+            *(int *)&buf[i] = i * 3 + 7;
+        }
+        return *(int *)&buf[4094];
+    }
+    """)
+
+
+def _recursion_source(nest: int, depth: int) -> str:
+    """``f`` recurses ``depth`` times from inside a ``nest``-deep loop
+    nest (each loop runs once); main returns the depth mod 256."""
+    decls = "".join(f"int i{k}; " for k in range(nest))
+    loops = "".join(f"for (i{k} = 0; i{k} < 1; i{k}++) {{ "
+                    for k in range(nest))
+    return f"""
+    int f(int n) {{
+        {decls}int r = 0;
+        {loops}if (n > 0) r = f(n - 1) + 1; {"}" * nest}
+        return r;
+    }}
+    int main(void) {{ return f({depth}) & 255; }}
+    """
+
+
+@pytest.mark.parametrize("depth", [510, 511])
+@pytest.mark.parametrize("nest", range(5))
+def test_call_depth_boundary_parity(nest, depth):
+    """The default call-depth budget (512 frames, main included) fits
+    ``f(510)`` (511 frames of ``f``) and refuses ``f(511)`` with the
+    simulator's own error on every tier: each loop region around a call
+    site costs the specialized code a Python frame, and its recursion
+    headroom must cover them."""
+    outcomes = {}
+    for tier, config in TIERS.items():
+        try:
+            result = run_compiled(
+                compile_program(_recursion_source(nest, depth)),
+                config=config)
+            outcomes[tier] = result.exit_code
+        except Exception as error:
+            outcomes[tier] = (type(error).__name__, str(error))
+    expected = 254 if depth == 510 else (
+        "MiniCRuntimeError", "<minic>:0:0: call depth exceeded in 'f'")
+    assert outcomes == dict.fromkeys(TIERS, expected)
+
+
+def test_call_depth_headroom_counts_caller_frames():
+    """A run started 400 Python frames deep still reaches the depth
+    budget: the headroom adds the frames already on the stack."""
+    def nested(levels):
+        if levels:
+            return nested(levels - 1)
+        return run_compiled(compile_program(_recursion_source(0, 510)))
+
+    assert nested(400).exit_code == 254
+
+
+def test_specialization_cached_per_program():
+    program = lower_compiled(compile_program(_recursion_source(3, 4)))
+    assert get_specialization(program) is get_specialization(program)
