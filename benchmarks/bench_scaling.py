@@ -332,6 +332,9 @@ def test_parallel_suite_speedup(results_dir):
 
     cpus = os.cpu_count() or 1
     jobs = min(4, cpus)
+    # cache=False still shares compiled programs within the process, and
+    # forked workers would inherit the serial run's: start both cold.
+    clear_caches()
     start = time.perf_counter()
     parallel = run_suite(jobs=jobs, config=config)
     parallel_time = time.perf_counter() - start

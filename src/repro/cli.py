@@ -189,7 +189,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         help="structurally verify the lowered and fused "
                              "bytecode before every run")
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the compiled/extraction artifact cache")
+                        help="reuse no simulated artifact and skip the "
+                             "disk store (compiled programs are still "
+                             "shared within the process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="disk artifact store shared across processes "
                              "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -47,14 +47,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.foray.extractor import extract_from_source
+from repro.foray.extractor import ForayExtractor
 from repro.gen.build import GenProgram, build_ir, gen_name
 from repro.gen.profiles import get_profile
 from repro.gen.render import RenderedProgram, render_ir
 from repro.gen.shrink import shrink_ir
-from repro.lang.lint import lint_source
+from repro.lang.errors import MiniCError
+from repro.lang.lint import lint_program, lint_source
 from repro.pipeline import (
     PipelineConfig,
+    _cached_compiled,
     _content_key,
     _fan_out,
     _tiered_get,
@@ -172,10 +174,16 @@ class FuzzReport:
 
 
 class _CheckContext:
-    """Shared per-program artifacts, computed lazily and at most once."""
+    """Shared per-program artifacts, computed lazily and at most once.
 
-    def __init__(self, rendered: RenderedProgram):
+    The compiled program comes from the pipeline's compile tier, so the
+    battery's checks and the transfer check's validation runs share one
+    parse, lowering and specialization per source.
+    """
+
+    def __init__(self, rendered: RenderedProgram, config: PipelineConfig):
         self.rendered = rendered
+        self.config = config
         self.source = rendered.workload.source
         self._compiled = None
         self._extraction = None
@@ -184,15 +192,17 @@ class _CheckContext:
     @property
     def compiled(self):
         if self._compiled is None:
-            self._compiled = compile_program(self.source)
+            self._compiled = _cached_compiled(self.source, self.config)
         return self._compiled
 
     @property
     def extraction(self):
-        """(model, detector result, compiled-with-checkpoints)."""
+        """(model, detector result) of a default-engine profiling run."""
         if self._extraction is None:
-            model, _, compiled = extract_from_source(self.source)
-            self._extraction = (model, detect(compiled.program), compiled)
+            compiled = self.compiled
+            extractor = ForayExtractor(compiled.checkpoint_map)
+            run_compiled(compiled, sinks=(extractor,), config=EngineConfig())
+            self._extraction = (extractor.finish(), detect(compiled.program))
         return self._extraction
 
     @property
@@ -250,7 +260,13 @@ def _check_ir(ctx: _CheckContext) -> CheckOutcome:
 
 
 def _check_lint(ctx: _CheckContext) -> CheckOutcome:
-    findings = lint_source(ctx.source, filename=ctx.rendered.workload.name)
+    try:
+        findings = lint_program(ctx.compiled.program)
+    except MiniCError:
+        # The front end rejects the source: lint_source reports that as
+        # its L100 finding.
+        findings = lint_source(ctx.source,
+                               filename=ctx.rendered.workload.name)
     errors = [f for f in findings if f.severity == "error"]
     if errors:
         return CheckOutcome(
@@ -263,8 +279,8 @@ def _check_lint(ctx: _CheckContext) -> CheckOutcome:
 
 
 def _static_report(ctx: _CheckContext, corrupt: bool = False):
-    model, detector, compiled = ctx.extraction
-    static = analyze_static(compiled.program, detector_result=detector,
+    model, detector = ctx.extraction
+    static = analyze_static(ctx.compiled.program, detector_result=detector,
                             name=ctx.rendered.workload.name)
     if corrupt:
         refs = list(static.unfiltered_references)
@@ -465,7 +481,7 @@ def _fuzz_rendered(
     shrink: bool,
     config: PipelineConfig,
 ) -> ProgramOutcome:
-    ctx = _CheckContext(rendered)
+    ctx = _CheckContext(rendered, config)
     results: list[CheckOutcome] = []
     transfer = None
     try:
@@ -494,7 +510,8 @@ def _fuzz_rendered(
     shrunk_lines = 0
     if shrink:
         def still_fails(candidate: RenderedProgram) -> bool:
-            return _run_check(failing.name, _CheckContext(candidate),
+            return _run_check(failing.name,
+                              _CheckContext(candidate, config),
                               config).status == "fail"
 
         result = shrink_ir(ir, still_fails)

@@ -41,13 +41,16 @@ compositions over the stages:
   way.
 
 Compiled programs and extraction results are memoized in an in-process
-content-hash cache (keyed by source text and the exact run configuration);
-pass ``cache=False`` / ``--no-cache`` to bypass it. When
-``PipelineConfig.cache_dir`` is set, the in-memory caches become the L1
-tier over a disk-backed, content-addressed :class:`~repro.store.ArtifactStore`
-(L2) shared across processes — ``_fan_out`` workers and repeat CLI
-invocations then serve compilation, simulation, extraction, sweep and
-validation artifacts from disk instead of recomputing them.
+content-hash cache (keyed by source text and the exact run configuration).
+When ``PipelineConfig.cache_dir`` is set, the in-memory caches become the
+L1 tier over a disk-backed, content-addressed
+:class:`~repro.store.ArtifactStore` (L2) shared across processes —
+``_fan_out`` workers and repeat CLI invocations then serve compilation,
+simulation, extraction, sweep and validation artifacts from disk instead
+of recomputing them. ``cache=False`` / ``--no-cache`` drops the disk tier
+and reuses no simulated artifact; compiled programs, a pure function of
+the source text, are still shared within the process until
+:func:`clear_caches`.
 """
 
 from __future__ import annotations
@@ -325,7 +328,7 @@ _stores: dict[str, ArtifactStore] = {}
 
 def store_for(config: PipelineConfig) -> ArtifactStore | None:
     """The disk store behind ``config``, or ``None`` when disabled
-    (``cache=False`` bypasses the disk tier along with the memory one)."""
+    (``cache=False`` turns the disk tier off for every namespace)."""
     if not config.cache or not config.cache_dir:
         return None
     store = _stores.get(config.cache_dir)
@@ -551,12 +554,13 @@ def run_stages(ctx: PipelineContext, upto: str) -> PipelineContext:
 def _stage_compile(ctx: PipelineContext) -> None:
     if ctx.compiled is not None:
         return
-    key = _compile_key(ctx.source)
-    if ctx.config.cache:
-        cached = _tiered_get(compile_cache, key, ctx.config)
-        if cached is not None:
-            ctx.compiled = cached  # already instrumented; skips both stages
-            return
+    # A compiled program is a pure function of the source text, so the
+    # in-memory tier serves it whatever ``config.cache`` says; the config
+    # only gates the disk tier (see ``store_for``).
+    cached = _tiered_get(compile_cache, _compile_key(ctx.source), ctx.config)
+    if cached is not None:
+        ctx.compiled = cached  # already instrumented; skips both stages
+        return
     # compile_program also runs the instrument pass; the separate stage
     # below exists so callers can observe/extend the boundary.
     ctx.compiled = compile_program(ctx.source, annotate=False)
@@ -566,13 +570,13 @@ def _stage_compile(ctx: PipelineContext) -> None:
 def _stage_instrument(ctx: PipelineContext) -> None:
     assert ctx.compiled is not None
     if ctx.compiled.is_instrumented:
-        return  # cache hit delivered an instrumented program
+        return  # a cache hit or a caller's program: annotated already
     from repro.instrument.checkpoints import instrument
 
     ctx.compiled.checkpoint_map = instrument(ctx.compiled.program)
-    if ctx.config.cache:
-        _tiered_put(compile_cache, _compile_key(ctx.source), ctx.compiled,
-                    ctx.config)
+    ctx.compiled.is_instrumented = True
+    _tiered_put(compile_cache, _compile_key(ctx.source), ctx.compiled,
+                ctx.config)
 
 
 @register_stage("simulate", "profile on the selected engine (online sink)")
@@ -1130,9 +1134,11 @@ def _select_scenarios(workload, validation: ValidationConfig) -> list:
 #: Run-scoped memo of profile models by extraction key. The profile
 #: extraction (a full simulation) is the expensive half of a matrix cell
 #: and every cell of one workload needs the same model, so it is kept
-#: even under ``cache=False``: bypassing the artifact caches means "do
-#: not reuse artifacts across runs", not "re-simulate the identical
-#: profile once per scenario". Each fan-out worker process fills its own.
+#: even under ``cache=False``. That setting means no disk tier and no
+#: simulated artifact reused across runs, not "re-simulate the identical
+#: profile once per scenario"; compiled programs are shared within the
+#: process regardless, and only :func:`clear_caches` drops either memo.
+#: Each fan-out worker process fills its own.
 _profile_model_memo: dict[str, ForayModel] = {}
 _PROFILE_MEMO_LIMIT = 16
 

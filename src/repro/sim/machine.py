@@ -76,14 +76,13 @@ class CompiledProgram:
     program: ast.Program
     checkpoint_map: CheckpointMap
     source: str
+    #: Set once the checkpoint pass has run, whatever it annotated: a
+    #: loop-free program is instrumented with an empty checkpoint map.
+    is_instrumented: bool = False
     #: Lazily populated bytecode lowering (see :func:`lower_compiled`).
     bytecode: object | None = field(default=None, repr=False, compare=False)
     #: Set once the IR verifier has passed this program (idempotence memo).
     ir_verified: bool = field(default=False, repr=False, compare=False)
-
-    @property
-    def is_instrumented(self) -> bool:
-        return len(self.checkpoint_map) > 0
 
 
 @dataclass
@@ -112,7 +111,8 @@ def compile_program(source: str, annotate: bool = True,
     """Parse, semantically analyze and (by default) instrument ``source``."""
     program = parse_and_analyze(source, filename)
     checkpoint_map = instrument(program) if annotate else CheckpointMap()
-    return CompiledProgram(program, checkpoint_map, source)
+    return CompiledProgram(program, checkpoint_map, source,
+                           is_instrumented=annotate)
 
 
 def lower_compiled(compiled: CompiledProgram):

@@ -8,7 +8,6 @@ from repro.pipeline import (
     PipelineContext,
     SpmConfig,
     clear_caches,
-    compile_cache,
     exploration_cache,
     extract_foray_model,
     extraction_cache,
@@ -84,11 +83,14 @@ class TestArtifactCache:
         assert other_engine.model == default.model  # engine parity
 
     def test_no_cache_bypasses(self):
+        # cache=False reuses no simulated artifact; the compiled program,
+        # a pure function of the source text, is still shared in process.
         config = PipelineConfig(cache=False)
         first = extract_foray_model(SOURCE, config=config)
         second = extract_foray_model(SOURCE, config=config)
         assert second is not first
-        assert len(extraction_cache) == 0 and len(compile_cache) == 0
+        assert second.compiled is first.compiled
+        assert len(extraction_cache) == 0
 
     def test_compile_cache_shared_across_filter_configs(self):
         from repro.foray.filters import FilterConfig
