@@ -1,20 +1,28 @@
 """Implementations of the MiniC library builtins ("system library").
 
-Each builtin that touches simulated memory does so through the interpreter's
-``lib_load``/``lib_store`` helpers, which emit trace records with pcs in the
-library range (``LIB_PC_BASE + 8*index``). The paper's Table III counts
-these references in its "system calls" column; our pc-range tagging
-reproduces that classification.
+A builtin that touches simulated memory does its memory effect as one
+:class:`~repro.sim.memory.Memory` call and hands the engine its trace
+records as one run through the facade's ``lib_trace``. The records are
+those of word-oriented library code on a 32-bit target: bulk routines
+(``memcpy``, ``memmove``, ``memset``, ``calloc``, ``read_samples``)
+access 4 bytes at a time with a shorter last word, string routines one
+byte at a time, NUL included. This module owns the library pcs:
+builtin ``i`` loads at ``LIB_PC_BASE + 8*i`` and stores 4 bytes above.
+The paper's Table III counts these references in its "system calls"
+column; the pc range reproduces that classification.
 
-Bulk routines (``memcpy``, ``memset``, ``calloc``) work at 4-byte
-granularity, like word-oriented library code on a 32-bit target.
+Math results follow C99 Annex F: a domain error gives NaN, a pole or an
+overflow gives a signed infinity, never a Python exception.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from typing import Any, Callable
 
 from repro.lang.errors import MiniCRuntimeError
+from repro.sim.trace import LIB_PC_BASE
 
 #: glibc-style LCG constants for the deterministic rand().
 _RAND_MULTIPLIER = 1103515245
@@ -29,6 +37,8 @@ _RAND_MASK = 0x7FFFFFFF
 LIBDATA_BASE = 0x70000000
 #: Coefficient words read per transcendental call.
 _MATH_TABLE_TERMS = 10
+#: Longest string the library accepts (its NUL is one byte further).
+_MAX_STRING = 1 << 20
 
 #: Stable ordering of builtins; the index defines each builtin's lib pcs.
 _BUILTIN_ORDER = [
@@ -39,7 +49,13 @@ _BUILTIN_ORDER = [
     "exp", "log", "log10", "pow", "floor", "ceil", "fmod",
 ]
 
-BUILTIN_INDEX: dict[str, int] = {name: i for i, name in enumerate(_BUILTIN_ORDER)}
+#: Load pc of each builtin; its stores use the pc 4 above.
+BUILTIN_PC: dict[str, int] = {
+    name: LIB_PC_BASE + 8 * index for index, name in enumerate(_BUILTIN_ORDER)
+}
+
+_NAN = float("nan")
+_INF = float("inf")
 
 
 class ExitSignal(Exception):
@@ -50,40 +66,48 @@ class ExitSignal(Exception):
         super().__init__(code)
 
 
-def _word_copy(machine, name: str, dst: int, src: int, count: int) -> None:
-    offset = 0
-    while offset < count:
-        chunk = min(4, count - offset)
-        value = machine.lib_load(name, src + offset, chunk)
-        machine.lib_store(name, dst + offset, value, chunk)
-        offset += chunk
+# ---------------------------------------------------------------------------
+# Trace record runs (flat interleaved [pc, addr, size, is_write] ints)
+# ---------------------------------------------------------------------------
 
 
-def _word_set(machine, name: str, dst: int, byte: int, count: int) -> None:
-    offset = 0
-    byte &= 0xFF
-    while offset < count:
-        chunk = min(4, count - offset)
-        pattern = int.from_bytes(bytes([byte]) * chunk, "little")
-        machine.lib_store(name, dst + offset, pattern, chunk)
-        offset += chunk
+def _run(pc: int, is_write: int, addr: int, nbytes: int,
+         width: int) -> list[int]:
+    """Records of a sweep over ``nbytes`` at ``addr`` in ``width``-byte
+    accesses, the last one shorter when ``width`` does not divide it."""
+    whole, tail = divmod(nbytes, width)
+    records = [pc, 0, width, is_write] * whole
+    records[1::4] = range(addr, addr + nbytes - tail, width)
+    if tail:
+        records += (pc, addr + nbytes - tail, tail, is_write)
+    return records
 
 
-def _read_cstring(machine, name: str, addr: int) -> str:
-    """Read a NUL-terminated string with traced per-byte library loads."""
-    chars: list[str] = []
-    offset = 0
-    while True:
-        byte = machine.lib_load(name, addr + offset, 1)
-        if byte == 0:
-            return "".join(chars)
-        chars.append(chr(byte & 0xFF))
-        offset += 1
-        if offset > 1 << 20:
-            raise MiniCRuntimeError("unterminated string passed to library")
+def _interleave(first: list[int], second: list[int]) -> list[int]:
+    """The records of two equally long runs, alternating one by one."""
+    out = first + second
+    for field in range(4):
+        out[field::8] = first[field::4]
+        out[4 + field::8] = second[field::4]
+    return out
 
 
-def _format_printf(machine, fmt: str, args: list) -> str:
+def _read_string(machine, addr: int, pc: int) -> str:
+    """The NUL-terminated string at ``addr``, traced as byte loads."""
+    text = machine.memory.read_cstring(addr, _MAX_STRING + 1)
+    if text is None:
+        machine.lib_trace(_run(pc, 0, addr, _MAX_STRING + 1, 1))
+        raise MiniCRuntimeError("unterminated string passed to library")
+    machine.lib_trace(_run(pc, 0, addr, len(text) + 1, 1))
+    return text
+
+
+# ---------------------------------------------------------------------------
+# Builtins: each takes (machine, args, pc) with pc its load pc
+# ---------------------------------------------------------------------------
+
+
+def _format_printf(machine, fmt: str, args: list, pc: int) -> str:
     out: list[str] = []
     arg_index = 0
     i = 0
@@ -124,7 +148,7 @@ def _format_printf(machine, fmt: str, args: list) -> str:
         elif conv == "c":
             out.append(chr(int(next_arg()) & 0xFF))
         elif conv == "s":
-            out.append(_read_cstring(machine, "printf", int(next_arg())))
+            out.append(_read_string(machine, int(next_arg()), pc))
         elif conv in "feEgG":
             out.append(("%" + spec_body + conv) % float(next_arg()))
         elif conv == "p":
@@ -135,90 +159,225 @@ def _format_printf(machine, fmt: str, args: list) -> str:
     return "".join(out)
 
 
-def call_builtin(machine, name: str, args: list) -> object:
-    """Execute builtin ``name``; ``machine`` is the interpreter facade."""
-    if name == "printf":
-        fmt = _read_cstring(machine, "printf", int(args[0]))
-        text = _format_printf(machine, fmt, args[1:])
-        machine.write_stdout(text)
-        return len(text)
-    if name == "putchar":
-        machine.write_stdout(chr(int(args[0]) & 0xFF))
-        return int(args[0])
-    if name == "puts":
-        text = _read_cstring(machine, "puts", int(args[0]))
-        machine.write_stdout(text + "\n")
-        return len(text) + 1
-    if name == "malloc":
-        return machine.heap_alloc(int(args[0]))
-    if name == "calloc":
-        count, size = int(args[0]), int(args[1])
-        addr = machine.heap_alloc(count * size)
-        _word_set(machine, "calloc", addr, 0, count * size)
-        return addr
-    if name == "free":
-        return 0
-    if name == "memcpy" or name == "memmove":
-        dst, src, count = int(args[0]), int(args[1]), int(args[2])
-        _word_copy(machine, name, dst, src, count)
-        return dst
-    if name == "memset":
-        dst, byte, count = int(args[0]), int(args[1]), int(args[2])
-        _word_set(machine, "memset", dst, byte, count)
-        return dst
-    if name == "strlen":
-        return len(_read_cstring(machine, "strlen", int(args[0])))
-    if name == "strcpy":
-        dst, src = int(args[0]), int(args[1])
-        text = _read_cstring(machine, "strcpy", src)
-        for offset, ch in enumerate(text):
-            machine.lib_store("strcpy", dst + offset, ord(ch), 1)
-        machine.lib_store("strcpy", dst + len(text), 0, 1)
-        return dst
-    if name == "strcmp":
-        left = _read_cstring(machine, "strcmp", int(args[0]))
-        right = _read_cstring(machine, "strcmp", int(args[1]))
-        return (left > right) - (left < right)
-    if name == "abs" or name == "labs":
-        return abs(int(args[0]))
-    if name == "rand":
-        machine.rand_state = (
-            machine.rand_state * _RAND_MULTIPLIER + _RAND_INCREMENT
-        ) & _RAND_MASK
-        return machine.rand_state
-    if name == "srand":
-        machine.rand_state = int(args[0]) & _RAND_MASK
-        return 0
-    if name == "exit":
-        raise ExitSignal(int(args[0]))
-    if name == "read_samples":
-        buf, count = int(args[0]), int(args[1])
-        stream = machine.input_stream
-        for index in range(count):
-            sample = stream.next_sample()
-            machine.lib_store("read_samples", buf + 4 * index, sample, 4)
-        return count
+def _printf(machine, args: list, pc: int) -> int:
+    fmt = _read_string(machine, int(args[0]), pc)
+    text = _format_printf(machine, fmt, args[1:], pc)
+    machine.write_stdout(text)
+    return len(text)
 
-    value = [float(a) for a in args]
-    table_offset = BUILTIN_INDEX[name] * 64
-    for term in range(_MATH_TABLE_TERMS):
-        machine.lib_load(name, LIBDATA_BASE + table_offset + 8 * term, 8)
-    math_fns = {
-        "sqrt": lambda: math.sqrt(value[0]) if value[0] >= 0 else float("nan"),
-        "fabs": lambda: abs(value[0]),
-        "sin": lambda: math.sin(value[0]),
-        "cos": lambda: math.cos(value[0]),
-        "tan": lambda: math.tan(value[0]),
-        "atan": lambda: math.atan(value[0]),
-        "atan2": lambda: math.atan2(value[0], value[1]),
-        "exp": lambda: math.exp(value[0]),
-        "log": lambda: math.log(value[0]) if value[0] > 0 else float("-inf"),
-        "log10": lambda: math.log10(value[0]) if value[0] > 0 else float("-inf"),
-        "pow": lambda: math.pow(value[0], value[1]),
-        "floor": lambda: math.floor(value[0]),
-        "ceil": lambda: math.ceil(value[0]),
-        "fmod": lambda: math.fmod(value[0], value[1]) if value[1] != 0 else float("nan"),
-    }
-    if name in math_fns:
-        return math_fns[name]()
-    raise MiniCRuntimeError(f"unknown builtin {name!r}")  # pragma: no cover
+
+def _putchar(machine, args: list, pc: int) -> int:
+    machine.write_stdout(chr(int(args[0]) & 0xFF))
+    return int(args[0])
+
+
+def _puts(machine, args: list, pc: int) -> int:
+    text = _read_string(machine, int(args[0]), pc)
+    machine.write_stdout(text + "\n")
+    return len(text) + 1
+
+
+def _malloc(machine, args: list, pc: int) -> int:
+    return machine.heap_alloc(int(args[0]))
+
+
+def _fill(machine, dst: int, byte: int, count: int, pc: int) -> None:
+    if count > 0:
+        machine.memory.write_bytes(dst, bytes((byte & 0xFF,)) * count)
+        machine.lib_trace(_run(pc + 4, 1, dst, count, 4))
+
+
+def _calloc(machine, args: list, pc: int) -> int:
+    count = int(args[0]) * int(args[1])
+    addr = machine.heap_alloc(count)
+    _fill(machine, addr, 0, count, pc)
+    return addr
+
+
+def _free(machine, args: list, pc: int) -> int:
+    return 0
+
+
+def _copy(machine, args: list, pc: int) -> int:
+    dst, src, count = int(args[0]), int(args[1]), int(args[2])
+    if count > 0:
+        memory = machine.memory
+        records = _interleave(_run(pc, 0, src, count, 4),
+                              _run(pc + 4, 1, dst, count, 4))
+        if src < 0 or dst < 0:
+            # Only the first word can fault: its load when src < 0,
+            # otherwise its store, after the load was traced.
+            word = memory.read_bytes(src, min(4, count))
+            machine.lib_trace(records[:4])
+            memory.write_bytes(dst, word)
+        memory.copy(dst, src, count)
+        machine.lib_trace(records)
+    return dst
+
+
+def _memset(machine, args: list, pc: int) -> int:
+    dst = int(args[0])
+    _fill(machine, dst, int(args[1]), int(args[2]), pc)
+    return dst
+
+
+def _strlen(machine, args: list, pc: int) -> int:
+    return len(_read_string(machine, int(args[0]), pc))
+
+
+def _strcpy(machine, args: list, pc: int) -> int:
+    dst = int(args[0])
+    data = _read_string(machine, int(args[1]), pc).encode("latin-1") + b"\0"
+    machine.memory.write_bytes(dst, data)
+    machine.lib_trace(_run(pc + 4, 1, dst, len(data), 1))
+    return dst
+
+
+def _strcmp(machine, args: list, pc: int) -> int:
+    left = _read_string(machine, int(args[0]), pc)
+    right = _read_string(machine, int(args[1]), pc)
+    return (left > right) - (left < right)
+
+
+def _abs(machine, args: list, pc: int) -> int:
+    return abs(int(args[0]))
+
+
+def _rand(machine, args: list, pc: int) -> int:
+    machine.rand_state = (
+        machine.rand_state * _RAND_MULTIPLIER + _RAND_INCREMENT
+    ) & _RAND_MASK
+    return machine.rand_state
+
+
+def _srand(machine, args: list, pc: int) -> int:
+    machine.rand_state = int(args[0]) & _RAND_MASK
+    return 0
+
+
+def _exit(machine, args: list, pc: int) -> int:
+    raise ExitSignal(int(args[0]))
+
+
+def _read_samples(machine, args: list, pc: int) -> int:
+    buf, count = int(args[0]), int(args[1])
+    samples = machine.input_stream.samples(count)
+    if samples:
+        machine.memory.write_bytes(
+            buf, struct.pack(f"<{count}I", *[s & 0xFFFFFFFF for s in samples]))
+        machine.lib_trace(_run(pc + 4, 1, buf, 4 * count, 4))
+    return count
+
+
+# -- math (C99 Annex F results) -----------------------------------------------
+
+
+def _is_odd_integer(y: float) -> bool:
+    return y.is_integer() and y % 2 == 1
+
+
+def _sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0 else _NAN
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
+
+
+def _log_of(fn: Callable[[float], float]) -> Callable[[float], float]:
+    def log(x: float) -> float:
+        if x > 0:
+            return fn(x)
+        return -_INF if x == 0 else _NAN  # pole at ±0; domain error below
+    return log
+
+
+def _pow(x: float, y: float) -> float:
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return -_INF if x < 0 and _is_odd_integer(y) else _INF
+    except ValueError:
+        if x == 0:  # pole: zero to a negative power
+            return math.copysign(_INF, x) if _is_odd_integer(y) else _INF
+        return _NAN  # negative base, non-integer exponent
+
+
+def _nan_on_domain_error(
+        fn: Callable[..., float]) -> Callable[..., float]:
+    """``fn`` with Python's domain error (sin/cos/tan of ±inf, fmod of an
+    infinite dividend or by zero) mapped to C's NaN."""
+    def call(*xs: float) -> float:
+        try:
+            return fn(*xs)
+        except ValueError:
+            return _NAN
+    return call
+
+
+def _rounding(fn: Callable[[float], int]) -> Callable[[float], float]:
+    """``floor``/``ceil`` as C doubles: infinities and NaN pass through,
+    and a zero result keeps the argument's sign (``ceil(-0.5) == -0.0``)."""
+    def call(x: float) -> float:
+        if math.isfinite(x):
+            return math.copysign(float(fn(x)), x)
+        return x
+    return call
+
+
+_MATH: dict[str, Callable[..., float]] = {
+    "sqrt": _sqrt,
+    "fabs": abs,
+    "sin": _nan_on_domain_error(math.sin),
+    "cos": _nan_on_domain_error(math.cos),
+    "tan": _nan_on_domain_error(math.tan),
+    "atan": math.atan,
+    "atan2": math.atan2,
+    "exp": _exp,
+    "log": _log_of(math.log),
+    "log10": _log_of(math.log10),
+    "pow": _pow,
+    "floor": _rounding(math.floor),
+    "ceil": _rounding(math.ceil),
+    "fmod": _nan_on_domain_error(math.fmod),
+}
+
+
+def _math_builtin(fn: Callable[..., float], pc: int) -> Callable[..., float]:
+    """A math builtin: one read of its coefficient table (which keeps the
+    LIBDATA page materialized) and one precomputed record run."""
+    table = LIBDATA_BASE + 8 * (pc - LIB_PC_BASE)  # 64 bytes per builtin
+    size = 8 * _MATH_TABLE_TERMS
+    records = tuple(_run(pc, 0, table, size, 8))
+
+    def call(machine, args: list, pc: int) -> float:
+        values = [float(a) for a in args]
+        machine.memory.read_bytes(table, size)
+        machine.lib_trace(records)
+        return fn(*values)
+    return call
+
+
+_Builtin = Callable[[Any, list, int], object]
+
+#: Builtin name → handler, called with the builtin's load pc.
+_HANDLERS: dict[str, _Builtin] = {
+    "printf": _printf, "putchar": _putchar, "puts": _puts,
+    "malloc": _malloc, "calloc": _calloc, "free": _free,
+    "memcpy": _copy, "memset": _memset, "memmove": _copy,
+    "strlen": _strlen, "strcpy": _strcpy, "strcmp": _strcmp,
+    "abs": _abs, "labs": _abs, "rand": _rand, "srand": _srand,
+    "exit": _exit, "read_samples": _read_samples,
+}
+_HANDLERS.update((name, _math_builtin(fn, BUILTIN_PC[name]))
+                 for name, fn in _MATH.items())
+
+
+def call_builtin(machine, name: str, args: list) -> object:
+    """Execute builtin ``name``; ``machine`` is the engine's facade:
+    ``memory``, ``write_stdout``, ``heap_alloc``, ``lib_trace`` and the
+    deterministic ``rand_state`` / ``input_stream``."""
+    return _HANDLERS[name](machine, args, BUILTIN_PC[name])

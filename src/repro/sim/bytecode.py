@@ -67,7 +67,6 @@ from repro.sim.memory import (
 from repro.sim.trace import (
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
-    LIB_PC_BASE,
     ColumnBlock,
     TraceSink,
     load_pc,
@@ -1135,7 +1134,7 @@ class BytecodeVM:
     """Executes one lowered program. Create a fresh instance per run.
 
     Exposes the same builtin facade as the tree-walking interpreter
-    (``write_stdout`` / ``heap_alloc`` / ``lib_load`` / ``lib_store`` plus
+    (``memory`` / ``write_stdout`` / ``heap_alloc`` / ``lib_trace`` plus
     the deterministic ``rand_state`` / ``input_stream``), so
     :mod:`repro.sim.builtins` runs unchanged on both engines.
     """
@@ -1193,28 +1192,31 @@ class BytecodeVM:
     def heap_alloc(self, size: int) -> int:
         return self._heap_alloc.allocate(max(1, size))
 
-    def lib_load(self, builtin: str, addr: int, size: int) -> int:
-        value = self.memory.read_int(addr, size, signed=False)
-        if self._tracing:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin]
-            self._trace_access(pc, addr, size, False)
-        return value
-
-    def lib_store(self, builtin: str, addr: int, value: int, size: int) -> None:
-        self.memory.write_int(addr, value, size)
-        if self._tracing:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin] + 4
-            self._trace_access(pc, addr, size, True)
+    def lib_trace(self, records: Sequence[int]) -> None:
+        """Append a builtin's records (flat ``[pc, addr, size, is_write]``
+        ints) as one run, flushing exactly where appending them one at a
+        time would: whenever an append brings the buffer to the limit.
+        The specialized code checks the limit once per chain, so the
+        buffer may already be past it; the first record then flushes."""
+        if not self._tracing:
+            return
+        buf = self._acc_buf
+        limit = self._flat_limit
+        if len(buf) + len(records) < limit:
+            buf.extend(records)
+            return
+        cut = max(4, limit - len(buf))
+        pos = 0
+        while len(records) - pos >= cut:
+            buf.extend(records[pos:pos + cut])
+            self._flush_trace()
+            pos += cut
+            cut = limit
+        buf.extend(records[pos:])
 
     # ------------------------------------------------------------------
     # Trace plumbing
     # ------------------------------------------------------------------
-
-    def _trace_access(self, pc: int, addr: int, size: int,
-                      is_write: bool) -> None:
-        self._acc_buf.extend((pc, addr, size, 1 if is_write else 0))
-        if len(self._acc_buf) >= self._flat_limit:
-            self._flush_trace()
 
     def _trace_checkpoint(self, checkpoint_id: int, kind_code: int) -> None:
         self._cp_buf.append(

@@ -76,37 +76,51 @@ class InputStream:
         self._index = 0
         self._level = 0
 
-    def _advance(self) -> int:
-        self._state = (
-            self._state * _LCG_MULTIPLIER + _LCG_INCREMENT
-        ) & _LCG_MASK
-        return self._state
-
     def next_sample(self) -> int:
         """The next 32-bit sample of the ensemble."""
+        return self.samples(1)[0]
+
+    def samples(self, count: int) -> list[int]:
+        """The next ``count`` samples, as ``count`` :meth:`next_sample`
+        calls would return them (none for ``count <= 0``)."""
+        if count <= 0:
+            return []
         spec = self.spec
         index = self._index
-        self._index = index + 1
+        self._index = index + count
         distribution = spec.distribution
-        if distribution == "uniform":
-            amplitude = max(1, spec.amplitude)
-            return (self._advance() >> 8) % amplitude - amplitude // 2
         if distribution == "constant":
-            return spec.amplitude
+            return [spec.amplitude] * count
         if distribution == "ramp":
             period = max(2, spec.period)
-            phase = index % period
-            return phase * spec.amplitude // (period - 1) - spec.amplitude // 2
+            amplitude = spec.amplitude
+            half = amplitude // 2
+            return [i % period * amplitude // (period - 1) - half
+                    for i in range(index, index + count)]
         if distribution == "impulse":
             period = max(1, spec.period)
-            return spec.amplitude if index % period == 0 else 0
-        # walk
-        half = max(1, abs(spec.amplitude) // 2)
-        step = (self._advance() >> 8) % 65 - 32
-        level = self._level + step
-        if level > half:
-            level = half
-        elif level < -half:
-            level = -half
-        self._level = level
-        return level
+            return [spec.amplitude if i % period == 0 else 0
+                    for i in range(index, index + count)]
+        out: list[int] = []
+        append = out.append
+        state = self._state
+        if distribution == "uniform":
+            amplitude = max(1, spec.amplitude)
+            half = amplitude // 2
+            for _ in range(count):
+                state = (state * _LCG_MULTIPLIER + _LCG_INCREMENT) & _LCG_MASK
+                append((state >> 8) % amplitude - half)
+        else:  # walk
+            half = max(1, abs(spec.amplitude) // 2)
+            level = self._level
+            for _ in range(count):
+                state = (state * _LCG_MULTIPLIER + _LCG_INCREMENT) & _LCG_MASK
+                level += (state >> 8) % 65 - 32
+                if level > half:
+                    level = half
+                elif level < -half:
+                    level = -half
+                append(level)
+            self._level = level
+        self._state = state
+        return out

@@ -22,6 +22,7 @@ live in memory and are traced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.lang import ast_nodes as ast
 from repro.lang.ctypes_ import (
@@ -49,7 +50,6 @@ from repro.sim.trace import (
     BODY_BEGIN_CODE,
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
-    LIB_PC_BASE,
     LOOP_BEGIN_CODE,
     ColumnBlock,
     TraceSink,
@@ -172,18 +172,26 @@ class Interpreter:
     def heap_alloc(self, size: int) -> int:
         return self._heap_alloc.allocate(max(1, size))
 
-    def lib_load(self, builtin: str, addr: int, size: int) -> int:
-        value = self.memory.read_int(addr, size, signed=False)
-        if self._trace_on:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin]
-            self._emit_access(pc, addr, size, False)
-        return value
-
-    def lib_store(self, builtin: str, addr: int, value: int, size: int) -> None:
-        self.memory.write_int(addr, value, size)
-        if self._trace_on:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin] + 4
-            self._emit_access(pc, addr, size, True)
+    def lib_trace(self, records: Sequence[int]) -> None:
+        """Emit a builtin's records (flat ``[pc, addr, size, is_write]``
+        ints) as one run, flushing exactly where emitting them one at a
+        time would."""
+        if not self._trace_on:
+            return
+        self.stats.accesses += len(records) >> 2
+        if not self._sinks:
+            return
+        run = list(zip(records[0::4], records[1::4], records[2::4],
+                       map(bool, records[3::4])))
+        limit = self._block_size
+        cut = max(1, limit - len(self._acc_buf))
+        pos = 0
+        while len(run) - pos >= cut:
+            self._acc_buf.extend(run[pos:pos + cut])
+            self._flush_trace()
+            pos += cut
+            cut = limit
+        self._acc_buf.extend(run[pos:])
 
     # ------------------------------------------------------------------
     # Trace plumbing

@@ -92,14 +92,48 @@ class Memory:
             data = struct.pack(fmt, float("inf") if value > 0 else float("-inf"))
         self.write_bytes(addr, data)
 
-    def read_cstring(self, addr: int, max_len: int = 1 << 20) -> str:
-        chars: list[str] = []
-        for offset in range(max_len):
-            byte = self.read_bytes(addr + offset, 1)[0]
-            if byte == 0:
-                return "".join(chars)
-            chars.append(chr(byte))
-        raise MemoryFault(f"unterminated string at {addr:#x}")
+    # -- bulk access (library routines) -------------------------------------
+
+    def copy(self, dst: int, src: int, count: int) -> None:
+        """Copy ``count`` bytes from ``src`` to ``dst`` with the result of a
+        forward loop of 4-byte word copies (a shorter last word). Where
+        ``src < dst < src + count`` each word re-reads bytes that earlier
+        words stored, so the copy repeats the source's first bytes."""
+        data = self.read_bytes(src, count)
+        gap = dst - src
+        if 0 < gap < count:
+            if gap >= 4:
+                # Whole words land ``gap`` bytes on: period-``gap`` repeat.
+                data = (data[:gap] * -(-count // gap))[:count]
+            else:
+                # Within a word, bytes below ``gap`` were stored by the
+                # previous word and the rest are still the source's.
+                # Residue ``r`` depends on residue ``r + 4 - gap`` > r.
+                out = bytearray(data)
+                for r in range(gap - 1, -1, -1):
+                    out[r + 4:count:4] = out[r + 4 - gap:count - gap:4]
+                data = bytes(out)
+        self.write_bytes(dst, data)
+
+    def read_cstring(self, addr: int, max_len: int = 1 << 20) -> str | None:
+        """The NUL-terminated string at ``addr`` (Latin-1), or None when
+        none of its first ``max_len`` bytes is NUL. Touches exactly the
+        pages a byte-at-a-time reader would."""
+        if addr < 0:
+            raise MemoryFault(f"invalid read at {addr:#x} size 1")
+        chunks: list[bytes] = []
+        pos, end = addr, addr + max_len
+        while pos < end:
+            page = self._page(pos >> _PAGE_SHIFT)
+            start = pos & _PAGE_MASK
+            stop = min(_PAGE_SIZE, start + end - pos)
+            nul = page.find(0, start, stop)
+            if nul >= 0:
+                chunks.append(page[start:nul])
+                return b"".join(chunks).decode("latin-1")
+            chunks.append(page[start:stop])
+            pos += stop - start
+        return None
 
 
 class BumpAllocator:

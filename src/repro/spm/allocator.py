@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
 from repro.spm.candidates import BufferCandidate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -70,29 +72,42 @@ def _granules(item) -> int:
 
 
 def _dp_select(groups: Sequence[Sequence], slots: int) -> tuple[float, list]:
-    """Exact multiple-choice knapsack over granule-aligned capacity."""
-    best: list[float] = [0.0] * (slots + 1)
-    choice: list[dict[int, object]] = [{} for _ in range(slots + 1)]
+    """Exact multiple-choice knapsack over granule-aligned capacity.
 
-    for group_index, group in enumerate(groups):
-        new_best = best[:]
-        new_choice = [dict(entry) for entry in choice]
-        for item in group:
+    ``best[c]`` is the most benefit within ``c`` slots; each group records
+    one back-pointer row (the item it took at each capacity, or -1), and
+    the selection is recovered by walking the rows back from the first
+    capacity with the most benefit, and returned in group order. Within a
+    group, an item replaces the incumbent only on a strictly larger
+    benefit, so ties keep the earlier choice.
+    """
+    best = np.zeros(slots + 1)
+    rows: list[np.ndarray] = []
+    for group in groups:
+        new_best = best.copy()
+        row = np.full(slots + 1, -1, dtype=np.int32)
+        for index, item in enumerate(group):
             need = _granules(item)
             if need > slots:
                 continue
-            for capacity in range(slots, need - 1, -1):
-                gain = best[capacity - need] + item.benefit_nj
-                if gain > new_best[capacity]:
-                    new_best[capacity] = gain
-                    merged = dict(choice[capacity - need])
-                    merged[group_index] = item
-                    new_choice[capacity] = merged
+            gain = best[:slots + 1 - need] + item.benefit_nj
+            better = gain > new_best[need:]
+            new_best[need:][better] = gain[better]
+            row[need:][better] = index
         best = new_best
-        choice = new_choice
+        rows.append(row)
 
-    winner = max(range(slots + 1), key=lambda c: best[c])
-    return best[winner], list(choice[winner].values())
+    capacity = int(np.argmax(best))
+    total = float(best[capacity])
+    chosen = []
+    for group, row in zip(reversed(groups), reversed(rows)):
+        index = int(row[capacity])
+        if index >= 0:
+            item = group[index]
+            chosen.append(item)
+            capacity -= _granules(item)
+    chosen.reverse()
+    return total, chosen
 
 
 def _greedy_select(

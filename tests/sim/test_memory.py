@@ -71,6 +71,30 @@ class TestMemory:
         with pytest.raises(MemoryFault):
             memory.read_bytes(-4, 4)
 
+    def test_cstring_stops_at_limit(self):
+        memory = Memory()
+        memory.write_bytes(0xFFE, b"abcdef\0")
+        assert memory.read_cstring(0xFFE) == "abcdef"
+        assert memory.read_cstring(0xFFE, 6) is None
+        assert memory.read_cstring(0xFFE, 7) == "abcdef"
+
+    @pytest.mark.parametrize("gap", range(-9, 10))
+    def test_copy_matches_forward_word_loop(self, gap):
+        # Overlapping copies across a page boundary: the result is the
+        # one a forward loop of 4-byte word copies leaves behind.
+        src = 0xFF0
+        pattern = bytes(range(1, 61))
+        for count in range(0, 30):
+            expected, memory = Memory(), Memory()
+            expected.write_bytes(src - 12, pattern)
+            memory.write_bytes(src - 12, pattern)
+            for offset in range(0, count, 4):
+                chunk = min(4, count - offset)
+                word = expected.read_bytes(src + offset, chunk)
+                expected.write_bytes(src + gap + offset, word)
+            memory.copy(src + gap, src, count)
+            assert memory._pages == expected._pages, count
+
 
 class TestAllocators:
     def test_bump_allocator_disjoint(self):

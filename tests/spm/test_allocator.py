@@ -1,12 +1,14 @@
 """Unit tests for the SPM buffer allocator (multiple-choice knapsack)."""
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.foray.model import AffineExpression, ForayReference
-from repro.spm.allocator import AllocatorPolicy, allocate
+from repro.spm.allocator import AllocatorPolicy, _dp_select, _granules, allocate
 from repro.spm.candidates import BufferCandidate
 from repro.spm.reuse import ReuseLevel
 
@@ -37,6 +39,76 @@ def brute_force(candidates, capacity):
         if sum(c.size_bytes for c in chosen) <= capacity:
             best = max(best, sum(c.benefit_nj for c in chosen))
     return best
+
+
+def dict_dp_reference(groups, slots):
+    """The allocator's original DP, kept as the reference: a choice dict
+    per capacity, copied once per group and merged on every strict
+    improvement; the first capacity with the most benefit wins."""
+    best = [0.0] * (slots + 1)
+    choice = [{} for _ in range(slots + 1)]
+    for group_index, group in enumerate(groups):
+        new_best = best[:]
+        new_choice = [dict(entry) for entry in choice]
+        for item in group:
+            need = _granules(item)
+            if need > slots:
+                continue
+            for capacity in range(slots, need - 1, -1):
+                gain = best[capacity - need] + item.benefit_nj
+                if gain > new_best[capacity]:
+                    new_best[capacity] = gain
+                    merged = dict(choice[capacity - need])
+                    merged[group_index] = item
+                    new_choice[capacity] = merged
+        best = new_best
+        choice = new_choice
+    winner = max(range(slots + 1), key=lambda c: best[c])
+    return best[winner], list(choice[winner].values())
+
+
+def random_groups(rng, n_groups, max_items, sizes, benefits):
+    """Exclusion groups drawn from small size and benefit pools, so ties
+    in both are frequent."""
+    return [
+        [make_candidate(g, rng.choice(sizes), rng.choice(benefits))
+         for _ in range(rng.randint(1, max_items))]
+        for g in range(n_groups)
+    ]
+
+
+class TestBackPointerDp:
+    """The back-pointer DP must return the dict DP's value, selection and
+    selection order exactly, ties included."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_dict_dp_with_ties(self, seed):
+        rng = random.Random(seed)
+        groups = random_groups(rng, rng.randint(0, 9), 4,
+                               sizes=[0, 2, 4, 6, 8, 12, 16, 40],
+                               benefits=[0.0, 1.0, 2.5, 2.5, 5.0, 7.5])
+        slots = rng.randint(0, 24)
+        value, chosen = _dp_select(groups, slots)
+        ref_value, ref_chosen = dict_dp_reference(groups, slots)
+        assert value == ref_value
+        assert [id(item) for item in chosen] == [id(item) for item in ref_chosen]
+
+    def test_matches_dict_dp_at_suite_scale(self):
+        rng = random.Random(7)
+        groups = random_groups(rng, 12, 5,
+                               sizes=[4 * k for k in (1, 16, 64, 256, 1024, 2048)],
+                               benefits=[float(b) for b in range(0, 4000, 250)])
+        for slots in (0, 1, 255, 1024, 4096):
+            value, chosen = _dp_select(groups, slots)
+            ref_value, ref_chosen = dict_dp_reference(groups, slots)
+            assert value == ref_value
+            assert [id(i) for i in chosen] == [id(i) for i in ref_chosen]
+
+    def test_identical_items_keep_the_first(self):
+        twins = [make_candidate(0, 8, 3.0), make_candidate(0, 8, 3.0)]
+        value, chosen = _dp_select([twins], 4)
+        assert value == 3.0
+        assert len(chosen) == 1 and chosen[0] is twins[0]
 
 
 class TestAllocator:
