@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-import numpy as np
-
 from repro.cachesim.model import CacheHierarchy, CacheSimResult
 from repro.sim.trace import Access, ColumnBlock, TraceRecord
 from repro.spm.graph import reference_interval
@@ -75,6 +73,8 @@ class CacheSink:
         self._intervals = merge_intervals(spm_intervals)
         self._starts = [lo for lo, _hi in self._intervals]
         self._ends = [hi for _lo, hi in self._intervals]
+        import numpy as np  # loaded on first use (see ColumnBlock._array)
+
         self._np_starts = np.array(self._starts, dtype=np.int64)
         self._np_ends = np.array(self._ends, dtype=np.int64)
         self.reads = 0
@@ -132,6 +132,8 @@ class CacheSink:
         """
         if block.n == 0:
             return
+        import numpy as np
+
         addrs = block.addr
         sizes = block.size
         w = block.is_write != 0

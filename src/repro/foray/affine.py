@@ -38,9 +38,12 @@ row-by-row observation reaches.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.foray.model import AffineExpression
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Rows below which a group is cheaper to feed through
 #: :meth:`ReferenceSolver.observe` one by one than to convert to columns
@@ -200,6 +203,8 @@ class ReferenceSolver:
         length ``k``; ``iterators`` is a ``(k, N)`` int64 array, innermost
         loop first. The resulting state equals ``k`` scalar calls.
         """
+        import numpy as np  # loaded on first use (see ColumnBlock._array)
+
         k = addrs.shape[0]
         start = 0
         if self.exec_count == 0:
@@ -249,6 +254,8 @@ class ReferenceSolver:
         if start:
             previous = iterators[start - 1:stop - 1]
         else:
+            import numpy as np
+
             previous = np.concatenate((
                 np.array(self.prev_iterators, dtype=np.int64).reshape(
                     1, self.nest_depth),
@@ -258,6 +265,8 @@ class ReferenceSolver:
     def _count_rows(self, addrs, iterators, writes, sizes, start: int,
                     stop: int) -> None:
         """The counter updates and step 7 of rows ``start:stop``."""
+        import numpy as np
+
         count = stop - start
         written = int(np.count_nonzero(writes[start:stop]))
         self.exec_count += count
@@ -274,6 +283,8 @@ class ReferenceSolver:
                      start: int, stop: int) -> None:
         """Steps 5–6 over rows ``start:stop``, during which no iterator
         with an UNKNOWN coefficient changes (so steps 2–4 do nothing)."""
+        import numpy as np
+
         residual = addrs[start:stop] - iterators[start:stop] @ np.array(
             known, dtype=np.int64)
         if (residual != self.const).any():

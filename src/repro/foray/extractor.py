@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
 
-import numpy as np
-
 from repro.foray.affine import BULK_MIN_ROWS, ReferenceSolver
 from repro.foray.filters import FilterConfig
 from repro.foray.looptree import LoopNode, LoopTreeBuilder
@@ -119,6 +117,8 @@ class ForayExtractor:
         segments = self._tree.walk(block.checkpoints, n)
         if not n:
             return
+        import numpy as np  # loaded on first use (see ColumnBlock._array)
+
         stats = self.stats
         pc_column = block.pc
         addr_column = block.addr

@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.trace import CheckpointKind, CheckpointMap, CheckpointTuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -143,6 +145,8 @@ class Segments:
     def iterator_matrix(self, indices: list[int], depth: int) -> np.ndarray:
         """IT1..ITN of the given segments of one node (of nest ``depth``)
         as a ``(len(indices), depth)`` int64 array."""
+        import numpy as np  # loaded on first use (see ColumnBlock._array)
+
         count = len(indices)
         matrix = np.empty((count, depth), dtype=np.int64)
         if depth:

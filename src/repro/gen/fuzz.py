@@ -57,6 +57,7 @@ from repro.lang.lint import lint_program, lint_source
 from repro.pipeline import (
     PipelineConfig,
     _cached_compiled,
+    _cached_detector,
     _content_key,
     _fan_out,
     _tiered_get,
@@ -72,7 +73,6 @@ from repro.spm.allocator import allocate_graph
 from repro.spm.graph import ReuseGraph
 from repro.spm.transform import emit_replay_source, emit_transformed_source
 from repro.staticfar.analyze import analyze_static
-from repro.staticfar.detector import detect
 from repro.staticfar.oracle import compare_models
 
 #: The default check battery, in execution order.
@@ -197,12 +197,15 @@ class _CheckContext:
 
     @property
     def extraction(self):
-        """(model, detector result) of a default-engine profiling run."""
+        """(model, detector result) of a default-engine profiling run; the
+        detector result is the one memoized on the compile node."""
         if self._extraction is None:
             compiled = self.compiled
             extractor = ForayExtractor(compiled.checkpoint_map)
             run_compiled(compiled, sinks=(extractor,), config=EngineConfig())
-            self._extraction = (extractor.finish(), detect(compiled.program))
+            self._extraction = (
+                extractor.finish(),
+                _cached_detector(self.source, compiled, self.config))
         return self._extraction
 
     @property

@@ -246,9 +246,10 @@ class ArtifactCache:
     """A content-addressed in-process memo of pipeline artifacts.
 
     Bounded LRU: beyond ``max_entries`` the least-recently-*used* entry is
-    evicted (extraction artifacts retain the full simulated run, so
-    unbounded growth would hold one address space per key). Hits refresh
-    recency — an entry that keeps getting hit survives interleaved misses.
+    evicted (compiled programs and FORAY models are large, so the memo
+    must not grow with every source a long-lived process sees). Hits
+    refresh recency — an entry that keeps getting hit survives interleaved
+    misses.
     """
 
     def __init__(self, name: str, max_entries: int = 64):
@@ -344,9 +345,11 @@ def persist_store_counters(config: PipelineConfig) -> None:
         store.persist_counters()
 
 
-def _tiered_get(cache: ArtifactCache, key: str, config: PipelineConfig):
+def _tiered_get(cache: ArtifactCache, key: str, config: PipelineConfig,
+                thaw: Callable | None = None):
     """L1 (memory) lookup, falling back to L2 (disk); a disk hit is
-    promoted into the memory cache."""
+    promoted into the memory cache, through ``thaw`` when the disk entry
+    is a slimmer form of the memory artifact (see :func:`_tiered_put`)."""
     artifact = cache.get(key)
     if artifact is not None:
         return artifact
@@ -355,17 +358,21 @@ def _tiered_get(cache: ArtifactCache, key: str, config: PipelineConfig):
         return None
     artifact = store.get(cache.name, key)
     if artifact is not None:
+        if thaw is not None:
+            artifact = thaw(artifact)
         cache.put(key, artifact)
     return artifact
 
 
 def _tiered_put(cache: ArtifactCache, key: str, artifact,
-                config: PipelineConfig) -> None:
-    """Memoize in memory and, when configured, persist to disk."""
+                config: PipelineConfig, entry=None) -> None:
+    """Memoize in memory and, when configured, persist to disk — as
+    ``entry`` when given, a form of ``artifact`` that leaves out what
+    another node already stores."""
     cache.put(key, artifact)
     store = store_for(config)
     if store is not None:
-        store.put(cache.name, key, artifact)
+        store.put(cache.name, key, artifact if entry is None else entry)
 
 
 def _content_key(*parts) -> str:
@@ -582,19 +589,20 @@ def _stage_instrument(ctx: PipelineContext) -> None:
 @register_stage("simulate", "profile on the selected engine (online sink)")
 def _stage_simulate(ctx: PipelineContext) -> None:
     config = ctx.config
+    compiled = ctx.compiled
+    assert compiled is not None
     if config.cache:
-        cached = _tiered_get(extraction_cache,
-                             _extraction_key(ctx.source, config), config)
+        cached = _tiered_get(
+            extraction_cache, _extraction_key(ctx.source, config), config,
+            thaw=lambda entry: ExtractionResult.from_entry(entry, compiled))
         if cached is not None:
             ctx.extraction = cached
-            ctx.extractor = cached.extractor
-            ctx.run_result = cached.run_result
-            ctx.compiled = cached.compiled
             return
-    assert ctx.compiled is not None
     if config.static_fast_path:
-        static = analyze_static(ctx.compiled.program, config.filter_config,
-                                name=ctx.name, entry=config.entry)
+        static = analyze_static(
+            compiled.program, config.filter_config,
+            detector_result=_cached_detector(ctx.source, compiled, config),
+            name=ctx.name, entry=config.entry)
         ctx.static_model = static
         if static.fast_path_ok:
             # The compile-time model is provably complete and stats-exact:
@@ -603,14 +611,17 @@ def _stage_simulate(ctx: PipelineContext) -> None:
             ctx.extractor = StaticExtractor(static)
             ctx.run_result = RunResult(0, "", RunStats(), None)
             return
-    ctx.extractor = ForayExtractor(ctx.compiled.checkpoint_map,
+    ctx.extractor = ForayExtractor(compiled.checkpoint_map,
                                    config.filter_config)
-    ctx.run_result = run_compiled(
-        ctx.compiled,
+    result = run_compiled(
+        compiled,
         sinks=(ctx.extractor,),
         entry=config.entry,
         config=config.engine_config(),
     )
+    # Pipeline results keep no engine: its memory pages would ride along
+    # in every memoized, persisted or fanned-out extraction.
+    ctx.run_result = replace(result, machine=None)
 
 
 @register_stage("extract", "finalize + purge the FORAY model (steps 2-4)")
@@ -619,22 +630,38 @@ def _stage_extract(ctx: PipelineContext) -> None:
         return
     assert ctx.extractor is not None and ctx.run_result is not None
     assert ctx.compiled is not None
-    ctx.extraction = ExtractionResult(
-        ctx.extractor.finish(), ctx.compiled, ctx.run_result, ctx.extractor
-    )
+    extraction = ctx.extraction = ExtractionResult(
+        ctx.extractor.finish(), ctx.compiled, ctx.run_result,
+        ctx.extractor.executed_loops())
     if ctx.config.cache:
         _tiered_put(extraction_cache,
                     _extraction_key(ctx.source, ctx.config),
-                    ctx.extraction, ctx.config)
+                    extraction, ctx.config, entry=extraction.entry())
+
+
+def _cached_detector(source: str, compiled: CompiledProgram,
+                     config: PipelineConfig) -> StaticAnalysisResult:
+    """The static baseline detector's result, memoized on the compile node.
+
+    The result refers to the program's own ``Symbol`` objects, which compare
+    by identity: unpickled apart from its program it would match none of
+    them, and the static analyzer would silently model nothing. So it is
+    only ever persisted inside the compile entry, which its first fill
+    republishes.
+    """
+    if compiled.detector is None:
+        compiled.detector = detect(compiled.program)
+        _tiered_put(compile_cache, _compile_key(source), compiled, config)
+    return compiled.detector
 
 
 @register_stage("analyze", "static baseline + Tables I-III metrics")
 def _stage_analyze(ctx: PipelineContext) -> None:
     assert ctx.extraction is not None
     extraction = ctx.extraction
-    static_result = detect(extraction.compiled.program)
-    census = loop_census(ctx.name, ctx.source,
-                         extraction.extractor.executed_loops())
+    static_result = _cached_detector(ctx.source, extraction.compiled,
+                                     ctx.config)
+    census = loop_census(ctx.name, ctx.source, extraction.executed_loops)
     table2 = table2_coverage(ctx.name, extraction.model, static_result)
     table3 = table3_behavior(ctx.name, extraction.model)
     ctx.report = WorkloadReport(ctx.name, extraction, static_result, census,
@@ -748,12 +775,30 @@ def _stage_hierarchy(ctx: PipelineContext) -> None:
 
 @dataclass
 class ExtractionResult:
-    """Phase I output."""
+    """Phase I output: the FORAY model and what its profiling run left.
+
+    ``compiled`` is the compile node's program, shared rather than copied.
+    ``run_result`` carries the exit code, stdout and :class:`RunStats` but
+    no engine (``machine`` is ``None``); ``executed_loops`` maps the AST
+    node_id of every static loop that ran to its kind (Table I).
+    """
 
     model: ForayModel
     compiled: CompiledProgram
     run_result: RunResult
-    extractor: ForayExtractor
+    executed_loops: dict[int, str]
+
+    def entry(self) -> tuple[ForayModel, RunResult, dict[int, str]]:
+        """The extraction node's disk entry: everything but ``compiled``,
+        which the compile entry already holds."""
+        return self.model, self.run_result, self.executed_loops
+
+    @classmethod
+    def from_entry(cls, entry: tuple[ForayModel, RunResult, dict[int, str]],
+                   compiled: CompiledProgram) -> "ExtractionResult":
+        """Rebuild a result from its disk entry and the compile node."""
+        model, run_result, executed_loops = entry
+        return cls(model, compiled, run_result, executed_loops)
 
     @property
     def foray_source(self) -> str:

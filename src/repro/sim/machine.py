@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.instrument.checkpoints import instrument
 from repro.lang import ast_nodes as ast
@@ -37,6 +38,9 @@ from repro.sim.trace import (
     TraceCollector,
     TraceSink,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.staticfar.detector import StaticAnalysisResult
 
 #: Engine names accepted by :class:`EngineConfig` and the CLI.
 ENGINES = ("bytecode", "ast")
@@ -83,6 +87,18 @@ class CompiledProgram:
     bytecode: object | None = field(default=None, repr=False, compare=False)
     #: Set once the IR verifier has passed this program (idempotence memo).
     ir_verified: bool = field(default=False, repr=False, compare=False)
+    #: The static baseline detector's result on ``program``, filled
+    #: lazily by the pipeline's analyze stage. It refers to the program's
+    #: own ``Symbol`` objects, which compare by identity, so it is valid
+    #: only next to this very program and is pickled with it.
+    detector: StaticAnalysisResult | None = field(default=None, repr=False,
+                                                  compare=False)
+
+    def __getstate__(self) -> dict:
+        # The lowering, and the verifier's pass over it, are per-process
+        # derived caches: recompute them after unpickling instead of
+        # storing or shipping them.
+        return {**self.__dict__, "bytecode": None, "ir_verified": False}
 
 
 @dataclass
@@ -92,14 +108,16 @@ class RunResult:
     ``machine`` is the engine instance that ran the program (an
     :class:`~repro.sim.interpreter.Interpreter` or a
     :class:`~repro.sim.bytecode.BytecodeVM`); both expose ``memory``,
-    ``stdout`` and ``stats``. The legacy ``interpreter`` alias is kept for
-    existing callers.
+    ``stdout`` and ``stats``. It is ``None`` in results the pipeline
+    hands out, which keep no engine: callers that need the final memory
+    call :func:`run_compiled` themselves. The legacy ``interpreter``
+    alias is kept for existing callers.
     """
 
     exit_code: int
     stdout: str
     stats: RunStats
-    machine: object
+    machine: object | None
 
     @property
     def interpreter(self) -> object:

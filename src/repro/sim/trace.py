@@ -68,8 +68,6 @@ import io
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable, Iterator, Protocol, Union
 
-import numpy as np
-
 #: Base pc for user-code memory access sites.
 USER_PC_BASE = 0x400000
 #: Base pc for library-builtin memory access sites.
@@ -281,6 +279,10 @@ class ColumnBlock:
         """The (n, 4) int64 matrix backing the column properties."""
         arr = self._arr
         if arr is None:
+            # NumPy loads with the first columnar block, so processes that
+            # never simulate (``--help``, warm store reads) never pay for it.
+            import numpy as np
+
             if self._flat is not None:
                 arr = np.fromiter(self._flat, dtype=np.int64,
                                   count=len(self._flat)).reshape(-1, 4)

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
 from repro.spm.candidates import BufferCandidate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -81,6 +79,8 @@ def _dp_select(groups: Sequence[Sequence], slots: int) -> tuple[float, list]:
     group, an item replaces the incumbent only on a strictly larger
     benefit, so ties keep the earlier choice.
     """
+    import numpy as np  # loaded on first use: a warm run never allocates
+
     best = np.zeros(slots + 1)
     rows: list[np.ndarray] = []
     for group in groups:

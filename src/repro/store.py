@@ -37,7 +37,8 @@ Layout::
     <root>/                          created mode 0700 when absent
       v<schema>-<code fp>/
         compile/<k[:2]>/<key>.art    entries, one file per content key
-        extraction/...  exploration/...  validation/...
+        extraction/...  exploration/...  validation/...  hierarchy/...
+        fuzz/...
       stats/<pid>-<token>.json       per-process counter tallies
 
 Trust model: entries are pickles. The integrity hash detects torn or
@@ -62,7 +63,7 @@ from pathlib import Path
 
 #: Bump when any persisted artifact's shape changes incompatibly; every
 #: entry written under another version reads as a miss (recompute).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The namespaces the pipeline persists (one per in-memory cache).
 NAMESPACES = ("compile", "extraction", "exploration", "validation",

@@ -1,10 +1,11 @@
 """Tests for the disk-backed artifact store and its pipeline tiering.
 
 Covers the store's integrity guarantees (atomic entries, corruption and
-schema-version fallback), the L1-memory/L2-disk tiering of all four
-pipeline caches (warm runs must not simulate), cross-process sharing
-through real subprocesses, and the satellite regressions (explicit
-``jobs=1``, ``max_entries`` validation, energy-model key normalization).
+schema-version fallback), the L1-memory/L2-disk tiering of the pipeline
+caches (warm runs must not simulate, nor re-run the detector), cross-
+process sharing through real subprocesses, startup without NumPy, and
+the satellite regressions (explicit ``jobs=1``, ``max_entries``
+validation, energy-model key normalization).
 """
 
 import os
@@ -27,12 +28,14 @@ from repro.pipeline import (
     extract_foray_model,
     full_flow,
     run_suite,
+    static_workload,
     store_for,
     validate_suite,
     validate_workload,
 )
 from repro.spm.energy import EnergyModel
 from repro.store import ArtifactStore, default_cache_dir
+from repro.workloads.registry import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,6 +240,24 @@ class TestTieredPipeline:
         assert [c.report.fingerprint() for c in warm.cross] == \
             [c.report.fingerprint() for c in cold.cross]
 
+    @pytest.mark.parametrize("name", ["fig9", "fft", "jpeg"])
+    def test_warm_static_oracle_agrees_with_cold(self, tmp_path, monkeypatch,
+                                                 name):
+        # The detector result refers to its program's own Symbol objects,
+        # which compare by identity. Read back apart from that program it
+        # matches none of them, and the warm static model silently loses
+        # its coefficients and footprints while the oracle still says ok.
+        config = _disk_config(tmp_path)
+        source = get_workload(name).source
+        cold = static_workload(name, source, config=config)
+        clear_caches()
+        monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
+        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        warm = static_workload(name, source, config=config)
+        assert (warm.static.unfiltered_references
+                == cold.static.unfiltered_references)
+        assert cold.ok and warm.ok
+
     def test_corrupted_entries_fall_back_to_recompute(self, tmp_path):
         config = _disk_config(tmp_path)
         first = extract_foray_model(SOURCE, config=config)
@@ -378,13 +399,25 @@ class TestEnergyKeyNormalization:
 # ---------------------------------------------------------------------------
 
 
-def _repro(*args: str) -> subprocess.CompletedProcess:
+#: ``python -m repro`` that also reports on stderr, at exit, whether the
+#: run imported NumPy.
+_NUMPY_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy imported:',"
+    " 'numpy' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _repro(*args: str, probe_numpy: bool = False
+           ) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    entry = ["-c", _NUMPY_PROBE] if probe_numpy else ["-m", "repro"]
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *entry, *args],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stderr
@@ -432,3 +465,21 @@ class TestCrossProcess:
         assert on_cold.stdout == off.stdout
         assert on_warm.stdout == off.stdout
         assert "cache[" not in off.stderr  # no disk tier, no counters
+
+
+class TestStartup:
+    """NumPy loads with the first simulation: a process that only parses
+    its arguments or reads models from a warm store never imports it."""
+
+    def test_help_does_not_import_numpy(self):
+        assert "numpy imported: False" in _repro(
+            "--help", probe_numpy=True).stderr
+
+    def test_warm_suite_does_not_import_numpy(self, tmp_path):
+        args = ("suite", "adpcm", "--spm", "--cache-dir",
+                str(tmp_path / "shared"))
+        cold = _repro(*args, probe_numpy=True)
+        warm = _repro(*args, probe_numpy=True)
+        assert "numpy imported: True" in cold.stderr  # the probe works
+        assert "numpy imported: False" in warm.stderr
+        assert warm.stdout == cold.stdout
