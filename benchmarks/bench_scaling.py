@@ -8,7 +8,8 @@ that analysis state does not grow with trace length.
 
 The second half benchmarks the staged execution engine itself:
 
-* bytecode vs AST engine on simulated steps/sec (largest suite workload);
+* the specialized fast path vs the AST oracle on simulated steps/sec,
+  bare and with a live cache co-simulation attached;
 * serial vs multiprocess ``run_suite`` wall-clock (skipped on 1-CPU hosts,
   where fan-out cannot beat serial by construction).
 """
@@ -130,17 +131,30 @@ TOLERANCE = 0.8
 GATED = "jpeg"
 
 
-def _time_engine(compiled, config: EngineConfig,
-                 rounds: int) -> tuple[float, int]:
-    """Best-of-N wall time and the step count of one simulated run."""
-    best = float("inf")
-    steps = 0
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = run_compiled(compiled, config=config)
-        best = min(best, time.perf_counter() - start)
-        steps = result.stats.steps
-    return best, steps
+#: Best-of rounds for the fast path and for the AST oracle, which is an
+#: order of magnitude slower and needs fewer rounds for a stable best.
+ROUNDS = 2 if SCALING_QUICK else 3
+AST_ROUNDS = 1 if SCALING_QUICK else 2
+
+
+def _race(compiled, make_sinks=tuple) -> dict:
+    """Best-of-N wall time of the fast path and of the AST oracle, with
+    the rounds alternating between them so that host speed drift hits
+    both alike. Returns ``{engine: (best time, result, sinks)}``, the
+    result and sinks being those of the engine's last run."""
+    out: dict = {}
+    for round_ in range(ROUNDS):
+        for engine in ("bytecode", "ast"):
+            if engine == "ast" and round_ >= AST_ROUNDS:
+                continue
+            sinks = make_sinks()
+            start = time.perf_counter()
+            result = run_compiled(compiled, sinks=sinks,
+                                  config=EngineConfig(engine=engine))
+            elapsed = time.perf_counter() - start
+            best = min(elapsed, out.get(engine, (elapsed,))[0])
+            out[engine] = (best, result, sinks)
+    return out
 
 
 def _bench_names() -> tuple[str, ...]:
@@ -150,33 +164,25 @@ def _bench_names() -> tuple[str, ...]:
 
 
 def _measure_workloads() -> dict:
-    """steps/sec for every engine tier plus static fusion coverage.
+    """steps/sec of both engine tiers plus static fusion coverage.
 
-    The bytecode engine is timed fused (the specialized fast path, the
-    default) and unfused (the plain dispatch loop); the AST oracle is
-    timed as the reference point."""
-    rounds = 2 if SCALING_QUICK else 3
+    The bytecode engine runs the specialized fast path; the AST oracle
+    is the reference point its speedup is measured against."""
     out = {}
     for name in _bench_names():
         compiled = compile_program(MIBENCH_WORKLOADS[name].source)
         bp = lower_compiled(compiled)  # exclude lowering from timings
         stats = fusion_stats(bp)
-        fused_t, steps = _time_engine(
-            compiled, EngineConfig(engine="bytecode"), rounds)
-        unfused_t, unfused_steps = _time_engine(
-            compiled, EngineConfig(engine="bytecode", fusion=False), rounds)
-        # The AST oracle is an order of magnitude slower; one round is
-        # plenty for a best-of comparison that only sanity-checks it.
-        ast_t, ast_steps = _time_engine(
-            compiled, EngineConfig(engine="ast"), 1 if SCALING_QUICK else 2)
-        assert steps == unfused_steps == ast_steps, (
+        times = _race(compiled)
+        fused_t, fused, _ = times["bytecode"]
+        ast_t, ast, _ = times["ast"]
+        steps = fused.stats.steps
+        assert steps == ast.stats.steps, (
             f"engines disagree on simulated steps for {name}")
         out[name] = {
             "steps": steps,
             "ast_sps": steps / ast_t,
-            "unfused_sps": steps / unfused_t,
             "fused_sps": steps / fused_t,
-            "fused_over_unfused": unfused_t / fused_t,
             "fused_over_ast": ast_t / fused_t,
             "memory_fused_share": stats["memory_fused_share"],
             "instructions_before": stats["instructions_before"],
@@ -185,50 +191,26 @@ def _measure_workloads() -> dict:
     return out
 
 
-class _BlockTupleSink:
-    """The legacy sink protocol: ``emit_block`` tuples, no columnar
-    entry point — what every sink spoke before the columnar blocks."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def emit_block(self, accesses, checkpoints):
-        self._inner.emit_block(accesses, checkpoints)
-
-    def emit(self, record):
-        self._inner.emit(record)
-
-
 def _measure_sink_path() -> dict:
-    """The sink-bound hierarchy-matrix path: a live cache co-simulation,
-    columnar protocol + fused VM versus tuple protocol + plain VM."""
+    """The sink-bound hierarchy-matrix path: a live cache co-simulation
+    on the specialized fast path versus on the AST oracle."""
     compiled = compile_program(MIBENCH_WORKLOADS[GATED].source)
     lower_compiled(compiled)
-    rounds = 2 if SCALING_QUICK else 3
-    fast_t = slow_t = float("inf")
-    steps = accesses = 0
-    for _ in range(rounds):
-        sink = CacheSink(CacheHierarchy(CacheConfig()))
-        start = time.perf_counter()
-        result = run_compiled(compiled, sinks=(sink,),
-                              config=EngineConfig(engine="bytecode"))
-        fast_t = min(fast_t, time.perf_counter() - start)
-        steps = result.stats.steps
-        accesses = sink.finish().accesses
-    for _ in range(rounds):
-        sink = _BlockTupleSink(CacheSink(CacheHierarchy(CacheConfig())))
-        start = time.perf_counter()
-        run_compiled(compiled, sinks=(sink,),
-                     config=EngineConfig(engine="bytecode", fusion=False))
-        slow_t = min(slow_t, time.perf_counter() - start)
+    times = _race(compiled,
+                  lambda: (CacheSink(CacheHierarchy(CacheConfig())),))
+    fast_t, fast, (fast_sink,) = times["bytecode"]
+    ast_t, ast, (ast_sink,) = times["ast"]
+    cache = fast_sink.finish()
+    assert (fast.stats, cache) == (ast.stats, ast_sink.finish()), (
+        f"engines disagree on the cache run of {GATED}")
+    accesses = cache.accesses
     return {
         "workload": GATED,
         "accesses": accesses,
-        "columnar_fused_sps": steps / fast_t,
-        "columnar_aps": accesses / fast_t,
-        "tuple_unfused_sps": steps / slow_t,
-        "tuple_aps": accesses / slow_t,
-        "columnar_over_tuple": slow_t / fast_t,
+        "specialized_sps": fast.stats.steps / fast_t,
+        "specialized_aps": accesses / fast_t,
+        "ast_aps": accesses / ast_t,
+        "specialized_over_ast": ast_t / fast_t,
     }
 
 
@@ -239,8 +221,8 @@ def _check_ratio_baseline(bench: dict) -> list[str]:
     baseline = json.loads(RATIO_BASELINE.read_text())
     failures = []
     for key, path in (
-        ("fused_over_unfused", ("workloads", GATED, "fused_over_unfused")),
-        ("sink_columnar_over_tuple", ("sink", "columnar_over_tuple")),
+        ("fused_over_ast", ("workloads", GATED, "fused_over_ast")),
+        ("sink_specialized_over_ast", ("sink", "specialized_over_ast")),
     ):
         recorded = baseline.get(key)
         if recorded is None:
@@ -285,7 +267,7 @@ def _check_host_baseline(bench: dict) -> tuple[str, list[str]]:
 
 
 def test_engine_steps_json(results_dir):
-    """Measure every engine tier plus the sink-bound hierarchy path,
+    """Measure both engine tiers plus the sink-bound hierarchy path,
     publish ``BENCH_steps.json``, and gate against both the committed
     ratio baseline and this host's recorded absolute baseline."""
     workloads = _measure_workloads()
@@ -303,18 +285,16 @@ def test_engine_steps_json(results_dir):
 
     lines = [
         f"{name:8s} steps={m['steps']:>9} "
-        f"ast={m['ast_sps']:>10.0f} unfused={m['unfused_sps']:>10.0f} "
-        f"fused={m['fused_sps']:>10.0f} sps "
-        f"({m['fused_over_unfused']:.2f}x over unfused, "
-        f"{m['fused_over_ast']:.2f}x over ast, "
+        f"ast={m['ast_sps']:>10.0f} fused={m['fused_sps']:>10.0f} sps "
+        f"({m['fused_over_ast']:.2f}x over ast, "
         f"{m['memory_fused_share']:.0%} mem ops fused)"
         for name, m in workloads.items()
     ]
     lines.append(
         f"sink     {sink['accesses']} accesses: "
-        f"columnar+fused {sink['columnar_aps']:,.0f} aps vs "
-        f"tuple+unfused {sink['tuple_aps']:,.0f} aps "
-        f"({sink['columnar_over_tuple']:.2f}x)")
+        f"specialized {sink['specialized_aps']:,.0f} aps vs "
+        f"ast {sink['ast_aps']:,.0f} aps "
+        f"({sink['specialized_over_ast']:.2f}x)")
     write_result(results_dir, "engine_speedup.txt", "\n".join(lines))
 
     failures = _check_ratio_baseline(bench) + host_failures

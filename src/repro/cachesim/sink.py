@@ -1,12 +1,12 @@
 """Streaming cache simulation as a trace sink (zero materialization).
 
-:class:`CacheSink` implements every entry point of the engines' sink
+:class:`CacheSink` implements both entry points of the engines' sink
 protocol (:class:`repro.sim.trace.TraceSink`): the columnar
-:meth:`emit_columns` hot path — attach it to a live run via
-``run_compiled(compiled, sinks=(sink,))`` — the tuple-block
-:meth:`emit_block` and the per-record :meth:`emit` used to replay stored
-traces. Either way the trace is consumed access by access and only
-counters survive, exactly like the extractor and the validation sink.
+:meth:`emit_columns` the engines call — attach it to a live run via
+``run_compiled(compiled, sinks=(sink,))`` — and the per-record
+:meth:`emit` used to replay stored traces. Either way the trace is
+consumed access by access and only counters survive, exactly like the
+extractor and the validation sink.
 
 Hybrid (SPM + cache) mode replays an SPM allocation's address intervals:
 every access whose address falls inside a selected buffer's interval is
@@ -87,46 +87,12 @@ class CacheSink:
         if isinstance(record, Access):
             self._route(record.addr, record.size, record.is_write)
 
-    def emit_block(self, accesses, checkpoints) -> None:
-        # Checkpoints carry no addresses; only the access tuples matter.
-        access = self.hierarchy.access
-        if not self._starts:
-            reads = writes = 0
-            for _pc, addr, size, is_write in accesses:
-                if is_write:
-                    writes += 1
-                else:
-                    reads += 1
-                access(addr, size, is_write)
-            self.reads += reads
-            self.writes += writes
-            return
-        starts, ends = self._starts, self._ends
-        reads = writes = spm_reads = spm_writes = 0
-        for _pc, addr, size, is_write in accesses:
-            index = bisect_right(starts, addr) - 1
-            if index >= 0 and addr < ends[index]:
-                if is_write:
-                    spm_writes += 1
-                else:
-                    spm_reads += 1
-            elif is_write:
-                writes += 1
-                access(addr, size, True)
-            else:
-                reads += 1
-                access(addr, size, False)
-        self.reads += reads
-        self.writes += writes
-        self.spm_reads += spm_reads
-        self.spm_writes += spm_writes
-
     def emit_columns(self, block: ColumnBlock) -> None:
         """Columnar fast path: vectorized SPM routing and read/write
         tallies, then — for the dominant single-level write-back case —
         an inlined LRU walk over plain line-number lists with run
         skipping (consecutive accesses to one line collapse to counter
-        bumps). Counter-for-counter identical to :meth:`emit_block`:
+        bumps). Counter-for-counter identical to per-record :meth:`emit`:
         write-through, L2 and line-crossing accesses take the exact
         per-access path through :meth:`CacheHierarchy.access`.
         """

@@ -178,9 +178,6 @@ def _add_filter_args(parser: argparse.ArgumentParser) -> None:
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
                         help="execution engine (default: %(default)s)")
-    parser.add_argument("--no-fusion", action="store_true",
-                        help="disable superinstruction fusion on the "
-                             "bytecode engine (debug/timing aid)")
     parser.add_argument("--trace-block", type=int, default=None,
                         metavar="N",
                         help="accesses per columnar trace block "
@@ -387,7 +384,6 @@ def _config_from(args) -> PipelineConfig:
         jobs=jobs if jobs is not None else 1,
         cache=not getattr(args, "no_cache", False),
         cache_dir=_cache_dir_from(args),
-        fusion=not getattr(args, "no_fusion", False),
         **({"trace_block": trace_block} if trace_block else {}),
         filter_config=_filter_from(args),
         spm=_spm_config_from(args),

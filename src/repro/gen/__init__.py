@@ -51,7 +51,7 @@ The subsystem is four small passes with one rule each:
 ``fuzz``
     The differential harness: fans (profile, seed) cells through the
     pipeline's process pool and runs the check battery per program —
-    three-way engine parity (specialized, unfused, AST), IR
+    engine parity (specialized fast path vs AST oracle), IR
     verification, static-oracle agreement, lint triage, allocator
     dominance (DP >= both greedies), replay traffic drop == prediction,
     and cross-input model transfer.

@@ -4,9 +4,9 @@ Every invariant the repo asserts on its seven hand-written workloads is
 re-asserted here on ``--seeds N`` generated programs, per program:
 
 ``parity``
-    The specialized fast path, the unfused dispatch loop and the AST
-    reference interpreter must agree byte-for-byte on exit code, stdout,
-    step/call counts and the formatted trace.
+    The specialized fast path and the AST reference interpreter must
+    agree byte-for-byte on exit code, stdout, step/call counts and the
+    formatted trace.
 ``ir``
     The structural bytecode verifier accepts the lowered + fused forms.
 ``lint``
@@ -67,7 +67,7 @@ from repro.pipeline import (
 )
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
 from repro.sim.memory import GLOBAL_BASE, HEAP_BASE
-from repro.sim.trace import TraceCollector, format_trace
+from repro.sim.trace import ColumnBlock, TraceCollector, format_trace
 from repro.sim.verify import verify_compiled
 from repro.spm.allocator import allocate_graph
 from repro.spm.graph import ReuseGraph
@@ -87,8 +87,7 @@ KNOWN_CHECKS = FUZZ_CHECKS + (SEEDED_BUG_CHECK,)
 
 #: Engine configurations whose observable behaviour must be identical.
 PARITY_CONFIGS = (
-    ("specialized", EngineConfig(engine="bytecode", fusion=True)),
-    ("unfused", EngineConfig(engine="bytecode", fusion=False)),
+    ("specialized", EngineConfig(engine="bytecode")),
     ("ast", EngineConfig(engine="ast")),
 )
 
@@ -221,10 +220,9 @@ class _GlobalTrafficCounter:
     def __init__(self) -> None:
         self.count = 0
 
-    def emit_block(self, accesses, checkpoints) -> None:
-        for _pc, addr, _size, _is_write in accesses:
-            if GLOBAL_BASE <= addr < HEAP_BASE:
-                self.count += 1
+    def emit_columns(self, block: ColumnBlock) -> None:
+        self.count += sum(GLOBAL_BASE <= addr < HEAP_BASE
+                          for addr in block.lists()[1])
 
     def emit(self, record) -> None:  # pragma: no cover - block protocol
         addr = getattr(record, "addr", None)
@@ -432,8 +430,8 @@ def _fuzz_key(template: str, checks: tuple[str, ...], shrink: bool,
     # The template embeds the generator version + profile + seed (the
     # source header), so one key can never span generator revisions.
     return _content_key(
-        "fuzz", template, checks, shrink, config.engine, config.fusion,
-        config.trace_block, config.filter_config, config.max_steps)
+        "fuzz", template, checks, shrink, config.engine, config.trace_block,
+        config.filter_config, config.max_steps)
 
 
 def fuzz_program(

@@ -191,8 +191,6 @@ class PipelineConfig:
     cache_dir: str | None = None
     entry: str = "main"
     max_steps: int = DEFAULT_MAX_STEPS
-    #: Superinstruction fusion on the bytecode engine.
-    fusion: bool = True
     #: Access-block size of the columnar trace protocol.
     trace_block: int = DEFAULT_TRACE_BLOCK
     filter_config: FilterConfig | None = None
@@ -211,7 +209,6 @@ class PipelineConfig:
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(engine=self.engine, max_steps=self.max_steps,
-                            fusion=self.fusion,
                             trace_block_size=self.trace_block,
                             input=self.input or InputSpec(),
                             verify_ir=self.verify_ir)
@@ -388,15 +385,14 @@ def _compile_key(source: str) -> str:
 
 
 def _extraction_key(source: str, config: PipelineConfig) -> str:
-    # fusion/trace_block cannot change the extracted model (the parity
-    # tests pin that down), but they are part of the producing engine's
-    # identity: keying on them keeps warm artifacts from one trace
-    # protocol from masking a defect in the other.
+    # trace_block cannot change the extracted model (the parity tests pin
+    # that down), but it is part of the producing engine's identity:
+    # keying on it keeps warm artifacts from one block size from masking
+    # a defect at another.
     return _content_key(
         "extract",
         source,
         config.engine,
-        config.fusion,
         config.trace_block,
         config.entry,
         config.max_steps,

@@ -1,20 +1,23 @@
-"""Bytecode fast path: lowering pass + register-machine dispatch loop.
+"""Bytecode fast path: lowering pass, fusion pass and the VM that runs
+the result.
 
 The tree-walking interpreter (:mod:`repro.sim.interpreter`) pays for a
 dict-dispatch, several helper calls and an exception-based control-flow
 protocol on *every* AST node it touches. This module compiles the analyzed
 (and usually instrumented) program once into a flat, register-oriented
-instruction list per function and executes it with a single dispatch loop:
+instruction list per function, plus one for the global initializers:
 
 * every function gets a frame of numbered slots ("registers") holding
   register-promoted scalars, the addresses of stack-allocated variables,
   and expression temporaries;
 * control flow (``if``/loops/``break``/``continue``/``return``) is lowered
   to conditional jumps — no Python exceptions on the hot path;
-* calls are handled iteratively with an explicit frame stack, so deep
-  simulated recursion needs no Python recursion;
-* checkpoints and memory accesses append raw tuples to block buffers and
-  are flushed through the batched :meth:`TraceSink.emit_block` protocol.
+* checkpoints and memory accesses become instructions that append raw
+  ints to the shared :class:`~repro.sim.trace.TraceBuffer`.
+
+The fusion pass (:func:`fuse_program`) rewrites common instruction pairs
+into superinstructions, and :mod:`repro.sim.specialize` compiles the
+fused program to Python; :class:`BytecodeVM` runs that specialization.
 
 Trace parity: the lowering mirrors the tree-walker's evaluation order,
 conversion rules and checkpoint placement exactly, so both engines produce
@@ -53,10 +56,9 @@ from repro.lang.ctypes_ import (
 )
 from repro.lang.errors import MiniCRuntimeError
 from repro.lang.semantics import Symbol
-from repro.sim import builtins as libc
 from repro.sim.builtins import ExitSignal
 from repro.sim.inputs import InputSpec, InputStream
-from repro.sim.interpreter import ExecLimitExceeded, RunStats
+from repro.sim.interpreter import RunStats
 from repro.sim.memory import (
     GLOBAL_BASE,
     HEAP_BASE,
@@ -67,25 +69,21 @@ from repro.sim.memory import (
 from repro.sim.trace import (
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
-    ColumnBlock,
+    TraceBuffer,
     TraceSink,
     load_pc,
-    split_sinks,
     store_pc,
 )
 
 if TYPE_CHECKING:
     from repro.sim import specialize
 
-_ADDR_MASK = 0xFFFFFFFF
-
 #: One lowered instruction: ``(op, *operands)``. Operand shapes are
 #: per-opcode (see the opcode table below), so the tuple stays loose.
 _Ins = tuple[Any, ...]
 
 # ---------------------------------------------------------------------------
-# Opcodes. Grouped roughly by dynamic frequency; the dispatch loop tests the
-# hot group first.
+# Opcodes.
 # ---------------------------------------------------------------------------
 
 (
@@ -147,10 +145,9 @@ _Ins = tuple[Any, ...]
     OP_GADDR,       # (op, dst, global_index)
 ) = range(56)
 
-# Superinstructions produced by the fusion pass (:func:`fuse_function`).
-# They never reach the classic dispatch loop: fused code is executed only
-# by the block-compiled fast path (:mod:`repro.sim.specialize`), while the
-# dispatch loop always runs the unfused form.
+# Superinstructions produced by the fusion pass (:func:`fuse_function`),
+# compiled to Python by :mod:`repro.sim.specialize`. Lowered code, and so
+# ``globals_init``, never contains them.
 (
     OP_LDELEM_I,    # (op, dst, base, index, elem_size, size, fmt, signed, pc)
     OP_LDELEM_F,    # (op, dst, base, index, elem_size, size, fmt, pc)
@@ -167,9 +164,9 @@ def _int_conv(ctype: IntType) -> tuple[int, int]:
     return mask, (ctype.max_value if ctype.signed else -1)
 
 
-# struct formats for the VM's single-page memory fast path. Instructions
-# carry the format string (keeping them picklable for the multiprocess
-# suite runner); the dispatch loop resolves the bound methods below.
+# struct formats for the single-page memory fast path. Instructions carry
+# the format string (keeping them picklable for the multiprocess suite
+# runner); the specializer binds the methods below.
 _INT_LOAD_FMT = {
     (1, True): "<b", (1, False): "<B",
     (2, True): "<h", (2, False): "<H",
@@ -186,9 +183,6 @@ _PACK = {
     fmt: struct.Struct(fmt).pack_into
     for fmt in (*_INT_STORE_FMT.values(), *_FLOAT_FMT.values())
 }
-_PAGE_SHIFT = 12
-_PAGE_SIZE = 1 << _PAGE_SHIFT
-_PAGE_MASK = _PAGE_SIZE - 1
 
 
 def _c_div(a: int, b: int) -> int:
@@ -245,7 +239,8 @@ class BytecodeProgram:
     functions: dict[str, BytecodeFunction]
     #: Globals in declaration order: (symbol, global_index).
     global_symbols: list[Symbol]
-    #: Code run once at VM startup (tracing off) to initialize globals.
+    #: Code run once per run, before the entry and with tracing off, to
+    #: initialize globals.
     globals_init: BytecodeFunction
     #: Per-process derived caches, rebuilt on demand after unpickling
     #: (see :meth:`__getstate__`): the fused twin and its compiled
@@ -1094,9 +1089,9 @@ class ProgramLowering:
     def _lower_globals_init(self) -> BytecodeFunction:
         """Initializer writes for all globals, in declaration order.
 
-        Runs at VM startup with tracing off — like program load in a real
-        system — after every global has its address (so ``char *p = q;``
-        can reference a later-declared array).
+        Runs before the entry function with tracing off — like program
+        load in a real system — after every global has its address (so
+        ``char *p = q;`` can reference a later-declared array).
         """
         compiler = _FunctionCompiler(self, "__globals_init__")
         compiler.seal_locals()
@@ -1133,10 +1128,13 @@ def lower_program(program: ast.Program) -> BytecodeProgram:
 class BytecodeVM:
     """Executes one lowered program. Create a fresh instance per run.
 
-    Exposes the same builtin facade as the tree-walking interpreter
-    (``memory`` / ``write_stdout`` / ``heap_alloc`` / ``lib_trace`` plus
-    the deterministic ``rand_state`` / ``input_stream``), so
-    :mod:`repro.sim.builtins` runs unchanged on both engines.
+    Every run executes the program's specialization (the fused bytecode
+    compiled to Python by :mod:`repro.sim.specialize`), global
+    initializers included. Exposes the same builtin facade as the
+    tree-walking interpreter (``memory`` / ``write_stdout`` /
+    ``heap_alloc`` / ``lib_trace`` plus the deterministic ``rand_state``
+    / ``input_stream``), so :mod:`repro.sim.builtins` runs unchanged on
+    both engines.
     """
 
     def __init__(
@@ -1147,40 +1145,29 @@ class BytecodeVM:
         max_call_depth: int = 512,
         trace_block_size: int = DEFAULT_TRACE_BLOCK,
         input_spec: InputSpec | None = None,
-        fusion: bool = True,
     ) -> None:
         self.bytecode = bytecode
         self.program = bytecode.program
-        self._sinks = tuple(sinks)
-        self._col_sinks, self._tup_sinks = split_sinks(self._sinks)
         self._max_steps = max_steps
         self._max_call_depth = max_call_depth
-        self._block_size = max(1, trace_block_size)
-        # The access buffer is flat interleaved (4 ints per access), so
-        # the flush threshold is scaled once here.
-        self._flat_limit = 4 * self._block_size
-        self._fusion = bool(fusion)
+        self.stats = RunStats()
+        self._trace = TraceBuffer(sinks, trace_block_size, self.stats)
+        self.lib_trace = self._trace.lib_trace
 
         self.memory = Memory()
         self._globals_alloc = BumpAllocator(GLOBAL_BASE)
         self._heap_alloc = BumpAllocator(HEAP_BASE)
         self._stack = StackAllocator()
         self._string_pool: dict[str, int] = {}
-        self._global_addrs: list[int] = []
-        self._tracing = False
-        self.stats = RunStats()
+        self._global_addrs: list[int] = [
+            self._globals_alloc.allocate(symbol.ctype.size,
+                                         symbol.ctype.alignment)
+            for symbol in bytecode.global_symbols
+        ]
         self.stdout = ""
         self.rand_state = 1  # deterministic rand() seed
         #: Sample source of the read_samples() builtin (seeded ensemble).
         self.input_stream = InputStream(input_spec)
-
-        #: Flat interleaved access buffer: [pc, addr, size, is_write(0/1)]
-        #: per access. Cleared in place on flush so cached ``extend``
-        #: bindings (dispatch loop, specialized code) stay valid.
-        self._acc_buf: list[int] = []
-        self._cp_buf: list[tuple[int, int, int]] = []
-
-        self._layout_globals()
 
     # ------------------------------------------------------------------
     # Builtin facade (used by repro.sim.builtins)
@@ -1192,58 +1179,6 @@ class BytecodeVM:
     def heap_alloc(self, size: int) -> int:
         return self._heap_alloc.allocate(max(1, size))
 
-    def lib_trace(self, records: Sequence[int]) -> None:
-        """Append a builtin's records (flat ``[pc, addr, size, is_write]``
-        ints) as one run, flushing exactly where appending them one at a
-        time would: whenever an append brings the buffer to the limit.
-        The specialized code checks the limit once per chain, so the
-        buffer may already be past it; the first record then flushes."""
-        if not self._tracing:
-            return
-        buf = self._acc_buf
-        limit = self._flat_limit
-        if len(buf) + len(records) < limit:
-            buf.extend(records)
-            return
-        cut = max(4, limit - len(buf))
-        pos = 0
-        while len(records) - pos >= cut:
-            buf.extend(records[pos:pos + cut])
-            self._flush_trace()
-            pos += cut
-            cut = limit
-        buf.extend(records[pos:])
-
-    # ------------------------------------------------------------------
-    # Trace plumbing
-    # ------------------------------------------------------------------
-
-    def _trace_checkpoint(self, checkpoint_id: int, kind_code: int) -> None:
-        self._cp_buf.append(
-            (len(self._acc_buf) >> 2, checkpoint_id, kind_code))
-
-    def _flush_trace(self) -> None:
-        flat, cps = self._acc_buf, self._cp_buf
-        if not flat and not cps:
-            return
-        self.stats.accesses += len(flat) >> 2
-        self.stats.checkpoints += len(cps)
-        if self._col_sinks or self._tup_sinks:
-            block = ColumnBlock.from_flat(flat, cps)
-            for sink in self._col_sinks:
-                sink.emit_columns(block)
-            if self._tup_sinks:
-                accesses, checkpoints = block.to_tuples()
-                for sink in self._tup_sinks:
-                    sink.emit_block(accesses, checkpoints)
-        # Clear in place: hot paths hold bound .extend/.append methods.
-        del flat[:]
-        del cps[:]
-
-    # ------------------------------------------------------------------
-    # Startup
-    # ------------------------------------------------------------------
-
     def _intern_string(self, text: str) -> int:
         addr = self._string_pool.get(text)
         if addr is None:
@@ -1253,46 +1188,19 @@ class BytecodeVM:
             self._string_pool[text] = addr
         return addr
 
-    def _layout_globals(self) -> None:
-        for symbol in self.bytecode.global_symbols:
-            self._global_addrs.append(
-                self._globals_alloc.allocate(symbol.ctype.size,
-                                             symbol.ctype.alignment)
-            )
-        init = self.bytecode.globals_init
-        if len(init.code) > 1:  # more than the trailing RET0
-            self._execute(init, [], budget_active=False)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def run(self, entry: str = "main") -> int:
-        """Execute ``entry`` (tracing enabled) and return its exit code."""
-        fn = self.bytecode.functions.get(entry)
-        if fn is None:
+        """Run the global initializers (tracing off), then ``entry``
+        (tracing on); return the exit code."""
+        if entry not in self.bytecode.functions:
             raise MiniCRuntimeError(f"no entry function {entry!r}")
-        if self._fusion:
-            from repro.sim.specialize import get_specialization
-            return self._run_specialized(get_specialization(self.bytecode),
-                                         entry)
-        self._tracing = True
-        try:
-            result = self._execute(fn, [], budget_active=True)
-        except ExitSignal as signal:
-            return signal.code
-        finally:
-            self._tracing = False
-            self._flush_trace()
-        return int(result) if result is not None else 0
+        from repro.sim.specialize import get_specialization
 
-    def _run_specialized(self, spec: "specialize.Specialization",
-                         entry: str) -> int:
-        """Run the block-compiled fast path (fused code as generated
-        Python). Mirrors :meth:`run`'s classic branch observable for
-        observable: stats, trace stream, stdout and exit code."""
+        spec = get_specialization(self.bytecode)
         env = spec.bind(self)
-        driver = env[spec.drivers[entry]]
         # Simulated calls become nested Python calls here, each adding at
         # most ``spec.frames_per_call`` frames. The limit covers the
         # frames already on the stack plus the deepest simulated call
@@ -1304,412 +1212,49 @@ class BytecodeVM:
                   + spec.frames_per_call * self._max_call_depth)
         if limit < needed:
             sys.setrecursionlimit(needed)
-        env["_S"][0] = self.stats.steps
-        self.stats.calls += 1
-        self._tracing = True
+        trace = self._trace
+        steps, depth = env["_S"], env["_D"]
         try:
-            result = driver()
+            if spec.init_driver is not None:
+                # The initializers run inside no simulated call, as on
+                # the AST oracle: the calls they make get the whole
+                # depth budget, where an entry's callees share it with
+                # the entry's own frame.
+                depth[0] = -1
+                env[spec.init_driver]()
+                depth[0] = 0
+            trace.flush()  # drops the initializers' traffic
+            self.stats.calls += 1
+            trace.tracing = True
+            result = env[spec.drivers[entry]]()
         except ExitSignal as signal:
             return signal.code
         finally:
-            self.stats.steps = env["_S"][0]
-            self._tracing = False
-            self._flush_trace()
+            self.stats.steps = steps[0]
+            trace.flush()
+            trace.tracing = False
             if sys.getrecursionlimit() != limit:
                 sys.setrecursionlimit(limit)
         return int(result) if result is not None else 0
 
-    def _bind_frame(self, fn: BytecodeFunction,
-                    args: list[Any]) -> tuple[list[Any], int]:
-        """Build the register file for ``fn`` and bind converted args."""
-        regs = [0] * fn.n_slots
-        marker = self._stack.push_frame()
-        memory = self.memory
-        for spec, arg in zip(fn.params, args):
-            conv = spec.conv
-            if conv == 1:
-                mask = spec.mask
-                value = int(arg) & mask
-                if spec.maxv >= 0 and value > spec.maxv:
-                    value -= mask + 1
-            elif conv == 2:
-                value = float(arg)
-            elif conv == 3:
-                value = int(arg) & _ADDR_MASK
-            else:
-                value = arg
-            if spec.in_memory:
-                ctype = spec.ctype
-                addr = self._stack.allocate(ctype.size, ctype.alignment)
-                regs[spec.slot] = addr
-                if isinstance(ctype, FloatType):
-                    memory.write_float(addr, float(value), ctype.size)
-                elif isinstance(ctype, (IntType, PointerType)):
-                    memory.write_int(addr, int(value), ctype.size)
-                else:
-                    raise MiniCRuntimeError(
-                        f"cannot store a value of type {ctype}")
-            else:
-                regs[spec.slot] = value
-        return regs, marker
-
-    def _execute(self, fn: BytecodeFunction, args: list[Any],
-                 budget_active: bool) -> Any:
-        """The dispatch loop. Runs ``fn`` and every function it calls."""
-        memory = self.memory
-        stack = self._stack
-        pages = memory._pages
-        mem_page = memory._page
-        unpack = _UNPACK
-        pack = _PACK
-        acc_buf = self._acc_buf
-        acc_ext = acc_buf.extend
-        flat_limit = self._flat_limit
-        mask32 = _ADDR_MASK
-        max_steps = self._max_steps
-        steps = self.stats.steps
-        if not budget_active:
-            max_steps = float("inf")
-
-        regs, marker = self._bind_frame(fn, args)
-        # Caller frames: (function, code, resume_pc, regs, dst, stack_marker).
-        frames: list[tuple[Any, ...]] = []
-        if budget_active:  # globals init is not a simulated call
-            self.stats.calls += 1
-        code = fn.code
-        pc = 0
-
-        try:
-            while True:
-                ins = code[pc]
-                op = ins[0]
-                if op <= OP_CKPT:
-                    if op == OP_LOAD_I:
-                        addr = (regs[ins[2]] + ins[3]) & mask32
-                        size = ins[4]
-                        start = addr & _PAGE_MASK
-                        if start + size <= _PAGE_SIZE:
-                            page = pages.get(addr >> _PAGE_SHIFT)
-                            if page is None:
-                                page = mem_page(addr >> _PAGE_SHIFT)
-                            regs[ins[1]] = unpack[ins[5]](page, start)[0]
-                        else:  # page-crossing (unaligned) access
-                            regs[ins[1]] = memory.read_int(addr, size, ins[6])
-                        if self._tracing:
-                            acc_ext((ins[7], addr, size, 0))
-                            if len(acc_buf) >= flat_limit:
-                                self._flush_trace()
-                    elif op == OP_ELEM:
-                        regs[ins[1]] = (
-                            regs[ins[2]] + int(regs[ins[3]]) * ins[4]
-                        ) & mask32
-                    elif op == OP_STORE_I:
-                        addr = (regs[ins[1]] + ins[2]) & mask32
-                        value = int(regs[ins[3]]) & ins[6]
-                        size = ins[5]
-                        start = addr & _PAGE_MASK
-                        if start + size <= _PAGE_SIZE:
-                            page = pages.get(addr >> _PAGE_SHIFT)
-                            if page is None:
-                                page = mem_page(addr >> _PAGE_SHIFT)
-                            pack[ins[8]](page, start, value)
-                        else:
-                            memory.write_int(addr, value, size)
-                        if ins[7] >= 0 and value > ins[7]:
-                            value -= ins[6] + 1
-                        regs[ins[4]] = value
-                        if self._tracing and ins[9] >= 0:
-                            acc_ext((ins[9], addr, size, 1))
-                            if len(acc_buf) >= flat_limit:
-                                self._flush_trace()
-                    elif op == OP_STEP:
-                        steps += ins[1]
-                        if steps > max_steps:
-                            raise ExecLimitExceeded(
-                                f"execution exceeded the budget of "
-                                f"{self._max_steps} steps"
-                            )
-                    elif op == OP_ADDK_I:
-                        value = (regs[ins[2]] + ins[3]) & ins[4]
-                        if ins[5] >= 0 and value > ins[5]:
-                            value -= ins[4] + 1
-                        regs[ins[1]] = value
-                    elif op == OP_LT:
-                        regs[ins[1]] = 1 if regs[ins[2]] < regs[ins[3]] else 0
-                    elif op == OP_JZ:
-                        if not regs[ins[1]]:
-                            pc = ins[2]
-                            continue
-                    elif op == OP_JMP:
-                        pc = ins[1]
-                        continue
-                    elif op == OP_ADD_I:
-                        value = (regs[ins[2]] + regs[ins[3]]) & ins[4]
-                        if ins[5] >= 0 and value > ins[5]:
-                            value -= ins[4] + 1
-                        regs[ins[1]] = value
-                    elif op == OP_CKPT:
-                        if self._tracing:
-                            self._cp_buf.append(
-                                (len(acc_buf) >> 2, ins[1], ins[2]))
-                            # Access-free loops must still flush in blocks.
-                            if len(self._cp_buf) >= self._block_size:
-                                self._flush_trace()
-                    elif op == OP_CONST:
-                        regs[ins[1]] = ins[2]
-                    elif op == OP_MOV:
-                        regs[ins[1]] = regs[ins[2]]
-                    elif op == OP_MEMBOFF:
-                        regs[ins[1]] = (regs[ins[2]] + ins[3]) & mask32
-                    elif op == OP_SUB_I:
-                        value = (regs[ins[2]] - regs[ins[3]]) & ins[4]
-                        if ins[5] >= 0 and value > ins[5]:
-                            value -= ins[4] + 1
-                        regs[ins[1]] = value
-                    elif op == OP_MUL_I:
-                        value = (regs[ins[2]] * regs[ins[3]]) & ins[4]
-                        if ins[5] >= 0 and value > ins[5]:
-                            value -= ins[4] + 1
-                        regs[ins[1]] = value
-                    elif op == OP_LOAD_F:
-                        addr = (regs[ins[2]] + ins[3]) & mask32
-                        size = ins[4]
-                        start = addr & _PAGE_MASK
-                        if start + size <= _PAGE_SIZE:
-                            page = pages.get(addr >> _PAGE_SHIFT)
-                            if page is None:
-                                page = mem_page(addr >> _PAGE_SHIFT)
-                            regs[ins[1]] = unpack[ins[5]](page, start)[0]
-                        else:
-                            regs[ins[1]] = memory.read_float(addr, size)
-                        if self._tracing:
-                            acc_ext((ins[6], addr, size, 0))
-                            if len(acc_buf) >= flat_limit:
-                                self._flush_trace()
-                    elif op == OP_STORE_F:
-                        addr = (regs[ins[1]] + ins[2]) & mask32
-                        value = float(regs[ins[3]])
-                        size = ins[5]
-                        start = addr & _PAGE_MASK
-                        if start + size <= _PAGE_SIZE:
-                            page = pages.get(addr >> _PAGE_SHIFT)
-                            if page is None:
-                                page = mem_page(addr >> _PAGE_SHIFT)
-                            try:
-                                pack[ins[6]](page, start, value)
-                            except OverflowError:
-                                # double → float overflow clamps to ±inf
-                                memory.write_float(addr, value, size)
-                        else:
-                            memory.write_float(addr, value, size)
-                        regs[ins[4]] = value
-                        if self._tracing and ins[7] >= 0:
-                            acc_ext((ins[7], addr, size, 1))
-                            if len(acc_buf) >= flat_limit:
-                                self._flush_trace()
-                    elif op == OP_STORE_P:
-                        addr = (regs[ins[1]] + ins[2]) & mask32
-                        value = int(regs[ins[3]]) & mask32
-                        start = addr & _PAGE_MASK
-                        if start + 4 <= _PAGE_SIZE:
-                            page = pages.get(addr >> _PAGE_SHIFT)
-                            if page is None:
-                                page = mem_page(addr >> _PAGE_SHIFT)
-                            pack["<I"](page, start, value)
-                        else:
-                            memory.write_int(addr, value, 4)
-                        regs[ins[4]] = value
-                        if self._tracing and ins[5] >= 0:
-                            acc_ext((ins[5], addr, 4, 1))
-                            if len(acc_buf) >= flat_limit:
-                                self._flush_trace()
-                    elif op == OP_LE:
-                        regs[ins[1]] = 1 if regs[ins[2]] <= regs[ins[3]] else 0
-                    elif op == OP_GT:
-                        regs[ins[1]] = 1 if regs[ins[2]] > regs[ins[3]] else 0
-                    elif op == OP_GE:
-                        regs[ins[1]] = 1 if regs[ins[2]] >= regs[ins[3]] else 0
-                    elif op == OP_EQ:
-                        regs[ins[1]] = 1 if regs[ins[2]] == regs[ins[3]] else 0
-                    elif op == OP_NE:
-                        regs[ins[1]] = 1 if regs[ins[2]] != regs[ins[3]] else 0
-                    else:  # OP_JNZ
-                        if regs[ins[1]]:
-                            pc = ins[2]
-                            continue
-                elif op == OP_CALL:
-                    callee = self.bytecode.functions[ins[2]]
-                    if len(frames) + 1 >= self._max_call_depth:
-                        raise MiniCRuntimeError(
-                            f"call depth exceeded in {callee.name!r}")
-                    self.stats.calls += 1
-                    call_args = [regs[slot] for slot in ins[3]]
-                    frames.append((fn, code, pc, regs, ins[1], marker))
-                    fn = callee
-                    regs, marker = self._bind_frame(callee, call_args)
-                    code = callee.code
-                    pc = 0
-                    continue
-                elif op == OP_CALLB:
-                    call_args = [regs[slot] for slot in ins[3]]
-                    regs[ins[1]] = libc.call_builtin(self, ins[2], call_args)
-                elif op == OP_RET or op == OP_RET0:
-                    result = regs[ins[1]] if op == OP_RET else None
-                    if result is None and not fn.returns_void:
-                        result = 0  # tolerate missing return, like C
-                    stack.pop_frame(marker)
-                    if not frames:
-                        return result
-                    fn, code, pc, regs, dst, marker = frames.pop()
-                    regs[dst] = result
-                elif op == OP_ADD_P:
-                    regs[ins[1]] = (
-                        regs[ins[2]] + int(regs[ins[3]]) * ins[4]
-                    ) & mask32
-                elif op == OP_ADDK_P:
-                    regs[ins[1]] = (regs[ins[2]] + ins[3]) & mask32
-                elif op == OP_ADD_F:
-                    regs[ins[1]] = float(regs[ins[2]] + regs[ins[3]])
-                elif op == OP_SUB_F:
-                    regs[ins[1]] = float(regs[ins[2]] - regs[ins[3]])
-                elif op == OP_MUL_F:
-                    regs[ins[1]] = float(regs[ins[2]] * regs[ins[3]])
-                elif op == OP_DIV_F:
-                    if regs[ins[3]] == 0:
-                        raise MiniCRuntimeError("floating division by zero",
-                                                ins[4])
-                    regs[ins[1]] = regs[ins[2]] / regs[ins[3]]
-                elif op == OP_DIV_I:
-                    b = int(regs[ins[3]])
-                    if b == 0:
-                        raise MiniCRuntimeError("integer division by zero",
-                                                ins[6])
-                    value = _c_div(int(regs[ins[2]]), b) & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_MOD_I:
-                    a, b = int(regs[ins[2]]), int(regs[ins[3]])
-                    if b == 0:
-                        raise MiniCRuntimeError("modulo by zero", ins[6])
-                    value = (a - _c_div(a, b) * b) & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_SHL:
-                    value = (int(regs[ins[2]]) << (int(regs[ins[3]]) & 63)) \
-                        & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_SHR:
-                    value = (int(regs[ins[2]]) >> (int(regs[ins[3]]) & 63)) \
-                        & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_AND:
-                    value = (int(regs[ins[2]]) & int(regs[ins[3]])) & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_OR:
-                    value = (int(regs[ins[2]]) | int(regs[ins[3]])) & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_XOR:
-                    value = (int(regs[ins[2]]) ^ int(regs[ins[3]])) & ins[4]
-                    if ins[5] >= 0 and value > ins[5]:
-                        value -= ins[4] + 1
-                    regs[ins[1]] = value
-                elif op == OP_SUB_PI:
-                    regs[ins[1]] = (
-                        regs[ins[2]] - int(regs[ins[3]]) * ins[4]
-                    ) & mask32
-                elif op == OP_SUB_PP:
-                    regs[ins[1]] = _c_div(
-                        int(regs[ins[2]]) - int(regs[ins[3]]), ins[4])
-                elif op == OP_ADDK_F:
-                    regs[ins[1]] = float(regs[ins[2]] + ins[3])
-                elif op == OP_NEG_I:
-                    value = (-regs[ins[2]]) & ins[3]
-                    if ins[4] >= 0 and value > ins[4]:
-                        value -= ins[3] + 1
-                    regs[ins[1]] = value
-                elif op == OP_NEG_F:
-                    regs[ins[1]] = float(-regs[ins[2]])
-                elif op == OP_NOT:
-                    regs[ins[1]] = 0 if regs[ins[2]] else 1
-                elif op == OP_BNOT:
-                    value = (~int(regs[ins[2]])) & ins[3]
-                    if ins[4] >= 0 and value > ins[4]:
-                        value -= ins[3] + 1
-                    regs[ins[1]] = value
-                elif op == OP_CONV_I:
-                    value = int(regs[ins[2]]) & ins[3]
-                    if ins[4] >= 0 and value > ins[4]:
-                        value -= ins[3] + 1
-                    regs[ins[1]] = value
-                elif op == OP_CONV_F:
-                    regs[ins[1]] = float(regs[ins[2]])
-                elif op == OP_CONV_P:
-                    regs[ins[1]] = int(regs[ins[2]]) & mask32
-                elif op == OP_DECL:
-                    regs[ins[1]] = stack.allocate(ins[2], ins[3])
-                elif op == OP_ZFILL:
-                    memory.write_bytes((regs[ins[1]] + ins[2]) & mask32,
-                                       bytes(ins[3]))
-                elif op == OP_WBYTES:
-                    memory.write_bytes((regs[ins[1]] + ins[2]) & mask32,
-                                       ins[3])
-                elif op == OP_STR:
-                    regs[ins[1]] = self._intern_string(ins[2])
-                else:  # OP_GADDR
-                    regs[ins[1]] = self._global_addrs[ins[2]]
-                pc += 1
-        except ExitSignal:
-            # exit() unwinds every frame; replay the pending body-end
-            # checkpoints (the tree-walker's finally blocks) innermost-first
-            # before propagating to run().
-            if self._tracing:
-                self._emit_pending_body_ends(fn, pc, frames)
-            raise
-        finally:
-            self.stats.steps = steps
-
-    def _emit_pending_body_ends(
-        self, fn: BytecodeFunction, pc: int,
-        frames: list[tuple[Any, ...]],
-    ) -> None:
-        stack = [(fn, pc)]
-        for caller, caller_code, caller_pc, *_rest in reversed(frames):
-            stack.append((caller, caller_pc))
-        for func, frame_pc in stack:
-            open_regions = [
-                (start, body_end_id)
-                for start, end, body_end_id in func.body_regions
-                if start <= frame_pc < end
-            ]
-            for _, body_end_id in sorted(open_regions, reverse=True):
-                self._trace_checkpoint(body_end_id, BODY_END_CODE)
-
     def _pending_body_ends_one(
         self, regions: Iterable[tuple[int, int, int]], frame_pc: int,
     ) -> None:
-        """Replay one frame's pending body-end checkpoints (the
-        specialized drivers call this per frame as ``exit()`` unwinds,
-        innermost-first — the same order :meth:`_emit_pending_body_ends`
-        produces for the classic loop's explicit frame stack)."""
-        if not self._tracing:
+        """Replay one frame's pending body-end checkpoints, innermost
+        first. The specialized drivers call this per frame as ``exit()``
+        unwinds the simulated call stack, which replays the tree-walker's
+        ``finally`` blocks in the same order."""
+        trace = self._trace
+        if not trace.tracing:
             return
         open_regions = [
             (start, body_end_id)
             for start, end, body_end_id in regions
             if start <= frame_pc < end
         ]
+        pos = len(trace.acc) >> 2
         for _, body_end_id in sorted(open_regions, reverse=True):
-            self._trace_checkpoint(body_end_id, BODY_END_CODE)
+            trace.cps.append((pos, body_end_id, BODY_END_CODE))
 
 
 # ---------------------------------------------------------------------------
@@ -1722,11 +1267,10 @@ class BytecodeVM:
 # superinstruction. Fusion is applied only when the intermediate register
 # is provably dead afterwards (backward liveness over register bitmasks),
 # so the visible machine state — memory, trace stream, stats, register
-# file at every observation point — is unchanged. The classic dispatch
-# loop never sees fused code; it exists for the block compiler
-# (:mod:`repro.sim.specialize`), which turns each superinstruction into
-# one straight-line Python statement writing directly into the flat
-# column buffer.
+# file at every observation point — is unchanged. Fused code exists for
+# the block compiler (:mod:`repro.sim.specialize`), which turns each
+# superinstruction into one straight-line Python statement writing
+# directly into the flat column buffer.
 # ---------------------------------------------------------------------------
 
 #: Register-read operand positions per opcode. OP_CALL/OP_CALLB read the
@@ -2023,8 +1567,8 @@ def fuse_function(fn: BytecodeFunction) -> BytecodeFunction:
 def fuse_program(bp: BytecodeProgram) -> BytecodeProgram:
     """The fused twin of a lowered program (cached on the original).
 
-    ``globals_init`` stays unfused: it runs once through the classic
-    dispatch loop, which by design never executes superinstructions.
+    ``globals_init`` stays unfused: it runs once per run, so fusing it
+    would buy nothing, and the specializer compiles it as lowered.
     """
     cached = getattr(bp, "_fused", None)
     if cached is None:

@@ -22,7 +22,6 @@ live in memory and are traced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.lang import ast_nodes as ast
 from repro.lang.ctypes_ import (
@@ -51,10 +50,9 @@ from repro.sim.trace import (
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
     LOOP_BEGIN_CODE,
-    ColumnBlock,
+    TraceBuffer,
     TraceSink,
     load_pc,
-    split_sinks,
     store_pc,
 )
 
@@ -110,15 +108,11 @@ class Interpreter:
         input_spec: InputSpec | None = None,
     ):
         self.program = program
-        self._sinks = tuple(sinks)
-        self._col_sinks, self._tup_sinks = split_sinks(self._sinks)
         self._max_steps = max_steps
         self._max_call_depth = max_call_depth
-        self._block_size = max(1, trace_block_size)
-        # Batched trace buffers (see repro.sim.trace): raw access and
-        # checkpoint tuples, flushed to sinks in blocks.
-        self._acc_buf: list[tuple[int, int, int, bool]] = []
-        self._cp_buf: list[tuple[int, int, int]] = []
+        self.stats = RunStats()
+        self._trace = TraceBuffer(sinks, trace_block_size, self.stats)
+        self.lib_trace = self._trace.lib_trace
 
         self.memory = Memory()
         self._globals_alloc = BumpAllocator(GLOBAL_BASE)
@@ -127,8 +121,6 @@ class Interpreter:
         self._global_addrs: dict[Symbol, int] = {}
         self._string_pool: dict[str, int] = {}
         self._frames: list[Frame] = []
-        self._trace_on = False
-        self.stats = RunStats()
         self.stdout = ""
         self.rand_state = 1  # deterministic rand() seed
         #: Sample source of the read_samples() builtin (seeded ensemble).
@@ -141,7 +133,8 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def run(self, entry: str = "main") -> int:
-        """Execute ``entry`` (tracing enabled) and return its exit code."""
+        """Run the global initializers (tracing off), then ``entry``
+        (tracing on); return the exit code."""
         if not self.program.has_function(entry):
             raise MiniCRuntimeError(f"no entry function {entry!r}")
         # A simulated call consumes a few dozen Python frames, so the
@@ -151,14 +144,17 @@ class Interpreter:
 
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 64 * self._max_call_depth))
-        self._trace_on = True
+        trace = self._trace
         try:
+            self._run_initializers()
+            trace.flush()  # drops the initializers' traffic
+            trace.tracing = True
             result = self._call_function(self.program.function(entry), [])
         except ExitSignal as signal:
             return signal.code
         finally:
-            self._trace_on = False
-            self._flush_trace()
+            trace.flush()
+            trace.tracing = False
             sys.setrecursionlimit(old_limit)
         return int(result) if result is not None else 0
 
@@ -172,62 +168,25 @@ class Interpreter:
     def heap_alloc(self, size: int) -> int:
         return self._heap_alloc.allocate(max(1, size))
 
-    def lib_trace(self, records: Sequence[int]) -> None:
-        """Emit a builtin's records (flat ``[pc, addr, size, is_write]``
-        ints) as one run, flushing exactly where emitting them one at a
-        time would."""
-        if not self._trace_on:
-            return
-        self.stats.accesses += len(records) >> 2
-        if not self._sinks:
-            return
-        run = list(zip(records[0::4], records[1::4], records[2::4],
-                       map(bool, records[3::4])))
-        limit = self._block_size
-        cut = max(1, limit - len(self._acc_buf))
-        pos = 0
-        while len(run) - pos >= cut:
-            self._acc_buf.extend(run[pos:pos + cut])
-            self._flush_trace()
-            pos += cut
-            cut = limit
-        self._acc_buf.extend(run[pos:])
-
     # ------------------------------------------------------------------
     # Trace plumbing
     # ------------------------------------------------------------------
 
-    def _emit_access(self, pc: int, addr: int, size: int, is_write: bool) -> None:
-        self.stats.accesses += 1
-        if self._sinks:
-            self._acc_buf.append((pc, addr, size, is_write))
-            if len(self._acc_buf) >= self._block_size:
-                self._flush_trace()
+    def _emit_access(self, pc: int, addr: int, size: int, w: int) -> None:
+        trace = self._trace
+        acc = trace.acc
+        acc.extend((pc, addr, size, w))
+        if len(acc) >= trace.limit:
+            trace.flush()
 
     def _emit_checkpoint(self, checkpoint_id: int, kind_code: int) -> None:
-        if not self._trace_on:
-            return
-        self.stats.checkpoints += 1
-        if self._sinks:
-            self._cp_buf.append((len(self._acc_buf), checkpoint_id, kind_code))
-            # Access-free loops still produce checkpoints; bound that
-            # buffer too so blocks stay constant-size.
-            if len(self._cp_buf) >= self._block_size:
-                self._flush_trace()
-
-    def _flush_trace(self) -> None:
-        if not self._acc_buf and not self._cp_buf:
-            return
-        accesses, checkpoints = self._acc_buf, self._cp_buf
-        self._acc_buf, self._cp_buf = [], []
-        if self._col_sinks:
-            # Wrapping the tuple buffers is free; columnar sinks see the
-            # same ColumnBlock interface as on the bytecode engine.
-            block = ColumnBlock.from_tuples(accesses, checkpoints)
-            for sink in self._col_sinks:
-                sink.emit_columns(block)
-        for sink in self._tup_sinks:
-            sink.emit_block(accesses, checkpoints)
+        trace = self._trace
+        cps = trace.cps
+        cps.append((len(trace.acc) >> 2, checkpoint_id, kind_code))
+        # Access-free loops still produce checkpoints; bound that
+        # buffer too so blocks stay constant-size.
+        if len(cps) >= trace.block_size:
+            trace.flush()
 
     def _bump_steps(self, amount: int = 1) -> None:
         self.stats.steps += amount
@@ -241,7 +200,7 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _layout_globals(self) -> None:
-        """Allocate and initialize globals; runs with tracing off."""
+        """Allocate every global's storage."""
         for decl_stmt in self.program.globals:
             for decl in decl_stmt.decls:
                 symbol = decl.symbol
@@ -250,8 +209,14 @@ class Interpreter:
                     symbol.ctype.size, symbol.ctype.alignment
                 )
                 self._global_addrs[symbol] = addr
-        # Initializers run after all globals have addresses so that
-        # "char *p = q;" can reference a later-declared array.
+
+    def _run_initializers(self) -> None:
+        """Write the global initializers, in declaration order.
+
+        :meth:`run` calls this with tracing off, after every global has
+        its address (so ``char *p = q;`` can reference a later-declared
+        array).
+        """
         for decl_stmt in self.program.globals:
             for decl in decl_stmt.decls:
                 if decl.init is not None:
@@ -479,8 +444,7 @@ class Interpreter:
 
     def _load_mem(self, addr: int, ctype: CType, node: ast.Expr) -> object:
         value = self._load_raw(addr, ctype)
-        if self._trace_on:
-            self._emit_access(load_pc(node.node_id), addr, ctype.size, False)
+        self._emit_access(load_pc(node.node_id), addr, ctype.size, 0)
         return value
 
     def _load_raw(self, addr: int, ctype: CType) -> object:
@@ -496,9 +460,8 @@ class Interpreter:
     def _store_mem(self, addr: int, value: object, ctype: CType,
                    node: ast.Expr) -> None:
         self._store_raw(addr, value, ctype)
-        if self._trace_on:
-            self._emit_access(store_pc(node.node_id), addr & _ADDR_MASK,
-                              ctype.size, True)
+        self._emit_access(store_pc(node.node_id), addr & _ADDR_MASK,
+                          ctype.size, 1)
 
     def _store_raw(self, addr: int, value: object, ctype: CType) -> None:
         addr &= _ADDR_MASK

@@ -3,13 +3,15 @@ execution engines together.
 
 Two engines execute compiled programs:
 
-* ``"bytecode"`` (default) — the flat register-machine fast path of
-  :mod:`repro.sim.bytecode`;
+* ``"bytecode"`` (default) — the specialized fast path: bytecode lowered
+  by :mod:`repro.sim.bytecode`, fused and compiled to Python by
+  :mod:`repro.sim.specialize`;
 * ``"ast"`` — the reference tree-walking interpreter of
   :mod:`repro.sim.interpreter`.
 
-Both stream identical traces through the batched sink protocol; pick one
-with :class:`EngineConfig` (or the CLI's ``--engine`` flag).
+Both stream identical traces through the block sink protocol of
+:mod:`repro.sim.trace`; pick one with :class:`EngineConfig` (or the
+CLI's ``--engine`` flag).
 
 Typical use::
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.instrument.checkpoints import instrument
 from repro.lang import ast_nodes as ast
@@ -55,11 +57,10 @@ class EngineConfig:
     max_steps: int = 200_000_000
     max_call_depth: int = 512
     trace_block_size: int = DEFAULT_TRACE_BLOCK
-    #: Superinstruction fusion on the bytecode engine (the AST engine
-    #: ignores this; disable to time or debug the plain dispatch loop).
-    #: Fused programs run as one block-compiled specialization whose
-    #: memory accesses are fully checked (see :mod:`repro.sim.specialize`).
-    fusion: bool = True
+    #: Not a setting: the bytecode engine always runs fused code. The
+    #: benchmark's layer tracer (``perfbench/tracing.py::_exec_layer``)
+    #: is its only reader and sorts runs into tiers by it.
+    fusion: ClassVar[bool] = True
     #: Input ensemble consumed by the ``read_samples`` builtin.
     input: InputSpec = InputSpec()
     #: Run the structural IR verifier over the lowered and fused bytecode
@@ -194,7 +195,6 @@ def run_compiled(
             max_call_depth=config.max_call_depth,
             trace_block_size=config.trace_block_size,
             input_spec=config.input,
-            fusion=config.fusion,
         )
     exit_code = machine.run(entry)
     return RunResult(exit_code, machine.stdout, machine.stats, machine)

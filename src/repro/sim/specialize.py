@@ -1,14 +1,19 @@
 """Block compilation: fused bytecode → straight-line generated Python.
 
-The classic dispatch loop costs one full trip through the opcode ladder
-per instruction. This module removes the interpreter from the hot path
-entirely: each function of the *fused* program (:func:`~repro.sim.
-bytecode.fuse_program`) is translated once into Python source — one
+This is how the bytecode engine executes: no instruction is ever
+interpreted. Each function of the *fused* program (:func:`~repro.sim.
+bytecode.fuse_program`), and the lowered global initializers when they
+do more than return, is translated once into Python source — one
 module-level function per basic block, operating on a flat register list
 ``r`` — which CPython then executes natively. Memory accesses append
-``(pc, addr, size, w)`` directly to the VM's flat column buffer with a
-single bound-method call, so a fused load is one generated statement
-instead of two dispatched instructions.
+``(pc, addr, size, w)`` directly to the flat access buffer of the VM's
+:class:`~repro.sim.trace.TraceBuffer` with a single bound-method call,
+so a fused load is one generated statement.
+
+Generated code never reads the buffer's ``tracing`` flag: it appends
+accesses and checkpoints and calls ``_FLUSH()`` unconditionally, and a
+flush while tracing is off drops its records. That is how the global
+initializers run untraced on the same code paths as the program.
 
 Within a block, register slots live in Python locals (``t<slot>``): a
 write goes to the local, later reads come from it, and only slots that
@@ -23,13 +28,12 @@ Layout of the generated module (for function index ``f``):
 * ``_bk{f}_{j}(r)`` — basic block ``j``; returns the next block index,
   or ``-1`` to return from the function.
 * ``_BK{f}`` — the block table.
-* ``_fn{f}(*_a)`` — the driver: binds parameters exactly like
-  ``BytecodeVM._bind_frame`` (including silent truncation of missing
-  arguments), trampolines over the block table, and converts the return
-  value with the callee's void-ness, mirroring the dispatch loop's
-  ``OP_RET`` handling. Simulated calls compile to direct calls between
-  drivers; the simulated call-depth limit is enforced through a shared
-  depth cell.
+* ``_fn{f}(*_a)`` — the driver: converts and binds parameters (missing
+  arguments are silently dropped, as on the AST oracle), trampolines
+  over the block table, and converts the return value with the callee's
+  void-ness (a missing return yields 0, like C). Simulated calls compile
+  to direct calls between drivers; the simulated call-depth limit is
+  enforced through a shared depth cell.
 
 Every name starting with ``_`` but the block/driver definitions is bound
 per-VM by :meth:`Specialization.bind` before the module is exec'd, so
@@ -41,7 +45,7 @@ frame marker.
 
 Every memory access is fully checked: the page is looked up per access
 and a multi-byte access that would cross a 4 KiB page boundary takes the
-generic ``Memory`` path, exactly like the dispatch loop.
+generic ``Memory`` path the AST oracle uses for every access.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ from types import CodeType
 from typing import Any, Callable, Sequence
 
 from repro.lang.ctypes_ import FloatType, IntType, PointerType
+from repro.lang.errors import MiniCRuntimeError
+from repro.sim import builtins as libc
 from repro.sim import bytecode as bc
+from repro.sim.interpreter import ExecLimitExceeded
 
 #: One lowered/fused instruction: ``(op, *operands)``.
 _Ins = tuple[Any, ...]
@@ -167,6 +174,10 @@ class Specialization:
     #: MiniC function name → generated driver symbol (index-mangled, so
     #: simulated names that collide with Python keywords stay legal).
     drivers: dict[str, str]
+    #: Driver of the global initializers (the lowered, unfused
+    #: ``globals_init``); ``None`` when they are only the trailing
+    #: ``RET0``.
+    init_driver: str | None
     #: Most Python frames one simulated call can add to the stack: the
     #: callee's driver, the block function the trampoline entered, and
     #: one ``_rg`` function per loop region enclosing the call site.
@@ -177,6 +188,7 @@ class Specialization:
         """Exec the generated module against one VM's state; returns the
         module namespace (driver functions live under ``drivers``)."""
         memory = vm.memory
+        trace = vm._trace
         env: dict[str, Any] = {
             "_VM": vm,
             "_PG": memory._pages,
@@ -186,29 +198,29 @@ class Specialization:
             "_WI": memory.write_int,
             "_WF": memory.write_float,
             "_WB": memory.write_bytes,
-            "_AB": vm._acc_buf,
-            "_AX": vm._acc_buf.extend,
-            "_CPB": vm._cp_buf,
-            "_CPA": vm._cp_buf.append,
-            "_FLUSH": vm._flush_trace,
-            "_FL": vm._flat_limit,
-            "_BS": vm._block_size,
+            "_AB": trace.acc,
+            "_AX": trace.acc.extend,
+            "_CPB": trace.cps,
+            "_CPA": trace.cps.append,
+            "_FLUSH": trace.flush,
+            "_FL": trace.limit,
+            "_BS": trace.block_size,
             "_S": [0],
             "_D": [0],
             "_MAXS": vm._max_steps,
             "_MAXD": vm._max_call_depth,
             "_EMSG": (f"execution exceeded the budget of "
                       f"{vm._max_steps} steps"),
-            "_ELE": bc.ExecLimitExceeded,
-            "_RTE": bc.MiniCRuntimeError,
-            "_EXIT": bc.ExitSignal,
+            "_ELE": ExecLimitExceeded,
+            "_RTE": MiniCRuntimeError,
+            "_EXIT": libc.ExitSignal,
             "_ST": vm.stats,
             "_PUSH": vm._stack.push_frame,
             "_POP": vm._stack.pop_frame,
             "_SALLOC": vm._stack.allocate,
             "_GA": vm._global_addrs,
             "_ISTR": vm._intern_string,
-            "_CB": bc.libc.call_builtin,
+            "_CB": libc.call_builtin,
             "_CDIV": bc._c_div,
             "_PEND": vm._pending_body_ends_one,
             "_C": self.consts,
@@ -235,6 +247,11 @@ def _specialize(fbp: "bc.BytecodeProgram") -> Specialization:
     gen = _Codegen(fidx)
     for name, fn in fbp.functions.items():
         gen.emit_function(fidx[name], name, fn)
+    init = fbp.globals_init
+    init_driver: str | None = None
+    if len(init.code) > 1:  # more than the trailing RET0
+        gen.emit_function(len(fidx), init.name, init)
+        init_driver = f"_fn{len(fidx)}"
     source = "\n".join(gen.lines) + "\n"
     code = compile(source, "<specialized>", "exec")
     return Specialization(source=source, code=code,
@@ -242,6 +259,7 @@ def _specialize(fbp: "bc.BytecodeProgram") -> Specialization:
                           fmts=tuple(gen.fmts),
                           drivers={name: f"_fn{i}"
                                    for name, i in fidx.items()},
+                          init_driver=init_driver,
                           frames_per_call=gen.frames_per_call)
 
 
@@ -343,7 +361,7 @@ class _Codegen:
 
     def _rd_int(self, slot: int) -> str:
         """A read already known to be a Python int (skips the ``int()``
-        the dispatch loop applies unconditionally)."""
+        conversion otherwise applied)."""
         if slot in self._ints:
             return self._rd(slot)
         lit = self._lits.get(slot)
@@ -775,7 +793,7 @@ class _Codegen:
         if fn.params:
             w("    _n = len(_a)")
         for i, spec in enumerate(fn.params):
-            # Mirrors _bind_frame: zip() silently drops missing args.
+            # Missing arguments are dropped, like the AST oracle's zip().
             w(f"    if {i} < _n:")
             w(f"        v_ = _a[{i}]")
             if spec.conv == 1:
@@ -854,8 +872,7 @@ class _Codegen:
     def _wrap(self, value_expr: str, mask: int, maxv: int,
               dst: int) -> None:
         """IntType.wrap with the sign branch specialized away when the
-        type is unsigned (maxv < 0), exactly as the dispatch loop's
-        ``ins[maxv] >= 0 and value > maxv`` test behaves."""
+        type is unsigned (maxv < 0)."""
         key = (value_expr, mask, maxv, self._reads_key)
         if self._cse_hit(key, dst, (mask, maxv)):
             return
@@ -1109,7 +1126,7 @@ class _Codegen:
             return True
         elif op == B.OP_BR:
             # The comparison is never negated, so NaN operands take the
-            # cond-false arm exactly like the dispatch loop's ternary.
+            # cond-false arm exactly like the compare-and-jump it fuses.
             cond = (f"{self._rd(ins[2])} {_cmp_sym(ins[1])} "
                     f"{self._rd(ins[3])}")
             self._flush_steps()
@@ -1312,6 +1329,5 @@ class _Codegen:
         elif op == B.OP_GADDR:
             w(f"    {self._wr(ins[1], is_int=True)} = _GA[{ins[2]}]")
         else:
-            raise bc.MiniCRuntimeError(
-                f"specializer: unhandled opcode {op}")
+            raise MiniCRuntimeError(f"specializer: unhandled opcode {op}")
         return False

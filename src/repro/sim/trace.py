@@ -22,43 +22,29 @@ pcs are synthetic: user-code access sites get
 builtins get pcs at ``LIB_PC_BASE`` and above, which is how Table III's
 "system call" classification is reproduced.
 
-Batched protocol
-----------------
+Block protocol
+--------------
 
-The engines do not hand sinks one record object at a time. They append raw
-tuples to preallocated buffers and flush them in blocks through
-:meth:`TraceSink.emit_block`:
+The engines do not hand sinks one record object at a time. Both append
+raw ints to one shared :class:`TraceBuffer` and flush it in blocks to
+each sink's ``emit_columns(block)``:
 
-* accesses are ``(pc, addr, size, is_write)`` tuples;
-* checkpoints are ``(pos, checkpoint_id, kind_code)`` tuples, where ``pos``
-  is the index of the access *before which* the checkpoint fires (``pos ==
-  len(accesses)`` for checkpoints trailing the block) and ``kind_code`` is
+* accesses go into a single flat interleaved buffer
+  ``[pc0, addr0, size0, w0, pc1, ...]`` (``is_write`` encoded 0/1), one
+  C-level ``list.extend`` per access;
+* checkpoints are ``(pos, checkpoint_id, kind_code)`` tuples, where
+  ``pos`` is the index of the access *before which* the checkpoint fires
+  (``pos == n`` for checkpoints trailing the block) and ``kind_code`` is
   the compact :data:`KIND_TO_CODE` encoding.
 
-This keeps the hot path free of per-access object construction while
-preserving the exact interleaving of the two streams;
+Each flush hands every sink the same :class:`ColumnBlock`, which reshapes
+the flat buffer into parallel ``int64`` columns (pc, addr, size,
+is_write) without per-access Python work and keeps the checkpoint
+tuples. This keeps the hot path free of per-access object construction
+while preserving the exact interleaving of the two streams;
 :func:`expand_block` recovers the classic record sequence when needed.
 The per-record :meth:`TraceSink.emit` entry point remains for replaying
-stored text traces (:func:`parse_trace`).
-
-Columnar protocol
------------------
-
-On top of the tuple blocks sits the *columnar* fast path: engines build
-one :class:`ColumnBlock` per flush — a struct of parallel ``int64``
-columns (pc, addr, size, is_write) plus the checkpoint tuples — and hand
-it to any sink exposing ``emit_columns(block)``. Sinks without that
-method keep receiving the legacy ``emit_block`` tuples, decoded once per
-flush from the same block (:meth:`ColumnBlock.to_tuples`), so existing
-third-party sinks work unchanged. :func:`split_sinks` is the capability
-probe the engines use.
-
-The bytecode VM fills blocks as a single flat interleaved buffer
-``[pc0, addr0, size0, w0, pc1, ...]`` (``is_write`` encoded 0/1) — one
-C-level ``list.extend`` per access — which a block reshapes into columns
-without per-access Python work; the tree-walking oracle keeps its tuple
-buffers and wraps them via :meth:`ColumnBlock.from_tuples`, making the
-legacy decode free on that engine.
+stored text traces (:func:`parse_trace`) and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -66,14 +52,18 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Iterator, Protocol, Union
+from typing import (IO, TYPE_CHECKING, Any, Iterable, Iterator, Protocol,
+                    Sequence, Union)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.interpreter import RunStats
 
 #: Base pc for user-code memory access sites.
 USER_PC_BASE = 0x400000
 #: Base pc for library-builtin memory access sites.
 LIB_PC_BASE = 0x500000
 
-#: Number of access tuples an engine buffers before flushing a block.
+#: Number of accesses an engine buffers before flushing a block.
 DEFAULT_TRACE_BLOCK = 4096
 
 
@@ -220,11 +210,10 @@ class CheckpointMap:
         return {info.loop_node_id for info in self.infos.values()}
 
 
-#: Raw batched event tuples (see the module docstring).
-AccessTuple = tuple[int, int, int, bool]
+#: A checkpoint event in a block (see the module docstring).
 CheckpointTuple = tuple[int, int, int]
 #: The four parallel access columns (pcs, addrs, sizes, writes) as plain
-#: lists; ``writes`` carries 0/1 ints (or legacy bools) per access.
+#: lists; ``writes`` carries 0/1 ints per access.
 _Columns = tuple[list[int], list[int], list[int], list[int]]
 
 
@@ -233,27 +222,20 @@ class ColumnBlock:
 
     Access data lives in four parallel ``int64`` columns (``pc``,
     ``addr``, ``size``, ``is_write`` — the latter 0/1); checkpoints stay
-    the small ``(pos, checkpoint_id, kind_code)`` tuple list of the
-    legacy protocol (``pos`` indexes into the columns exactly as it
-    indexed the tuple list). Column arrays, plain-list views and the
-    legacy tuple decode are all built lazily and memoized, so a flush
-    serving several sinks pays each conversion at most once.
+    the small ``(pos, checkpoint_id, kind_code)`` tuple list (``pos``
+    indexes into the columns). Column arrays and plain-list views are
+    built lazily and memoized, so a flush serving several sinks pays
+    each conversion at most once.
     """
 
-    __slots__ = ("n", "checkpoints", "_flat", "_tuples", "_arr", "_lists")
+    __slots__ = ("n", "checkpoints", "_flat", "_arr", "_lists")
 
-    def __init__(self, flat: list[int] | None,
-                 checkpoints: list[CheckpointTuple],
-                 tuples: list[AccessTuple] | None = None) -> None:
+    def __init__(self, flat: list[int],
+                 checkpoints: list[CheckpointTuple]) -> None:
         self._flat = flat
-        self._tuples = tuples
         self.checkpoints: list[CheckpointTuple] = checkpoints
-        if flat is not None:
-            #: Number of accesses in the block.
-            self.n = len(flat) >> 2
-        else:
-            assert tuples is not None
-            self.n = len(tuples)
+        #: Number of accesses in the block.
+        self.n = len(flat) >> 2
         self._arr: Any = None
         self._lists: _Columns | None = None
 
@@ -263,12 +245,6 @@ class ColumnBlock:
         """Snapshot an engine's flat interleaved buffer (copies both, so
         the engine may clear its buffers in place afterwards)."""
         return cls(list(flat), list(checkpoints))
-
-    @classmethod
-    def from_tuples(cls, accesses: list[AccessTuple],
-                    checkpoints: list[CheckpointTuple]) -> "ColumnBlock":
-        """Wrap legacy tuple buffers (takes ownership; no copy)."""
-        return cls(None, checkpoints, accesses)
 
     def __len__(self) -> int:
         return self.n
@@ -283,13 +259,8 @@ class ColumnBlock:
             # never simulate (``--help``, warm store reads) never pay for it.
             import numpy as np
 
-            if self._flat is not None:
-                arr = np.fromiter(self._flat, dtype=np.int64,
-                                  count=len(self._flat)).reshape(-1, 4)
-            elif self._tuples:
-                arr = np.array(self._tuples, dtype=np.int64)
-            else:
-                arr = np.empty((0, 4), dtype=np.int64)
+            arr = np.fromiter(self._flat, dtype=np.int64,
+                              count=len(self._flat)).reshape(-1, 4)
             self._arr = arr
         return arr
 
@@ -312,90 +283,116 @@ class ColumnBlock:
     def lists(self) -> _Columns:
         """``(pcs, addrs, sizes, writes)`` as plain Python lists.
 
-        Values are native ints (``writes`` may be legacy bools when the
-        block came from a tuple engine) — safe to stash in long-lived
-        sets/dicts without pinning numpy scalars.
+        Values are native ints — safe to stash in long-lived sets/dicts
+        without pinning numpy scalars.
         """
         lists = self._lists
         if lists is None:
             flat = self._flat
-            if flat is not None:
-                lists = (flat[0::4], flat[1::4], flat[2::4], flat[3::4])
-            elif self._tuples:
-                pcs, addrs, sizes, writes = zip(*self._tuples)
-                lists = (list(pcs), list(addrs), list(sizes), list(writes))
-            else:
-                lists = ([], [], [], [])
+            lists = (flat[0::4], flat[1::4], flat[2::4], flat[3::4])
             self._lists = lists
         return lists
-
-    # -- legacy decode ----------------------------------------------------
-
-    def to_tuples(self) -> tuple[list[AccessTuple], list[CheckpointTuple]]:
-        """Decode to the legacy ``(accesses, checkpoints)`` block form.
-
-        ``is_write`` is decoded to real bools so legacy sinks observe
-        records identical to the tuple engines'. Memoized; blocks built
-        by :meth:`from_tuples` return their original buffers unchanged.
-        """
-        tuples = self._tuples
-        if tuples is None:
-            pcs, addrs, sizes, writes = self.lists()
-            tuples = list(zip(pcs, addrs, sizes, map(bool, writes)))
-            self._tuples = tuples
-        return tuples, self.checkpoints
 
 
 class TraceSink(Protocol):
     """Anything that can consume trace records as they are produced.
 
-    Engines talk to sinks through :meth:`emit_block` — or, when a sink
-    exposes the optional columnar fast path ``emit_columns(block)``,
-    through that instead (see :func:`split_sinks`); the per-record
-    :meth:`emit` entry point exists for replaying stored traces and for
-    tests. A sink needs only one of the two block entry points: engines
-    decode blocks to legacy tuples for sinks without ``emit_columns``.
+    Engines hand sinks one :class:`ColumnBlock` per flush through
+    :meth:`emit_columns`; the per-record :meth:`emit` entry point exists
+    for replaying stored traces and for tests.
     """
 
     def emit(self, record: TraceRecord) -> None: ...
 
-    def emit_block(
-        self,
-        accesses: list[AccessTuple],
-        checkpoints: list[CheckpointTuple],
-    ) -> None: ...
+    def emit_columns(self, block: ColumnBlock) -> None: ...
 
 
-def split_sinks(
-    sinks: Iterable[TraceSink],
-) -> tuple[tuple[TraceSink, ...], tuple[TraceSink, ...]]:
-    """Partition sinks into ``(columnar, legacy)`` by capability.
+class TraceBuffer:
+    """The trace buffer and flush both engines share.
 
-    A sink taking the columnar fast path exposes a callable
-    ``emit_columns``; everything else stays on the tuple protocol.
+    ``acc`` is the flat interleaved access buffer and ``cps`` the
+    checkpoint tuple list (see the module docstring). Engines append to
+    both directly and call :meth:`flush` once ``len(acc) >= limit`` or
+    ``len(cps) >= block_size``. Both lists are cleared in place, so the
+    bound ``extend``/``append`` methods engines cache stay valid.
+
+    Appending never reads :attr:`tracing`: a flush while tracing is off
+    discards its records (no sink call, no stats). Engines therefore run
+    global initializers through the same code as the program, drop their
+    traffic with one flush before switching tracing on, and must flush
+    the last block *before* switching it off.
     """
-    columnar, legacy = [], []
-    for sink in sinks:
-        if callable(getattr(sink, "emit_columns", None)):
-            columnar.append(sink)
-        else:
-            legacy.append(sink)
-    return tuple(columnar), tuple(legacy)
+
+    __slots__ = ("acc", "cps", "block_size", "limit", "tracing", "_sinks",
+                 "_stats")
+
+    def __init__(self, sinks: Iterable[TraceSink], block_size: int,
+                 stats: "RunStats") -> None:
+        self._sinks = tuple(sinks)
+        for sink in self._sinks:
+            if not callable(getattr(sink, "emit_columns", None)):
+                raise TypeError(
+                    f"trace sink {type(sink).__name__} has no "
+                    f"emit_columns(block) method")
+        self._stats = stats
+        self.block_size = max(1, block_size)
+        #: Flush threshold of the flat buffer (4 ints per access).
+        self.limit = 4 * self.block_size
+        self.acc: list[int] = []
+        self.cps: list[CheckpointTuple] = []
+        self.tracing = False
+
+    def flush(self) -> None:
+        """Hand the buffered block to every sink (or drop it while
+        tracing is off) and clear the buffers."""
+        acc, cps = self.acc, self.cps
+        if not acc and not cps:
+            return
+        if self.tracing:
+            self._stats.accesses += len(acc) >> 2
+            self._stats.checkpoints += len(cps)
+            if self._sinks:
+                block = ColumnBlock.from_flat(acc, cps)
+                for sink in self._sinks:
+                    sink.emit_columns(block)
+        del acc[:]
+        del cps[:]
+
+    def lib_trace(self, records: Sequence[int]) -> None:
+        """Append a builtin's records (flat ``[pc, addr, size, is_write]``
+        ints) as one run, flushing exactly where appending them one at a
+        time would: whenever an append brings the buffer to the limit.
+        The specialized code checks the limit once per chain, so the
+        buffer may already be past it; the first record then flushes."""
+        if not self.tracing:
+            return
+        acc = self.acc
+        limit = self.limit
+        if len(acc) + len(records) < limit:
+            acc.extend(records)
+            return
+        cut = max(4, limit - len(acc))
+        pos = 0
+        while len(records) - pos >= cut:
+            acc.extend(records[pos:pos + cut])
+            self.flush()
+            pos += cut
+            cut = limit
+        acc.extend(records[pos:])
 
 
-def expand_block(
-    accesses: list[AccessTuple],
-    checkpoints: list[CheckpointTuple],
-) -> Iterator[TraceRecord]:
-    """Interleave one batched block back into classic record objects."""
+def expand_block(block: ColumnBlock) -> Iterator[TraceRecord]:
+    """Interleave one block back into classic record objects."""
+    checkpoints = block.checkpoints
+    pcs, addrs, sizes, writes = block.lists()
     ci = 0
     ncp = len(checkpoints)
-    for i, (pc, addr, size, is_write) in enumerate(accesses):
+    for i, (pc, addr, size, w) in enumerate(zip(pcs, addrs, sizes, writes)):
         while ci < ncp and checkpoints[ci][0] <= i:
             _, checkpoint_id, code = checkpoints[ci]
             ci += 1
             yield Checkpoint(checkpoint_id, CODE_TO_KIND[code])
-        yield Access(pc, addr, size, is_write)
+        yield Access(pc, addr, size, bool(w))
     while ci < ncp:
         _, checkpoint_id, code = checkpoints[ci]
         ci += 1
@@ -411,15 +408,8 @@ class TraceCollector:
     def emit(self, record: TraceRecord) -> None:
         self.records.append(record)
 
-    def emit_block(
-        self,
-        accesses: list[AccessTuple],
-        checkpoints: list[CheckpointTuple],
-    ) -> None:
-        self.records.extend(expand_block(accesses, checkpoints))
-
     def emit_columns(self, block: ColumnBlock) -> None:
-        self.records.extend(expand_block(*block.to_tuples()))
+        self.records.extend(expand_block(block))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -447,27 +437,22 @@ class TraceWriter:
             kind = "wr" if record.is_write else "rd"
             self._stream.write(f"Instr: {record.pc:x} addr: {record.addr:x} {kind}\n")
 
-    def emit_block(
-        self,
-        accesses: list[AccessTuple],
-        checkpoints: list[CheckpointTuple],
-    ) -> None:
-        # Text lines are written straight from the raw tuples; no record
+    def emit_columns(self, block: ColumnBlock) -> None:
+        # Text lines are written straight from the columns; no record
         # objects are constructed on the flush path.
         write = self._stream.write
+        checkpoints = block.checkpoints
+        pcs, addrs, _sizes, writes = block.lists()
         ci = 0
         ncp = len(checkpoints)
-        for i, (pc, addr, size, is_write) in enumerate(accesses):
+        for i, (pc, addr, w) in enumerate(zip(pcs, addrs, writes)):
             while ci < ncp and checkpoints[ci][0] <= i:
                 write(f"Checkpoint: {checkpoints[ci][1]}\n")
                 ci += 1
-            write(f"Instr: {pc:x} addr: {addr:x} {'wr' if is_write else 'rd'}\n")
+            write(f"Instr: {pc:x} addr: {addr:x} {'wr' if w else 'rd'}\n")
         while ci < ncp:
             write(f"Checkpoint: {checkpoints[ci][1]}\n")
             ci += 1
-
-    def emit_columns(self, block: ColumnBlock) -> None:
-        self.emit_block(*block.to_tuples())
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:

@@ -16,7 +16,7 @@ checks the bytecode *structurally*, per function:
   means the lowering lost an initialization, which trace parity can
   miss);
 * slot domains are consistent: a slot that definitely holds a float
-  must never flow into an operand position the dispatch loop masks
+  must never flow into an operand position the specialized code masks
   *without* an ``int()`` conversion (integer arithmetic operands,
   pointer bases, access addresses) — there the raw ``&`` would raise at
   runtime on exotic paths only;
@@ -240,10 +240,10 @@ _FLOAT_WRITERS = frozenset((
     bc.OP_STORE_F, bc.OP_STELEM_F,
 ))
 
-#: Operand positions per opcode where the dispatch loop applies a raw
+#: Operand positions per opcode where the specialized code applies a raw
 #: ``&`` (or page arithmetic) with no ``int()`` conversion: a definitely
 #: float-valued slot there is a latent TypeError. Positions mirror the
-#: handlers in :meth:`BytecodeVM._execute` and the specializer templates.
+#: specializer's instruction templates.
 _RAW_MASK_POSITIONS: dict[int, tuple[int, ...]] = {
     bc.OP_ADD_I: (2, 3), bc.OP_SUB_I: (2, 3), bc.OP_MUL_I: (2, 3),
     bc.OP_ADDK_I: (2,), bc.OP_NEG_I: (2,),

@@ -10,7 +10,7 @@ from repro.cachesim.sink import (
 )
 from repro.pipeline import extract_foray_model
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
-from repro.sim.trace import TraceCollector
+from repro.sim.trace import ColumnBlock, TraceCollector
 from repro.spm.allocator import allocate_graph
 from repro.spm.graph import ReuseGraph, reference_interval
 from repro.workloads.registry import MIBENCH_WORKLOADS
@@ -155,6 +155,6 @@ class TestSpmBypass:
     def test_interval_membership_is_half_open(self):
         sink = CacheSink(CacheHierarchy(CacheConfig()),
                          ((100, 200),))
-        sink.emit_block([(0, 99, 4, False), (0, 100, 4, False),
-                         (0, 199, 4, False), (0, 200, 4, False)], [])
+        sink.emit_columns(ColumnBlock.from_flat(
+            [0, 99, 4, 0, 0, 100, 4, 0, 0, 199, 4, 0, 0, 200, 4, 0], []))
         assert (sink.spm_reads, sink.reads) == (2, 2)

@@ -253,14 +253,12 @@ BULK_CALL = libc.call_builtin
 
 
 def _ref_trace(machine, pc, addr, size, is_write):
-    """Append one record the way the engines appended a single access."""
-    if isinstance(machine, Interpreter):
-        if machine._trace_on:
-            machine._emit_access(pc, addr, size, is_write)
-    elif machine._tracing:
-        machine._acc_buf.extend((pc, addr, size, 1 if is_write else 0))
-        if len(machine._acc_buf) >= machine._flat_limit:
-            machine._flush_trace()
+    """Append one record the way the engines append a single access."""
+    trace = machine._trace
+    if trace.tracing:
+        trace.acc.extend((pc, addr, size, 1 if is_write else 0))
+        if len(trace.acc) >= trace.limit:
+            trace.flush()
 
 
 def ref_lib_load(machine, name, addr, size):
@@ -424,8 +422,8 @@ class _BlockRecorder:
     def __init__(self):
         self.blocks = []
 
-    def emit_block(self, accesses, checkpoints):
-        self.blocks.append((list(accesses), list(checkpoints)))
+    def emit_columns(self, block):
+        self.blocks.append((block.lists(), list(block.checkpoints)))
 
 
 def _make_machine(compiled, config, block, sinks):
@@ -433,7 +431,7 @@ def _make_machine(compiled, config, block, sinks):
         return Interpreter(compiled.program, sinks=sinks,
                            trace_block_size=block)
     return BytecodeVM(lower_compiled(compiled), sinks=sinks,
-                      trace_block_size=block, fusion=config.fusion)
+                      trace_block_size=block)
 
 
 #: String length limit while comparing with the reference, short enough
@@ -614,7 +612,7 @@ def test_past_limit_program_reaches_a_builtin_past_the_limit():
     seen = []
 
     def spy(machine, name, args):
-        seen.append(len(machine._acc_buf) >= machine._flat_limit)
+        seen.append(len(machine._trace.acc) >= machine._trace.limit)
         return BULK_CALL(machine, name, args)
 
     observe(_compiled("past_limit"), TIERS["specialized"], 7,

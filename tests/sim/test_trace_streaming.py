@@ -1,9 +1,12 @@
-"""Tests for the batched trace protocol and the streaming trace parser."""
+"""Tests for the block trace protocol and the streaming trace parser."""
 
 import io
 
 import pytest
 
+from repro.sim.bytecode import BytecodeVM
+from repro.sim.interpreter import Interpreter
+from repro.sim.machine import compile_program, lower_compiled
 from repro.sim.trace import (
     BODY_BEGIN_CODE,
     BODY_END_CODE,
@@ -15,6 +18,7 @@ from repro.sim.trace import (
     CheckpointInfo,
     CheckpointKind,
     CheckpointMap,
+    ColumnBlock,
     TraceCollector,
     TraceWriter,
     expand_block,
@@ -31,15 +35,20 @@ def small_map():
     return cmap
 
 
-BLOCK_ACCESSES = [
-    (0x400100, 0x10000000, 4, False),
-    (0x400204, 0x10000004, 4, True),
+#: Two accesses as ``[pc, addr, size, is_write]`` flat ints.
+BLOCK_FLAT = [
+    0x400100, 0x10000000, 4, 0,
+    0x400204, 0x10000004, 4, 1,
 ]
 BLOCK_CHECKPOINTS = [
     (0, 10, LOOP_BEGIN_CODE),
     (0, 11, BODY_BEGIN_CODE),
     (2, 12, BODY_END_CODE),  # trails every access of the block
 ]
+
+
+def make_block():
+    return ColumnBlock.from_flat(BLOCK_FLAT, BLOCK_CHECKPOINTS)
 
 
 class TestKindCodes:
@@ -50,7 +59,7 @@ class TestKindCodes:
 
 class TestBlockExpansion:
     def test_interleaving_preserved(self):
-        records = list(expand_block(BLOCK_ACCESSES, BLOCK_CHECKPOINTS))
+        records = list(expand_block(make_block()))
         assert [type(r).__name__ for r in records] == [
             "Checkpoint", "Checkpoint", "Access", "Access", "Checkpoint",
         ]
@@ -58,25 +67,45 @@ class TestBlockExpansion:
         assert records[2] == Access(0x400100, 0x10000000, 4, False)
         assert records[4] == Checkpoint(12, CheckpointKind.BODY_END)
 
-    def test_collector_emit_block(self):
+    def test_collector_emit_columns(self):
         collector = TraceCollector()
-        collector.emit_block(BLOCK_ACCESSES, BLOCK_CHECKPOINTS)
+        collector.emit_columns(make_block())
         assert len(collector) == 5
         assert len(collector.accesses()) == 2
         assert len(collector.checkpoints()) == 3
 
-    def test_writer_emit_block_matches_per_record_output(self):
+    def test_writer_emit_columns_matches_record_output(self):
         blocked, classic = io.StringIO(), io.StringIO()
-        TraceWriter(blocked).emit_block(BLOCK_ACCESSES, BLOCK_CHECKPOINTS)
+        TraceWriter(blocked).emit_columns(make_block())
         writer = TraceWriter(classic)
-        for record in expand_block(BLOCK_ACCESSES, BLOCK_CHECKPOINTS):
+        for record in expand_block(make_block()):
             writer.emit(record)
         assert blocked.getvalue() == classic.getvalue()
 
     def test_checkpoint_only_block(self):
         collector = TraceCollector()
-        collector.emit_block([], [(0, 10, LOOP_BEGIN_CODE)])
+        collector.emit_columns(
+            ColumnBlock.from_flat([], [(0, 10, LOOP_BEGIN_CODE)]))
         assert len(collector.checkpoints()) == 1
+
+
+class _RecordOnlySink:
+    """Has the per-record ``emit`` but not the engines' ``emit_columns``."""
+
+    def emit(self, record):  # pragma: no cover - never called
+        pass
+
+
+class TestSinkProtocol:
+    @pytest.mark.parametrize("engine", ("ast", "bytecode"))
+    def test_engine_rejects_sink_without_emit_columns(self, engine):
+        compiled = compile_program("int main(void) { return 0; }")
+        sinks = (TraceCollector(), _RecordOnlySink())
+        with pytest.raises(TypeError, match="_RecordOnlySink"):
+            if engine == "ast":
+                Interpreter(compiled.program, sinks=sinks)
+            else:
+                BytecodeVM(lower_compiled(compiled), sinks=sinks)
 
 
 class TestStreamingParse:
@@ -109,7 +138,7 @@ class TestStreamingParse:
         assert from_text == from_stream
 
     def test_roundtrip_through_writer(self):
-        records = list(expand_block(BLOCK_ACCESSES, BLOCK_CHECKPOINTS))
+        records = list(expand_block(make_block()))
         parsed = list(parse_trace(format_trace(records), small_map()))
         assert [type(r) for r in parsed] == [type(r) for r in records]
 

@@ -59,8 +59,8 @@ class GlobalRangeCounter:
     def __init__(self):
         self.count = 0
 
-    def emit_block(self, accesses, checkpoints):
-        for _pc, addr, _size, _is_write in accesses:
+    def emit_columns(self, block):
+        for addr in block.lists()[1]:
             if GLOBAL_BASE <= addr < HEAP_BASE:
                 self.count += 1
 

@@ -9,11 +9,11 @@ paper figure examples) both engines must produce
 * identical extracted :class:`ForayModel`s (and identical emitted model
   text, which is what the paper tables are computed from).
 
-A hypothesis property extends the check to generated loop nests. The
-three execution tiers — the specialized fast path, the unfused dispatch
-loop and the AST oracle — are also held to each other on selected
-programs, on a cross-page store stress and at the call-depth boundary,
-where a failing run must fail the same way on every tier.
+A hypothesis property extends the check to generated loop nests. The two
+execution tiers — the specialized fast path and the AST oracle — are
+also held to each other on selected programs, on a cross-page store
+stress, at the call-depth boundary and on global initializers, where a
+failing run must fail the same way on every tier.
 """
 
 from hypothesis import given, settings
@@ -25,6 +25,9 @@ from repro.foray.extractor import ForayExtractor
 from repro.foray.emitter import emit_model
 from repro.foray.filters import FilterConfig
 from repro.gen.fuzz import PARITY_CONFIGS
+from repro.lang.errors import MiniCRuntimeError
+from repro.sim.bytecode import BytecodeVM
+from repro.sim.interpreter import Interpreter
 from repro.sim.machine import (
     EngineConfig,
     compile_program,
@@ -32,8 +35,8 @@ from repro.sim.machine import (
     run_compiled,
 )
 from repro.sim.specialize import get_specialization
-from repro.sim.trace import TraceCollector, format_trace
-from repro.workloads.registry import ALL_WORKLOADS, MIBENCH_WORKLOADS
+from repro.sim.trace import DEFAULT_TRACE_BLOCK, TraceCollector, format_trace
+from repro.workloads.registry import ALL_WORKLOADS
 
 RELAXED = FilterConfig(nexec=1, nloc=1)
 
@@ -121,62 +124,6 @@ def test_generated_nest_parity(stride, offset, trips, use_pointer):
     assert bc_model == ast_model
 
 
-class _LegacyOnlyCollector:
-    """A TraceCollector stripped of ``emit_columns``: forces the engine's
-    tuple-decode path so the columnar protocol can be diffed against it."""
-
-    def __init__(self) -> None:
-        self._inner = TraceCollector()
-
-    @property
-    def records(self):
-        return self._inner.records
-
-    def emit(self, record) -> None:
-        self._inner.emit(record)
-
-    def emit_block(self, accesses, checkpoints) -> None:
-        self._inner.emit_block(accesses, checkpoints)
-
-
-@pytest.mark.parametrize("engine", ("ast", "bytecode"))
-@pytest.mark.parametrize("name", sorted(MIBENCH_WORKLOADS))
-def test_columnar_decode_parity(name, engine):
-    """``emit_columns`` blocks, decoded, must equal the legacy tuple stream
-    bit-for-bit — checked by feeding one run to both sink flavours."""
-    workload = MIBENCH_WORKLOADS[name]
-    compiled = compile_program(workload.source)
-    columnar = TraceCollector()
-    legacy = _LegacyOnlyCollector()
-    result = run_compiled(compiled, sinks=(columnar, legacy),
-                          config=EngineConfig(engine=engine))
-    assert result.exit_code == 0
-    assert len(columnar.records) == len(legacy.records)
-    assert columnar.records == legacy.records
-
-
-@pytest.mark.parametrize("name", sorted(MIBENCH_WORKLOADS))
-def test_fused_unfused_identity(name):
-    """Superinstruction fusion must not change anything observable: trace,
-    stats, stdout and exit code are identical with fusion on and off."""
-    workload = MIBENCH_WORKLOADS[name]
-    runs = {}
-    for fusion in (True, False):
-        compiled = compile_program(workload.source)
-        collector = TraceCollector()
-        result = run_compiled(
-            compiled, sinks=(collector,),
-            config=EngineConfig(engine="bytecode", fusion=fusion),
-        )
-        runs[fusion] = (result, collector)
-    fused_result, fused_trace = runs[True]
-    plain_result, plain_trace = runs[False]
-    assert fused_result.exit_code == plain_result.exit_code
-    assert fused_result.stdout == plain_result.stdout
-    assert fused_result.stats == plain_result.stats
-    assert fused_trace.records == plain_trace.records
-
-
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_validation_report_parity(name, suite_reports):
     """Both engines must produce identical cross-input validation reports
@@ -205,11 +152,11 @@ def test_validation_report_parity(name, suite_reports):
 
 
 #: The execution tiers whose observable behaviour must be identical
-#: (the fuzz battery's parity check runs the same three).
+#: (the fuzz battery's parity check runs the same two).
 TIERS = dict(PARITY_CONFIGS)
 
 
-def assert_three_way_parity(source: str) -> None:
+def assert_tier_parity(source: str) -> None:
     """Exit code, stdout, step/call counts and the formatted trace agree
     on every tier (each run compiles the source afresh)."""
     observed = {}
@@ -225,14 +172,14 @@ def assert_three_way_parity(source: str) -> None:
 
 
 @pytest.mark.parametrize("name", ["adpcm", "mpeg2", "fig1a", "fig9"])
-def test_three_way_parity(name):
-    assert_three_way_parity(ALL_WORKLOADS[name].source)
+def test_tier_parity(name):
+    assert_tier_parity(ALL_WORKLOADS[name].source)
 
 
 def test_cross_page_access_parity():
     # Pointer-cast int stores straddling the 4 KiB page boundary: the
-    # specialized code's generic crossing path must match the others.
-    assert_three_way_parity("""
+    # specialized code's generic crossing path must match the oracle.
+    assert_tier_parity("""
     char buf[8192];
     int main(void) {
         int i;
@@ -296,3 +243,118 @@ def test_call_depth_headroom_counts_caller_frames():
 def test_specialization_cached_per_program():
     program = lower_compiled(compile_program(_recursion_source(3, 4)))
     assert get_specialization(program) is get_specialization(program)
+
+
+#: Global initializers that call into the program, allocate, fault, run
+#: out of budget, recurse deep and exit, with the exit code (or fault
+#: class and message) the AST oracle gives and the number of traced
+#: accesses: ``main``'s load of ``g`` when ``main`` runs, else none. So
+#: every tier flushes the same blocks at any block size, and the
+#: initializers' own traffic must reach no sink and no stats.
+INITIALIZER_PROGRAMS = {
+    "user_call_loop": ("""
+    int sum(int n) { int i, s = 0; for (i = 0; i < n; i++) s += i * i;
+                     return s; }
+    int g = sum(40);
+    int main(void) { return g & 255; }
+    """, 60, 1),
+    "malloc_string": ("""
+    char *p = (char *)malloc(16);
+    char *s = "initial";
+    int mix(void) { p[3] = s[1]; return (int)p * 3 + (int)s + p[3]; }
+    int g = mix();
+    int main(void) { return g & 255; }
+    """, 122, 1),
+    # 300 stores, a memset and 300 loads: past the flush limit at block
+    # sizes 1 and 7, so blocks flush while tracing is still off.
+    "fill_memset": ("""
+    int buf[300];
+    int fill(void) {
+        int i, s = 0;
+        for (i = 0; i < 300; i++) buf[i] = i;
+        memset(buf, 1, 400);
+        for (i = 0; i < 300; i++) s += buf[i];
+        return s;
+    }
+    int g = fill();
+    int main(void) { return g & 255; }
+    """, 64, 1),
+    "divide_by_zero": ("""
+    int zero;
+    int g = 10 / zero;
+    int main(void) { return g; }
+    """, ("MiniCRuntimeError", "<minic>:3:16: integer division by zero"), 0),
+    "step_budget": ("""
+    int spin(void) { int i, s = 0; for (i = 0; i < 10000; i++) s += i;
+                     return s; }
+    int g = spin();
+    int main(void) { return g & 255; }
+    """, ("ExecLimitExceeded",
+          "<minic>:0:0: execution exceeded the budget of 5000 steps"), 0),
+    "recursion_400": ("""
+    int r(int n) { if (n == 0) return 0; return r(n - 1) + 1; }
+    int g = r(400);
+    int main(void) { return g & 255; }
+    """, 144, 1),
+    "recursion_600": ("""
+    int r(int n) { if (n == 0) return 0; return r(n - 1) + 1; }
+    int g = r(600);
+    int main(void) { return g & 255; }
+    """, ("MiniCRuntimeError", "<minic>:0:0: call depth exceeded in 'r'"),
+        0),
+    "exit": ("""
+    int bye(void) {
+        int i;
+        for (i = 0; i < 3; i++) { printf("%d", i); if (i == 1) exit(9); }
+        return 0;
+    }
+    int g = bye();
+    int main(void) { return g; }
+    """, 9, 0),
+}
+
+
+class _BlockRecorder:
+    """Keeps every flushed block, so flush points are compared too."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def emit_columns(self, block):
+        self.blocks.append((block.lists(), list(block.checkpoints)))
+
+
+def _observe_run(source: str, tier: str, block: int) -> dict:
+    """Everything a run shows: exit code or fault, stdout, stats and the
+    flushed blocks (the engine is built directly so that its stats stay
+    readable after a fault)."""
+    compiled = compile_program(source)
+    recorder = _BlockRecorder()
+    options = dict(sinks=(recorder,), max_steps=5000,
+                   trace_block_size=block)
+    if TIERS[tier].engine == "ast":
+        machine = Interpreter(compiled.program, **options)
+    else:
+        machine = BytecodeVM(lower_compiled(compiled), **options)
+    outcome: object
+    try:
+        outcome = machine.run()
+    except MiniCRuntimeError as error:
+        outcome = (type(error).__name__, str(error))
+    return {"outcome": outcome, "stdout": machine.stdout,
+            "stats": machine.stats, "blocks": recorder.blocks}
+
+
+@pytest.mark.parametrize("block", (1, 7, DEFAULT_TRACE_BLOCK))
+@pytest.mark.parametrize("name", sorted(INITIALIZER_PROGRAMS))
+def test_global_initializer_parity(name, block):
+    source, expected, traced = INITIALIZER_PROGRAMS[name]
+    observed = {tier: _observe_run(source, tier, block) for tier in TIERS}
+    oracle = observed["ast"]
+    assert oracle["outcome"] == expected
+    for tier, seen in observed.items():
+        assert seen == oracle, f"{tier} vs ast"
+    assert oracle["stats"].accesses == traced
+    assert oracle["stats"].checkpoints == 0
+    assert sum(len(pcs) for (pcs, *_rest), _cps in oracle["blocks"]) == \
+        traced

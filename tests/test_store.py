@@ -277,35 +277,29 @@ class TestTieredPipeline:
 
 
 class TestTraceProtocolKeying:
-    """Fusion and trace-block settings are part of the producing engine's
-    identity: artifacts warmed under one protocol must never be served to
-    a run configured for another."""
+    """The trace-block size is part of the producing engine's identity:
+    artifacts warmed at one block size must never be served to a run
+    configured for another."""
 
-    def test_extraction_key_covers_fusion_and_trace_block(self):
+    def test_extraction_key_covers_trace_block(self):
         from repro.pipeline import _extraction_key
 
         base = PipelineConfig()
         assert _extraction_key(SOURCE, base) == \
             _extraction_key(SOURCE, PipelineConfig())
         assert _extraction_key(SOURCE, base) != \
-            _extraction_key(SOURCE, PipelineConfig(fusion=False))
-        assert _extraction_key(SOURCE, base) != \
-            _extraction_key(SOURCE, PipelineConfig(trace_block=1024))
-        assert _extraction_key(SOURCE, PipelineConfig(fusion=False)) != \
             _extraction_key(SOURCE, PipelineConfig(trace_block=1024))
 
-    def test_warm_fused_artifact_not_served_unfused(self, tmp_path,
-                                                    monkeypatch):
-        config = _disk_config(tmp_path)  # fusion=True default
+    def test_warm_artifact_not_served_at_another_trace_block(
+            self, tmp_path, monkeypatch):
+        config = _disk_config(tmp_path)
         extract_foray_model(SOURCE, config=config)
         clear_caches()
         monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
         # Same protocol: served warm, no simulation.
         extract_foray_model(SOURCE, config=_disk_config(tmp_path))
-        # Different protocol: must resimulate (and here hit the tripwire).
-        with pytest.raises(AssertionError, match="warm run"):
-            extract_foray_model(
-                SOURCE, config=_disk_config(tmp_path, fusion=False))
+        # Different block size: must resimulate (and here hit the
+        # tripwire).
         with pytest.raises(AssertionError, match="warm run"):
             extract_foray_model(
                 SOURCE, config=_disk_config(tmp_path, trace_block=1024))
