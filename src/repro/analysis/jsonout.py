@@ -209,8 +209,6 @@ def static_row(report) -> dict:
         "refused": static.refused_count,
         "refusals": dict(static.refusal_histogram),
         "model_complete": static.model_complete,
-        "stats_exact": static.stats_exact,
-        "fast_path_ok": static.fast_path_ok,
         "ok": oracle.ok,
         "diff": oracle.diff_lines(),
     }

@@ -253,14 +253,13 @@ def format_static_table(reports) -> str:
     references the compile-time model reproduces exactly; ``gap`` the
     FORAY-form references only the dynamic approach could model (the
     paper's Table II argument); ``refused`` every reference the static
-    analyzer explicitly declined; ``fast`` marks programs the pipeline
-    may run without any simulation; ``oracle`` is the differential
+    analyzer explicitly declined; ``oracle`` is the differential
     verdict (exact agreement on every matched reference, no silent gaps,
     no phantoms, DP-allocation parity).
     """
     headers = [
         "benchmark", "scenario", "dyn-refs", "matched", "cov%",
-        "gap", "refused", "fast", "oracle",
+        "gap", "refused", "oracle",
     ]
     body: list[list[str]] = []
     for report in reports:
@@ -273,7 +272,6 @@ def format_static_table(reports) -> str:
             f"{100.0 * oracle.coverage:.0f}",
             str(len(oracle.foray_gap)),
             str(report.static.refused_count),
-            "*" if report.static.fast_path_ok else "",
             "ok" if oracle.ok else "FAIL",
         ])
     table = _table(headers, body)

@@ -35,8 +35,11 @@ Commands
     sets the size envelope) and run the differential check battery on
     each — engine parity, IR verification, lint, static-oracle
     agreement, allocator dominance, SPM traffic prediction, cross-input
-    transfer. Failing programs are minimized by the subtree-deletion
-    shrinker and reported with their replayable seed. ``--check``
+    transfer. The model-based checks share the one profiling run the
+    pipeline extracts under the run's flags (``--nexec``, ``--nloc``,
+    ``--engine``, ``--trace-block``). Failing programs are minimized by
+    the subtree-deletion shrinker and reported with their replayable
+    seed. ``--check``
     restricts the battery (the hidden ``seeded-bug`` check plants a
     static-model corruption to prove the harness catches divergence);
     ``--json`` emits the strict-JSON report. Exits non-zero on any
@@ -46,10 +49,6 @@ Commands
 
 ``figures``
     Reproduce all paper figure examples.
-
-``suite/spm --static-fast-path``
-    Skip simulation for programs whose static model is provably complete
-    and stats-exact; everything else falls back to the engine.
 
 ``... --verify-ir``
     Structurally verify the lowered and fused bytecode of every program
@@ -68,7 +67,7 @@ Commands
 
 ``validate [NAMES...]``
     Cross-input validation over each workload's input-scenario matrix:
-    extract the model on the profile scenario, replay every other
+    extract the model once, on the profile scenario, replay every
     scenario against it, and print per-scenario reports plus the
     stability table. Exits non-zero when a model fails the gate
     (full references must self-validate at 100%; ``--threshold`` adds a
@@ -390,7 +389,6 @@ def _config_from(args) -> PipelineConfig:
         validation=_validation_config_from(
             args, getattr(args, "validate", False)),
         hierarchy=_hier_config_from(args, getattr(args, "hier", False)),
-        static_fast_path=getattr(args, "static_fast_path", False),
         verify_ir=getattr(args, "verify_ir", False),
     )
 
@@ -422,7 +420,7 @@ def _report_cache_counters(config: PipelineConfig, before) -> None:
     whether the disk cache is on, off, cold or warm. ``before`` is the
     aggregate snapshot taken ahead of the run; the printed numbers are
     the delta, which includes any ``--jobs`` worker processes (each
-    worker persists its own tally before the pool joins).
+    publishes its tally after every task it runs).
     """
     store = store_for(config)
     if store is None:
@@ -723,9 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--hier", action="store_true",
                          help="append the memory-hierarchy comparison "
                               "(pure cache vs SPM+cache)")
-    p_suite.add_argument("--static-fast-path", action="store_true",
-                         help="skip simulation for programs the static "
-                              "analyzer models completely and exactly")
     _add_filter_args(p_suite)
     _add_engine_args(p_suite)
     _add_spm_args(p_suite)
@@ -828,9 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spm = sub.add_parser("spm", help="Phases I+II on a MiniC file")
     p_spm.add_argument("file")
     p_spm.add_argument("--spm-bytes", type=int, default=4096)
-    p_spm.add_argument("--static-fast-path", action="store_true",
-                       help="skip simulation when the static analyzer "
-                            "models the program completely and exactly")
     p_spm.add_argument("--sweep", nargs="?", const="default",
                        metavar="BYTES,BYTES,...",
                        help="sweep a capacity ladder (default ladder when "

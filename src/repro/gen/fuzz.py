@@ -26,6 +26,13 @@ re-asserted here on ``--seeds N`` generated programs, per program:
     The model extracted on the nominal input self-validates perfectly;
     cross-input replay accuracy is recorded as a population statistic.
 
+The ``static``, ``alloc``, ``traffic`` and ``transfer`` checks share one
+FORAY model: the pipeline's extraction
+(:func:`repro.pipeline.extract_foray_model`) on the transfer check's
+profile scenario, under the run's engine, trace block and filter. Each
+program therefore pays for exactly one profiling run, and every check
+judges the model the run's flags describe.
+
 A check that is vacuous for a given program (empty model after the
 purge, nothing buffered) reports ``skip`` with a reason — never a
 silent pass. Failing programs are minimized by the subtree-deletion
@@ -47,7 +54,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.foray.extractor import ForayExtractor
 from repro.gen.build import GenProgram, build_ir, gen_name
 from repro.gen.profiles import get_profile
 from repro.gen.render import RenderedProgram, render_ir
@@ -55,15 +61,18 @@ from repro.gen.shrink import shrink_ir
 from repro.lang.errors import MiniCError
 from repro.lang.lint import lint_program, lint_source
 from repro.pipeline import (
+    ExtractionResult,
     PipelineConfig,
     _cached_compiled,
     _cached_detector,
     _content_key,
     _fan_out,
+    _profile_extraction,
+    _select_scenarios,
     _tiered_get,
     _tiered_put,
+    _validate_against,
     fuzz_cache,
-    persist_store_counters,
 )
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
 from repro.sim.memory import GLOBAL_BASE, HEAP_BASE
@@ -175,9 +184,10 @@ class FuzzReport:
 class _CheckContext:
     """Shared per-program artifacts, computed lazily and at most once.
 
-    The compiled program comes from the pipeline's compile tier, so the
-    battery's checks and the transfer check's validation runs share one
-    parse, lowering and specialization per source.
+    The compiled program comes from the pipeline's compile tier and the
+    model from its extraction, so the battery's checks and the transfer
+    check's replays share one parse, lowering and specialization per
+    source and one profiling run per program.
     """
 
     def __init__(self, rendered: RenderedProgram, config: PipelineConfig):
@@ -185,8 +195,9 @@ class _CheckContext:
         self.config = config
         self.source = rendered.workload.source
         self._compiled = None
-        self._extraction = None
-        self._graph = None
+        self._scenarios: list | None = None
+        self._extraction: ExtractionResult | None = None
+        self._graph: ReuseGraph | None = None
 
     @property
     def compiled(self):
@@ -195,22 +206,26 @@ class _CheckContext:
         return self._compiled
 
     @property
-    def extraction(self):
-        """(model, detector result) of a default-engine profiling run; the
-        detector result is the one memoized on the compile node."""
+    def scenarios(self) -> list:
+        """The transfer check's scenarios, profile first."""
+        if self._scenarios is None:
+            self._scenarios = _select_scenarios(self.rendered.workload,
+                                                self.config.validation)
+        return self._scenarios
+
+    @property
+    def extraction(self) -> ExtractionResult:
+        """The pipeline's extraction on the profile scenario, under the
+        run's config."""
         if self._extraction is None:
-            compiled = self.compiled
-            extractor = ForayExtractor(compiled.checkpoint_map)
-            run_compiled(compiled, sinks=(extractor,), config=EngineConfig())
-            self._extraction = (
-                extractor.finish(),
-                _cached_detector(self.source, compiled, self.config))
+            self._extraction = _profile_extraction(
+                self.rendered.workload, self.scenarios[0], self.config)
         return self._extraction
 
     @property
     def graph(self) -> ReuseGraph:
         if self._graph is None:
-            self._graph = ReuseGraph.from_model(self.extraction[0])
+            self._graph = ReuseGraph.from_model(self.extraction.model)
         return self._graph
 
 
@@ -280,9 +295,13 @@ def _check_lint(ctx: _CheckContext) -> CheckOutcome:
 
 
 def _static_report(ctx: _CheckContext, corrupt: bool = False):
-    model, detector = ctx.extraction
-    static = analyze_static(ctx.compiled.program, detector_result=detector,
-                            name=ctx.rendered.workload.name)
+    extraction = ctx.extraction
+    compiled = extraction.compiled
+    detector = _cached_detector(compiled.source, compiled, ctx.config)
+    static = analyze_static(compiled.program, ctx.config.filter_config,
+                            detector_result=detector,
+                            name=ctx.rendered.workload.name,
+                            entry=ctx.config.entry)
     if corrupt:
         refs = list(static.unfiltered_references)
         if not refs:
@@ -290,7 +309,7 @@ def _static_report(ctx: _CheckContext, corrupt: bool = False):
         refs[0] = dataclasses.replace(refs[0],
                                       exec_count=refs[0].exec_count + 1)
         static = dataclasses.replace(static, unfiltered_references=refs)
-    return compare_models(model, static, detector=detector,
+    return compare_models(extraction.model, static, detector=detector,
                           name=ctx.rendered.workload.name)
 
 
@@ -342,7 +361,7 @@ def _check_alloc(ctx: _CheckContext) -> CheckOutcome:
 
 
 def _check_traffic(ctx: _CheckContext) -> CheckOutcome:
-    model = ctx.extraction[0]
+    model = ctx.extraction.model
     allocation = allocate_graph(ctx.graph, ALLOC_CAPACITIES[-1])
     transformed = emit_transformed_source(allocation, model)
     if not transformed.buffered:
@@ -362,12 +381,9 @@ def _check_traffic(ctx: _CheckContext) -> CheckOutcome:
     return CheckOutcome("traffic", "pass", f"drop {drop} as predicted")
 
 
-def _check_transfer(ctx: _CheckContext,
-                    config: PipelineConfig) -> CheckOutcome:
-    from repro.pipeline import validate_workload
-
-    validation = validate_workload(ctx.rendered.workload.name,
-                                   config=config)
+def _check_transfer(ctx: _CheckContext) -> CheckOutcome:
+    validation = _validate_against(ctx.rendered.workload, ctx.scenarios,
+                                   ctx.extraction.model, ctx.config)
     self_validation = validation.self_validation
     if self_validation.total_checked == 0:
         return CheckOutcome("transfer", "skip",
@@ -391,26 +407,17 @@ def _check_transfer(ctx: _CheckContext,
         f"cross accuracy mean {mean:.4f} over {len(measured)} replays")
 
 
-def _run_check(name: str, ctx: _CheckContext,
-               config: PipelineConfig) -> CheckOutcome:
-    if name == "parity":
-        return _check_parity(ctx)
-    if name == "ir":
-        return _check_ir(ctx)
-    if name == "lint":
-        return _check_lint(ctx)
-    if name == "static":
-        return _check_static(ctx)
-    if name == "alloc":
-        return _check_alloc(ctx)
-    if name == "traffic":
-        return _check_traffic(ctx)
-    if name == "transfer":
-        return _check_transfer(ctx, config)
-    if name == SEEDED_BUG_CHECK:
-        return _check_seeded_bug(ctx)
-    raise ValueError(
-        f"unknown fuzz check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+#: Every known check by name, each a function of the program's context.
+_CHECKS = {
+    "parity": _check_parity,
+    "ir": _check_ir,
+    "lint": _check_lint,
+    "static": _check_static,
+    "alloc": _check_alloc,
+    "traffic": _check_traffic,
+    "transfer": _check_transfer,
+    SEEDED_BUG_CHECK: _check_seeded_bug,
+}
 
 
 def _transfer_accuracy(outcome: CheckOutcome) -> float | None:
@@ -487,7 +494,7 @@ def _fuzz_rendered(
     transfer = None
     try:
         for name in checks:
-            result = _run_check(name, ctx, config)
+            result = _CHECKS[name](ctx)
             results.append(result)
             if transfer is None:
                 transfer = _transfer_accuracy(result)
@@ -511,9 +518,8 @@ def _fuzz_rendered(
     shrunk_lines = 0
     if shrink:
         def still_fails(candidate: RenderedProgram) -> bool:
-            return _run_check(failing.name,
-                              _CheckContext(candidate, config),
-                              config).status == "fail"
+            return _CHECKS[failing.name](
+                _CheckContext(candidate, config)).status == "fail"
 
         result = shrink_ir(ir, still_fails)
         shrunk_source = result.source
@@ -526,12 +532,7 @@ def _fuzz_rendered(
 
 
 def _fuzz_worker(args) -> ProgramOutcome:
-    profile_name, seed, checks, shrink, config = args
-    outcome = fuzz_program(profile_name, seed, checks, shrink, config)
-    # Worker processes exit via os._exit (no atexit): flush this
-    # process's disk-cache counters before the pool reaps it.
-    persist_store_counters(config)
-    return outcome
+    return fuzz_program(*args)
 
 
 def run_fuzz(

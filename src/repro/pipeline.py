@@ -3,7 +3,7 @@
 The flow is organised as a registry of named stages, executed in order::
 
     compile → instrument → simulate → extract → analyze →
-    analyze-static → validate → optimize → hierarchy
+    validate → optimize → hierarchy
 
 * **compile** — parse + semantic analysis of the MiniC source;
 * **instrument** — checkpoint annotation (paper Algorithm 1, step 1);
@@ -12,8 +12,6 @@ The flow is organised as a registry of named stages, executed in order::
   constant-space online mode);
 * **extract** — finalize the loop tree and purge the model (steps 2–4);
 * **analyze** — static baseline plus the Table I–III metrics;
-* **analyze-static** — the compile-time FORAY model plus the
-  static-vs-dynamic differential oracle (off by default);
 * **validate** — replay the workload's other input scenarios against the
   extracted model (cross-input stability; off by default);
 * **optimize** — Phase II SPM reuse analysis / buffer allocation;
@@ -26,15 +24,20 @@ artifact cache is consulted. The classic entry points are thin
 compositions over the stages:
 
 * :func:`extract_foray_model` — stages through **extract**, returning the
-  FORAY model.
+  FORAY model. It is the only producer of one: validation, the static
+  oracle and the fuzz battery all take their model from it.
 * :func:`run_workload` — through **analyze** for one workload.
 * :func:`run_suite` — the full mini-MiBench evaluation (Tables I–III),
   optionally fanned out over worker processes with ``jobs=N``.
 * :func:`full_flow` — through **optimize**, emitting the transformed model.
+* :func:`static_workload` / :func:`static_suite` — the compile-time
+  model of :mod:`repro.staticfar` diffed against the extracted one by
+  the differential oracle, per ``(workload × scenario)`` cell.
 * :func:`validate_workload` / :func:`validate_suite` — the cross-input
-  scenario matrix: every ``(workload × scenario)`` cell replays one
-  scenario's trace against the profile-scenario model, fanned out over
-  the same worker-process machinery.
+  scenario matrix: each workload's model is extracted once, on its
+  profile scenario, and every ``(workload × scenario)`` cell replays one
+  scenario's trace against it, fanned out over the same worker-process
+  machinery.
 * :func:`hier_suite` — the ``(workload × scenario × cache-config)``
   hierarchy matrix: every cell co-simulates a pure cache against
   SPM+cache through streaming sinks, fanned out and persisted the same
@@ -55,6 +58,7 @@ the source text, are still shared within the process until
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -101,7 +105,6 @@ from repro.spm.explore import (
 )
 from repro.spm.graph import ReuseGraph
 from repro.spm.transform import transform_model
-from repro.sim.interpreter import RunStats
 from repro.staticfar.analyze import analyze_static
 from repro.staticfar.detector import StaticAnalysisResult, detect
 from repro.staticfar.model import StaticForayModel
@@ -199,11 +202,6 @@ class PipelineConfig:
     input: InputSpec | None = None
     validation: ValidationConfig = ValidationConfig()
     hierarchy: HierarchyConfig = HierarchyConfig()
-    #: Run the ``analyze-static`` stage (compile-time model + oracle).
-    static_analysis: bool = False
-    #: Skip simulation when the static model proves itself complete and
-    #: stats-exact; programs it cannot fully model fall back to the engine.
-    static_fast_path: bool = False
     #: Structurally verify the lowered/fused bytecode before every run.
     verify_ir: bool = False
 
@@ -315,7 +313,6 @@ def clear_caches() -> None:
     validation_cache.clear()
     hierarchy_cache.clear()
     fuzz_cache.clear()
-    _profile_model_memo.clear()
 
 
 #: One ArtifactStore instance per cache directory, shared by every
@@ -398,10 +395,6 @@ def _extraction_key(source: str, config: PipelineConfig) -> str:
         config.max_steps,
         config.filter_config or FilterConfig(),
         config.input or InputSpec(),
-        # The static fast path produces a provably identical artifact,
-        # but keeping the namespaces apart means a fast-path defect can
-        # never serve a stale model to a simulation-backed run.
-        config.static_fast_path,
     )
 
 
@@ -476,22 +469,6 @@ def cached_exploration(
 # ---------------------------------------------------------------------------
 
 
-class StaticExtractor:
-    """Duck-typed stand-in for :class:`ForayExtractor` on the static
-    fast path: the downstream stages only call ``finish()`` and
-    ``executed_loops()``, and both answers were computed at compile
-    time."""
-
-    def __init__(self, static: StaticForayModel):
-        self.static = static
-
-    def executed_loops(self) -> dict[int, str]:
-        return dict(self.static.executed_loops)
-
-    def finish(self) -> ForayModel:
-        return self.static.foray_model()
-
-
 @dataclass
 class PipelineContext:
     """Mutable state threaded through the stages of one pipeline run."""
@@ -505,12 +482,10 @@ class PipelineContext:
 
     # Artifacts, filled in by the stages.
     compiled: CompiledProgram | None = None
-    extractor: "ForayExtractor | StaticExtractor | None" = None
+    extractor: ForayExtractor | None = None
     run_result: RunResult | None = None
     extraction: "ExtractionResult | None" = None
     report: "WorkloadReport | None" = None
-    static_model: StaticForayModel | None = None
-    oracle: OracleReport | None = None
     validation: WorkloadValidation | None = None
     flow: "FullFlowResult | None" = None
     hierarchy: tuple[HierarchyReport, ...] | None = None
@@ -594,19 +569,6 @@ def _stage_simulate(ctx: PipelineContext) -> None:
         if cached is not None:
             ctx.extraction = cached
             return
-    if config.static_fast_path:
-        static = analyze_static(
-            compiled.program, config.filter_config,
-            detector_result=_cached_detector(ctx.source, compiled, config),
-            name=ctx.name, entry=config.entry)
-        ctx.static_model = static
-        if static.fast_path_ok:
-            # The compile-time model is provably complete and stats-exact:
-            # hand the downstream stages a zero-step "run" whose artifacts
-            # are byte-identical to a simulation's.
-            ctx.extractor = StaticExtractor(static)
-            ctx.run_result = RunResult(0, "", RunStats(), None)
-            return
     ctx.extractor = ForayExtractor(compiled.checkpoint_map,
                                    config.filter_config)
     result = run_compiled(
@@ -662,31 +624,6 @@ def _stage_analyze(ctx: PipelineContext) -> None:
     table3 = table3_behavior(ctx.name, extraction.model)
     ctx.report = WorkloadReport(ctx.name, extraction, static_result, census,
                                 table2, table3)
-
-
-@register_stage("analyze-static",
-                "compile-time FORAY model + differential oracle")
-def _stage_analyze_static(ctx: PipelineContext) -> None:
-    """Compute the static FORAY model and diff it against the dynamic one.
-
-    No-ops unless ``config.static_analysis`` (or the fast path already
-    produced a static model in the simulate stage). The oracle compares
-    the two models reference-by-reference and checks DP-allocation parity
-    over the matched set; disagreement is reported, not raised — callers
-    (the ``repro static`` command, the tests) decide how loud to be.
-    """
-    config = ctx.config
-    if not (config.static_analysis or ctx.static_model is not None):
-        return
-    assert ctx.report is not None
-    if ctx.static_model is None:
-        ctx.static_model = analyze_static(
-            ctx.report.extraction.compiled.program, config.filter_config,
-            detector_result=ctx.report.static_result, name=ctx.name,
-            entry=config.entry)
-    ctx.oracle = compare_models(ctx.report.model, ctx.static_model,
-                                detector=ctx.report.static_result,
-                                name=ctx.name)
 
 
 @register_stage("validate", "cross-input scenario-matrix validation")
@@ -853,19 +790,26 @@ def run_workload(
 
 def _suite_worker(args: tuple[str, str, PipelineConfig]) -> WorkloadReport:
     name, source, config = args
-    report = run_workload(name, source, config=config)
-    # Worker processes exit via os._exit (no atexit), so each task flushes
-    # this process's cumulative disk-cache counters itself.
-    persist_store_counters(config)
-    return report
+    return run_workload(name, source, config=config)
+
+
+def _publishing(worker: Callable, task):
+    """Run one fan-out task in a pool process, then publish every open
+    store's disk-cache counters: pool processes exit via ``os._exit``
+    (no atexit), so a tally not flushed per task would be lost."""
+    result = worker(task)
+    for store in _stores.values():
+        store.persist_counters()
+    return result
 
 
 def _fan_out(tasks: list, worker: Callable, jobs: int) -> list:
     """Run ``worker`` over ``tasks``, optionally in worker processes.
 
-    The shared fan-out machinery behind :func:`run_suite` and
-    :func:`validate_suite`: ``jobs=0`` uses the CPU count, the pool is
-    capped at the task count, and results come back in task order.
+    The one fan-out machinery behind every matrix: ``jobs=0`` uses the
+    CPU count, the pool is capped at the task count, and results come
+    back in task order. Pool processes publish their disk-cache counters
+    after every task, so the parent's ``cache[...]`` report counts them.
     """
     if jobs == 0:
         jobs = os.cpu_count() or 1
@@ -881,7 +825,8 @@ def _fan_out(tasks: list, worker: Callable, jobs: int) -> list:
         mp_context = multiprocessing.get_context()
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=mp_context) as executor:
-        return list(executor.map(worker, tasks))
+        return list(executor.map(functools.partial(_publishing, worker),
+                                 tasks))
 
 
 def run_suite(
@@ -933,35 +878,45 @@ def static_workload(
     config: PipelineConfig | None = None,
     scenario: str = "",
 ) -> StaticReport:
-    """Static model + differential oracle for one program and input."""
-    merged = replace(config or PipelineConfig(), static_analysis=True)
-    ctx = run_stages(PipelineContext(source, merged, name=name),
-                     upto="analyze-static")
-    assert ctx.static_model is not None and ctx.oracle is not None
-    ctx.oracle.scenario = scenario
-    return StaticReport(name, scenario, ctx.static_model, ctx.oracle)
+    """Static model + differential oracle for one program and input:
+    the static analyzer runs on the extraction's program under the same
+    filter and entry, and the oracle's disagreements are reported, not
+    raised — callers (``repro static``, the tests) decide how loud to
+    be."""
+    config = config or PipelineConfig()
+    report = run_workload(name, source, config=config)
+    static = analyze_static(
+        report.extraction.compiled.program, config.filter_config,
+        detector_result=report.static_result, name=name, entry=config.entry)
+    oracle = compare_models(report.model, static,
+                            detector=report.static_result, name=name,
+                            scenario=scenario)
+    return StaticReport(name, scenario, static, oracle)
+
+
+def _resolve_cell(
+    name: str, scenario_name: str | None, config: PipelineConfig
+) -> tuple[str, PipelineConfig, str]:
+    """(source, run config, label) of one (workload x scenario) cell.
+    ``None`` stands for the nominal source of a workload with no
+    scenario matrix, labelled ``"-"``."""
+    from repro.workloads.registry import get_workload
+
+    workload = get_workload(name)
+    if scenario_name is None:
+        return workload.source, config, "-"
+    scenario = workload.scenario(scenario_name)
+    return (workload.source_for(scenario), _scenario_config(config, scenario),
+            scenario.name)
 
 
 def _static_cell_worker(
     args: tuple[str, str | None, PipelineConfig]
 ) -> StaticReport:
-    """One (workload x scenario) oracle cell, fan-out ready. ``None``
-    stands for the nominal source of a workload with no scenario matrix."""
+    """One (workload x scenario) oracle cell, fan-out ready."""
     name, scenario_name, config = args
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(name)
-    if scenario_name is None:
-        source, cell_config, label = workload.source, config, "-"
-    else:
-        scenario = workload.scenario(scenario_name)
-        source = workload.source_for(scenario)
-        cell_config = _scenario_config(config, scenario)
-        label = scenario.name
-    report = static_workload(name, source, config=cell_config,
-                             scenario=label)
-    persist_store_counters(config)  # see _suite_worker
-    return report
+    source, cell_config, label = _resolve_cell(name, scenario_name, config)
+    return static_workload(name, source, config=cell_config, scenario=label)
 
 
 def static_suite(
@@ -1172,49 +1127,55 @@ def _select_scenarios(workload, validation: ValidationConfig) -> list:
     return scenarios
 
 
-#: Run-scoped memo of profile models by extraction key. The profile
-#: extraction (a full simulation) is the expensive half of a matrix cell
-#: and every cell of one workload needs the same model, so it is kept
-#: even under ``cache=False``. That setting means no disk tier and no
-#: simulated artifact reused across runs, not "re-simulate the identical
-#: profile once per scenario"; compiled programs are shared within the
-#: process regardless, and only :func:`clear_caches` drops either memo.
-#: Each fan-out worker process fills its own.
-_profile_model_memo: dict[str, ForayModel] = {}
-_PROFILE_MEMO_LIMIT = 16
+def _profile_extraction(workload, profile,
+                        config: PipelineConfig) -> ExtractionResult:
+    """The extraction on the profile scenario: memoized like any other
+    (so not at all under ``cache=False``); callers take it once and pass
+    its model to every replay of the workload."""
+    return extract_foray_model(workload.source_for(profile),
+                               config=_scenario_config(config, profile))
 
 
-def _profile_model(workload, profile, config: PipelineConfig) -> ForayModel:
-    """The FORAY model extracted on the profile scenario (memoized)."""
-    profile_config = _scenario_config(config, profile)
-    key = _extraction_key(workload.source_for(profile), profile_config)
-    model = _profile_model_memo.get(key)
-    if model is None:
-        extraction = extract_foray_model(
-            workload.source_for(profile), config=profile_config
-        )
-        model = extraction.model
-        while len(_profile_model_memo) >= _PROFILE_MEMO_LIMIT:
-            _profile_model_memo.pop(next(iter(_profile_model_memo)))
-        _profile_model_memo[key] = model
-    return model
+def _validation_cell(workload, profile, scenario, model: ForayModel,
+                     config: PipelineConfig) -> ScenarioValidation:
+    """One (workload x scenario) matrix cell: ``scenario`` replayed
+    against ``model``, the model extracted on ``profile``."""
+    report = _replay_scenario(workload, profile, scenario, model, config)
+    return ScenarioValidation(workload.name, scenario.name, profile.name,
+                              config.engine, report)
 
 
-def _validation_cell_worker(
-    args: tuple[str, str, str, PipelineConfig]
-) -> ScenarioValidation:
-    """One (workload x scenario) matrix cell, self-contained for fan-out."""
-    name, profile_name, scenario_name, config = args
+def _validate_against(workload, scenarios: list, model: ForayModel,
+                      config: PipelineConfig) -> WorkloadValidation:
+    """Replay every scenario against ``model``, extracted on the first
+    (profile) scenario, and assemble the workload's validation."""
+    profile = scenarios[0]
+    cells = [_validation_cell(workload, profile, scenario, model, config)
+             for scenario in scenarios]
+    return _assemble_validation(workload.name, profile.name, len(scenarios),
+                                cells)
+
+
+def _profile_worker(args: tuple[str, str, PipelineConfig]) -> ForayModel:
+    """One workload's profile extraction, fan-out ready."""
+    name, profile_name, config = args
     from repro.workloads.registry import get_workload
 
     workload = get_workload(name)
-    profile = workload.scenario(profile_name)
-    scenario = workload.scenario(scenario_name)
-    model = _profile_model(workload, profile, config)
-    report = _replay_scenario(workload, profile, scenario, model, config)
-    persist_store_counters(config)  # see _suite_worker
-    return ScenarioValidation(name, scenario.name, profile.name,
-                              config.engine, report)
+    return _profile_extraction(workload, workload.scenario(profile_name),
+                               config).model
+
+
+def _validation_cell_worker(
+    args: tuple[str, str, str, PipelineConfig, ForayModel]
+) -> ScenarioValidation:
+    """One matrix cell, fan-out ready: the task carries its model."""
+    name, profile_name, scenario_name, config, model = args
+    from repro.workloads.registry import get_workload
+
+    workload = get_workload(name)
+    return _validation_cell(workload, workload.scenario(profile_name),
+                            workload.scenario(scenario_name), model, config)
 
 
 def _assemble_validation(
@@ -1238,23 +1199,19 @@ def validate_workload(
 ) -> WorkloadValidation:
     """Cross-input validation of one workload over its scenario matrix.
 
-    Extracts the model on the profile scenario (``config.validation``
-    selects it; the nominal scenario by default), replays every other
-    scenario's trace against it, and scores per-reference accuracy. The
-    profile scenario itself is replayed too — the self-validation row on
-    which full references must score 100%.
+    Extracts the model once, on the profile scenario
+    (``config.validation`` selects it; the nominal scenario by default),
+    replays every other scenario's trace against it, and scores
+    per-reference accuracy. The profile scenario itself is replayed too
+    — the self-validation row on which full references must score 100%.
     """
     config = config or PipelineConfig()
     from repro.workloads.registry import get_workload
 
     workload = get_workload(name)
     scenarios = _select_scenarios(workload, config.validation)
-    profile = scenarios[0]
-    cells = [
-        _validation_cell_worker((name, profile.name, scenario.name, config))
-        for scenario in scenarios
-    ]
-    return _assemble_validation(name, profile.name, len(scenarios), cells)
+    extraction = _profile_extraction(workload, scenarios[0], config)
+    return _validate_against(workload, scenarios, extraction.model, config)
 
 
 def validate_suite(
@@ -1264,11 +1221,14 @@ def validate_suite(
 ) -> list[WorkloadValidation]:
     """The full scenario matrix: every (workload x scenario) cell.
 
-    Cells — not workloads — are the unit of fan-out, so ``jobs=N`` load-
-    balances the ~3x-larger matrix over the same worker-process machinery
-    ``run_suite`` uses; results come back grouped per workload, in suite
-    order. Like ``run_suite``, ``jobs=None`` defers to ``config.jobs``
-    and an explicit argument (``jobs=1`` included) always wins.
+    Two fan-outs over the same worker-process machinery ``run_suite``
+    uses: first one profile extraction per workload, then the replay
+    cells, each task carrying its workload's model. Cells — not
+    workloads — are the unit of the second, so ``jobs=N`` load-balances
+    the ~3x-larger matrix. Results come back grouped per workload, in
+    suite order. Like ``run_suite``, ``jobs=None`` defers to
+    ``config.jobs`` and an explicit argument (``jobs=1`` included)
+    always wins.
     """
     from repro.workloads.registry import get_workload, workload_names
 
@@ -1276,26 +1236,26 @@ def validate_suite(
     if jobs is None:
         jobs = config.jobs
     selected = [get_workload(n) for n in (names or workload_names())]
-    plans: list[tuple[str, str, int]] = []
-    tasks: list[tuple[str, str, str, PipelineConfig]] = []
-    for workload in selected:
-        scenarios = _select_scenarios(workload, config.validation)
-        profile = scenarios[0]
-        plans.append((workload.name, profile.name, len(scenarios)))
-        tasks.extend(
-            (workload.name, profile.name, scenario.name, config)
-            for scenario in scenarios
-        )
+    plans = [(workload, _select_scenarios(workload, config.validation))
+             for workload in selected]
+    models = _fan_out(
+        [(workload.name, scenarios[0].name, config)
+         for workload, scenarios in plans],
+        _profile_worker, jobs)
+    tasks = [
+        (workload.name, scenarios[0].name, scenario.name, config, model)
+        for (workload, scenarios), model in zip(plans, models)
+        for scenario in scenarios
+    ]
     cells = _fan_out(tasks, _validation_cell_worker, jobs)
 
     results: list[WorkloadValidation] = []
     offset = 0
-    for name, profile_name, count in plans:
-        group = cells[offset : offset + count]
-        offset += count
-        results.append(
-            _assemble_validation(name, profile_name, count, group)
-        )
+    for workload, scenarios in plans:
+        group = cells[offset : offset + len(scenarios)]
+        offset += len(scenarios)
+        results.append(_assemble_validation(
+            workload.name, scenarios[0].name, len(scenarios), group))
     return results
 
 
@@ -1404,27 +1364,6 @@ def hierarchy_for_configs(
     return tuple(reports[cache_config] for cache_config in cache_configs)
 
 
-def hierarchy_for_source(
-    name: str,
-    source: str,
-    config: PipelineConfig,
-    cache_config: CacheConfig,
-    scenario: str = "-",
-    spm_bytes: int | None = None,
-    energy: EnergyModel | None = None,
-    model: ForayModel | None = None,
-    allocation: Allocation | None = None,
-) -> HierarchyReport:
-    """Single-configuration convenience over
-    :func:`hierarchy_for_configs`."""
-    (report,) = hierarchy_for_configs(
-        name, source, config, (cache_config,), scenario=scenario,
-        spm_bytes=spm_bytes, energy=energy, model=model,
-        allocation=allocation,
-    )
-    return report
-
-
 def _hier_scenario_label(name: str, source: str,
                          config: PipelineConfig) -> str:
     """The scenario name behind a (source, input) pair, or ``"-"``.
@@ -1473,20 +1412,9 @@ def _hier_cell_worker(
     the same trace once per configuration.
     """
     name, scenario_name, cache_configs, config = args
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(name)
-    if scenario_name is None:
-        source, cell_config, label = workload.source, config, "-"
-    else:
-        scenario = workload.scenario(scenario_name)
-        source = workload.source_for(scenario)
-        cell_config = _scenario_config(config, scenario)
-        label = scenario.name
-    reports = hierarchy_for_configs(name, source, cell_config,
-                                    cache_configs, scenario=label)
-    persist_store_counters(config)  # see _suite_worker
-    return reports
+    source, cell_config, label = _resolve_cell(name, scenario_name, config)
+    return hierarchy_for_configs(name, source, cell_config, cache_configs,
+                                 scenario=label)
 
 
 def hier_suite(

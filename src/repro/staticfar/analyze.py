@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from repro.foray.extractor import TraceStats
 from repro.foray.filters import FilterConfig
 from repro.foray.model import AffineExpression, ForayLoop, ForayReference
 from repro.lang import ast_nodes as ast
@@ -44,10 +43,6 @@ from repro.staticfar.detector import (
 )
 from repro.staticfar.layout import global_layout
 from repro.staticfar.model import StaticForayModel, StaticRefusal
-
-#: Builtins that emit no trace records and touch no modeled state.
-SILENT_BUILTINS = frozenset({"abs", "labs", "rand", "srand", "exit",
-                             "malloc", "free"})
 
 #: Abort exact footprint enumeration beyond this many distinct addresses.
 _ENUM_LIMIT = 1_000_000
@@ -180,9 +175,7 @@ class StaticAnalyzer:
         self.sp_exact = True
 
         self.refusals: dict[int, StaticRefusal] = {}
-        self.executed: dict[int, str] = {}
         self.model_complete = True
-        self.stats_exact = True
         self._scanned: set[tuple[str, str]] = set()
         #: Functions modeled through an unconditional call this walk.
         self._modeled_fns: set[str] = set()
@@ -201,10 +194,7 @@ class StaticAnalyzer:
             frame = _Frame(fn=entry)
             self.frames.append(frame)
             self._bind_params(fn, [], frame)
-            status, taint = self._walk_stmt(fn.body, (entry,))
-            if taint - {"loop", "fn"}:
-                # A conditional exit() may have cut the run short anywhere.
-                self.stats_exact = False
+            self._walk_stmt(fn.body, (entry,))
             self.frames.pop()
             # A function reached from a modeled call site AND a scanned
             # (conditional) region executes more often than the modeled
@@ -237,7 +227,6 @@ class StaticAnalyzer:
                                                    provably_filtered=provable)
         if not provable:
             self.model_complete = False
-        self.stats_exact = False
 
     def _provably_filtered(self, expr: ast.Expr) -> bool:
         """True when no solver outcome for this node survives the filter.
@@ -491,14 +480,11 @@ class StaticAnalyzer:
         if node is None:
             return
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Loop):
-                self.stats_exact = False
-            elif isinstance(sub, ast.DeclStmt):
+            if isinstance(sub, ast.DeclStmt):
                 for decl in sub.decls:
                     symbol = decl.symbol
                     if isinstance(symbol, Symbol) and symbol.in_memory:
                         self.sp_exact = False
-                        self.stats_exact = False
                         if decl.init is not None:
                             for item in ast.walk(decl.init):
                                 if isinstance(item, ast.Expr):
@@ -513,21 +499,18 @@ class StaticAnalyzer:
                         and symbol.ctype.is_scalar):
                     self._note_refusal(sub.node_id, reason,
                                        provable=self._provably_filtered(sub))
-            if isinstance(sub, ast.Call):
-                if sub.is_builtin:
-                    if sub.name not in SILENT_BUILTINS:
-                        self.stats_exact = False
-                elif self.program.has_function(sub.name):
-                    self._cond_called.add(sub.name)
-                    if sub.name in chain:
-                        self._note_refusal(sub.node_id, "recursion",
-                                           f"cycle through {sub.name!r}")
-                        continue
-                    key = (sub.name, reason)
-                    if key not in self._scanned:
-                        self._scanned.add(key)
-                        self._scan(self.program.function(sub.name).body,
-                                   reason, chain + (sub.name,))
+            if (isinstance(sub, ast.Call) and not sub.is_builtin
+                    and self.program.has_function(sub.name)):
+                self._cond_called.add(sub.name)
+                if sub.name in chain:
+                    self._note_refusal(sub.node_id, "recursion",
+                                       f"cycle through {sub.name!r}")
+                    continue
+                key = (sub.name, reason)
+                if key not in self._scanned:
+                    self._scanned.add(key)
+                    self._scan(self.program.function(sub.name).body,
+                               reason, chain + (sub.name,))
 
     def _escapes(self, node: ast.Node | None) -> set[str]:
         """Which escape kinds a conditionally-executed region can trigger."""
@@ -648,7 +631,6 @@ class StaticAnalyzer:
                     # indeterminate sp): give up on frame addresses for the
                     # rest of this instance.
                     self.sp_exact = False
-                    self.stats_exact = False
                     if decl.init is not None:
                         # Initializer stores trace at the item nodes
                         # themselves (_init_object), not just at nested
@@ -739,7 +721,6 @@ class StaticAnalyzer:
         self.stack.append([child, False])
         # An unconditional checkpoint resynchronizes attribution.
         self.poisoned = False
-        self.executed.setdefault(stmt.node_id, stmt.kind)
         return child
 
     def _walk_for(self, stmt: ast.For,
@@ -797,7 +778,6 @@ class StaticAnalyzer:
                       reason: str) -> tuple[str, set[str]]:
         frame = self.frame
         child.sound = False
-        self.stats_exact = False
         parts: list[ast.Node | None] = [stmt.body]
         if isinstance(stmt, ast.For):
             parts = [stmt.init, stmt.cond, stmt.step, stmt.body]
@@ -995,13 +975,8 @@ class StaticAnalyzer:
                 return taint, True
             arg_forms.append(self._affine(arg, frame))
         if expr.is_builtin:
-            if expr.name == "exit":
-                return taint, True
-            if expr.name not in SILENT_BUILTINS:
-                self.stats_exact = False
-            return taint, False
+            return taint, expr.name == "exit"
         if not self.program.has_function(expr.name):
-            self.stats_exact = False
             return taint, False
         if expr.name in chain:
             self._note_refusal(expr.node_id, "recursion",
@@ -1090,8 +1065,6 @@ class StaticAnalyzer:
             return cached
 
         unfiltered: list[ForayReference] = []
-        addresses_of: dict[int, frozenset[int]] = {}
-        stats = TraceStats()
         for node in self.root.iter_subtree():
             if not node.sound:
                 continue
@@ -1099,7 +1072,7 @@ class StaticAnalyzer:
             for ref in node.refs.values():
                 if ref.dead:
                     continue
-                reference = ForayReference(
+                unfiltered.append(ForayReference(
                     pc=ref.pc,
                     loop_path=path,
                     expression=ref.expression,
@@ -1109,20 +1082,9 @@ class StaticAnalyzer:
                     writes=ref.writes,
                     mispredictions=0,
                     access_size=ref.access_size,
-                )
-                unfiltered.append(reference)
-                addresses_of[id(reference)] = ref.addresses
-                stats.total_accesses += ref.exec_count
-                stats.user_accesses += ref.exec_count
-                stats.user_refs.add((node.uid, ref.pc))
-                stats.user_addresses.update(ref.addresses)
+                ))
 
         references = self.filter.apply(unfiltered)
-        captured: set[int] = set()
-        captured_accesses = 0
-        for reference in references:
-            captured_accesses += reference.exec_count
-            captured |= addresses_of[id(reference)]
 
         model_loops: dict[int, ForayLoop] = {}
         for reference in unfiltered:
@@ -1140,13 +1102,8 @@ class StaticAnalyzer:
             unfiltered_references=unfiltered,
             loops=sorted(model_loops.values(), key=lambda lp: lp.uid),
             refusals=dict(self.refusals),
-            executed_loops=dict(self.executed),
-            trace_stats=stats,
-            captured_accesses=captured_accesses,
-            captured_footprint=len(captured),
             filter_config=self.filter,
             model_complete=self.model_complete,
-            stats_exact=self.stats_exact,
             refusal_histogram=histogram,
         )
 

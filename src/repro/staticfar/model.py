@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.foray.extractor import TraceStats
 from repro.foray.filters import FilterConfig
 from repro.foray.model import ForayLoop, ForayModel, ForayReference
 
@@ -59,26 +58,11 @@ class StaticForayModel:
     loops: list[ForayLoop]
     #: node_id → refusal for everything we declined to model.
     refusals: dict[int, StaticRefusal]
-    #: ast_node_id → kind for loops proven to execute at least once.
-    executed_loops: dict[int, str]
-    #: Synthesised from the modeled references only (exact when
-    #: ``stats_exact``); lib traffic is never statically modeled.
-    trace_stats: TraceStats
-    captured_accesses: int
-    captured_footprint: int
     filter_config: FilterConfig
     #: Every user memory reference is either modeled or provably filtered.
     model_complete: bool
-    #: Stronger: no refusals, no library traffic, no conditional control
-    #: flow around loops — the synthetic trace stats equal a real run's.
-    stats_exact: bool
     #: reason → count, for reports.
     refusal_histogram: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def fast_path_ok(self) -> bool:
-        """May the pipeline skip simulation entirely for this program?"""
-        return self.model_complete and self.stats_exact
 
     @property
     def refused_count(self) -> int:
@@ -88,13 +72,10 @@ class StaticForayModel:
         return node_id in self.refusals
 
     def foray_model(self) -> ForayModel:
-        """Repackage as a plain :class:`ForayModel` for the SPM layer."""
+        """Repackage as a plain :class:`ForayModel` for the SPM layer
+        (references and loops only: no trace was run to count)."""
         return ForayModel(
             references=list(self.references),
             unfiltered_references=list(self.unfiltered_references),
             loops=list(self.loops),
-            non_analyzable_count=0,
-            trace_stats=self.trace_stats,
-            captured_accesses=self.captured_accesses,
-            captured_footprint=self.captured_footprint,
         )

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.gen.fuzz as fuzz
+import repro.pipeline as pipeline
+from repro.foray.extractor import ForayExtractor
+from repro.foray.filters import FilterConfig
 from repro.gen import build_ir, generate_program, get_profile
 from repro.gen.fuzz import (
     FUZZ_CHECKS,
@@ -54,6 +58,46 @@ class TestBattery:
         measured, lowest, mean = stats
         assert 1 <= measured <= 4
         assert 0.0 <= lowest <= mean <= 1.0
+
+
+class TestOneProfilingRun:
+    """The model-based checks share the pipeline's one extraction, run
+    under the run's config."""
+
+    def _count_extracting_runs(self, monkeypatch) -> list:
+        runs: list = []
+        for module in (pipeline, fuzz):
+            def wrapper(compiled, sinks=(), *args, _real=module.run_compiled,
+                        **kwargs):
+                if any(isinstance(sink, ForayExtractor) for sink in sinks):
+                    runs.append(compiled.source)
+                return _real(compiled, sinks, *args, **kwargs)
+
+            monkeypatch.setattr(module, "run_compiled", wrapper)
+        return runs
+
+    def test_battery_profiles_each_program_once(self, monkeypatch):
+        runs = self._count_extracting_runs(monkeypatch)
+        outcome = fuzz_program("small", 0, config=PipelineConfig())
+        assert outcome.status == "pass", outcome
+        assert len(runs) == 1
+
+    def test_checks_honour_the_run_filter(self):
+        config = PipelineConfig(filter_config=FilterConfig(nexec=1, nloc=1))
+        report = run_fuzz("small", seeds=12, config=config)
+        assert report.ok, [
+            (o.spec, o.failing_check or o.error) for o in report.outcomes
+        ]
+        outcome = report.outcomes[4]
+        assert outcome.spec == "gen:small:4"
+        alloc = next(c for c in outcome.checks if c.name == "alloc")
+        assert (alloc.status, alloc.detail) == ("pass", "8 candidate nodes")
+
+    def test_parallel_matches_serial(self):
+        config = PipelineConfig(cache=False)
+        serial = run_fuzz("small", seeds=3, jobs=1, config=config)
+        parallel = run_fuzz("small", seeds=3, jobs=2, config=config)
+        assert parallel.outcomes == serial.outcomes
 
 
 class TestSeededBug:

@@ -7,16 +7,12 @@ paths), every unmatched dynamic reference must carry an explicit refusal,
 and the static model must contain no phantom references.
 """
 
-import pytest
-
 from repro.foray.extractor import extract_from_source
 from repro.foray.filters import FilterConfig
-from repro.pipeline import PipelineConfig, clear_caches, full_flow
 from repro.staticfar.analyze import analyze_static
 from repro.staticfar.detector import detect
 from repro.staticfar.model import REFUSAL_REASONS
 from repro.staticfar.oracle import compare_models
-from repro.workloads.registry import ALL_WORKLOADS
 
 RELAXED = FilterConfig(nexec=1, nloc=1)
 
@@ -46,7 +42,7 @@ class TestAffineLoops:
         dynamic, static, report = differential(source)
         assert report.matched == report.dynamic_total > 0
         assert not static.refusals
-        assert static.model_complete and static.stats_exact
+        assert static.model_complete
 
     def test_nested_loops_calls_and_trailing_refs(self):
         source = """
@@ -67,7 +63,7 @@ class TestAffineLoops:
         """
         dynamic, static, report = differential(source)
         assert report.matched == report.dynamic_total
-        assert static.fast_path_ok
+        assert static.model_complete
 
     def test_local_arrays_and_param_affine_propagation(self):
         # The callee's frame address must be reproduced by the stack
@@ -237,48 +233,3 @@ class TestRefusals:
         dynamic, static, report = differential(source)
         assert not report.unexplained
         assert 0 < report.matched < report.dynamic_total
-
-
-class TestStaticFastPath:
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        clear_caches()
-        yield
-        clear_caches()
-
-    def test_fully_static_program_skips_simulation(self):
-        source = ALL_WORKLOADS["fig9"].source
-        config = PipelineConfig(cache=False, static_fast_path=True)
-        flow = full_flow("fig9", source, config=config)
-        run_result = flow.report.extraction.run_result
-        assert run_result.stats.steps == 0
-        assert run_result.stats.accesses == 0
-        assert run_result.machine is None  # no engine was ever built
-
-    def test_fast_path_artifacts_identical_to_simulation(self):
-        source = ALL_WORKLOADS["fig9"].source
-        slow = full_flow("fig9", source, config=PipelineConfig(cache=False))
-        fast = full_flow("fig9", source, config=PipelineConfig(
-            cache=False, static_fast_path=True))
-        assert fast.report.model == slow.report.model
-        assert fast.report.extraction.foray_source == \
-            slow.report.extraction.foray_source
-        assert fast.transformed_source == slow.transformed_source
-        assert fast.report.census == slow.report.census
-        assert fast.report.table2 == slow.report.table2
-        assert fast.report.table3 == slow.report.table3
-        assert fast.allocation.selected == slow.allocation.selected
-        assert fast.allocation.total_benefit_nj == \
-            pytest.approx(slow.allocation.total_benefit_nj)
-
-    def test_partially_static_program_falls_back(self):
-        # adpcm prints results (stats-inexact) and models nothing
-        # statically: the fast path must simulate as usual.
-        source = ALL_WORKLOADS["adpcm"].source
-        config = PipelineConfig(cache=False, static_fast_path=True)
-        flow = full_flow("adpcm", source, config=config)
-        run_result = flow.report.extraction.run_result
-        assert run_result.stats.steps > 0
-        no_fast = full_flow("adpcm", source,
-                            config=PipelineConfig(cache=False))
-        assert flow.report.model == no_fast.report.model

@@ -97,6 +97,15 @@ class TestFullMatrix:
             assert any(r.oracle.matched > 0 for r in nominal)
 
 
+class TestFanOut:
+    def test_parallel_matches_serial(self):
+        config = PipelineConfig(cache=False)
+        serial = static_suite(("adpcm",), jobs=1, config=config)
+        parallel = static_suite(("adpcm",), jobs=2, config=config)
+        assert len(serial) == len(get_workload("adpcm").scenarios)
+        assert parallel == serial
+
+
 class TestCrossEngine:
     @pytest.mark.parametrize("name", sorted(MIBENCH_WORKLOADS))
     def test_oracle_verdict_identical_on_ast_engine(self, name):

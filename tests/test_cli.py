@@ -166,6 +166,18 @@ class TestCache:
         assert ("cache[extraction]: 1 hits, 0 misses, 0 stored"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["validate", "suite"])
+    def test_pool_processes_report_their_counters(self, command, tmp_path,
+                                                  capsys):
+        # One extraction per workload, counted although pool processes
+        # ran them: validation extracts each profile model once and
+        # hands it to every replay cell.
+        cache_dir = str(tmp_path / "store")
+        assert main([command, "adpcm", "gsm", "--jobs", "2",
+                     "--cache-dir", cache_dir]) == 0
+        assert ("cache[extraction]: 0 hits, 2 misses, 2 stored"
+                in capsys.readouterr().err)
+
     def test_no_disk_cache_prints_no_counters(self, capsys):
         assert main(["suite", "adpcm", "--no-disk-cache"]) == 0
         assert "cache[" not in capsys.readouterr().err

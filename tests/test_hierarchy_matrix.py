@@ -15,7 +15,7 @@ from repro.pipeline import (
     clear_caches,
     full_flow,
     hier_suite,
-    hierarchy_for_source,
+    hierarchy_for_configs,
 )
 from repro.workloads.registry import MIBENCH_WORKLOADS
 
@@ -41,8 +41,8 @@ class TestEngineParity:
         reports = {}
         for engine in ("ast", "bytecode"):
             config = PipelineConfig(engine=engine)
-            reports[engine] = hierarchy_for_source(
-                name, workload.source, config, SMALL_CACHE
+            (reports[engine],) = hierarchy_for_configs(
+                name, workload.source, config, (SMALL_CACHE,)
             )
         assert reports["bytecode"] == reports["ast"]
         assert (reports["bytecode"].fingerprint()

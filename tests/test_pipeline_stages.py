@@ -44,7 +44,7 @@ class TestStageRegistry:
     def test_stage_order(self):
         assert stage_names() == (
             "compile", "instrument", "simulate", "extract", "analyze",
-            "analyze-static", "validate", "optimize", "hierarchy",
+            "validate", "optimize", "hierarchy",
         )
 
     def test_run_stages_stops_at_requested_stage(self):

@@ -4,7 +4,9 @@ scenario) fan-out, the artifact cache, the stability table and the CLI."""
 
 import pytest
 
+import repro.pipeline as pipeline
 from repro.analysis.report import format_stability_table
+from repro.foray.extractor import ForayExtractor
 from repro.pipeline import (
     PipelineConfig,
     PipelineContext,
@@ -151,6 +153,23 @@ class TestValidationCache:
         assert validation_cache.misses == misses
         assert validation_cache.hits > hits
         clear_caches()
+
+    def test_profile_extracted_once_without_cache(self, monkeypatch):
+        # cache=False memoizes no extraction: the one profile model is
+        # handed to every replay instead of re-extracted per cell.
+        clear_caches()
+        real = pipeline.run_compiled
+        extracting = []
+
+        def wrapper(compiled, sinks=(), *args, **kwargs):
+            if any(isinstance(sink, ForayExtractor) for sink in sinks):
+                extracting.append(compiled.source)
+            return real(compiled, sinks, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_compiled", wrapper)
+        result = validate_workload("adpcm", config=PipelineConfig(cache=False))
+        assert len(result.cross) == 3
+        assert extracting == [get_workload("adpcm").source]
 
     def test_cache_keyed_by_scenario_input(self):
         clear_caches()
