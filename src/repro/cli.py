@@ -155,6 +155,7 @@ from repro.pipeline import (
     validate_suite,
 )
 from repro.sim.machine import DEFAULT_ENGINE, ENGINES
+from repro.sim.trace import MAX_TRACE_BLOCK
 from repro.spm.allocator import ALLOCATOR_POLICIES, AllocatorPolicy
 from repro.spm.energy import EnergyModel
 from repro.spm.explore import DEFAULT_CAPACITIES
@@ -174,10 +175,19 @@ def _add_filter_args(parser: argparse.ArgumentParser) -> None:
                         help="step-4 minimum distinct locations (paper: 10)")
 
 
+def _trace_block(text: str) -> int:
+    """``--trace-block``: engines reject blocks above ``MAX_TRACE_BLOCK``."""
+    value = int(text)
+    if value > MAX_TRACE_BLOCK:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_TRACE_BLOCK} accesses per block")
+    return value
+
+
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
                         help="execution engine (default: %(default)s)")
-    parser.add_argument("--trace-block", type=int, default=None,
+    parser.add_argument("--trace-block", type=_trace_block, default=None,
                         metavar="N",
                         help="accesses per columnar trace block "
                              "(default: engine default)")

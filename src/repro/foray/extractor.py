@@ -13,12 +13,13 @@ can be
 The two entry points share that design. :meth:`ForayExtractor.emit` takes
 one record at a time — the plain reading of the algorithms.
 :meth:`ForayExtractor.emit_columns`, the engines' hot path, takes one
-:class:`~repro.sim.trace.ColumnBlock` at a time: one loop-tree walk cuts
-the block into segments, the accesses are grouped per solver (node uid,
-pc) and visited in order of first occurrence, and long groups are
-checked in bulk by :meth:`ReferenceSolver.observe_rows`. Grouping is
-exact because a solver's state depends only on its own accesses, in
-order. Both entry points produce identical models (tested).
+:class:`~repro.sim.trace.ColumnBlock` at a time: one loop-tree walk gives
+every access its context and innermost iterator as columns, the accesses
+are grouped per solver (node uid, pc) and visited in order of first
+occurrence, and long groups are checked in bulk by
+:meth:`ReferenceSolver.observe_rows`. Grouping is exact because a
+solver's state depends only on its own accesses, in order. Both entry
+points produce identical models (tested).
 
 Convenience entry points: :func:`extract_from_source` runs the whole
 pipeline (annotate → profile → analyze → purge) on MiniC source text.
@@ -53,7 +54,9 @@ class TraceStats:
 
     References are counted per (dynamic loop node, pc) — i.e. with
     functions considered inlined, as the paper does. Footprints are sets of
-    distinct accessed addresses per category.
+    distinct accessed addresses per category; ``user_addresses`` is
+    filled by :meth:`ForayExtractor.finish`, as the union of the solvers'
+    address sets (every user access reaches one solver).
     """
 
     total_accesses: int = 0
@@ -104,17 +107,17 @@ class ForayExtractor:
         """Columnar sink entry point (the engines' hot path).
 
         One :meth:`LoopTreeBuilder.walk` applies the block's checkpoints
-        and cuts its accesses into segments. The Table III tallies are
-        block-wide column operations. User accesses are then grouped by
-        (node uid, pc) — one group per Algorithm-3 solver — and the groups
-        are visited in order of first occurrence, so solvers are created
-        in stream order. Short groups feed :meth:`ReferenceSolver.observe`
-        row by row; longer ones go to :meth:`ReferenceSolver.observe_rows`.
-        Grouping is exact because a solver's state depends only on its
-        own accesses, in order.
+        and gives every access its context and innermost iterator. The
+        Table III tallies are block-wide column operations. User accesses
+        are then grouped by (node uid, pc) — one group per Algorithm-3
+        solver — and the groups are visited in order of first occurrence,
+        so solvers are created in stream order. Short groups feed
+        :meth:`ReferenceSolver.observe` row by row; longer ones go to
+        :meth:`ReferenceSolver.observe_rows`. Grouping is exact because a
+        solver's state depends only on its own accesses, in order.
         """
         n = block.n
-        segments = self._tree.walk(block.checkpoints, n)
+        contexts = self._tree.walk(block.checkpoints, n)
         if not n:
             return
         import numpy as np  # loaded on first use (see ColumnBlock._array)
@@ -122,13 +125,11 @@ class ForayExtractor:
         stats = self.stats
         pc_column = block.pc
         addr_column = block.addr
-        nodes = segments.nodes
-        seg_of = np.zeros(n, dtype=np.int64)  # access -> segment index
-        seg_of[segments.starts[1:]] = 1
-        np.cumsum(seg_of, out=seg_of)
+        nodes = contexts.nodes
+        ctx = contexts.ctx
         uids = np.fromiter(map(_uid, nodes), dtype=np.int64, count=len(nodes))
         # (node uid, pc) packed into one int64; pcs stay below 2**32.
-        keys = (uids[seg_of] << 32) | pc_column
+        keys = (uids[ctx] << 32) | pc_column
         is_lib = pc_column >= LIB_PC_BASE
         lib_count = int(np.count_nonzero(is_lib))
         stats.total_accesses += n
@@ -144,51 +145,61 @@ class ForayExtractor:
             stats.lib_addresses.update(addr_column[is_lib].tolist())
             if lib_count == n:
                 return
-            user = np.flatnonzero(~is_lib)
-            grouped = user[np.argsort(keys[user], kind="stable")]
+            user = (~is_lib).nonzero()[0]
+            grouped = user[keys[user].argsort(kind="stable")]
         else:
-            grouped = np.argsort(keys, kind="stable")
+            grouped = keys.argsort(kind="stable")
         # ``grouped``: the user accesses' indices, group after group, in
         # stream order within each group.
-        stats.user_addresses.update(addr_column[grouped].tolist())
         sorted_keys = keys[grouped]
-        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        cuts = (sorted_keys[1:] != sorted_keys[:-1]).nonzero()[0] + 1
         bounds = [0, *cuts.tolist(), len(grouped)]
         firsts = grouped[bounds[:-1]]
-        write_column = block.is_write
-        size_column = block.size
         user_refs = stats.user_refs
-        # uid -> (the node's segments, their iterator matrix), built for
-        # the nodes that own at least one long group.
-        node_iterators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for g in np.argsort(firsts).tolist():
+        iteration = contexts.iteration
+        outers = contexts.outers
+        # The iterator and context columns as lists, for short groups.
+        scalar: tuple[list[int], list[int]] | None = None
+        # uid -> (contexts, depth - 1) outer-iterator matrix, built for
+        # the nodes deeper than 1 that own a long group.
+        outer_tables: dict[int, np.ndarray] = {}
+        for g in firsts.argsort().tolist():
             first = int(firsts[g])
-            node = nodes[seg_of[first]]
+            node = nodes[ctx[first]]
             uid = node.uid
             pc = int(pc_column[first])
             user_refs.add((uid, pc))
+            depth = node.depth
             solver = node.references.get(pc)
             if solver is None:
-                solver = ReferenceSolver(pc, node.depth)
+                solver = ReferenceSolver(pc, depth)
                 node.references[pc] = solver
             rows = grouped[bounds[g]:bounds[g + 1]]
             if len(rows) < BULK_MIN_ROWS:
                 _pcs, addrs, sizes, writes = block.lists()  # memoized
+                if scalar is None:
+                    scalar = (iteration.tolist(), ctx.tolist())
+                iterations, contexts_of = scalar
                 observe = solver.observe
-                iterators = segments.iterators
-                for i, seg in zip(rows.tolist(), seg_of[rows].tolist()):
-                    observe(addrs[i], iterators(seg), writes[i], sizes[i])
+                for i in rows.tolist():
+                    observe(addrs[i],
+                            ((iterations[i],) + outers[contexts_of[i]]
+                             if depth else ()),
+                            writes[i], sizes[i])
                 continue
-            cached = node_iterators.get(uid)
-            if cached is None:
-                segs = np.flatnonzero(uids == uid)
-                cached = node_iterators[uid] = (segs, segments.iterator_matrix(
-                    segs.tolist(), node.depth))
-            segs, matrix = cached
-            solver.observe_rows(
-                addr_column[rows],
-                matrix[np.searchsorted(segs, seg_of[rows])],
-                write_column[rows], size_column[rows])
+            matrix = np.empty((len(rows), depth), dtype=np.int64)
+            if depth:
+                matrix[:, 0] = iteration[rows]
+            if depth > 1:
+                table = outer_tables.get(uid)
+                if table is None:
+                    owned = np.flatnonzero(uids == uid).tolist()
+                    table = np.zeros((len(nodes), depth - 1), dtype=np.int64)
+                    table[owned] = [outers[k] for k in owned]
+                    outer_tables[uid] = table
+                matrix[:, 1:] = table[ctx[rows]]
+            solver.observe_rows(addr_column[rows], matrix,
+                                block.is_write[rows], block.size[rows])
 
     # -- record processing ---------------------------------------------------
 
@@ -205,7 +216,6 @@ class ForayExtractor:
             return
         stats.user_accesses += 1
         stats.user_refs.add((node.uid, access.pc))
-        stats.user_addresses.add(access.addr)
 
         solver = node.references.get(access.pc)
         if solver is None:
@@ -244,10 +254,12 @@ class ForayExtractor:
         unfiltered: list[ForayReference] = []
         solver_of: dict[int, ReferenceSolver] = {}
         non_analyzable = 0
+        user_addresses = self.stats.user_addresses
         for node in root.iter_subtree():
             path = tuple(loop_of(ancestor) for ancestor in node.path_from_root())
             for solver in node.references.values():
                 assert isinstance(solver, ReferenceSolver)
+                user_addresses.update(solver.addresses)
                 if solver.non_analyzable:
                     non_analyzable += 1
                     continue

@@ -21,21 +21,29 @@ under two different call sites (or two different outer loops) yields two
 distinct nodes — this is the "functions appear inlined" property the paper
 uses for inlining hints.
 
-Checkpoints arrive one at a time (:meth:`LoopTreeBuilder.on_checkpoint_code`)
-or a trace block at a time (:meth:`LoopTreeBuilder.walk`). The walk
-applies a block's checkpoints in one loop, handling the common
-no-pop events inline, and returns the block's access :class:`Segments`:
-the runs of accesses between checkpoint positions, each with its loop
-node and iterator vector.
+Checkpoints arrive one at a time (:meth:`LoopTreeBuilder.on_checkpoint_code`,
+the reference) or a trace block at a time (:meth:`LoopTreeBuilder.walk`).
+Most events of a block are *same-loop* events: a body-begin or body-end
+of the loop already on top of the stack, whose only effects are the
+iterator and the body flag. After any event the top of the stack is the
+loop that owns it, so an event is same-loop exactly when it is not a
+loop-begin and its loop also owns the event before it (the block's first
+event compares with the top carried in). The walk classifies a block's
+events with NumPy, steps through the other, *structural* events in
+Python, and applies each run of same-loop events between two of them in
+bulk: the iterator moves by the run's body-begin count, read off one
+prefix sum (a segmented scan). It returns :class:`BlockContexts`, the
+block's accesses as columns: each access's context (a loop node under
+fixed outer iterators, one per stretch between structural events) and
+its innermost iterator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from repro.sim.trace import CheckpointKind, CheckpointMap, CheckpointTuple
+from repro.sim.trace import CheckpointKind, CheckpointMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -88,9 +96,11 @@ class LoopNode:
         self.entries += 1
         self.iteration = -1
 
-    def begin_iteration(self) -> None:
-        self.iteration += 1
-        self.total_iterations += 1
+    def begin_iteration(self, count: int = 1) -> None:
+        """Open the next ``count`` iterations (the same as ``count``
+        single steps: the iterator only grows)."""
+        self.iteration += count
+        self.total_iterations += count
         if self.iteration + 1 > self.max_trip:
             self.max_trip = self.iteration + 1
 
@@ -102,63 +112,48 @@ class LoopNode:
                 self.min_trip = trip
 
     def finalize(self) -> None:
-        """Close the last entry's trip count, recursively."""
-        self._close_trip()
-        for child in self.children.values():
-            child.finalize()
+        """Close the last entry's trip count in every node of the
+        subtree."""
+        for node in self.iter_subtree():
+            node._close_trip()
 
-    def iter_subtree(self):
-        yield self
-        for child in self.children.values():
-            yield from child.iter_subtree()
+    def iter_subtree(self) -> Iterator["LoopNode"]:
+        """The subtree in pre-order, children in creation order. The walk
+        is iterative: recursion nests loop trees as deep as the call-depth
+        budget allows."""
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            yield node
+            pending.extend(reversed(node.children.values()))
 
 
-class Segments:
-    """The access segments of one trace block, as parallel lists.
+class BlockContexts:
+    """Where the accesses of one trace block ran, as columns.
 
-    Segment ``s`` covers the accesses from index ``starts[s]`` up to the
-    next segment's start (or the end of the block). They all execute in
-    ``nodes[s]``, whose iterator was ``iterations[s]``, inside enclosing
-    loops whose iterators, innermost first, are ``outers[s]``. Splitting
-    the IT1..ITN vector this way lets a walk record a segment without
-    building a tuple: the outer part only changes when a loop is entered
-    or left, and consecutive segments share it.
+    A *context* is a stretch of the block between two structural events:
+    one loop node under fixed outer iterators. Context ``k`` runs in
+    ``nodes[k]``, inside enclosing loops whose iterators, innermost
+    first, are ``outers[k]``, from access ``starts[k]`` up to the next
+    context's start (or the end of the block). Context 0 is the state
+    carried in from the previous block; a context may hold no access.
+
+    Per access, ``ctx`` is its context index (never decreasing along the
+    block) and ``iteration`` the iterator of its context's node, both
+    int64 arrays. The paper's IT1..ITN of access ``j`` is
+    ``(iteration[j],) + outers[ctx[j]]``, or ``()`` at the root.
     """
 
-    __slots__ = ("starts", "nodes", "iterations", "outers")
+    __slots__ = ("ctx", "iteration", "nodes", "outers", "starts")
 
-    def __init__(self) -> None:
-        self.starts: list[int] = []
-        self.nodes: list[LoopNode] = []
-        self.iterations: list[int] = []
-        self.outers: list[tuple[int, ...]] = []
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def iterators(self, index: int) -> tuple[int, ...]:
-        """IT1..ITN of segment ``index`` (empty at the root)."""
-        if self.nodes[index].parent is None:
-            return ()
-        return (self.iterations[index],) + self.outers[index]
-
-    def iterator_matrix(self, indices: list[int], depth: int) -> np.ndarray:
-        """IT1..ITN of the given segments of one node (of nest ``depth``)
-        as a ``(len(indices), depth)`` int64 array."""
-        import numpy as np  # loaded on first use (see ColumnBlock._array)
-
-        count = len(indices)
-        matrix = np.empty((count, depth), dtype=np.int64)
-        if depth:
-            matrix[:, 0] = np.fromiter(
-                map(self.iterations.__getitem__, indices),
-                dtype=np.int64, count=count)
-        if depth > 1:
-            matrix[:, 1:] = np.fromiter(
-                chain.from_iterable(map(self.outers.__getitem__, indices)),
-                dtype=np.int64, count=count * (depth - 1),
-            ).reshape(count, depth - 1)
-        return matrix
+    def __init__(self, ctx: np.ndarray, iteration: np.ndarray,
+                 nodes: list[LoopNode], outers: list[tuple[int, ...]],
+                 starts: list[int]) -> None:
+        self.ctx = ctx
+        self.iteration = iteration
+        self.nodes = nodes
+        self.outers = outers
+        self.starts = starts
 
 
 class LoopTreeBuilder:
@@ -177,6 +172,12 @@ class LoopTreeBuilder:
         self._next_uid = 1
         #: Stack of (node, body_open); the root is always at the bottom.
         self._stack: list[list] = [[self.root, True]]
+        #: The walk's owner lookup table (see :meth:`_owner_table`) and
+        #: the ``begin_ids()`` dict it mirrors. Built on the first walk
+        #: and kept off the map, which is pickled with the compiled
+        #: program: a warm run loads no NumPy.
+        self._owners: np.ndarray | None = None
+        self._owners_of: dict[int, int | None] | None = None
 
     @property
     def current(self) -> LoopNode:
@@ -198,79 +199,145 @@ class LoopTreeBuilder:
         code of :data:`repro.sim.trace.KIND_TO_CODE`."""
         if kind_code == 0:  # LOOP_BEGIN
             self._on_loop_begin(checkpoint_id)
-        elif kind_code == 1:  # BODY_BEGIN
-            self._on_body_begin(checkpoint_id)
-        else:  # BODY_END
-            self._on_body_end(checkpoint_id)
+        else:  # BODY_BEGIN or BODY_END
+            self._on_body(self._owning_loop(checkpoint_id), kind_code)
 
-    def walk(self, checkpoints: list[CheckpointTuple], n: int) -> Segments:
-        """Apply one block's ``(pos, checkpoint_id, kind_code)`` checkpoints
-        and return the segments of its ``n`` accesses, in order.
+    def walk(self, checkpoints: list[int], n: int) -> BlockContexts:
+        """Apply one block's packed checkpoints (see
+        :func:`repro.sim.trace.pack_checkpoint`) and return the contexts
+        of its ``n`` accesses.
 
-        The common events are handled inline: a body-begin or body-end
-        whose loop is already on top of the stack (nothing to pop) and a
-        loop-begin under an open body. Every other checkpoint goes through
+        Structural events — loop-begins, and events whose loop is not on
+        top of the stack — go through the handlers of
         :meth:`on_checkpoint_code`, so stack pops, node creation, uid
-        order, trip counts and the unmatched-checkpoint ``ValueError``
-        are exactly those of one-at-a-time processing.
+        order, trip counts and the ``ValueError`` of an unmatched or
+        unknown checkpoint are exactly those of one-at-a-time processing.
+        Each run of same-loop events before a structural event (or the
+        end of the block) is applied at once: the top node opens the
+        run's body-begin count of iterations, and its body flag is the
+        run's last event's.
         """
+        import numpy as np  # loaded on first use (see ColumnBlock._array)
+
         stack = self._stack
-        root = self.root
-        owner_of = self._map.begin_ids().get
-        segments = Segments()
-        add_start = segments.starts.append
-        add_node = segments.nodes.append
-        add_iteration = segments.iterations.append
-        add_outer = segments.outers.append
         top = stack[-1]
         node = top[0]
-        outer = self.current_iterators()[1:]
-        start = 0
-        for pos, checkpoint_id, code in checkpoints:
-            if pos > start:
-                add_start(start)
-                add_node(node)
-                add_iteration(node.iteration)
-                add_outer(outer)
-                start = pos
-            if code:
-                if owner_of(checkpoint_id) == node.begin_id:
-                    if code == 1:  # body-begin: LoopNode.begin_iteration
-                        top[1] = True
-                        iteration = node.iteration + 1
-                        node.iteration = iteration
-                        node.total_iterations += 1
-                        if iteration >= node.max_trip:
-                            node.max_trip = iteration + 1
-                    else:
-                        top[1] = False
-                    continue
-            elif top[1]:
-                # A loop-begin under an open body pops nothing: the top
-                # becomes the new loop's innermost enclosing loop.
-                if node is not root:
-                    outer = (node.iteration,) + outer
-                self._on_loop_begin(checkpoint_id)
-                top = stack[-1]
-                node = top[0]
-                continue
-            self.on_checkpoint_code(checkpoint_id, code)
+        outer = tuple([entry[0].iteration for entry in stack[-2:0:-1]])
+        nodes = [node]
+        outers = [outer]
+        starts = [0]
+        m = len(checkpoints)
+        if not m:
+            iterations = np.empty(n, dtype=np.int64)
+            iterations.fill(node.iteration)
+            return BlockContexts(np.zeros(n, dtype=np.int64), iterations,
+                                 nodes, outers, starts)
+        # Event 0 is a stand-in for the top carried in: a loop-begin of
+        # its begin id at position 0 packs to the begin id itself.
+        packed = np.array([node.begin_id, *checkpoints], dtype=np.int64)
+        high = packed >> 32
+        code = high & 3
+        key = packed & 0xFFFFFFFF
+        key <<= 2
+        key |= code
+        # Per event: the begin id it needs on top to be same-loop (its
+        # loop's, for a body checkpoint of a known loop), and the begin id
+        # on top after it (see _owner_table).
+        owners = self._owner_table().take(key, axis=0, mode="clip")
+        structural = np.zeros(m + 1, dtype=bool)
+        np.not_equal(owners[1:, 0], owners[:-1, 1], out=structural[1:])
+        # counted[i]: same-loop body-begins among events 1..i.
+        counted = code == 1
+        np.greater(counted, structural, out=counted)
+        counted = counted.cumsum()
+        events = structural.nonzero()[0]
+        # The iterator of context k after event i is offsets[k] + counted[i].
+        offsets = [node.iteration]
+        on_code = self.on_checkpoint_code
+        on_body = self._on_body
+        last = 0  # the previous structural event
+        done = 0  # body-begins applied so far
+        for index, before, owner in zip(events.tolist(),
+                                        counted[events].tolist(),
+                                        owners[events, 0].tolist()):
+            if index > last + 1:  # the same-loop run before this event
+                if before != done:
+                    node.begin_iteration(before - done)
+                top[1] = (checkpoints[index - 2] >> 32) & 3 == 1
+            event = checkpoints[index - 1]
+            kind_code = (event >> 32) & 3
+            depth = len(stack)
+            if owner >= 0:  # a body checkpoint of a known loop
+                on_body(owner, kind_code)
+            else:  # a loop-begin, or an unknown id (which raises)
+                on_code(event & 0xFFFFFFFF, kind_code)
             top = stack[-1]
             node = top[0]
-            outer = self.current_iterators()[1:]
-        if start < n:
-            add_start(start)
-            add_node(node)
-            add_iteration(node.iteration)
-            add_outer(outer)
-        return segments
+            # Outer iterators: a pop drops the innermost ones; a push adds
+            # the new parent's iterator (none under the root).
+            if kind_code:
+                outer = outer[depth - len(stack):]
+            elif len(stack) == 2:
+                outer = ()
+            else:
+                outer = ((stack[-2][0].iteration,)
+                         + outer[depth + 1 - len(stack):])
+            nodes.append(node)
+            outers.append(outer)
+            starts.append(event >> 34)
+            offsets.append(node.iteration - before)
+            last = index
+            done = before
+        if m > last:  # the trailing same-loop run
+            if counted[m] != done:
+                node.begin_iteration(int(counted[m]) - done)
+            top[1] = (checkpoints[m - 1] >> 32) & 3 == 1
+        if not n:
+            return BlockContexts(high[:0], high[:0], nodes, outers, starts)
+        # Per event, the context and iterator after it; per access, those
+        # of the last event before it (runs[i] accesses follow event i).
+        context = structural.cumsum()
+        iterations = np.array(offsets, dtype=np.int64)[context]
+        iterations += counted
+        high >>= 2  # positions
+        runs = np.empty(m + 1, dtype=np.int64)
+        np.subtract(high[1:], high[:-1], out=runs[:m])
+        runs[m] = n - high[m]
+        return BlockContexts(context.repeat(runs), iterations.repeat(runs),
+                             nodes, outers, starts)
+
+    def _owner_table(self) -> np.ndarray:
+        """The lookup table of :meth:`walk`, indexed by ``id << 2 | code``
+        of an event: column 0 is the begin id that must be on top for the
+        event to be same-loop (-1: never — a loop-begin, or an unknown
+        id), column 1 the begin id on top after it (-2: none an event can
+        need, for unknown ids). Ids past the table clip to its last row,
+        whose code 3 never occurs. Rebuilt when the map's begin-id cache
+        changes (:meth:`CheckpointMap.add` drops it)."""
+        begin_ids = self._map.begin_ids()
+        table = self._owners
+        if table is None or self._owners_of is not begin_ids:
+            import numpy as np
+
+            size = max(begin_ids, default=-1) + 2
+            table = np.full((4 * size, 2), -1, dtype=np.int64)
+            table[:, 1] = -2
+            table[0::4, 1] = np.arange(size)  # a loop-begin pushes its id
+            for checkpoint_id, begin_id in begin_ids.items():
+                if begin_id is not None:
+                    table[4 * checkpoint_id + 1:4 * checkpoint_id + 3] = (
+                        begin_id)
+            self._owners = table
+            self._owners_of = begin_ids
+        return table
 
     def _on_loop_begin(self, begin_id: int) -> None:
         # A new loop starting while the top's body is closed means the top
         # loop has exited: pop it.
-        while len(self._stack) > 1 and not self._stack[-1][1]:
-            self._stack.pop()
-        parent = self.current
+        stack = self._stack
+        while len(stack) > 1 and not stack[-1][1]:
+            stack.pop()
+        parent = stack[-1][0]
         child = parent.children.get(begin_id)
         if child is None:
             info = self._map.infos.get(begin_id)
@@ -281,29 +348,28 @@ class LoopTreeBuilder:
             self._next_uid += 1
             parent.children[begin_id] = child
         child.begin_entry()
-        self._stack.append([child, False])
+        stack.append([child, False])
 
-    def _find_on_stack(self, begin_id: int, body_kind: CheckpointKind) -> None:
-        """Pop until the node owning ``begin_id`` is on top."""
-        while len(self._stack) > 1 and self._stack[-1][0].begin_id != begin_id:
-            self._stack.pop()
-        if self._stack[-1][0].begin_id != begin_id:
+    def _on_body(self, begin_id: int, kind_code: int) -> None:
+        """A body-begin (code 1) or body-end (code 2) of loop ``begin_id``:
+        pop until that loop is on top, then open its body and count an
+        iteration, or close it."""
+        stack = self._stack
+        while len(stack) > 1 and stack[-1][0].begin_id != begin_id:
+            stack.pop()
+        top = stack[-1]
+        if top[0].begin_id != begin_id:
+            kind = (CheckpointKind.BODY_BEGIN if kind_code == 1
+                    else CheckpointKind.BODY_END)
             raise ValueError(
-                f"{body_kind.value} checkpoint for loop {begin_id} "
+                f"{kind.value} checkpoint for loop {begin_id} "
                 "without a matching loop-begin"
             )
-
-    def _on_body_begin(self, body_begin_id: int) -> None:
-        begin_id = self._owning_loop(body_begin_id)
-        self._find_on_stack(begin_id, CheckpointKind.BODY_BEGIN)
-        top = self._stack[-1]
-        top[1] = True
-        top[0].begin_iteration()
-
-    def _on_body_end(self, body_end_id: int) -> None:
-        begin_id = self._owning_loop(body_end_id)
-        self._find_on_stack(begin_id, CheckpointKind.BODY_END)
-        self._stack[-1][1] = False
+        if kind_code == 1:
+            top[1] = True
+            top[0].begin_iteration()
+        else:
+            top[1] = False
 
     def _owning_loop(self, checkpoint_id: int) -> int:
         """Map a body-begin/body-end id back to its loop's begin id."""

@@ -13,10 +13,12 @@ the model's affine expression predicts exactly.
 
 :class:`ValidationSink` implements the engines' batched trace-sink
 protocol, so a replay can be scored *online* while the program runs —
-the replayed trace is never materialized. The ``validate`` pipeline
-stage (:mod:`repro.pipeline`) drives it over a workload's whole input
-scenario matrix; :func:`validate_model` is the classic offline entry
-point for stored record streams.
+the replayed trace is never materialized. Its columnar entry point shares
+the extractor's loop-tree walk (:meth:`LoopTreeBuilder.walk`) and scores
+each context, one contiguous range of accesses, in order. The
+``validate`` pipeline stage (:mod:`repro.pipeline`) drives it over a
+workload's whole input scenario matrix; :func:`validate_model` is the
+classic offline entry point for stored record streams.
 
 Typical use::
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable
 
 from repro.foray.looptree import LoopNode, LoopTreeBuilder
@@ -203,26 +206,46 @@ class ValidationSink:
 
     def emit_columns(self, block: ColumnBlock) -> None:
         """Columnar sink entry point: one :meth:`LoopTreeBuilder.walk`
-        per block, then the accesses segment by segment, skipping the
-        segments of nodes no model reference lives in (sizes and write
-        flags are never consulted by scoring)."""
+        per block, then the accesses context by context (each is one
+        contiguous range), skipping the contexts of nodes no model
+        reference lives in (sizes and write flags are never consulted by
+        scoring). An iterator tuple is built only when the innermost
+        iterator changes."""
         n = block.n
-        segments = self._builder.walk(block.checkpoints, n)
+        contexts = self._builder.walk(block.checkpoints, n)
         if not n:
             return
         pcs, addrs, _sizes, _writes = block.lists()
-        starts = segments.starts
-        for index, node in enumerate(segments.nodes):
+        starts = contexts.starts
+        last = len(starts) - 1
+        iterations: list[int] | None = None
+        for k, node in enumerate(contexts.nodes):
+            start = starts[k]
+            end = starts[k + 1] if k < last else n
+            if start == end:
+                continue
             states = self._node_states.get(node.uid)
             if states is None:
                 states = self._states_of(node)
             if not states:
                 continue
-            iterators = segments.iterators(index)
-            end = starts[index + 1] if index + 1 < len(starts) else n
-            for i in range(starts[index], end):
+            if node.parent is None:
+                for i in range(start, end):
+                    state = states.get(pcs[i])
+                    if state is not None:
+                        _score_access(state, addrs[i], ())
+                continue
+            if iterations is None:
+                iterations = contexts.iteration.tolist()
+            outer = contexts.outers[k]
+            current = None
+            iterators: tuple[int, ...] = ()
+            for i in range(start, end):
                 state = states.get(pcs[i])
                 if state is not None:
+                    if iterations[i] != current:
+                        current = iterations[i]
+                        iterators = (current,) + outer
                     _score_access(state, addrs[i], iterators)
 
     def _states_of(self, node: LoopNode) -> dict[int, _RefState]:
@@ -271,10 +294,7 @@ def _score_access(state: _RefState, addr: int, iterators: tuple[int, ...]) -> No
         # vector into a garbage match.
         state.validation.checked += 1
         return
-    inner_part = sum(
-        coefficient * value
-        for coefficient, value in zip(state.coefficients, iterators)
-    )
+    inner_part = sum(map(mul, state.coefficients, iterators))
     if state.rebase:
         outer = iterators[m:]
         if state.offset is None or state.anchor_iters != outer:

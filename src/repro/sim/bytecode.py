@@ -1252,9 +1252,10 @@ class BytecodeVM:
             for start, end, body_end_id in regions
             if start <= frame_pc < end
         ]
-        pos = len(trace.acc) >> 2
+        # Packed as in repro.sim.trace.pack_checkpoint: len(acc) is 4·pos.
+        event = (len(trace.acc) | BODY_END_CODE) << 32
         for _, body_end_id in sorted(open_regions, reverse=True):
-            trace.cps.append((pos, body_end_id, BODY_END_CODE))
+            trace.cps.append(event | body_end_id)
 
 
 # ---------------------------------------------------------------------------

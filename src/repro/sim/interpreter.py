@@ -182,7 +182,8 @@ class Interpreter:
     def _emit_checkpoint(self, checkpoint_id: int, kind_code: int) -> None:
         trace = self._trace
         cps = trace.cps
-        cps.append((len(trace.acc) >> 2, checkpoint_id, kind_code))
+        # Packed as in repro.sim.trace.pack_checkpoint: len(acc) is 4·pos.
+        cps.append((len(trace.acc) | kind_code) << 32 | checkpoint_id)
         # Access-free loops still produce checkpoints; bound that
         # buffer too so blocks stay constant-size.
         if len(cps) >= trace.block_size:

@@ -1141,12 +1141,15 @@ class _Codegen:
         elif op == B.OP_CKPT:
             # The access position only needs len(_AB) measured once per
             # chain: accesses since the snapshot are counted statically.
-            if self._snap is None:
+            # len(_AB) is 4·pos of the snapshot, so the packed event
+            # (repro.sim.trace.pack_checkpoint) is (la_ << 32) plus a
+            # constant folded here.
+            snap = self._snap
+            if snap is None:
                 w("    la_ = len(_AB)")
-                self._snap = 0
-            pos = ("la_ >> 2" if self._snap == 0
-                   else f"(la_ >> 2) + {self._snap}")
-            w(f"    _CPA(({pos}, {ins[1]}, {ins[2]}))")
+                snap = self._snap = 0
+            packed = ((4 * snap + ins[2]) << 32) | ins[1]
+            w(f"    _CPA((la_ << 32) + {packed})")
             self._n_cp += 1
         elif op == B.OP_ADDK_P:
             # Reads are resolved before the destination is localized, so

@@ -32,16 +32,20 @@ each sink's ``emit_columns(block)``:
 * accesses go into a single flat interleaved buffer
   ``[pc0, addr0, size0, w0, pc1, ...]`` (``is_write`` encoded 0/1), one
   C-level ``list.extend`` per access;
-* checkpoints are ``(pos, checkpoint_id, kind_code)`` tuples, where
-  ``pos`` is the index of the access *before which* the checkpoint fires
-  (``pos == n`` for checkpoints trailing the block) and ``kind_code`` is
-  the compact :data:`KIND_TO_CODE` encoding.
+* each checkpoint is one packed int (:func:`pack_checkpoint`),
+  ``((4·pos) | kind_code) << 32 | checkpoint_id``, where ``pos`` is the
+  index of the access *before which* the checkpoint fires (``pos == n``
+  for checkpoints trailing the block) and ``kind_code`` is the compact
+  :data:`KIND_TO_CODE` encoding. ``4·pos`` is the flat buffer's length
+  when the checkpoint fires, so an engine packs an event with one shift
+  and one add, and builds no tuple.
 
 Each flush hands every sink the same :class:`ColumnBlock`, which reshapes
 the flat buffer into parallel ``int64`` columns (pc, addr, size,
-is_write) without per-access Python work and keeps the checkpoint
-tuples. This keeps the hot path free of per-access object construction
-while preserving the exact interleaving of the two streams;
+is_write) without per-access Python work and keeps the packed
+checkpoints (:meth:`ColumnBlock.checkpoint_tuples` decodes them). This
+keeps the hot path free of per-access object construction while
+preserving the exact interleaving of the two streams;
 :func:`expand_block` recovers the classic record sequence when needed.
 The per-record :meth:`TraceSink.emit` entry point remains for replaying
 stored text traces (:func:`parse_trace`) and as the tests' oracle.
@@ -65,6 +69,10 @@ LIB_PC_BASE = 0x500000
 
 #: Number of accesses an engine buffers before flushing a block.
 DEFAULT_TRACE_BLOCK = 4096
+#: Largest block size: it keeps ``4·pos`` of a packed checkpoint below
+#: ``2**30`` (a chain may overshoot the block a little), so every packed
+#: value fits an int64.
+MAX_TRACE_BLOCK = 2**26
 
 
 def is_library_pc(pc: int) -> bool:
@@ -210,8 +218,12 @@ class CheckpointMap:
         return {info.loop_node_id for info in self.infos.values()}
 
 
-#: A checkpoint event in a block (see the module docstring).
-CheckpointTuple = tuple[int, int, int]
+def pack_checkpoint(pos: int, checkpoint_id: int, kind_code: int) -> int:
+    """One checkpoint event as a block stores it (see the module
+    docstring): it fires before access ``pos`` of its block."""
+    return ((4 * pos) | kind_code) << 32 | checkpoint_id
+
+
 #: The four parallel access columns (pcs, addrs, sizes, writes) as plain
 #: lists; ``writes`` carries 0/1 ints per access.
 _Columns = tuple[list[int], list[int], list[int], list[int]]
@@ -221,27 +233,28 @@ class ColumnBlock:
     """One flushed trace block as parallel columns (struct-of-arrays).
 
     Access data lives in four parallel ``int64`` columns (``pc``,
-    ``addr``, ``size``, ``is_write`` — the latter 0/1); checkpoints stay
-    the small ``(pos, checkpoint_id, kind_code)`` tuple list (``pos``
-    indexes into the columns). Column arrays and plain-list views are
-    built lazily and memoized, so a flush serving several sinks pays
-    each conversion at most once.
+    ``addr``, ``size``, ``is_write`` — the latter 0/1); ``checkpoints``
+    is the list of packed checkpoint ints (:func:`pack_checkpoint`;
+    their ``pos`` indexes into the columns). Column arrays, plain-list
+    views and the decoded checkpoint tuples are built lazily and
+    memoized, so a flush serving several sinks pays each conversion at
+    most once.
     """
 
-    __slots__ = ("n", "checkpoints", "_flat", "_arr", "_lists")
+    __slots__ = ("n", "checkpoints", "_flat", "_arr", "_lists", "_tuples")
 
-    def __init__(self, flat: list[int],
-                 checkpoints: list[CheckpointTuple]) -> None:
+    def __init__(self, flat: list[int], checkpoints: list[int]) -> None:
         self._flat = flat
-        self.checkpoints: list[CheckpointTuple] = checkpoints
+        self.checkpoints: list[int] = checkpoints
         #: Number of accesses in the block.
         self.n = len(flat) >> 2
         self._arr: Any = None
         self._lists: _Columns | None = None
+        self._tuples: list[tuple[int, int, int]] | None = None
 
     @classmethod
     def from_flat(cls, flat: list[int],
-                  checkpoints: list[CheckpointTuple]) -> "ColumnBlock":
+                  checkpoints: list[int]) -> "ColumnBlock":
         """Snapshot an engine's flat interleaved buffer (copies both, so
         the engine may clear its buffers in place afterwards)."""
         return cls(list(flat), list(checkpoints))
@@ -293,6 +306,16 @@ class ColumnBlock:
             self._lists = lists
         return lists
 
+    def checkpoint_tuples(self) -> list[tuple[int, int, int]]:
+        """The checkpoints as ``(pos, checkpoint_id, kind_code)`` tuples,
+        in stream order."""
+        tuples = self._tuples
+        if tuples is None:
+            tuples = [(packed >> 34, packed & 0xFFFFFFFF, (packed >> 32) & 3)
+                      for packed in self.checkpoints]
+            self._tuples = tuples
+        return tuples
+
 
 class TraceSink(Protocol):
     """Anything that can consume trace records as they are produced.
@@ -310,11 +333,12 @@ class TraceSink(Protocol):
 class TraceBuffer:
     """The trace buffer and flush both engines share.
 
-    ``acc`` is the flat interleaved access buffer and ``cps`` the
-    checkpoint tuple list (see the module docstring). Engines append to
+    ``acc`` is the flat interleaved access buffer and ``cps`` the list
+    of packed checkpoints (see the module docstring). Engines append to
     both directly and call :meth:`flush` once ``len(acc) >= limit`` or
     ``len(cps) >= block_size``. Both lists are cleared in place, so the
-    bound ``extend``/``append`` methods engines cache stay valid.
+    bound ``extend``/``append`` methods engines cache stay valid. A
+    block size above :data:`MAX_TRACE_BLOCK` is a ``ValueError``.
 
     Appending never reads :attr:`tracing`: a flush while tracing is off
     discards its records (no sink call, no stats). Engines therefore run
@@ -335,11 +359,14 @@ class TraceBuffer:
                     f"trace sink {type(sink).__name__} has no "
                     f"emit_columns(block) method")
         self._stats = stats
+        if block_size > MAX_TRACE_BLOCK:
+            raise ValueError(
+                f"trace block size {block_size} exceeds {MAX_TRACE_BLOCK}")
         self.block_size = max(1, block_size)
         #: Flush threshold of the flat buffer (4 ints per access).
         self.limit = 4 * self.block_size
         self.acc: list[int] = []
-        self.cps: list[CheckpointTuple] = []
+        self.cps: list[int] = []
         self.tracing = False
 
     def flush(self) -> None:
@@ -383,7 +410,7 @@ class TraceBuffer:
 
 def expand_block(block: ColumnBlock) -> Iterator[TraceRecord]:
     """Interleave one block back into classic record objects."""
-    checkpoints = block.checkpoints
+    checkpoints = block.checkpoint_tuples()
     pcs, addrs, sizes, writes = block.lists()
     ci = 0
     ncp = len(checkpoints)
@@ -441,7 +468,7 @@ class TraceWriter:
         # Text lines are written straight from the columns; no record
         # objects are constructed on the flush path.
         write = self._stream.write
-        checkpoints = block.checkpoints
+        checkpoints = block.checkpoint_tuples()
         pcs, addrs, _sizes, writes = block.lists()
         ci = 0
         ncp = len(checkpoints)

@@ -112,6 +112,27 @@ class TestEndToEnd:
         assert model.captured_accesses == 64
         assert model.captured_footprint == 64
 
+    def test_user_footprint_counts_every_user_access(self):
+        # Each access executes with both iterators changed, so both
+        # references are non-analyzable; the user footprint, the union
+        # of the solvers' address sets, still holds their addresses.
+        source = (
+            "int g[64]; int h[64];"
+            "int main() { int i, j;"
+            " for (i = 0; i < 4; i++) for (j = 0; j < 4; j++)"
+            "  if (j == 3 - i) g[8 * i + j] = h[i];"
+            " return 0; }"
+        )
+        compiled = compile_program(source)
+        collector = TraceCollector()
+        extractor = ForayExtractor(compiled.checkpoint_map)
+        run_compiled(compiled, sinks=(collector, extractor))
+        model = extractor.finish()
+        assert model.non_analyzable_count == 2
+        assert model.trace_stats.user_addresses == {
+            access.addr for access in collector.accesses()
+            if not access.is_library}
+
     def test_same_function_two_contexts_two_references(self):
         model = extract(
             "int g[128];"
@@ -210,3 +231,42 @@ class TestExecutedLoops:
         extractor = ForayExtractor(compiled.checkpoint_map)
         run_compiled(compiled, sinks=(extractor,))
         assert extractor.executed_loops() == {}
+
+
+class TestDeepLoopTree:
+    #: r() recurses 500 calls deep (legal under the default call-depth
+    #: budget of 512) through two nested loops, so the dynamic loop tree
+    #: is 1000 nodes deep and holds one store reference per inner node.
+    SOURCE = """
+    int a[8];
+
+    void r(int d) {
+        int i;
+        int j;
+        for (i = 0; i < 1; i++) {
+            for (j = 0; j < 1; j++) {
+                a[j] = d;
+                if (d > 0) {
+                    r(d - 1);
+                }
+            }
+        }
+    }
+
+    int main(void) {
+        r(499);
+        return 0;
+    }
+    """
+
+    def test_extraction_survives_a_deep_tree_on_both_engines(self):
+        from repro.pipeline import PipelineConfig, run_workload
+
+        models = [
+            run_workload("deep", self.SOURCE,
+                         config=PipelineConfig(cache=False, engine=engine))
+            .extraction.model
+            for engine in ("bytecode", "ast")
+        ]
+        assert len(models[0].unfiltered_references) == 500
+        assert models[0] == models[1]

@@ -7,10 +7,13 @@ simulator. Every stream goes through both entry points: one checkpoint at
 a time (:meth:`LoopTreeBuilder.on_checkpoint_code`, the record path) and
 whole blocks (:meth:`LoopTreeBuilder.walk`), with the stream split into
 two blocks at every position; both must build the same tree and place
-every access in the same node under the same iterators.
+every access in the same node under the same iterators. A property test
+does the same for random well-nested streams split into random blocks.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.foray.looptree import LoopTreeBuilder
 from repro.sim.trace import (
@@ -18,6 +21,7 @@ from repro.sim.trace import (
     CheckpointInfo,
     CheckpointKind,
     CheckpointMap,
+    pack_checkpoint,
 )
 
 B, S, E = (CheckpointKind.LOOP_BEGIN, CheckpointKind.BODY_BEGIN,
@@ -59,19 +63,21 @@ def block_of(events, with_accesses):
     checkpoints = []
     n = 0
     for index, (checkpoint_id, kind) in enumerate(events):
-        checkpoints.append((n, checkpoint_id, KIND_TO_CODE[kind]))
+        checkpoints.append(pack_checkpoint(n, checkpoint_id, KIND_TO_CODE[kind]))
         if with_accesses and index < len(events) - 1:
             n += 1
     return checkpoints, n
 
 
-def access_states(segments, n):
-    """(node uid, iterators) of each of a walk's ``n`` accesses."""
+def access_states(contexts):
+    """(node uid, iterators) of each access of a walk."""
     states = []
-    for index, start in enumerate(segments.starts):
-        end = segments.starts[index + 1] if index + 1 < len(segments) else n
-        states.extend([(segments.nodes[index].uid,
-                        segments.iterators(index))] * (end - start))
+    for context, iteration in zip(contexts.ctx.tolist(),
+                                  contexts.iteration.tolist()):
+        node = contexts.nodes[context]
+        iterators = (() if node.parent is None
+                     else (iteration,) + contexts.outers[context])
+        states.append((node.uid, iterators))
     return states
 
 
@@ -91,7 +97,7 @@ def build(cmap, events):
             states = []
             for part in (events[:split], events[split:]):
                 checkpoints, n = block_of(part, with_accesses)
-                states += access_states(walked.walk(checkpoints, n), n)
+                states += access_states(walked.walk(checkpoints, n))
             assert snapshot(walked) == snapshot(builder), (split,
                                                            with_accesses)
             if with_accesses:
@@ -204,6 +210,19 @@ class TestStructure:
         assert set(root.children) == {10}
         assert set(root.children[10].children) == {13}
 
+    def test_subtree_in_pre_order_children_in_creation_order(self):
+        builder = build(make_map(3), [
+            (16, B), (17, S), (18, E),
+            (10, B), (11, S),
+            (16, B), (17, S), (18, E),
+            (13, B), (14, S), (15, E),
+            (12, E),
+            (13, B), (14, S), (15, E),
+        ])
+        assert [(node.depth, node.begin_id)
+                for node in builder.root.iter_subtree()] == [
+            (0, 0), (1, 16), (1, 10), (2, 16), (2, 13), (1, 13)]
+
     def test_same_loop_different_contexts_distinct_nodes(self):
         # Loop 13 under loop 10 vs at top level: two nodes (inlining).
         builder = build(make_map(2), [
@@ -251,18 +270,20 @@ class TestBlockWalk:
 
     def test_checkpoint_only_block(self):
         builder = LoopTreeBuilder(make_map(2))
-        segments = builder.walk(
-            [(0, 10, 0), (0, 11, 1), (0, 13, 0), (0, 14, 1)], 0)
-        assert len(segments) == 0
+        contexts = builder.walk(
+            [pack_checkpoint(0, 10, 0), pack_checkpoint(0, 11, 1),
+             pack_checkpoint(0, 13, 0), pack_checkpoint(0, 14, 1)], 0)
+        assert access_states(contexts) == []
         assert builder.current_iterators() == (0, 0)
 
     def test_trailing_checkpoints(self):
         # Checkpoints at pos == n fire after the block's last access.
         builder = LoopTreeBuilder(make_map(1))
-        segments = builder.walk(
-            [(0, 10, 0), (0, 11, 1), (2, 12, 2), (2, 11, 1)], 2)
-        assert segments.starts == [0]
-        assert segments.iterators(0) == (0,)
+        contexts = builder.walk(
+            [pack_checkpoint(0, 10, 0), pack_checkpoint(0, 11, 1),
+             pack_checkpoint(2, 12, 2), pack_checkpoint(2, 11, 1)], 2)
+        uid = builder.root.children[10].uid
+        assert access_states(contexts) == [(uid, (0,)), (uid, (0,))]
         assert builder.current_iterators() == (1,)
 
     def test_zero_trip_loop_accesses(self):
@@ -270,11 +291,16 @@ class TestBlockWalk:
         # under iteration -1; the loop still counts one entry, and the
         # next loop-begin pops it (its body never opened).
         builder = LoopTreeBuilder(make_map(2))
-        segments = builder.walk([(0, 10, 0), (1, 13, 0), (2, 14, 1)], 3)
-        assert [segments.iterators(i) for i in range(len(segments))] == [
-            (-1,), (-1,), (0,)]
-        assert [node.begin_id for node in segments.nodes] == [10, 13, 13]
-        root = builder.finish()
+        contexts = builder.walk([pack_checkpoint(0, 10, 0),
+                                 pack_checkpoint(1, 13, 0),
+                                 pack_checkpoint(2, 14, 1)], 3)
+        states = access_states(contexts)
+        assert [iterators for _, iterators in states] == [(-1,), (-1,), (0,)]
+        root = builder.root
+        assert [uid for uid, _ in states] == [
+            root.children[10].uid, root.children[13].uid,
+            root.children[13].uid]
+        builder.finish()
         assert root.children[10].max_trip == 0
         assert root.children[10].entries == 1
         build(make_map(2), [(10, B), (13, B), (14, S), (15, E),
@@ -282,8 +308,9 @@ class TestBlockWalk:
 
     def test_access_at_root_has_no_iterators(self):
         builder = LoopTreeBuilder(make_map(1))
-        segments = builder.walk([(1, 10, 0), (2, 11, 1)], 3)
-        assert [segments.iterators(i) for i in range(len(segments))] == [
+        contexts = builder.walk(
+            [pack_checkpoint(1, 10, 0), pack_checkpoint(2, 11, 1)], 3)
+        assert [iterators for _, iterators in access_states(contexts)] == [
             (), (-1,), (0,)]
 
 
@@ -316,7 +343,8 @@ class TestIterators:
             feed(builder, [(99, S)])
         with pytest.raises(ValueError, match="unknown checkpoint id 99"):
             LoopTreeBuilder(make_map(1)).walk(
-                [(0, 10, KIND_TO_CODE[B]), (1, 99, KIND_TO_CODE[S])], 2)
+                [pack_checkpoint(0, 10, KIND_TO_CODE[B]),
+                 pack_checkpoint(1, 99, KIND_TO_CODE[S])], 2)
 
     def test_kind_recorded_from_map(self):
         builder = build(make_map(1, kind="do"), [(10, B), (11, S), (12, E)])
@@ -327,3 +355,115 @@ class TestIterators:
         builder = build(make_map(2), [(10, B), (11, S), (13, B), (14, S)])
         path = builder.current.path_from_root()
         assert [n.begin_id for n in path] == [10, 13]
+
+
+#: Loops 0-2 of ``make_map(4)`` occur in generated streams; loop 3 never
+#: begins, so its body checkpoints are unmatched.
+STREAM_LOOPS = 3
+
+
+@st.composite
+def loop_streams(draw):
+    """A well-nested checkpoint stream: loops with zero or more trips,
+    nested up to three deep (the same static loop may nest inside
+    itself, as under recursion), some iterations left by a ``break``
+    without their body-end, and optionally a trailing unmatched or
+    unknown checkpoint."""
+    events = []
+
+    def loop(depth):
+        base = 10 + 3 * draw(st.integers(0, STREAM_LOOPS - 1))
+        events.append((base, B))
+        for _ in range(draw(st.integers(0, 3))):
+            events.append((base + 1, S))
+            if depth < 3:
+                for _ in range(draw(st.integers(0, 2))):
+                    loop(depth + 1)
+            if draw(st.integers(0, 5)) == 0:
+                return  # break: the body-end never fires
+            events.append((base + 2, E))
+
+    for _ in range(draw(st.integers(1, 3))):
+        loop(0)
+    trailing = draw(st.sampled_from(
+        (None, (10 + 3 * STREAM_LOOPS + 1, S), (10 + 3 * STREAM_LOOPS + 2, E),
+         (99, S))))
+    if trailing is not None:
+        events.append(trailing)
+    return events
+
+
+#: Any id of ``make_map(STREAM_LOOPS + 1)`` or an unknown one, with any
+#: kind: loop-begins of body ids, body checkpoints of loop-begin ids and
+#: loop-begins of unknown ids are all legal input to the record path.
+ANY_EVENT = st.tuples(
+    st.sampled_from([*range(10, 10 + 3 * (STREAM_LOOPS + 1)), 99]),
+    st.sampled_from((B, S, E)))
+
+
+@st.composite
+def split_streams(draw, events=loop_streams()):
+    """A stream interleaved with accesses (None), cut into blocks."""
+    events = draw(events)
+    items = []
+    for event in events:
+        items += [None] * draw(st.integers(0, 2))
+        items.append(event)
+    items += [None] * draw(st.integers(0, 2))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(items) - 1)),
+                               max_size=6)))
+    bounds = [0, *cuts, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestRandomStreams:
+    @settings(max_examples=150, deadline=None)
+    @given(split_streams())
+    def test_walk_matches_record_path(self, blocks):
+        self.check(blocks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_streams(st.lists(ANY_EVENT, max_size=30)))
+    def test_arbitrary_events_match_record_path(self, blocks):
+        self.check(blocks)
+
+    @staticmethod
+    def check(blocks):
+        cmap = make_map(STREAM_LOOPS + 1)
+        reference = LoopTreeBuilder(cmap)
+        expected = []
+        expected_error = None
+        try:
+            for item in (item for block in blocks for item in block):
+                if item is None:
+                    expected.append((reference.current.uid,
+                                     reference.current_iterators()))
+                else:
+                    feed(reference, [item])
+        except ValueError as error:
+            expected_error = str(error)
+        walked = LoopTreeBuilder(cmap)
+        states = []
+        error = None
+        try:
+            for block in blocks:
+                checkpoints = []
+                n = 0
+                for item in block:
+                    if item is None:
+                        n += 1
+                    else:
+                        checkpoints.append(pack_checkpoint(
+                            n, item[0], KIND_TO_CODE[item[1]]))
+                contexts = walked.walk(checkpoints, n)
+                states += access_states(contexts)
+        except ValueError as walk_error:
+            error = str(walk_error)
+        assert error == expected_error
+        assert snapshot(walked) == snapshot(reference)
+        if error is None:
+            assert states == expected
+        else:
+            # The block that raised returns nothing; the ones before it
+            # placed their accesses like the record path.
+            assert states == expected[:len(states)]

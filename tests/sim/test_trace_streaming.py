@@ -13,6 +13,7 @@ from repro.sim.trace import (
     CODE_TO_KIND,
     KIND_TO_CODE,
     LOOP_BEGIN_CODE,
+    MAX_TRACE_BLOCK,
     Access,
     Checkpoint,
     CheckpointInfo,
@@ -23,6 +24,7 @@ from repro.sim.trace import (
     TraceWriter,
     expand_block,
     format_trace,
+    pack_checkpoint,
     parse_trace,
 )
 
@@ -40,11 +42,13 @@ BLOCK_FLAT = [
     0x400100, 0x10000000, 4, 0,
     0x400204, 0x10000004, 4, 1,
 ]
-BLOCK_CHECKPOINTS = [
+BLOCK_CHECKPOINT_TUPLES = [
     (0, 10, LOOP_BEGIN_CODE),
     (0, 11, BODY_BEGIN_CODE),
     (2, 12, BODY_END_CODE),  # trails every access of the block
 ]
+BLOCK_CHECKPOINTS = [pack_checkpoint(*event)
+                     for event in BLOCK_CHECKPOINT_TUPLES]
 
 
 def make_block():
@@ -84,9 +88,49 @@ class TestBlockExpansion:
 
     def test_checkpoint_only_block(self):
         collector = TraceCollector()
-        collector.emit_columns(
-            ColumnBlock.from_flat([], [(0, 10, LOOP_BEGIN_CODE)]))
+        collector.emit_columns(ColumnBlock.from_flat(
+            [], [pack_checkpoint(0, 10, LOOP_BEGIN_CODE)]))
         assert len(collector.checkpoints()) == 1
+
+
+class TestPackedCheckpoints:
+    def test_block_round_trips_checkpoint_tuples(self):
+        block = make_block()
+        assert len(block) == 2
+        assert block.checkpoint_tuples() == BLOCK_CHECKPOINT_TUPLES
+        assert block.checkpoint_tuples() is block.checkpoint_tuples()
+
+    def test_checkpoint_only_block_round_trips(self):
+        events = [(0, 10, LOOP_BEGIN_CODE), (0, 11, BODY_BEGIN_CODE),
+                  (0, 12, BODY_END_CODE)]
+        block = ColumnBlock.from_flat(
+            [], [pack_checkpoint(*event) for event in events])
+        assert len(block) == 0
+        assert block.checkpoint_tuples() == events
+
+    def test_large_fields_round_trip(self):
+        # The largest position a block can hold (a chain may overshoot
+        # the block size) and ids up to 32 bits stay exact in int64.
+        events = [(MAX_TRACE_BLOCK + 4096, 2**32 - 1, BODY_END_CODE),
+                  (MAX_TRACE_BLOCK + 4096, 10, LOOP_BEGIN_CODE)]
+        packed = [pack_checkpoint(*event) for event in events]
+        assert all(0 <= value < 2**63 for value in packed)
+        assert ColumnBlock([], packed).checkpoint_tuples() == events
+
+    @pytest.mark.parametrize("engine", ("ast", "bytecode"))
+    def test_block_size_bound(self, engine):
+        compiled = compile_program("int main(void) { return 0; }")
+
+        def construct(block_size):
+            if engine == "ast":
+                return Interpreter(compiled.program,
+                                   trace_block_size=block_size)
+            return BytecodeVM(lower_compiled(compiled),
+                              trace_block_size=block_size)
+
+        construct(2**26)
+        with pytest.raises(ValueError, match="trace block size"):
+            construct(2**26 + 1)
 
 
 class _RecordOnlySink:

@@ -248,3 +248,10 @@ class TestParser:
     def test_unknown_command_errors(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_oversized_trace_block_rejected(self, capsys):
+        # Engines raise ValueError above 2**26 accesses per block; the
+        # option is refused before anything runs.
+        with pytest.raises(SystemExit):
+            main(["suite", "adpcm", "--trace-block", str(2**26 + 1)])
+        assert "at most 67108864 accesses per block" in capsys.readouterr().err
