@@ -21,8 +21,8 @@ def test_static_baseline_and_join(benchmark, suite_reports, name):
     program = report.extraction.compiled.program
 
     def run():
-        static_result = detect(program)
-        return table2_coverage(name, report.model, static_result)
+        return table2_coverage(name, report.model,
+                               detect(program).source_form())
 
     row = benchmark(run)
     assert row.refs_in_model >= row.refs_in_source_form

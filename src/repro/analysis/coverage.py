@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.foray.extractor import TraceStats
 from repro.foray.model import ForayModel
 from repro.sim.trace import node_id_of_pc
-from repro.staticfar.detector import StaticAnalysisResult
+from repro.staticfar.detector import SourceForm
 
 
 def _pct(numerator: float, denominator: float) -> float:
@@ -57,15 +57,17 @@ class ForayFormCoverage:
 
 
 def table2_coverage(
-    name: str, model: ForayModel, static_result: StaticAnalysisResult
+    name: str, model: ForayModel, source_form: SourceForm
 ) -> ForayFormCoverage:
+    """``source_form`` is the static baseline's verdict, as the node ids
+    of :meth:`StaticAnalysisResult.source_form`."""
     loops_in_source_form = sum(
-        1 for loop in model.loops if static_result.is_canonical_loop(loop.ast_node_id)
+        1 for loop in model.loops if source_form.is_canonical_loop(loop.ast_node_id)
     )
     refs_in_source_form = sum(
         1
         for ref in model.references
-        if static_result.is_analyzable_ref(node_id_of_pc(ref.pc))
+        if source_form.is_analyzable_ref(node_id_of_pc(ref.pc))
     )
     return ForayFormCoverage(
         name=name,
@@ -131,15 +133,16 @@ class MemoryBehavior:
 def table3_behavior(name: str, model: ForayModel) -> MemoryBehavior:
     stats = model.trace_stats
     assert isinstance(stats, TraceStats)
+    counts = stats.counts()
     return MemoryBehavior(
         name=name,
-        total_references=stats.total_references,
+        total_references=counts.total_references,
         total_accesses=stats.total_accesses,
-        total_footprint=stats.total_footprint,
+        total_footprint=counts.total_footprint,
         model_references=len(model.references),
         model_accesses=model.captured_accesses,
         model_footprint=model.captured_footprint,
-        lib_references=len(stats.lib_refs),
+        lib_references=counts.lib_references,
         lib_accesses=stats.lib_accesses,
-        lib_footprint=len(stats.lib_addresses),
+        lib_footprint=counts.lib_footprint,
     )

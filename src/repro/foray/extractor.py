@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.foray.affine import BULK_MIN_ROWS, ReferenceSolver
 from repro.foray.filters import FilterConfig
@@ -44,8 +44,18 @@ from repro.sim.trace import (
     TraceRecord,
     is_library_pc,
 )
+from repro.store import LazyFields
 
 _uid = attrgetter("uid")
+
+
+class TraceCounts(NamedTuple):
+    """The sizes of :class:`TraceStats`' sets that Table III prints."""
+
+    total_references: int
+    total_footprint: int
+    lib_references: int
+    lib_footprint: int
 
 
 @dataclass
@@ -57,6 +67,10 @@ class TraceStats:
     distinct accessed addresses per category; ``user_addresses`` is
     filled by :meth:`ForayExtractor.finish`, as the union of the solvers'
     address sets (every user access reaches one solver).
+
+    Pickled, the four sets are one nested pickle that is unpickled on the
+    first read of any of them, next to :meth:`counts`: Table III reads
+    only the counts, and the sets are most of an extraction entry.
     """
 
     total_accesses: int = 0
@@ -67,13 +81,27 @@ class TraceStats:
     user_addresses: set = field(default_factory=set)
     lib_addresses: set = field(default_factory=set)
 
-    @property
-    def total_references(self) -> int:
-        return len(self.user_refs) + len(self.lib_refs)
+    def __getstate__(self) -> dict:
+        return _LAZY_SETS.getstate(self)
 
-    @property
-    def total_footprint(self) -> int:
-        return len(self.user_addresses | self.lib_addresses)
+    def counts(self) -> TraceCounts:
+        """The set sizes Table III prints, read without unpickling the
+        sets (and computed from them, not kept, while they are live)."""
+        return _LAZY_SETS.summary(self)
+
+
+def _trace_counts(stats: TraceStats) -> TraceCounts:
+    return TraceCounts(
+        total_references=len(stats.user_refs) + len(stats.lib_refs),
+        total_footprint=len(stats.user_addresses | stats.lib_addresses),
+        lib_references=len(stats.lib_refs),
+        lib_footprint=len(stats.lib_addresses),
+    )
+
+
+_LAZY_SETS = LazyFields(
+    TraceStats, ("user_refs", "lib_refs", "user_addresses", "lib_addresses"),
+    _trace_counts)
 
 
 class ForayExtractor:

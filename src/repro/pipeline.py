@@ -489,6 +489,9 @@ class PipelineContext:
     validation: WorkloadValidation | None = None
     flow: "FullFlowResult | None" = None
     hierarchy: tuple[HierarchyReport, ...] | None = None
+    #: A compile node a stage filled and the disk store lacks: written
+    #: once, when the ``run_stages`` call ends.
+    compiled_to_store: CompiledProgram | None = None
 
 
 @dataclass(frozen=True)
@@ -518,13 +521,21 @@ def stage_names() -> tuple[str, ...]:
 
 
 def run_stages(ctx: PipelineContext, upto: str) -> PipelineContext:
-    """Run the registered stages in order, stopping after ``upto``."""
+    """Run the registered stages in order, stopping after ``upto``; then
+    persist the compile node if a stage filled it (even when a later
+    stage raised), so a cold run writes it once."""
     if upto not in STAGES:
         raise KeyError(f"unknown stage {upto!r}; known: {stage_names()}")
-    for stage in STAGES.values():
-        stage.func(ctx)
-        if stage.name == upto:
-            break
+    try:
+        for stage in STAGES.values():
+            stage.func(ctx)
+            if stage.name == upto:
+                break
+    finally:
+        compiled, ctx.compiled_to_store = ctx.compiled_to_store, None
+        if compiled is not None:
+            _tiered_put(compile_cache, _compile_key(ctx.source), compiled,
+                        ctx.config)
     return ctx
 
 
@@ -553,8 +564,10 @@ def _stage_instrument(ctx: PipelineContext) -> None:
 
     ctx.compiled.checkpoint_map = instrument(ctx.compiled.program)
     ctx.compiled.is_instrumented = True
-    _tiered_put(compile_cache, _compile_key(ctx.source), ctx.compiled,
-                ctx.config)
+    # In memory now, for nested runs of the same source (validation's
+    # profile extraction); on disk when this run ends.
+    compile_cache.put(_compile_key(ctx.source), ctx.compiled)
+    ctx.compiled_to_store = ctx.compiled
 
 
 @register_stage("simulate", "profile on the selected engine (online sink)")
@@ -597,33 +610,51 @@ def _stage_extract(ctx: PipelineContext) -> None:
                     extraction, ctx.config, entry=extraction.entry())
 
 
-def _cached_detector(source: str, compiled: CompiledProgram,
-                     config: PipelineConfig) -> StaticAnalysisResult:
-    """The static baseline detector's result, memoized on the compile node.
+def _fill_detector(compiled: CompiledProgram) -> bool:
+    """Run the static baseline detector on the compile node unless it
+    holds its result already; ``True`` when this call ran it.
 
     The result refers to the program's own ``Symbol`` objects, which compare
     by identity: unpickled apart from its program it would match none of
     them, and the static analyzer would silently model nothing. So it is
-    only ever persisted inside the compile entry, which its first fill
-    republishes.
+    only ever persisted inside the compile entry, which the caller
+    republishes after a fill. The check reads
+    :meth:`CompiledProgram.source_form`, which leaves a stored program
+    pickled.
     """
-    if compiled.detector is None:
-        compiled.detector = detect(compiled.program)
+    if compiled.source_form() is not None:
+        return False
+    compiled.detector = detect(compiled.program)
+    return True
+
+
+def _cached_detector(source: str, compiled: CompiledProgram,
+                     config: PipelineConfig) -> StaticAnalysisResult:
+    """The detector's result on ``compiled`` (see :func:`_fill_detector`),
+    outside the stages: a first fill is republished at once."""
+    if _fill_detector(compiled):
         _tiered_put(compile_cache, _compile_key(source), compiled, config)
-    return compiled.detector
+    detector = compiled.detector
+    assert detector is not None
+    return detector
 
 
 @register_stage("analyze", "static baseline + Tables I-III metrics")
 def _stage_analyze(ctx: PipelineContext) -> None:
+    """Tables I-III. They read the detector's node ids and the trace
+    counts, never the program, the detector or the trace sets, so a run
+    over stored nodes leaves all of those pickled."""
     assert ctx.extraction is not None
     extraction = ctx.extraction
-    static_result = _cached_detector(ctx.source, extraction.compiled,
-                                     ctx.config)
+    compiled = extraction.compiled
+    if _fill_detector(compiled):
+        ctx.compiled_to_store = compiled
+    source_form = compiled.source_form()
+    assert source_form is not None
     census = loop_census(ctx.name, ctx.source, extraction.executed_loops)
-    table2 = table2_coverage(ctx.name, extraction.model, static_result)
+    table2 = table2_coverage(ctx.name, extraction.model, source_form)
     table3 = table3_behavior(ctx.name, extraction.model)
-    ctx.report = WorkloadReport(ctx.name, extraction, static_result, census,
-                                table2, table3)
+    ctx.report = WorkloadReport(ctx.name, extraction, census, table2, table3)
 
 
 @register_stage("validate", "cross-input scenario-matrix validation")
@@ -763,7 +794,6 @@ class WorkloadReport:
 
     name: str
     extraction: ExtractionResult
-    static_result: StaticAnalysisResult
     census: LoopCensus
     table2: ForayFormCoverage
     table3: MemoryBehavior
@@ -771,6 +801,15 @@ class WorkloadReport:
     @property
     def model(self) -> ForayModel:
         return self.extraction.model
+
+    @property
+    def static_result(self) -> StaticAnalysisResult:
+        """The static baseline detector's result: Table II's source, read
+        from the compile node (whose program a stored node unpickles
+        with it on first use)."""
+        detector = self.extraction.compiled.detector
+        assert detector is not None
+        return detector
 
 
 def run_workload(

@@ -347,15 +347,16 @@ _MATH: dict[str, Callable[..., float]] = {
 
 
 def _math_builtin(fn: Callable[..., float], pc: int) -> Callable[..., float]:
-    """A math builtin: one read of its coefficient table (which keeps the
-    LIBDATA page materialized) and one precomputed record run."""
+    """A math builtin: one precomputed record run over its coefficient
+    table. The values are never used, so instead of reading them the
+    call materializes the LIBDATA page the reads would (every table lies
+    in its first page); after a machine's first call it is in place."""
     table = LIBDATA_BASE + 8 * (pc - LIB_PC_BASE)  # 64 bytes per builtin
-    size = 8 * _MATH_TABLE_TERMS
-    records = tuple(_run(pc, 0, table, size, 8))
+    records = tuple(_run(pc, 0, table, 8 * _MATH_TABLE_TERMS, 8))
 
     def call(machine, args: list, pc: int) -> float:
         values = [float(a) for a in args]
-        machine.memory.read_bytes(table, size)
+        machine.memory.touch(table)
         machine.lib_trace(records)
         return fn(*values)
     return call

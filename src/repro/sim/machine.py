@@ -40,9 +40,10 @@ from repro.sim.trace import (
     TraceCollector,
     TraceSink,
 )
+from repro.store import LazyFields
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticfar.detector import StaticAnalysisResult
+    from repro.staticfar.detector import SourceForm, StaticAnalysisResult
 
 #: Engine names accepted by :class:`EngineConfig` and the CLI.
 ENGINES = ("bytecode", "ast")
@@ -76,7 +77,13 @@ class EngineConfig:
 
 @dataclass
 class CompiledProgram:
-    """An analyzed (and optionally instrumented) program plus metadata."""
+    """An analyzed (and optionally instrumented) program plus metadata.
+
+    Pickled, ``program`` and ``detector`` are one nested pickle that is
+    unpickled on the first read of either, next to
+    :meth:`source_form`: a process that only prints tables from a stored
+    compile node (a warm suite run) never rebuilds the AST.
+    """
 
     program: ast.Program
     checkpoint_map: CheckpointMap
@@ -91,7 +98,7 @@ class CompiledProgram:
     #: The static baseline detector's result on ``program``, filled
     #: lazily by the pipeline's analyze stage. It refers to the program's
     #: own ``Symbol`` objects, which compare by identity, so it is valid
-    #: only next to this very program and is pickled with it.
+    #: only next to this very program: the two share one pickle.
     detector: StaticAnalysisResult | None = field(default=None, repr=False,
                                                   compare=False)
 
@@ -99,7 +106,20 @@ class CompiledProgram:
         # The lowering, and the verifier's pass over it, are per-process
         # derived caches: recompute them after unpickling instead of
         # storing or shipping them.
-        return {**self.__dict__, "bytecode": None, "ir_verified": False}
+        return {**_LAZY_PROGRAM.getstate(self), "bytecode": None,
+                "ir_verified": False}
+
+    def source_form(self) -> SourceForm | None:
+        """The node ids of ``detector``'s canonical loops and analyzable
+        references (Table II), or ``None`` until the detector has run;
+        read without unpickling the program."""
+        return _LAZY_PROGRAM.summary(self)
+
+
+_LAZY_PROGRAM = LazyFields(
+    CompiledProgram, ("program", "detector"),
+    lambda compiled: (None if compiled.detector is None
+                      else compiled.detector.source_form()))
 
 
 @dataclass

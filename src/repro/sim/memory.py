@@ -59,6 +59,11 @@ class Memory:
             offset += chunk
         return bytes(out)
 
+    def touch(self, addr: int) -> None:
+        """Materialize the page holding ``addr``, as a read there would,
+        without reading it."""
+        self._page(addr >> _PAGE_SHIFT)
+
     def write_bytes(self, addr: int, data: bytes) -> None:
         if addr < 0:
             raise MemoryFault(f"invalid write at {addr:#x}")

@@ -64,6 +64,28 @@ class StaticAnalysisResult:
     def is_analyzable_ref(self, node_id: int) -> bool:
         return node_id in self.analyzable_refs
 
+    def source_form(self) -> SourceForm:
+        return SourceForm(frozenset(self.canonical_loops),
+                          frozenset(self.analyzable_refs))
+
+
+@dataclass(frozen=True)
+class SourceForm:
+    """What Table II reads of a :class:`StaticAnalysisResult`: the node
+    ids of its canonical loops and analyzable references. Plain ints,
+    unlike the result itself (whose loop infos hold the program's
+    ``Symbol`` objects), so it is stored and read apart from the
+    program."""
+
+    canonical_loops: frozenset[int]
+    analyzable_refs: frozenset[int]
+
+    def is_canonical_loop(self, node_id: int) -> bool:
+        return node_id in self.canonical_loops
+
+    def is_analyzable_ref(self, node_id: int) -> bool:
+        return node_id in self.analyzable_refs
+
 
 def _const_value(expr: ast.Expr) -> int | None:
     """Fold an integer-constant expression, or None."""

@@ -41,6 +41,14 @@ Layout::
         fuzz/...
       stats/<pid>-<token>.json       per-process counter tallies
 
+What an entry holds is up to its producer; two pickle part of
+themselves lazily through :class:`LazyFields`. A compile entry's program
+and detector result are one nested pickle, unpickled on first access,
+next to the detector's Table II node ids; an extraction entry's
+``TraceStats`` sets are another, next to the four sizes Table III
+prints. A warm suite run reads only those summaries, so it unpickles no
+AST, detector or address set.
+
 Trust model: entries are pickles. The integrity hash detects torn or
 bit-rotted files, **not** hostile ones — anyone who can write to the
 cache directory can execute code in every process that reads from it.
@@ -60,10 +68,12 @@ import tempfile
 import time
 import weakref
 from pathlib import Path
+from typing import Any, Callable
 
 #: Bump when any persisted artifact's shape changes incompatibly; every
 #: entry written under another version reads as a miss (recompute).
-SCHEMA_VERSION = 2
+#: Version 3: the lazily unpickled compile and extraction entries.
+SCHEMA_VERSION = 3
 
 #: The namespaces the pipeline persists (one per in-memory cache).
 NAMESPACES = ("compile", "extraction", "exploration", "validation",
@@ -116,6 +126,92 @@ def default_cache_dir() -> str:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = xdg or os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro")
+
+
+_MISSING = object()
+#: Instance-dict keys of a :class:`LazyFields` instance's pickled state.
+_LAZY_BLOB = "_lazy_blob"
+_LAZY_SUMMARY = "_lazy_summary"
+
+
+class LazyFields:
+    """Attributes of ``cls`` pickled as one nested pickle, unpickled on
+    first access, next to a summary read without unpickling them.
+
+    ``cls.__getstate__`` returns :meth:`getstate`, which pickles
+    ``names`` together — one pickle, so objects they share stay shared —
+    and stores ``summarize(instance)`` beside them. An unpickled instance
+    answers :meth:`summary` from that state and unpickles ``names`` only
+    when one of them is read. Each name becomes a descriptor on ``cls``
+    that the instance dict shadows, so reading a loaded (or never
+    pickled) attribute costs nothing extra; a class-level default, such
+    as a dataclass field's, is kept for instances that never set it.
+    """
+
+    def __init__(self, cls: type, names: tuple[str, ...],
+                 summarize: Callable[[Any], object]) -> None:
+        self.names = names
+        self.summarize = summarize
+        for name in names:
+            setattr(cls, name, _LazyAttribute(
+                self, name, cls.__dict__.get(name, _MISSING)))
+
+    def _pending(self, obj: object) -> bool:
+        """Whether ``names`` are still pickled; a name reassigned in the
+        meantime unpickles the others, so the summary cannot go stale."""
+        state = obj.__dict__
+        if _LAZY_BLOB not in state:
+            return False
+        if any(name in state for name in self.names):
+            self.load(obj)
+            return False
+        return True
+
+    def load(self, obj: object) -> None:
+        """Unpickle ``names`` into ``obj`` (a reassigned one is kept)."""
+        state = obj.__dict__
+        values = pickle.loads(state.pop(_LAZY_BLOB))
+        del state[_LAZY_SUMMARY]
+        for name, value in zip(self.names, values):
+            state.setdefault(name, value)
+
+    def summary(self, obj: object) -> Any:
+        """``summarize(obj)``, from the pickled state while ``names`` are
+        still pickled."""
+        if self._pending(obj):
+            return obj.__dict__[_LAZY_SUMMARY]
+        return self.summarize(obj)
+
+    def getstate(self, obj: object) -> dict:
+        """``obj.__dict__`` with ``names`` replaced by their pickle and the
+        summary; a still-pickled instance is passed on as it is."""
+        if self._pending(obj):
+            return dict(obj.__dict__)
+        values = tuple(getattr(obj, name) for name in self.names)
+        state = {key: value for key, value in obj.__dict__.items()
+                 if key not in self.names}
+        state[_LAZY_BLOB] = pickle.dumps(values,
+                                         protocol=pickle.HIGHEST_PROTOCOL)
+        state[_LAZY_SUMMARY] = self.summarize(obj)
+        return state
+
+
+class _LazyAttribute:
+    """One name of a :class:`LazyFields`; looked up only while the
+    instance dict lacks it."""
+
+    def __init__(self, fields: LazyFields, name: str, default: object):
+        self.fields = fields
+        self.name = name
+        self.default = default
+
+    def __get__(self, obj: object, owner: type | None = None) -> Any:
+        if obj is not None and _LAZY_BLOB in obj.__dict__:
+            self.fields.load(obj)
+            return obj.__dict__[self.name]
+        if self.default is _MISSING:
+            raise AttributeError(self.name)
+        return self.default
 
 
 def _encode(artifact: object) -> bytes:

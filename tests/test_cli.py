@@ -16,6 +16,10 @@ int main() {
 """
 
 
+def _no_simulation(*_args, **_kwargs):
+    raise AssertionError("simulated on a warm run")
+
+
 @pytest.fixture()
 def demo_file(tmp_path):
     path = tmp_path / "demo.c"
@@ -34,6 +38,22 @@ class TestExtract:
         main(["extract", demo_file, "--annotated"])
         out = capsys.readouterr().out
         assert "CHECKPOINT(" in out
+
+    def test_warm_annotated_matches_cold(self, demo_file, tmp_path, capsys,
+                                         monkeypatch):
+        # The warm run reads the program back from its compile entry.
+        from repro.pipeline import clear_caches
+
+        args = ["extract", demo_file, "--annotated", "--cache-dir",
+                str(tmp_path / "store")]
+        clear_caches()
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        clear_caches()
+        monkeypatch.setattr("repro.pipeline.run_compiled", _no_simulation)
+        assert main(args) == 0
+        assert capsys.readouterr().out == cold
+        assert "CHECKPOINT(" in cold
 
     def test_filter_flags(self, demo_file, capsys):
         main(["extract", demo_file, "--nexec", "1000"])

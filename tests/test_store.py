@@ -1,14 +1,17 @@
 """Tests for the disk-backed artifact store and its pipeline tiering.
 
 Covers the store's integrity guarantees (atomic entries, corruption and
-schema-version fallback), the L1-memory/L2-disk tiering of the pipeline
-caches (warm runs must not simulate, nor re-run the detector), cross-
-process sharing through real subprocesses, startup without NumPy, and
-the satellite regressions (explicit ``jobs=1``, ``max_entries``
-validation, energy-model key normalization).
+schema-version fallback), the lazily unpickled parts of compile and
+extraction entries, the L1-memory/L2-disk tiering of the pipeline
+caches (warm runs must not simulate, nor re-run the detector, nor
+unpickle what the tables do not print), cross-process sharing through
+real subprocesses, startup without NumPy, and the satellite regressions
+(explicit ``jobs=1``, ``max_entries`` validation, energy-model key
+normalization).
 """
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro import store as store_mod
+from repro.lang import ast_nodes as ast
+from repro.lang.printer import to_source
 from repro.pipeline import (
     ArtifactCache,
     PipelineConfig,
@@ -28,14 +33,17 @@ from repro.pipeline import (
     extract_foray_model,
     full_flow,
     run_suite,
+    run_workload,
     static_workload,
     store_for,
     validate_suite,
     validate_workload,
 )
+from repro.sim.machine import compile_program
 from repro.spm.energy import EnergyModel
+from repro.staticfar.detector import detect
 from repro.store import ArtifactStore, default_cache_dir
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, workload_names
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,6 +74,24 @@ def _disk_config(tmp_path, **overrides) -> PipelineConfig:
 
 def _boom(*_args, **_kwargs):
     raise AssertionError("simulated on a warm run: disk tier not consulted")
+
+
+#: The attributes a stored compile node and a stored ``TraceStats`` keep
+#: pickled until they are read.
+LAZY_PROGRAM = {"program", "detector"}
+LAZY_SETS = {"user_refs", "lib_refs", "user_addresses", "lib_addresses"}
+
+#: A program with library traffic, so every trace set is non-empty.
+LIB_SOURCE = """
+int a[32];
+int b[32];
+int main() {
+    int i;
+    for (i = 0; i < 32; i++) { a[i] = i; }
+    memcpy(b, a, 128);
+    return b[5];
+}
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +226,65 @@ class TestArtifactStore:
 
 
 # ---------------------------------------------------------------------------
+# Lazily unpickled attributes
+# ---------------------------------------------------------------------------
+
+
+def _roundtrip(artifact):
+    return pickle.loads(pickle.dumps(artifact))
+
+
+class TestLazyFields:
+    def test_program_and_detector_share_one_pickle(self):
+        compiled = compile_program(SOURCE)
+        compiled.detector = detect(compiled.program)
+        loaded = _roundtrip(compiled)
+        assert not LAZY_PROGRAM & vars(loaded).keys()
+        assert loaded.source_form() == compiled.source_form()
+        assert loaded.source_form().canonical_loops
+        # A still-pickled node is re-pickled without being unpickled.
+        again = _roundtrip(loaded)
+        assert not LAZY_PROGRAM & vars(loaded).keys()
+        # One pickle: the detector's iterators are the program's symbols.
+        symbols = {id(node.symbol) for node in ast.walk(again.program)
+                   if isinstance(node, ast.Identifier)}
+        assert LAZY_PROGRAM <= vars(again).keys()
+        assert all(id(info.iterator) in symbols
+                   for info in again.detector.canonical_loops.values())
+        assert to_source(again.program) == to_source(compiled.program)
+        assert again.source == compiled.source
+        assert again.checkpoint_map == compiled.checkpoint_map
+
+    def test_detector_default_and_reassignment(self):
+        compiled = compile_program(SOURCE)
+        assert compiled.source_form() is None
+        loaded = _roundtrip(compiled)
+        assert loaded.source_form() is None
+        assert loaded.detector is None  # unpickled, not the class default
+        assert "program" in vars(loaded)
+        compiled.detector = detect(compiled.program)
+        loaded = _roundtrip(compiled)
+        loaded.detector = None  # reassigned while still pickled
+        assert loaded.source_form() is None  # no stale summary
+        assert to_source(loaded.program) == to_source(compiled.program)
+        assert loaded.detector is None
+
+    def test_trace_stats_counts_survive_pickling(self):
+        stats = extract_foray_model(LIB_SOURCE).model.trace_stats
+        assert all(getattr(stats, name) for name in LAZY_SETS)
+        loaded = _roundtrip(stats)
+        assert not LAZY_SETS & vars(loaded).keys()
+        assert loaded.counts() == stats.counts()
+        assert loaded.counts().total_footprint == len(
+            stats.user_addresses | stats.lib_addresses)
+        assert not LAZY_SETS & vars(loaded).keys()
+        assert loaded == stats  # equality reads the sets
+        assert LAZY_SETS <= vars(loaded).keys()
+        loaded.lib_addresses = set()
+        assert loaded.counts().lib_footprint == 0
+
+
+# ---------------------------------------------------------------------------
 # Pipeline tiering: warm runs must not recompute
 # ---------------------------------------------------------------------------
 
@@ -257,6 +342,75 @@ class TestTieredPipeline:
         assert (warm.static.unfiltered_references
                 == cold.static.unfiltered_references)
         assert cold.ok and warm.ok
+
+    @pytest.mark.parametrize("name", ["fig9", "fft", "jpeg"])
+    def test_warm_static_oracle_reads_a_suite_compile_entry(
+            self, tmp_path, monkeypatch, name):
+        # The suite's analyze stage writes the compile node with the
+        # detector in the program's pickle; the static oracle reads
+        # both back from that entry.
+        source = get_workload(name).source
+        cold = static_workload(name, source)
+        clear_caches()
+        config = _disk_config(tmp_path)
+        run_workload(name, source, config=config)
+        clear_caches()
+        monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
+        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        warm = static_workload(name, source, config=config)
+        assert (warm.static.unfiltered_references
+                == cold.static.unfiltered_references)
+        assert warm.oracle.diff_lines() == cold.oracle.diff_lines()
+        assert cold.ok and warm.ok
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_warm_suite_row_leaves_stored_objects_pickled(
+            self, tmp_path, monkeypatch, name):
+        # Tables I-III and the sweep read the detector's node ids and the
+        # trace counts only: the program, the detector and the four
+        # trace sets stay pickled until something reads them.
+        config = _disk_config(tmp_path, spm=SpmConfig(sweep=True))
+        source = get_workload(name).source
+        cold = run_workload(name, source, config=config)
+        cold_points = cached_exploration(source, config, cold.model)
+        clear_caches()
+        monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
+        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        warm = run_workload(name, source, config=config)
+        points = cached_exploration(warm.extraction.compiled.source, config,
+                                    warm.model)
+        assert not LAZY_PROGRAM & vars(warm.extraction.compiled).keys()
+        assert not LAZY_SETS & vars(warm.model.trace_stats).keys()
+        assert (warm.census, warm.table2, warm.table3, points) == (
+            cold.census, cold.table2, cold.table3, cold_points)
+        # Read on demand, they are the cold run's.
+        assert warm.model == cold.model
+        assert (warm.static_result.source_form()
+                == cold.static_result.source_form())
+        assert (to_source(warm.extraction.compiled.program)
+                == to_source(cold.extraction.compiled.program))
+
+    def test_cold_run_writes_the_compile_node_once(self, tmp_path):
+        config = _disk_config(tmp_path)
+        run_workload("demo", SOURCE, config=config)
+        counters = store_for(config).session_counters()
+        assert counters["compile"]["stores"] == 1
+
+    def test_analyze_rewrites_a_compile_node_stored_without_it(
+            self, tmp_path, monkeypatch):
+        config = _disk_config(tmp_path)
+        store = store_for(config)
+        extract_foray_model(SOURCE, config=config)  # stops before analyze
+        assert store.session_counters()["compile"]["stores"] == 1
+        clear_caches()
+        cold = run_workload("demo", SOURCE, config=config)
+        assert store.session_counters()["compile"]["stores"] == 2
+        clear_caches()
+        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        warm = run_workload("demo", SOURCE, config=config)
+        assert store.session_counters()["compile"]["stores"] == 2
+        assert warm.table2 == cold.table2
+        assert not LAZY_PROGRAM & vars(warm.extraction.compiled).keys()
 
     def test_corrupted_entries_fall_back_to_recompute(self, tmp_path):
         config = _disk_config(tmp_path)
