@@ -260,7 +260,8 @@ class CacheLevel:
 
     Each set is a dict mapping the full line number to its dirty flag;
     dict insertion order doubles as the LRU order (hits pop + reinsert),
-    the same idiom the pipeline's :class:`ArtifactCache` uses.
+    the same idiom as the per-kind LRU of the pipeline's artifact memo
+    (:class:`repro.pipeline.ArtifactCache`).
     """
 
     __slots__ = (

@@ -16,7 +16,7 @@ protocol, so a replay can be scored *online* while the program runs —
 the replayed trace is never materialized. Its columnar entry point shares
 the extractor's loop-tree walk (:meth:`LoopTreeBuilder.walk`) and scores
 each context, one contiguous range of accesses, in order. The
-``validate`` pipeline stage (:mod:`repro.pipeline`) drives it over a
+pipeline's validation cells (:mod:`repro.pipeline`) drive it over a
 workload's whole input scenario matrix; :func:`validate_model` is the
 classic offline entry point for stored record streams.
 

@@ -57,10 +57,11 @@ The subsystem is four small passes with one rule each:
     and cross-input model transfer.
 
 The generator version (:data:`~repro.gen.profiles.GENERATOR_VERSION`)
-is stamped into every emitted source header, so content-addressed
-artifact keys (``_compile_key`` et al.) roll over automatically when
-the generator changes: warm fuzz reruns skip satisfied cells but can
-never serve artifacts from an older generator.
+is stamped into every emitted source header, and the pipeline keys
+every node on the source text it derives from (the compile node on the
+text itself, the fuzz outcome on the source template), so keys roll
+over automatically when the generator changes: warm fuzz reruns skip
+satisfied cells but can never serve artifacts from an older generator.
 """
 
 from __future__ import annotations

@@ -43,10 +43,13 @@ The hidden ``seeded-bug`` check deliberately corrupts the static model
 before the oracle comparison; it exists so the harness can prove it
 would catch, shrink and report a real VM/static divergence.
 
-Outcomes are cached in the ``fuzz`` store namespace keyed by the
-generated source (which embeds generator version + profile + seed) and
-the check/engine configuration, so warm reruns skip satisfied cells and
-can never serve results across generator changes.
+Each program's outcome is a node of the pipeline's artifact graph
+(:func:`repro.pipeline._fuzz_outcome`, the ``fuzz`` store namespace).
+Its key covers the generated source template (which embeds generator
+version + profile + seed), the checks, shrinking and every
+``PipelineConfig`` field an outcome can depend on, so warm reruns skip
+satisfied cells and can never serve an outcome across a generator or
+config change.
 """
 
 from __future__ import annotations
@@ -63,16 +66,12 @@ from repro.lang.lint import lint_program, lint_source
 from repro.pipeline import (
     ExtractionResult,
     PipelineConfig,
-    _cached_compiled,
-    _cached_detector,
-    _content_key,
+    _compiled,
     _fan_out,
+    _fuzz_outcome,
     _profile_extraction,
     _select_scenarios,
-    _tiered_get,
-    _tiered_put,
     _validate_against,
-    fuzz_cache,
 )
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
 from repro.sim.memory import GLOBAL_BASE, HEAP_BASE
@@ -184,10 +183,10 @@ class FuzzReport:
 class _CheckContext:
     """Shared per-program artifacts, computed lazily and at most once.
 
-    The compiled program comes from the pipeline's compile tier and the
-    model from its extraction, so the battery's checks and the transfer
-    check's replays share one parse, lowering and specialization per
-    source and one profiling run per program.
+    The compiled program is the pipeline's compile node and the model
+    comes from its extraction node, so the battery's checks and the
+    transfer check's replays share one parse, lowering and
+    specialization per source and one profiling run per program.
     """
 
     def __init__(self, rendered: RenderedProgram, config: PipelineConfig):
@@ -202,7 +201,7 @@ class _CheckContext:
     @property
     def compiled(self):
         if self._compiled is None:
-            self._compiled = _cached_compiled(self.source, self.config)
+            self._compiled = _compiled(self.source, self.config)
         return self._compiled
 
     @property
@@ -296,8 +295,9 @@ def _check_lint(ctx: _CheckContext) -> CheckOutcome:
 
 def _static_report(ctx: _CheckContext, corrupt: bool = False):
     extraction = ctx.extraction
-    compiled = extraction.compiled
-    detector = _cached_detector(compiled.source, compiled, ctx.config)
+    compiled = _compiled(extraction.compiled.source, ctx.config,
+                         detector=True)
+    detector = compiled.detector
     static = analyze_static(compiled.program, ctx.config.filter_config,
                             detector_result=detector,
                             name=ctx.rendered.workload.name,
@@ -432,15 +432,6 @@ def _transfer_accuracy(outcome: CheckOutcome) -> float | None:
         return None
 
 
-def _fuzz_key(template: str, checks: tuple[str, ...], shrink: bool,
-              config: PipelineConfig) -> str:
-    # The template embeds the generator version + profile + seed (the
-    # source header), so one key can never span generator revisions.
-    return _content_key(
-        "fuzz", template, checks, shrink, config.engine, config.trace_block,
-        config.filter_config, config.max_steps)
-
-
 def fuzz_program(
     profile_name: str,
     seed: int,
@@ -465,18 +456,11 @@ def fuzz_program(
             error=f"generation failed: {type(error).__name__}: "
                   f"{str(error)[:300]}")
 
-    template = rendered.workload.source_template or rendered.workload.source
-    key = _fuzz_key(template, checks, shrink, config)
-    if config.cache:
-        cached = _tiered_get(fuzz_cache, key, config)
-        if cached is not None:
-            return dataclasses.replace(cached, cached=True)
-
-    outcome = _fuzz_rendered(spec, profile_name, seed, ir, rendered,
-                             checks, shrink, config)
-    if config.cache:
-        _tiered_put(fuzz_cache, key, outcome, config)
-    return outcome
+    return _fuzz_outcome(
+        rendered.workload.source_template or rendered.workload.source,
+        checks, shrink, config,
+        lambda: _fuzz_rendered(spec, profile_name, seed, ir, rendered,
+                               checks, shrink, config))
 
 
 def _fuzz_rendered(

@@ -1,35 +1,39 @@
 """Top-level FORAY-GEN pipeline — the public API most users want.
 
-The flow is organised as a registry of named stages, executed in order::
+The flow is a graph of memoized artifacts (nodes)::
 
-    compile → instrument → simulate → extract → analyze →
-    validate → optimize → hierarchy
+    compile ──▶ extraction ─┬─▶ exploration      (SPM capacity sweep)
+                            ├─▶ validation cell  (one scenario replayed)
+                            ├─▶ hierarchy cell   (one cache config)
+                            └─▶ fuzz outcome     (repro.gen.fuzz)
 
-* **compile** — parse + semantic analysis of the MiniC source;
-* **instrument** — checkpoint annotation (paper Algorithm 1, step 1);
-* **simulate** — execute the program on the selected engine with the
+* **compile** — parse, semantic analysis and checkpoint annotation
+  (paper Algorithm 1, step 1) of one source text;
+* **extraction** — run the program on the selected engine with the
   FORAY extractor attached as a live trace sink (the paper's
-  constant-space online mode);
-* **extract** — finalize the loop tree and purge the model (steps 2–4);
-* **analyze** — static baseline plus the Table I–III metrics;
-* **validate** — replay the workload's other input scenarios against the
-  extracted model (cross-input stability; off by default);
-* **optimize** — Phase II SPM reuse analysis / buffer allocation;
-* **hierarchy** — cache co-simulation: pure cache vs SPM+cache over the
-  streaming :class:`~repro.cachesim.sink.CacheSink` (off by default).
+  constant-space online mode), then finalize and purge the model
+  (steps 2–4);
+* **exploration** — the SPM capacity sweep of one model;
+* **validation cell** — one input scenario's trace replayed against the
+  model extracted on the profile scenario (cross-input stability);
+* **hierarchy cell** — cache co-simulation, pure cache vs SPM+cache, of
+  one cache configuration over streaming
+  :class:`~repro.cachesim.sink.CacheSink`\\ s;
+* **fuzz outcome** — the differential check battery on one generated
+  program.
 
-:class:`PipelineConfig` selects the execution engine (``bytecode`` or
-``ast``), the suite parallelism (``jobs``) and whether the content-hash
-artifact cache is consulted. The classic entry points are thin
-compositions over the stages:
+The entry points are plain compositions of nodes:
 
-* :func:`extract_foray_model` — stages through **extract**, returning the
-  FORAY model. It is the only producer of one: validation, the static
-  oracle and the fuzz battery all take their model from it.
-* :func:`run_workload` — through **analyze** for one workload.
+* :func:`extract_foray_model` — the extraction node. It is the only
+  producer of a FORAY model: validation, the static oracle and the fuzz
+  battery all take their model from it.
+* :func:`run_workload` — Tables I–III and the static baseline for one
+  workload, read off its compile and extraction nodes.
 * :func:`run_suite` — the full mini-MiBench evaluation (Tables I–III),
   optionally fanned out over worker processes with ``jobs=N``.
-* :func:`full_flow` — through **optimize**, emitting the transformed model.
+* :func:`full_flow` — the report plus the Phase II allocation, the
+  transformed model and, when configured, the sweep, the validation and
+  the hierarchy cells.
 * :func:`static_workload` / :func:`static_suite` — the compile-time
   model of :mod:`repro.staticfar` diffed against the extracted one by
   the differential oracle, per ``(workload × scenario)`` cell.
@@ -39,21 +43,18 @@ compositions over the stages:
   scenario's trace against it, fanned out over the same worker-process
   machinery.
 * :func:`hier_suite` — the ``(workload × scenario × cache-config)``
-  hierarchy matrix: every cell co-simulates a pure cache against
-  SPM+cache through streaming sinks, fanned out and persisted the same
-  way.
+  hierarchy matrix; a group's uncached configurations share one engine
+  run.
 
-Compiled programs and extraction results are memoized in an in-process
-content-hash cache (keyed by source text and the exact run configuration).
-When ``PipelineConfig.cache_dir`` is set, the in-memory caches become the
-L1 tier over a disk-backed, content-addressed
-:class:`~repro.store.ArtifactStore` (L2) shared across processes —
-``_fan_out`` workers and repeat CLI invocations then serve compilation,
-simulation, extraction, sweep and validation artifacts from disk instead
-of recomputing them. ``cache=False`` / ``--no-cache`` drops the disk tier
-and reuses no simulated artifact; compiled programs, a pure function of
-the source text, are still shared within the process until
-:func:`clear_caches`.
+Every node goes through one memo (:class:`_Node`): the kind's bounded
+in-process LRU, then — when ``PipelineConfig.cache_dir`` is set — the
+kind's namespace of the disk-backed :class:`~repro.store.ArtifactStore`
+shared across processes; a miss produces the artifact and publishes it
+to both. A node's key is :func:`_content_key` over exactly what its
+producer receives, so no tier can serve an artifact across a config
+change. ``cache=False`` / ``--no-cache`` drops the disk tier and
+memoizes no simulated artifact; compile nodes, a pure function of the
+source text, stay shared within the process until :func:`clear_caches`.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ DEFAULT_MAX_STEPS = 200_000_000
 class SpmConfig:
     """Phase II knobs: capacity, allocator policy, energy overrides."""
 
-    #: SPM capacity used by the single-capacity optimize stage.
+    #: SPM capacity of ``full_flow``'s single allocation.
     spm_bytes: int = 4096
     #: Capacity ladder swept when ``sweep`` is enabled.
     capacities: tuple[int, ...] = DEFAULT_CAPACITIES
@@ -126,13 +127,13 @@ class SpmConfig:
     allocator: str = AllocatorPolicy.DP.value
     #: Per-access energy numbers (override to model other technologies).
     energy: EnergyModel = EnergyModel()
-    #: Run the capacity sweep in the optimize stage (cached).
+    #: Run the capacity sweep in ``full_flow`` (an exploration node).
     sweep: bool = False
 
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    """Scenario-matrix knobs for the ``validate`` stage.
+    """Scenario-matrix knobs for cross-input validation.
 
     ``scenarios=None`` replays every scenario the workload declares;
     ``profile=None`` extracts the model on the workload's first (nominal)
@@ -150,7 +151,7 @@ class ValidationConfig:
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """Cache-hierarchy co-simulation knobs for the ``hierarchy`` stage.
+    """Cache-hierarchy co-simulation knobs for the hierarchy cells.
 
     ``sweep`` adds extra cache configurations to every matrix cell (the
     cache-config axis of the (workload x scenario x cache-config)
@@ -183,13 +184,13 @@ class HierarchyConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Cross-cutting knobs for the staged pipeline."""
+    """Cross-cutting knobs for the pipeline."""
 
     engine: str = DEFAULT_ENGINE
     jobs: int = 1
     cache: bool = True
-    #: Root of the disk-backed artifact store (L2 under the in-memory
-    #: caches); ``None`` keeps the caches in-process only. The directory
+    #: Root of the disk-backed artifact store (under the in-process
+    #: LRUs); ``None`` keeps artifacts in-process only. The directory
     #: is shared safely across concurrent processes.
     cache_dir: str | None = None
     entry: str = "main"
@@ -233,12 +234,12 @@ def _merge_config(
 
 
 # ---------------------------------------------------------------------------
-# Artifact cache
+# The artifact graph: one memo over input-derived keys
 # ---------------------------------------------------------------------------
 
 
 class ArtifactCache:
-    """A content-addressed in-process memo of pipeline artifacts.
+    """The in-process memo of one node kind, by key.
 
     Bounded LRU: beyond ``max_entries`` the least-recently-*used* entry is
     evicted (compiled programs and FORAY models are large, so the memo
@@ -286,33 +287,26 @@ class ArtifactCache:
         return len(self._store)
 
 
-#: Compiled (analyzed + instrumented + lazily lowered) programs by source.
-compile_cache = ArtifactCache("compile")
-#: Finished extraction results by (source, engine, filters, budget, entry).
-extraction_cache = ArtifactCache("extraction")
-#: Capacity-sweep results by (source, run config, ladder, policy, energy).
-exploration_cache = ArtifactCache("exploration", max_entries=256)
-#: Cross-input validation reports by (profile extraction, replay scenario).
-validation_cache = ArtifactCache("validation", max_entries=256)
-#: Cache-hierarchy comparison cells by (extraction, cache config, SPM knobs).
-hierarchy_cache = ArtifactCache("hierarchy", max_entries=256)
-#: Per-program fuzz outcomes by (generated source, check set, run config).
-#: The generated source embeds the generator version + profile + seed in
-#: its header, so these keys — like every downstream ``_compile_key`` —
-#: roll over automatically when the generator changes.
-fuzz_cache = ArtifactCache("fuzz", max_entries=4096)
+#: The in-process LRU of every node kind, named after the kind's store
+#: namespace.
+_memos: dict[str, ArtifactCache] = {
+    memo.name: memo for memo in (
+        ArtifactCache("compile"),
+        ArtifactCache("extraction"),
+        ArtifactCache("exploration", max_entries=256),
+        ArtifactCache("validation", max_entries=256),
+        ArtifactCache("hierarchy", max_entries=256),
+        ArtifactCache("fuzz", max_entries=4096),
+    )
+}
 
 
 def clear_caches() -> None:
     """Drop all memoized in-process pipeline artifacts (mainly for
     benchmarks). The disk store, when configured, is left intact — it is
     cleared explicitly (``repro cache clear``)."""
-    compile_cache.clear()
-    extraction_cache.clear()
-    exploration_cache.clear()
-    validation_cache.clear()
-    hierarchy_cache.clear()
-    fuzz_cache.clear()
+    for memo in _memos.values():
+        memo.clear()
 
 
 #: One ArtifactStore instance per cache directory, shared by every
@@ -339,97 +333,186 @@ def persist_store_counters(config: PipelineConfig) -> None:
         store.persist_counters()
 
 
-def _tiered_get(cache: ArtifactCache, key: str, config: PipelineConfig,
-                thaw: Callable | None = None):
-    """L1 (memory) lookup, falling back to L2 (disk); a disk hit is
-    promoted into the memory cache, through ``thaw`` when the disk entry
-    is a slimmer form of the memory artifact (see :func:`_tiered_put`)."""
-    artifact = cache.get(key)
-    if artifact is not None:
-        return artifact
-    store = store_for(config)
-    if store is None:
-        return None
-    artifact = store.get(cache.name, key)
-    if artifact is not None:
-        if thaw is not None:
-            artifact = thaw(artifact)
-        cache.put(key, artifact)
-    return artifact
+#: The :class:`PipelineConfig` fields that decide how a run is carried
+#: out — fan-out, tiers, IR checks — never what an artifact holds: keys
+#: see them at these values.
+_PLACEMENT = {"jobs": 1, "cache": True, "cache_dir": None, "verify_ir": False}
 
 
-def _tiered_put(cache: ArtifactCache, key: str, artifact,
-                config: PipelineConfig, entry=None) -> None:
-    """Memoize in memory and, when configured, persist to disk — as
-    ``entry`` when given, a form of ``artifact`` that leaves out what
-    another node already stores."""
-    cache.put(key, artifact)
-    store = store_for(config)
-    if store is not None:
-        store.put(cache.name, key, artifact if entry is None else entry)
-
-
-def _content_key(*parts) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(repr(part).encode())
-        digest.update(b"\0")
+def _content_key(kind: str, *inputs) -> str:
+    """The key of a ``kind`` node over its producer's ``inputs``: a parent
+    :class:`_Node` enters by its key, a :class:`PipelineConfig` by every
+    field but the placement ones, a string by its text and anything else
+    by its ``repr``."""
+    digest = hashlib.sha256(kind.encode())
+    for part in inputs:
+        if isinstance(part, _Node):
+            part = part.key
+        elif isinstance(part, PipelineConfig):
+            part = replace(part, **_PLACEMENT)
+        if isinstance(part, str):
+            blob = b"s" + part.encode("utf-8", "surrogatepass")
+        else:
+            blob = b"r" + repr(part).encode()
+        digest.update(len(blob).to_bytes(8, "little"))
+        digest.update(blob)
     return digest.hexdigest()
 
 
-def _compile_key(source: str) -> str:
-    return _content_key("compile", source)
+class _Node:
+    """One artifact of the graph, keyed before it is looked up or built.
+
+    ``key`` is :func:`_content_key` over ``inputs``, which are exactly
+    what ``produce`` receives. ``config`` only places the artifact: a
+    compile node is memoized in process whatever ``config.cache`` says (a
+    compiled program is a pure function of its source text), every other
+    kind only while it is on, and the disk tier is :func:`store_for`'s.
+    ``to_entry`` gives the artifact's disk entry when that is a slimmer
+    form of it, which ``from_entry`` turns back into the artifact.
+    """
+
+    __slots__ = ("kind", "key", "config", "produce", "to_entry",
+                 "from_entry")
+
+    def __init__(self, kind: str, config: PipelineConfig, inputs: tuple,
+                 produce: Callable | None = None,
+                 to_entry: Callable | None = None,
+                 from_entry: Callable | None = None) -> None:
+        self.kind = kind
+        self.key = _content_key(kind, *inputs)
+        self.config = config
+        self.produce = produce
+        self.to_entry = to_entry
+        self.from_entry = from_entry
+
+    def _memoized(self) -> bool:
+        return self.config.cache or self.kind == "compile"
+
+    def lookup(self):
+        """The memoized artifact, or ``None``: the kind's LRU first, then
+        the disk store (a disk hit is rebuilt and kept in the LRU)."""
+        if not self._memoized():
+            return None
+        memo = _memos[self.kind]
+        artifact = memo.get(self.key)
+        if artifact is None:
+            store = store_for(self.config)
+            entry = None if store is None else store.get(self.kind, self.key)
+            if entry is not None:
+                artifact = (entry if self.from_entry is None
+                            else self.from_entry(entry))
+                memo.put(self.key, artifact)
+        return artifact
+
+    def publish(self, artifact) -> None:
+        """Memoize ``artifact`` in the LRU and, when configured, on disk."""
+        if not self._memoized():
+            return
+        _memos[self.kind].put(self.key, artifact)
+        store = store_for(self.config)
+        if store is not None:
+            store.put(self.kind, self.key, artifact if self.to_entry is None
+                      else self.to_entry(artifact))
+
+    def get(self, fill: Callable | None = None):
+        """The artifact, looked up or else produced and published.
+
+        ``fill`` completes the artifact in place and says whether it
+        changed it; a changed artifact is published again, and a new one
+        once, after its fill.
+        """
+        artifact = self.lookup()
+        changed = artifact is None
+        if changed:
+            artifact = self.produce()
+        if fill is not None and fill(artifact):
+            changed = True
+        if changed:
+            self.publish(artifact)
+        return artifact
 
 
-def _extraction_key(source: str, config: PipelineConfig) -> str:
-    # trace_block cannot change the extracted model (the parity tests pin
-    # that down), but it is part of the producing engine's identity:
-    # keying on it keeps warm artifacts from one block size from masking
-    # a defect at another.
-    return _content_key(
-        "extract",
-        source,
-        config.engine,
-        config.trace_block,
-        config.entry,
-        config.max_steps,
-        config.filter_config or FilterConfig(),
-        config.input or InputSpec(),
-    )
+def _compile_node(source: str, config: PipelineConfig) -> _Node:
+    """Parsing, semantic analysis and the checkpoint pass of ``source``,
+    one node keyed on the text alone. It is written to disk when it is
+    built, before any run of it, so a run that raises leaves it stored,
+    and again when the detector fills it."""
+    return _Node("compile", config, (source,),
+                 produce=lambda: compile_program(source))
+
+
+def _fill_detector(compiled: CompiledProgram) -> bool:
+    """Run the static baseline detector on the compile node unless it
+    holds its result already; ``True`` when this call ran it.
+
+    The result refers to the program's own ``Symbol`` objects, which compare
+    by identity: unpickled apart from its program it would match none of
+    them, and the static analyzer would silently model nothing. So it is
+    only ever persisted inside the compile entry, which a fill
+    republishes. The check reads :meth:`CompiledProgram.source_form`,
+    which leaves a stored program pickled.
+    """
+    if compiled.source_form() is not None:
+        return False
+    compiled.detector = detect(compiled.program)
+    return True
+
+
+def _compiled(source: str, config: PipelineConfig,
+              detector: bool = False) -> CompiledProgram:
+    """The compile node's program; with ``detector``, carrying the static
+    baseline detector's result too (see :func:`_fill_detector`)."""
+    return _compile_node(source, config).get(
+        fill=_fill_detector if detector else None)
+
+
+def _run_view(config: PipelineConfig) -> PipelineConfig:
+    """What an extraction receives of ``config``: the engine run (engine,
+    trace block, entry, step budget, input) and the purge filter, each
+    ``None`` spelled as the default it stands for. The other fields stay
+    at their defaults, so ``suite``, ``suite --spm``, ``static``,
+    ``validate`` and ``hier`` share one extraction per source and run."""
+    return PipelineConfig(
+        engine=config.engine, cache=config.cache, cache_dir=config.cache_dir,
+        entry=config.entry, max_steps=config.max_steps,
+        trace_block=config.trace_block,
+        filter_config=config.filter_config or FilterConfig(),
+        input=config.input or InputSpec(), verify_ir=config.verify_ir)
+
+
+def _extraction_node(source: str, config: PipelineConfig) -> _Node:
+    """Profile ``source`` under ``config``'s run fields with the FORAY
+    extractor attached as a live trace sink, then finalize and purge the
+    model (steps 2-4). The trace block size cannot change the model (the
+    parity tests pin that down), but it is part of the producing run:
+    keying on it keeps warm artifacts from one block size from masking a
+    defect at another. The disk entry leaves the program out, and a
+    stored extraction is rebuilt against its compile node."""
+    run = _run_view(config)
+    compiled = _compile_node(source, run)
+
+    def extract() -> ExtractionResult:
+        program = compiled.get()
+        extractor = ForayExtractor(program.checkpoint_map, run.filter_config)
+        result = run_compiled(program, sinks=(extractor,), entry=run.entry,
+                              config=run.engine_config())
+        # Pipeline results keep no engine: its memory pages would ride
+        # along in every memoized, persisted or fanned-out extraction.
+        return ExtractionResult(extractor.finish(), program,
+                                replace(result, machine=None),
+                                extractor.executed_loops())
+
+    return _Node(
+        "extraction", run, (compiled, run), produce=extract,
+        to_entry=ExtractionResult.entry,
+        from_entry=lambda entry: ExtractionResult.from_entry(
+            entry, compiled.get()))
 
 
 def normalize_ladder(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical capacity-ladder form: sorted and deduplicated, so
-    equivalent ladders share one exploration-cache entry."""
+    equivalent ladders share one exploration node."""
     return tuple(sorted(set(capacities)))
-
-
-def _resolve_energy(
-    energy: EnergyModel | None, config: PipelineConfig
-) -> EnergyModel:
-    """Canonical energy model for cache keying: ``None`` means the
-    config's model. Keys are built from the resolved *value*, so
-    ``energy=None`` and spelling the same model out explicitly (e.g. an
-    explicit default ``EnergyModel()`` under a default config) land on
-    one cache entry instead of duplicating identical sweeps."""
-    return config.spm.energy if energy is None else energy
-
-
-def exploration_key(
-    source: str,
-    config: PipelineConfig,
-    capacities: tuple[int, ...],
-    policy: str,
-    energy: EnergyModel | None,
-) -> str:
-    """Cache key of one workload's capacity sweep."""
-    return _content_key(
-        "explore",
-        _extraction_key(source, config),
-        normalize_ladder(capacities),
-        policy,
-        _resolve_energy(energy, config),
-    )
 
 
 def cached_exploration(
@@ -441,295 +524,42 @@ def cached_exploration(
     energy: EnergyModel | None = None,
     graph: ReuseGraph | None = None,
 ) -> tuple["ExplorationPoint", ...]:
-    """Memoized capacity sweep of one workload's model.
+    """Memoized capacity sweep of ``model``, the model of ``source``'s
+    extraction under ``config``.
 
-    ``None`` arguments fall back to ``config.spm``. The cached artifact is
-    a tuple — it is shared across callers, so it must not be mutable
-    through a returned reference.
+    ``None`` arguments fall back to ``config.spm``, and the ladder is
+    normalized first, so spelling a default out and reordering a ladder
+    land on the same node. The artifact is a tuple — it is shared across
+    callers, so it must not be mutable through a returned reference.
     """
     spm_config = config.spm
     capacities = normalize_ladder(capacities if capacities is not None
                                   else spm_config.capacities)
     policy = AllocatorPolicy(policy if policy is not None
                              else spm_config.allocator)
-    energy = _resolve_energy(energy, config)
-    key = exploration_key(source, config, capacities, policy.value, energy)
-    points = (_tiered_get(exploration_cache, key, config)
-              if config.cache else None)
-    if points is None:
-        points = tuple(explore(model, capacities, energy, policy,
-                               graph=graph))
-        if config.cache:
-            _tiered_put(exploration_cache, key, points, config)
-    return points
+    energy = spm_config.energy if energy is None else energy
+    return _Node(
+        "exploration", config,
+        (_extraction_node(source, config), capacities, policy, energy),
+        produce=lambda: tuple(explore(model, capacities, energy, policy,
+                                      graph=graph)),
+    ).get()
 
 
-# ---------------------------------------------------------------------------
-# Stage registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PipelineContext:
-    """Mutable state threaded through the stages of one pipeline run."""
-
-    source: str
-    config: PipelineConfig
-    name: str = "<anonymous>"
-    #: Per-call overrides of the config's SPM settings (None = use config).
-    spm_bytes: int | None = None
-    energy_model: EnergyModel | None = None
-
-    # Artifacts, filled in by the stages.
-    compiled: CompiledProgram | None = None
-    extractor: ForayExtractor | None = None
-    run_result: RunResult | None = None
-    extraction: "ExtractionResult | None" = None
-    report: "WorkloadReport | None" = None
-    validation: WorkloadValidation | None = None
-    flow: "FullFlowResult | None" = None
-    hierarchy: tuple[HierarchyReport, ...] | None = None
-    #: A compile node a stage filled and the disk store lacks: written
-    #: once, when the ``run_stages`` call ends.
-    compiled_to_store: CompiledProgram | None = None
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One named step of the pipeline."""
-
-    name: str
-    func: Callable[[PipelineContext], None]
-    description: str
-
-
-#: Registered stages, in execution order.
-STAGES: dict[str, Stage] = {}
-
-
-def register_stage(name: str, description: str):
-    def decorator(func: Callable[[PipelineContext], None]):
-        STAGES[name] = Stage(name, func, description)
-        return func
-
-    return decorator
-
-
-def stage_names() -> tuple[str, ...]:
-    """The registered stage names, in execution order."""
-    return tuple(STAGES)
-
-
-def run_stages(ctx: PipelineContext, upto: str) -> PipelineContext:
-    """Run the registered stages in order, stopping after ``upto``; then
-    persist the compile node if a stage filled it (even when a later
-    stage raised), so a cold run writes it once."""
-    if upto not in STAGES:
-        raise KeyError(f"unknown stage {upto!r}; known: {stage_names()}")
-    try:
-        for stage in STAGES.values():
-            stage.func(ctx)
-            if stage.name == upto:
-                break
-    finally:
-        compiled, ctx.compiled_to_store = ctx.compiled_to_store, None
-        if compiled is not None:
-            _tiered_put(compile_cache, _compile_key(ctx.source), compiled,
-                        ctx.config)
-    return ctx
-
-
-@register_stage("compile", "parse + semantic analysis")
-def _stage_compile(ctx: PipelineContext) -> None:
-    if ctx.compiled is not None:
-        return
-    # A compiled program is a pure function of the source text, so the
-    # in-memory tier serves it whatever ``config.cache`` says; the config
-    # only gates the disk tier (see ``store_for``).
-    cached = _tiered_get(compile_cache, _compile_key(ctx.source), ctx.config)
-    if cached is not None:
-        ctx.compiled = cached  # already instrumented; skips both stages
-        return
-    # compile_program also runs the instrument pass; the separate stage
-    # below exists so callers can observe/extend the boundary.
-    ctx.compiled = compile_program(ctx.source, annotate=False)
-
-
-@register_stage("instrument", "checkpoint annotation (Algorithm 1 step 1)")
-def _stage_instrument(ctx: PipelineContext) -> None:
-    assert ctx.compiled is not None
-    if ctx.compiled.is_instrumented:
-        return  # a cache hit or a caller's program: annotated already
-    from repro.instrument.checkpoints import instrument
-
-    ctx.compiled.checkpoint_map = instrument(ctx.compiled.program)
-    ctx.compiled.is_instrumented = True
-    # In memory now, for nested runs of the same source (validation's
-    # profile extraction); on disk when this run ends.
-    compile_cache.put(_compile_key(ctx.source), ctx.compiled)
-    ctx.compiled_to_store = ctx.compiled
-
-
-@register_stage("simulate", "profile on the selected engine (online sink)")
-def _stage_simulate(ctx: PipelineContext) -> None:
-    config = ctx.config
-    compiled = ctx.compiled
-    assert compiled is not None
-    if config.cache:
-        cached = _tiered_get(
-            extraction_cache, _extraction_key(ctx.source, config), config,
-            thaw=lambda entry: ExtractionResult.from_entry(entry, compiled))
-        if cached is not None:
-            ctx.extraction = cached
-            return
-    ctx.extractor = ForayExtractor(compiled.checkpoint_map,
-                                   config.filter_config)
-    result = run_compiled(
-        compiled,
-        sinks=(ctx.extractor,),
-        entry=config.entry,
-        config=config.engine_config(),
-    )
-    # Pipeline results keep no engine: its memory pages would ride along
-    # in every memoized, persisted or fanned-out extraction.
-    ctx.run_result = replace(result, machine=None)
-
-
-@register_stage("extract", "finalize + purge the FORAY model (steps 2-4)")
-def _stage_extract(ctx: PipelineContext) -> None:
-    if ctx.extraction is not None:
-        return
-    assert ctx.extractor is not None and ctx.run_result is not None
-    assert ctx.compiled is not None
-    extraction = ctx.extraction = ExtractionResult(
-        ctx.extractor.finish(), ctx.compiled, ctx.run_result,
-        ctx.extractor.executed_loops())
-    if ctx.config.cache:
-        _tiered_put(extraction_cache,
-                    _extraction_key(ctx.source, ctx.config),
-                    extraction, ctx.config, entry=extraction.entry())
-
-
-def _fill_detector(compiled: CompiledProgram) -> bool:
-    """Run the static baseline detector on the compile node unless it
-    holds its result already; ``True`` when this call ran it.
-
-    The result refers to the program's own ``Symbol`` objects, which compare
-    by identity: unpickled apart from its program it would match none of
-    them, and the static analyzer would silently model nothing. So it is
-    only ever persisted inside the compile entry, which the caller
-    republishes after a fill. The check reads
-    :meth:`CompiledProgram.source_form`, which leaves a stored program
-    pickled.
-    """
-    if compiled.source_form() is not None:
-        return False
-    compiled.detector = detect(compiled.program)
-    return True
-
-
-def _cached_detector(source: str, compiled: CompiledProgram,
-                     config: PipelineConfig) -> StaticAnalysisResult:
-    """The detector's result on ``compiled`` (see :func:`_fill_detector`),
-    outside the stages: a first fill is republished at once."""
-    if _fill_detector(compiled):
-        _tiered_put(compile_cache, _compile_key(source), compiled, config)
-    detector = compiled.detector
-    assert detector is not None
-    return detector
-
-
-@register_stage("analyze", "static baseline + Tables I-III metrics")
-def _stage_analyze(ctx: PipelineContext) -> None:
-    """Tables I-III. They read the detector's node ids and the trace
-    counts, never the program, the detector or the trace sets, so a run
-    over stored nodes leaves all of those pickled."""
-    assert ctx.extraction is not None
-    extraction = ctx.extraction
-    compiled = extraction.compiled
-    if _fill_detector(compiled):
-        ctx.compiled_to_store = compiled
-    source_form = compiled.source_form()
-    assert source_form is not None
-    census = loop_census(ctx.name, ctx.source, extraction.executed_loops)
-    table2 = table2_coverage(ctx.name, extraction.model, source_form)
-    table3 = table3_behavior(ctx.name, extraction.model)
-    ctx.report = WorkloadReport(ctx.name, extraction, census, table2, table3)
-
-
-@register_stage("validate", "cross-input scenario-matrix validation")
-def _stage_validate(ctx: PipelineContext) -> None:
-    """Replay the workload's other input scenarios against the model.
-
-    No-ops unless ``config.validation.enabled`` and ``ctx.name`` resolves
-    to a registered workload that declares a scenario matrix (ad-hoc
-    sources have no scenarios to replay). The context source must match
-    a declared scenario of the named workload — a modified source under
-    a registry name would otherwise be silently "validated" against the
-    pristine registry program.
-    """
-    config = ctx.config
-    if not config.validation.enabled:
-        return
-    from repro.workloads.registry import find_workload
-
-    workload = find_workload(ctx.name)
-    if workload is None or len(workload.scenarios) < 2:
-        return
-    if not any(
-        workload.source_for(scenario) == ctx.source
-        for scenario in workload.scenarios
-    ):
-        return
-    ctx.validation = validate_workload(ctx.name, config=config)
-
-
-@register_stage("optimize", "Phase II: reuse graph, SPM allocation, sweep")
-def _stage_optimize(ctx: PipelineContext) -> None:
-    assert ctx.report is not None
-    spm_config = ctx.config.spm
-    energy_model = ctx.energy_model or spm_config.energy
-    policy = AllocatorPolicy(spm_config.allocator)
-    capacity = (ctx.spm_bytes if ctx.spm_bytes is not None
-                else spm_config.spm_bytes)
-    graph = ReuseGraph.from_model(ctx.report.model, energy_model)
-    allocation = allocate_graph(graph, capacity, policy)
-    transformed = transform_model(allocation)
-    exploration: tuple[ExplorationPoint, ...] | None = None
-    if spm_config.sweep:
-        exploration = cached_exploration(ctx.source, ctx.config,
-                                         ctx.report.model, policy=policy,
-                                         energy=energy_model, graph=graph)
-    ctx.flow = FullFlowResult(ctx.report, allocation, transformed,
-                              energy_model, graph=graph,
-                              exploration=exploration,
-                              validation=ctx.validation)
-
-
-@register_stage("hierarchy", "cache co-simulation: pure cache vs SPM+cache")
-def _stage_hierarchy(ctx: PipelineContext) -> None:
-    """Simulate the cache hierarchy for this run's source (gated).
-
-    No-ops unless ``config.hierarchy.enabled``. Reuses the optimize
-    stage's model and allocation, so the only extra work is a single
-    engine run with two streaming cache sinks per swept configuration
-    attached — and none at all when every cell is already in the
-    hierarchy artifact cache.
-    """
-    config = ctx.config
-    if not config.hierarchy.enabled:
-        return
-    assert ctx.report is not None and ctx.flow is not None
-    reports = hierarchy_for_configs(
-        ctx.name, ctx.source, config, config.hierarchy.configs(),
-        scenario=_hier_scenario_label(ctx.name, ctx.source, config),
-        spm_bytes=ctx.spm_bytes,
-        energy=ctx.energy_model,
-        model=ctx.report.model,
-        allocation=ctx.flow.allocation,
-    )
-    ctx.hierarchy = reports
-    ctx.flow.hierarchy = reports
+def _fuzz_outcome(template: str, checks: tuple[str, ...], shrink: bool,
+                  config: PipelineConfig, produce: Callable):
+    """The fuzz outcome node of one generated program; ``produce`` runs
+    :mod:`repro.gen.fuzz`'s check battery on it. The program enters by
+    its source template, which embeds the generator version, profile and
+    seed, so no outcome outlives a generator change. A memoized outcome
+    comes back marked ``cached``."""
+    node = _Node("fuzz", config, (template, checks, shrink, config))
+    outcome = node.lookup()
+    if outcome is not None:
+        return replace(outcome, cached=True)
+    outcome = produce()
+    node.publish(outcome)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -777,15 +607,13 @@ def extract_foray_model(
     max_steps: int | None = None,
     config: PipelineConfig | None = None,
 ) -> ExtractionResult:
-    """Run Phase I (FORAY-GEN) on MiniC source text.
+    """Run Phase I (FORAY-GEN) on MiniC source text: the extraction node.
 
     The extractor is attached as a live trace sink (the paper's
     constant-space online mode).
     """
     merged = _merge_config(config, filter_config, max_steps, entry)
-    ctx = run_stages(PipelineContext(source, merged), upto="extract")
-    assert ctx.extraction is not None
-    return ctx.extraction
+    return _extraction_node(source, merged).get()
 
 
 @dataclass
@@ -819,12 +647,26 @@ def run_workload(
     max_steps: int | None = None,
     config: PipelineConfig | None = None,
 ) -> WorkloadReport:
-    """Phase I + static baseline + Tables I/II/III metrics for one program."""
+    """Phase I + static baseline + Tables I/II/III metrics for one program.
+
+    The compile node is filled with the detector's result before the
+    extraction runs, so a cold run writes it once. The tables read the
+    detector's node ids and the trace counts, never the program, the
+    detector or the trace sets, so a run over stored nodes leaves all of
+    those pickled.
+    """
     merged = _merge_config(config, filter_config, max_steps)
-    ctx = run_stages(PipelineContext(source, merged, name=name),
-                     upto="analyze")
-    assert ctx.report is not None
-    return ctx.report
+    compiled = _compiled(source, merged, detector=True)
+    extraction = _extraction_node(source, merged).get()
+    if extraction.compiled is not compiled:
+        # The extraction outlived its compile node in the LRUs.
+        extraction = ExtractionResult.from_entry(extraction.entry(), compiled)
+    source_form = compiled.source_form()
+    assert source_form is not None
+    census = loop_census(name, source, extraction.executed_loops)
+    table2 = table2_coverage(name, extraction.model, source_form)
+    table3 = table3_behavior(name, extraction.model)
+    return WorkloadReport(name, extraction, census, table2, table3)
 
 
 def _suite_worker(args: tuple[str, str, PipelineConfig]) -> WorkloadReport:
@@ -1064,16 +906,59 @@ def full_flow(
     4096 via :class:`SpmConfig`). Phase III (back-annotating the
     transformed model into the legacy code) is manual by design in the
     paper; the transformed model text returned here is the input a
-    designer would use for it.
+    designer would use for it. The sweep, the validation and the
+    hierarchy cells are there only when ``config`` enables them.
     """
     merged = _merge_config(config, filter_config)
-    ctx = PipelineContext(source, merged, name=name, spm_bytes=spm_bytes,
-                          energy_model=energy_model)
-    # The hierarchy stage no-ops unless config.hierarchy.enabled, so a
-    # default flow still ends at the optimize artifacts.
-    run_stages(ctx, upto="hierarchy")
-    assert ctx.flow is not None
-    return ctx.flow
+    spm_config = merged.spm
+    report = run_workload(name, source, config=merged)
+    validation = _flow_validation(name, source, merged)
+    energy = energy_model or spm_config.energy
+    policy = AllocatorPolicy(spm_config.allocator)
+    capacity = spm_bytes if spm_bytes is not None else spm_config.spm_bytes
+    graph = ReuseGraph.from_model(report.model, energy)
+    allocation = allocate_graph(graph, capacity, policy)
+    exploration = None
+    if spm_config.sweep:
+        exploration = cached_exploration(source, merged, report.model,
+                                         policy=policy, energy=energy,
+                                         graph=graph)
+    flow = FullFlowResult(report, allocation, transform_model(allocation),
+                          energy, graph=graph, exploration=exploration,
+                          validation=validation)
+    if merged.hierarchy.enabled:
+        # One engine run with two streaming cache sinks per uncached
+        # configuration, over the model and allocation above.
+        flow.hierarchy = hierarchy_for_configs(
+            name, source, merged, merged.hierarchy.configs(),
+            scenario=_hier_scenario_label(name, source, merged),
+            spm_bytes=spm_bytes, energy=energy_model, model=report.model,
+            allocation=allocation)
+    return flow
+
+
+def _flow_validation(name: str, source: str,
+                     config: PipelineConfig) -> WorkloadValidation | None:
+    """``full_flow``'s cross-input validation, or ``None``.
+
+    ``None`` unless ``config.validation.enabled`` and ``name`` resolves
+    to a registered workload that declares a scenario matrix (ad-hoc
+    sources have no scenarios to replay). ``source`` must match a
+    declared scenario of the named workload — a modified source under a
+    registry name would otherwise be silently "validated" against the
+    pristine registry program.
+    """
+    if not config.validation.enabled:
+        return None
+    from repro.workloads.registry import find_workload
+
+    workload = find_workload(name)
+    if workload is None or len(workload.scenarios) < 2:
+        return None
+    if not any(workload.source_for(scenario) == source
+               for scenario in workload.scenarios):
+        return None
+    return validate_workload(name, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,54 +971,29 @@ def _scenario_config(config: PipelineConfig, scenario) -> PipelineConfig:
     return replace(config, input=scenario.input)
 
 
-def _cached_compiled(source: str, config: PipelineConfig) -> CompiledProgram:
-    """Compile + instrument ``source`` through the registered stages
-    (one code path decides instrumentation and compile-cache policy)."""
-    ctx = run_stages(PipelineContext(source, config), upto="instrument")
-    assert ctx.compiled is not None
-    return ctx.compiled
-
-
-def validation_key(
-    workload, profile, scenario, config: PipelineConfig
-) -> str:
-    """Cache key of one scenario-matrix cell (profile model x replay)."""
-    profile_config = _scenario_config(config, profile)
-    return _content_key(
-        "validate",
-        _extraction_key(workload.source_for(profile), profile_config),
-        workload.source_for(scenario),
-        scenario.input,
-    )
-
-
 def _replay_scenario(
     workload, profile, scenario, model: ForayModel, config: PipelineConfig
 ) -> ValidationReport:
-    """Replay one scenario's trace against ``model``, scored online.
+    """One validation cell: ``scenario``'s trace replayed against
+    ``model``, the model of the extraction on ``profile``.
 
     The replay attaches a :class:`ValidationSink` directly to the engine
-    (batched sink protocol), so the scenario trace is never materialized;
-    finished reports are memoized in ``validation_cache``.
+    (batched sink protocol), so the scenario trace is never materialized.
     """
-    key = validation_key(workload, profile, scenario, config)
-    if config.cache:
-        cached = _tiered_get(validation_cache, key, config)
-        if cached is not None:
-            return cached
-    compiled = _cached_compiled(workload.source_for(scenario), config)
-    sink = ValidationSink(model, compiled.checkpoint_map)
-    scenario_config = _scenario_config(config, scenario)
-    run_compiled(
-        compiled,
-        sinks=(sink,),
-        entry=config.entry,
-        config=scenario_config.engine_config(),
-    )
-    report = sink.finish()
-    if config.cache:
-        _tiered_put(validation_cache, key, report, config)
-    return report
+    run = _run_view(_scenario_config(config, scenario))
+    compiled = _compile_node(workload.source_for(scenario), run)
+    profile_extraction = _extraction_node(
+        workload.source_for(profile), _scenario_config(config, profile))
+
+    def replay() -> ValidationReport:
+        program = compiled.get()
+        sink = ValidationSink(model, program.checkpoint_map)
+        run_compiled(program, sinks=(sink,), entry=run.entry,
+                     config=run.engine_config())
+        return sink.finish()
+
+    return _Node("validation", run, (profile_extraction, compiled, run),
+                 produce=replay).get()
 
 
 def _select_scenarios(workload, validation: ValidationConfig) -> list:
@@ -1303,34 +1163,6 @@ def validate_suite(
 # ---------------------------------------------------------------------------
 
 
-def hierarchy_key(
-    name: str,
-    scenario: str,
-    source: str,
-    config: PipelineConfig,
-    cache_config: CacheConfig,
-    spm_bytes: int,
-    policy: str,
-    energy: EnergyModel,
-) -> str:
-    """Cache key of one hierarchy matrix cell.
-
-    Built on the extraction key (source, engine, input ensemble, filter
-    budget), so a cell is recomputed exactly when its underlying profile
-    would be — plus every knob that shapes the comparison itself.
-    """
-    return _content_key(
-        "hier",
-        name,
-        scenario,
-        _extraction_key(source, config),
-        cache_config,
-        spm_bytes,
-        policy,
-        energy,
-    )
-
-
 def hierarchy_for_configs(
     name: str,
     source: str,
@@ -1345,60 +1177,58 @@ def hierarchy_for_configs(
     """Hierarchy matrix cells for one (source, scenario): pure cache vs
     SPM+cache under every configuration in ``cache_configs``.
 
-    Extracts (or reuses) the FORAY model, selects an SPM allocation at
-    ``spm_bytes`` under ``config.spm``'s policy, and runs the program
-    **once** with two streaming :class:`CacheSink`\\ s per *uncached*
-    configuration attached — the engine run (the expensive part) is
-    shared across the whole cache-config sweep. The trace is never
-    materialized; finished cells are memoized per configuration in
-    ``hierarchy_cache`` (and the disk store, when configured), so a
-    rerun only simulates when at least one configuration is cold.
+    Each cell is a node over the extraction node, its cache
+    configuration and the SPM knobs (capacity ``spm_bytes``,
+    ``config.spm``'s policy, the energy model). For the cells no tier
+    holds, the FORAY model is extracted (or reused), an SPM allocation
+    selected, and the program run **once** with two streaming
+    :class:`CacheSink`\\ s per such configuration attached — the engine
+    run (the expensive part) is shared across the whole cache-config
+    sweep, and the trace is never materialized.
     """
-    energy = _resolve_energy(energy, config)
+    energy = config.spm.energy if energy is None else energy
     policy = AllocatorPolicy(config.spm.allocator)
     capacity = (spm_bytes if spm_bytes is not None
                 else config.spm.spm_bytes)
+    extraction = _extraction_node(source, config)
     reports: dict[CacheConfig, HierarchyReport] = {}
-    missing: list[tuple[CacheConfig, str]] = []
+    missing: dict[CacheConfig, _Node] = {}
     for cache_config in cache_configs:
-        if cache_config in reports or any(
-            cache_config == pending for pending, _key in missing
-        ):
+        if cache_config in reports or cache_config in missing:
             continue  # duplicate spec: one cell serves all mentions
-        key = hierarchy_key(name, scenario, source, config, cache_config,
-                            capacity, policy.value, energy)
-        if config.cache:
-            cached = _tiered_get(hierarchy_cache, key, config)
-            if cached is not None:
-                reports[cache_config] = cached
-                continue
-        missing.append((cache_config, key))
+        node = _Node("hierarchy", config, (name, scenario, extraction,
+                                           cache_config, capacity, policy,
+                                           energy))
+        report = node.lookup()
+        if report is None:
+            missing[cache_config] = node
+        else:
+            reports[cache_config] = report
     if missing:
         if allocation is None:
             if model is None:
-                model = extract_foray_model(source, config=config).model
+                model = extraction.get().model
             graph = ReuseGraph.from_model(model, energy)
             allocation = allocate_graph(graph, capacity, policy)
         intervals = allocation_intervals(allocation)
         sink_pairs = [
             (CacheSink(CacheHierarchy(cache_config)),
              CacheSink(CacheHierarchy(cache_config), intervals))
-            for cache_config, _key in missing
+            for cache_config in missing
         ]
-        compiled = _cached_compiled(source, config)
         run_compiled(
-            compiled,
+            _compiled(source, config),
             sinks=tuple(sink for pair in sink_pairs for sink in pair),
             entry=config.entry,
             config=config.engine_config(),
         )
-        for (cache_config, key), (pure, hybrid) in zip(missing, sink_pairs):
+        for (cache_config, node), (pure, hybrid) in zip(missing.items(),
+                                                        sink_pairs):
             report = build_hierarchy_report(
                 name, scenario, cache_config, allocation,
                 pure.finish(), hybrid.finish(), energy,
             )
-            if config.cache:
-                _tiered_put(hierarchy_cache, key, report, config)
+            node.publish(report)
             reports[cache_config] = report
     return tuple(reports[cache_config] for cache_config in cache_configs)
 
@@ -1407,11 +1237,11 @@ def _hier_scenario_label(name: str, source: str,
                          config: PipelineConfig) -> str:
     """The scenario name behind a (source, input) pair, or ``"-"``.
 
-    Resolving the label from content keeps the stage entry point
-    (``full_flow`` on a registry workload's nominal source) and the
-    ``hier_suite`` cell worker on the *same* cache/store entries — both
-    label the nominal run ``"nominal"`` instead of splitting it across
-    a ``"-"`` and a ``"nominal"`` key for identical simulations.
+    Resolving the label from content keeps ``full_flow`` (on a registry
+    workload's nominal source) and the ``hier_suite`` cell worker on the
+    *same* nodes — both label the nominal run ``"nominal"`` instead of
+    splitting it across a ``"-"`` and a ``"nominal"`` cell for identical
+    simulations.
     """
     from repro.workloads.registry import find_workload
 

@@ -107,13 +107,12 @@ def sweep_suite(
     Workload profiling (the expensive step) is fanned out over ``jobs``
     worker processes through the pipeline's ``run_suite`` machinery
     (``jobs=None`` defers to ``config.jobs``; an explicit ``jobs=1``
-    forces a serial run); per-workload sweeps are memoized in the
-    pipeline's exploration artifact cache (``energy=None`` uses
-    ``config.spm.energy``). With ``config.cache_dir`` set, both the
-    profiles and the sweeps persist in the disk artifact store, so
-    re-running a sweep — from this or any other process — only computes
-    the capacities/policies/workloads not already covered: sweeps are
-    incremental across invocations.
+    forces a serial run); each per-workload sweep is the pipeline's
+    exploration node (``energy=None`` uses ``config.spm.energy``). With
+    ``config.cache_dir`` set, both the profiles and the sweeps persist
+    in the disk artifact store, so re-running a sweep — from this or
+    any other process — only computes the capacities/policies/workloads
+    not already covered: sweeps are incremental across invocations.
     """
     from repro import pipeline  # local import: pipeline imports this module
 

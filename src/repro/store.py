@@ -1,13 +1,13 @@
 """Disk-backed, content-addressed artifact store (the cache's L2 tier).
 
-The pipeline's in-memory :class:`~repro.pipeline.ArtifactCache` LRUs make
-repeated work free *within* one process, but the paper's amortization
-claim — profile once, optimize many times — spans process boundaries:
-``_fan_out`` worker processes and every fresh CLI invocation used to
-recompute compilation, simulation and extraction from scratch. The
-:class:`ArtifactStore` persists those artifacts under the same content
-keys, so any process pointed at the same cache directory serves them
-from disk instead of re-simulating.
+The pipeline's memo keeps each node kind in an in-process LRU, which
+makes repeated work free *within* one process, but the paper's
+amortization claim — profile once, optimize many times — spans process
+boundaries: ``_fan_out`` worker processes and every fresh CLI
+invocation would recompute compilation, simulation and extraction from
+scratch. The :class:`ArtifactStore` is the memo's disk tier: it keeps
+each node under its key, in its kind's namespace, so any process
+pointed at the same cache directory serves it from disk.
 
 Design constraints (concurrent workers share one directory):
 
@@ -75,7 +75,7 @@ from typing import Any, Callable
 #: Version 3: the lazily unpickled compile and extraction entries.
 SCHEMA_VERSION = 3
 
-#: The namespaces the pipeline persists (one per in-memory cache).
+#: The namespaces the pipeline persists (one per node kind).
 NAMESPACES = ("compile", "extraction", "exploration", "validation",
               "hierarchy", "fuzz")
 
@@ -292,11 +292,10 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
 class ArtifactStore:
     """A content-addressed artifact directory shared across processes.
 
-    Keys are the pipeline's content-hash cache keys; ``namespace`` is the
-    in-memory cache name the entry backs. All methods degrade gracefully:
-    I/O or integrity failures read as misses and failed writes are
-    dropped, so the store can never make a pipeline run fail — only make
-    it recompute.
+    Keys are the pipeline's node keys; ``namespace`` is the node's kind.
+    All methods degrade gracefully: I/O or integrity failures read as
+    misses and failed writes are dropped, so the store can never make a
+    pipeline run fail — only make it recompute.
     """
 
     def __init__(self, root: str | os.PathLike):

@@ -97,7 +97,7 @@ def find_workload(name: str) -> Workload | None:
     """Like :func:`get_workload` but ``None`` for unknown names.
 
     For callers that merely *check* whether a name is registered (e.g.
-    the validation stage deciding whether a scenario matrix exists).
+    ``full_flow``'s validation deciding whether a scenario matrix exists).
     """
     try:
         return get_workload(name)

@@ -17,7 +17,7 @@ from repro.gen.fuzz import (
     run_fuzz,
 )
 from repro.gen.shrink import shrink_ir
-from repro.pipeline import PipelineConfig, clear_caches
+from repro.pipeline import PipelineConfig, ValidationConfig, clear_caches
 
 
 @pytest.fixture(autouse=True)
@@ -176,6 +176,22 @@ class TestWarmRerun:
         other = run_fuzz("small", seeds=1, checks=("ir", "lint"),
                          config=config)
         assert not any(o.cached for o in other.outcomes)
+
+    def test_key_covers_the_transfer_scenarios(self, tmp_path):
+        # The transfer check reads config.validation: an outcome stored
+        # with three replays must not be served to a run that asks for
+        # one.
+        store = str(tmp_path / "store")
+        fuzz_program("small", 0, config=PipelineConfig(cache_dir=store))
+        narrow = ValidationConfig(max_scenarios=2)
+        warm = fuzz_program("small", 0, config=PipelineConfig(
+            cache_dir=store, validation=narrow))
+        fresh = fuzz_program("small", 0, config=PipelineConfig(
+            cache=False, validation=narrow))
+        assert not warm.cached
+        assert warm == fresh
+        transfer = next(c for c in warm.checks if c.name == "transfer")
+        assert transfer.detail.endswith("over 1 replays")
 
     def test_no_cache_bypasses_the_store(self, tmp_path):
         config = PipelineConfig(cache=False,

@@ -1,4 +1,4 @@
-"""The in-memory compile tier, which is on whatever ``config.cache`` says.
+"""The compile node, kept in memory whatever ``config.cache`` says.
 
 A compiled program is a pure function of its source text, so the
 pipeline memoizes it in process under ``cache=False`` too: that setting
@@ -29,10 +29,10 @@ from repro.lang.errors import MiniCRuntimeError
 from repro.lang.lint import lint_program, lint_source
 from repro.pipeline import (
     PipelineConfig,
-    _cached_compiled,
+    _compiled,
+    _memos,
     clear_caches,
     extract_foray_model,
-    extraction_cache,
     hier_suite,
     store_for,
     validate_workload,
@@ -138,7 +138,7 @@ def test_loop_free_program_is_instrumented_once(tmp_path):
     first = extract_foray_model(LOOP_FREE, config=config)
     store = store_for(config)
     stored = store.session_counters()["compile"]["stores"]
-    extraction_cache.clear()
+    _memos["extraction"].clear()
     second = extract_foray_model(LOOP_FREE, config=config)
     assert store.session_counters()["compile"]["stores"] == stored
     assert second.model == first.model
@@ -152,12 +152,12 @@ def test_shared_program_lints_like_its_source():
     for seed in range(3):
         workload = generate_program(seed).workload
         assert fuzz_program("small", seed, config=NO_CACHE).status == "pass"
-        shared = _cached_compiled(workload.source, NO_CACHE)
+        shared = _compiled(workload.source, NO_CACHE)
         assert lint_program(shared.program) == \
             lint_source(workload.source, workload.name)
     for name in workload_names():
         source = get_workload(name).source
-        shared = _cached_compiled(source, NO_CACHE)
+        shared = _compiled(source, NO_CACHE)
         assert lint_program(shared.program) == lint_source(source, name)
 
 
@@ -186,8 +186,8 @@ def _observe(compiled, config) -> tuple:
 
 
 def test_shared_program_matches_fresh_compile_after_cut_short_runs():
-    shared = _cached_compiled(HYGIENE_SOURCE, NO_CACHE)
-    assert _cached_compiled(HYGIENE_SOURCE, NO_CACHE) is shared
+    shared = _compiled(HYGIENE_SOURCE, NO_CACHE)
+    assert _compiled(HYGIENE_SOURCE, NO_CACHE) is shared
     expected = {tier: _observe(compile_program(HYGIENE_SOURCE), config)
                 for tier, config in PARITY_CONFIGS}
     assert len({signature[0] for signature in expected.values()}) == 1

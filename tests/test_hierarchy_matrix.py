@@ -26,9 +26,9 @@ SMALL_CACHE = CacheConfig(line_bytes=16, sets=8, ways=2)
 def fresh_hierarchy_cache():
     """Hierarchy cells must not leak across tests (the extraction and
     compile caches may — they are engine-keyed and deterministic)."""
-    pipeline.hierarchy_cache.clear()
+    pipeline._memos["hierarchy"].clear()
     yield
-    pipeline.hierarchy_cache.clear()
+    pipeline._memos["hierarchy"].clear()
 
 
 class TestEngineParity:

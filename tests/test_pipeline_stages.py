@@ -1,21 +1,18 @@
-"""Tests for the staged pipeline: registry, config, caching, parallelism."""
+"""Tests for the pipeline: its flow, config, artifact memo, parallelism."""
 
 import pytest
 
 from repro.pipeline import (
     ArtifactCache,
     PipelineConfig,
-    PipelineContext,
     SpmConfig,
+    _compiled,
+    _memos,
     clear_caches,
-    exploration_cache,
     extract_foray_model,
-    extraction_cache,
     full_flow,
-    run_stages,
     run_suite,
     run_workload,
-    stage_names,
 )
 from repro.spm.energy import EnergyModel
 
@@ -41,39 +38,25 @@ def fresh_caches():
 
 
 class TestStageRegistry:
-    def test_stage_order(self):
-        assert stage_names() == (
-            "compile", "instrument", "simulate", "extract", "analyze",
-            "validate", "optimize", "hierarchy",
-        )
-
-    def test_run_stages_stops_at_requested_stage(self):
-        ctx = PipelineContext(SOURCE, PipelineConfig())
-        run_stages(ctx, upto="instrument")
-        assert ctx.compiled is not None and ctx.compiled.is_instrumented
-        assert ctx.extraction is None and ctx.report is None
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(KeyError, match="unknown stage"):
-            run_stages(PipelineContext(SOURCE, PipelineConfig()), upto="ship")
+    """``full_flow`` composes every artifact of the flow."""
 
     def test_full_run_populates_all_artifacts(self):
-        ctx = PipelineContext(SOURCE, PipelineConfig(), name="demo")
-        run_stages(ctx, upto="optimize")
-        assert ctx.report is not None and ctx.report.name == "demo"
-        assert ctx.flow is not None
-        assert ctx.flow.report is ctx.report
+        flow = full_flow("demo", SOURCE, config=PipelineConfig())
+        assert flow.report.name == "demo"
+        assert flow.report.extraction.compiled.is_instrumented
+        assert flow.graph is not None and flow.allocation is not None
+        assert flow.transformed_source
 
 
 class TestArtifactCache:
     def test_extraction_cached_by_content(self):
         extract_foray_model(SOURCE)
-        misses = extraction_cache.misses
+        misses = _memos["extraction"].misses
         first = extract_foray_model(SOURCE)
         second = extract_foray_model(SOURCE)
         assert second is first  # memoized artifact
-        assert extraction_cache.hits >= 2
-        assert extraction_cache.misses == misses
+        assert _memos["extraction"].hits >= 2
+        assert _memos["extraction"].misses == misses
 
     def test_cache_key_includes_run_configuration(self):
         default = extract_foray_model(SOURCE)
@@ -90,7 +73,18 @@ class TestArtifactCache:
         second = extract_foray_model(SOURCE, config=config)
         assert second is not first
         assert second.compiled is first.compiled
-        assert len(extraction_cache) == 0
+        assert len(_memos["extraction"]) == 0
+
+    def test_report_reads_the_compile_node_in_memory(self):
+        # An extraction can outlive its compile node in the LRUs; the
+        # report must pair the model with the compile node the detector
+        # filled, never with a program that has no detector result.
+        extract_foray_model(SOURCE)
+        _memos["compile"].clear()
+        report = run_workload("demo", SOURCE)
+        assert report.extraction.compiled is _compiled(SOURCE,
+                                                       PipelineConfig())
+        assert report.static_result is report.extraction.compiled.detector
 
     def test_compile_cache_shared_across_filter_configs(self):
         from repro.foray.filters import FilterConfig
@@ -152,10 +146,10 @@ class TestSpmThroughPipeline:
         flow = full_flow("demo", SOURCE, config=config)
         assert flow.exploration is not None
         assert [p.capacity_bytes for p in flow.exploration] == list(ladder)
-        hits = exploration_cache.hits
+        hits = _memos["exploration"].hits
         again = full_flow("demo", SOURCE, config=config)
         assert again.exploration is flow.exploration  # memoized artifact
-        assert exploration_cache.hits > hits
+        assert _memos["exploration"].hits > hits
 
     def test_sweep_cache_keyed_by_policy(self):
         ladder = (256, 1024)

@@ -15,23 +15,28 @@ import pickle
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import store as store_mod
+from repro.cachesim.model import CacheConfig
+from repro.foray.filters import FilterConfig
+from repro.gen.fuzz import fuzz_program
 from repro.lang import ast_nodes as ast
 from repro.lang.printer import to_source
 from repro.pipeline import (
     ArtifactCache,
     PipelineConfig,
     SpmConfig,
+    ValidationConfig,
+    _memos,
     cached_exploration,
     clear_caches,
-    exploration_cache,
-    exploration_key,
     extract_foray_model,
     full_flow,
+    hier_suite,
     run_suite,
     run_workload,
     static_workload,
@@ -39,6 +44,7 @@ from repro.pipeline import (
     validate_suite,
     validate_workload,
 )
+from repro.sim.inputs import InputSpec
 from repro.sim.machine import compile_program
 from repro.spm.energy import EnergyModel
 from repro.staticfar.detector import detect
@@ -57,6 +63,13 @@ int main() {
         for (i = 0; i < 64; i++) { out[64 * rep + i] = table[i] + rep; }
     }
     return 0;
+}
+int transpose() {
+    int i, j;
+    for (i = 0; i < 8; i++) {
+        for (j = 0; j < 8; j++) { out[8 * j + i] = table[8 * i + j]; }
+    }
+    return 1;
 }
 """
 
@@ -436,13 +449,14 @@ class TestTraceProtocolKeying:
     configured for another."""
 
     def test_extraction_key_covers_trace_block(self):
-        from repro.pipeline import _extraction_key
-
+        memo = _memos["extraction"]
         base = PipelineConfig()
-        assert _extraction_key(SOURCE, base) == \
-            _extraction_key(SOURCE, PipelineConfig())
-        assert _extraction_key(SOURCE, base) != \
-            _extraction_key(SOURCE, PipelineConfig(trace_block=1024))
+        extract_foray_model(SOURCE, config=base)
+        hits = memo.hits
+        extract_foray_model(SOURCE, config=PipelineConfig())
+        assert (len(memo), memo.hits) == (1, hits + 1)
+        extract_foray_model(SOURCE, config=PipelineConfig(trace_block=1024))
+        assert (len(memo), memo.hits) == (2, hits + 1)
 
     def test_warm_artifact_not_served_at_another_trace_block(
             self, tmp_path, monkeypatch):
@@ -457,6 +471,122 @@ class TestTraceProtocolKeying:
         with pytest.raises(AssertionError, match="warm run"):
             extract_foray_model(
                 SOURCE, config=_disk_config(tmp_path, trace_block=1024))
+
+
+# ---------------------------------------------------------------------------
+# Stale-key wall: no tier serves a node across a change of what its
+# producer reads
+# ---------------------------------------------------------------------------
+
+
+def _extraction_row(config):
+    result = extract_foray_model(SOURCE, config=config)
+    run = result.run_result
+    return (result.model, run.exit_code, run.stdout, run.stats,
+            result.executed_loops)
+
+
+def _exploration_row(config):
+    model = extract_foray_model(SOURCE, config=config).model
+    return cached_exploration(SOURCE, config, model)
+
+
+def _validation_row(config):
+    return validate_workload("adpcm", config=config)
+
+
+def _hierarchy_row(config):
+    return hier_suite(("adpcm",), config=config)
+
+
+def _fuzz_row(config):
+    return replace(fuzz_program("small", 0, config=config), cached=False)
+
+
+def _spm(**changes):
+    return lambda config: replace(config, spm=replace(config.spm, **changes))
+
+
+def _validation(**changes):
+    return lambda config: replace(
+        config, validation=replace(config.validation, **changes))
+
+
+#: One flip per config field some producer reads, away from the base.
+FLIPS = {
+    "engine": lambda config: replace(config, engine="ast"),
+    "trace_block": lambda config: replace(config, trace_block=1024),
+    "entry": lambda config: replace(config, entry="transpose"),
+    "max_steps": lambda config: replace(config, max_steps=500),
+    "filter_config": lambda config: replace(
+        config, filter_config=FilterConfig(nexec=1, nloc=1)),
+    "input": lambda config: replace(config, input=InputSpec(seed=7)),
+    "spm.allocator": _spm(allocator="greedy"),
+    "spm.energy": _spm(energy=EnergyModel(main_read_nj=50.0)),
+    "spm.capacities": _spm(capacities=(256, 1024)),
+    "spm.spm_bytes": _spm(spm_bytes=512),
+    "validation.profile": _validation(profile="silence"),
+    # A generated program declares scenarios of its own.
+    ("fuzz", "validation.profile"): _validation(profile="alt-constant"),
+    "validation.max_scenarios": _validation(max_scenarios=3),
+    "hierarchy.cache": lambda config: replace(config, hierarchy=replace(
+        config.hierarchy, cache=CacheConfig(line_bytes=16, sets=8, ways=2))),
+}
+
+_RUN = ("engine", "trace_block", "max_steps", "filter_config")
+_SCENARIOS = PipelineConfig(validation=ValidationConfig(max_scenarios=2))
+
+#: Node kind -> (its row, the base config, the fields its producer reads).
+#: The scenario kinds run adpcm and a generated program, whose inputs
+#: come from their scenarios; adpcm's only entry is ``main``.
+WALL = {
+    "extraction": (_extraction_row, PipelineConfig(),
+                   _RUN + ("entry", "input")),
+    "exploration": (_exploration_row, PipelineConfig(),
+                    _RUN + ("entry", "input", "spm.allocator", "spm.energy",
+                            "spm.capacities")),
+    "validation": (_validation_row, _SCENARIOS,
+                   _RUN + ("validation.profile", "validation.max_scenarios")),
+    "hierarchy": (_hierarchy_row, PipelineConfig(),
+                  _RUN + ("spm.allocator", "spm.energy", "spm.spm_bytes",
+                          "hierarchy.cache")),
+    "fuzz": (_fuzz_row, _SCENARIOS,
+             _RUN + ("entry", "validation.profile",
+                     "validation.max_scenarios")),
+}
+
+#: Flips that keep some of a kind's nodes: the scenarios both sets share.
+_SHARED = {("validation", "validation.max_scenarios")}
+
+
+def _observe(row, config):
+    try:
+        return row(config)
+    except Exception as error:  # a flip may make the run fail
+        return type(error).__name__, str(error)
+
+
+class TestStaleKeyWall:
+    """Prime a kind's nodes under a base config, flip one field its
+    producer reads, and the memoized answer must be the uncached one —
+    with no node served from the store that the flip should change."""
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field) for kind, (_, _, fields) in WALL.items()
+        for field in fields])
+    def test_flip_is_never_served_stale(self, tmp_path, kind, field):
+        row, base, _ = WALL[kind]
+        base = replace(base, cache_dir=str(tmp_path / "store"))
+        _observe(row, base)
+        clear_caches()  # only the disk tier can answer from here on
+        flipped = FLIPS.get((kind, field), FLIPS[field])(base)
+        store = store_for(base)
+        hits = store.session_counters().get(kind, {}).get("hits", 0)
+        memoized = _observe(row, flipped)
+        assert memoized == _observe(row, replace(flipped, cache=False))
+        if (kind, field) not in _SHARED:
+            counters = store.session_counters().get(kind, {})
+            assert counters.get("hits", 0) == hits
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +652,29 @@ class TestEnergyKeyNormalization:
     def test_none_and_explicit_default_share_one_entry(self):
         config = PipelineConfig()
         model = extract_foray_model(SOURCE, config=config).model
+        memo = _memos["exploration"]
         cached_exploration(SOURCE, config, model, energy=None)
-        assert len(exploration_cache) == 1
-        hits = exploration_cache.hits
+        assert len(memo) == 1
+        hits = memo.hits
         cached_exploration(SOURCE, config, model, energy=EnergyModel())
-        assert len(exploration_cache) == 1  # no duplicate entry
-        assert exploration_cache.hits == hits + 1
+        assert len(memo) == 1  # no duplicate entry
+        assert memo.hits == hits + 1
 
     def test_keys_resolve_through_the_config(self):
+        memo = _memos["exploration"]
         config = PipelineConfig()
-        assert exploration_key(SOURCE, config, (256,), "dp", None) == \
-            exploration_key(SOURCE, config, (256,), "dp", EnergyModel())
+        model = extract_foray_model(SOURCE, config=config).model
+        cached_exploration(SOURCE, config, model, (256,), "dp", None)
+        hits = memo.hits
+        cached_exploration(SOURCE, config, model, (256,), "dp",
+                           EnergyModel())
+        assert (len(memo), memo.hits) == (1, hits + 1)
         pricey = EnergyModel(main_read_nj=50.0)
         custom = PipelineConfig(spm=SpmConfig(energy=pricey))
-        assert exploration_key(SOURCE, custom, (256,), "dp", None) == \
-            exploration_key(SOURCE, custom, (256,), "dp", pricey)
+        cached_exploration(SOURCE, custom, model, (256,), "dp", None)
+        cached_exploration(SOURCE, custom, model, (256,), "dp", pricey)
         # Distinct energies must still key distinct sweeps.
-        assert exploration_key(SOURCE, custom, (256,), "dp", None) != \
-            exploration_key(SOURCE, config, (256,), "dp", None)
+        assert (len(memo), memo.hits) == (2, hits + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the input-scenario matrix and the cross-input validation
-pipeline: scenario declarations, the validate stage, the (workload x
-scenario) fan-out, the artifact cache, the stability table and the CLI."""
+pipeline: scenario declarations, validation in ``full_flow``, the
+(workload x scenario) fan-out, the validation nodes, the stability table
+and the CLI."""
 
 import pytest
 
@@ -9,15 +10,14 @@ from repro.analysis.report import format_stability_table
 from repro.foray.extractor import ForayExtractor
 from repro.pipeline import (
     PipelineConfig,
-    PipelineContext,
     ValidationConfig,
+    _memos,
+    cached_exploration,
     clear_caches,
-    exploration_key,
+    extract_foray_model,
     full_flow,
-    run_stages,
     validate_suite,
     validate_workload,
-    validation_cache,
 )
 from repro.sim.machine import compile_program
 from repro.workloads.registry import MIBENCH_WORKLOADS, get_workload
@@ -147,11 +147,11 @@ class TestValidationCache:
         config = PipelineConfig(validation=ValidationConfig(
             enabled=True, max_scenarios=2))
         validate_workload("adpcm", config=config)
-        misses = validation_cache.misses
-        hits = validation_cache.hits
+        misses = _memos["validation"].misses
+        hits = _memos["validation"].hits
         validate_workload("adpcm", config=config)
-        assert validation_cache.misses == misses
-        assert validation_cache.hits > hits
+        assert _memos["validation"].misses == misses
+        assert _memos["validation"].hits > hits
         clear_caches()
 
     def test_profile_extracted_once_without_cache(self, monkeypatch):
@@ -175,43 +175,39 @@ class TestValidationCache:
         clear_caches()
         config = PipelineConfig(validation=ValidationConfig(enabled=True))
         validate_workload("adpcm", config=config)
-        # Every matrix cell (self + 3 cross) entered the cache separately.
-        assert len(validation_cache) == 4
+        # Every matrix cell (self + 3 cross) is a node of its own.
+        assert len(_memos["validation"]) == 4
         clear_caches()
 
 
 class TestValidateStage:
+    """Cross-input validation as ``full_flow`` runs it."""
+
     def test_stage_disabled_by_default(self):
         workload = get_workload("adpcm")
-        ctx = PipelineContext(workload.source, PipelineConfig(),
-                              name="adpcm")
-        run_stages(ctx, upto="validate")
-        assert ctx.validation is None
+        flow = full_flow("adpcm", workload.source, config=PipelineConfig())
+        assert flow.validation is None
 
     def test_stage_populates_validation(self):
         workload = get_workload("adpcm")
         config = PipelineConfig(validation=QUICK_VALIDATION)
-        ctx = PipelineContext(workload.source, config, name="adpcm")
-        run_stages(ctx, upto="validate")
-        assert ctx.validation is not None
-        assert ctx.validation.workload == "adpcm"
-        assert ctx.validation.self_validation.full_accuracy == 1.0
+        flow = full_flow("adpcm", workload.source, config=config)
+        assert flow.validation is not None
+        assert flow.validation.workload == "adpcm"
+        assert flow.validation.self_validation.full_accuracy == 1.0
 
     def test_stage_skips_adhoc_sources(self):
         source = "int main() { return 0; }"
         config = PipelineConfig(validation=QUICK_VALIDATION)
-        ctx = PipelineContext(source, config, name="<anonymous>")
-        run_stages(ctx, upto="validate")
-        assert ctx.validation is None
+        flow = full_flow("<anonymous>", source, config=config)
+        assert flow.validation is None
 
     def test_stage_skips_modified_source_under_registry_name(self):
         # A modified source run under a registry name must not be
         # silently "validated" against the pristine registry program.
         config = PipelineConfig(validation=QUICK_VALIDATION)
-        ctx = PipelineContext("int main() { return 0; }", config,
-                              name="adpcm")
-        run_stages(ctx, upto="validate")
-        assert ctx.validation is None
+        flow = full_flow("adpcm", "int main() { return 0; }", config=config)
+        assert flow.validation is None
 
     def test_vacuous_cross_cell_fails_the_gate(self):
         from repro.foray.validate import (
@@ -241,33 +237,33 @@ class TestValidateStage:
 
 class TestLadderNormalization:
     def test_exploration_key_canonicalizes_ladders(self):
+        clear_caches()
         config = PipelineConfig()
         source = "int main() { return 0; }"
-        scrambled = exploration_key(source, config, (4096, 256, 256, 1024),
-                                    "dp", None)
-        sorted_key = exploration_key(source, config, (256, 1024, 4096),
-                                     "dp", None)
-        assert scrambled == sorted_key
-        other = exploration_key(source, config, (256, 1024), "dp", None)
-        assert other != sorted_key
+        model = extract_foray_model(source, config=config).model
+        memo = _memos["exploration"]
+        cached_exploration(source, config, model, (4096, 256, 256, 1024),
+                           "dp", None)
+        hits = memo.hits
+        cached_exploration(source, config, model, (256, 1024, 4096),
+                           "dp", None)
+        assert (len(memo), memo.hits) == (1, hits + 1)
+        cached_exploration(source, config, model, (256, 1024), "dp", None)
+        assert len(memo) == 2
+        clear_caches()
 
     def test_cached_exploration_shares_equivalent_ladders(self):
-        from repro.pipeline import cached_exploration, exploration_cache
-        from repro.workloads.registry import get_workload
-
         clear_caches()
         config = PipelineConfig()
         workload = get_workload("adpcm")
-        from repro.pipeline import extract_foray_model
-
         model = extract_foray_model(workload.source, config=config).model
         first = cached_exploration(workload.source, config, model,
                                    capacities=(1024, 256))
-        hits = exploration_cache.hits
+        hits = _memos["exploration"].hits
         second = cached_exploration(workload.source, config, model,
                                     capacities=(256, 1024, 256))
-        assert second is first  # one cache entry for equivalent ladders
-        assert exploration_cache.hits > hits
+        assert second is first  # one node for equivalent ladders
+        assert _memos["exploration"].hits > hits
         assert [p.capacity_bytes for p in first] == [256, 1024]
         clear_caches()
 
