@@ -129,10 +129,6 @@ SCALING_QUICK = os.environ.get("SCALING_BENCH_QUICK") == "1"
 RATIO_BASELINE = RESULTS_DIR.parent / "BENCH_baseline.json"
 #: Tolerated fraction of a baseline figure (1 - the 20% gate).
 TOLERANCE = 0.8
-#: The workload the per-host gate applies to. The bare and the sink-path
-#: engine ratios are gated on their geometric means over every MiBench
-#: program instead: one program's ratio drifts too much between runs.
-GATED = "jpeg"
 
 
 #: Best-of rounds for the fast path and for the AST oracle, which is an
@@ -219,9 +215,12 @@ def _measure_sink_path() -> dict:
 
 
 def _check_ratio_baseline(bench: dict) -> list[str]:
-    """Gate measured speedup ratios against the committed baseline."""
+    """Gate measured speedup ratios against the committed baseline: the
+    geometric means over every MiBench program of the bare and the
+    sink-path ratio (one program's ratio drifts too much between runs).
+    Absolute steps/sec are reported, never gated: host speed drifts."""
     if not RATIO_BASELINE.exists():
-        return []  # nothing committed yet: the host gate still applies
+        return []  # nothing committed yet
     baseline = json.loads(RATIO_BASELINE.read_text())
     failures = []
     for key in ("fused_over_ast_geomean",
@@ -237,44 +236,16 @@ def _check_ratio_baseline(bench: dict) -> list[str]:
     return failures
 
 
-def _check_host_baseline(bench: dict) -> tuple[str, list[str]]:
-    """Per-host absolute steps/sec baseline: recorded on first run,
-    ratcheted upward, gated at 20% below the record thereafter."""
-    host = socket.gethostname() or "unknown"
-    path = RESULTS_DIR / f"engine_baseline_{host}.json"
-    fused = bench["workloads"][GATED]["fused_sps"]
-    ast = bench["workloads"][GATED]["ast_sps"]
-    if not path.exists():
-        path.write_text(json.dumps(
-            {"host": host, "workload": GATED, "fused_sps": fused,
-             "ast_sps": ast}, indent=2) + "\n")
-        # First run on this host: no absolute record yet, so fall back
-        # to the engine-tier floor (the old hard-coded assert).
-        if fused < 2.0 * ast:
-            return host, [f"bytecode engine only {fused / ast:.2f}x the "
-                          f"AST engine on {GATED}"]
-        return host, []
-    recorded = json.loads(path.read_text())
-    failures = []
-    if fused < TOLERANCE * recorded["fused_sps"]:
-        failures.append(
-            f"fused steps/sec on {GATED} ({fused:,.0f}) is more than 20% "
-            f"below this host's record ({recorded['fused_sps']:,.0f})")
-    elif fused > recorded["fused_sps"]:
-        recorded.update(fused_sps=fused, ast_sps=ast)
-        path.write_text(json.dumps(recorded, indent=2) + "\n")
-    return host, failures
-
-
 def test_engine_steps_json(results_dir):
     """Measure both engine tiers plus the sink-bound hierarchy path,
-    publish ``BENCH_steps.json``, and gate against both the committed
-    ratio baseline and this host's recorded absolute baseline."""
+    publish ``BENCH_steps.json`` (absolute steps/sec included, with the
+    host they were measured on) and gate the ratios against the
+    committed baseline."""
     workloads = _measure_workloads()
     sink = _measure_sink_path()
     bench = {
         "quick": SCALING_QUICK,
-        "gated_workload": GATED,
+        "host": socket.gethostname() or "unknown",
         "fused_over_ast_geomean": geometric_mean(
             m["fused_over_ast"] for m in workloads.values()),
         "sink_specialized_over_ast_geomean": geometric_mean(
@@ -282,8 +253,6 @@ def test_engine_steps_json(results_dir):
         "workloads": workloads,
         "sink": sink,
     }
-    host, host_failures = _check_host_baseline(bench)
-    bench["host"] = host
     (results_dir / "BENCH_steps.json").write_text(
         json.dumps(bench, indent=2, sort_keys=True) + "\n")
 
@@ -304,7 +273,7 @@ def test_engine_steps_json(results_dir):
                  f"{bench['sink_specialized_over_ast_geomean']:.2f}x")
     write_result(results_dir, "engine_speedup.txt", "\n".join(lines))
 
-    failures = _check_ratio_baseline(bench) + host_failures
+    failures = _check_ratio_baseline(bench)
     assert not failures, "; ".join(failures)
 
 

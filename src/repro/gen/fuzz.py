@@ -5,8 +5,9 @@ re-asserted here on ``--seeds N`` generated programs, per program:
 
 ``parity``
     The specialized fast path and the AST reference interpreter must
-    agree byte-for-byte on exit code, stdout, step/call counts and the
-    formatted trace.
+    agree on exit code, stdout, step/call counts and the whole trace
+    stream: every access's pc, address, size and direction, and every
+    checkpoint at its position in the access stream.
 ``ir``
     The structural bytecode verifier accepts the lowered + fused forms.
 ``lint``
@@ -75,7 +76,7 @@ from repro.pipeline import (
 )
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
 from repro.sim.memory import GLOBAL_BASE, HEAP_BASE
-from repro.sim.trace import ColumnBlock, TraceCollector, format_trace
+from repro.sim.trace import ColumnBlock, StreamRecorder
 from repro.sim.verify import verify_compiled
 from repro.spm.allocator import allocate_graph
 from repro.spm.graph import ReuseGraph
@@ -186,13 +187,18 @@ class _CheckContext:
     The compiled program is the pipeline's compile node and the model
     comes from its extraction node, so the battery's checks and the
     transfer check's replays share one parse, lowering and
-    specialization per source and one profiling run per program.
+    specialization per source and one profiling run per program. With
+    ``detector`` (a static check is selected) the compile node is built
+    carrying the static baseline detector's result, before the
+    extraction reads it, so a cold run writes it once.
     """
 
-    def __init__(self, rendered: RenderedProgram, config: PipelineConfig):
+    def __init__(self, rendered: RenderedProgram, config: PipelineConfig,
+                 detector: bool = False):
         self.rendered = rendered
         self.config = config
         self.source = rendered.workload.source
+        self.detector = detector
         self._compiled = None
         self._scenarios: list | None = None
         self._extraction: ExtractionResult | None = None
@@ -201,7 +207,8 @@ class _CheckContext:
     @property
     def compiled(self):
         if self._compiled is None:
-            self._compiled = _compiled(self.source, self.config)
+            self._compiled = _compiled(self.source, self.config,
+                                       detector=self.detector)
         return self._compiled
 
     @property
@@ -217,6 +224,11 @@ class _CheckContext:
         """The pipeline's extraction on the profile scenario, under the
         run's config."""
         if self._extraction is None:
+            if self.detector:
+                # Build the compile node with the detector's result
+                # before the extraction builds it without: the profile
+                # scenario renders the nominal source.
+                _ = self.compiled
             self._extraction = _profile_extraction(
                 self.rendered.workload, self.scenarios[0], self.config)
         return self._extraction
@@ -247,15 +259,16 @@ class _GlobalTrafficCounter:
 def _check_parity(ctx: _CheckContext) -> CheckOutcome:
     baseline_name = baseline = None
     for name, config in PARITY_CONFIGS:
-        collector = TraceCollector()
-        result = run_compiled(ctx.compiled, sinks=(collector,),
-                              config=config)
+        # Block cuts may differ between tiers; the streams may not.
+        stream = StreamRecorder()
+        result = run_compiled(ctx.compiled, sinks=(stream,), config=config)
         signature = (result.exit_code, result.stdout, result.stats.steps,
-                     result.stats.calls, format_trace(collector.records))
+                     result.stats.calls, stream.flat, stream.checkpoints)
         if baseline is None:
             baseline_name, baseline = name, signature
         elif signature != baseline:
-            fields = ("exit_code", "stdout", "steps", "calls", "trace")
+            fields = ("exit_code", "stdout", "steps", "calls", "accesses",
+                      "checkpoints")
             diverged = [f for f, a, b in zip(fields, signature, baseline)
                         if a != b]
             return CheckOutcome(
@@ -473,7 +486,8 @@ def _fuzz_rendered(
     shrink: bool,
     config: PipelineConfig,
 ) -> ProgramOutcome:
-    ctx = _CheckContext(rendered, config)
+    detector = "static" in checks or SEEDED_BUG_CHECK in checks
+    ctx = _CheckContext(rendered, config, detector)
     results: list[CheckOutcome] = []
     transfer = None
     try:
@@ -503,7 +517,7 @@ def _fuzz_rendered(
     if shrink:
         def still_fails(candidate: RenderedProgram) -> bool:
             return _CHECKS[failing.name](
-                _CheckContext(candidate, config)).status == "fail"
+                _CheckContext(candidate, config, detector)).status == "fail"
 
         result = shrink_ir(ir, still_fails)
         shrunk_source = result.source

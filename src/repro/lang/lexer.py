@@ -1,13 +1,31 @@
-"""Hand-written lexer for the MiniC language.
+"""Lexer for the MiniC language.
 
 The lexer supports the C syntax subset used by the FORAY-GEN workloads:
 decimal/hex/octal integer literals (with ``u``/``l`` suffixes), floating
 literals, character and string literals with the common escapes, ``//`` and
-``/* */`` comments, and the full C operator set listed in
-:mod:`repro.lang.tokens`.
+``/* */`` comments, ``#`` lines (skipped), and the full C operator set
+listed in :mod:`repro.lang.tokens`.
+
+Two scanners share one definition of the language:
+
+* :data:`_SCAN_PATTERN`, one compiled master regex, skips whitespace and
+  comments and matches one identifier, keyword, number or operator. Line
+  numbers come from counting newlines in what it skipped; a column is
+  the distance from the last line start. It covers nearly every token of
+  a real program in one ``match`` call.
+* The character-by-character scanner (:meth:`Lexer._next_token`) lexes
+  one token from the position after the previous one whenever the regex
+  does not apply: string and character literals, any token within three
+  characters of a non-ASCII character (``str.isalpha``/``isdigit`` accept
+  more than ASCII, and the number scanner looks two characters ahead),
+  and all malformed input — so every token, value, location and
+  :class:`LexError` is the reference scanner's.
 """
 
 from __future__ import annotations
+
+import functools
+import re
 
 from repro.lang.errors import LexError, SourceLocation
 from repro.lang.tokens import (
@@ -17,6 +35,46 @@ from repro.lang.tokens import (
     Token,
     TokenKind,
 )
+
+#: Whitespace and comments (atomic: a failed token match never backtracks
+#: into a comment), then one token. A number may not start ``0x`` without
+#: hex digits, and ``/`` may not start an unterminated ``/*``: neither
+#: matches, so the reference scanner raises its error.
+_SCAN_PATTERN = (
+    r"(?>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|\#[^\n]*)*)(?:"
+    r"(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]+)[uUlL]*"
+    r"|(?!0[xX])(?:"
+    r"(?P<flt>(?:[0-9]+\.(?!\.)[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+[eE][+-]?[0-9]+)[fF]?"
+    r"|(?P<int>[0-9]+)[uUlL]*)"
+    r"|(?P<op>"
+    + "|".join(re.escape(text) for text, _ in MULTI_CHAR_OPERATORS)
+    + r"|/(?!\*)|["
+    + re.escape("".join(ch for ch in SINGLE_CHAR_OPERATORS if ch != "/"))
+    + "])"
+    r"|(?P<eof>\Z))"
+)
+
+
+@functools.cache
+def _scanner() -> re.Pattern[str]:
+    """:data:`_SCAN_PATTERN`, compiled on first use: a process that
+    never lexes (``--help``, a warm run) never pays for it."""
+    return re.compile(_SCAN_PATTERN, re.DOTALL)
+
+
+_OPERATORS: dict[str, TokenKind] = {
+    **dict(MULTI_CHAR_OPERATORS), **SINGLE_CHAR_OPERATORS}
+
+#: How far past a token's end the reference scanner may look.
+_LOOKAHEAD = 3
+
+
+def _int_value(text: str) -> int:
+    """A decimal integer literal's value. Octal literals (leading zero)
+    are accepted for C compatibility."""
+    return int(text, 8) if len(text) > 1 and text[0] == "0" else int(text)
 
 _ESCAPES = {
     "n": "\n",
@@ -45,11 +103,57 @@ class Lexer:
 
     def tokenize(self) -> list[Token]:
         """Lex the whole input; the result always ends with an EOF token."""
+        source = self._source
+        filename = self._filename
+        ascii_only = source.isascii()
+        scan = _scanner().match
+        count = source.count
         tokens: list[Token] = []
+        append = tokens.append
+        pos = self._pos
+        line = self._line
+        line_start = pos - self._col + 1
         while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
+            m = scan(source, pos)
+            if m is not None:
+                kind = m.lastgroup
+                start = m.start(kind)
+                if not (ascii_only or source[
+                        start:m.end() + _LOOKAHEAD].isascii()):
+                    m = None
+            if m is None:
+                # The reference scanner lexes this token from where the
+                # previous one ended, whitespace and comments included.
+                self._pos, self._line = pos, line
+                self._col = pos - line_start + 1
+                token = self._next_token()
+                append(token)
+                if token.kind is TokenKind.EOF:
+                    return tokens
+                pos, line = self._pos, self._line
+                line_start = pos - self._col + 1
+                continue
+            newlines = count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+            loc = SourceLocation(line, start - line_start + 1, filename)
+            pos = m.end()
+            text = m.group(kind)
+            if kind == "id":
+                keyword = KEYWORDS.get(text)
+                append(Token(TokenKind.IDENT, text, loc, text)
+                       if keyword is None else Token(keyword, text, loc))
+            elif kind == "op":
+                append(Token(_OPERATORS[text], text, loc))
+            elif kind == "int":
+                append(Token(TokenKind.INT_LIT, text, loc, _int_value(text)))
+            elif kind == "flt":
+                append(Token(TokenKind.FLOAT_LIT, text, loc, float(text)))
+            elif kind == "hex":
+                append(Token(TokenKind.INT_LIT, text, loc, int(text, 16)))
+            else:
+                append(Token(TokenKind.EOF, "", loc))
                 return tokens
 
     # ------------------------------------------------------------------
@@ -176,8 +280,7 @@ class Lexer:
                 self._advance()
             return Token(TokenKind.FLOAT_LIT, text, loc, float(text))
 
-        # Octal literals (leading zero) are accepted for C compatibility.
-        value = int(text, 8) if len(text) > 1 and text[0] == "0" else int(text)
+        value = _int_value(text)
         self._skip_int_suffix()
         return Token(TokenKind.INT_LIT, text, loc, value)
 

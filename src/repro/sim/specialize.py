@@ -23,14 +23,31 @@ observe registers mid-block — a simulated call, a builtin, an abort —
 either reads only explicitly materialized state (the per-frame call pc)
 or ends the run, so the localization is invisible.
 
+Blocks joined by an unconditional jump form a chain, and every loop of
+the chain graph becomes one region function whose back-edges are
+``continue``. A region carries the slots its chains touch in locals for
+its whole stay. Its preheader loads only the carried slots that are
+live into some chain head of the region (:func:`~repro.sim.bytecode.
+_liveness` plus the head instruction's own use and kill): every other
+carried slot is written before it is read on every path from a head.
+In-region edges keep the locals consistent without touching ``r``;
+an exit flushes the slots live at its target. A nested loop is a call
+of the child's region function: the parent flushes what is live (its
+re-dispatch ladder, which cannot know the next chain head, flushes
+every loaded slot), and after the call reloads only the loaded slots
+the child writes — nothing else can come back changed.
+
 Layout of the generated module (for function index ``f``):
 
-* ``_bk{f}_{j}(r)`` — basic block ``j``; returns the next block index,
-  or ``-1`` to return from the function.
-* ``_BK{f}`` — the block table.
+* ``_bk{f}_{j}(r, b_)`` — chain ``j``, outside every loop; returns the
+  next chain index, or ``-1`` to return from the function.
+* ``_rg{f}_{id}(r, b_)`` — a loop region, entered at chain ``b_``;
+  returns the first chain index outside it.
+* ``_BK{f}`` — the chain table: chain ``j``'s function, or the
+  outermost region holding ``j``.
 * ``_fn{f}(*_a)`` — the driver: converts and binds parameters (missing
   arguments are silently dropped, as on the AST oracle), trampolines
-  over the block table, and converts the return value with the callee's
+  over the chain table, and converts the return value with the callee's
   void-ness (a missing return yields 0, like C). Simulated calls compile
   to direct calls between drivers; the simulated call-depth limit is
   enforced through a shared depth cell.
@@ -45,19 +62,33 @@ frame marker.
 
 Every memory access is fully checked: the page is looked up per access
 and a multi-byte access that would cross a 4 KiB page boundary takes the
-generic ``Memory`` path the AST oracle uses for every access.
+generic ``Memory`` path the AST oracle uses for every access. The common
+operations are one statement each:
+
+* a step-budget check adds the batched count and calls the abort helper
+  ``_OVER`` past the budget: ``if (s_ := s_ + k) > _MAXS: _OVER()``;
+  ``_OVER`` records the step count the AST oracle stops at, one past
+  the budget;
+* an in-page load or store is one conditional expression that fetches
+  the page inline (pages are never empty, so ``or`` falls through only
+  on a missing page), e.g. ``t5 = _U0(_PG.get(a_ >> 12) or
+  _MP(a_ >> 12), o_)[0] if (o_ := a_ & 4095) <= 4092 else _RI(a_, 4,
+  True)``; a byte access indexes the page without the crossing test,
+  and a float store wraps the expression in the ``try`` that diverts
+  an overflow to ``Memory.write_float``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import CodeType
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from repro.lang.ctypes_ import FloatType, IntType, PointerType
 from repro.lang.errors import MiniCRuntimeError
 from repro.sim import builtins as libc
 from repro.sim import bytecode as bc
+from repro.sim import dataflow
 from repro.sim.interpreter import ExecLimitExceeded
 
 #: One lowered/fused instruction: ``(op, *operands)``.
@@ -66,6 +97,10 @@ _Ins = tuple[Any, ...]
 _W = Callable[[str], None]
 
 _M32 = "4294967295"
+
+#: The bytearray of the page holding ``a_``, fetched inline (pages are
+#: never empty, so a missing page is the only falsy lookup).
+_PAGE = "_PG.get(a_ >> 12) or _MP(a_ >> 12)"
 
 #: Side-effect-free, non-raising opcodes writing operand 1 — skipped
 #: outright when the destination is dead. DECL/STR never qualify: they
@@ -179,9 +214,10 @@ class Specialization:
     #: ``RET0``.
     init_driver: str | None
     #: Most Python frames one simulated call can add to the stack: the
-    #: callee's driver, the block function the trampoline entered, and
-    #: one ``_rg`` function per loop region enclosing the call site.
-    #: The VM sizes the recursion limit from it.
+    #: callee's driver plus the chain function the trampoline entered
+    #: or, for a call inside loops, one ``_rg`` function per loop
+    #: region enclosing the call site (the trampoline enters the
+    #: outermost directly). The VM sizes the recursion limit from it.
     frames_per_call: int
 
     def bind(self, vm: "bc.BytecodeVM") -> dict[str, Any]:
@@ -189,6 +225,17 @@ class Specialization:
         module namespace (driver functions live under ``drivers``)."""
         memory = vm.memory
         trace = vm._trace
+        steps = [0]
+        max_steps = vm._max_steps
+        message = f"execution exceeded the budget of {max_steps} steps"
+
+        def over() -> NoReturn:
+            # The AST oracle counts one step at a time and stops at the
+            # first step past the budget, whichever batched group that
+            # step belongs to here.
+            steps[0] = max_steps + 1
+            raise ExecLimitExceeded(message)
+
         env: dict[str, Any] = {
             "_VM": vm,
             "_PG": memory._pages,
@@ -205,13 +252,11 @@ class Specialization:
             "_FLUSH": trace.flush,
             "_FL": trace.limit,
             "_BS": trace.block_size,
-            "_S": [0],
+            "_S": steps,
             "_D": [0],
-            "_MAXS": vm._max_steps,
+            "_MAXS": max_steps,
             "_MAXD": vm._max_call_depth,
-            "_EMSG": (f"execution exceeded the budget of "
-                      f"{vm._max_steps} steps"),
-            "_ELE": ExecLimitExceeded,
+            "_OVER": over,
             "_RTE": MiniCRuntimeError,
             "_EXIT": libc.ExitSignal,
             "_ST": vm.stats,
@@ -263,6 +308,12 @@ def _specialize(fbp: "bc.BytecodeProgram") -> Specialization:
                           frames_per_call=gen.frames_per_call)
 
 
+def _slots(mask: int) -> tuple[int, ...]:
+    """The slots of a register bitmask, ascending."""
+    return tuple(slot for slot in range(mask.bit_length())
+                 if (mask >> slot) & 1)
+
+
 def _cmp_sym(op: int) -> str:
     if op == bc.OP_LT:
         return "<"
@@ -285,7 +336,7 @@ class _Codegen:
         self.fmts: list[str] = []
         self._fmt_index: dict[str, int] = {}
         #: See :attr:`Specialization.frames_per_call`; a call outside
-        #: every loop costs the driver plus the trampolined block.
+        #: every loop costs the driver plus the trampolined chain.
         self.frames_per_call = 2
         #: Block-local slot → local-name map (register localization).
         self._cur: dict[int, str] = {}
@@ -327,6 +378,9 @@ class _Codegen:
         #: Slots carried in ``t`` locals across the current region's
         #: iterations (sorted; empty outside regions).
         self._carried: tuple[int, ...] = ()
+        #: Bitmask of the carried slots the region's preheader loads:
+        #: those live into some chain head of the region.
+        self._loaded = 0
         #: Region functions enclosing the chain being emitted.
         self._depth = 0
 
@@ -414,7 +468,7 @@ class _Codegen:
                      for slot in sorted(self._cur)
                      if (live_mask >> slot) & 1)
 
-    def _mat_lines(self, skip: tuple[int, ...] = ()) -> tuple[str, ...]:
+    def _mat_lines(self, skip: int = 0) -> tuple[str, ...]:
         """Region back-edge sync: re-materialize carried locals whose
         value currently lives elsewhere (an alias or a literal). A slot
         absent from ``_cur`` was either untouched (its local is already
@@ -425,7 +479,7 @@ class _Codegen:
         never rewritten afterwards — so order cannot matter."""
         out = []
         for slot in self._carried:
-            if slot in skip:
+            if (skip >> slot) & 1:
                 continue
             cur = self._cur.get(slot)
             if cur is not None and cur != f"t{slot}":
@@ -552,23 +606,24 @@ class _Codegen:
                                          counter)
 
         emit = (chains, ranges, code, blk, rv, pcs, mk, live_out)
+        # Every entry of the chain table takes ``(r, b_)``: a chain
+        # outside loops ignores ``b_``, and the trampoline enters a
+        # loop at chain ``b_`` by calling its region function directly.
+        entry: dict[int, str] = {}
         for c in sorted(straight):
             self._route = {}
             self._depth = 0
-            self.lines.append(f"def _bk{findex}_{c}(r):")
+            entry[c] = f"_bk{findex}_{c}"
+            self.lines.append(f"def {entry[c]}(r, b_):")
             self._emit_chain_body(chains[c], ranges, code, blk, rv, pcs,
                                   mk, live_out)
             self.lines.append("")
         for reg in regions:
             self._emit_region(findex, reg, 1, *emit)
             for m in reg.members:
-                # Trampoline entry: jump into the loop at chain m.
-                self.lines.append(f"def _bk{findex}_{m}(r):")
-                self.lines.append(
-                    f"    return _rg{findex}_{reg.id}(r, {m})")
-                self.lines.append("")
+                entry[m] = f"_rg{findex}_{reg.id}"
 
-        table = ", ".join(f"_bk{findex}_{c}" for c in range(len(chains)))
+        table = ", ".join(entry[c] for c in range(len(chains)))
         self.lines.append(f"_BK{findex} = ({table},)")
         self.lines.append("")
         self._emit_driver(findex, name, fn, rv, pcs, mk)
@@ -625,7 +680,7 @@ class _Codegen:
                      ranges: list[tuple[int, int]],
                      code: Sequence[_Ins], blk: dict[int, int], rv: int,
                      pcs: int, mk: int,
-                     live_out: Sequence[int]) -> tuple[int, ...]:
+                     live_out: Sequence[int]) -> int:
         """One loop region: ``while True`` around a chain-index ladder.
 
         Direct members inline their bodies; nested loops dispatch into
@@ -635,9 +690,11 @@ class _Codegen:
         flushes live registers and re-reads ``r`` at the next chain
         top, so the dispatch shape is invisible to the simulation.
         ``depth`` counts the region functions on the Python stack while
-        this region's own chains run (1 for an outermost loop).
+        this region's own chains run (1 for an outermost loop). Returns
+        the bitmask of the slots the region writes: no other slot can
+        come back changed from a call of its function.
         """
-        child_carried = {
+        child_written = {
             child.id: self._emit_region(findex, child, depth + 1, chains,
                                         ranges, code, blk, rv, pcs, mk,
                                         live_out)
@@ -645,33 +702,32 @@ class _Codegen:
         }
         self._depth = depth
         # Carry every slot the region's chains touch in a local for the
-        # whole stay: the preheader loads them once, in-region edges
-        # sync locals only, exits (and nested-region hand-offs) flush
-        # the live ones back to ``r``. Write-completeness of _WRITES
-        # guarantees any slot NOT carried is never written inside the
-        # region, so plain ``r`` reads of uncarried slots stay exact.
-        touched = 0
+        # whole stay: in-region edges sync locals only, exits (and
+        # nested-region hand-offs) flush the live ones back to ``r``.
+        # Write-completeness of _WRITES guarantees any slot NOT carried
+        # is never written inside the region, so plain ``r`` reads of
+        # uncarried slots stay exact. The preheader loads only the
+        # carried slots live into some chain head of the region (nested
+        # loops' chains included): at every chain head, each carried
+        # slot live there holds its value in its local. A slot dead at
+        # every head is written before any read of it on every path
+        # from a head, and an exit flushes it only when it is live
+        # there, that is when this stay wrote it.
+        touched = written = live = 0
         for m in reg.members:
+            head = ranges[chains[m][0]][0]
+            use, kill = dataflow._use_kill(code[head])
+            live |= use | (live_out[head] & ~kill)
             for j in chains[m]:
                 for pc in range(*ranges[j]):
-                    ins = code[pc]
-                    op = ins[0]
-                    if op == bc.OP_CALL or op == bc.OP_CALLB:
-                        for slot in ins[3]:
-                            touched |= 1 << slot
-                        touched |= 1 << ins[1]
-                    else:
-                        for pos in bc._READS[op]:
-                            touched |= 1 << ins[pos]
-                        wp = bc._WRITES.get(op)
-                        if wp is not None:
-                            touched |= 1 << ins[wp]
-        carried = tuple(slot for slot in range(touched.bit_length())
-                        if (touched >> slot) & 1)
-        self._carried = carried
+                    use, kill = dataflow._use_kill(code[pc])
+                    touched |= use | kill
+                    written |= kill
+        self._carried = _slots(touched)
+        self._loaded = loaded = touched & live
         w = self.lines.append
         w(f"def _rg{findex}_{reg.id}(r, b_):")
-        for slot in carried:
+        for slot in _slots(loaded):
             w(f"    t{slot} = r[{slot}]")
         w("    while True:")
         if len(reg.direct) == 1 and not reg.children:
@@ -691,7 +747,7 @@ class _Codegen:
             for child in reg.children:
                 for m in child.members:
                     route[m] = ("child", f"{findex}_{child.id}",
-                                child_carried[child.id])
+                                child_written[child.id])
             for i, c in enumerate(reg.direct):
                 w(f"        {'if' if i == 0 else 'elif'} b_ == {c}:")
                 self._route = route
@@ -703,28 +759,30 @@ class _Codegen:
             for child in reg.children:
                 members = ", ".join(str(m) for m in child.members)
                 w(f"        elif b_ in {{{members}}}:")
-                # Re-dispatch from an arbitrary predecessor: liveness
-                # is unknown here, so flush the whole carried set (dead
-                # stores are harmless); only the child's own touched
-                # slots can come back changed, so the reload stops
-                # there.
-                for slot in carried:
+                # Re-dispatch from an arbitrary predecessor: which
+                # chain head comes next is unknown here, so flush every
+                # loaded slot (dead stores are harmless). Only the
+                # child's written slots can come back changed, and only
+                # loaded ones can be live at a head of this region, so
+                # the reload stops there.
+                for slot in _slots(loaded):
                     w(f"            r[{slot}] = t{slot}")
                 w(f"            b_ = _rg{findex}_{child.id}(r, b_)")
-                for slot in child_carried[child.id]:
+                for slot in _slots(loaded & child_written[child.id]):
                     w(f"            t{slot} = r[{slot}]")
             w("        else:")
             w("            return b_")
         self._carried = ()
+        self._loaded = 0
         w("")
-        return carried
+        return written
 
     def _goto(self, target: int, live: int) -> tuple[str, ...]:
         """Transfer-of-control statements (unindented) for a chain
         index, register sync included: a trampoline return and nested
-        dispatches flush live locals to ``r`` (and reload the carried
-        set after a child region ran); in-region edges skip ``r``
-        entirely and just keep the carried locals consistent."""
+        dispatches flush live locals to ``r`` (and reload what a child
+        region can have changed after it ran); in-region edges skip
+        ``r`` entirely and just keep the carried locals consistent."""
         route = self._route.get(target)
         if route is None:
             return (*self._flush_lines(live), f"return {target}")
@@ -735,15 +793,17 @@ class _Codegen:
             return (*self._mat_lines(), f"b_ = {target}", "continue")
         # The flush must cover everything live — an exit edge inside
         # the child is the only flush a slot passing *through* it gets —
-        # but only the child's own touched slots can come back changed,
-        # so the reload stops there; slots the reload skips still need
+        # but only the child's written slots can come back changed, and
+        # only loaded ones can be live at a head of this region, so the
+        # reload stops there. Slots the child does not write still need
         # their locals materialized (the flush alone writes an alias or
         # literal to ``r`` without repairing the local).
-        reload = route[2]
+        written = route[2]
         return (*self._flush_lines(live),
-                *self._mat_lines(skip=reload),
+                *self._mat_lines(skip=written),
                 f"b_ = _rg{route[1]}(r, {target})",
-                *(f"t{slot} = r[{slot}]" for slot in reload),
+                *(f"t{slot} = r[{slot}]"
+                  for slot in _slots(self._loaded & written)),
                 "continue")
 
     def _emit_branch(self, w: _W, cond: str,
@@ -824,13 +884,13 @@ class _Codegen:
             regions = self._const(fn.body_regions)
             w("    try:")
             w("        while b_ >= 0:")
-            w("            b_ = _blocks[b_](r)")
+            w("            b_ = _blocks[b_](r, b_)")
             w("    except _EXIT:")
             w(f"        _PEND({regions}, r[{pcs}])")
             w("        raise")
         else:
             w("    while b_ >= 0:")
-            w("        b_ = _blocks[b_](r)")
+            w("        b_ = _blocks[b_](r, b_)")
         if fn.returns_void:
             w(f"    return r[{rv}]")
         else:
@@ -901,20 +961,13 @@ class _Codegen:
         if self._snap is not None:
             self._snap += 1
 
-    def _paged(self, w: _W, size: int, fast: Sequence[str],
-               slow: Sequence[str]) -> None:
-        """A multi-byte access at ``a_``: ``fast`` runs on the page's
-        bytearray ``p_`` at offset ``o_`` when the access fits in one
-        page, ``slow`` (the generic ``Memory`` call) when it crosses."""
-        w("    o_ = a_ & 4095")
-        w(f"    if o_ <= {4096 - size}:")
-        w("        p_ = _PG.get(a_ >> 12)")
-        w("        if p_ is None: p_ = _MP(a_ >> 12)")
-        for line in fast:
-            w("        " + line)
-        w("    else:")
-        for line in slow:
-            w("        " + line)
+    @staticmethod
+    def _paged(size: int, fast: str, slow: str) -> str:
+        """A multi-byte access at ``a_`` as one conditional expression:
+        ``fast`` works on the page (:data:`_PAGE`) at offset ``o_`` when
+        the access fits in one page, ``slow`` (the generic ``Memory``
+        call) when it crosses."""
+        return f"{fast} if (o_ := a_ & 4095) <= {4096 - size} else {slow}"
 
     def _emit_load_i(self, w: _W, dst: int, addr_expr: str, size: int,
                      fmt: str, signed: int, pc: int) -> None:
@@ -927,23 +980,22 @@ class _Codegen:
         if size == 1:
             # A byte never crosses a page: plain bytearray indexing
             # replaces the struct call (and the crossing check).
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w(f"    {name} = p_[a_ & 4095]")
+            w(f"    {name} = ({_PAGE})[a_ & 4095]")
             if signed:
                 w(f"    if {name} > 127: {name} -= 256")
         else:
-            self._paged(w, size,
-                        (f"{name} = _U{self._fmt(fmt)}(p_, o_)[0]",),
-                        (f"{name} = _RI(a_, {size}, {bool(signed)})",))
+            w(f"    {name} = " + self._paged(
+                size, f"_U{self._fmt(fmt)}({_PAGE}, o_)[0]",
+                f"_RI(a_, {size}, {bool(signed)})"))
         self._trace(w, pc, size, False)
 
     def _emit_load_f(self, w: _W, dst: int, addr_expr: str, size: int,
                      fmt: str, pc: int) -> None:
         name = self._wr(dst)
         w(f"    a_ = {addr_expr}")
-        self._paged(w, size, (f"{name} = _U{self._fmt(fmt)}(p_, o_)[0]",),
-                    (f"{name} = _RF(a_, {size})",))
+        w(f"    {name} = " + self._paged(
+            size, f"_U{self._fmt(fmt)}({_PAGE}, o_)[0]",
+            f"_RF(a_, {size})"))
         self._trace(w, pc, size, False)
 
     def _emit_store_i(self, w: _W, addr_expr: str, src: int, dst: int,
@@ -954,12 +1006,11 @@ class _Codegen:
         if size == 1:
             # A byte never crosses a page; the masked value is already
             # in [0, 255], so bytearray assignment stores it verbatim.
-            w("    p_ = _PG.get(a_ >> 12)")
-            w("    if p_ is None: p_ = _MP(a_ >> 12)")
-            w("    p_[a_ & 4095] = v_")
+            w(f"    ({_PAGE})[a_ & 4095] = v_")
         else:
-            self._paged(w, size, (f"_P{self._fmt(fmt)}(p_, o_, v_)",),
-                        (f"_WI(a_, v_, {size})",))
+            w("    " + self._paged(
+                size, f"_P{self._fmt(fmt)}({_PAGE}, o_, v_)",
+                f"_WI(a_, v_, {size})"))
         if maxv >= 0:
             w(f"    if v_ > {maxv}: v_ -= {mask + 1}")
         w(f"    {self._wr(dst, is_int=True, dom=(mask, maxv))} = v_")
@@ -971,12 +1022,13 @@ class _Codegen:
         w(f"    a_ = {addr_expr}")
         w(f"    v_ = float({self._rd(src)})")
         # Out-of-range doubles divert to write_float, which owns the
-        # overflow-to-inf packing semantics.
-        self._paged(w, size, ("try:",
-                              f"    _P{self._fmt(fmt)}(p_, o_, v_)",
-                              "except OverflowError:",
-                              f"    _WF(a_, v_, {size})"),
-                    (f"_WF(a_, v_, {size})",))
+        # overflow-to-inf packing semantics (and never raises it).
+        w("    try:")
+        w("        " + self._paged(
+            size, f"_P{self._fmt(fmt)}({_PAGE}, o_, v_)",
+            f"_WF(a_, v_, {size})"))
+        w("    except OverflowError:")
+        w(f"        _WF(a_, v_, {size})")
         w(f"    {self._wr(dst)} = v_")
         if pc >= 0:
             self._trace(w, pc, size, True)
@@ -985,8 +1037,8 @@ class _Codegen:
                       pc: int) -> None:
         w(f"    a_ = {addr_expr}")
         w(f"    v_ = {self._rd_int(src)} & {_M32}")
-        self._paged(w, 4, (f"_P{self._fmt('<I')}(p_, o_, v_)",),
-                    ("_WI(a_, v_, 4)",))
+        w("    " + self._paged(
+            4, f"_P{self._fmt('<I')}({_PAGE}, o_, v_)", "_WI(a_, v_, 4)"))
         w(f"    {self._wr(dst, is_int=True, dom=(4294967295, -1))} = v_")
         if pc >= 0:
             self._trace(w, pc, 4, True)
@@ -1026,8 +1078,7 @@ class _Codegen:
             if ins[1] == 0:
                 # Drained by the fusion pass's step sinking.
                 return False
-            w(f"    s_ += {ins[1]}")
-            w(f"    if s_ > _MAXS: {self._steps_raise('_ELE(_EMSG)')}")
+            w(f"    if (s_ := s_ + {ins[1]}) > _MAXS: _OVER()")
         elif op == B.OP_CONST:
             self._set_const(ins[1], ins[2])
         elif op == B.OP_MOV:
@@ -1285,7 +1336,7 @@ class _Codegen:
             args = ", ".join(self._rd(slot) for slot in ins[3])
             message = f"call depth exceeded in {ins[2]!r}"
             self.frames_per_call = max(self.frames_per_call,
-                                       2 + self._depth)
+                                       1 + self._depth)
             self._flush_steps()
             w(f"    r[{pcs}] = {pc}")
             w(f"    if _D[0] + 1 >= _MAXD: raise _RTE({message!r})")

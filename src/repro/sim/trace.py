@@ -451,6 +451,24 @@ class TraceCollector:
         return [r for r in self.records if isinstance(r, Checkpoint)]
 
 
+class StreamRecorder:
+    """A sink keeping a run's trace as one stream, whatever its block
+    cuts: ``flat`` concatenates the blocks' ``[pc, addr, size, is_write]``
+    ints, and ``checkpoints`` their packed checkpoints with each position
+    rebased onto that concatenation. Two runs with equal streams emitted
+    the same records in the same order, access sizes included."""
+
+    def __init__(self) -> None:
+        self.flat: list[int] = []
+        self.checkpoints: list[int] = []
+
+    def emit_columns(self, block: ColumnBlock) -> None:
+        # The position is the packed int's high field (bits 34 and up).
+        base = (len(self.flat) >> 2) << 34
+        self.checkpoints.extend(packed + base for packed in block.checkpoints)
+        self.flat.extend(block._flat)
+
+
 class TraceWriter:
     """A sink that streams records to a text file in the paper's format."""
 

@@ -169,6 +169,21 @@ class TestWarmRerun:
         assert warm.ok
         assert all(o.cached for o in warm.outcomes)
 
+    @pytest.mark.parametrize("checks", [FUZZ_CHECKS, ("static",),
+                                        (SEEDED_BUG_CHECK,)])
+    def test_cold_run_writes_each_compile_node_once(self, tmp_path, checks):
+        # The static checks read the detector's result from the compile
+        # node: the battery builds the node with it, so filling it in
+        # never republishes an entry written moments before. Two
+        # programs, each a nominal source plus the one the battery's
+        # cross scenarios render (the static checks alone read one).
+        config = PipelineConfig(cache_dir=str(tmp_path / "store"))
+        run_fuzz("small", seeds=2, checks=checks, shrink=False,
+                 config=config)
+        counts = pipeline.store_for(config).session_counters()["compile"]
+        sources = 4 if checks == FUZZ_CHECKS else 2
+        assert counts == {"hits": 0, "misses": sources, "stores": sources}
+
     def test_key_covers_checks_and_shrink(self, tmp_path):
         config = PipelineConfig(cache_dir=str(tmp_path / "store"))
         run_fuzz("small", seeds=1, checks=("ir",), config=config)

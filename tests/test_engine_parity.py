@@ -11,10 +11,13 @@ paper figure examples) both engines must produce
 
 A hypothesis property extends the check to generated loop nests. The two
 execution tiers — the specialized fast path and the AST oracle — are
-also held to each other on selected programs, on a cross-page store
-stress, at the call-depth boundary and on global initializers, where a
-failing run must fail the same way on every tier.
+also held to each other on selected programs, on values loop regions
+carry across nested loops, on a cross-page store stress, at the
+call-depth boundary, at every step budget of two programs and on global
+initializers, where a failing run must fail the same way on every tier.
 """
+
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +38,13 @@ from repro.sim.machine import (
     run_compiled,
 )
 from repro.sim.specialize import get_specialization
-from repro.sim.trace import DEFAULT_TRACE_BLOCK, TraceCollector, format_trace
-from repro.workloads.registry import ALL_WORKLOADS
+from repro.sim.trace import (
+    DEFAULT_TRACE_BLOCK,
+    StreamRecorder,
+    TraceCollector,
+    format_trace,
+)
+from repro.workloads.registry import ALL_WORKLOADS, get_workload
 
 RELAXED = FilterConfig(nexec=1, nloc=1)
 
@@ -157,16 +165,17 @@ TIERS = dict(PARITY_CONFIGS)
 
 
 def assert_tier_parity(source: str) -> None:
-    """Exit code, stdout, step/call counts and the formatted trace agree
-    on every tier (each run compiles the source afresh)."""
+    """Exit code, stdout, step/call counts and the trace stream, access
+    sizes included, agree on every tier (each run compiles the source
+    afresh)."""
     observed = {}
     for tier, config in TIERS.items():
-        collector = TraceCollector()
-        result = run_compiled(compile_program(source), sinks=(collector,),
+        stream = StreamRecorder()
+        result = run_compiled(compile_program(source), sinks=(stream,),
                               config=config)
         observed[tier] = (result.exit_code, result.stdout,
                           result.stats.steps, result.stats.calls,
-                          format_trace(collector.records))
+                          stream.flat, stream.checkpoints)
     for tier, signature in observed.items():
         assert signature == observed["ast"], f"{tier} vs ast"
 
@@ -174,6 +183,89 @@ def assert_tier_parity(source: str) -> None:
 @pytest.mark.parametrize("name", ["adpcm", "mpeg2", "fig1a", "fig9"])
 def test_tier_parity(name):
     assert_tier_parity(ALL_WORKLOADS[name].source)
+
+
+#: Values that loop regions carry in Python locals across nested loops:
+#: the specialized code loads into a region's locals only the slots
+#: live into one of its chain heads, and reloads after a nested loop
+#: only what that loop writes.
+REGION_REGISTER_PROGRAMS = {
+    # ``keep`` is live across the inner nest, which never touches it.
+    "live_across_untouching_nest": """
+    int a[8];
+    int main(void) {
+        int i, j, k, keep = 41, s = 0;
+        for (i = 0; i < 3; i++) {
+            keep = keep + i;
+            for (j = 0; j < 4; j++) {
+                for (k = 0; k < 2; k++) a[j + k] += j * k + i;
+            }
+            s += keep;
+        }
+        printf("%d %d %d\\n", keep, s, a[3]);
+        return (keep + s) & 255;
+    }
+    """,
+    # ``last`` is written in the inner loop and read after the outer one.
+    "inner_write_read_after_nest": """
+    int main(void) {
+        int i, j, last = -1, t = 0;
+        for (i = 0; i < 4; i++)
+            for (j = 0; j < 3; j++) {
+                if ((i + j) % 3 == 1) last = i * 10 + j;
+                t += j;
+            }
+        printf("%d %d\\n", last, t);
+        return last & 255;
+    }
+    """,
+    # ``found``, ``hits`` and ``v`` cross ``break`` and ``continue`` out
+    # of every level of a three-deep nest.
+    "break_continue_out_of_nest": """
+    int g[32];
+    int main(void) {
+        int i, j, k, found = 0, hits = 0, v = 7;
+        for (i = 0; i < 5; i++) {
+            if (i == 1) continue;
+            for (j = 0; j < 5; j++) {
+                v = (v * 3 + j) & 1023;
+                if (v % 5 == 0) continue;
+                for (k = 0; k < 3; k++) {
+                    g[(i * 5 + j + k) & 31] += v;
+                    if (g[(j + k) & 31] > 60) { found = v; break; }
+                    hits++;
+                }
+                if (found) break;
+            }
+            if (i == 3 && found) break;
+        }
+        printf("%d %d %d %d\\n", i, found, hits, v);
+        return (found + hits) & 255;
+    }
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_REGISTER_PROGRAMS))
+def test_region_register_parity(name):
+    assert_tier_parity(REGION_REGISTER_PROGRAMS[name])
+
+
+def test_innermost_region_loads_only_live_in_slots():
+    """gen:small:3's innermost loop reads its two counters (slots 0 and
+    1) before writing them; the 24 other slots it touches are written
+    first on every path from its chain heads, so its preheader loads
+    the two counters and nothing else."""
+    source = get_specialization(lower_compiled(compile_program(
+        get_workload("gen:small:3").source))).source
+    regions = dict(re.findall(r"^def (_rg\w+)\(r, b_\):\n((?:    .*\n)*)",
+                              source, re.M))
+    innermost = [name for name, body in regions.items()
+                 if "_rg" not in body]
+    assert len(innermost) == 1
+    body = regions[innermost[0]]
+    assert body[:body.index("    while True:")] == (
+        "    t0 = r[0]\n    t1 = r[1]\n")
 
 
 def test_cross_page_access_parity():
@@ -358,3 +450,56 @@ def test_global_initializer_parity(name, block):
     assert oracle["stats"].checkpoints == 0
     assert sum(len(pcs) for (pcs, *_rest), _cps in oracle["blocks"]) == \
         traced
+
+
+#: A loop nest with a call inside the inner loop, a ``continue`` and a
+#: ``break``: every kind of edge a batched step group can straddle.
+BUDGET_NEST = """
+int g[16];
+int bump(int x) { g[x & 15] += x; return x + 1; }
+int main(void) {
+    int i, j, s = 0;
+    for (i = 0; i < 3; i++) {
+        for (j = 0; j < 4; j++) {
+            if (j == 1) continue;
+            if (i == 1 && j == 3) break;
+            s += bump(i * 4 + j);
+        }
+        printf("%d\\n", s);
+    }
+    return s & 255;
+}
+"""
+
+
+@pytest.mark.parametrize("name", ["nest", "gen:small:3"])
+def test_step_budget_sweep_parity(name):
+    """At every step budget from 1 to one past the run's length, both
+    tiers end the same way: the same fault or exit code, stdout, step,
+    call and access counts, and access stream. The AST oracle counts
+    steps one at a time and stops at ``max_steps + 1``; the fast path
+    checks a batched group of steps at once and must report that count
+    too. The checkpoint stream is left out: at a fault the AST's loop
+    ``finally`` blocks emit every open body-end, while the fast path
+    replays body-ends only on ``exit()`` (ROADMAP item 7)."""
+    source = BUDGET_NEST if name == "nest" else get_workload(name).source
+    compiled = compile_program(source)
+    program = lower_compiled(compiled)
+    total = run_compiled(compiled).stats.steps
+    for budget in range(1, total + 2):
+        seen = {}
+        for tier, config in TIERS.items():
+            recorder = StreamRecorder()
+            options = dict(sinks=(recorder,), max_steps=budget)
+            machine = (Interpreter(compiled.program, **options)
+                       if config.engine == "ast"
+                       else BytecodeVM(program, **options))
+            outcome: object
+            try:
+                outcome = machine.run()
+            except MiniCRuntimeError as error:
+                outcome = (type(error).__name__, str(error))
+            stats = machine.stats
+            seen[tier] = (outcome, machine.stdout, stats.steps, stats.calls,
+                          stats.accesses, recorder.flat)
+        assert seen["specialized"] == seen["ast"], f"budget {budget}"
