@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -86,14 +87,15 @@ def test_fuzz_fan_out_wallclock(results_dir):
     config = PipelineConfig(cache=False)
     clear_caches()
     start = time.perf_counter()
-    serial = run_fuzz("small", seeds=FUZZ_SEEDS, jobs=1, config=config)
+    serial = run_fuzz("small", seeds=FUZZ_SEEDS, config=config)
     serial_time = time.perf_counter() - start
 
     cpus = os.cpu_count() or 1
     jobs = min(4, cpus)
     clear_caches()
     start = time.perf_counter()
-    parallel = run_fuzz("small", seeds=FUZZ_SEEDS, jobs=jobs, config=config)
+    parallel = run_fuzz("small", seeds=FUZZ_SEEDS,
+                        config=replace(config, jobs=jobs))
     parallel_time = time.perf_counter() - start
 
     assert parallel.outcomes == serial.outcomes  # fan-out changes nothing

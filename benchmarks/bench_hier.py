@@ -65,11 +65,11 @@ def test_serial_vs_parallel_matrix(results_dir, tmp_path):
     def run(jobs, cache_dir):
         clear_caches()
         config = PipelineConfig(
-            cache_dir=str(cache_dir),
+            jobs=jobs, cache_dir=str(cache_dir),
             hierarchy=HierarchyConfig(enabled=True, sweep=SWEEP),
         )
         start = time.perf_counter()
-        cells = hier_suite(NAMES, jobs=jobs, config=config)
+        cells = hier_suite(NAMES, config=config)
         return cells, time.perf_counter() - start
 
     serial_cells, serial_time = run(1, tmp_path / "serial")

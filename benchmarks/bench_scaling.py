@@ -19,6 +19,7 @@ import json
 import os
 import socket
 import time
+from dataclasses import replace
 from statistics import geometric_mean
 
 import pytest
@@ -278,8 +279,9 @@ def test_engine_steps_json(results_dir):
 
 
 def test_parallel_suite_speedup(results_dir):
-    """run_suite(jobs=N) must beat the serial suite wall-clock (requires
-    more than one CPU; fan-out cannot win on a single core)."""
+    """run_suite over N worker processes must beat the serial suite
+    wall-clock (requires more than one CPU; fan-out cannot win on a
+    single core)."""
     config = PipelineConfig(cache=False)
     clear_caches()
     start = time.perf_counter()
@@ -292,7 +294,7 @@ def test_parallel_suite_speedup(results_dir):
     # forked workers would inherit the serial run's: start both cold.
     clear_caches()
     start = time.perf_counter()
-    parallel = run_suite(jobs=jobs, config=config)
+    parallel = run_suite(config=replace(config, jobs=jobs))
     parallel_time = time.perf_counter() - start
 
     assert [r.name for r in parallel] == [r.name for r in serial]

@@ -24,6 +24,7 @@ set and the ladder and skip the wall-clock comparison.
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -207,21 +208,23 @@ def test_emit_dp_vs_greedy_table(suite_reports, results_dir, benchmark):
 
 
 def test_parallel_sweep_wallclock(results_dir):
-    """``sweep_suite(jobs=N)`` must beat the serial sweep wall-clock
+    """``sweep_suite`` over N worker processes must beat the serial sweep
+    wall-clock
     (requires more than one CPU; fan-out cannot win on a single core)."""
     if QUICK:
         pytest.skip("quick mode: wall-clock comparison skipped")
     config = PipelineConfig(cache=False)
     clear_caches()
     start = time.perf_counter()
-    serial = sweep_suite(capacities=LADDER, jobs=1, config=config)
+    serial = sweep_suite(capacities=LADDER, config=config)
     serial_time = time.perf_counter() - start
 
     cpus = os.cpu_count() or 1
     jobs = min(4, cpus)
     clear_caches()
     start = time.perf_counter()
-    parallel = sweep_suite(capacities=LADDER, jobs=jobs, config=config)
+    parallel = sweep_suite(capacities=LADDER,
+                           config=replace(config, jobs=jobs))
     parallel_time = time.perf_counter() - start
 
     assert parallel == serial  # same frontiers regardless of fan-out

@@ -18,6 +18,7 @@ step does) to trim the workload set and skip the wall-clock comparison.
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,7 @@ def bench_names() -> tuple[str, ...]:
 
 @pytest.fixture(scope="module")
 def matrix_results():
-    return validate_suite(bench_names(), jobs=1)
+    return validate_suite(bench_names())
 
 
 @pytest.mark.parametrize("name", bench_names())
@@ -68,21 +69,22 @@ def test_emit_stability_table(matrix_results, results_dir, benchmark):
 
 
 def test_parallel_matrix_wallclock(results_dir):
-    """``validate_suite(jobs=N)`` must beat the serial matrix wall-clock
-    (requires more than one CPU; fan-out cannot win on a single core)."""
+    """``validate_suite`` over N worker processes must beat the serial
+    matrix wall-clock (requires more than one CPU; fan-out cannot win on
+    a single core)."""
     if QUICK:
         pytest.skip("quick mode: wall-clock comparison skipped")
     config = PipelineConfig(cache=False)
     clear_caches()
     start = time.perf_counter()
-    serial = validate_suite(jobs=1, config=config)
+    serial = validate_suite(config=config)
     serial_time = time.perf_counter() - start
 
     cpus = os.cpu_count() or 1
     jobs = min(4, cpus)
     clear_caches()
     start = time.perf_counter()
-    parallel = validate_suite(jobs=jobs, config=config)
+    parallel = validate_suite(config=replace(config, jobs=jobs))
     parallel_time = time.perf_counter() - start
 
     assert parallel == serial  # same matrix regardless of fan-out

@@ -103,9 +103,11 @@ Commands
     overrides the location, ``$REPRO_CACHE_DIR`` sets the default,
     ``--no-disk-cache`` keeps a run memory-only), so repeat invocations
     and ``--jobs`` worker processes share compilation, simulation,
-    extraction, sweep and validation results. ``suite`` and ``validate``
-    print per-namespace hit/miss counters to stderr (stdout stays
-    byte-identical to a cache-less run).
+    extraction, sweep and validation results. ``suite``, ``validate``,
+    ``hier``, ``static`` and ``gen`` print the command's per-namespace
+    hit/miss counters to stderr, worker processes' included (stdout
+    stays byte-identical to a cache-less run); every command adds its
+    counters to the store's tally, which ``cache stats`` prints.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ from repro.pipeline import (
     LintReport,
     lint_suite,
     normalize_ladder,
-    persist_store_counters,
+    record_store_counters,
+    reset_store_counters,
     run_suite,
     static_suite,
     store_for,
@@ -386,11 +389,10 @@ def _cache_dir_from(args) -> str | None:
 
 
 def _config_from(args) -> PipelineConfig:
-    jobs = getattr(args, "jobs", None)
     trace_block = getattr(args, "trace_block", None)
     return PipelineConfig(
         engine=getattr(args, "engine", DEFAULT_ENGINE),
-        jobs=jobs if jobs is not None else 1,
+        jobs=getattr(args, "jobs", 1),
         cache=not getattr(args, "no_cache", False),
         cache_dir=_cache_dir_from(args),
         **({"trace_block": trace_block} if trace_block else {}),
@@ -419,43 +421,31 @@ def cmd_extract(args) -> int:
         f"{result.model.loop_count} loops, "
         f"{stats.total_accesses} accesses profiled */"
     )
-    persist_store_counters(_config_from(args))
     return 0
 
 
-def _report_cache_counters(config: PipelineConfig, before) -> None:
-    """Flush and print this run's disk-cache hit/miss counters.
-
-    Counters go to *stderr* so stdout (the tables) stays byte-identical
-    whether the disk cache is on, off, cold or warm. ``before`` is the
-    aggregate snapshot taken ahead of the run; the printed numbers are
-    the delta, which includes any ``--jobs`` worker processes (each
-    publishes its tally after every task it runs).
-    """
+def _report_cache_counters(config: PipelineConfig) -> None:
+    """Print this command's disk-cache hit/miss counters, ``--jobs``
+    worker processes' included (they hand theirs back with their
+    results). Counters go to *stderr* so stdout (the tables) stays
+    byte-identical whether the disk cache is on, off, cold or warm."""
     store = store_for(config)
     if store is None:
         return
-    persist_store_counters(config)
-    after = store.aggregate_counters()
+    counters = store.session_counters()
     for namespace in NAMESPACES:
-        prev = (before or {}).get(namespace, {})
-        cur = after.get(namespace, {})
-        hits, misses, stored = (
-            max(0, cur.get(field, 0) - prev.get(field, 0))
-            for field in ("hits", "misses", "stores")
-        )
-        print(f"cache[{namespace}]: {hits} hits, {misses} misses, "
-              f"{stored} stored", file=sys.stderr)
+        counts = counters.get(namespace, {})
+        print(f"cache[{namespace}]: {counts.get('hits', 0)} hits, "
+              f"{counts.get('misses', 0)} misses, "
+              f"{counts.get('stores', 0)} stored", file=sys.stderr)
     print(f"cache dir: {store.path}", file=sys.stderr)
 
 
 def cmd_suite(args) -> int:
     names = tuple(args.names) or None
     config = _config_from(args)
-    store = store_for(config)
-    before = store.aggregate_counters() if store else None
     exit_code = 0
-    reports = run_suite(names, jobs=args.jobs, config=config)
+    reports = run_suite(names, config=config)
     if not args.json:
         # Human mode prints the finished tables before any optional
         # extra (--spm sweep, --validate, --hier) runs: a failure in an
@@ -498,7 +488,7 @@ def cmd_suite(args) -> int:
         if hierarchy is not None:
             print()
             print(format_hier_table(hierarchy))
-    _report_cache_counters(config, before)
+    _report_cache_counters(config)
     return exit_code
 
 
@@ -506,7 +496,7 @@ def _validate_or_exit(names, args, config):
     """Run the validation matrix, turning declaration errors (unknown
     scenario/profile, bad --scenarios) into a clean CLI exit."""
     try:
-        return validate_suite(names, jobs=args.jobs, config=config)
+        return validate_suite(names, config=config)
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"validate: {message}") from None
@@ -516,7 +506,7 @@ def _hier_or_exit(names, args, config):
     """Run the hierarchy matrix, turning declaration errors (unknown
     workload names) into a clean CLI exit."""
     try:
-        return hier_suite(names, jobs=args.jobs, config=config)
+        return hier_suite(names, config=config)
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"hier: {message}") from None
@@ -525,8 +515,6 @@ def _hier_or_exit(names, args, config):
 def cmd_validate(args) -> int:
     names = tuple(args.names) or None
     config = _config_from(args)
-    store = store_for(config)
-    before = store.aggregate_counters() if store else None
     results = _validate_or_exit(names, args, config)
     if args.json:
         print(json.dumps(jsonout.validate_payload(results, args.threshold),
@@ -541,31 +529,27 @@ def cmd_validate(args) -> int:
                 print(f"  {cell.scenario}: {cell.report.summary()}")
         print()
         print(format_stability_table(results, threshold=args.threshold))
-    _report_cache_counters(config, before)
+    _report_cache_counters(config)
     return 0 if all(r.passes(args.threshold) for r in results) else 1
 
 
 def cmd_hier(args) -> int:
     names = tuple(args.names) or None
     config = _config_from(args)
-    store = store_for(config)
-    before = store.aggregate_counters() if store else None
     results = _hier_or_exit(names, args, config)
     if args.json:
         print(json.dumps(jsonout.hier_payload(results), indent=2))
     else:
         print(format_hier_table(results))
-    _report_cache_counters(config, before)
+    _report_cache_counters(config)
     return 0
 
 
 def cmd_static(args) -> int:
     names = tuple(args.names) or None
     config = _config_from(args)
-    store = store_for(config)
-    before = store.aggregate_counters() if store else None
     try:
-        reports = static_suite(names, jobs=args.jobs, config=config)
+        reports = static_suite(names, config=config)
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"static: {message}") from None
@@ -579,7 +563,7 @@ def cmd_static(args) -> int:
         print("static-vs-dynamic disagreement:", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
-    _report_cache_counters(config, before)
+    _report_cache_counters(config)
     return 1 if failures else 0
 
 
@@ -631,13 +615,11 @@ def cmd_gen(args) -> int:
     from repro.gen.fuzz import run_fuzz
 
     config = _config_from(args)
-    store = store_for(config)
-    before = store.aggregate_counters() if store else None
     try:
         report = run_fuzz(
             args.gen_profile, seeds=args.seeds, seed_start=args.seed_start,
-            checks=_checks_from(args), jobs=args.jobs,
-            shrink=not args.no_shrink, config=config)
+            checks=_checks_from(args), shrink=not args.no_shrink,
+            config=config)
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"gen: {message}") from None
@@ -645,7 +627,7 @@ def cmd_gen(args) -> int:
         print(json.dumps(jsonout.gen_payload(report), indent=2))
     else:
         print(format_fuzz_summary(report))
-    _report_cache_counters(config, before)
+    _report_cache_counters(config)
     return 0 if report.ok else 1
 
 
@@ -670,7 +652,6 @@ def cmd_spm(args) -> int:
                                     energy=flow.energy_model,
                                     graph=flow.graph)
     print(format_spm_frontier({args.file: points}))
-    persist_store_counters(config)
     return 0
 
 
@@ -682,7 +663,7 @@ def cmd_cache(args) -> int:
         print(f"cleared {store.clear()} entries from {store.path}")
     else:  # stats
         entries = store.entry_stats()
-        counters = store.aggregate_counters()
+        counters = store.tally()
         print(f"artifact store: {store.path} (schema v{SCHEMA_VERSION})")
         print(f"{'namespace':<12} {'entries':>8} {'bytes':>12} "
               f"{'hits':>8} {'misses':>8} {'stored':>8}")
@@ -719,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="Tables I-III on mini-MiBench")
     p_suite.add_argument("names", nargs="*",
                          help="benchmark subset (default: the full suite)")
-    p_suite.add_argument("--jobs", type=int, default=None,
+    p_suite.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the suite "
                               "(0 = CPU count; default: serial)")
     p_suite.add_argument("--spm", action="store_true",
@@ -743,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         "static", help="compile-time FORAY model + differential oracle")
     p_static.add_argument("names", nargs="*",
                           help="workload subset (default: the full suite)")
-    p_static.add_argument("--jobs", type=int, default=None,
+    p_static.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the (workload x "
                                "scenario) matrix (0 = CPU count; "
                                "default: serial)")
@@ -780,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only these checks (repeatable; default: "
                             "parity, ir, lint, static, alloc, traffic, "
                             "transfer)")
-    p_gen.add_argument("--jobs", type=int, default=None,
+    p_gen.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the seed range "
                             "(0 = CPU count; default: serial)")
     p_gen.add_argument("--no-shrink", action="store_true",
@@ -797,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-input validation over the scenario matrix")
     p_validate.add_argument("names", nargs="*",
                             help="workload subset (default: the full suite)")
-    p_validate.add_argument("--jobs", type=int, default=None,
+    p_validate.add_argument("--jobs", type=int, default=1,
                             help="worker processes for the (workload x "
                                  "scenario) matrix (0 = CPU count; "
                                  "default: serial)")
@@ -811,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hier", help="cache co-simulation: pure cache vs SPM+cache")
     p_hier.add_argument("names", nargs="*",
                         help="workload subset (default: the full suite)")
-    p_hier.add_argument("--jobs", type=int, default=None,
+    p_hier.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the (workload x "
                              "scenario x cache-config) matrix "
                              "(0 = CPU count; default: serial)")
@@ -856,8 +837,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its disk-cache counters start at zero and are
+    added to each open store's tally when it ends, however it ends."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    reset_store_counters()
+    try:
+        return args.func(args)
+    finally:
+        record_store_counters()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -56,6 +56,7 @@ config change.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from repro.gen.build import GenProgram, build_ir, gen_name
@@ -249,11 +250,6 @@ class _GlobalTrafficCounter:
     def emit_columns(self, block: ColumnBlock) -> None:
         self.count += sum(GLOBAL_BASE <= addr < HEAP_BASE
                           for addr in block.lists()[1])
-
-    def emit(self, record) -> None:  # pragma: no cover - block protocol
-        addr = getattr(record, "addr", None)
-        if addr is not None and GLOBAL_BASE <= addr < HEAP_BASE:
-            self.count += 1
 
 
 def _check_parity(ctx: _CheckContext) -> CheckOutcome:
@@ -529,30 +525,25 @@ def _fuzz_rendered(
         shrunk_source=shrunk_source, shrunk_lines=shrunk_lines)
 
 
-def _fuzz_worker(args) -> ProgramOutcome:
-    return fuzz_program(*args)
-
-
 def run_fuzz(
     profile_name: str = "small",
     seeds: int = 100,
     seed_start: int = 0,
     checks: tuple[str, ...] = FUZZ_CHECKS,
-    jobs: int | None = None,
     shrink: bool = True,
     config: PipelineConfig | None = None,
 ) -> FuzzReport:
     """Fuzz ``seeds`` consecutive programs of one profile.
 
-    ``jobs`` fans programs out over worker processes through the same
-    machinery ``run_suite`` uses (0 = CPU count, None = ``config.jobs``).
+    Programs fan out over ``config.jobs`` worker processes through the
+    same machinery ``run_suite`` uses.
     """
     config = config or PipelineConfig()
     get_profile(profile_name)  # helpful error before any work
-    if jobs is None:
-        jobs = config.jobs
-    tasks = [(profile_name, seed, tuple(checks), shrink, config)
-             for seed in range(seed_start, seed_start + seeds)]
-    outcomes = _fan_out(tasks, _fuzz_worker, jobs)
+    outcomes = _fan_out(
+        [functools.partial(fuzz_program, profile_name, seed, tuple(checks),
+                           shrink, config)
+         for seed in range(seed_start, seed_start + seeds)],
+        config.jobs)
     return FuzzReport(profile=profile_name, checks=tuple(checks),
                       outcomes=outcomes)

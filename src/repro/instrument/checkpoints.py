@@ -6,7 +6,9 @@ checkpoints:
 * *loop-begin*, executed once just before the loop statement;
 * *body-begin*, executed at the top of every iteration;
 * *body-end*, executed whenever the body is exited — normally, via
-  ``break``/``continue``, or by a ``return`` unwinding through the loop.
+  ``break``/``continue``, or by a ``return`` or ``exit()`` unwinding
+  through the loop. A fault (a runtime error, an exhausted step or
+  call-depth budget) ends the run without it, on both engine tiers.
   A naive source-level ``CHECKPOINT();`` as the last body statement would
   be skipped by abnormal exits and leave the checkpoint stream
   ill-nested, confusing Algorithm 2's stack discipline; placing it in a

@@ -30,7 +30,7 @@ The entry points are plain compositions of nodes:
 * :func:`run_workload` — Tables I–III and the static baseline for one
   workload, read off its compile and extraction nodes.
 * :func:`run_suite` — the full mini-MiBench evaluation (Tables I–III),
-  optionally fanned out over worker processes with ``jobs=N``.
+  fanned out over ``PipelineConfig.jobs`` worker processes.
 * :func:`full_flow` — the report plus the Phase II allocation, the
   transformed model and, when configured, the sweep, the validation and
   the hierarchy cells.
@@ -187,6 +187,7 @@ class PipelineConfig:
     """Cross-cutting knobs for the pipeline."""
 
     engine: str = DEFAULT_ENGINE
+    #: Worker processes of every fan-out (0 = the CPU count).
     jobs: int = 1
     cache: bool = True
     #: Root of the disk-backed artifact store (under the in-process
@@ -310,9 +311,16 @@ def clear_caches() -> None:
 
 
 #: One ArtifactStore instance per cache directory, shared by every
-#: pipeline run in this process (fork-spawned workers inherit it; the
-#: store resets its counters in the child).
+#: pipeline run in this process; its counters take in what fan-out
+#: workers count (see :func:`_fan_out`).
 _stores: dict[str, ArtifactStore] = {}
+
+
+def _store_at(root: str) -> ArtifactStore:
+    store = _stores.get(root)
+    if store is None:
+        store = _stores[root] = ArtifactStore(root)
+    return store
 
 
 def store_for(config: PipelineConfig) -> ArtifactStore | None:
@@ -320,17 +328,20 @@ def store_for(config: PipelineConfig) -> ArtifactStore | None:
     (``cache=False`` turns the disk tier off for every namespace)."""
     if not config.cache or not config.cache_dir:
         return None
-    store = _stores.get(config.cache_dir)
-    if store is None:
-        store = _stores[config.cache_dir] = ArtifactStore(config.cache_dir)
-    return store
+    return _store_at(config.cache_dir)
 
 
-def persist_store_counters(config: PipelineConfig) -> None:
-    """Publish this process's disk-cache counters (no-op without a store)."""
-    store = store_for(config)
-    if store is not None:
-        store.persist_counters()
+def reset_store_counters() -> None:
+    """Zero every open store's counters, so that ``session_counters()``
+    counts from here on."""
+    for store in _stores.values():
+        store.take_counters()
+
+
+def record_store_counters() -> None:
+    """Add every open store's counters to its tally file."""
+    for store in _stores.values():
+        store.record_counters()
 
 
 #: The :class:`PipelineConfig` fields that decide how a run is carried
@@ -669,34 +680,30 @@ def run_workload(
     return WorkloadReport(name, extraction, census, table2, table3)
 
 
-def _suite_worker(args: tuple[str, str, PipelineConfig]) -> WorkloadReport:
-    name, source, config = args
-    return run_workload(name, source, config=config)
+def _counted(call: Callable) -> tuple:
+    """Run one fan-out call in a pool process: its result, with what
+    each store counted during it (what the process inherited or counted
+    for an earlier call is dropped first)."""
+    reset_store_counters()
+    result = call()
+    return result, {root: store.take_counters()
+                    for root, store in _stores.items()}
 
 
-def _publishing(worker: Callable, task):
-    """Run one fan-out task in a pool process, then publish every open
-    store's disk-cache counters: pool processes exit via ``os._exit``
-    (no atexit), so a tally not flushed per task would be lost."""
-    result = worker(task)
-    for store in _stores.values():
-        store.persist_counters()
-    return result
-
-
-def _fan_out(tasks: list, worker: Callable, jobs: int) -> list:
-    """Run ``worker`` over ``tasks``, optionally in worker processes.
+def _fan_out(calls: list[Callable], jobs: int) -> list:
+    """Run zero-argument ``calls``, in up to ``jobs`` worker processes.
 
     The one fan-out machinery behind every matrix: ``jobs=0`` uses the
-    CPU count, the pool is capped at the task count, and results come
-    back in task order. Pool processes publish their disk-cache counters
-    after every task, so the parent's ``cache[...]`` report counts them.
+    CPU count, the pool is capped at the call count, and results come
+    back in call order. A pool process returns each result with its
+    stores' counters, which are added to this process's stores, so
+    ``session_counters()`` counts the run whether or not it fanned out.
     """
     if jobs == 0:
         jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(tasks)))
+    jobs = max(1, min(jobs, len(calls)))
     if jobs == 1:
-        return [worker(task) for task in tasks]
+        return [call() for call in calls]
 
     import multiprocessing
 
@@ -704,34 +711,34 @@ def _fan_out(tasks: list, worker: Callable, jobs: int) -> list:
         mp_context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         mp_context = multiprocessing.get_context()
+    results = []
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=mp_context) as executor:
-        return list(executor.map(functools.partial(_publishing, worker),
-                                 tasks))
+        for result, counters in executor.map(_counted, calls):
+            for root, counts in counters.items():
+                _store_at(root).add_counters(counts)
+            results.append(result)
+    return results
 
 
 def run_suite(
     names: tuple[str, ...] | None = None,
     filter_config: FilterConfig | None = None,
-    jobs: int | None = None,
     config: PipelineConfig | None = None,
 ) -> list[WorkloadReport]:
     """Run the full mini-MiBench suite (the paper's six plus mpeg2).
 
-    ``jobs > 1`` fans the workloads out over that many worker processes
-    (``jobs=0`` uses the CPU count); results come back in suite order
-    either way. ``jobs=None`` (the default) defers to ``config.jobs``;
-    an explicit argument — including ``jobs=1`` to force a serial run —
-    always wins over the config.
+    ``config.jobs > 1`` fans the workloads out over that many worker
+    processes (``0`` uses the CPU count); results come back in suite
+    order either way.
     """
     from repro.workloads.registry import get_workload, workload_names
 
     merged = _merge_config(config, filter_config)
-    if jobs is None:
-        jobs = merged.jobs
     selected = [get_workload(name) for name in (names or workload_names())]
-    tasks = [(w.name, w.source, merged) for w in selected]
-    return _fan_out(tasks, _suite_worker, jobs)
+    return _fan_out([functools.partial(run_workload, w.name, w.source,
+                                       config=merged) for w in selected],
+                    merged.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -775,54 +782,40 @@ def static_workload(
     return StaticReport(name, scenario, static, oracle)
 
 
-def _resolve_cell(
-    name: str, scenario_name: str | None, config: PipelineConfig
-) -> tuple[str, PipelineConfig, str]:
-    """(source, run config, label) of one (workload x scenario) cell.
-    ``None`` stands for the nominal source of a workload with no
-    scenario matrix, labelled ``"-"``."""
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(name)
+def _cell_call(produce: Callable, workload, scenario_name: str | None,
+               config: PipelineConfig, *args) -> Callable:
+    """``produce(name, source, config, *args, scenario=label)`` for one
+    (workload x scenario) cell, ready to fan out. ``None`` stands for the
+    nominal source of a workload with no scenario matrix, labelled
+    ``"-"``."""
     if scenario_name is None:
-        return workload.source, config, "-"
-    scenario = workload.scenario(scenario_name)
-    return (workload.source_for(scenario), _scenario_config(config, scenario),
-            scenario.name)
-
-
-def _static_cell_worker(
-    args: tuple[str, str | None, PipelineConfig]
-) -> StaticReport:
-    """One (workload x scenario) oracle cell, fan-out ready."""
-    name, scenario_name, config = args
-    source, cell_config, label = _resolve_cell(name, scenario_name, config)
-    return static_workload(name, source, config=cell_config, scenario=label)
+        source, label = workload.source, "-"
+    else:
+        scenario = workload.scenario(scenario_name)
+        source, label = workload.source_for(scenario), scenario.name
+        config = _scenario_config(config, scenario)
+    return functools.partial(produce, workload.name, source, config, *args,
+                             scenario=label)
 
 
 def static_suite(
     names: tuple[str, ...] | None = None,
-    jobs: int | None = None,
     config: PipelineConfig | None = None,
 ) -> list[StaticReport]:
     """The full static matrix: every (workload x scenario) cell runs the
     compile-time analyzer against the dynamic extraction and diffs the
-    two models. Cells fan out over the shared worker-process machinery;
+    two models. Cells fan out over ``config.jobs`` worker processes;
     results come back in matrix order (workloads in suite order, then
     scenarios)."""
     from repro.workloads.registry import get_workload, workload_names
 
     config = config or PipelineConfig()
-    if jobs is None:
-        jobs = config.jobs
-    tasks: list[tuple[str, str | None, PipelineConfig]] = []
-    for workload in (get_workload(n) for n in (names or workload_names())):
-        if workload.scenarios:
-            tasks.extend((workload.name, scenario_name, config)
-                         for scenario_name in workload.scenario_names())
-        else:
-            tasks.append((workload.name, None, config))
-    return _fan_out(tasks, _static_cell_worker, jobs)
+    calls = [
+        _cell_call(static_workload, workload, scenario_name, config)
+        for workload in (get_workload(n) for n in (names or workload_names()))
+        for scenario_name in workload.scenario_names() or (None,)
+    ]
+    return _fan_out(calls, config.jobs)
 
 
 @dataclass(frozen=True)
@@ -1055,26 +1048,10 @@ def _validate_against(workload, scenarios: list, model: ForayModel,
                                 cells)
 
 
-def _profile_worker(args: tuple[str, str, PipelineConfig]) -> ForayModel:
-    """One workload's profile extraction, fan-out ready."""
-    name, profile_name, config = args
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(name)
-    return _profile_extraction(workload, workload.scenario(profile_name),
-                               config).model
-
-
-def _validation_cell_worker(
-    args: tuple[str, str, str, PipelineConfig, ForayModel]
-) -> ScenarioValidation:
-    """One matrix cell, fan-out ready: the task carries its model."""
-    name, profile_name, scenario_name, config, model = args
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(name)
-    return _validation_cell(workload, workload.scenario(profile_name),
-                            workload.scenario(scenario_name), model, config)
+def _profile_model(workload, profile, config: PipelineConfig) -> ForayModel:
+    """The model of the extraction on ``profile``: all that a pool
+    process ships back of it (the cells need nothing else)."""
+    return _profile_extraction(workload, profile, config).model
 
 
 def _assemble_validation(
@@ -1115,38 +1092,33 @@ def validate_workload(
 
 def validate_suite(
     names: tuple[str, ...] | None = None,
-    jobs: int | None = None,
     config: PipelineConfig | None = None,
 ) -> list[WorkloadValidation]:
     """The full scenario matrix: every (workload x scenario) cell.
 
-    Two fan-outs over the same worker-process machinery ``run_suite``
-    uses: first one profile extraction per workload, then the replay
-    cells, each task carrying its workload's model. Cells — not
-    workloads — are the unit of the second, so ``jobs=N`` load-balances
-    the ~3x-larger matrix. Results come back grouped per workload, in
-    suite order. Like ``run_suite``, ``jobs=None`` defers to
-    ``config.jobs`` and an explicit argument (``jobs=1`` included)
-    always wins.
+    Two fan-outs over ``config.jobs`` worker processes, the machinery
+    ``run_suite`` uses: first one profile extraction per workload, then
+    the replay cells, each call carrying its workload's model. Cells —
+    not workloads — are the unit of the second, so the pool
+    load-balances the ~3x-larger matrix. Results come back grouped per
+    workload, in suite order.
     """
     from repro.workloads.registry import get_workload, workload_names
 
     config = config or PipelineConfig()
-    if jobs is None:
-        jobs = config.jobs
     selected = [get_workload(n) for n in (names or workload_names())]
     plans = [(workload, _select_scenarios(workload, config.validation))
              for workload in selected]
     models = _fan_out(
-        [(workload.name, scenarios[0].name, config)
+        [functools.partial(_profile_model, workload, scenarios[0], config)
          for workload, scenarios in plans],
-        _profile_worker, jobs)
-    tasks = [
-        (workload.name, scenarios[0].name, scenario.name, config, model)
-        for (workload, scenarios), model in zip(plans, models)
-        for scenario in scenarios
-    ]
-    cells = _fan_out(tasks, _validation_cell_worker, jobs)
+        config.jobs)
+    cells = _fan_out(
+        [functools.partial(_validation_cell, workload, scenarios[0],
+                           scenario, model, config)
+         for (workload, scenarios), model in zip(plans, models)
+         for scenario in scenarios],
+        config.jobs)
 
     results: list[WorkloadValidation] = []
     offset = 0
@@ -1270,52 +1242,30 @@ def _hier_scenarios(workload, hierarchy: HierarchyConfig) -> list[str | None]:
     return list(workload.scenario_names()[:count])
 
 
-def _hier_cell_worker(
-    args: tuple[str, str | None, tuple[CacheConfig, ...], PipelineConfig]
-) -> tuple[HierarchyReport, ...]:
-    """One (workload x scenario) simulation group, fan-out ready.
-
-    All swept cache configurations of the group ride a single engine
-    run (see :func:`hierarchy_for_configs`), so grouping by scenario —
-    not by individual config — is what keeps a sweep from re-simulating
-    the same trace once per configuration.
-    """
-    name, scenario_name, cache_configs, config = args
-    source, cell_config, label = _resolve_cell(name, scenario_name, config)
-    return hierarchy_for_configs(name, source, cell_config, cache_configs,
-                                 scenario=label)
-
-
 def hier_suite(
     names: tuple[str, ...] | None = None,
-    jobs: int | None = None,
     config: PipelineConfig | None = None,
 ) -> list[HierarchyReport]:
     """The full hierarchy matrix: (workload x scenario x cache-config).
 
-    (workload x scenario) groups are the unit of fan-out — ``jobs=N``
-    load-balances them over the same worker-process machinery
-    ``run_suite`` and ``validate_suite`` use, each group's cache-config
-    sweep shares one engine run, and every finished cell is served from
-    the hierarchy artifact store when warm (a repeat matrix performs
-    zero simulations). Results come back flattened in matrix order:
-    workloads in suite order, then scenarios, then cache configs.
-    ``jobs=None`` defers to ``config.jobs``; an explicit argument
-    (``jobs=1`` included) wins.
+    (workload x scenario) groups are the unit of fan-out over
+    ``config.jobs`` worker processes, the machinery ``run_suite`` and
+    ``validate_suite`` use. All swept cache configurations of a group
+    ride one engine run (see :func:`hierarchy_for_configs`), so a sweep
+    never re-simulates a trace per configuration, and every finished
+    cell is served from the hierarchy artifact store when warm (a repeat
+    matrix performs zero simulations). Results come back flattened in
+    matrix order: workloads in suite order, then scenarios, then cache
+    configs.
     """
     from repro.workloads.registry import get_workload, workload_names
 
     config = config or PipelineConfig()
-    if jobs is None:
-        jobs = config.jobs
     configs = config.hierarchy.configs()
-    tasks: list[
-        tuple[str, str | None, tuple[CacheConfig, ...], PipelineConfig]
-    ] = []
-    for workload in (get_workload(n) for n in (names or workload_names())):
-        tasks.extend(
-            (workload.name, scenario_name, configs, config)
-            for scenario_name in _hier_scenarios(workload, config.hierarchy)
-        )
-    groups = _fan_out(tasks, _hier_cell_worker, jobs)
+    groups = _fan_out([
+        _cell_call(hierarchy_for_configs, workload, scenario_name, config,
+                   configs)
+        for workload in (get_workload(n) for n in (names or workload_names()))
+        for scenario_name in _hier_scenarios(workload, config.hierarchy)
+    ], config.jobs)
     return [report for group in groups for report in group]

@@ -589,7 +589,7 @@ class _FunctionCompiler:
         value = self.compile_expr(stmt.expr) if stmt.expr is not None else None
         # A return unwinds through every enclosing loop body; the cleanup
         # body-end checkpoints fire innermost-first, after the return value
-        # has been evaluated (matching the tree-walker's finally blocks).
+        # has been evaluated (matching the tree-walker's order).
         for ctx in reversed(self.loop_stack):
             if ctx.instrumented:
                 self.emit(OP_CKPT, ctx.body_end_id, BODY_END_CODE)
@@ -1242,8 +1242,8 @@ class BytecodeVM:
     ) -> None:
         """Replay one frame's pending body-end checkpoints, innermost
         first. The specialized drivers call this per frame as ``exit()``
-        unwinds the simulated call stack, which replays the tree-walker's
-        ``finally`` blocks in the same order."""
+        unwinds the simulated call stack, in the order the tree-walker
+        emits them on ``exit()``."""
         trace = self._trace
         if not trace.tracing:
             return

@@ -347,30 +347,44 @@ class Interpreter:
         elif stmt.else_stmt is not None:
             self._exec_stmt(stmt.else_stmt)
 
+    def _exec_body(self, stmt: ast.For | ast.While | ast.DoWhile) -> bool:
+        """One iteration of a loop's body, between its body-begin and
+        body-end checkpoints; ``False`` when a ``break`` left it.
+
+        The body-end fires on every exit the program takes — the end of
+        the body, ``break``, ``continue``, ``return`` and ``exit()`` — so
+        the checkpoint stream stays well-nested (see the note in
+        repro/instrument/checkpoints.py). A fault (a runtime error or an
+        exhausted step or call-depth budget) unwinds without it, as on
+        the fast path.
+        """
+        self._bump_steps()
+        instrumented = stmt.is_instrumented
+        if instrumented:
+            self._emit_checkpoint(stmt.body_begin_id, BODY_BEGIN_CODE)
+        completed = True
+        try:
+            self._exec_stmt(stmt.body)
+        except _BreakSignal:
+            completed = False
+        except _ContinueSignal:
+            pass
+        except (_ReturnSignal, ExitSignal):
+            if instrumented:
+                self._emit_checkpoint(stmt.body_end_id, BODY_END_CODE)
+            raise
+        if instrumented:
+            self._emit_checkpoint(stmt.body_end_id, BODY_END_CODE)
+        return completed
+
     def _exec_for(self, stmt: ast.For) -> None:
         if stmt.is_instrumented:
             self._emit_checkpoint(stmt.begin_id, LOOP_BEGIN_CODE)
         if stmt.init is not None:
             self._exec_stmt(stmt.init)
         while stmt.cond is None or self._truthy(self._eval(stmt.cond)):
-            self._bump_steps()
-            if stmt.is_instrumented:
-                self._emit_checkpoint(stmt.body_begin_id, BODY_BEGIN_CODE)
-            try:
-                # The body-end checkpoint sits in a cleanup position so it
-                # fires on every body exit (normal, break, continue,
-                # return) and the checkpoint stream stays well-nested —
-                # see the note in repro/instrument/checkpoints.py.
-                try:
-                    self._exec_stmt(stmt.body)
-                finally:
-                    if stmt.is_instrumented:
-                        self._emit_checkpoint(stmt.body_end_id,
-                                              BODY_END_CODE)
-            except _BreakSignal:
+            if not self._exec_body(stmt):
                 return
-            except _ContinueSignal:
-                pass
             if stmt.step is not None:
                 self._eval(stmt.step)
 
@@ -378,41 +392,14 @@ class Interpreter:
         if stmt.is_instrumented:
             self._emit_checkpoint(stmt.begin_id, LOOP_BEGIN_CODE)
         while self._truthy(self._eval(stmt.cond)):
-            self._bump_steps()
-            if stmt.is_instrumented:
-                self._emit_checkpoint(stmt.body_begin_id, BODY_BEGIN_CODE)
-            try:
-                try:
-                    self._exec_stmt(stmt.body)
-                finally:
-                    if stmt.is_instrumented:
-                        self._emit_checkpoint(stmt.body_end_id,
-                                              BODY_END_CODE)
-            except _BreakSignal:
+            if not self._exec_body(stmt):
                 return
-            except _ContinueSignal:
-                continue
 
     def _exec_do_while(self, stmt: ast.DoWhile) -> None:
         if stmt.is_instrumented:
             self._emit_checkpoint(stmt.begin_id, LOOP_BEGIN_CODE)
-        while True:
-            self._bump_steps()
-            if stmt.is_instrumented:
-                self._emit_checkpoint(stmt.body_begin_id, BODY_BEGIN_CODE)
-            try:
-                try:
-                    self._exec_stmt(stmt.body)
-                finally:
-                    if stmt.is_instrumented:
-                        self._emit_checkpoint(stmt.body_end_id,
-                                              BODY_END_CODE)
-            except _BreakSignal:
-                return
-            except _ContinueSignal:
-                pass
-            if not self._truthy(self._eval(stmt.cond)):
-                return
+        while self._exec_body(stmt) and self._truthy(self._eval(stmt.cond)):
+            pass
 
     def _exec_return(self, stmt: ast.Return) -> None:
         value = self._eval(stmt.expr) if stmt.expr is not None else None

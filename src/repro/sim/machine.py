@@ -131,18 +131,13 @@ class RunResult:
     :class:`~repro.sim.bytecode.BytecodeVM`); both expose ``memory``,
     ``stdout`` and ``stats``. It is ``None`` in results the pipeline
     hands out, which keep no engine: callers that need the final memory
-    call :func:`run_compiled` themselves. The legacy ``interpreter``
-    alias is kept for existing callers.
+    call :func:`run_compiled` themselves.
     """
 
     exit_code: int
     stdout: str
     stats: RunStats
     machine: object | None
-
-    @property
-    def interpreter(self) -> object:
-        return self.machine
 
 
 def compile_program(source: str, annotate: bool = True,

@@ -6,7 +6,7 @@ the capacity/energy trade-off that motivates scratch-pads in the first
 place. :func:`pareto_frontier` reduces a sweep to its Pareto-optimal
 points (no smaller capacity achieves the same saving), and
 :func:`sweep_suite` fans the sweep out across whole workload suites with
-the pipeline's multiprocess ``run_suite(jobs=N)`` machinery.
+the pipeline's multiprocess ``run_suite`` machinery.
 """
 
 from __future__ import annotations
@@ -99,15 +99,13 @@ def sweep_suite(
     capacities: tuple[int, ...] = DEFAULT_CAPACITIES,
     policy: AllocatorPolicy | str = AllocatorPolicy.DP,
     energy: EnergyModel | None = None,
-    jobs: int | None = None,
     config=None,
 ) -> dict[str, tuple[ExplorationPoint, ...]]:
     """Capacity sweep over a workload suite.
 
-    Workload profiling (the expensive step) is fanned out over ``jobs``
-    worker processes through the pipeline's ``run_suite`` machinery
-    (``jobs=None`` defers to ``config.jobs``; an explicit ``jobs=1``
-    forces a serial run); each per-workload sweep is the pipeline's
+    Workload profiling (the expensive step) is fanned out over
+    ``config.jobs`` worker processes through the pipeline's
+    ``run_suite`` machinery; each per-workload sweep is the pipeline's
     exploration node (``energy=None`` uses ``config.spm.energy``). With
     ``config.cache_dir`` set, both the profiles and the sweeps persist
     in the disk artifact store, so re-running a sweep — from this or
@@ -117,7 +115,7 @@ def sweep_suite(
     from repro import pipeline  # local import: pipeline imports this module
 
     merged = config or pipeline.PipelineConfig()
-    reports = pipeline.run_suite(names, jobs=jobs, config=merged)
+    reports = pipeline.run_suite(names, config=merged)
     return {
         report.name: pipeline.cached_exploration(
             report.extraction.compiled.source, merged, report.model,

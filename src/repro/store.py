@@ -24,13 +24,13 @@ Design constraints (concurrent workers share one directory):
   compiler/extractor (no stale tables after an upgrade) and checkouts at
   different versions sharing one cache directory occupy disjoint
   subtrees instead of thrashing each other's entries.
-* **Race-free statistics** — each process tallies its own hit/miss/store
-  counters and persists them to a private ``stats/<pid>-<token>.json``
-  file (cumulative per process, atomically replaced), so concurrent
-  workers never contend on a shared counter file.
-  :meth:`ArtifactStore.aggregate_counters` sums the tallies; when the
-  tally files pile up they are compacted (under an exclusive lock) into
-  a single rolled-up file, so growth is bounded.
+* **Statistics** — each store object counts its own hits, misses and
+  stores. A ``_fan_out`` pool process hands back what it counted with
+  each result and the parent adds it to its own store object, so a
+  command's counters are exact with or without workers. Each CLI
+  invocation adds its counts once to the root's one tally file, under
+  an exclusive :func:`fcntl.flock` that the OS releases if the process
+  dies; ``repro cache stats`` reads it.
 
 Layout::
 
@@ -39,7 +39,7 @@ Layout::
         compile/<k[:2]>/<key>.art    entries, one file per content key
         extraction/...  exploration/...  validation/...  hierarchy/...
         fuzz/...
-      stats/<pid>-<token>.json       per-process counter tallies
+      tally.json                     counts of every recorded invocation
 
 What an entry holds is up to its producer; two pickle part of
 themselves lazily through :class:`LazyFields`. A compile entry's program
@@ -65,8 +65,6 @@ import os
 import pickle
 import shutil
 import tempfile
-import time
-import weakref
 from pathlib import Path
 from typing import Any, Callable
 
@@ -81,11 +79,8 @@ NAMESPACES = ("compile", "extraction", "exploration", "validation",
 
 _MAGIC = b"RPROART\0"
 _ENTRY_SUFFIX = ".art"
-_STATS_DIR = "stats"
+_TALLY_FILE = "tally.json"
 _COUNTER_FIELDS = ("hits", "misses", "stores")
-#: Compact the per-process stats tallies once this many files pile up.
-_STATS_COMPACT_THRESHOLD = 256
-_STATS_LOCK_STALE_SECONDS = 300.0
 
 _CODE_FINGERPRINT: str | None = None
 
@@ -259,34 +254,31 @@ def _atomic_write(path: Path, blob: bytes) -> None:
         raise
 
 
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False  # pid 0 marks compacted tallies, never a process
+def _add_counts(into: dict[str, list[int]],
+                counters: dict[str, list[int]]) -> None:
+    """Add raw ``[hits, misses, stores]`` counts by namespace into
+    ``into``."""
+    for namespace, counts in counters.items():
+        total = into.setdefault(namespace, [0, 0, 0])
+        for slot, count in enumerate(counts):
+            total[slot] += count
+
+
+def _named(counters: dict[str, list[int]]) -> dict[str, dict[str, int]]:
+    """Raw counts as ``{namespace: {"hits": …, "misses": …, "stores": …}}``."""
+    return {namespace: dict(zip(_COUNTER_FIELDS, counts))
+            for namespace, counts in counters.items()}
+
+
+def _parse_tally(blob: bytes) -> dict[str, list[int]]:
+    """The tally file's raw totals; an empty, torn or foreign file counts
+    as no traffic (the store never fails a run)."""
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # EPERM etc.: exists but not ours
-    return True
-
-
-#: Live stores, so forked children can drop counters inherited from the
-#: parent (they would otherwise be double-counted when both processes
-#: persist their tallies).
-_LIVE_STORES: list = []
-
-
-def _reset_counters_after_fork() -> None:
-    for ref in _LIVE_STORES:
-        store = ref()
-        if store is not None:
-            store._counters = {}
-            store._token = None
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch
-    os.register_at_fork(after_in_child=_reset_counters_after_fork)
+        return {namespace: [int(fields.get(name, 0))
+                            for name in _COUNTER_FIELDS]
+                for namespace, fields in json.loads(blob).items()}
+    except (ValueError, TypeError, AttributeError):
+        return {}
 
 
 class ArtifactStore:
@@ -301,8 +293,6 @@ class ArtifactStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self._counters: dict[str, list[int]] = {}
-        self._token: str | None = None
-        _LIVE_STORES.append(weakref.ref(self))
 
     @property
     def path(self) -> Path:
@@ -374,112 +364,54 @@ class ArtifactStore:
     # -- statistics ---------------------------------------------------
 
     def session_counters(self) -> dict[str, dict[str, int]]:
-        """This process's (unpersisted) counters by namespace."""
-        return {
-            namespace: dict(zip(_COUNTER_FIELDS, counts))
-            for namespace, counts in self._counters.items()
-        }
+        """The counts made through this object since it was opened or
+        last zeroed, pool processes' included, by namespace."""
+        return _named(self._counters)
 
-    def persist_counters(self) -> None:
-        """Publish this process's cumulative counters to its private
-        stats file (atomic replace; no cross-process contention)."""
+    def take_counters(self) -> dict[str, list[int]]:
+        """This object's raw counts, zeroing them."""
+        counters, self._counters = self._counters, {}
+        return counters
+
+    def add_counters(self, counters: dict[str, list[int]]) -> None:
+        """Add raw counts made elsewhere (a pool process's
+        :meth:`take_counters`) to this object's."""
+        _add_counts(self._counters, counters)
+
+    def record_counters(self) -> None:
+        """Add this object's counts to the tally file, once per
+        invocation: read, add and rewrite it in place under an exclusive
+        ``flock``, which serializes concurrent invocations and which the
+        OS releases if the process dies."""
         if not self._counters:
             return
-        if self._token is None:
-            self._token = os.urandom(4).hex()
-        stats_dir = self.root / _STATS_DIR
+        import fcntl
+
         try:
             self._ensure_root()
-            stats_dir.mkdir(parents=True, exist_ok=True)
-            blob = json.dumps(self.session_counters()).encode()
-            _atomic_write(stats_dir / f"{os.getpid()}-{self._token}.json",
-                          blob)
-        except OSError:
-            return
-        self._maybe_compact_stats(stats_dir)
-
-    def _maybe_compact_stats(self, stats_dir: Path) -> None:
-        """Roll dead processes' tally files into one, so the stats
-        directory stays bounded however many invocations the store has
-        served. Guarded by an exclusive lock file (stale locks expire)
-        and restricted to dead-pid files: a live process would rewrite
-        its cumulative tally after the merge and be double-counted.
-        """
-        try:
-            if (len(list(stats_dir.glob("*.json")))
-                    <= _STATS_COMPACT_THRESHOLD):
-                return
-        except OSError:
-            return
-        lock = stats_dir / ".compact.lock"
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                if (time.time() - lock.stat().st_mtime
-                        < _STATS_LOCK_STALE_SECONDS):
-                    return  # someone else is compacting
-                lock.unlink()
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except OSError:
-                return
-        except OSError:
-            return
-        os.close(fd)
-        try:
-            merged: dict[str, dict[str, int]] = {}
-            victims: list[Path] = []
-            for path in stats_dir.glob("*.json"):
-                try:
-                    pid = int(path.name.split("-", 1)[0])
-                except ValueError:
-                    continue
-                if _pid_alive(pid):
-                    continue
-                try:
-                    data = json.loads(path.read_text())
-                except (OSError, ValueError):
-                    victims.append(path)  # unreadable: just drop it
-                    continue
-                for namespace, fields in data.items():
-                    bucket = merged.setdefault(
-                        namespace, {name: 0 for name in _COUNTER_FIELDS}
-                    )
-                    for name in _COUNTER_FIELDS:
-                        bucket[name] += int(fields.get(name, 0))
-                victims.append(path)
-            if merged:
-                _atomic_write(stats_dir / f"0-{os.urandom(4).hex()}.json",
-                              json.dumps(merged).encode())
-            for path in victims:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            fd = os.open(self.root / _TALLY_FILE, os.O_RDWR | os.O_CREAT,
+                         0o600)
+            with open(fd, "r+b") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)
+                totals = _parse_tally(handle.read())
+                _add_counts(totals, self._counters)
+                handle.seek(0)
+                handle.write(json.dumps(_named(totals)).encode())
+                handle.truncate()
         except OSError:
             pass
-        finally:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
 
-    def aggregate_counters(self) -> dict[str, dict[str, int]]:
-        """Summed hit/miss/store counters across every process that has
-        persisted a tally since the store was last cleared."""
-        totals: dict[str, dict[str, int]] = {}
-        for path in sorted((self.root / _STATS_DIR).glob("*.json")):
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            for namespace, fields in data.items():
-                bucket = totals.setdefault(
-                    namespace, {name: 0 for name in _COUNTER_FIELDS}
-                )
-                for name in _COUNTER_FIELDS:
-                    bucket[name] += int(fields.get(name, 0))
-        return totals
+    def tally(self) -> dict[str, dict[str, int]]:
+        """Hit/miss/store totals by namespace over every invocation
+        recorded since the store was last cleared."""
+        import fcntl
+
+        try:
+            with open(self.root / _TALLY_FILE, "rb") as handle:
+                fcntl.flock(handle, fcntl.LOCK_SH)
+                return _named(_parse_tally(handle.read()))
+        except OSError:
+            return {}
 
     def entry_stats(self) -> dict[str, tuple[int, int]]:
         """``{namespace: (entry_count, total_bytes)}`` for this code
@@ -499,11 +431,11 @@ class ArtifactStore:
 
     def clear(self) -> int:
         """Remove every entry — all code versions' subtrees — and the
-        stats tallies; returns how many entries were removed.
+        tally; returns how many entries were removed.
 
-        Only store-owned content (``v*-*`` version trees and the stats
-        directory) is touched: pointing ``--cache-dir`` at a directory
-        that also holds other files must never delete them.
+        Only store-owned content (``v*-*`` version trees and the tally
+        file) is touched: pointing ``--cache-dir`` at a directory that
+        also holds other files must never delete them.
         """
         removed = 0
         for tree in self.root.glob("v*-*"):
@@ -513,7 +445,10 @@ class ArtifactStore:
                 1 for _ in tree.glob(f"*/*/*{_ENTRY_SUFFIX}")
             )
             shutil.rmtree(tree, ignore_errors=True)
-        shutil.rmtree(self.root / _STATS_DIR, ignore_errors=True)
+        try:
+            (self.root / _TALLY_FILE).unlink()
+        except OSError:
+            pass
         try:
             self.root.rmdir()  # only when nothing else lives there
         except OSError:

@@ -3,6 +3,8 @@ store-backed warm reruns."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.gen.fuzz as fuzz
@@ -95,8 +97,9 @@ class TestOneProfilingRun:
 
     def test_parallel_matches_serial(self):
         config = PipelineConfig(cache=False)
-        serial = run_fuzz("small", seeds=3, jobs=1, config=config)
-        parallel = run_fuzz("small", seeds=3, jobs=2, config=config)
+        serial = run_fuzz("small", seeds=3, config=config)
+        parallel = run_fuzz("small", seeds=3,
+                            config=replace(config, jobs=2))
         assert parallel.outcomes == serial.outcomes
 
 

@@ -181,7 +181,6 @@ class TestEngineSelection:
         compiled = compile_program("int main() { return 5; }")
         result = run_compiled(compiled)
         assert isinstance(result.machine, BytecodeVM)
-        assert result.interpreter is result.machine  # legacy alias
         assert result.exit_code == 5
 
     def test_globals_init_runs_untraced(self):

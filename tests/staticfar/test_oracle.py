@@ -8,6 +8,8 @@ cross-engine slice repeats the check against the AST interpreter so the
 oracle verdict is engine-independent.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.pipeline import PipelineConfig, static_suite, static_workload
@@ -100,8 +102,8 @@ class TestFullMatrix:
 class TestFanOut:
     def test_parallel_matches_serial(self):
         config = PipelineConfig(cache=False)
-        serial = static_suite(("adpcm",), jobs=1, config=config)
-        parallel = static_suite(("adpcm",), jobs=2, config=config)
+        serial = static_suite(("adpcm",), config=config)
+        parallel = static_suite(("adpcm",), config=replace(config, jobs=2))
         assert len(serial) == len(get_workload("adpcm").scenarios)
         assert parallel == serial
 

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.store import ArtifactStore
 
 DEMO = """
 int g[64];
@@ -14,6 +15,16 @@ int main() {
     return 0;
 }
 """
+
+
+#: The arguments each counting command runs with in- and outside a pool.
+POOL_RUNS = {
+    "suite": ["adpcm", "gsm"],
+    "validate": ["adpcm", "gsm"],
+    "hier": ["adpcm", "gsm"],
+    "static": ["fig9", "adpcm"],
+    "gen": ["--seeds", "3"],
+}
 
 
 def _no_simulation(*_args, **_kwargs):
@@ -186,17 +197,53 @@ class TestCache:
         assert ("cache[extraction]: 1 hits, 0 misses, 0 stored"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command", ["validate", "suite"])
+    @pytest.mark.parametrize("command", sorted(POOL_RUNS))
     def test_pool_processes_report_their_counters(self, command, tmp_path,
                                                   capsys):
-        # One extraction per workload, counted although pool processes
-        # ran them: validation extracts each profile model once and
-        # hands it to every replay cell.
-        cache_dir = str(tmp_path / "store")
-        assert main([command, "adpcm", "gsm", "--jobs", "2",
-                     "--cache-dir", cache_dir]) == 0
-        assert ("cache[extraction]: 0 hits, 2 misses, 2 stored"
-                in capsys.readouterr().err)
+        # On a fresh store, a run whose cells ran in pool processes
+        # prints the counters a serial run prints: each pool process
+        # hands back what it counted with each result. The exception is
+        # validate's and static's compile line: their cells share
+        # sources across pool processes, and a pool process reads from
+        # disk (or, racing another, compiles again) a program that a
+        # serial run finds in its memory tier. The programs stored are
+        # the same either way.
+        from repro.pipeline import clear_caches
+
+        printed, entries = {}, {}
+        for jobs in ("1", "2"):
+            clear_caches()
+            cache_dir = str(tmp_path / jobs)
+            assert main([command, *POOL_RUNS[command], "--jobs", jobs,
+                         "--cache-dir", cache_dir]) == 0
+            printed[jobs] = [line for line in
+                             capsys.readouterr().err.splitlines()
+                             if line.startswith("cache[")]
+            entries[jobs] = {namespace: count for namespace, (count, _size)
+                             in ArtifactStore(cache_dir).entry_stats()
+                             .items()}
+        assert len(printed["1"]) == 6
+        if command in ("validate", "static"):
+            assert printed["1"][0].startswith("cache[compile]: 0 hits")
+            printed = {jobs: lines[1:] for jobs, lines in printed.items()}
+        assert printed["2"] == printed["1"]
+        assert entries["2"] == entries["1"]
+
+    def test_invocations_add_up_in_one_tally(self, tmp_path, capsys):
+        from repro.pipeline import clear_caches
+
+        cache_dir = tmp_path / "store"
+        for names in (["adpcm"], ["adpcm", "gsm"]):
+            clear_caches()
+            assert main(["suite", *names, "--jobs", "2", "--cache-dir",
+                         str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        # adpcm missed, then hit; gsm missed in a pool process.
+        assert re.search(r"extraction\s+2\s+\d+\s+1\s+2\s+2",
+                         capsys.readouterr().out)
+        assert [path.name for path in cache_dir.iterdir()
+                if path.is_file()] == ["tally.json"]
 
     def test_no_disk_cache_prints_no_counters(self, capsys):
         assert main(["suite", "adpcm", "--no-disk-cache"]) == 0

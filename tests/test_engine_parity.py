@@ -13,8 +13,9 @@ A hypothesis property extends the check to generated loop nests. The two
 execution tiers — the specialized fast path and the AST oracle — are
 also held to each other on selected programs, on values loop regions
 carry across nested loops, on a cross-page store stress, at the
-call-depth boundary, at every step budget of two programs and on global
-initializers, where a failing run must fail the same way on every tier.
+call-depth boundary, at every step budget of two programs, at a fault in
+each iteration of a nest and on global initializers, where a failing run
+must fail the same way on every tier, checkpoints included.
 """
 
 import re
@@ -39,6 +40,8 @@ from repro.sim.machine import (
 )
 from repro.sim.specialize import get_specialization
 from repro.sim.trace import (
+    BODY_BEGIN_CODE,
+    BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
     StreamRecorder,
     TraceCollector,
@@ -472,34 +475,94 @@ int main(void) {
 """
 
 
+def _run_ending(compiled, program, tier: str, max_steps: int) -> tuple:
+    """How a run ends on ``tier``: its fault or exit code, stdout, step,
+    call, access and checkpoint counts, access stream and checkpoint
+    stream rebased onto it (the engine is built directly so that its
+    stats stay readable after a fault)."""
+    recorder = StreamRecorder()
+    options = dict(sinks=(recorder,), max_steps=max_steps)
+    machine = (Interpreter(compiled.program, **options)
+               if TIERS[tier].engine == "ast"
+               else BytecodeVM(program, **options))
+    outcome: object
+    try:
+        outcome = machine.run()
+    except MiniCRuntimeError as error:
+        outcome = (type(error).__name__, str(error))
+    stats = machine.stats
+    return (outcome, machine.stdout, stats.steps, stats.calls,
+            stats.accesses, stats.checkpoints, recorder.flat,
+            recorder.checkpoints)
+
+
 @pytest.mark.parametrize("name", ["nest", "gen:small:3"])
 def test_step_budget_sweep_parity(name):
     """At every step budget from 1 to one past the run's length, both
     tiers end the same way: the same fault or exit code, stdout, step,
-    call and access counts, and access stream. The AST oracle counts
-    steps one at a time and stops at ``max_steps + 1``; the fast path
-    checks a batched group of steps at once and must report that count
-    too. The checkpoint stream is left out: at a fault the AST's loop
-    ``finally`` blocks emit every open body-end, while the fast path
-    replays body-ends only on ``exit()`` (ROADMAP item 7)."""
+    call, access and checkpoint counts, access stream and checkpoint
+    stream. The AST oracle counts steps one at a time and stops at
+    ``max_steps + 1``; the fast path checks a batched group of steps at
+    once and must report that count too. Neither tier emits the
+    body-ends of the loops a fault unwinds."""
     source = BUDGET_NEST if name == "nest" else get_workload(name).source
     compiled = compile_program(source)
     program = lower_compiled(compiled)
     total = run_compiled(compiled).stats.steps
     for budget in range(1, total + 2):
-        seen = {}
-        for tier, config in TIERS.items():
-            recorder = StreamRecorder()
-            options = dict(sinks=(recorder,), max_steps=budget)
-            machine = (Interpreter(compiled.program, **options)
-                       if config.engine == "ast"
-                       else BytecodeVM(program, **options))
-            outcome: object
-            try:
-                outcome = machine.run()
-            except MiniCRuntimeError as error:
-                outcome = (type(error).__name__, str(error))
-            stats = machine.stats
-            seen[tier] = (outcome, machine.stdout, stats.steps, stats.calls,
-                          stats.accesses, recorder.flat)
+        seen = {tier: _run_ending(compiled, program, tier, budget)
+                for tier in TIERS}
         assert seen["specialized"] == seen["ast"], f"budget {budget}"
+
+
+#: A three-deep nest, one loop of each kind, that divides by zero in
+#: the ``FAULT``-th iteration it enters (counting every loop's
+#: iterations in execution order). ``FAULT_DEPTHS`` is the nesting depth
+#: of each of its 14 iterations.
+FAULT_DEPTHS = (1, 2, 3, 3, 2, 3, 3) * 2
+FAULT_NEST = """
+int g[16];
+int main(void) {
+    int i, j, k, n = 0, s = 0;
+    for (i = 0; i < 2; i++) {
+        n = n + 1;
+        s += 64 / (n - FAULT);
+        j = 0;
+        while (j < 2) {
+            n = n + 1;
+            s += 64 / (n - FAULT);
+            k = 0;
+            do {
+                n = n + 1;
+                s += 64 / (n - FAULT);
+                g[n & 15] = s;
+                k++;
+            } while (k < 2);
+            j++;
+        }
+        printf("%d\\n", s);
+    }
+    return s & 255;
+}
+"""
+
+
+def test_fault_in_each_iteration_parity():
+    """A division by zero in each iteration of the nest in turn, and in
+    none: both tiers end the same way, checkpoint streams included, and
+    a fault leaves the body of every loop it unwinds open."""
+    for fault in range(1, len(FAULT_DEPTHS) + 2):
+        compiled = compile_program(FAULT_NEST.replace("FAULT", str(fault)))
+        program = lower_compiled(compiled)
+        seen = {tier: _run_ending(compiled, program, tier, 5000)
+                for tier in TIERS}
+        assert seen["specialized"] == seen["ast"], f"fault {fault}"
+        outcome, *_rest, checkpoints = seen["ast"]
+        kinds = [(packed >> 32) & 3 for packed in checkpoints]
+        open_bodies = (kinds.count(BODY_BEGIN_CODE)
+                       - kinds.count(BODY_END_CODE))
+        if fault <= len(FAULT_DEPTHS):
+            assert outcome[0] == "MiniCRuntimeError", f"fault {fault}"
+            assert open_bodies == FAULT_DEPTHS[fault - 1], f"fault {fault}"
+        else:
+            assert isinstance(outcome, int) and open_bodies == 0

@@ -1,6 +1,7 @@
 """The cache-hierarchy evaluation matrix: engine parity, caching, CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -148,9 +149,10 @@ class TestMatrixCaching:
             cache_dir=str(tmp_path / "store"),
             hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE),
         )
-        serial = hier_suite(("adpcm", "gsm"), jobs=1, config=config)
+        serial = hier_suite(("adpcm", "gsm"), config=config)
         clear_caches()
-        parallel = hier_suite(("adpcm", "gsm"), jobs=2, config=config)
+        parallel = hier_suite(("adpcm", "gsm"),
+                              config=replace(config, jobs=2))
         assert serial == parallel
 
 

@@ -1,5 +1,7 @@
 """Tests for the pipeline: its flow, config, artifact memo, parallelism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.pipeline import (
@@ -176,8 +178,9 @@ class TestSpmThroughPipeline:
         names = ("adpcm", "mpeg2")
         ladder = (256, 1024, 4096, 16384)
         config = PipelineConfig(cache=False)
-        serial = sweep_suite(names, ladder, jobs=1, config=config)
-        parallel = sweep_suite(names, ladder, jobs=2, config=config)
+        serial = sweep_suite(names, ladder, config=config)
+        parallel = sweep_suite(names, ladder,
+                               config=replace(config, jobs=2))
         assert serial == parallel
         for name in names:
             assert [p.capacity_bytes for p in serial[name]] == list(ladder)
@@ -210,7 +213,7 @@ class TestParallelSuite:
         names = ("adpcm", "susan")
         config = PipelineConfig(cache=False)
         serial = run_suite(names, config=config)
-        parallel = run_suite(names, jobs=2, config=config)
+        parallel = run_suite(names, config=replace(config, jobs=2))
         assert [r.name for r in parallel] == [r.name for r in serial]
         for left, right in zip(serial, parallel):
             assert left.census == right.census
@@ -219,8 +222,8 @@ class TestParallelSuite:
             assert left.model == right.model
 
     def test_jobs_capped_by_workload_count(self):
-        reports = run_suite(("adpcm",), jobs=8,
-                            config=PipelineConfig(cache=False))
+        reports = run_suite(("adpcm",),
+                            config=PipelineConfig(jobs=8, cache=False))
         assert [r.name for r in reports] == ["adpcm"]
 
 

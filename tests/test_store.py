@@ -5,9 +5,9 @@ schema-version fallback), the lazily unpickled parts of compile and
 extraction entries, the L1-memory/L2-disk tiering of the pipeline
 caches (warm runs must not simulate, nor re-run the detector, nor
 unpickle what the tables do not print), cross-process sharing through
-real subprocesses, startup without NumPy, and the satellite regressions
-(explicit ``jobs=1``, ``max_entries`` validation, energy-model key
-normalization).
+real subprocesses, the counter tally shared by concurrent invocations,
+startup without NumPy, and the satellite regressions (``max_entries``
+validation, energy-model key normalization).
 """
 
 import os
@@ -37,11 +37,9 @@ from repro.pipeline import (
     extract_foray_model,
     full_flow,
     hier_suite,
-    run_suite,
     run_workload,
     static_workload,
     store_for,
-    validate_suite,
     validate_workload,
 )
 from repro.sim.inputs import InputSpec
@@ -174,13 +172,13 @@ class TestArtifactStore:
         root = tmp_path / "s"
         store = ArtifactStore(root)
         store.put("compile", "aa" * 32, "a")
-        store.persist_counters()
+        store.record_counters()
         precious = root / "notes.txt"
         precious.write_text("keep me")
         assert store.clear() == 1
         assert precious.read_text() == "keep me"
         assert not list(root.glob("v*-*"))
-        assert not (root / "stats").exists()
+        assert not (root / "tally.json").exists()
 
     def test_code_fingerprint_change_reads_as_miss(self, tmp_path,
                                                    monkeypatch):
@@ -201,41 +199,58 @@ class TestArtifactStore:
         store.put("compile", "aa" * 32, "a")
         assert (store.path.stat().st_mode & 0o777) == 0o700
 
-    def test_stats_compaction_preserves_totals(self, tmp_path,
-                                               monkeypatch):
-        import json
-
-        store = ArtifactStore(tmp_path / "s")
-        stats_dir = store.path / "stats"
-        stats_dir.mkdir(parents=True)
-        for index in range(5):  # dead-pid tallies from past invocations
-            (stats_dir / f"999{900 + index}-abcd.json").write_text(
-                json.dumps({"extraction": {"hits": 2, "misses": 1,
-                                           "stores": 1}})
-            )
-        monkeypatch.setattr(store_mod, "_STATS_COMPACT_THRESHOLD", 0)
-        store.get("extraction", "ab" * 32)  # one live miss
-        store.persist_counters()
-        totals = store.aggregate_counters()["extraction"]
-        assert totals == {"hits": 10, "misses": 6, "stores": 5}
-        files = sorted(p.name for p in stats_dir.glob("*.json"))
-        assert len(files) == 2  # one compacted roll-up + our live tally
-        assert files[0].startswith("0-")
-
     def test_persisted_counters_aggregate(self, tmp_path):
+        # Several invocations leave one tally file holding their sum.
+        root = tmp_path / "s"
+        for key in ("aa" * 32, "bb" * 32, "aa" * 32):
+            store = ArtifactStore(root)  # one invocation's store object
+            if store.get("compile", key) is None:
+                store.put("compile", key, "a")
+            store.record_counters()
+        assert ArtifactStore(root).tally() == {
+            "compile": {"hits": 1, "misses": 2, "stores": 2}}
+        assert sorted(path.name for path in root.iterdir()
+                      if not path.name.startswith("v")) == ["tally.json"]
+
+    def test_torn_tally_restarts_at_zero(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
         store.put("compile", "aa" * 32, "a")
-        store.get("compile", "aa" * 32)
-        store.persist_counters()
-        other = ArtifactStore(tmp_path / "s")  # same dir, "other process"
-        other.get("compile", "aa" * 32)
-        other.persist_counters()
-        totals = store.aggregate_counters()["compile"]
-        assert totals["hits"] == 2 and totals["stores"] == 1
+        (store.path / "tally.json").write_bytes(b'{"compile": {"hi\xff')
+        assert store.tally() == {}
+        store.record_counters()
+        assert store.tally() == {
+            "compile": {"hits": 0, "misses": 0, "stores": 1}}
+
+    @pytest.mark.parametrize("writers", [2, 4])
+    def test_concurrent_writers_lose_no_counts(self, tmp_path, writers):
+        import multiprocessing
+
+        root = str(tmp_path / "s")
+        # Forked, as ``_fan_out``'s pool is, so the writers overlap.
+        context = multiprocessing.get_context("fork")
+        processes = [context.Process(target=_record_repeatedly,
+                                     args=(root, 200))
+                     for _ in range(writers)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(60)
+            assert process.exitcode == 0
+        assert ArtifactStore(root).tally() == {
+            "extraction": {"hits": 200 * writers, "misses": 400 * writers,
+                           "stores": 600 * writers}}
 
     def test_default_cache_dir_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere-else")
         assert default_cache_dir() == "/tmp/somewhere-else"
+
+
+def _record_repeatedly(root: str, times: int) -> None:
+    """One writer process: ``times`` invocations' worth of counts."""
+    for _ in range(times):
+        store = ArtifactStore(root)
+        store.add_counters({"extraction": [1, 2, 3]})
+        store.record_counters()
 
 
 # ---------------------------------------------------------------------------
@@ -592,43 +607,6 @@ class TestStaleKeyWall:
 # ---------------------------------------------------------------------------
 # Satellite regressions
 # ---------------------------------------------------------------------------
-
-
-class _CapturedJobs(Exception):
-    pass
-
-
-def _capture_fan_out(_tasks, _worker, jobs):
-    raise _CapturedJobs(jobs)
-
-
-class TestExplicitJobsWins:
-    @pytest.fixture(autouse=True)
-    def _patched(self, monkeypatch):
-        monkeypatch.setattr("repro.pipeline._fan_out", _capture_fan_out)
-
-    def _jobs_used(self, call):
-        with pytest.raises(_CapturedJobs) as excinfo:
-            call()
-        return excinfo.value.args[0]
-
-    def test_run_suite_explicit_serial_beats_config(self):
-        # Regression: an explicit jobs=1 used to be silently overridden
-        # by config.jobs, so a caller could not force a serial run.
-        config = PipelineConfig(jobs=4)
-        assert self._jobs_used(
-            lambda: run_suite(("adpcm",), jobs=1, config=config)) == 1
-        assert self._jobs_used(
-            lambda: run_suite(("adpcm",), config=config)) == 4
-        assert self._jobs_used(
-            lambda: run_suite(("adpcm",), jobs=2, config=config)) == 2
-
-    def test_validate_suite_explicit_serial_beats_config(self):
-        config = PipelineConfig(jobs=4)
-        assert self._jobs_used(
-            lambda: validate_suite(("adpcm",), jobs=1, config=config)) == 1
-        assert self._jobs_used(
-            lambda: validate_suite(("adpcm",), config=config)) == 4
 
 
 class TestArtifactCacheBounds:

@@ -3,6 +3,8 @@ pipeline: scenario declarations, validation in ``full_flow``, the
 (workload x scenario) fan-out, the validation nodes, the stability table
 and the CLI."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro.pipeline as pipeline
@@ -28,7 +30,7 @@ QUICK_VALIDATION = ValidationConfig(enabled=True, max_scenarios=2)
 @pytest.fixture(scope="session")
 def matrix_results():
     """The full (workload x scenario) matrix, shared by every test."""
-    return validate_suite(jobs=2)
+    return validate_suite(config=PipelineConfig(jobs=2))
 
 
 class TestScenarioDeclarations:
@@ -103,8 +105,8 @@ class TestMatrixFanOut:
         names = ("adpcm", "fft")
         config = PipelineConfig(cache=False,
                                 validation=ValidationConfig(enabled=True))
-        serial = validate_suite(names, jobs=1, config=config)
-        parallel = validate_suite(names, jobs=2, config=config)
+        serial = validate_suite(names, config=config)
+        parallel = validate_suite(names, config=replace(config, jobs=2))
         assert serial == parallel
 
     def test_scenario_truncation(self):
