@@ -10,7 +10,7 @@ from benchmarks.conftest import write_result
 from repro.foray.emitter import emit_model
 from repro.foray.filters import FilterConfig
 from repro.foray.hints import inlining_hints
-from repro.pipeline import extract_foray_model
+from repro.pipeline import PipelineConfig, extract_foray_model
 from repro.workloads.figures import FIG1A, FIG1B, FIG4A, FIG7A, FIG7B, FIG9
 
 RELAXED = FilterConfig(nexec=1, nloc=1)
@@ -18,7 +18,8 @@ RELAXED = FilterConfig(nexec=1, nloc=1)
 
 def extract(benchmark, workload, filter_config=None):
     return benchmark.pedantic(
-        extract_foray_model, args=(workload.source, filter_config),
+        extract_foray_model, args=(workload.source,),
+        kwargs={"config": PipelineConfig(filter_config=filter_config)},
         rounds=1, iterations=1,
     )
 

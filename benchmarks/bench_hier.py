@@ -66,7 +66,7 @@ def test_serial_vs_parallel_matrix(results_dir, tmp_path):
         clear_caches()
         config = PipelineConfig(
             jobs=jobs, cache_dir=str(cache_dir),
-            hierarchy=HierarchyConfig(enabled=True, sweep=SWEEP),
+            hierarchy=HierarchyConfig(sweep=SWEEP),
         )
         start = time.perf_counter()
         cells = hier_suite(NAMES, config=config)
@@ -97,7 +97,7 @@ def test_warm_matrix_is_free(results_dir, tmp_path):
     artifact store — the amortization the subsystem promises."""
     config = PipelineConfig(
         cache_dir=str(tmp_path / "store"),
-        hierarchy=HierarchyConfig(enabled=True),
+        hierarchy=HierarchyConfig(),
     )
     clear_caches()
     start = time.perf_counter()

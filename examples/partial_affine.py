@@ -18,13 +18,14 @@ Run:  python examples/partial_affine.py
 
 from repro.foray.emitter import emit_model
 from repro.foray.filters import FilterConfig
-from repro.pipeline import extract_foray_model
+from repro.pipeline import PipelineConfig, extract_foray_model
 from repro.workloads.figures import FIG7A, FIG7B
 
 
 def show(workload) -> None:
     print(f"=== {workload.name}: {workload.description} ===")
-    result = extract_foray_model(workload.source, FilterConfig(nexec=1, nloc=1))
+    config = PipelineConfig(filter_config=FilterConfig(nexec=1, nloc=1))
+    result = extract_foray_model(workload.source, config=config)
     model = result.model
 
     for ref in model.references:

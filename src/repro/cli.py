@@ -179,11 +179,23 @@ def _add_filter_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _trace_block(text: str) -> int:
-    """``--trace-block``: engines reject blocks above ``MAX_TRACE_BLOCK``."""
+    """``--trace-block``: a block holds at least one access, and engines
+    reject blocks above ``MAX_TRACE_BLOCK``."""
     value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("at least 1 access per block")
     if value > MAX_TRACE_BLOCK:
         raise argparse.ArgumentTypeError(
             f"at most {MAX_TRACE_BLOCK} accesses per block")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker-process count, 0 meaning the CPU count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "at least 0 worker processes (0 = CPU count)")
     return value
 
 
@@ -350,7 +362,7 @@ def _hier_config_from(args, enabled: bool) -> HierarchyConfig:
         raise SystemExit(
             f"hier: --scenarios must be >= 1, got {max_scenarios}"
         )
-    return HierarchyConfig(enabled=enabled, cache=base, sweep=sweep,
+    return HierarchyConfig(cache=base, sweep=sweep,
                            max_scenarios=max_scenarios if enabled else None)
 
 
@@ -369,9 +381,8 @@ def _add_validation_args(parser: argparse.ArgumentParser) -> None:
                              "(exit 1 below it; default: %(default)s)")
 
 
-def _validation_config_from(args, enabled: bool) -> ValidationConfig:
+def _validation_config_from(args) -> ValidationConfig:
     return ValidationConfig(
-        enabled=enabled,
         profile=getattr(args, "profile", None),
         max_scenarios=getattr(args, "scenarios", None),
         threshold=getattr(args, "threshold", 0.0),
@@ -395,11 +406,10 @@ def _config_from(args) -> PipelineConfig:
         jobs=getattr(args, "jobs", 1),
         cache=not getattr(args, "no_cache", False),
         cache_dir=_cache_dir_from(args),
-        **({"trace_block": trace_block} if trace_block else {}),
+        **({"trace_block": trace_block} if trace_block is not None else {}),
         filter_config=_filter_from(args),
         spm=_spm_config_from(args),
-        validation=_validation_config_from(
-            args, getattr(args, "validate", False)),
+        validation=_validation_config_from(args),
         hierarchy=_hier_config_from(args, getattr(args, "hier", False)),
         verify_ir=getattr(args, "verify_ir", False),
     )
@@ -632,10 +642,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    relaxed = FilterConfig(nexec=1, nloc=1)
+    relaxed = PipelineConfig(filter_config=FilterConfig(nexec=1, nloc=1))
     for name, workload in FIGURE_WORKLOADS.items():
         print(f"=== {name}: {workload.description} ===")
-        result = extract_foray_model(workload.source, relaxed)
+        result = extract_foray_model(workload.source, config=relaxed)
         print(emit_model(result.model))
     return 0
 
@@ -649,7 +659,6 @@ def cmd_spm(args) -> int:
     points = flow.exploration
     if points is None:
         points = cached_exploration(source, config, flow.report.model,
-                                    energy=flow.energy_model,
                                     graph=flow.graph)
     print(format_spm_frontier({args.file: points}))
     return 0
@@ -700,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="Tables I-III on mini-MiBench")
     p_suite.add_argument("names", nargs="*",
                          help="benchmark subset (default: the full suite)")
-    p_suite.add_argument("--jobs", type=int, default=1,
+    p_suite.add_argument("--jobs", type=_jobs, default=1,
                          help="worker processes for the suite "
                               "(0 = CPU count; default: serial)")
     p_suite.add_argument("--spm", action="store_true",
@@ -724,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         "static", help="compile-time FORAY model + differential oracle")
     p_static.add_argument("names", nargs="*",
                           help="workload subset (default: the full suite)")
-    p_static.add_argument("--jobs", type=int, default=1,
+    p_static.add_argument("--jobs", type=_jobs, default=1,
                           help="worker processes for the (workload x "
                                "scenario) matrix (0 = CPU count; "
                                "default: serial)")
@@ -761,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only these checks (repeatable; default: "
                             "parity, ir, lint, static, alloc, traffic, "
                             "transfer)")
-    p_gen.add_argument("--jobs", type=int, default=1,
+    p_gen.add_argument("--jobs", type=_jobs, default=1,
                        help="worker processes for the seed range "
                             "(0 = CPU count; default: serial)")
     p_gen.add_argument("--no-shrink", action="store_true",
@@ -778,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-input validation over the scenario matrix")
     p_validate.add_argument("names", nargs="*",
                             help="workload subset (default: the full suite)")
-    p_validate.add_argument("--jobs", type=int, default=1,
+    p_validate.add_argument("--jobs", type=_jobs, default=1,
                             help="worker processes for the (workload x "
                                  "scenario) matrix (0 = CPU count; "
                                  "default: serial)")
@@ -786,13 +795,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p_validate)
     _add_validation_args(p_validate)
     _add_json_arg(p_validate)
-    p_validate.set_defaults(func=cmd_validate, validate=True)
+    p_validate.set_defaults(func=cmd_validate)
 
     p_hier = sub.add_parser(
         "hier", help="cache co-simulation: pure cache vs SPM+cache")
     p_hier.add_argument("names", nargs="*",
                         help="workload subset (default: the full suite)")
-    p_hier.add_argument("--jobs", type=int, default=1,
+    p_hier.add_argument("--jobs", type=_jobs, default=1,
                         help="worker processes for the (workload x "
                              "scenario x cache-config) matrix "
                              "(0 = CPU count; default: serial)")

@@ -293,3 +293,42 @@ def usual_arithmetic_conversion(left: CType, right: CType) -> CType:
         return left if left.byte_size > right.byte_size else right
     # Same width, different signedness: unsigned wins.
     return left if not left.signed else right
+
+
+def fold_int_binary(op: str, a: int, b: int) -> int | None:
+    """C's ``a op b`` on integer constants, or ``None``.
+
+    ``/`` truncates toward zero and ``%`` takes the dividend's sign, as
+    in C; a comparison folds to 0 or 1. ``None`` stands for what C
+    leaves undefined, a zero divisor or a shift count outside [0, 64),
+    and for an operator that does not fold. The value is not wrapped to
+    any type's range.
+    """
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op in ("/", "%"):
+        if b == 0:
+            return None
+        quotient = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            quotient = -quotient
+        return quotient if op == "/" else a - quotient * b
+    if op in ("<", "<=", ">", ">=", "==", "!="):
+        table = {"<": a < b, "<=": a <= b, ">": a > b,
+                 ">=": a >= b, "==": a == b, "!=": a != b}
+        return int(table[op])
+    if op == "<<":
+        return a << b if 0 <= b < 64 else None
+    if op == ">>":
+        return a >> b if 0 <= b < 64 else None
+    if op == "&":
+        return a & b
+    if op == "|":
+        return a | b
+    if op == "^":
+        return a ^ b
+    return None

@@ -38,7 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.lang import ast_nodes as ast
-from repro.lang.ctypes_ import ArrayType, FloatType, IntType
+from repro.lang.ctypes_ import (
+    ArrayType,
+    FloatType,
+    IntType,
+    fold_int_binary,
+)
 from repro.lang.errors import MiniCError, SourceLocation
 from repro.lang.semantics import Symbol, parse_and_analyze
 
@@ -98,15 +103,6 @@ def _finding(rule: str, message: str, location: SourceLocation | None,
 # ---------------------------------------------------------------------------
 # Constant folding (front-end mirror of the SCCP lattice's singleton case)
 # ---------------------------------------------------------------------------
-
-
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def _trunc_mod(a: int, b: int) -> int:
-    return a - _trunc_div(a, b) * b
 
 
 def const_value(expr: ast.Expr | None) -> int | float | None:
@@ -177,7 +173,9 @@ def _as_bool(value: int | float | None) -> int | None:
 
 def _fold_binary(op: str, a: int | float,
                  b: int | float) -> int | float | None:
-    both_int = isinstance(a, int) and isinstance(b, int)
+    if isinstance(a, int) and isinstance(b, int):
+        return fold_int_binary(op, a, b)
+    # A float operand: arithmetic and comparisons fold, nothing else.
     if op == "+":
         return a + b
     if op == "-":
@@ -185,29 +183,11 @@ def _fold_binary(op: str, a: int | float,
     if op == "*":
         return a * b
     if op == "/":
-        if b == 0:
-            return None
-        return _trunc_div(a, b) if both_int else a / b
-    if op == "%":
-        if not both_int or b == 0:
-            return None
-        return _trunc_mod(a, b)
+        return None if b == 0 else a / b
     if op in ("<", "<=", ">", ">=", "==", "!="):
         table = {"<": a < b, "<=": a <= b, ">": a > b,
                  ">=": a >= b, "==": a == b, "!=": a != b}
         return int(table[op])
-    if not both_int:
-        return None
-    if op == "<<":
-        return a << b if 0 <= b < 64 else None
-    if op == ">>":
-        return a >> b if 0 <= b < 64 else None
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
     return None
 
 

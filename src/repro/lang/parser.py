@@ -30,6 +30,7 @@ from repro.lang.ctypes_ import (
     USHORT,
     VOID,
     ArrayType,
+    fold_int_binary,
     layout_struct,
 )
 from repro.lang.errors import ParseError
@@ -50,6 +51,9 @@ _TYPE_START_KINDS = {
     TokenKind.KW_CONST,
     TokenKind.KW_STATIC,
 }
+
+#: The binary operators an array dimension may fold.
+_DIMENSION_OPS = ("+", "-", "*", "/", "%", "<<", ">>")
 
 # Binary operator precedence (higher binds tighter), mirroring C.
 _BINARY_PRECEDENCE: dict[TokenKind, tuple[int, str]] = {
@@ -312,20 +316,11 @@ class Parser:
             return expr.value
         if isinstance(expr, ast.Unary) and expr.op == "-":
             return -self._const_int(expr.operand)
-        if isinstance(expr, ast.Binary):
-            left = self._const_int(expr.left)
-            right = self._const_int(expr.right)
-            ops = {
-                "+": lambda: left + right,
-                "-": lambda: left - right,
-                "*": lambda: left * right,
-                "/": lambda: left // right,
-                "%": lambda: left % right,
-                "<<": lambda: left << right,
-                ">>": lambda: left >> right,
-            }
-            if expr.op in ops:
-                return ops[expr.op]()
+        if isinstance(expr, ast.Binary) and expr.op in _DIMENSION_OPS:
+            value = fold_int_binary(expr.op, self._const_int(expr.left),
+                                    self._const_int(expr.right))
+            if value is not None:
+                return value
         raise ParseError("array dimension must be a constant expression", expr.location)
 
     # -- statements -----------------------------------------------------

@@ -31,20 +31,25 @@ The entry points are plain compositions of nodes:
   workload, read off its compile and extraction nodes.
 * :func:`run_suite` — the full mini-MiBench evaluation (Tables I–III),
   fanned out over ``PipelineConfig.jobs`` worker processes.
-* :func:`full_flow` — the report plus the Phase II allocation, the
-  transformed model and, when configured, the sweep, the validation and
-  the hierarchy cells.
+* :func:`full_flow` — the paper's design flow, Phases I+II: the report
+  plus the Phase II allocation, the transformed model, the reuse graph
+  and, under ``SpmConfig.sweep``, the capacity sweep.
 * :func:`static_workload` / :func:`static_suite` — the compile-time
   model of :mod:`repro.staticfar` diffed against the extracted one by
   the differential oracle, per ``(workload × scenario)`` cell.
 * :func:`validate_workload` / :func:`validate_suite` — the cross-input
   scenario matrix: each workload's model is extracted once, on its
   profile scenario, and every ``(workload × scenario)`` cell replays one
-  scenario's trace against it, fanned out over the same worker-process
-  machinery.
+  scenario's trace against it.
 * :func:`hier_suite` — the ``(workload × scenario × cache-config)``
-  hierarchy matrix; a group's uncached configurations share one engine
+  hierarchy matrix; a cell's uncached configurations share one engine
   run.
+
+Every matrix fans out over ``PipelineConfig.jobs`` worker processes
+one call per workload, as :func:`run_suite` does: a workload's cells
+run in one process, so each program is compiled once per run. Every
+setting comes from the one :class:`PipelineConfig` an entry point
+takes.
 
 Every node goes through one memo (:class:`_Node`): the kind's bounded
 in-process LRU, then — when ``PipelineConfig.cache_dir`` is set — the
@@ -63,7 +68,7 @@ import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.analysis.census import LoopCensus, loop_census
@@ -119,7 +124,8 @@ DEFAULT_MAX_STEPS = 200_000_000
 class SpmConfig:
     """Phase II knobs: capacity, allocator policy, energy overrides."""
 
-    #: SPM capacity of ``full_flow``'s single allocation.
+    #: SPM capacity of ``full_flow``'s allocation and of the hierarchy
+    #: cells' SPM+cache runs.
     spm_bytes: int = 4096
     #: Capacity ladder swept when ``sweep`` is enabled.
     capacities: tuple[int, ...] = DEFAULT_CAPACITIES
@@ -141,7 +147,6 @@ class ValidationConfig:
     accuracy gated by ``WorkloadValidation.passes`` (the CLI exit code).
     """
 
-    enabled: bool = False
     scenarios: tuple[str, ...] | None = None
     profile: str | None = None
     #: Truncate the scenario set to its first N entries (CLI --scenarios).
@@ -160,6 +165,8 @@ class HierarchyConfig:
     profiling scenario only).
     """
 
+    #: Read by nothing: ``hier_suite`` runs its matrix whatever this
+    #: holds. Kept only because ``perfbench/ops.py`` constructs it.
     enabled: bool = False
     cache: CacheConfig = CacheConfig()
     sweep: tuple[CacheConfig, ...] = ()
@@ -212,26 +219,6 @@ class PipelineConfig:
                             trace_block_size=self.trace_block,
                             input=self.input or InputSpec(),
                             verify_ir=self.verify_ir)
-
-
-def _merge_config(
-    config: PipelineConfig | None,
-    filter_config: FilterConfig | None,
-    max_steps: int | None = None,
-    entry: str | None = None,
-) -> PipelineConfig:
-    """Fold classic per-call arguments into a :class:`PipelineConfig`.
-
-    Only explicitly passed arguments (non-None) override the config.
-    """
-    merged = config or PipelineConfig()
-    if filter_config is not None:
-        merged = replace(merged, filter_config=filter_config)
-    if max_steps is not None:
-        merged = replace(merged, max_steps=max_steps)
-    if entry is not None:
-        merged = replace(merged, entry=entry)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +599,14 @@ class ExtractionResult:
 
 
 def extract_foray_model(
-    source: str,
-    filter_config: FilterConfig | None = None,
-    entry: str | None = None,
-    max_steps: int | None = None,
-    config: PipelineConfig | None = None,
+    source: str, *, config: PipelineConfig | None = None,
 ) -> ExtractionResult:
     """Run Phase I (FORAY-GEN) on MiniC source text: the extraction node.
 
     The extractor is attached as a live trace sink (the paper's
     constant-space online mode).
     """
-    merged = _merge_config(config, filter_config, max_steps, entry)
-    return _extraction_node(source, merged).get()
+    return _extraction_node(source, config or PipelineConfig()).get()
 
 
 @dataclass
@@ -652,11 +634,7 @@ class WorkloadReport:
 
 
 def run_workload(
-    name: str,
-    source: str,
-    filter_config: FilterConfig | None = None,
-    max_steps: int | None = None,
-    config: PipelineConfig | None = None,
+    name: str, source: str, *, config: PipelineConfig | None = None,
 ) -> WorkloadReport:
     """Phase I + static baseline + Tables I/II/III metrics for one program.
 
@@ -666,9 +644,9 @@ def run_workload(
     detector or the trace sets, so a run over stored nodes leaves all of
     those pickled.
     """
-    merged = _merge_config(config, filter_config, max_steps)
-    compiled = _compiled(source, merged, detector=True)
-    extraction = _extraction_node(source, merged).get()
+    config = config or PipelineConfig()
+    compiled = _compiled(source, config, detector=True)
+    extraction = _extraction_node(source, config).get()
     if extraction.compiled is not compiled:
         # The extraction outlived its compile node in the LRUs.
         extraction = ExtractionResult.from_entry(extraction.entry(), compiled)
@@ -721,9 +699,16 @@ def _fan_out(calls: list[Callable], jobs: int) -> list:
     return results
 
 
+def _workloads(names: tuple[str, ...] | None) -> list:
+    """The named workloads (default: the suite), resolved before any
+    matrix runs, so a bad name fails before any simulation."""
+    from repro.workloads.registry import get_workload, workload_names
+
+    return [get_workload(name) for name in (names or workload_names())]
+
+
 def run_suite(
-    names: tuple[str, ...] | None = None,
-    filter_config: FilterConfig | None = None,
+    names: tuple[str, ...] | None = None, *,
     config: PipelineConfig | None = None,
 ) -> list[WorkloadReport]:
     """Run the full mini-MiBench suite (the paper's six plus mpeg2).
@@ -732,13 +717,10 @@ def run_suite(
     processes (``0`` uses the CPU count); results come back in suite
     order either way.
     """
-    from repro.workloads.registry import get_workload, workload_names
-
-    merged = _merge_config(config, filter_config)
-    selected = [get_workload(name) for name in (names or workload_names())]
+    config = config or PipelineConfig()
     return _fan_out([functools.partial(run_workload, w.name, w.source,
-                                       config=merged) for w in selected],
-                    merged.jobs)
+                                       config=config)
+                     for w in _workloads(names)], config.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -782,20 +764,26 @@ def static_workload(
     return StaticReport(name, scenario, static, oracle)
 
 
-def _cell_call(produce: Callable, workload, scenario_name: str | None,
-               config: PipelineConfig, *args) -> Callable:
-    """``produce(name, source, config, *args, scenario=label)`` for one
-    (workload x scenario) cell, ready to fan out. ``None`` stands for the
+def _scenario_cells(produce: Callable, workload, scenarios: list,
+                    config: PipelineConfig, *args) -> list:
+    """``produce(name, source, config, *args, scenario=label)`` on each of
+    one workload's ``scenarios``, in order. ``None`` stands for the
     nominal source of a workload with no scenario matrix, labelled
-    ``"-"``."""
-    if scenario_name is None:
-        source, label = workload.source, "-"
-    else:
-        scenario = workload.scenario(scenario_name)
-        source, label = workload.source_for(scenario), scenario.name
-        config = _scenario_config(config, scenario)
-    return functools.partial(produce, workload.name, source, config, *args,
-                             scenario=label)
+    ``"-"``.
+
+    A workload's cells are one call of a matrix's fan-out, so cells that
+    share a source share its compile node in one process.
+    """
+    cells = []
+    for scenario in scenarios:
+        if scenario is None:
+            source, label, cell_config = workload.source, "-", config
+        else:
+            source, label = workload.source_for(scenario), scenario.name
+            cell_config = _scenario_config(config, scenario)
+        cells.append(produce(workload.name, source, cell_config, *args,
+                             scenario=label))
+    return cells
 
 
 def static_suite(
@@ -804,18 +792,16 @@ def static_suite(
 ) -> list[StaticReport]:
     """The full static matrix: every (workload x scenario) cell runs the
     compile-time analyzer against the dynamic extraction and diffs the
-    two models. Cells fan out over ``config.jobs`` worker processes;
-    results come back in matrix order (workloads in suite order, then
-    scenarios)."""
-    from repro.workloads.registry import get_workload, workload_names
-
+    two models. Workloads fan out over ``config.jobs`` worker processes,
+    one call each; results come back in matrix order (workloads in suite
+    order, then scenarios)."""
     config = config or PipelineConfig()
-    calls = [
-        _cell_call(static_workload, workload, scenario_name, config)
-        for workload in (get_workload(n) for n in (names or workload_names()))
-        for scenario_name in workload.scenario_names() or (None,)
-    ]
-    return _fan_out(calls, config.jobs)
+    groups = _fan_out([
+        functools.partial(_scenario_cells, static_workload, workload,
+                          list(workload.scenarios) or [None], config)
+        for workload in _workloads(names)
+    ], config.jobs)
+    return [cell for group in groups for cell in group]
 
 
 @dataclass(frozen=True)
@@ -846,10 +832,8 @@ def lint_suite(names: tuple[str, ...] | None = None) -> list[LintReport]:
 
     Pure front-end work (no simulation), so cells run serially; the
     whole suite takes well under a second."""
-    from repro.workloads.registry import get_workload, workload_names
-
     reports: list[LintReport] = []
-    for workload in (get_workload(n) for n in (names or workload_names())):
+    for workload in _workloads(names):
         scenario_names = workload.scenario_names() or (None,)
         for scenario_name in scenario_names:
             if scenario_name is None:
@@ -870,15 +854,10 @@ class FullFlowResult:
     report: WorkloadReport
     allocation: Allocation
     transformed_source: str
-    energy_model: EnergyModel = field(default_factory=EnergyModel)
     #: The reuse-graph IR the allocation was selected over.
-    graph: ReuseGraph | None = None
+    graph: ReuseGraph
     #: Capacity sweep (only when ``SpmConfig.sweep`` is enabled).
     exploration: tuple[ExplorationPoint, ...] | None = None
-    #: Cross-input stability (only when ``ValidationConfig.enabled``).
-    validation: WorkloadValidation | None = None
-    #: Cache co-simulation cells (only when ``HierarchyConfig.enabled``).
-    hierarchy: tuple[HierarchyReport, ...] | None = None
 
     @property
     def energy_saving_nj(self) -> float:
@@ -886,72 +865,28 @@ class FullFlowResult:
 
 
 def full_flow(
-    name: str,
-    source: str,
-    spm_bytes: int | None = None,
-    filter_config: FilterConfig | None = None,
-    energy_model: EnergyModel | None = None,
-    config: PipelineConfig | None = None,
+    name: str, source: str, *, config: PipelineConfig | None = None,
 ) -> FullFlowResult:
     """The complete design flow of the paper's Figure 3 (Phases I and II).
 
-    ``spm_bytes`` overrides ``config.spm.spm_bytes`` when given (default
-    4096 via :class:`SpmConfig`). Phase III (back-annotating the
-    transformed model into the legacy code) is manual by design in the
-    paper; the transformed model text returned here is the input a
-    designer would use for it. The sweep, the validation and the
-    hierarchy cells are there only when ``config`` enables them.
+    ``config.spm`` sets the capacity, the allocator policy, the energy
+    model and whether the capacity sweep runs. Phase III
+    (back-annotating the transformed model into the legacy code) is
+    manual by design in the paper; the transformed model text returned
+    here is the input a designer would use for it.
     """
-    merged = _merge_config(config, filter_config)
-    spm_config = merged.spm
-    report = run_workload(name, source, config=merged)
-    validation = _flow_validation(name, source, merged)
-    energy = energy_model or spm_config.energy
+    config = config or PipelineConfig()
+    spm_config = config.spm
+    report = run_workload(name, source, config=config)
     policy = AllocatorPolicy(spm_config.allocator)
-    capacity = spm_bytes if spm_bytes is not None else spm_config.spm_bytes
-    graph = ReuseGraph.from_model(report.model, energy)
-    allocation = allocate_graph(graph, capacity, policy)
+    graph = ReuseGraph.from_model(report.model, spm_config.energy)
+    allocation = allocate_graph(graph, spm_config.spm_bytes, policy)
     exploration = None
     if spm_config.sweep:
-        exploration = cached_exploration(source, merged, report.model,
-                                         policy=policy, energy=energy,
+        exploration = cached_exploration(source, config, report.model,
                                          graph=graph)
-    flow = FullFlowResult(report, allocation, transform_model(allocation),
-                          energy, graph=graph, exploration=exploration,
-                          validation=validation)
-    if merged.hierarchy.enabled:
-        # One engine run with two streaming cache sinks per uncached
-        # configuration, over the model and allocation above.
-        flow.hierarchy = hierarchy_for_configs(
-            name, source, merged, merged.hierarchy.configs(),
-            scenario=_hier_scenario_label(name, source, merged),
-            spm_bytes=spm_bytes, energy=energy_model, model=report.model,
-            allocation=allocation)
-    return flow
-
-
-def _flow_validation(name: str, source: str,
-                     config: PipelineConfig) -> WorkloadValidation | None:
-    """``full_flow``'s cross-input validation, or ``None``.
-
-    ``None`` unless ``config.validation.enabled`` and ``name`` resolves
-    to a registered workload that declares a scenario matrix (ad-hoc
-    sources have no scenarios to replay). ``source`` must match a
-    declared scenario of the named workload — a modified source under a
-    registry name would otherwise be silently "validated" against the
-    pristine registry program.
-    """
-    if not config.validation.enabled:
-        return None
-    from repro.workloads.registry import find_workload
-
-    workload = find_workload(name)
-    if workload is None or len(workload.scenarios) < 2:
-        return None
-    if not any(workload.source_for(scenario) == source
-               for scenario in workload.scenarios):
-        return None
-    return validate_workload(name, config=config)
+    return FullFlowResult(report, allocation, transform_model(allocation),
+                          graph, exploration)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,44 +963,23 @@ def _profile_extraction(workload, profile,
                                config=_scenario_config(config, profile))
 
 
-def _validation_cell(workload, profile, scenario, model: ForayModel,
-                     config: PipelineConfig) -> ScenarioValidation:
-    """One (workload x scenario) matrix cell: ``scenario`` replayed
-    against ``model``, the model extracted on ``profile``."""
-    report = _replay_scenario(workload, profile, scenario, model, config)
-    return ScenarioValidation(workload.name, scenario.name, profile.name,
-                              config.engine, report)
-
-
 def _validate_against(workload, scenarios: list, model: ForayModel,
                       config: PipelineConfig) -> WorkloadValidation:
     """Replay every scenario against ``model``, extracted on the first
-    (profile) scenario, and assemble the workload's validation."""
+    (profile) scenario: the self-validation row, then one cross cell per
+    other scenario."""
     profile = scenarios[0]
-    cells = [_validation_cell(workload, profile, scenario, model, config)
-             for scenario in scenarios]
-    return _assemble_validation(workload.name, profile.name, len(scenarios),
-                                cells)
-
-
-def _profile_model(workload, profile, config: PipelineConfig) -> ForayModel:
-    """The model of the extraction on ``profile``: all that a pool
-    process ships back of it (the cells need nothing else)."""
-    return _profile_extraction(workload, profile, config).model
-
-
-def _assemble_validation(
-    name: str, profile_name: str, scenario_count: int,
-    cells: list[ScenarioValidation],
-) -> WorkloadValidation:
-    self_cells = [c for c in cells if c.scenario == profile_name]
-    cross = tuple(c for c in cells if c.scenario != profile_name)
+    cells = tuple(
+        ScenarioValidation(
+            workload.name, scenario.name, profile.name, config.engine,
+            _replay_scenario(workload, profile, scenario, model, config))
+        for scenario in scenarios)
     return WorkloadValidation(
-        workload=name,
-        profile=profile_name,
-        scenario_count=scenario_count,
-        self_validation=self_cells[0].report,
-        cross=cross,
+        workload=workload.name,
+        profile=profile.name,
+        scenario_count=len(scenarios),
+        self_validation=cells[0].report,
+        cross=cells[1:],
     )
 
 
@@ -1096,38 +1010,21 @@ def validate_suite(
 ) -> list[WorkloadValidation]:
     """The full scenario matrix: every (workload x scenario) cell.
 
-    Two fan-outs over ``config.jobs`` worker processes, the machinery
-    ``run_suite`` uses: first one profile extraction per workload, then
-    the replay cells, each call carrying its workload's model. Cells —
-    not workloads — are the unit of the second, so the pool
-    load-balances the ~3x-larger matrix. Results come back grouped per
-    workload, in suite order.
+    Every workload and its scenario selection are resolved first, so a
+    bad name or a workload without a scenario matrix fails before any
+    simulation. Then :func:`validate_workload` fans out over
+    ``config.jobs`` worker processes, one call per workload, the
+    machinery ``run_suite`` uses: a workload's profile extraction and
+    replays run in one process, which compiles each of its programs
+    once. Results come back in suite order.
     """
-    from repro.workloads.registry import get_workload, workload_names
-
     config = config or PipelineConfig()
-    selected = [get_workload(n) for n in (names or workload_names())]
-    plans = [(workload, _select_scenarios(workload, config.validation))
-             for workload in selected]
-    models = _fan_out(
-        [functools.partial(_profile_model, workload, scenarios[0], config)
-         for workload, scenarios in plans],
-        config.jobs)
-    cells = _fan_out(
-        [functools.partial(_validation_cell, workload, scenarios[0],
-                           scenario, model, config)
-         for (workload, scenarios), model in zip(plans, models)
-         for scenario in scenarios],
-        config.jobs)
-
-    results: list[WorkloadValidation] = []
-    offset = 0
-    for workload, scenarios in plans:
-        group = cells[offset : offset + len(scenarios)]
-        offset += len(scenarios)
-        results.append(_assemble_validation(
-            workload.name, scenarios[0].name, len(scenarios), group))
-    return results
+    selected = _workloads(names)
+    for workload in selected:
+        _select_scenarios(workload, config.validation)
+    return _fan_out([functools.partial(validate_workload, workload.name,
+                                       config=config)
+                     for workload in selected], config.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,27 +1038,22 @@ def hierarchy_for_configs(
     config: PipelineConfig,
     cache_configs: tuple[CacheConfig, ...],
     scenario: str = "-",
-    spm_bytes: int | None = None,
-    energy: EnergyModel | None = None,
-    model: ForayModel | None = None,
-    allocation: Allocation | None = None,
 ) -> tuple[HierarchyReport, ...]:
     """Hierarchy matrix cells for one (source, scenario): pure cache vs
     SPM+cache under every configuration in ``cache_configs``.
 
     Each cell is a node over the extraction node, its cache
-    configuration and the SPM knobs (capacity ``spm_bytes``,
-    ``config.spm``'s policy, the energy model). For the cells no tier
-    holds, the FORAY model is extracted (or reused), an SPM allocation
+    configuration and ``config.spm``'s capacity, policy and energy
+    model. For the cells no tier holds, the FORAY model is extracted (or
+    reused), the SPM allocation :func:`full_flow` would select is
     selected, and the program run **once** with two streaming
     :class:`CacheSink`\\ s per such configuration attached — the engine
     run (the expensive part) is shared across the whole cache-config
     sweep, and the trace is never materialized.
     """
-    energy = config.spm.energy if energy is None else energy
+    energy = config.spm.energy
     policy = AllocatorPolicy(config.spm.allocator)
-    capacity = (spm_bytes if spm_bytes is not None
-                else config.spm.spm_bytes)
+    capacity = config.spm.spm_bytes
     extraction = _extraction_node(source, config)
     reports: dict[CacheConfig, HierarchyReport] = {}
     missing: dict[CacheConfig, _Node] = {}
@@ -1177,11 +1069,8 @@ def hierarchy_for_configs(
         else:
             reports[cache_config] = report
     if missing:
-        if allocation is None:
-            if model is None:
-                model = extraction.get().model
-            graph = ReuseGraph.from_model(model, energy)
-            allocation = allocate_graph(graph, capacity, policy)
+        graph = ReuseGraph.from_model(extraction.get().model, energy)
+        allocation = allocate_graph(graph, capacity, policy)
         intervals = allocation_intervals(allocation)
         sink_pairs = [
             (CacheSink(CacheHierarchy(cache_config)),
@@ -1205,30 +1094,7 @@ def hierarchy_for_configs(
     return tuple(reports[cache_config] for cache_config in cache_configs)
 
 
-def _hier_scenario_label(name: str, source: str,
-                         config: PipelineConfig) -> str:
-    """The scenario name behind a (source, input) pair, or ``"-"``.
-
-    Resolving the label from content keeps ``full_flow`` (on a registry
-    workload's nominal source) and the ``hier_suite`` cell worker on the
-    *same* nodes — both label the nominal run ``"nominal"`` instead of
-    splitting it across a ``"-"`` and a ``"nominal"`` cell for identical
-    simulations.
-    """
-    from repro.workloads.registry import find_workload
-
-    workload = find_workload(name)
-    if workload is None:
-        return "-"
-    wanted_input = config.input or InputSpec()
-    for scenario in workload.scenarios:
-        if (scenario.input == wanted_input
-                and workload.source_for(scenario) == source):
-            return scenario.name
-    return "-"
-
-
-def _hier_scenarios(workload, hierarchy: HierarchyConfig) -> list[str | None]:
+def _hier_scenarios(workload, hierarchy: HierarchyConfig) -> list:
     """The scenario-axis subset of one workload's matrix cells.
 
     ``None`` stands for "the nominal source with the config's input" —
@@ -1239,7 +1105,7 @@ def _hier_scenarios(workload, hierarchy: HierarchyConfig) -> list[str | None]:
         return [None]
     count = (1 if hierarchy.max_scenarios is None
              else hierarchy.max_scenarios)
-    return list(workload.scenario_names()[:count])
+    return list(workload.scenarios[:count])
 
 
 def hier_suite(
@@ -1248,24 +1114,22 @@ def hier_suite(
 ) -> list[HierarchyReport]:
     """The full hierarchy matrix: (workload x scenario x cache-config).
 
-    (workload x scenario) groups are the unit of fan-out over
-    ``config.jobs`` worker processes, the machinery ``run_suite`` and
-    ``validate_suite`` use. All swept cache configurations of a group
-    ride one engine run (see :func:`hierarchy_for_configs`), so a sweep
-    never re-simulates a trace per configuration, and every finished
-    cell is served from the hierarchy artifact store when warm (a repeat
-    matrix performs zero simulations). Results come back flattened in
-    matrix order: workloads in suite order, then scenarios, then cache
-    configs.
+    Workloads are the unit of fan-out over ``config.jobs`` worker
+    processes, one call each, the machinery ``run_suite`` and
+    ``validate_suite`` use. All swept cache configurations of a
+    (workload x scenario) cell ride one engine run (see
+    :func:`hierarchy_for_configs`), so a sweep never re-simulates a
+    trace per configuration, and every finished cell is served from the
+    hierarchy artifact store when warm (a repeat matrix performs zero
+    simulations). Results come back flattened in matrix order:
+    workloads in suite order, then scenarios, then cache configs.
     """
-    from repro.workloads.registry import get_workload, workload_names
-
     config = config or PipelineConfig()
     configs = config.hierarchy.configs()
     groups = _fan_out([
-        _cell_call(hierarchy_for_configs, workload, scenario_name, config,
-                   configs)
-        for workload in (get_workload(n) for n in (names or workload_names()))
-        for scenario_name in _hier_scenarios(workload, config.hierarchy)
+        functools.partial(_scenario_cells, hierarchy_for_configs, workload,
+                          _hier_scenarios(workload, config.hierarchy),
+                          config, configs)
+        for workload in _workloads(names)
     ], config.jobs)
-    return [report for group in groups for report in group]
+    return [report for group in groups for cell in group for report in cell]

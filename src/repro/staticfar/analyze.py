@@ -31,7 +31,7 @@ from typing import Iterable, Union
 from repro.foray.filters import FilterConfig
 from repro.foray.model import AffineExpression, ForayLoop, ForayReference
 from repro.lang import ast_nodes as ast
-from repro.lang.ctypes_ import ArrayType, StructType
+from repro.lang.ctypes_ import ArrayType, StructType, fold_int_binary
 from repro.lang.semantics import Symbol
 from repro.sim.memory import STACK_TOP
 from repro.sim.trace import load_pc, store_pc
@@ -316,19 +316,9 @@ class StaticAnalyzer:
                 if (left is None or right is None or len(left) > 1
                         or len(right) > 1):
                     return None
-                lc, rc = left.get(None, 0), right.get(None, 0)
-                if expr.op == "<<":
-                    return {None: lc << rc}
-                if expr.op == ">>":
-                    return {None: lc >> rc}
-                if rc == 0:
-                    return None
-                if expr.op == "/":
-                    q = abs(lc) // abs(rc)
-                    return {None: q if (lc >= 0) == (rc >= 0) else -q}
-                return {None: lc - rc * ((abs(lc) // abs(rc))
-                                         if (lc >= 0) == (rc >= 0)
-                                         else -(abs(lc) // abs(rc)))}
+                value = fold_int_binary(expr.op, left.get(None, 0),
+                                        right.get(None, 0))
+                return None if value is None else {None: value}
         return None
 
     def _fold(self, expr: ast.Expr, frame: _Frame) -> int | None:

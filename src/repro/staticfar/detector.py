@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang import ast_nodes as ast
+from repro.lang.ctypes_ import fold_int_binary
 from repro.lang.semantics import Symbol
 
 
@@ -87,8 +88,12 @@ class SourceForm:
         return node_id in self.analyzable_refs
 
 
+#: The binary operators :func:`_const_value` folds.
+_FOLDED = ("+", "-", "*", "/", "<<", ">>")
+
+
 def _const_value(expr: ast.Expr) -> int | None:
-    """Fold an integer-constant expression, or None."""
+    """Fold an integer-constant expression with C semantics, or None."""
     if isinstance(expr, ast.IntLiteral):
         return expr.value
     if isinstance(expr, ast.Unary) and expr.op in ("-", "+"):
@@ -96,22 +101,12 @@ def _const_value(expr: ast.Expr) -> int | None:
         if inner is None:
             return None
         return -inner if expr.op == "-" else inner
-    if isinstance(expr, ast.Binary):
+    if isinstance(expr, ast.Binary) and expr.op in _FOLDED:
         left = _const_value(expr.left)
         right = _const_value(expr.right)
         if left is None or right is None:
             return None
-        ops = {
-            "+": lambda: left + right,
-            "-": lambda: left - right,
-            "*": lambda: left * right,
-            "<<": lambda: left << right,
-            ">>": lambda: left >> right,
-        }
-        if expr.op in ops:
-            return ops[expr.op]()
-        if expr.op == "/" and right != 0:
-            return left // right
+        return fold_int_binary(expr.op, left, right)
     if isinstance(expr, ast.SizeofType):
         return expr.queried_type.size
     if isinstance(expr, ast.SizeofExpr) and expr.operand.ctype is not None:

@@ -96,8 +96,7 @@ def get_workload(name: str) -> Workload:
 def find_workload(name: str) -> Workload | None:
     """Like :func:`get_workload` but ``None`` for unknown names.
 
-    For callers that merely *check* whether a name is registered (e.g.
-    ``full_flow``'s validation deciding whether a scenario matrix exists).
+    For callers that merely *check* whether a name is registered.
     """
     try:
         return get_workload(name)

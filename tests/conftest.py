@@ -17,7 +17,12 @@ import pytest
 os.environ.setdefault("REPRO_VERIFY_IR", "1")
 
 from repro.foray.filters import FilterConfig
-from repro.pipeline import WorkloadReport, extract_foray_model, run_workload
+from repro.pipeline import (
+    PipelineConfig,
+    WorkloadReport,
+    extract_foray_model,
+    run_workload,
+)
 from repro.workloads.figures import FIG1A, FIG1B, FIG4A, FIG7A, FIG7B, FIG9
 from repro.workloads.registry import MIBENCH_WORKLOADS
 
@@ -44,7 +49,8 @@ def suite_reports() -> dict[str, WorkloadReport]:
 
 
 def _extract(workload, filter_config=None):
-    return extract_foray_model(workload.source, filter_config)
+    return extract_foray_model(
+        workload.source, config=PipelineConfig(filter_config=filter_config))
 
 
 @pytest.fixture(scope="session")

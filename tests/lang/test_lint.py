@@ -244,6 +244,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "L101" in out and "L102" in out
 
+    @pytest.mark.parametrize("dimension", ["1 / 0", "1 % 0", "1 << (0 - 1)"])
+    def test_undefined_dimension_is_l100(self, dimension, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text(f"int a[{dimension}];\nint main(void) {{ return 0; }}\n")
+        assert main(["lint", "--file", str(bad)]) == 1
+        assert "error L100" in capsys.readouterr().out
+
     def test_json_payload(self, tmp_path, capsys):
         bad = tmp_path / "bad.c"
         bad.write_text("int main(void) { int x; return x; }")

@@ -65,6 +65,18 @@ class TestDeclarations:
         with pytest.raises(ParseError):
             parse("int n; int a[n];")
 
+    @pytest.mark.parametrize("dimension", ["(0 - 7) / 2 + 10",
+                                           "(0 - 7) % 4 + 10"])
+    def test_dimension_folds_with_c_division(self, dimension):
+        # C truncates toward zero: -7 / 2 is -3 and -7 % 4 is -3.
+        program = parse(f"int a[{dimension}];")
+        assert program.globals[0].decls[0].ctype.length == 7
+
+    @pytest.mark.parametrize("dimension", ["1 / 0", "1 % 0", "1 << (0 - 1)"])
+    def test_undefined_dimension_rejected(self, dimension):
+        with pytest.raises(ParseError, match="constant expression"):
+            parse(f"int a[{dimension}];")
+
     def test_multiple_declarators(self):
         program = parse("int a, b = 2, c;")
         assert [d.name for d in program.globals[0].decls] == ["a", "b", "c"]

@@ -12,7 +12,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.pipeline import PipelineConfig, static_suite, static_workload
+from repro.foray.filters import FilterConfig
+from repro.pipeline import (
+    PipelineConfig,
+    run_workload,
+    static_suite,
+    static_workload,
+)
 from repro.staticfar.model import REFUSAL_REASONS
 from repro.staticfar.oracle import CONTEXTUAL_REASONS
 from repro.workloads.registry import MIBENCH_WORKLOADS, get_workload
@@ -101,11 +107,62 @@ class TestFullMatrix:
 
 class TestFanOut:
     def test_parallel_matches_serial(self):
+        # Two workloads, so the pool runs one call in each process.
+        names = ("fig9", "adpcm")
         config = PipelineConfig(cache=False)
-        serial = static_suite(("adpcm",), config=config)
-        parallel = static_suite(("adpcm",), config=replace(config, jobs=2))
-        assert len(serial) == len(get_workload("adpcm").scenarios)
+        serial = static_suite(names, config=config)
+        parallel = static_suite(names, config=replace(config, jobs=2))
+        assert [(r.name, r.scenario) for r in serial] == [("fig9", "-")] + [
+            ("adpcm", name)
+            for name in get_workload("adpcm").scenario_names()]
         assert parallel == serial
+
+
+def _indexed(index: str, setup: str = "") -> str:
+    """A 30-iteration loop reading ``a[index]``, after ``setup``."""
+    return f"""
+int a[64];
+int main() {{
+    int i;
+    int k;
+    int s = 0;
+    {setup}
+    for (i = 0; i < 30; i++) {{
+        s = s + a[{index}];
+    }}
+    return s;
+}}
+"""
+
+
+class TestCConstantFolding:
+    """Constant index terms fold as C computes them: ``/`` truncates
+    toward zero, and a shift by a negative count is left unfolded (the
+    reference is refused) instead of crashing the analysis."""
+
+    RELAXED = PipelineConfig(cache=False,
+                             filter_config=FilterConfig(nexec=1, nloc=1))
+
+    def test_division_truncates_toward_zero(self):
+        # (0 - 7) / 2 is -3 in C; flooring it to -4 was a false MISMATCH.
+        report = static_workload("div", _indexed("i + (0 - 7) / 2 + 5"),
+                                 config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 1
+
+    def test_negative_shift_literal_is_not_folded(self):
+        source = _indexed("i + (1 << (0 - 1)) + 5")
+        report = run_workload("shift", source, config=self.RELAXED)
+        assert report.table2.refs_in_model == 1
+        assert report.table2.refs_in_source_form == 0
+        assert static_workload("shift", source, config=self.RELAXED).ok
+
+    def test_negative_shift_through_a_constant_is_not_folded(self):
+        report = static_workload(
+            "shift", _indexed("i + (1 << k) + 5", setup="k = 0 - 1;"),
+            config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 0
 
 
 class TestCrossEngine:

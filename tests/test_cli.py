@@ -20,9 +20,9 @@ int main() {
 #: The arguments each counting command runs with in- and outside a pool.
 POOL_RUNS = {
     "suite": ["adpcm", "gsm"],
-    "validate": ["adpcm", "gsm"],
-    "hier": ["adpcm", "gsm"],
-    "static": ["fig9", "adpcm"],
+    "validate": ["adpcm", "mpeg2"],
+    "hier": ["adpcm", "gsm", "--scenarios", "2"],
+    "static": ["fig9", "fft", "jpeg"],
     "gen": ["--seeds", "3"],
 }
 
@@ -202,12 +202,13 @@ class TestCache:
                                                   capsys):
         # On a fresh store, a run whose cells ran in pool processes
         # prints the counters a serial run prints: each pool process
-        # hands back what it counted with each result. The exception is
-        # validate's and static's compile line: their cells share
-        # sources across pool processes, and a pool process reads from
-        # disk (or, racing another, compiles again) a program that a
-        # serial run finds in its memory tier. The programs stored are
-        # the same either way.
+        # hands back what it counted with each result, and a workload's
+        # cells run in one process. Each run here has cells that share a
+        # program: validation's profile extraction and self-replay,
+        # static scenarios that differ only in their input, two hier
+        # scenarios of one workload. Split across processes, they would
+        # read from disk (or, racing, compile again) a program a serial
+        # run finds in its memory tier.
         from repro.pipeline import clear_caches
 
         printed, entries = {}, {}
@@ -223,9 +224,7 @@ class TestCache:
                              in ArtifactStore(cache_dir).entry_stats()
                              .items()}
         assert len(printed["1"]) == 6
-        if command in ("validate", "static"):
-            assert printed["1"][0].startswith("cache[compile]: 0 hits")
-            printed = {jobs: lines[1:] for jobs, lines in printed.items()}
+        assert printed["1"][0].startswith("cache[compile]: 0 hits")
         assert printed["2"] == printed["1"]
         assert entries["2"] == entries["1"]
 
@@ -322,3 +321,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["suite", "adpcm", "--trace-block", str(2**26 + 1)])
         assert "at most 67108864 accesses per block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["0", "-5"])
+    def test_empty_trace_block_rejected(self, block, capsys):
+        # A block holds at least one access: 0 used to run at the
+        # default block size and -5 at one access per block, each under
+        # an extraction key of its own.
+        with pytest.raises(SystemExit):
+            main(["suite", "adpcm", "--trace-block", block])
+        assert "at least 1 access per block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(POOL_RUNS))
+    def test_negative_jobs_rejected(self, command, capsys):
+        # 0 means the CPU count; a negative count used to run serially.
+        with pytest.raises(SystemExit):
+            main([command, "--jobs", "-3"])
+        assert "at least 0 worker processes" in capsys.readouterr().err

@@ -67,7 +67,7 @@ class TestMatrixCaching:
         calls = self._counting_run_compiled(monkeypatch)
         config = PipelineConfig(
             cache_dir=str(tmp_path / "store"),
-            hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE),
+            hierarchy=HierarchyConfig(cache=SMALL_CACHE),
         )
         cold = hier_suite(("adpcm", "gsm"), config=config)
         cold_calls = len(calls)
@@ -86,7 +86,7 @@ class TestMatrixCaching:
         calls = self._counting_run_compiled(monkeypatch)
         config = PipelineConfig(
             cache=False,
-            hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE),
+            hierarchy=HierarchyConfig(cache=SMALL_CACHE),
         )
         hier_suite(("adpcm",), config=config)
         first = len(calls)
@@ -96,7 +96,7 @@ class TestMatrixCaching:
     def test_scenario_and_config_axes_multiply(self):
         sweep = (CacheConfig(line_bytes=16, sets=4, ways=1),)
         config = PipelineConfig(hierarchy=HierarchyConfig(
-            enabled=True, cache=SMALL_CACHE, sweep=sweep, max_scenarios=2,
+            cache=SMALL_CACHE, sweep=sweep, max_scenarios=2,
         ))
         cells = hier_suite(("adpcm",), config=config)
         assert len(cells) == 4  # 2 scenarios x 2 cache configs
@@ -117,8 +117,7 @@ class TestMatrixCaching:
                  CacheConfig(line_bytes=32, sets=16, ways=2))
         config = PipelineConfig(
             cache=False,  # force everything cold, bypass shared memos
-            hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE,
-                                      sweep=sweep),
+            hierarchy=HierarchyConfig(cache=SMALL_CACHE, sweep=sweep),
         )
         cells = hier_suite(("adpcm",), config=config)
         assert len(cells) == 3
@@ -126,28 +125,33 @@ class TestMatrixCaching:
 
     def test_stage_and_suite_share_warm_entries(self, tmp_path,
                                                 monkeypatch):
-        """full_flow's hierarchy stage and hier_suite must land the
-        nominal cell on the same store entry (same scenario label), so
-        either entry point warms the other."""
+        """full_flow (Phases I+II) and hier_suite share the compile and
+        extraction nodes: after full_flow, a hier_suite served from the
+        disk store runs only its cache-sink run, and its nominal cell's
+        SPM side is the allocation full_flow selects under the same
+        config."""
         calls = self._counting_run_compiled(monkeypatch)
         config = PipelineConfig(
             cache_dir=str(tmp_path / "store"),
-            hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE),
+            spm=SpmConfig(spm_bytes=1024),
+            hierarchy=HierarchyConfig(cache=SMALL_CACHE),
         )
         workload = MIBENCH_WORKLOADS["gsm"]
         flow = full_flow("gsm", workload.source, config=config)
-        assert flow.hierarchy[0].scenario == "nominal"
-        stage_calls = len(calls)
+        assert len(calls) == 1  # the extraction run
 
         clear_caches()  # disk store only from here on
-        warm = hier_suite(("gsm",), config=config)
-        assert len(calls) == stage_calls  # zero new simulations
-        assert warm == list(flow.hierarchy)
+        (cell,) = hier_suite(("gsm",), config=config)
+        assert len(calls) == 2  # plus the one cache-sink run
+        assert cell.scenario == "nominal"
+        assert cell.cache_config == SMALL_CACHE
+        assert cell.spm_buffer_bytes == flow.allocation.used_bytes
+        assert cell.spm_bytes == flow.allocation.capacity_bytes == 1024
 
     def test_serial_vs_parallel_results_identical(self, tmp_path):
         config = PipelineConfig(
             cache_dir=str(tmp_path / "store"),
-            hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE),
+            hierarchy=HierarchyConfig(cache=SMALL_CACHE),
         )
         serial = hier_suite(("adpcm", "gsm"), config=config)
         clear_caches()
@@ -157,33 +161,24 @@ class TestMatrixCaching:
 
 
 class TestHierarchyStage:
-    def test_full_flow_attaches_reports_when_enabled(self):
-        workload = MIBENCH_WORKLOADS["gsm"]
-        config = PipelineConfig(hierarchy=HierarchyConfig(
-            enabled=True, cache=SMALL_CACHE,
-        ))
-        flow = full_flow("gsm", workload.source, config=config)
-        assert flow.hierarchy is not None and len(flow.hierarchy) == 1
-        report = flow.hierarchy[0]
-        assert report.cache_config == SMALL_CACHE
-        # The stage reuses the optimize stage's allocation verbatim.
-        assert report.spm_buffer_bytes == flow.allocation.used_bytes
-        assert report.spm_bytes == flow.allocation.capacity_bytes
+    """The hierarchy cells have one entry point, ``hier_suite``;
+    ``full_flow`` (Phases I+II) runs none."""
 
     def test_full_flow_default_stays_dark(self):
         workload = MIBENCH_WORKLOADS["adpcm"]
-        flow = full_flow("adpcm", workload.source)
-        assert flow.hierarchy is None
+        config = PipelineConfig(hierarchy=HierarchyConfig(
+            enabled=True, cache=SMALL_CACHE))
+        flow = full_flow("adpcm", workload.source, config=config)
+        assert not hasattr(flow, "hierarchy")
+        assert len(pipeline._memos["hierarchy"]) == 0
 
     def test_stage_honours_spm_bytes_override(self):
-        workload = MIBENCH_WORKLOADS["gsm"]
         config = PipelineConfig(
-            spm=SpmConfig(spm_bytes=4096),
-            hierarchy=HierarchyConfig(enabled=True, cache=SMALL_CACHE),
+            spm=SpmConfig(spm_bytes=512),
+            hierarchy=HierarchyConfig(cache=SMALL_CACHE),
         )
-        flow = full_flow("gsm", workload.source, spm_bytes=512,
-                         config=config)
-        assert flow.hierarchy[0].spm_bytes == 512
+        (cell,) = hier_suite(("gsm",), config=config)
+        assert cell.spm_bytes == 512
 
 
 class TestHierCli:
@@ -267,9 +262,7 @@ class TestHierCli:
 
 class TestHierTableRendering:
     def test_win_marking_and_columns(self):
-        config = PipelineConfig(hierarchy=HierarchyConfig(
-            enabled=True, cache=SMALL_CACHE,
-        ))
+        config = PipelineConfig(hierarchy=HierarchyConfig(cache=SMALL_CACHE))
         reports = hier_suite(("gsm",), config=config)
         text = format_hier_table(reports)
         assert "spm=4096B" in text and "allocator: dp" in text

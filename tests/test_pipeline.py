@@ -3,7 +3,13 @@
 import pytest
 
 from repro.foray.filters import FilterConfig
-from repro.pipeline import extract_foray_model, full_flow, run_workload
+from repro.pipeline import (
+    PipelineConfig,
+    SpmConfig,
+    extract_foray_model,
+    full_flow,
+    run_workload,
+)
 from repro.spm.energy import EnergyModel
 from repro.workloads.registry import get_workload
 
@@ -32,9 +38,8 @@ class TestExtractionAPI:
         assert "for (int" in result.foray_source
 
     def test_custom_filter_respected(self):
-        strict = extract_foray_model(
-            REUSE_SOURCE, FilterConfig(nexec=10_000, nloc=1)
-        )
+        strict = extract_foray_model(REUSE_SOURCE, config=PipelineConfig(
+            filter_config=FilterConfig(nexec=10_000, nloc=1)))
         assert len(strict.model.references) < len(
             extract_foray_model(REUSE_SOURCE).model.references
         )
@@ -43,7 +48,8 @@ class TestExtractionAPI:
         from repro.sim.interpreter import ExecLimitExceeded
 
         with pytest.raises(ExecLimitExceeded):
-            extract_foray_model(REUSE_SOURCE, max_steps=100)
+            extract_foray_model(REUSE_SOURCE,
+                                config=PipelineConfig(max_steps=100))
 
 
 class TestWorkloadReport:
@@ -64,24 +70,27 @@ class TestWorkloadReport:
             get_workload("doom")
 
 
+def _spm(spm_bytes: int, energy: EnergyModel = EnergyModel()
+         ) -> PipelineConfig:
+    return PipelineConfig(spm=SpmConfig(spm_bytes=spm_bytes, energy=energy))
+
+
 class TestFullFlow:
     def test_flow_produces_allocation_and_transform(self):
-        flow = full_flow("demo", REUSE_SOURCE, spm_bytes=2048)
+        flow = full_flow("demo", REUSE_SOURCE, config=_spm(2048))
         assert flow.allocation.capacity_bytes == 2048
         assert flow.allocation.buffer_count >= 1
         assert flow.energy_saving_nj > 0
         assert "dma_copy" in flow.transformed_source
 
     def test_flow_respects_energy_model(self):
-        generous = full_flow(
-            "demo", REUSE_SOURCE, spm_bytes=2048,
-            energy_model=EnergyModel(main_read_nj=100.0, main_write_nj=100.0),
-        )
-        default = full_flow("demo", REUSE_SOURCE, spm_bytes=2048)
+        generous = full_flow("demo", REUSE_SOURCE, config=_spm(
+            2048, EnergyModel(main_read_nj=100.0, main_write_nj=100.0)))
+        default = full_flow("demo", REUSE_SOURCE, config=_spm(2048))
         assert generous.energy_saving_nj > default.energy_saving_nj
 
     def test_tiny_spm_yields_no_buffers(self):
-        flow = full_flow("demo", REUSE_SOURCE, spm_bytes=8)
+        flow = full_flow("demo", REUSE_SOURCE, config=_spm(8))
         assert flow.allocation.buffer_count == 0
         assert flow.energy_saving_nj == 0
 
@@ -106,7 +115,7 @@ class TestFullFlow:
             return 0;
         }
         """
-        flow = full_flow("ptr", pointer_source, spm_bytes=2048)
+        flow = full_flow("ptr", pointer_source, config=_spm(2048))
         # Static analysis sees nothing...
         assert flow.report.table2.refs_in_source_form == 0
         # ...but the flow still finds a profitable buffer.

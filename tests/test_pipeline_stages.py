@@ -92,7 +92,8 @@ class TestArtifactCache:
         from repro.foray.filters import FilterConfig
 
         first = extract_foray_model(SOURCE)
-        strict = extract_foray_model(SOURCE, FilterConfig(nexec=10_000))
+        strict = extract_foray_model(SOURCE, config=PipelineConfig(
+            filter_config=FilterConfig(nexec=10_000)))
         assert strict.compiled is first.compiled  # one compiled artifact
         assert len(strict.model.references) < len(first.model.references)
 
@@ -136,11 +137,6 @@ class TestSpmThroughPipeline:
         assert flow.graph is not None and flow.graph.node_count >= 1
         assert flow.exploration is None  # sweep not requested
 
-    def test_spm_bytes_argument_overrides_config(self):
-        config = PipelineConfig(spm=SpmConfig(spm_bytes=1024))
-        flow = full_flow("demo", SOURCE, spm_bytes=256, config=config)
-        assert flow.allocation.capacity_bytes == 256
-
     def test_sweep_enters_artifact_cache(self):
         ladder = (256, 1024, 4096, 16384)
         config = PipelineConfig(
@@ -168,7 +164,7 @@ class TestSpmThroughPipeline:
         base = full_flow("demo", SOURCE, config=PipelineConfig())
         boosted = full_flow("demo", SOURCE, config=PipelineConfig(
             spm=SpmConfig(energy=pricey)))
-        assert boosted.energy_model is pricey
+        assert boosted.graph.energy is pricey
         assert (boosted.allocation.total_benefit_nj
                 > base.allocation.total_benefit_nj)
 

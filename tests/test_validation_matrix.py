@@ -1,7 +1,6 @@
 """Tests for the input-scenario matrix and the cross-input validation
-pipeline: scenario declarations, validation in ``full_flow``, the
-(workload x scenario) fan-out, the validation nodes, the stability table
-and the CLI."""
+pipeline: scenario declarations, ``validate_workload``, the per-workload
+fan-out, the validation nodes, the stability table and the CLI."""
 
 from dataclasses import replace
 
@@ -24,7 +23,7 @@ from repro.pipeline import (
 from repro.sim.machine import compile_program
 from repro.workloads.registry import MIBENCH_WORKLOADS, get_workload
 
-QUICK_VALIDATION = ValidationConfig(enabled=True, max_scenarios=2)
+QUICK_VALIDATION = ValidationConfig(max_scenarios=2)
 
 
 @pytest.fixture(scope="session")
@@ -103,23 +102,20 @@ class TestMatrixResults:
 class TestMatrixFanOut:
     def test_parallel_matches_serial(self):
         names = ("adpcm", "fft")
-        config = PipelineConfig(cache=False,
-                                validation=ValidationConfig(enabled=True))
+        config = PipelineConfig(cache=False)
         serial = validate_suite(names, config=config)
         parallel = validate_suite(names, config=replace(config, jobs=2))
         assert serial == parallel
 
     def test_scenario_truncation(self):
-        config = PipelineConfig(
-            validation=ValidationConfig(enabled=True, max_scenarios=2))
+        config = PipelineConfig(validation=QUICK_VALIDATION)
         result = validate_workload("adpcm", config=config)
         assert result.scenario_count == 2
         assert len(result.cross) == 1
 
     def test_explicit_scenario_subset_and_profile(self):
         config = PipelineConfig(validation=ValidationConfig(
-            enabled=True, scenarios=("nominal", "silence"),
-            profile="silence"))
+            scenarios=("nominal", "silence"), profile="silence"))
         result = validate_workload("adpcm", config=config)
         assert result.profile == "silence"
         assert [cell.scenario for cell in result.cross] == ["nominal"]
@@ -128,17 +124,32 @@ class TestMatrixFanOut:
         with pytest.raises(ValueError, match="no scenario matrix"):
             validate_workload("fig1a")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_suite_rejects_before_any_simulation(self, jobs, monkeypatch):
+        # Every workload and its scenarios are resolved before the
+        # fan-out: a workload without a scenario matrix, or a bad
+        # profile, fails the matrix before any workload's cells run.
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated before the matrix was resolved")
+
+        monkeypatch.setattr(pipeline, "run_compiled", no_simulation)
+        config = PipelineConfig(cache=False, jobs=jobs)
+        with pytest.raises(ValueError, match="fig1a.*no scenario matrix"):
+            validate_suite(("adpcm", "fig1a"), config=config)
+        with pytest.raises(ValueError, match="jpeg.*silence"):
+            validate_suite(("adpcm", "jpeg"), config=replace(
+                config, validation=ValidationConfig(profile="silence")))
+
     def test_undeclared_profile_rejected_cleanly(self):
         # 'silence' exists on adpcm but not on jpeg: the error must name
         # the workload instead of crashing with a raw KeyError.
-        config = PipelineConfig(validation=ValidationConfig(
-            enabled=True, profile="silence"))
+        config = PipelineConfig(
+            validation=ValidationConfig(profile="silence"))
         with pytest.raises(ValueError, match="jpeg.*silence"):
             validate_workload("jpeg", config=config)
 
     def test_scenarios_below_two_rejected(self):
-        config = PipelineConfig(validation=ValidationConfig(
-            enabled=True, max_scenarios=1))
+        config = PipelineConfig(validation=ValidationConfig(max_scenarios=1))
         with pytest.raises(ValueError, match="max_scenarios must be >= 2"):
             validate_workload("adpcm", config=config)
 
@@ -146,8 +157,7 @@ class TestMatrixFanOut:
 class TestValidationCache:
     def test_replays_memoized(self):
         clear_caches()
-        config = PipelineConfig(validation=ValidationConfig(
-            enabled=True, max_scenarios=2))
+        config = PipelineConfig(validation=QUICK_VALIDATION)
         validate_workload("adpcm", config=config)
         misses = _memos["validation"].misses
         hits = _memos["validation"].hits
@@ -175,41 +185,31 @@ class TestValidationCache:
 
     def test_cache_keyed_by_scenario_input(self):
         clear_caches()
-        config = PipelineConfig(validation=ValidationConfig(enabled=True))
-        validate_workload("adpcm", config=config)
+        validate_workload("adpcm", config=PipelineConfig())
         # Every matrix cell (self + 3 cross) is a node of its own.
         assert len(_memos["validation"]) == 4
         clear_caches()
 
 
 class TestValidateStage:
-    """Cross-input validation as ``full_flow`` runs it."""
+    """Cross-input validation of one workload: ``validate_workload`` is
+    its one entry point, and ``full_flow`` (Phases I+II) runs none."""
 
     def test_stage_disabled_by_default(self):
-        workload = get_workload("adpcm")
-        flow = full_flow("adpcm", workload.source, config=PipelineConfig())
-        assert flow.validation is None
-
-    def test_stage_populates_validation(self):
+        clear_caches()
         workload = get_workload("adpcm")
         config = PipelineConfig(validation=QUICK_VALIDATION)
         flow = full_flow("adpcm", workload.source, config=config)
-        assert flow.validation is not None
-        assert flow.validation.workload == "adpcm"
-        assert flow.validation.self_validation.full_accuracy == 1.0
+        assert not hasattr(flow, "validation")
+        assert len(_memos["validation"]) == 0  # no scenario replayed
+        clear_caches()
 
-    def test_stage_skips_adhoc_sources(self):
-        source = "int main() { return 0; }"
+    def test_stage_populates_validation(self):
         config = PipelineConfig(validation=QUICK_VALIDATION)
-        flow = full_flow("<anonymous>", source, config=config)
-        assert flow.validation is None
-
-    def test_stage_skips_modified_source_under_registry_name(self):
-        # A modified source run under a registry name must not be
-        # silently "validated" against the pristine registry program.
-        config = PipelineConfig(validation=QUICK_VALIDATION)
-        flow = full_flow("adpcm", "int main() { return 0; }", config=config)
-        assert flow.validation is None
+        validation = validate_workload("adpcm", config=config)
+        assert validation.workload == "adpcm"
+        assert validation.self_validation.full_accuracy == 1.0
+        assert validation.passes()
 
     def test_vacuous_cross_cell_fails_the_gate(self):
         from repro.foray.validate import (
@@ -228,13 +228,6 @@ class TestValidateStage:
         # overall_accuracy is vacuously 1.0, but the gate must fail.
         assert result.min_accuracy == 1.0
         assert not result.passes()
-
-    def test_full_flow_carries_validation(self):
-        workload = get_workload("adpcm")
-        config = PipelineConfig(validation=QUICK_VALIDATION)
-        flow = full_flow("adpcm", workload.source, config=config)
-        assert flow.validation is not None
-        assert flow.validation.passes()
 
 
 class TestLadderNormalization:
