@@ -16,14 +16,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.foray.extractor import TraceStats
-from repro.foray.model import ForayModel
+from repro.foray.model import ForayModel, TraceStats
 from repro.sim.trace import node_id_of_pc
-from repro.staticfar.detector import SourceForm
 
 
 def _pct(numerator: float, denominator: float) -> float:
     return 100.0 * numerator / denominator if denominator else 0.0
+
+
+@dataclass(frozen=True)
+class SourceForm:
+    """What Table II reads of the static baseline detector's result
+    (:class:`~repro.staticfar.detector.StaticAnalysisResult`): the node
+    ids of its canonical loops and analyzable references. Plain ints,
+    unlike the result itself (whose loop infos hold the program's
+    ``Symbol`` objects), so it is stored and read apart from the
+    program."""
+
+    canonical_loops: frozenset[int]
+    analyzable_refs: frozenset[int]
+
+    def is_canonical_loop(self, node_id: int) -> bool:
+        return node_id in self.canonical_loops
+
+    def is_analyzable_ref(self, node_id: int) -> bool:
+        return node_id in self.analyzable_refs
 
 
 @dataclass(frozen=True)
@@ -122,12 +139,6 @@ class MemoryBehavior:
     @property
     def other_accesses_pct(self) -> float:
         return max(0.0, 100.0 - self.model_accesses_pct - self.lib_accesses_pct)
-
-    @property
-    def other_footprint_pct(self) -> float:
-        # Footprint categories can overlap (the same address touched by
-        # both a model reference and other code), as in the paper.
-        return max(0.0, 100.0 - self.model_footprint_pct)
 
 
 def table3_behavior(name: str, model: ForayModel) -> MemoryBehavior:

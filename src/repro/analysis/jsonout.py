@@ -11,12 +11,14 @@ untouched.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from repro.analysis.census import LoopCensus
-from repro.analysis.coverage import ForayFormCoverage, MemoryBehavior
-from repro.cachesim.report import HierarchyReport
-from repro.foray.validate import WorkloadValidation
-from repro.spm.explore import ExplorationPoint
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.census import LoopCensus
+    from repro.analysis.coverage import ForayFormCoverage, MemoryBehavior
+    from repro.cachesim.report import HierarchyReport
+    from repro.foray.validate import WorkloadValidation
+    from repro.spm.explore import ExplorationPoint
 
 
 def _finite(value: float) -> float | None:

@@ -9,13 +9,12 @@ analysis (adpcm), and the rough magnitude of coverage percentages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 BENCHMARK_NAMES = ("jpeg", "lame", "susan", "fft", "gsm", "adpcm")
 
 
-@dataclass(frozen=True)
-class PaperTable1Row:
+class PaperTable1Row(NamedTuple):
     lines: int
     total_loops: int
     for_pct: float
@@ -33,8 +32,7 @@ PAPER_TABLE1: dict[str, PaperTable1Row] = {
 }
 
 
-@dataclass(frozen=True)
-class PaperTable2Row:
+class PaperTable2Row(NamedTuple):
     loops_in_model: int
     refs_in_model: int
     loops_not_in_form_pct: float
@@ -51,8 +49,7 @@ PAPER_TABLE2: dict[str, PaperTable2Row] = {
 }
 
 
-@dataclass(frozen=True)
-class PaperTable3Row:
+class PaperTable3Row(NamedTuple):
     references: int
     accesses_m: float  # millions
     footprint: int

@@ -4,16 +4,21 @@ comparison, and paper comparisons."""
 
 from __future__ import annotations
 
-from repro.analysis.census import LoopCensus
-from repro.analysis.coverage import ForayFormCoverage, MemoryBehavior
+from typing import TYPE_CHECKING
+
 from repro.analysis.paper_data import (
     PAPER_TABLE1,
     PAPER_TABLE2,
     PAPER_TABLE3,
 )
-from repro.cachesim.report import HierarchyReport
-from repro.foray.validate import WorkloadValidation
-from repro.spm.explore import ExplorationPoint, pareto_frontier
+from repro.spm.explore import pareto_frontier
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.census import LoopCensus
+    from repro.analysis.coverage import ForayFormCoverage, MemoryBehavior
+    from repro.cachesim.report import HierarchyReport
+    from repro.foray.validate import WorkloadValidation
+    from repro.spm.explore import ExplorationPoint
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:

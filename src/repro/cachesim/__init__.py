@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`~repro.cachesim.model.CacheConfig` / ``parse_cache_spec`` —
+* :class:`~repro.cachesim.config.CacheConfig` / ``parse_cache_spec`` —
   cache geometry and policy (plus optional L2);
 * :class:`~repro.cachesim.sink.CacheSink` — streaming set-associative
   simulation over the batched trace-sink protocol;
@@ -10,22 +10,29 @@ Public surface:
   SPM+cache comparison for one evaluation-matrix cell.
 """
 
-from repro.cachesim.model import (
-    DEFAULT_CACHE_SWEEP,
-    WORD_BYTES,
-    CacheConfig,
-    CacheHierarchy,
-    CacheLevelStats,
-    CacheSimResult,
-    hierarchy_energy,
-    parse_cache_spec,
-)
-from repro.cachesim.report import HierarchyReport, build_hierarchy_report
-from repro.cachesim.sink import (
-    CacheSink,
-    allocation_intervals,
-    merge_intervals,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.cachesim.config import (
+        DEFAULT_CACHE_SWEEP,
+        WORD_BYTES,
+        CacheConfig,
+        parse_cache_spec,
+    )
+    from repro.cachesim.model import (
+        CacheHierarchy,
+        CacheLevelStats,
+        CacheSimResult,
+        hierarchy_energy,
+    )
+    from repro.cachesim.report import HierarchyReport, build_hierarchy_report
+    from repro.cachesim.sink import (
+        CacheSink,
+        allocation_intervals,
+        merge_intervals,
+    )
 
 __all__ = [
     "DEFAULT_CACHE_SWEEP",
@@ -42,3 +49,12 @@ __all__ = [
     "merge_intervals",
     "parse_cache_spec",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "config": ("DEFAULT_CACHE_SWEEP", "WORD_BYTES", "CacheConfig",
+               "parse_cache_spec"),
+    "model": ("CacheHierarchy", "CacheLevelStats", "CacheSimResult",
+              "hierarchy_energy"),
+    "report": ("HierarchyReport", "build_hierarchy_report"),
+    "sink": ("CacheSink", "allocation_intervals", "merge_intervals"),
+})

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from repro.cachesim.model import (
     CacheConfig,
     CacheSimResult,
     hierarchy_energy,
 )
-from repro.spm.energy import EnergyModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spm.energy import EnergyModel
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,6 @@ class HierarchyReport:
     def spm_win(self) -> bool:
         """Does adding the SPM beat the pure cache outright?"""
         return self.hybrid_nj < self.cache_nj
-
-    @property
-    def cache_saving_fraction(self) -> float:
-        """Pure cache's energy saving over the all-main baseline."""
-        if self.baseline_main_nj <= 0:
-            return 0.0
-        return 1.0 - self.cache_nj / self.baseline_main_nj
 
     @property
     def hybrid_saving_fraction(self) -> float:

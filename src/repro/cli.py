@@ -108,6 +108,14 @@ Commands
     hit/miss counters to stderr, worker processes' included (stdout
     stays byte-identical to a cache-less run); every command adds its
     counters to the store's tally, which ``cache stats`` prints.
+
+Start-up
+--------
+
+A process loads what its command runs. The modules imported here hold
+the parser's constants and import little themselves; each ``cmd_*``
+handler imports what it runs, so ``--help`` never loads the pipeline
+and a run served from the artifact store never loads the engines.
 """
 
 from __future__ import annotations
@@ -116,59 +124,35 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from repro.analysis import jsonout
-from repro.analysis.report import (
-    format_fuzz_summary,
-    format_hier_table,
-    format_spm_frontier,
-    format_stability_table,
-    format_static_table,
-    format_table1,
-    format_table2,
-    format_table3,
-    summarize_headline,
-)
-from repro.cachesim.model import (
+from repro.cachesim.config import (
     DEFAULT_CACHE_SWEEP,
     CacheConfig,
     parse_cache_spec,
 )
-from repro.foray.emitter import emit_model
-from repro.foray.filters import FilterConfig
-from repro.foray.hints import inlining_hints
-from repro.lang.printer import to_source
-from repro.pipeline import (
-    HierarchyConfig,
-    PipelineConfig,
-    SpmConfig,
-    ValidationConfig,
-    cached_exploration,
-    extract_foray_model,
-    full_flow,
-    hier_suite,
-    LintReport,
-    lint_suite,
-    normalize_ladder,
-    record_store_counters,
-    reset_store_counters,
-    run_suite,
-    static_suite,
-    store_for,
-    validate_suite,
-)
 from repro.sim.machine import DEFAULT_ENGINE, ENGINES
 from repro.sim.trace import MAX_TRACE_BLOCK
 from repro.spm.allocator import ALLOCATOR_POLICIES, AllocatorPolicy
-from repro.spm.energy import EnergyModel
 from repro.spm.explore import DEFAULT_CAPACITIES
 from repro.store import (
     NAMESPACES,
     SCHEMA_VERSION,
     ArtifactStore,
     default_cache_dir,
+    record_store_counters,
+    reset_store_counters,
 )
-from repro.workloads.registry import FIGURE_WORKLOADS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.foray.filters import FilterConfig
+    from repro.pipeline import (
+        HierarchyConfig,
+        PipelineConfig,
+        SpmConfig,
+        ValidationConfig,
+    )
+    from repro.spm.energy import EnergyModel
 
 
 def _add_filter_args(parser: argparse.ArgumentParser) -> None:
@@ -259,6 +243,8 @@ def _add_json_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _filter_from(args) -> FilterConfig:
+    from repro.foray.filters import FilterConfig
+
     return FilterConfig(nexec=args.nexec, nloc=args.nloc)
 
 
@@ -269,6 +255,8 @@ def _energy_from(args) -> EnergyModel:
     own validation rejects negative or NaN energies — a malformed
     override fails loudly instead of producing nonsense tables.
     """
+    from repro.spm.energy import EnergyModel
+
     text = getattr(args, "energy", None)
     if not text:
         return EnergyModel()
@@ -299,6 +287,8 @@ def _energy_from(args) -> EnergyModel:
 
 
 def _parse_ladder(text: str | None) -> tuple[int, ...]:
+    from repro.pipeline import normalize_ladder
+
     if not text or text == "default":
         return DEFAULT_CAPACITIES
     try:
@@ -314,6 +304,8 @@ def _parse_ladder(text: str | None) -> tuple[int, ...]:
 
 
 def _spm_config_from(args) -> SpmConfig:
+    from repro.pipeline import SpmConfig
+
     return SpmConfig(
         spm_bytes=getattr(args, "spm_bytes", 4096),
         capacities=_parse_ladder(getattr(args, "sweep", None)),
@@ -325,6 +317,8 @@ def _spm_config_from(args) -> SpmConfig:
 
 
 def _hier_config_from(args, enabled: bool) -> HierarchyConfig:
+    from repro.pipeline import HierarchyConfig
+
     # Specs are parsed (and rejected loudly) even when --hier is off:
     # `suite --hier-sweep bogus` without --hier must fail like a bad
     # --sweep ladder does, not silently drop the flag.
@@ -382,6 +376,8 @@ def _add_validation_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _validation_config_from(args) -> ValidationConfig:
+    from repro.pipeline import ValidationConfig
+
     return ValidationConfig(
         profile=getattr(args, "profile", None),
         max_scenarios=getattr(args, "scenarios", None),
@@ -400,6 +396,8 @@ def _cache_dir_from(args) -> str | None:
 
 
 def _config_from(args) -> PipelineConfig:
+    from repro.pipeline import PipelineConfig
+
     trace_block = getattr(args, "trace_block", None)
     return PipelineConfig(
         engine=getattr(args, "engine", DEFAULT_ENGINE),
@@ -416,6 +414,11 @@ def _config_from(args) -> PipelineConfig:
 
 
 def cmd_extract(args) -> int:
+    from repro.foray.emitter import emit_model
+    from repro.foray.hints import inlining_hints
+    from repro.lang.printer import to_source
+    from repro.pipeline import extract_foray_model
+
     source = open(args.file).read()
     result = extract_foray_model(source, config=_config_from(args))
     if args.annotated:
@@ -439,6 +442,8 @@ def _report_cache_counters(config: PipelineConfig) -> None:
     worker processes' included (they hand theirs back with their
     results). Counters go to *stderr* so stdout (the tables) stays
     byte-identical whether the disk cache is on, off, cold or warm."""
+    from repro.pipeline import store_for
+
     store = store_for(config)
     if store is None:
         return
@@ -452,6 +457,17 @@ def _report_cache_counters(config: PipelineConfig) -> None:
 
 
 def cmd_suite(args) -> int:
+    from repro.analysis.report import (
+        format_hier_table,
+        format_spm_frontier,
+        format_stability_table,
+        format_table1,
+        format_table2,
+        format_table3,
+        summarize_headline,
+    )
+    from repro.pipeline import cached_exploration, run_suite
+
     names = tuple(args.names) or None
     config = _config_from(args)
     exit_code = 0
@@ -487,6 +503,8 @@ def cmd_suite(args) -> int:
     if args.hier:
         hierarchy = _hier_or_exit(names, args, config)
     if args.json:
+        from repro.analysis import jsonout
+
         print(json.dumps(jsonout.suite_payload(
             reports, sweeps=sweeps, validations=validations,
             hierarchy=hierarchy, threshold=args.threshold), indent=2))
@@ -505,6 +523,8 @@ def cmd_suite(args) -> int:
 def _validate_or_exit(names, args, config):
     """Run the validation matrix, turning declaration errors (unknown
     scenario/profile, bad --scenarios) into a clean CLI exit."""
+    from repro.pipeline import validate_suite
+
     try:
         return validate_suite(names, config=config)
     except (KeyError, ValueError) as error:
@@ -515,6 +535,8 @@ def _validate_or_exit(names, args, config):
 def _hier_or_exit(names, args, config):
     """Run the hierarchy matrix, turning declaration errors (unknown
     workload names) into a clean CLI exit."""
+    from repro.pipeline import hier_suite
+
     try:
         return hier_suite(names, config=config)
     except (KeyError, ValueError) as error:
@@ -523,10 +545,14 @@ def _hier_or_exit(names, args, config):
 
 
 def cmd_validate(args) -> int:
+    from repro.analysis.report import format_stability_table
+
     names = tuple(args.names) or None
     config = _config_from(args)
     results = _validate_or_exit(names, args, config)
     if args.json:
+        from repro.analysis import jsonout
+
         print(json.dumps(jsonout.validate_payload(results, args.threshold),
                          indent=2))
     else:
@@ -544,10 +570,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_hier(args) -> int:
+    from repro.analysis.report import format_hier_table
+
     names = tuple(args.names) or None
     config = _config_from(args)
     results = _hier_or_exit(names, args, config)
     if args.json:
+        from repro.analysis import jsonout
+
         print(json.dumps(jsonout.hier_payload(results), indent=2))
     else:
         print(format_hier_table(results))
@@ -556,6 +586,9 @@ def cmd_hier(args) -> int:
 
 
 def cmd_static(args) -> int:
+    from repro.analysis.report import format_static_table
+    from repro.pipeline import static_suite
+
     names = tuple(args.names) or None
     config = _config_from(args)
     try:
@@ -564,6 +597,8 @@ def cmd_static(args) -> int:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"static: {message}") from None
     if args.json:
+        from repro.analysis import jsonout
+
         print(json.dumps(jsonout.static_payload(reports), indent=2))
     else:
         print(format_static_table(reports))
@@ -579,6 +614,7 @@ def cmd_static(args) -> int:
 
 def cmd_lint(args) -> int:
     from repro.lang.lint import lint_source
+    from repro.pipeline import LintReport, lint_suite
 
     if args.files:
         if args.names:
@@ -594,6 +630,8 @@ def cmd_lint(args) -> int:
             message = error.args[0] if error.args else str(error)
             raise SystemExit(f"lint: {message}") from None
     if args.json:
+        from repro.analysis import jsonout
+
         print(json.dumps(jsonout.lint_payload(reports), indent=2))
     else:
         for report in reports:
@@ -622,6 +660,7 @@ def _checks_from(args) -> tuple[str, ...]:
 
 
 def cmd_gen(args) -> int:
+    from repro.analysis.report import format_fuzz_summary
     from repro.gen.fuzz import run_fuzz
 
     config = _config_from(args)
@@ -634,6 +673,8 @@ def cmd_gen(args) -> int:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"gen: {message}") from None
     if args.json:
+        from repro.analysis import jsonout
+
         print(json.dumps(jsonout.gen_payload(report), indent=2))
     else:
         print(format_fuzz_summary(report))
@@ -642,6 +683,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from repro.foray.emitter import emit_model
+    from repro.foray.filters import FilterConfig
+    from repro.pipeline import PipelineConfig, extract_foray_model
+    from repro.workloads.registry import FIGURE_WORKLOADS
+
     relaxed = PipelineConfig(filter_config=FilterConfig(nexec=1, nloc=1))
     for name, workload in FIGURE_WORKLOADS.items():
         print(f"=== {name}: {workload.description} ===")
@@ -651,6 +697,9 @@ def cmd_figures(args) -> int:
 
 
 def cmd_spm(args) -> int:
+    from repro.analysis.report import format_spm_frontier
+    from repro.pipeline import cached_exploration, full_flow
+
     source = open(args.file).read()
     config = _config_from(args)
     flow = full_flow(args.file, source, config=config)

@@ -27,14 +27,18 @@ pipeline (annotate → profile → analyze → purge) on MiniC source text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from repro.foray.affine import BULK_MIN_ROWS, ReferenceSolver
 from repro.foray.filters import FilterConfig
 from repro.foray.looptree import LoopNode, LoopTreeBuilder
-from repro.foray.model import ForayLoop, ForayModel, ForayReference
+from repro.foray.model import (
+    ForayLoop,
+    ForayModel,
+    ForayReference,
+    TraceStats,
+)
 from repro.sim.trace import (
     KIND_TO_CODE,
     LIB_PC_BASE,
@@ -44,64 +48,8 @@ from repro.sim.trace import (
     TraceRecord,
     is_library_pc,
 )
-from repro.store import LazyFields
 
 _uid = attrgetter("uid")
-
-
-class TraceCounts(NamedTuple):
-    """The sizes of :class:`TraceStats`' sets that Table III prints."""
-
-    total_references: int
-    total_footprint: int
-    lib_references: int
-    lib_footprint: int
-
-
-@dataclass
-class TraceStats:
-    """Trace-wide counters backing Table III.
-
-    References are counted per (dynamic loop node, pc) — i.e. with
-    functions considered inlined, as the paper does. Footprints are sets of
-    distinct accessed addresses per category; ``user_addresses`` is
-    filled by :meth:`ForayExtractor.finish`, as the union of the solvers'
-    address sets (every user access reaches one solver).
-
-    Pickled, the four sets are one nested pickle that is unpickled on the
-    first read of any of them, next to :meth:`counts`: Table III reads
-    only the counts, and the sets are most of an extraction entry.
-    """
-
-    total_accesses: int = 0
-    user_accesses: int = 0
-    lib_accesses: int = 0
-    user_refs: set = field(default_factory=set)
-    lib_refs: set = field(default_factory=set)
-    user_addresses: set = field(default_factory=set)
-    lib_addresses: set = field(default_factory=set)
-
-    def __getstate__(self) -> dict:
-        return _LAZY_SETS.getstate(self)
-
-    def counts(self) -> TraceCounts:
-        """The set sizes Table III prints, read without unpickling the
-        sets (and computed from them, not kept, while they are live)."""
-        return _LAZY_SETS.summary(self)
-
-
-def _trace_counts(stats: TraceStats) -> TraceCounts:
-    return TraceCounts(
-        total_references=len(stats.user_refs) + len(stats.lib_refs),
-        total_footprint=len(stats.user_addresses | stats.lib_addresses),
-        lib_references=len(stats.lib_refs),
-        lib_footprint=len(stats.lib_addresses),
-    )
-
-
-_LAZY_SETS = LazyFields(
-    TraceStats, ("user_refs", "lib_refs", "user_addresses", "lib_addresses"),
-    _trace_counts)
 
 
 class ForayExtractor:

@@ -10,6 +10,9 @@ text (paper Figures 2 and 4d) and that the SPM phase consumes directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from repro.store import LazyFields
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,8 @@ class ForayModel:
     loops: list[ForayLoop] = field(default_factory=list)
     #: Number of references marked non-analyzable by Algorithm 3 step 4.
     non_analyzable_count: int = 0
-    #: Trace-wide statistics (filled by the extractor; see coverage module).
+    #: Trace-wide statistics (a :class:`TraceStats` filled by the
+    #: extractor; see the coverage module).
     trace_stats: object = None
     #: Accesses made by the filtered references (Table III "Accesses").
     captured_accesses: int = 0
@@ -181,3 +185,59 @@ class ForayModel:
 
     def partial_references(self) -> list[ForayReference]:
         return [ref for ref in self.references if not ref.is_full]
+
+
+class TraceCounts(NamedTuple):
+    """The sizes of :class:`TraceStats`' sets that Table III prints."""
+
+    total_references: int
+    total_footprint: int
+    lib_references: int
+    lib_footprint: int
+
+
+@dataclass
+class TraceStats:
+    """Trace-wide counters backing Table III.
+
+    References are counted per (dynamic loop node, pc) — i.e. with
+    functions considered inlined, as the paper does. Footprints are sets of
+    distinct accessed addresses per category; ``user_addresses`` is
+    filled by :meth:`~repro.foray.extractor.ForayExtractor.finish`, as
+    the union of the solvers' address sets (every user access reaches
+    one solver).
+
+    Pickled, the four sets are one nested pickle that is unpickled on the
+    first read of any of them, next to :meth:`counts`: Table III reads
+    only the counts, and the sets are most of an extraction entry.
+    """
+
+    total_accesses: int = 0
+    user_accesses: int = 0
+    lib_accesses: int = 0
+    user_refs: set = field(default_factory=set)
+    lib_refs: set = field(default_factory=set)
+    user_addresses: set = field(default_factory=set)
+    lib_addresses: set = field(default_factory=set)
+
+    def __getstate__(self) -> dict:
+        return _LAZY_SETS.getstate(self)
+
+    def counts(self) -> TraceCounts:
+        """The set sizes Table III prints, read without unpickling the
+        sets (and computed from them, not kept, while they are live)."""
+        return _LAZY_SETS.summary(self)
+
+
+def _trace_counts(stats: TraceStats) -> TraceCounts:
+    return TraceCounts(
+        total_references=len(stats.user_refs) + len(stats.lib_refs),
+        total_footprint=len(stats.user_addresses | stats.lib_addresses),
+        lib_references=len(stats.lib_refs),
+        lib_footprint=len(stats.lib_addresses),
+    )
+
+
+_LAZY_SETS = LazyFields(
+    TraceStats, ("user_refs", "lib_refs", "user_addresses", "lib_addresses"),
+    _trace_counts)

@@ -66,14 +66,19 @@ satisfied cells but can never serve artifacts from an older generator.
 
 from __future__ import annotations
 
-from repro.gen.build import GenError, GenProgram, build_ir, gen_name
-from repro.gen.profiles import (
-    GENERATOR_VERSION,
-    PROFILES,
-    GenProfile,
-    get_profile,
-)
-from repro.gen.render import RenderedProgram, render_ir
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.gen.build import GenError, GenProgram, build_ir, gen_name
+    from repro.gen.profiles import (
+        GENERATOR_VERSION,
+        PROFILES,
+        GenProfile,
+        get_profile,
+    )
+    from repro.gen.render import RenderedProgram, render_ir
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -90,9 +95,20 @@ __all__ = [
     "render_ir",
 ]
 
+__getattr__, __dir__ = attach(__name__, {
+    "build": ("GenError", "GenProgram", "build_ir", "gen_name"),
+    "profiles": ("GENERATOR_VERSION", "PROFILES", "GenProfile",
+                 "get_profile"),
+    "render": ("RenderedProgram", "render_ir"),
+})
+
 
 def generate_program(seed: int, profile: str = "small") -> RenderedProgram:
     """Deterministically generate ``gen:<profile>:<seed>``."""
+    from repro.gen.build import build_ir
+    from repro.gen.profiles import get_profile
+    from repro.gen.render import render_ir
+
     prof = get_profile(profile)
     return render_ir(build_ir(seed, prof), prof)
 
@@ -103,6 +119,8 @@ def parse_gen_spec(name: str) -> tuple[str, int]:
     Raises ``ValueError`` with a usage hint on malformed specs and
     ``KeyError`` (from :func:`get_profile`) on unknown profiles.
     """
+    from repro.gen.profiles import get_profile
+
     parts = name.split(":")
     if len(parts) != 3 or parts[0] != "gen" or not parts[1]:
         raise ValueError(

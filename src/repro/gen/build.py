@@ -362,12 +362,6 @@ class _Builder:
 
     # -- statements ------------------------------------------------------
 
-    def _iterations(self, stack: list[_LoopFrame]) -> int:
-        total = 1
-        for frame in stack:
-            total *= frame.max_value + 1 if frame.is_frame else 1
-        return total
-
     def _store(self, stack: list[_LoopFrame], in_helper: bool) -> Store:
         array = self._data_array()
         with_base = in_helper and self.rng.random() < 0.6

@@ -60,38 +60,32 @@ producer receives, so no tier can serve an artifact across a config
 change. ``cache=False`` / ``--no-cache`` drops the disk tier and
 memoizes no simulated artifact; compile nodes, a pure function of the
 source text, stay shared within the process until :func:`clear_caches`.
+
+A producer imports the modules it runs when it runs, so a run served
+from the memo never loads the parser, the engines, the extractor or the
+static analyzer: the modules imported here hold only what such a run
+reads (configs, the stored artifacts' classes and the tables).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.census import LoopCensus, loop_census
-from repro.cachesim.model import CacheConfig, CacheHierarchy
-from repro.cachesim.report import HierarchyReport, build_hierarchy_report
-from repro.cachesim.sink import CacheSink, allocation_intervals
 from repro.analysis.coverage import (
     ForayFormCoverage,
     MemoryBehavior,
     table2_coverage,
     table3_behavior,
 )
-from repro.foray.emitter import emit_model
-from repro.foray.extractor import ForayExtractor
+from repro.cachesim.config import CacheConfig
 from repro.foray.filters import FilterConfig
 from repro.foray.model import ForayModel
-from repro.lang.lint import Finding, lint_source
-from repro.foray.validate import (
-    ScenarioValidation,
-    ValidationReport,
-    ValidationSink,
-    WorkloadValidation,
-)
 from repro.sim.inputs import InputSpec
 from repro.sim.machine import (
     DEFAULT_ENGINE,
@@ -109,13 +103,21 @@ from repro.spm.explore import (
     ExplorationPoint,
     explore,
 )
-from repro.spm.graph import ReuseGraph
-from repro.spm.transform import transform_model
-from repro.staticfar.analyze import analyze_static
-from repro.staticfar.detector import StaticAnalysisResult, detect
-from repro.staticfar.model import StaticForayModel
-from repro.staticfar.oracle import OracleReport, compare_models
-from repro.store import ArtifactStore
+from repro.store import (
+    ArtifactStore,
+    open_store,
+    reset_store_counters,
+    take_store_counters,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cachesim.report import HierarchyReport
+    from repro.foray.validate import ValidationReport, WorkloadValidation
+    from repro.lang.lint import Finding
+    from repro.spm.graph import ReuseGraph
+    from repro.staticfar.detector import StaticAnalysisResult
+    from repro.staticfar.model import StaticForayModel
+    from repro.staticfar.oracle import OracleReport
 
 DEFAULT_MAX_STEPS = 200_000_000
 
@@ -214,6 +216,11 @@ class PipelineConfig:
     #: Structurally verify the lowered/fused bytecode before every run.
     verify_ir: bool = False
 
+    def __post_init__(self) -> None:
+        if self.jobs < 0:
+            raise ValueError(
+                f"jobs must be >= 0 (0 = the CPU count), got {self.jobs}")
+
     def engine_config(self) -> EngineConfig:
         return EngineConfig(engine=self.engine, max_steps=self.max_steps,
                             trace_block_size=self.trace_block,
@@ -297,38 +304,15 @@ def clear_caches() -> None:
         memo.clear()
 
 
-#: One ArtifactStore instance per cache directory, shared by every
-#: pipeline run in this process; its counters take in what fan-out
-#: workers count (see :func:`_fan_out`).
-_stores: dict[str, ArtifactStore] = {}
-
-
-def _store_at(root: str) -> ArtifactStore:
-    store = _stores.get(root)
-    if store is None:
-        store = _stores[root] = ArtifactStore(root)
-    return store
-
-
 def store_for(config: PipelineConfig) -> ArtifactStore | None:
     """The disk store behind ``config``, or ``None`` when disabled
-    (``cache=False`` turns the disk tier off for every namespace)."""
+    (``cache=False`` turns the disk tier off for every namespace). It is
+    the process's one store object for that directory
+    (:func:`repro.store.open_store`), whose counters take in what fan-out
+    workers count (see :func:`_fan_out`)."""
     if not config.cache or not config.cache_dir:
         return None
-    return _store_at(config.cache_dir)
-
-
-def reset_store_counters() -> None:
-    """Zero every open store's counters, so that ``session_counters()``
-    counts from here on."""
-    for store in _stores.values():
-        store.take_counters()
-
-
-def record_store_counters() -> None:
-    """Add every open store's counters to its tally file."""
-    for store in _stores.values():
-        store.record_counters()
+    return open_store(config.cache_dir)
 
 
 #: The :class:`PipelineConfig` fields that decide how a run is carried
@@ -452,6 +436,8 @@ def _fill_detector(compiled: CompiledProgram) -> bool:
     """
     if compiled.source_form() is not None:
         return False
+    from repro.staticfar.detector import detect
+
     compiled.detector = detect(compiled.program)
     return True
 
@@ -490,6 +476,8 @@ def _extraction_node(source: str, config: PipelineConfig) -> _Node:
     compiled = _compile_node(source, run)
 
     def extract() -> ExtractionResult:
+        from repro.foray.extractor import ForayExtractor
+
         program = compiled.get()
         extractor = ForayExtractor(program.checkpoint_map, run.filter_config)
         result = run_compiled(program, sinks=(extractor,), entry=run.entry,
@@ -595,6 +583,8 @@ class ExtractionResult:
     @property
     def foray_source(self) -> str:
         """The FORAY model rendered as C text (paper Figures 2/4d)."""
+        from repro.foray.emitter import emit_model
+
         return emit_model(self.model)
 
 
@@ -664,8 +654,23 @@ def _counted(call: Callable) -> tuple:
     for an earlier call is dropped first)."""
     reset_store_counters()
     result = call()
-    return result, {root: store.take_counters()
-                    for root, store in _stores.items()}
+    return result, take_store_counters()
+
+
+#: The modules the fanned-out producers import when they run (the IR
+#: verifier only under ``verify_ir``). A pool imports them before it
+#: forks, so its workers inherit one copy instead of each importing its
+#: own; ``tests/test_store.py::TestStartup`` checks the list against
+#: what the producers import.
+_PRODUCER_MODULES = (
+    "repro.cachesim.report", "repro.cachesim.sink",
+    "repro.foray.extractor", "repro.foray.validate",
+    "repro.instrument.checkpoints", "repro.lang.parser",
+    "repro.lang.semantics", "repro.sim.bytecode", "repro.sim.interpreter",
+    "repro.sim.specialize", "repro.sim.verify", "repro.spm.graph",
+    "repro.staticfar.analyze", "repro.staticfar.detector",
+    "repro.staticfar.oracle",
+)
 
 
 def _fan_out(calls: list[Callable], jobs: int) -> list:
@@ -679,12 +684,15 @@ def _fan_out(calls: list[Callable], jobs: int) -> list:
     """
     if jobs == 0:
         jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(calls)))
-    if jobs == 1:
+    jobs = min(jobs, len(calls))
+    if jobs <= 1:
         return [call() for call in calls]
 
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
+    for module in _PRODUCER_MODULES:
+        importlib.import_module(module)
     try:
         mp_context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -694,7 +702,7 @@ def _fan_out(calls: list[Callable], jobs: int) -> list:
                              mp_context=mp_context) as executor:
         for result, counters in executor.map(_counted, calls):
             for root, counts in counters.items():
-                _store_at(root).add_counters(counts)
+                open_store(root).add_counters(counts)
             results.append(result)
     return results
 
@@ -753,6 +761,9 @@ def static_workload(
     filter and entry, and the oracle's disagreements are reported, not
     raised — callers (``repro static``, the tests) decide how loud to
     be."""
+    from repro.staticfar.analyze import analyze_static
+    from repro.staticfar.oracle import compare_models
+
     config = config or PipelineConfig()
     report = run_workload(name, source, config=config)
     static = analyze_static(
@@ -832,6 +843,8 @@ def lint_suite(names: tuple[str, ...] | None = None) -> list[LintReport]:
 
     Pure front-end work (no simulation), so cells run serially; the
     whole suite takes well under a second."""
+    from repro.lang.lint import lint_source
+
     reports: list[LintReport] = []
     for workload in _workloads(names):
         scenario_names = workload.scenario_names() or (None,)
@@ -875,6 +888,9 @@ def full_flow(
     manual by design in the paper; the transformed model text returned
     here is the input a designer would use for it.
     """
+    from repro.spm.graph import ReuseGraph
+    from repro.spm.transform import transform_model
+
     config = config or PipelineConfig()
     spm_config = config.spm
     report = run_workload(name, source, config=config)
@@ -914,6 +930,8 @@ def _replay_scenario(
         workload.source_for(profile), _scenario_config(config, profile))
 
     def replay() -> ValidationReport:
+        from repro.foray.validate import ValidationSink
+
         program = compiled.get()
         sink = ValidationSink(model, program.checkpoint_map)
         run_compiled(program, sinks=(sink,), entry=run.entry,
@@ -968,6 +986,8 @@ def _validate_against(workload, scenarios: list, model: ForayModel,
     """Replay every scenario against ``model``, extracted on the first
     (profile) scenario: the self-validation row, then one cross cell per
     other scenario."""
+    from repro.foray.validate import ScenarioValidation, WorkloadValidation
+
     profile = scenarios[0]
     cells = tuple(
         ScenarioValidation(
@@ -1069,6 +1089,11 @@ def hierarchy_for_configs(
         else:
             reports[cache_config] = report
     if missing:
+        from repro.cachesim.model import CacheHierarchy
+        from repro.cachesim.report import build_hierarchy_report
+        from repro.cachesim.sink import CacheSink, allocation_intervals
+        from repro.spm.graph import ReuseGraph
+
         graph = ReuseGraph.from_model(extraction.get().model, energy)
         allocation = allocate_graph(graph, capacity, policy)
         intervals = allocation_intervals(allocation)

@@ -5,29 +5,34 @@ MiniC programs over a simulated 32-bit address space and streams the
 checkpoint/memory-access trace that FORAY-GEN consumes.
 """
 
-from repro.sim.bytecode import BytecodeVM, lower_program
-from repro.sim.interpreter import ExecLimitExceeded, Interpreter
-from repro.sim.machine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    CompiledProgram,
-    EngineConfig,
-    RunResult,
-    compile_program,
-    lower_compiled,
-    run_and_trace,
-    run_compiled,
-)
-from repro.sim.trace import (
-    Access,
-    Checkpoint,
-    CheckpointKind,
-    CheckpointMap,
-    TraceCollector,
-    TraceWriter,
-    format_trace,
-    parse_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.sim.bytecode import BytecodeVM, lower_program
+    from repro.sim.interpreter import ExecLimitExceeded, Interpreter
+    from repro.sim.machine import (
+        DEFAULT_ENGINE,
+        ENGINES,
+        CompiledProgram,
+        EngineConfig,
+        RunResult,
+        compile_program,
+        lower_compiled,
+        run_and_trace,
+        run_compiled,
+    )
+    from repro.sim.trace import (
+        Access,
+        Checkpoint,
+        CheckpointKind,
+        CheckpointMap,
+        TraceCollector,
+        TraceWriter,
+        format_trace,
+        parse_trace,
+    )
 
 __all__ = [
     "ExecLimitExceeded",
@@ -52,3 +57,14 @@ __all__ = [
     "format_trace",
     "parse_trace",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "bytecode": ("BytecodeVM", "lower_program"),
+    "interpreter": ("ExecLimitExceeded", "Interpreter"),
+    "machine": ("DEFAULT_ENGINE", "ENGINES", "CompiledProgram",
+                "EngineConfig", "RunResult", "compile_program",
+                "lower_compiled", "run_and_trace", "run_compiled"),
+    "trace": ("Access", "Checkpoint", "CheckpointKind", "CheckpointMap",
+              "TraceCollector", "TraceWriter", "format_trace",
+              "parse_trace"),
+})

@@ -58,7 +58,6 @@ from repro.lang.errors import MiniCRuntimeError
 from repro.lang.semantics import Symbol
 from repro.sim.builtins import ExitSignal
 from repro.sim.inputs import InputSpec, InputStream
-from repro.sim.interpreter import RunStats
 from repro.sim.memory import (
     GLOBAL_BASE,
     HEAP_BASE,
@@ -69,6 +68,7 @@ from repro.sim.memory import (
 from repro.sim.trace import (
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
+    RunStats,
     TraceBuffer,
     TraceSink,
     load_pc,

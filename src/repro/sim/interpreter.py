@@ -50,6 +50,7 @@ from repro.sim.trace import (
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
     LOOP_BEGIN_CODE,
+    RunStats,
     TraceBuffer,
     TraceSink,
     load_pc,
@@ -83,16 +84,6 @@ class Frame:
     regs: dict[Symbol, object] = field(default_factory=dict)
     mem_vars: dict[Symbol, int] = field(default_factory=dict)
     stack_marker: int = 0
-
-
-@dataclass
-class RunStats:
-    """Aggregate counters maintained by the interpreter during a run."""
-
-    steps: int = 0
-    accesses: int = 0
-    checkpoints: int = 0
-    calls: int = 0
 
 
 class Interpreter:

@@ -29,21 +29,20 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.instrument.checkpoints import instrument
-from repro.lang import ast_nodes as ast
-from repro.lang.semantics import parse_and_analyze
 from repro.sim.inputs import InputSpec
-from repro.sim.interpreter import Interpreter, RunStats
 from repro.sim.trace import (
     DEFAULT_TRACE_BLOCK,
     CheckpointMap,
+    RunStats,
     TraceCollector,
     TraceSink,
 )
 from repro.store import LazyFields
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticfar.detector import SourceForm, StaticAnalysisResult
+    from repro.analysis.coverage import SourceForm
+    from repro.lang import ast_nodes as ast
+    from repro.staticfar.detector import StaticAnalysisResult
 
 #: Engine names accepted by :class:`EngineConfig` and the CLI.
 ENGINES = ("bytecode", "ast")
@@ -143,6 +142,9 @@ class RunResult:
 def compile_program(source: str, annotate: bool = True,
                     filename: str = "<minic>") -> CompiledProgram:
     """Parse, semantically analyze and (by default) instrument ``source``."""
+    from repro.instrument.checkpoints import instrument
+    from repro.lang.semantics import parse_and_analyze
+
     program = parse_and_analyze(source, filename)
     checkpoint_map = instrument(program) if annotate else CheckpointMap()
     return CompiledProgram(program, checkpoint_map, source,
@@ -192,6 +194,8 @@ def run_compiled(
             "", "0"):
         verify_ir(compiled)
     if config.engine == "ast":
+        from repro.sim.interpreter import Interpreter
+
         machine = Interpreter(
             compiled.program,
             sinks=sinks,

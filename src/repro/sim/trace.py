@@ -56,11 +56,7 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass, field
-from typing import (IO, TYPE_CHECKING, Any, Iterable, Iterator, Protocol,
-                    Sequence, Union)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.interpreter import RunStats
+from typing import IO, Any, Iterable, Iterator, Protocol, Sequence, Union
 
 #: Base pc for user-code memory access sites.
 USER_PC_BASE = 0x400000
@@ -330,6 +326,17 @@ class TraceSink(Protocol):
     def emit_columns(self, block: ColumnBlock) -> None: ...
 
 
+@dataclass
+class RunStats:
+    """Aggregate counters both engines maintain during a run (the trace
+    buffer counts the accesses and checkpoints it delivers)."""
+
+    steps: int = 0
+    accesses: int = 0
+    checkpoints: int = 0
+    calls: int = 0
+
+
 class TraceBuffer:
     """The trace buffer and flush both engines share.
 
@@ -351,7 +358,7 @@ class TraceBuffer:
                  "_stats")
 
     def __init__(self, sinks: Iterable[TraceSink], block_size: int,
-                 stats: "RunStats") -> None:
+                 stats: RunStats) -> None:
         self._sinks = tuple(sinks)
         for sink in self._sinks:
             if not callable(getattr(sink, "emit_columns", None)):

@@ -8,44 +8,49 @@ end. The candidate space is organised as a reuse-graph IR
 and the capacity-sweep explorer operate over it.
 """
 
-from repro.spm.allocator import (
-    ALLOCATOR_POLICIES,
-    Allocation,
-    AllocatorPolicy,
-    allocate,
-    allocate_graph,
-)
-from repro.spm.candidates import (
-    BufferCandidate,
-    candidate_benefit,
-    candidates_for_reference,
-    enumerate_candidates,
-    served_saving,
-    transfer_cost,
-)
-from repro.spm.energy import EnergyModel
-from repro.spm.explore import (
-    DEFAULT_CAPACITIES,
-    ExplorationPoint,
-    best_allocation,
-    explore,
-    model_baseline_energy,
-    pareto_frontier,
-    sweep_suite,
-)
-from repro.spm.graph import (
-    ReuseEdge,
-    ReuseGraph,
-    ReuseNode,
-    reference_interval,
-)
-from repro.spm.reuse import ReuseLevel, inner_footprint, reuse_levels
-from repro.spm.transform import (
-    ReplayProgram,
-    emit_replay_source,
-    emit_transformed_source,
-    transform_model,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.spm.allocator import (
+        ALLOCATOR_POLICIES,
+        Allocation,
+        AllocatorPolicy,
+        allocate,
+        allocate_graph,
+    )
+    from repro.spm.candidates import (
+        BufferCandidate,
+        candidate_benefit,
+        candidates_for_reference,
+        enumerate_candidates,
+        served_saving,
+        transfer_cost,
+    )
+    from repro.spm.energy import EnergyModel
+    from repro.spm.explore import (
+        DEFAULT_CAPACITIES,
+        ExplorationPoint,
+        best_allocation,
+        explore,
+        model_baseline_energy,
+        pareto_frontier,
+        sweep_suite,
+    )
+    from repro.spm.graph import (
+        ReuseEdge,
+        ReuseGraph,
+        ReuseNode,
+        reference_interval,
+    )
+    from repro.spm.reuse import ReuseLevel, inner_footprint, reuse_levels
+    from repro.spm.transform import (
+        ReplayProgram,
+        emit_replay_source,
+        emit_transformed_source,
+        transform_model,
+    )
 
 __all__ = [
     "ALLOCATOR_POLICIES",
@@ -79,3 +84,19 @@ __all__ = [
     "emit_transformed_source",
     "transform_model",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "allocator": ("ALLOCATOR_POLICIES", "Allocation", "AllocatorPolicy",
+                  "allocate", "allocate_graph"),
+    "candidates": ("BufferCandidate", "candidate_benefit",
+                   "candidates_for_reference", "enumerate_candidates",
+                   "served_saving", "transfer_cost"),
+    "energy": ("EnergyModel",),
+    "explore": ("DEFAULT_CAPACITIES", "ExplorationPoint", "best_allocation",
+                "explore", "model_baseline_energy", "pareto_frontier",
+                "sweep_suite"),
+    "graph": ("ReuseEdge", "ReuseGraph", "ReuseNode", "reference_interval"),
+    "reuse": ("ReuseLevel", "inner_footprint", "reuse_levels"),
+    "transform": ("ReplayProgram", "emit_replay_source",
+                  "emit_transformed_source", "transform_model"),
+})

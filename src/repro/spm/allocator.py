@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.spm.candidates import BufferCandidate
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spm.candidates import BufferCandidate
     from repro.spm.graph import ReuseGraph, ReuseNode
 
 _GRANULE = 4

@@ -12,11 +12,14 @@ the pipeline's multiprocess ``run_suite`` machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.foray.model import ForayModel
 from repro.spm.allocator import Allocation, AllocatorPolicy, allocate_graph
-from repro.spm.energy import EnergyModel
-from repro.spm.graph import ReuseGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.foray.model import ForayModel
+    from repro.spm.energy import EnergyModel
+    from repro.spm.graph import ReuseGraph
 
 #: Default sweep: typical embedded SPM capacities.
 DEFAULT_CAPACITIES = (256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -57,6 +60,9 @@ def explore(
     The reuse graph is built once and reused across the whole ladder;
     pass ``graph`` to share one across several sweeps.
     """
+    from repro.spm.energy import EnergyModel
+    from repro.spm.graph import ReuseGraph
+
     energy = energy or EnergyModel()
     policy = AllocatorPolicy(policy)
     if graph is None:
@@ -132,6 +138,9 @@ def best_allocation(
     policy: AllocatorPolicy | str = AllocatorPolicy.DP,
 ) -> Allocation:
     """Single-capacity convenience wrapper over the reuse graph."""
+    from repro.spm.energy import EnergyModel
+    from repro.spm.graph import ReuseGraph
+
     energy = energy or EnergyModel()
     graph = ReuseGraph.from_model(model, energy)
     return allocate_graph(graph, capacity_bytes, policy)

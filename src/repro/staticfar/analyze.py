@@ -40,6 +40,7 @@ from repro.staticfar.detector import (
     StaticAnalysisResult,
     _const_value,
     detect,
+    wrap_to_ctype,
 )
 from repro.staticfar.layout import global_layout
 from repro.staticfar.model import StaticForayModel, StaticRefusal
@@ -285,7 +286,7 @@ class StaticAnalyzer:
                 return None
             if expr.op == "+":
                 return inner
-            return {key: -val for key, val in inner.items()}
+            return _wrapped(expr, {key: -val for key, val in inner.items()})
         if isinstance(expr, ast.Binary):
             if expr.op in ("+", "-"):
                 left = self._affine(expr.left, frame)
@@ -297,7 +298,7 @@ class StaticAnalyzer:
                 merged.setdefault(None, 0)
                 for key, val in right.items():
                     merged[key] = merged.get(key, 0) + sign * val
-                return merged
+                return _wrapped(expr, merged)
             if expr.op == "*":
                 left = self._affine(expr.left, frame)
                 right = self._affine(expr.right, frame)
@@ -306,7 +307,8 @@ class StaticAnalyzer:
                 lconst = left.get(None, 0) if len(left) == 1 else None
                 rconst = right.get(None, 0) if len(right) == 1 else None
                 if rconst is not None:
-                    return {k: v * rconst for k, v in left.items()}
+                    return _wrapped(
+                        expr, {k: v * rconst for k, v in left.items()})
                 if lconst is not None:
                     return {k: v * lconst for k, v in right.items()}
                 return None
@@ -318,13 +320,7 @@ class StaticAnalyzer:
                     return None
                 value = fold_int_binary(expr.op, left.get(None, 0),
                                         right.get(None, 0))
-                return None if value is None else {None: value}
-        return None
-
-    def _fold(self, expr: ast.Expr, frame: _Frame) -> int | None:
-        form = self._affine(expr, frame)
-        if form is not None and len(form) == 1:
-            return form.get(None, 0)
+                return None if value is None else _wrapped(expr, {None: value})
         return None
 
     def _invalidate_assigned(self, node: ast.Node, frame: _Frame) -> None:
@@ -1132,6 +1128,15 @@ def _assigned_symbols(node: ast.Node) -> set[Symbol]:
 
 def _declares_iterator(stmt: ast.For) -> bool:
     return isinstance(stmt.init, ast.DeclStmt)
+
+
+def _wrapped(expr: ast.Expr, form: AffineForm) -> AffineForm:
+    """``form``, wrapped to ``expr``'s integer type when it is a constant
+    (the engines wrap every integer result; iterator coefficients are
+    left as they are)."""
+    if len(form) == 1 and None in form:
+        return {None: wrap_to_ctype(expr, form[None])}
+    return form
 
 
 def _combine(old: AffineForm, op: str, value: AffineForm) -> AffineForm | None:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.coverage import SourceForm
 from repro.lang import ast_nodes as ast
-from repro.lang.ctypes_ import fold_int_binary
+from repro.lang.ctypes_ import IntType, fold_int_binary
 from repro.lang.semantics import Symbol
 
 
@@ -70,43 +71,37 @@ class StaticAnalysisResult:
                           frozenset(self.analyzable_refs))
 
 
-@dataclass(frozen=True)
-class SourceForm:
-    """What Table II reads of a :class:`StaticAnalysisResult`: the node
-    ids of its canonical loops and analyzable references. Plain ints,
-    unlike the result itself (whose loop infos hold the program's
-    ``Symbol`` objects), so it is stored and read apart from the
-    program."""
-
-    canonical_loops: frozenset[int]
-    analyzable_refs: frozenset[int]
-
-    def is_canonical_loop(self, node_id: int) -> bool:
-        return node_id in self.canonical_loops
-
-    def is_analyzable_ref(self, node_id: int) -> bool:
-        return node_id in self.analyzable_refs
-
-
 #: The binary operators :func:`_const_value` folds.
 _FOLDED = ("+", "-", "*", "/", "<<", ">>")
 
 
+def wrap_to_ctype(expr: ast.Expr, value: int) -> int:
+    """``value``, an integer result of ``expr``, wrapped to ``expr``'s
+    integer type the way both engines wrap every such result."""
+    ctype = expr.ctype
+    return ctype.wrap(value) if isinstance(ctype, IntType) else value
+
+
 def _const_value(expr: ast.Expr) -> int | None:
-    """Fold an integer-constant expression with C semantics, or None."""
+    """Fold an integer-constant expression with C semantics, or None.
+
+    A negation or binary result is wrapped to the node's type, as the
+    engines wrap it; a literal is taken as written, as they take it.
+    """
     if isinstance(expr, ast.IntLiteral):
         return expr.value
     if isinstance(expr, ast.Unary) and expr.op in ("-", "+"):
         inner = _const_value(expr.operand)
         if inner is None:
             return None
-        return -inner if expr.op == "-" else inner
+        return wrap_to_ctype(expr, -inner) if expr.op == "-" else inner
     if isinstance(expr, ast.Binary) and expr.op in _FOLDED:
         left = _const_value(expr.left)
         right = _const_value(expr.right)
         if left is None or right is None:
             return None
-        return fold_int_binary(expr.op, left, right)
+        value = fold_int_binary(expr.op, left, right)
+        return None if value is None else wrap_to_ctype(expr, value)
     if isinstance(expr, ast.SizeofType):
         return expr.queried_type.size
     if isinstance(expr, ast.SizeofExpr) and expr.operand.ctype is not None:

@@ -63,8 +63,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
-import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -97,13 +95,20 @@ def code_fingerprint() -> str:
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
         digest = hashlib.sha256()
-        package_root = Path(__file__).resolve().parent
-        for path in sorted(package_root.rglob("*.py")):
+        package_root = os.path.dirname(os.path.realpath(__file__))
+        # os.walk, not Path.rglob: every process with a store pays this
+        # walk, and rglob takes twice as long.
+        sources = sorted(
+            os.path.relpath(os.path.join(folder, name), package_root)
+            for folder, _dirs, names in os.walk(package_root)
+            for name in names if name.endswith(".py"))
+        for relative in sources:
             try:
-                blob = path.read_bytes()
+                with open(os.path.join(package_root, relative), "rb") as fh:
+                    blob = fh.read()
             except OSError:
                 continue
-            digest.update(str(path.relative_to(package_root)).encode())
+            digest.update(relative.encode())
             digest.update(b"\0")
             digest.update(blob)
             digest.update(b"\0")
@@ -241,6 +246,8 @@ def _atomic_write(path: Path, blob: bytes) -> None:
     """Publish ``blob`` at ``path`` via temp file + ``os.replace``, so a
     concurrent reader sees the old content or the new — never a torn
     file. The temp file is cleaned up on any failure."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -437,6 +444,8 @@ class ArtifactStore:
         file) is touched: pointing ``--cache-dir`` at a directory that
         also holds other files must never delete them.
         """
+        import shutil
+
         removed = 0
         for tree in self.root.glob("v*-*"):
             if not tree.is_dir():
@@ -458,3 +467,35 @@ class ArtifactStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.root)!r})"
+
+
+#: One ArtifactStore instance per cache directory, shared by every run
+#: in this process; its counters take in what fan-out workers count.
+_open_stores: dict[str, ArtifactStore] = {}
+
+
+def open_store(root: str) -> ArtifactStore:
+    """This process's store object for the directory ``root``."""
+    store = _open_stores.get(root)
+    if store is None:
+        store = _open_stores[root] = ArtifactStore(root)
+    return store
+
+
+def take_store_counters() -> dict[str, dict[str, list[int]]]:
+    """Every open store's raw counts by root, zeroing them (also what a
+    fan-out worker hands back with each result)."""
+    return {root: store.take_counters()
+            for root, store in _open_stores.items()}
+
+
+def reset_store_counters() -> None:
+    """Zero every open store's counters, so that ``session_counters()``
+    counts from here on."""
+    take_store_counters()
+
+
+def record_store_counters() -> None:
+    """Add every open store's counters to its tally file."""
+    for store in _open_stores.values():
+        store.record_counters()

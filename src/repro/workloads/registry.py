@@ -12,8 +12,6 @@ without enumerating it anywhere.
 
 from __future__ import annotations
 
-import difflib
-
 from repro.workloads import (
     mini_adpcm,
     mini_fft,
@@ -57,6 +55,8 @@ def workload_names() -> tuple[str, ...]:
 
 
 def _unknown_name_error(name: str) -> KeyError:
+    import difflib
+
     known = sorted(ALL_WORKLOADS)
     close = difflib.get_close_matches(name, known, n=3, cutoff=0.5)
     hint = f"; did you mean {', '.join(close)}?" if close else ""
@@ -91,14 +91,3 @@ def get_workload(name: str) -> Workload:
         _GENERATED[name] = workload
         return workload
     raise _unknown_name_error(name)
-
-
-def find_workload(name: str) -> Workload | None:
-    """Like :func:`get_workload` but ``None`` for unknown names.
-
-    For callers that merely *check* whether a name is registered.
-    """
-    try:
-        return get_workload(name)
-    except KeyError:
-        return None

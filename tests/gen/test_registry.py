@@ -5,11 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.registry import (
-    ALL_WORKLOADS,
-    find_workload,
-    get_workload,
-)
+from repro.workloads.registry import ALL_WORKLOADS, get_workload
 
 
 class TestGenNamespace:
@@ -21,11 +17,6 @@ class TestGenNamespace:
 
     def test_gen_names_never_shadow_the_suite(self):
         assert not any(name.startswith("gen:") for name in ALL_WORKLOADS)
-
-    def test_find_workload(self):
-        assert find_workload("adpcm") is ALL_WORKLOADS["adpcm"]
-        assert find_workload("gen:small:7") is not None
-        assert find_workload("no-such-workload") is None
 
 
 class TestHelpfulErrors:

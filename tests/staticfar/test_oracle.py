@@ -137,8 +137,9 @@ int main() {{
 
 class TestCConstantFolding:
     """Constant index terms fold as C computes them: ``/`` truncates
-    toward zero, and a shift by a negative count is left unfolded (the
-    reference is refused) instead of crashing the analysis."""
+    toward zero, a folded result wraps to its int type, and a shift by
+    a negative count is left unfolded (the reference is refused) instead
+    of crashing the analysis."""
 
     RELAXED = PipelineConfig(cache=False,
                              filter_config=FilterConfig(nexec=1, nloc=1))
@@ -163,6 +164,27 @@ class TestCConstantFolding:
             config=self.RELAXED)
         assert report.ok, report.oracle.diff_lines()
         assert report.oracle.matched == 0
+
+    @pytest.mark.parametrize("index", [
+        "i + 65536 * 65536 + 5",
+        "i + (1 << 32) + 5",
+    ])
+    def test_folded_constants_wrap_to_int(self, index):
+        # Both engines wrap an int product or shift to 32 bits, so each
+        # index is a[i + 5]; folding on unbounded ints was a false
+        # MISMATCH.
+        report = static_workload("wrap", _indexed(index),
+                                 config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 1
+
+    def test_folded_constants_wrap_through_registers(self):
+        # The analyzer folds register constants too: k * k is 0 in int.
+        report = static_workload(
+            "wrap", _indexed("i + k * k + 5", setup="k = 65536;"),
+            config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 1
 
 
 class TestCrossEngine:

@@ -222,6 +222,15 @@ class TestParallelSuite:
                             config=PipelineConfig(jobs=8, cache=False))
         assert [r.name for r in reports] == ["adpcm"]
 
+    def test_negative_jobs_rejected(self):
+        # 0 means the CPU count; a library caller's negative count used
+        # to run serially without a word.
+        assert PipelineConfig(jobs=0).jobs == 0
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            PipelineConfig(jobs=-3)
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            replace(PipelineConfig(), jobs=-1)
+
 
 class TestEngineThroughPipeline:
     def test_ast_engine_selectable(self, monkeypatch):

@@ -10,6 +10,7 @@ startup without NumPy, and the satellite regressions (``max_entries``
 validation, energy-model key normalization).
 """
 
+import json
 import os
 import pickle
 import re
@@ -27,6 +28,7 @@ from repro.gen.fuzz import fuzz_program
 from repro.lang import ast_nodes as ast
 from repro.lang.printer import to_source
 from repro.pipeline import (
+    _PRODUCER_MODULES,
     ArtifactCache,
     PipelineConfig,
     SpmConfig,
@@ -365,7 +367,7 @@ class TestTieredPipeline:
         cold = static_workload(name, source, config=config)
         clear_caches()
         monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
-        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        monkeypatch.setattr("repro.staticfar.detector.detect", _boom)
         warm = static_workload(name, source, config=config)
         assert (warm.static.unfiltered_references
                 == cold.static.unfiltered_references)
@@ -384,7 +386,7 @@ class TestTieredPipeline:
         run_workload(name, source, config=config)
         clear_caches()
         monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
-        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        monkeypatch.setattr("repro.staticfar.detector.detect", _boom)
         warm = static_workload(name, source, config=config)
         assert (warm.static.unfiltered_references
                 == cold.static.unfiltered_references)
@@ -403,7 +405,7 @@ class TestTieredPipeline:
         cold_points = cached_exploration(source, config, cold.model)
         clear_caches()
         monkeypatch.setattr("repro.pipeline.run_compiled", _boom)
-        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        monkeypatch.setattr("repro.staticfar.detector.detect", _boom)
         warm = run_workload(name, source, config=config)
         points = cached_exploration(warm.extraction.compiled.source, config,
                                     warm.model)
@@ -417,6 +419,21 @@ class TestTieredPipeline:
                 == cold.static_result.source_form())
         assert (to_source(warm.extraction.compiled.program)
                 == to_source(cold.extraction.compiled.program))
+
+    @pytest.mark.parametrize("target", [
+        "repro.pipeline.run_compiled",
+        "repro.pipeline.explore",
+        "repro.staticfar.detector.detect",
+    ])
+    def test_warm_proof_patches_catch_a_cold_run(self, tmp_path,
+                                                 monkeypatch, target):
+        # The warm proofs above patch these names: on a cold run the
+        # same patch must be reached, or those proofs would prove
+        # nothing.
+        monkeypatch.setattr(target, _boom)
+        config = _disk_config(tmp_path, spm=SpmConfig(sweep=True))
+        with pytest.raises(AssertionError, match="warm run"):
+            full_flow("demo", SOURCE, config=config)
 
     def test_cold_run_writes_the_compile_node_once(self, tmp_path):
         config = _disk_config(tmp_path)
@@ -434,7 +451,7 @@ class TestTieredPipeline:
         cold = run_workload("demo", SOURCE, config=config)
         assert store.session_counters()["compile"]["stores"] == 2
         clear_caches()
-        monkeypatch.setattr("repro.pipeline.detect", _boom)
+        monkeypatch.setattr("repro.staticfar.detector.detect", _boom)
         warm = run_workload("demo", SOURCE, config=config)
         assert store.session_counters()["compile"]["stores"] == 2
         assert warm.table2 == cold.table2
@@ -660,29 +677,50 @@ class TestEnergyKeyNormalization:
 # ---------------------------------------------------------------------------
 
 
-#: ``python -m repro`` that also reports on stderr, at exit, whether the
-#: run imported NumPy.
-_NUMPY_PROBE = (
-    "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print('numpy imported:',"
-    " 'numpy' in sys.modules, file=sys.stderr))\n"
-    "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+#: Python code that runs ``{run}`` and reports on stderr, at exit, every
+#: module the process imported; ``_RUN_REPRO`` is ``python -m repro``.
+_MODULE_PROBE = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print('modules:', json.dumps(sorted("
+    "sys.modules)), file=sys.stderr))\n"
+    "{run}\n"
 )
+_RUN_REPRO = ("import runpy; runpy.run_module('repro', alter_sys=True, "
+              "run_name='__main__')")
 
 
-def _repro(*args: str, probe_numpy: bool = False
-           ) -> subprocess.CompletedProcess:
+def _python(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    entry = ["-c", _NUMPY_PROBE] if probe_numpy else ["-m", "repro"]
     proc = subprocess.run(
-        [sys.executable, *entry, *args],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def _repro(*args: str, probe_modules: bool = False
+           ) -> subprocess.CompletedProcess:
+    if probe_modules:
+        return _python("-c", _MODULE_PROBE.format(run=_RUN_REPRO), *args)
+    return _python("-m", "repro", *args)
+
+
+def _modules(proc: subprocess.CompletedProcess) -> set[str]:
+    """The modules a probed process imported (see ``_MODULE_PROBE``)."""
+    line = next(line for line in proc.stderr.splitlines()
+                if line.startswith("modules: "))
+    return set(json.loads(line.removeprefix("modules: ")))
+
+
+def _among(modules: set[str], packages: tuple[str, ...]) -> list[str]:
+    """The ``modules`` that are one of ``packages`` or inside one."""
+    return sorted(name for name in modules
+                  if any(name == package or name.startswith(package + ".")
+                         for package in packages))
 
 
 def _counters(stderr: str, namespace: str) -> tuple[int, int, int]:
@@ -728,19 +766,105 @@ class TestCrossProcess:
         assert "cache[" not in off.stderr  # no disk tier, no counters
 
 
+#: What neither ``import repro.cli`` nor ``repro --help`` may load: the
+#: pipeline, the engines, the parser, the static analysis, the
+#: extractor, the SPM transform, the pool machinery and NumPy.
+HELP_UNLOADED = (
+    "repro.pipeline", "repro.sim.bytecode", "repro.sim.specialize",
+    "repro.sim.interpreter", "repro.lang.parser", "repro.staticfar",
+    "repro.foray.extractor", "repro.spm.transform", "multiprocessing",
+    "numpy",
+)
+
+#: What a warm ``repro suite --spm`` may not load: code generation, the
+#: static analyzer and oracle, the SPM transform, the linter, the
+#: program generator, the pool machinery and NumPy.
+WARM_UNLOADED = (
+    "repro.sim.bytecode", "repro.sim.specialize", "repro.sim.dataflow",
+    "repro.sim.verify", "repro.staticfar.analyze", "repro.staticfar.oracle",
+    "repro.spm.transform", "repro.lang.lint", "repro.gen",
+    "multiprocessing", "numpy",
+)
+
+#: Runs every fan-out matrix cold over two workloads, with ``jobs``
+#: from argv and the IR verifier on (it only adds imports): each pool
+#: process prints the ``repro`` modules each of its calls imported
+#: ("worker: "), and the parent prints what it loaded once the four
+#: pipeline matrices ran ("modules: "), before importing
+#: ``repro.gen.fuzz`` adds its own.
+_FAN_OUT_PROBE = """
+import json, sys
+import repro.pipeline as pipeline
+from repro.pipeline import (
+    HierarchyConfig, PipelineConfig, ValidationConfig, hier_suite,
+    run_suite, static_suite, validate_suite,
+)
+
+counted = pipeline._counted
+
+
+def _counted(call):
+    before = set(sys.modules)
+    result = counted(call)
+    print("worker:", json.dumps(sorted(
+        name for name in set(sys.modules) - before
+        if name.startswith("repro."))), file=sys.stderr, flush=True)
+    return result
+
+
+# A forked pool process looks the function up by this name.
+_counted.__module__, _counted.__qualname__ = "repro.pipeline", "_counted"
+pipeline._counted = _counted
+config = PipelineConfig(jobs=int(sys.argv[1]), cache=False, verify_ir=True,
+                        validation=ValidationConfig(max_scenarios=2),
+                        hierarchy=HierarchyConfig(max_scenarios=1))
+for matrix in (run_suite, validate_suite, static_suite, hier_suite):
+    matrix(("adpcm", "fft"), config=config)
+print("modules:", json.dumps(sorted(sys.modules)), file=sys.stderr)
+from repro.gen.fuzz import run_fuzz
+run_fuzz("small", seeds=2, config=config)
+"""
+
+
 class TestStartup:
-    """NumPy loads with the first simulation: a process that only parses
-    its arguments or reads models from a warm store never imports it."""
+    """A process loads what its command runs: NumPy and the engines load
+    with the first simulation, so a process that only parses its
+    arguments or reads models from a warm store imports neither."""
+
+    def test_cli_import_loads_no_command(self):
+        probe = _python("-c", _MODULE_PROBE.format(run="import repro.cli"))
+        assert _among(_modules(probe), HELP_UNLOADED) == []
 
     def test_help_does_not_import_numpy(self):
-        assert "numpy imported: False" in _repro(
-            "--help", probe_numpy=True).stderr
+        # Nor any other module of HELP_UNLOADED.
+        help_run = _repro("--help", probe_modules=True)
+        assert "usage: repro" in help_run.stdout
+        assert _among(_modules(help_run), HELP_UNLOADED) == []
 
     def test_warm_suite_does_not_import_numpy(self, tmp_path):
+        # Nor any other module of WARM_UNLOADED.
         args = ("suite", "adpcm", "--spm", "--cache-dir",
                 str(tmp_path / "shared"))
-        cold = _repro(*args, probe_numpy=True)
-        warm = _repro(*args, probe_numpy=True)
-        assert "numpy imported: True" in cold.stderr  # the probe works
-        assert "numpy imported: False" in warm.stderr
+        cold = _repro(*args, probe_modules=True)
+        warm = _repro(*args, probe_modules=True)
+        assert "numpy" in _modules(cold)  # the probe works
+        assert _counters(warm.stderr, "extraction") == (1, 0, 0)
+        assert _among(_modules(warm), WARM_UNLOADED) == []
         assert warm.stdout == cold.stdout
+
+    def test_pool_workers_inherit_every_producer_module(self):
+        # _fan_out imports _PRODUCER_MODULES before it forks: a pool
+        # process that imports a repro module itself means the list
+        # misses one.
+        pooled = _python("-c", _FAN_OUT_PROBE, "2")
+        imported = [json.loads(line.removeprefix("worker: "))
+                    for line in pooled.stderr.splitlines()
+                    if line.startswith("worker: ")]
+        assert imported == [[]] * 10  # five matrices, two calls each
+
+    def test_producer_modules_are_imported_by_producers(self):
+        # Run serially, the producers import every listed module
+        # themselves: an entry none of them imports is stale.
+        serial = _python("-c", _FAN_OUT_PROBE, "1")
+        assert "worker: " not in serial.stderr
+        assert set(_PRODUCER_MODULES) - _modules(serial) == set()
