@@ -29,7 +29,6 @@ from repro.cachesim.model import CacheConfig, CacheHierarchy
 from repro.cachesim.sink import CacheSink
 from repro.foray.extractor import ForayExtractor
 from repro.pipeline import PipelineConfig, clear_caches, run_suite
-from repro.sim.bytecode import fusion_stats
 from repro.sim.machine import (
     EngineConfig,
     compile_program,
@@ -162,15 +161,16 @@ def _race(compiled, make_sinks=tuple) -> dict:
 
 
 def _measure_workloads() -> dict:
-    """steps/sec of both engine tiers plus static fusion coverage.
+    """steps/sec of both engine tiers.
 
     The bytecode engine runs the specialized fast path; the AST oracle
-    is the reference point its speedup is measured against."""
+    is the reference point its speedup is measured against. The
+    ``fused_`` keys keep the names the committed ratio baseline gates
+    on."""
     out = {}
     for name in MIBENCH_WORKLOADS:
         compiled = compile_program(MIBENCH_WORKLOADS[name].source)
-        bp = lower_compiled(compiled)  # exclude lowering from timings
-        stats = fusion_stats(bp)
+        lower_compiled(compiled)  # exclude lowering from timings
         times = _race(compiled)
         fused_t, fused, _ = times["bytecode"]
         ast_t, ast, _ = times["ast"]
@@ -182,9 +182,6 @@ def _measure_workloads() -> dict:
             "ast_sps": steps / ast_t,
             "fused_sps": steps / fused_t,
             "fused_over_ast": ast_t / fused_t,
-            "memory_fused_share": stats["memory_fused_share"],
-            "instructions_before": stats["instructions_before"],
-            "instructions_after": stats["instructions_after"],
         }
     return out
 
@@ -260,8 +257,7 @@ def test_engine_steps_json(results_dir):
     lines = [
         f"{name:8s} steps={m['steps']:>9} "
         f"ast={m['ast_sps']:>10.0f} fused={m['fused_sps']:>10.0f} sps "
-        f"({m['fused_over_ast']:.2f}x over ast, "
-        f"{m['memory_fused_share']:.0%} mem ops fused)"
+        f"({m['fused_over_ast']:.2f}x over ast)"
         for name, m in workloads.items()
     ]
     lines.append(f"geomean  {bench['fused_over_ast_geomean']:.2f}x over ast")

@@ -25,7 +25,7 @@ Commands
     arbitrary files via ``--file``): definite assignment before use,
     static array bounds, dead stores, unused variables/parameters,
     constant branch conditions and zero-trip/non-terminating loops —
-    driven by the same dataflow solver the fusion pass and the IR
+    driven by the same dataflow solver the specializer and the IR
     verifier use. Stable rule codes (L1xx errors, L2xx warnings),
     ``--json`` payload, non-zero exit on any error-severity finding.
 
@@ -51,9 +51,9 @@ Commands
     Reproduce all paper figure examples.
 
 ``... --verify-ir``
-    Structurally verify the lowered and fused bytecode of every program
-    before running it (register defined-before-use, jump targets,
-    superinstruction decode, checkpoint ids). The test suite enables
+    Structurally verify the bytecode of every program before running it
+    (register defined-before-use, jump targets, synthetic pcs,
+    checkpoint ids). The test suite enables
     this unconditionally via ``REPRO_VERIFY_IR=1``.
 
 ``spm FILE``
@@ -191,8 +191,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         help="accesses per columnar trace block "
                              "(default: engine default)")
     parser.add_argument("--verify-ir", action="store_true",
-                        help="structurally verify the lowered and fused "
-                             "bytecode before every run")
+                        help="structurally verify the bytecode before "
+                             "every run")
     parser.add_argument("--no-cache", action="store_true",
                         help="reuse no simulated artifact and skip the "
                              "disk store (compiled programs are still "

@@ -3,7 +3,7 @@
 Design note
 ===========
 
-The suite's verification tower — fused-VM/AST parity, the IR verifier,
+The suite's verification tower — fast-path/AST parity, the IR verifier,
 the static-vs-dynamic FORAY oracle, the MiniC linter, the SPM allocator
 invariants — was only ever exercised on seven hand-written workloads.
 This package turns each of those invariants into a population-scale

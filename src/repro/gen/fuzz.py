@@ -9,7 +9,8 @@ re-asserted here on ``--seeds N`` generated programs, per program:
     stream: every access's pc, address, size and direction, and every
     checkpoint at its position in the access stream.
 ``ir``
-    The structural bytecode verifier accepts the lowered + fused forms.
+    The structural bytecode verifier accepts the lowered program, the
+    code the specializer compiles.
 ``lint``
     No error-severity linter findings; warnings are recorded as triage
     notes, not failures.
@@ -280,7 +281,7 @@ def _check_ir(ctx: _CheckContext) -> CheckOutcome:
     except Exception as error:
         return CheckOutcome("ir", "fail", str(error)[:300])
     return CheckOutcome(
-        "ir", "pass", f"{stats.fused_instructions} fused instructions")
+        "ir", "pass", f"{stats.instructions} instructions")
 
 
 def _check_lint(ctx: _CheckContext) -> CheckOutcome:

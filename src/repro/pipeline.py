@@ -213,7 +213,7 @@ class PipelineConfig:
     input: InputSpec | None = None
     validation: ValidationConfig = ValidationConfig()
     hierarchy: HierarchyConfig = HierarchyConfig()
-    #: Structurally verify the lowered/fused bytecode before every run.
+    #: Structurally verify the bytecode before every run.
     verify_ir: bool = False
 
     def __post_init__(self) -> None:

@@ -1,5 +1,4 @@
-"""Bytecode fast path: lowering pass, fusion pass and the VM that runs
-the result.
+"""Bytecode fast path: the lowering pass and the VM that runs its result.
 
 The tree-walking interpreter (:mod:`repro.sim.interpreter`) pays for a
 dict-dispatch, several helper calls and an exception-based control-flow
@@ -15,9 +14,11 @@ instruction list per function, plus one for the global initializers:
 * checkpoints and memory accesses become instructions that append raw
   ints to the shared :class:`~repro.sim.trace.TraceBuffer`.
 
-The fusion pass (:func:`fuse_program`) rewrites common instruction pairs
-into superinstructions, and :mod:`repro.sim.specialize` compiles the
-fused program to Python; :class:`BytecodeVM` runs that specialization.
+Lowering drains each function's step counts backwards across pure
+instructions (:func:`_sink_steps`) and rewrites nothing else, so the
+lowered program is the only bytecode form: :mod:`repro.sim.verify`
+checks it, :mod:`repro.sim.specialize` compiles it to Python, and
+:class:`BytecodeVM` runs that specialization.
 
 Trace parity: the lowering mirrors the tree-walker's evaluation order,
 conversion rules and checkpoint placement exactly, so both engines produce
@@ -145,18 +146,6 @@ _Ins = tuple[Any, ...]
     OP_GADDR,       # (op, dst, global_index)
 ) = range(56)
 
-# Superinstructions produced by the fusion pass (:func:`fuse_function`),
-# compiled to Python by :mod:`repro.sim.specialize`. Lowered code, and so
-# ``globals_init``, never contains them.
-(
-    OP_LDELEM_I,    # (op, dst, base, index, elem_size, size, fmt, signed, pc)
-    OP_LDELEM_F,    # (op, dst, base, index, elem_size, size, fmt, pc)
-    OP_STELEM_I,    # (op, base, index, elem_size, src, dst, size, mask, maxv, fmt, pc)
-    OP_STELEM_F,    # (op, base, index, elem_size, src, dst, size, fmt, pc)
-    OP_STELEM_P,    # (op, base, index, elem_size, src, dst, pc)
-    OP_BR,          # (op, cmp_op, a, b, target, jump_if_true)
-) = range(56, 62)
-
 
 def _int_conv(ctype: IntType) -> tuple[int, int]:
     """(mask, max_value) encoding of IntType.wrap; maxv == -1 → unsigned."""
@@ -242,11 +231,8 @@ class BytecodeProgram:
     #: Code run once per run, before the entry and with tracing off, to
     #: initialize globals.
     globals_init: BytecodeFunction
-    #: Per-process derived caches, rebuilt on demand after unpickling
-    #: (see :meth:`__getstate__`): the fused twin and its compiled
-    #: specialization.
-    _fused: "BytecodeProgram | None" = field(
-        default=None, init=False, repr=False, compare=False)
+    #: Per-process derived cache, rebuilt on demand after unpickling
+    #: (see :meth:`__getstate__`): the compiled specialization.
     _specialization: "specialize.Specialization | None" = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -256,11 +242,10 @@ class BytecodeProgram:
         return total + sum(len(fn.code) for fn in self.functions.values())
 
     def __getstate__(self) -> dict[str, Any]:
-        # The fused twin and the compiled specialization are per-process
-        # derived caches (the latter holds a code object); recompute them
-        # after unpickling instead of shipping them across processes.
+        # The compiled specialization is a per-process derived cache (it
+        # holds a code object); recompute it after unpickling instead of
+        # shipping it across processes.
         state = dict(self.__dict__)
-        state.pop("_fused", None)
         state.pop("_specialization", None)
         return state
 
@@ -374,9 +359,11 @@ class _FunctionCompiler:
             self.compile_stmt(stmt)
         self.emit(OP_RET0)
 
+        code = [tuple(ins) for ins in self.code]
+        _sink_steps(code)
         return BytecodeFunction(
             name=fn.name,
-            code=tuple(tuple(ins) for ins in self.code),
+            code=tuple(code),
             n_slots=self.max_slots,
             params=params,
             returns_void=fn.return_type.is_void,
@@ -1128,7 +1115,7 @@ def lower_program(program: ast.Program) -> BytecodeProgram:
 class BytecodeVM:
     """Executes one lowered program. Create a fresh instance per run.
 
-    Every run executes the program's specialization (the fused bytecode
+    Every run executes the program's specialization (the lowered bytecode
     compiled to Python by :mod:`repro.sim.specialize`), global
     initializers included. Exposes the same builtin facade as the
     tree-walking interpreter (``memory`` / ``write_stdout`` /
@@ -1259,23 +1246,17 @@ class BytecodeVM:
 
 
 # ---------------------------------------------------------------------------
-# Superinstruction fusion pass
+# Register tables and step sinking
 #
-# A peephole rewriter over the lowered code: the address-compute /
-# load/store idiom (ELEM or ADD_P feeding a LOAD/STORE at offset 0),
-# constant-index addressing, member-offset chains, compare-and-branch
-# pairs and adjacent step counters each collapse into one
-# superinstruction. Fusion is applied only when the intermediate register
-# is provably dead afterwards (backward liveness over register bitmasks),
-# so the visible machine state — memory, trace stream, stats, register
-# file at every observation point — is unchanged. Fused code exists for
-# the block compiler (:mod:`repro.sim.specialize`), which turns each
-# superinstruction into one straight-line Python statement writing
-# directly into the flat column buffer.
+# The per-opcode register tables that liveness (:mod:`repro.sim.dataflow`),
+# the IR verifier and the specializer share, and the one rewrite lowering
+# applies to a function's code: step counts drain backwards across pure
+# instructions (:func:`_sink_steps`).
 # ---------------------------------------------------------------------------
 
 #: Register-read operand positions per opcode. OP_CALL/OP_CALLB read the
-#: slot *list* in ins[3] and are special-cased in :func:`_liveness`.
+#: slot *list* in ins[3] and are special-cased in
+#: :func:`repro.sim.dataflow._use_kill`.
 _READS: dict[int, tuple[int, ...]] = {
     OP_STEP: (), OP_CONST: (), OP_MOV: (2,), OP_ELEM: (2, 3),
     OP_MEMBOFF: (2,), OP_LOAD_I: (2,), OP_LOAD_F: (2,),
@@ -1293,9 +1274,6 @@ _READS: dict[int, tuple[int, ...]] = {
     OP_CONV_I: (2,), OP_CONV_F: (2,), OP_CONV_P: (2,),
     OP_RET: (1,), OP_RET0: (),
     OP_DECL: (), OP_ZFILL: (1,), OP_WBYTES: (1,), OP_STR: (), OP_GADDR: (),
-    OP_LDELEM_I: (2, 3), OP_LDELEM_F: (2, 3),
-    OP_STELEM_I: (1, 2, 4), OP_STELEM_F: (1, 2, 4), OP_STELEM_P: (1, 2, 4),
-    OP_BR: (2, 3),
 }
 
 #: Written operand position per opcode (absent → no register write).
@@ -1314,15 +1292,7 @@ _WRITES: dict[int, int] = {
     OP_CONV_I: 1, OP_CONV_F: 1, OP_CONV_P: 1,
     OP_CALL: 1, OP_CALLB: 1,
     OP_DECL: 1, OP_STR: 1, OP_GADDR: 1,
-    OP_LDELEM_I: 1, OP_LDELEM_F: 1,
-    OP_STELEM_I: 5, OP_STELEM_F: 5, OP_STELEM_P: 5,
 }
-
-_CMP_OPS = frozenset((OP_LT, OP_LE, OP_GT, OP_GE, OP_EQ, OP_NE))
-_MEM_OPS = frozenset((OP_LOAD_I, OP_LOAD_F, OP_STORE_I, OP_STORE_F,
-                      OP_STORE_P))
-_FUSED_MEM_OPS = frozenset((OP_LDELEM_I, OP_LDELEM_F, OP_STELEM_I,
-                            OP_STELEM_F, OP_STELEM_P))
 
 #: Instructions with no observable effect and no way to raise: a STEP's
 #: count may move backwards across them (see :func:`_sink_steps`).
@@ -1338,20 +1308,6 @@ _PURE_OPS = frozenset((
 ))
 
 
-def _liveness(code: Sequence[_Ins]) -> list[int]:
-    """Per-instruction live-*out* register bitmask (backward fixpoint).
-
-    Delegates to the block-level dataflow framework (the least fixpoint
-    is unique, so this is bit-identical to the historical ad-hoc
-    instruction-level pass). Exceptions need no edges: a MiniC runtime
-    error or budget overrun aborts the whole run, and the ``exit()``
-    unwind path reads only the per-frame pcs, never registers.
-    """
-    from repro.sim import dataflow
-
-    return dataflow.liveness(code)
-
-
 def _jump_targets(code: Sequence[_Ins]) -> set[int]:
     targets: set[int] = set()
     for ins in code:
@@ -1360,142 +1316,7 @@ def _jump_targets(code: Sequence[_Ins]) -> set[int]:
             targets.add(ins[1])
         elif op == OP_JZ or op == OP_JNZ:
             targets.add(ins[2])
-        elif op == OP_BR:
-            targets.add(ins[4])
     return targets
-
-
-def _fuse_once(code: Sequence[_Ins]) -> dict[int, _Ins]:
-    """One left-to-right scan; {first_index: fused_instruction}.
-
-    A pair is fused only when the second instruction is not a jump
-    target (control may not enter the middle of a superinstruction) and
-    the dropped intermediate register is dead afterwards — or is
-    rewritten by the pair itself with the same value either way.
-    """
-    n = len(code)
-    targets = _jump_targets(code)
-    live_out = _liveness(code)
-    fused: dict[int, _Ins] = {}
-    i = 0
-    while i < n - 1:
-        if i + 1 in targets:
-            i += 1
-            continue
-        a = code[i]
-        b = code[i + 1]
-        opa = a[0]
-        opb = b[0]
-        out = live_out[i + 1]
-        new = None
-        if opa == OP_ELEM or opa == OP_ADD_P:
-            # F1/F2: address compute + load/store at offset 0. The store
-            # value operand must not be the address temp (the fused form
-            # reads it before the address exists).
-            t = a[1]
-            if opb == OP_LOAD_I and b[2] == t and b[3] == 0 \
-                    and (b[1] == t or not (out >> t) & 1):
-                new = (OP_LDELEM_I, b[1], a[2], a[3], a[4],
-                       b[4], b[5], b[6], b[7])
-            elif opb == OP_LOAD_F and b[2] == t and b[3] == 0 \
-                    and (b[1] == t or not (out >> t) & 1):
-                new = (OP_LDELEM_F, b[1], a[2], a[3], a[4],
-                       b[4], b[5], b[6])
-            elif opb == OP_STORE_I and b[1] == t and b[2] == 0 \
-                    and b[3] != t and (b[4] == t or not (out >> t) & 1):
-                new = (OP_STELEM_I, a[2], a[3], a[4], b[3], b[4],
-                       b[5], b[6], b[7], b[8], b[9])
-            elif opb == OP_STORE_F and b[1] == t and b[2] == 0 \
-                    and b[3] != t and (b[4] == t or not (out >> t) & 1):
-                new = (OP_STELEM_F, a[2], a[3], a[4], b[3], b[4],
-                       b[5], b[6], b[7])
-            elif opb == OP_STORE_P and b[1] == t and b[2] == 0 \
-                    and b[3] != t and (b[4] == t or not (out >> t) & 1):
-                new = (OP_STELEM_P, a[2], a[3], a[4], b[3], b[4], b[5])
-        elif opa in _CMP_OPS and (opb == OP_JZ or opb == OP_JNZ) \
-                and b[1] == a[1] and not (out >> a[1]) & 1:
-            # F3: compare + conditional jump. The branch keeps "jump
-            # when the flag is (non)zero" semantics rather than the
-            # complemented comparison, so NaN operands behave exactly
-            # as in the unfused pair.
-            new = (OP_BR, opa, a[2], a[3], b[2], opb == OP_JNZ)
-        elif opa == OP_STEP and opb == OP_STEP:
-            # F4: nothing can observe the counter between two adjacent
-            # steps except an over-budget abort, whose counter value is
-            # already engine-defined (see the module docstring).
-            new = (OP_STEP, a[1] + b[1])
-        elif opa == OP_CONST and type(a[2]) is int:
-            # F6: constant index folds into a static member offset.
-            t = a[1]
-            if (opb == OP_ELEM or opb == OP_ADD_P) and b[3] == t \
-                    and b[2] != t and (b[1] == t or not (out >> t) & 1):
-                new = (OP_MEMBOFF, b[1], b[2], a[2] * b[4])
-            elif opb == OP_SUB_PI and b[3] == t and b[2] != t \
-                    and (b[1] == t or not (out >> t) & 1):
-                new = (OP_MEMBOFF, b[1], b[2], -(a[2] * b[4]))
-        elif opa == OP_MEMBOFF:
-            # F7: member-offset chains fold into the next offset field
-            # (address masks compose: ((x+o1)&M + o2)&M == (x+o1+o2)&M).
-            t = a[1]
-            off = a[3]
-            if opb == OP_MEMBOFF and b[2] == t \
-                    and (b[1] == t or not (out >> t) & 1):
-                new = (OP_MEMBOFF, b[1], a[2], off + b[3])
-            elif opb == OP_LOAD_I and b[2] == t \
-                    and (b[1] == t or not (out >> t) & 1):
-                new = (OP_LOAD_I, b[1], a[2], off + b[3],
-                       b[4], b[5], b[6], b[7])
-            elif opb == OP_LOAD_F and b[2] == t \
-                    and (b[1] == t or not (out >> t) & 1):
-                new = (OP_LOAD_F, b[1], a[2], off + b[3], b[4], b[5], b[6])
-            elif opb == OP_STORE_I and b[1] == t and b[3] != t \
-                    and (b[4] == t or not (out >> t) & 1):
-                new = (OP_STORE_I, a[2], off + b[2], b[3], b[4],
-                       b[5], b[6], b[7], b[8], b[9])
-            elif opb == OP_STORE_F and b[1] == t and b[3] != t \
-                    and (b[4] == t or not (out >> t) & 1):
-                new = (OP_STORE_F, a[2], off + b[2], b[3], b[4],
-                       b[5], b[6], b[7])
-            elif opb == OP_STORE_P and b[1] == t and b[3] != t \
-                    and (b[4] == t or not (out >> t) & 1):
-                new = (OP_STORE_P, a[2], off + b[2], b[3], b[4], b[5])
-        if new is not None:
-            fused[i] = new
-            i += 2
-        else:
-            i += 1
-    return fused
-
-
-def _rebuild(code: Sequence[_Ins],
-             fused: dict[int, _Ins]) -> tuple[list[_Ins], list[int]]:
-    """Apply one round of fusions; return (new_code, pos) where pos[p] is
-    the new index of the first retained instruction with old index >= p
-    (monotone — the remap rule for jump targets and region bounds)."""
-    n = len(code)
-    new_code: list[_Ins] = []
-    pos = [0] * (n + 1)
-    i = 0
-    while i < n:
-        pos[i] = len(new_code)
-        ins = fused.get(i)
-        if ins is not None:
-            new_code.append(ins)
-            pos[i + 1] = len(new_code)
-            i += 2
-        else:
-            new_code.append(code[i])
-            i += 1
-    pos[n] = len(new_code)
-    for j, ins in enumerate(new_code):
-        op = ins[0]
-        if op == OP_JMP:
-            new_code[j] = (op, pos[ins[1]])
-        elif op == OP_JZ or op == OP_JNZ:
-            new_code[j] = (op, ins[1], pos[ins[2]])
-        elif op == OP_BR:
-            new_code[j] = (op, ins[1], ins[2], ins[3], pos[ins[4]], ins[5])
-    return new_code, pos
 
 
 def _sink_steps(code: list[_Ins]) -> None:
@@ -1538,81 +1359,3 @@ def _sink_steps(code: list[_Ins]) -> None:
             written = _WRITES.get(op)
             if written is not None:
                 consts.pop(ins[written], None)
-
-
-def fuse_function(fn: BytecodeFunction) -> BytecodeFunction:
-    """Fuse one function's code to fixpoint (chains like CONST→ELEM→LOAD
-    collapse over successive rounds). Body regions are remapped with the
-    same monotone rule as jump targets; call-site pcs — the only pcs the
-    regions are ever tested against — keep their region membership
-    because calls never fuse."""
-    code = list(fn.code)
-    regions = list(fn.body_regions)
-    while True:
-        fused = _fuse_once(code)
-        if not fused:
-            break
-        code, pos = _rebuild(code, fused)
-        regions = [(pos[s], pos[e], bid) for s, e, bid in regions]
-    _sink_steps(code)
-    return BytecodeFunction(
-        name=fn.name,
-        code=tuple(code),
-        n_slots=fn.n_slots,
-        params=fn.params,
-        returns_void=fn.returns_void,
-        body_regions=tuple(regions),
-    )
-
-
-def fuse_program(bp: BytecodeProgram) -> BytecodeProgram:
-    """The fused twin of a lowered program (cached on the original).
-
-    ``globals_init`` stays unfused: it runs once per run, so fusing it
-    would buy nothing, and the specializer compiles it as lowered.
-    """
-    cached = getattr(bp, "_fused", None)
-    if cached is None:
-        cached = BytecodeProgram(
-            program=bp.program,
-            functions={name: fuse_function(fn)
-                       for name, fn in bp.functions.items()},
-            global_symbols=bp.global_symbols,
-            globals_init=bp.globals_init,
-        )
-        bp._fused = cached
-    return cached
-
-
-def fusion_stats(bp: BytecodeProgram) -> dict[str, Any]:
-    """Static fusion coverage of a program (reported by the benchmarks).
-
-    ``memory_fused_share`` is the fraction of memory-access instructions
-    that ended up in superinstruction form.
-    """
-    fused = fuse_program(bp)
-    mem_total = mem_fused = br_total = br_fused = 0
-    for fn in fused.functions.values():
-        for ins in fn.code:
-            op = ins[0]
-            if op in _FUSED_MEM_OPS:
-                mem_fused += 1
-                mem_total += 1
-            elif op in _MEM_OPS:
-                mem_total += 1
-            elif op == OP_BR:
-                br_fused += 1
-                br_total += 1
-            elif op == OP_JZ or op == OP_JNZ:
-                br_total += 1
-    before = sum(len(fn.code) for fn in bp.functions.values())
-    after = sum(len(fn.code) for fn in fused.functions.values())
-    return {
-        "instructions_before": before,
-        "instructions_after": after,
-        "memory_ops": mem_total,
-        "memory_ops_fused": mem_fused,
-        "memory_fused_share": mem_fused / mem_total if mem_total else 0.0,
-        "branches": br_total,
-        "branches_fused": br_fused,
-    }

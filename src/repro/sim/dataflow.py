@@ -1,14 +1,14 @@
 """Dataflow analysis framework over the bytecode CFG.
 
-The fusion pass, the IR verifier and the MiniC linter all need facts
+The specializer, the IR verifier and the MiniC linter all need facts
 that hold *along every execution path* — which registers are live, which
 are definitely assigned. This module factors the machinery they share
 into one place:
 
 * a basic-block CFG over a function's instruction tuple
-  (:func:`build_cfg`), with the exact successor rules the ad-hoc passes
-  used (jump to ``len(code)`` falls off the end; exceptions need no
-  edges because an abort ends the run);
+  (:func:`build_cfg`), the one block partition the specializer and the
+  verifier both use (jump to ``len(code)`` falls off the end; exceptions
+  need no edges because an abort ends the run);
 * a generic worklist fixpoint solver (:func:`solve`) over any numbered
   graph — forward or backward, pluggable join/transfer — reused by the
   MiniC linter (:mod:`repro.lang.lint`) for its statement-level CFG and
@@ -16,7 +16,8 @@ into one place:
 * two bytecode analyses on top of it:
 
   - :func:`liveness` — per-instruction live-out bitmasks (the backward
-    pass :func:`repro.sim.bytecode.fuse_function` fuses against);
+    pass that decides which registers :mod:`repro.sim.specialize`
+    keeps, flushes and loads);
   - :func:`definite_assignment` / :func:`maybe_uninitialized_reads` —
     forward must-analysis behind the verifier's defined-before-use
     check.
@@ -59,15 +60,13 @@ class CFG:
 
 def _succ_indices(code: Sequence[tuple[Any, ...]],
                   i: int) -> tuple[int, ...]:
-    """Instruction-level successors (the liveness pass's exact rules)."""
+    """Instruction-level successors of ``code[i]``."""
     ins = code[i]
     op = ins[0]
     if op == bc.OP_JMP:
         return (ins[1],)
     if op == bc.OP_JZ or op == bc.OP_JNZ:
         return (i + 1, ins[2])
-    if op == bc.OP_BR:
-        return (i + 1, ins[4])
     if op == bc.OP_RET or op == bc.OP_RET0:
         return ()
     return (i + 1,)
@@ -84,9 +83,6 @@ def build_cfg(code: Sequence[tuple[Any, ...]]) -> CFG:
             leaders.add(i + 1)
         elif op == bc.OP_JZ or op == bc.OP_JNZ:
             leaders.add(code[i][2])
-            leaders.add(i + 1)
-        elif op == bc.OP_BR:
-            leaders.add(code[i][4])
             leaders.add(i + 1)
         elif op == bc.OP_RET or op == bc.OP_RET0:
             leaders.add(i + 1)
@@ -193,9 +189,11 @@ def _use_kill(ins: tuple[Any, ...]) -> tuple[int, int]:
 def liveness(code: Sequence[tuple[Any, ...]]) -> list[int]:
     """Per-instruction live-*out* register bitmasks.
 
-    Produces exactly the least fixpoint of the fusion pass's original
-    instruction-level iteration (the equations are the same, grouped by
-    block), so fusion decisions are unchanged.
+    The least fixpoint of the instruction-level backward equations,
+    solved per block and expanded back to instructions. Exceptions need
+    no edges: a MiniC runtime error or budget overrun aborts the whole
+    run, and the ``exit()`` unwind path reads only the per-frame pcs,
+    never registers.
     """
     n = len(code)
     if not n:

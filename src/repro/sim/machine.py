@@ -4,7 +4,7 @@ execution engines together.
 Two engines execute compiled programs:
 
 * ``"bytecode"`` (default) — the specialized fast path: bytecode lowered
-  by :mod:`repro.sim.bytecode`, fused and compiled to Python by
+  by :mod:`repro.sim.bytecode` and compiled to Python by
   :mod:`repro.sim.specialize`;
 * ``"ast"`` — the reference tree-walking interpreter of
   :mod:`repro.sim.interpreter`.
@@ -57,14 +57,16 @@ class EngineConfig:
     max_steps: int = 200_000_000
     max_call_depth: int = 512
     trace_block_size: int = DEFAULT_TRACE_BLOCK
-    #: Not a setting: the bytecode engine always runs fused code. The
-    #: benchmark's layer tracer (``perfbench/tracing.py::_exec_layer``)
-    #: is its only reader and sorts runs into tiers by it.
+    #: Not a setting, and no fusion pass exists: the bytecode engine
+    #: runs the lowered code. The benchmark's layer tracer
+    #: (``perfbench/tracing.py::_exec_layer``) is its only reader and
+    #: files runs under ``sim.exec`` by it; ROADMAP item 1 deletes the
+    #: constant along with that tracer's stale tiers.
     fusion: ClassVar[bool] = True
     #: Input ensemble consumed by the ``read_samples`` builtin.
     input: InputSpec = InputSpec()
-    #: Run the structural IR verifier over the lowered and fused bytecode
-    #: before executing (also forced by the ``REPRO_VERIFY_IR`` env var).
+    #: Run the structural IR verifier over the bytecode before executing
+    #: (also forced by the ``REPRO_VERIFY_IR`` env var).
     verify_ir: bool = False
 
     def __post_init__(self) -> None:

@@ -1,14 +1,13 @@
-"""Block compilation: fused bytecode → straight-line generated Python.
+"""Block compilation: lowered bytecode → straight-line generated Python.
 
 This is how the bytecode engine executes: no instruction is ever
-interpreted. Each function of the *fused* program (:func:`~repro.sim.
-bytecode.fuse_program`), and the lowered global initializers when they
-do more than return, is translated once into Python source — one
+interpreted. Each function of the lowered program (:func:`~repro.sim.
+bytecode.lower_program`), and the global initializers when they do
+more than return, is translated once into Python source — one
 module-level function per basic block, operating on a flat register list
 ``r`` — which CPython then executes natively. Memory accesses append
 ``(pc, addr, size, w)`` directly to the flat access buffer of the VM's
-:class:`~repro.sim.trace.TraceBuffer` with a single bound-method call,
-so a fused load is one generated statement.
+:class:`~repro.sim.trace.TraceBuffer` with a single bound-method call.
 
 Generated code never reads the buffer's ``tracing`` flag: it appends
 accesses and checkpoints and calls ``_FLUSH()`` unconditionally, and a
@@ -17,7 +16,7 @@ initializers run untraced on the same code paths as the program.
 
 Within a block, register slots live in Python locals (``t<slot>``): a
 write goes to the local, later reads come from it, and only slots that
-are *live out* of the block (per the fusion pass's backward liveness)
+are *live out* of the block (per :func:`~repro.sim.dataflow.liveness`)
 are flushed back to ``r`` before the block returns. Everything that can
 observe registers mid-block — a simulated call, a builtin, an abort —
 either reads only explicitly materialized state (the per-frame call pc)
@@ -27,8 +26,8 @@ Blocks joined by an unconditional jump form a chain, and every loop of
 the chain graph becomes one region function whose back-edges are
 ``continue``. A region carries the slots its chains touch in locals for
 its whole stay. Its preheader loads only the carried slots that are
-live into some chain head of the region (:func:`~repro.sim.bytecode.
-_liveness` plus the head instruction's own use and kill): every other
+live into some chain head of the region (:func:`~repro.sim.dataflow.
+liveness` plus the head instruction's own use and kill): every other
 carried slot is written before it is read on every path from a head.
 In-region edges keep the locals consistent without touching ``r``;
 an exit flushes the slots live at its target. A nested loop is a call
@@ -91,7 +90,7 @@ from repro.sim import bytecode as bc
 from repro.sim import dataflow
 from repro.sim.interpreter import ExecLimitExceeded
 
-#: One lowered/fused instruction: ``(op, *operands)``.
+#: One lowered instruction: ``(op, *operands)``.
 _Ins = tuple[Any, ...]
 #: The line-writer bound method (``self.lines.append``).
 _W = Callable[[str], None]
@@ -209,9 +208,8 @@ class Specialization:
     #: MiniC function name → generated driver symbol (index-mangled, so
     #: simulated names that collide with Python keywords stay legal).
     drivers: dict[str, str]
-    #: Driver of the global initializers (the lowered, unfused
-    #: ``globals_init``); ``None`` when they are only the trailing
-    #: ``RET0``.
+    #: Driver of the global initializers (``globals_init``); ``None``
+    #: when they are only the trailing ``RET0``.
     init_driver: str | None
     #: Most Python frames one simulated call can add to the stack: the
     #: callee's driver plus the chain function the trampoline entered
@@ -282,17 +280,17 @@ def get_specialization(bp: "bc.BytecodeProgram") -> Specialization:
     on the program."""
     spec = bp._specialization
     if spec is None:
-        spec = _specialize(bc.fuse_program(bp))
+        spec = _specialize(bp)
         bp._specialization = spec
     return spec
 
 
-def _specialize(fbp: "bc.BytecodeProgram") -> Specialization:
-    fidx = {name: i for i, name in enumerate(fbp.functions)}
+def _specialize(bp: "bc.BytecodeProgram") -> Specialization:
+    fidx = {name: i for i, name in enumerate(bp.functions)}
     gen = _Codegen(fidx)
-    for name, fn in fbp.functions.items():
+    for name, fn in bp.functions.items():
         gen.emit_function(fidx[name], name, fn)
-    init = fbp.globals_init
+    init = bp.globals_init
     init_driver: str | None = None
     if len(init.code) > 1:  # more than the trailing RET0
         gen.emit_function(len(fidx), init.name, init)
@@ -523,9 +521,6 @@ class _Codegen:
             elif op == bc.OP_JZ or op == bc.OP_JNZ:
                 leaders.add(ins[2])
                 leaders.add(i + 1)
-            elif op == bc.OP_BR:
-                leaders.add(ins[4])
-                leaders.add(i + 1)
             elif op == bc.OP_RET or op == bc.OP_RET0:
                 leaders.add(i + 1)
         leaders.discard(n)
@@ -546,9 +541,6 @@ class _Codegen:
                 preds[term[1]] += 1
             elif op == bc.OP_JZ or op == bc.OP_JNZ:
                 preds[term[2]] += 1
-                preds[end] += 1
-            elif op == bc.OP_BR:
-                preds[term[4]] += 1
                 preds[end] += 1
             elif op != bc.OP_RET and op != bc.OP_RET0:
                 preds[end] += 1
@@ -574,7 +566,7 @@ class _Codegen:
         # interior block's single predecessor is the absorbed JMP.
         blk = {order[chain[0]]: c for c, chain in enumerate(chains)}
 
-        live_out = bc._liveness(code)
+        live_out = dataflow.liveness(code)
         rv = fn.n_slots
         pcs = fn.n_slots + 1
         mk = fn.n_slots + 2
@@ -594,8 +586,6 @@ class _Codegen:
                 targets = (term[1],)
             elif top == bc.OP_JZ or top == bc.OP_JNZ:
                 targets = (term[2], end)
-            elif top == bc.OP_BR:
-                targets = (term[4], end)
             elif top == bc.OP_RET or top == bc.OP_RET0:
                 targets = ()
             else:
@@ -1076,7 +1066,7 @@ class _Codegen:
                                  for p in reads) if reads else ())
         if op == B.OP_STEP:
             if ins[1] == 0:
-                # Drained by the fusion pass's step sinking.
+                # Drained by lowering's step sinking.
                 return False
             w(f"    if (s_ := s_ + {ins[1]}) > _MAXS: _OVER()")
         elif op == B.OP_CONST:
@@ -1119,24 +1109,6 @@ class _Codegen:
         elif op == B.OP_STORE_P:
             self._emit_store_p(w, self._off_expr(ins[1], ins[2]), ins[3],
                                ins[4], ins[5])
-        elif op == B.OP_LDELEM_I:
-            self._emit_load_i(w, ins[1],
-                              self._elem_expr(ins[2], ins[3], ins[4]),
-                              ins[5], ins[6], ins[7], ins[8])
-        elif op == B.OP_LDELEM_F:
-            self._emit_load_f(w, ins[1],
-                              self._elem_expr(ins[2], ins[3], ins[4]),
-                              ins[5], ins[6], ins[7])
-        elif op == B.OP_STELEM_I:
-            self._emit_store_i(w, self._elem_expr(ins[1], ins[2], ins[3]),
-                               ins[4], ins[5], ins[6], ins[7], ins[8],
-                               ins[9], ins[10])
-        elif op == B.OP_STELEM_F:
-            self._emit_store_f(w, self._elem_expr(ins[1], ins[2], ins[3]),
-                               ins[4], ins[5], ins[6], ins[7], ins[8])
-        elif op == B.OP_STELEM_P:
-            self._emit_store_p(w, self._elem_expr(ins[1], ins[2], ins[3]),
-                               ins[4], ins[5], ins[6])
         elif op == B.OP_ADD_I:
             self._wrap(f"{self._rd(ins[2])} + {self._rd(ins[3])}",
                        ins[4], ins[5], ins[1])
@@ -1174,20 +1146,6 @@ class _Codegen:
                 self._emit_branch(w, cond,
                                   self._goto(blk[ins[2]], live_out[pc]),
                                   self._goto(blk[fall], live_out[pc]))
-            return True
-        elif op == B.OP_BR:
-            # The comparison is never negated, so NaN operands take the
-            # cond-false arm exactly like the compare-and-jump it fuses.
-            cond = (f"{self._rd(ins[2])} {_cmp_sym(ins[1])} "
-                    f"{self._rd(ins[3])}")
-            self._flush_steps()
-            self._flush_trace_checks()
-            taken = self._goto(blk[ins[4]], live_out[pc])
-            fallth = self._goto(blk[fall], live_out[pc])
-            if ins[5]:
-                self._emit_branch(w, cond, taken, fallth)
-            else:
-                self._emit_branch(w, cond, fallth, taken)
             return True
         elif op == B.OP_CKPT:
             # The access position only needs len(_AB) measured once per

@@ -1,13 +1,14 @@
-"""Structural IR verifier for lowered and fused bytecode.
+"""Structural IR verifier for bytecode.
 
-The specializer and the fixpoint fusion pass rewrite every hot function;
-until now their only safety net was end-to-end trace parity. This module
-checks the bytecode *structurally*, per function:
+The specializer compiles every function of the lowered program to
+Python; without this module its only safety net would be end-to-end
+trace parity. This module checks that same code *structurally*, per
+function:
 
-* every opcode is known, and superinstructions appear only in fused code;
+* every opcode is known;
 * every register operand addresses a slot inside the frame
   (``0 <= slot < n_slots``), derived from the same ``_READS``/``_WRITES``
-  tables the fusion pass trusts for liveness;
+  tables liveness and the specializer trust;
 * every jump lands on an instruction boundary of the same function;
 * registers are defined before use: a forward must-analysis over the
   basic-block CFG (:func:`repro.sim.dataflow.maybe_uninitialized_reads`)
@@ -22,10 +23,6 @@ checks the bytecode *structurally*, per function:
   runtime on exotic paths only;
 * every basic block is reachable from entry, except trivial epilogue
   blocks (the auto-appended trailing return after a user ``return``);
-* fused superinstructions decode back to their constituent operations —
-  element size, access width, struct format and synthetic pc must all be
-  the values the unfused ``OP_ELEM + OP_LOAD/OP_STORE`` pair would carry,
-  and ``OP_BR`` must wrap a real comparison opcode;
 * trace-emitting instructions carry valid synthetic pcs (user range,
   load/store parity) and valid checkpoint ids (present in the
   instrumentation map with the matching kind code);
@@ -33,8 +30,8 @@ checks the bytecode *structurally*, per function:
 * instrumented body regions lie inside the code and name body-end
   checkpoints.
 
-`verify_compiled` runs all of it over every function of the lowered
-program *and* its fused twin. Tests enable it unconditionally via the
+`verify_compiled` runs all of it once over every function of the
+lowered program, the code the specializer compiles. Tests enable it unconditionally via the
 ``REPRO_VERIFY_IR`` environment variable; the CLI exposes ``--verify-ir``.
 """
 
@@ -57,27 +54,11 @@ from repro.sim.trace import (
 _PC_POS: dict[int, int] = {
     bc.OP_LOAD_I: 7, bc.OP_LOAD_F: 6,
     bc.OP_STORE_I: 9, bc.OP_STORE_F: 7, bc.OP_STORE_P: 5,
-    bc.OP_LDELEM_I: 8, bc.OP_LDELEM_F: 7,
-    bc.OP_STELEM_I: 10, bc.OP_STELEM_F: 8, bc.OP_STELEM_P: 6,
 }
 
-_LOAD_OPS = frozenset((bc.OP_LOAD_I, bc.OP_LOAD_F,
-                       bc.OP_LDELEM_I, bc.OP_LDELEM_F))
-_STORE_OPS = frozenset((bc.OP_STORE_I, bc.OP_STORE_F, bc.OP_STORE_P,
-                        bc.OP_STELEM_I, bc.OP_STELEM_F, bc.OP_STELEM_P))
+_STORE_OPS = frozenset((bc.OP_STORE_I, bc.OP_STORE_F, bc.OP_STORE_P))
 
-#: (elem_size operand, access-size operand or None) per fused memory op.
-_FUSED_SHAPE: dict[int, tuple[int, int | None]] = {
-    bc.OP_LDELEM_I: (4, 5), bc.OP_LDELEM_F: (4, 5),
-    bc.OP_STELEM_I: (3, 6), bc.OP_STELEM_F: (3, 6), bc.OP_STELEM_P: (3, None),
-}
-
-_ACCESS_SIZES = frozenset((1, 2, 4, 8))
-
-_FUSED_OPS = frozenset((bc.OP_LDELEM_I, bc.OP_LDELEM_F, bc.OP_STELEM_I,
-                        bc.OP_STELEM_F, bc.OP_STELEM_P, bc.OP_BR))
-
-_KNOWN_OPS = frozenset(range(62))
+_KNOWN_OPS = frozenset(range(56))
 
 
 class IRVerificationError(Exception):
@@ -98,8 +79,6 @@ class VerifyStats:
 
     functions: int
     instructions: int
-    fused_functions: int
-    fused_instructions: int
 
 
 def _valid_pc(pc: object, is_store: bool, allow_untraced: bool) -> bool:
@@ -118,7 +97,6 @@ def verify_function(
     fn: "bc.BytecodeFunction",
     checkpoint_map: CheckpointMap,
     function_names: frozenset[str],
-    fused: bool,
     allow_untraced_pc: bool = False,
 ) -> list[str]:
     """Structural findings for one bytecode function (empty = clean)."""
@@ -133,9 +111,6 @@ def verify_function(
         op = ins[0]
         if op not in _KNOWN_OPS:
             flag(index, f"unknown opcode {op!r}")
-            continue
-        if op in _FUSED_OPS and not fused:
-            flag(index, f"superinstruction {op} in unfused code")
             continue
 
         # Register operands: the same tables the liveness fixpoint uses.
@@ -168,8 +143,6 @@ def verify_function(
             target_pos = 1
         elif op == bc.OP_JZ or op == bc.OP_JNZ:
             target_pos = 2
-        elif op == bc.OP_BR:
-            target_pos = 4
         if target_pos is not None:
             target = ins[target_pos]
             if not isinstance(target, int) or not 0 <= target <= size:
@@ -184,19 +157,6 @@ def verify_function(
             elif not _valid_pc(ins[pc_pos], op in _STORE_OPS,
                                allow_untraced_pc):
                 flag(index, f"invalid synthetic pc {ins[pc_pos]!r}")
-
-        # Superinstructions decode back to their constituent ops.
-        if op in _FUSED_SHAPE:
-            elem_pos, size_pos = _FUSED_SHAPE[op]
-            if ins[elem_pos] < 1:
-                flag(index, f"fused element size {ins[elem_pos]!r} < 1")
-            if size_pos is not None and ins[size_pos] not in _ACCESS_SIZES:
-                flag(index, f"fused access size {ins[size_pos]!r}")
-        if op == bc.OP_BR:
-            if ins[1] not in bc._CMP_OPS:
-                flag(index, f"fused branch wraps non-comparison op {ins[1]!r}")
-            if ins[5] not in (0, 1):
-                flag(index, f"fused branch sense {ins[5]!r}")
 
         # Checkpoints exist in the instrumentation map, kinds agree.
         if op == bc.OP_CKPT:
@@ -236,8 +196,7 @@ def verify_function(
 #: Opcodes whose destination definitely holds a float afterwards.
 _FLOAT_WRITERS = frozenset((
     bc.OP_ADD_F, bc.OP_SUB_F, bc.OP_MUL_F, bc.OP_DIV_F, bc.OP_ADDK_F,
-    bc.OP_NEG_F, bc.OP_CONV_F, bc.OP_LOAD_F, bc.OP_LDELEM_F,
-    bc.OP_STORE_F, bc.OP_STELEM_F,
+    bc.OP_NEG_F, bc.OP_CONV_F, bc.OP_LOAD_F, bc.OP_STORE_F,
 ))
 
 #: Operand positions per opcode where the specialized code applies a raw
@@ -251,8 +210,6 @@ _RAW_MASK_POSITIONS: dict[int, tuple[int, ...]] = {
     bc.OP_ADDK_P: (2,), bc.OP_SUB_PI: (2,),
     bc.OP_LOAD_I: (2,), bc.OP_LOAD_F: (2,),
     bc.OP_STORE_I: (1,), bc.OP_STORE_F: (1,), bc.OP_STORE_P: (1,),
-    bc.OP_LDELEM_I: (2,), bc.OP_LDELEM_F: (2,),
-    bc.OP_STELEM_I: (1,), bc.OP_STELEM_F: (1,), bc.OP_STELEM_P: (1,),
     bc.OP_ZFILL: (1,), bc.OP_WBYTES: (1,),
 }
 
@@ -340,7 +297,8 @@ def _domain_findings(fn: "bc.BytecodeFunction") -> list[str]:
 
 #: Opcodes allowed in an unreachable block without a finding: the
 #: lowering appends a trailing return after user code that already
-#: returned on every path, and fusion can strand such epilogues.
+#: returned on every path, and a loop that never falls through strands
+#: its exit epilogue.
 _BENIGN_UNREACHABLE = frozenset((
     bc.OP_RET, bc.OP_RET0, bc.OP_JMP, bc.OP_STEP, bc.OP_CKPT,
 ))
@@ -373,38 +331,30 @@ def _unreachable_findings(fn: "bc.BytecodeFunction") -> list[str]:
 def verify_bytecode(
     bytecode_program: "bc.BytecodeProgram",
     checkpoint_map: CheckpointMap,
-    fused: bool = False,
 ) -> list[str]:
     """Findings across all functions (and globals-init) of one program."""
     names = frozenset(bytecode_program.functions)
     findings = verify_function(bytecode_program.globals_init, checkpoint_map,
-                               names, fused, allow_untraced_pc=True)
+                               names, allow_untraced_pc=True)
     for fn in bytecode_program.functions.values():
-        findings.extend(verify_function(fn, checkpoint_map, names, fused))
+        findings.extend(verify_function(fn, checkpoint_map, names))
     return findings
 
 
 def verify_compiled(compiled, raise_on_error: bool = True) -> VerifyStats:
-    """Verify the lowered program and its fused twin.
+    """Verify the lowered program, the code the specializer compiles.
 
-    ``compiled`` is a :class:`repro.sim.machine.CompiledProgram`; lowering
-    and fusion results are cached on it, so verification shares work with
-    a subsequent run instead of repeating it.
+    ``compiled`` is a :class:`repro.sim.machine.CompiledProgram`; the
+    lowering is cached on it, so verification shares work with a
+    subsequent run instead of repeating it.
     """
     from repro.sim.machine import lower_compiled
 
     lowered = lower_compiled(compiled)
-    findings = verify_bytecode(lowered, compiled.checkpoint_map, fused=False)
-    fused = bc.fuse_program(lowered)
-    findings.extend(verify_bytecode(fused, compiled.checkpoint_map,
-                                    fused=True))
+    findings = verify_bytecode(lowered, compiled.checkpoint_map)
     if findings and raise_on_error:
         raise IRVerificationError(findings)
-    count = len(lowered.functions) + 1
-    instructions = lowered.instruction_count
     return VerifyStats(
-        functions=count,
-        instructions=instructions,
-        fused_functions=len(fused.functions) + 1,
-        fused_instructions=fused.instruction_count,
+        functions=len(lowered.functions) + 1,
+        instructions=lowered.instruction_count,
     )

@@ -11,9 +11,9 @@ import os
 
 import pytest
 
-# Every simulated run in the test suite structurally verifies the lowered
-# and fused bytecode first (memoized per compiled program, so the cost is
-# one pass per program). See repro.sim.verify.
+# Every simulated run in the test suite structurally verifies the
+# bytecode first (memoized per compiled program, so the cost is one pass
+# per program). See repro.sim.verify.
 os.environ.setdefault("REPRO_VERIFY_IR", "1")
 
 from repro.foray.filters import FilterConfig

@@ -55,20 +55,10 @@ class TestSuitePrograms:
         workload = ALL_WORKLOADS[name]
         compiled = compile_program(workload.source)
         stats = verify_compiled(compiled)
-        assert stats.instructions > 0
         assert stats.functions >= 2  # main + globals-init
-        # Fusion shrinks, never grows, the instruction count.
-        assert stats.fused_instructions <= stats.instructions
-
-    def test_fused_workload_uses_superinstructions(self):
-        # The smoke target: a fused program must actually contain fused
-        # opcodes, or the "fused" half of the verifier tests nothing.
-        compiled = compile_program(ALL_WORKLOADS["jpeg"].source)
-        fused = bc.fuse_program(lower_compiled(compiled))
-        ops = {ins[0] for fn in fused.functions.values() for ins in fn.code}
-        assert ops & {bc.OP_LDELEM_I, bc.OP_STELEM_I, bc.OP_BR}
-        assert not verify_bytecode(fused, compiled.checkpoint_map,
-                                   fused=True)
+        # The verifier covers exactly the code the specializer compiles.
+        assert stats.instructions == lower_compiled(
+            compiled).instruction_count > 0
 
 
 class TestCorruptedPrograms:
@@ -81,7 +71,7 @@ class TestCorruptedPrograms:
         bad = _corrupt(fn, index,
                        ins[:pos] + (len(fn.code) + 7,) + ins[pos + 1:])
         findings = verify_function(bad, compiled.checkpoint_map,
-                                   frozenset(lowered.functions), False)
+                                   frozenset(lowered.functions))
         assert any("jump target" in f for f in findings)
 
     def test_register_slot_outside_frame(self):
@@ -93,18 +83,18 @@ class TestCorruptedPrograms:
         bad = _corrupt(fn, index,
                        ins[:pos] + (fn.n_slots + 3,) + ins[pos + 1:])
         findings = verify_function(bad, compiled.checkpoint_map,
-                                   frozenset(lowered.functions), False)
+                                   frozenset(lowered.functions))
         assert any("outside frame" in f for f in findings)
 
-    def test_superinstruction_rejected_in_unfused_code(self):
+    def test_unknown_opcode_rejected(self):
+        # 56 is one past the last opcode: lowering never emits it.
         compiled, lowered = _lowered()
-        fused = bc.fuse_program(lowered)
-        fn = fused.functions["main"]
-        assert any(ins[0] in {bc.OP_LDELEM_I, bc.OP_STELEM_I, bc.OP_BR}
-                   for ins in fn.code)
-        findings = verify_function(fn, compiled.checkpoint_map,
-                                   frozenset(fused.functions), fused=False)
-        assert any("superinstruction" in f for f in findings)
+        fn = lowered.functions["main"]
+        index = _find(fn, {bc.OP_LOAD_I})
+        bad = _corrupt(fn, index, (56,) + fn.code[index][1:])
+        findings = verify_function(bad, compiled.checkpoint_map,
+                                   frozenset(lowered.functions))
+        assert any("unknown opcode 56" in f for f in findings)
 
     def test_unknown_checkpoint_id(self):
         compiled, lowered = _lowered()
@@ -113,7 +103,7 @@ class TestCorruptedPrograms:
         ins = fn.code[index]
         bad = _corrupt(fn, index, (ins[0], 999_999, ins[2]))
         findings = verify_function(bad, compiled.checkpoint_map,
-                                   frozenset(lowered.functions), False)
+                                   frozenset(lowered.functions))
         assert any("not in map" in f for f in findings)
 
     def test_checkpoint_kind_mismatch(self):
@@ -123,7 +113,7 @@ class TestCorruptedPrograms:
         ins = fn.code[index]
         bad = _corrupt(fn, index, (ins[0], ins[1], (ins[2] + 1) % 3))
         findings = verify_function(bad, compiled.checkpoint_map,
-                                   frozenset(lowered.functions), False)
+                                   frozenset(lowered.functions))
         assert any("kind code" in f for f in findings)
 
     def test_invalid_synthetic_pc(self):
@@ -134,7 +124,7 @@ class TestCorruptedPrograms:
         # Store pcs are congruent to 4 mod 8; a load-parity pc is corrupt.
         bad = _corrupt(fn, index, ins[:-1] + (ins[-1] - 4,))
         findings = verify_function(bad, compiled.checkpoint_map,
-                                   frozenset(lowered.functions), False)
+                                   frozenset(lowered.functions))
         assert any("synthetic pc" in f for f in findings)
 
     def test_globals_init_untraced_pc_allowed(self):
@@ -152,7 +142,7 @@ class TestCorruptedPrograms:
         ins = fn.code[index]
         bad = _corrupt(fn, index, (ins[0], ins[1], "ghost", ins[3]))
         findings = verify_function(bad, compiled.checkpoint_map,
-                                   frozenset(lowered.functions), False)
+                                   frozenset(lowered.functions))
         assert any("unknown function" in f for f in findings)
 
     def test_error_reports_are_readable(self):

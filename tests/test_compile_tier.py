@@ -88,9 +88,9 @@ def compiles(monkeypatch):
         parsed.append(source)
         return real_parse(source, *args, **kwargs)
 
-    def specialize_counted(fused):
-        specialized.append(fused)
-        return real_specialize(fused)
+    def specialize_counted(bp):
+        specialized.append(bp)
+        return real_specialize(bp)
 
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("repro")
