@@ -186,11 +186,13 @@ def _use_kill(ins: tuple[Any, ...]) -> tuple[int, int]:
     return use, (1 << ins[write]) if write is not None else 0
 
 
-def liveness(code: Sequence[tuple[Any, ...]]) -> list[int]:
+def liveness(code: Sequence[tuple[Any, ...]],
+             cfg: CFG | None = None) -> list[int]:
     """Per-instruction live-*out* register bitmasks.
 
     The least fixpoint of the instruction-level backward equations,
-    solved per block and expanded back to instructions. Exceptions need
+    solved per block and expanded back to instructions; ``cfg`` is
+    ``build_cfg(code)`` when the caller already has it. Exceptions need
     no edges: a MiniC runtime error or budget overrun aborts the whole
     run, and the ``exit()`` unwind path reads only the per-frame pcs,
     never registers.
@@ -198,7 +200,8 @@ def liveness(code: Sequence[tuple[Any, ...]]) -> list[int]:
     n = len(code)
     if not n:
         return []
-    cfg = build_cfg(code)
+    if cfg is None:
+        cfg = build_cfg(code)
     nb = len(cfg.blocks)
     use_kill = [_use_kill(ins) for ins in code]
     block_gen = [0] * nb

@@ -4,8 +4,9 @@ This is how the bytecode engine executes: no instruction is ever
 interpreted. Each function of the lowered program (:func:`~repro.sim.
 bytecode.lower_program`), and the global initializers when they do
 more than return, is translated once into Python source — one
-module-level function per basic block, operating on a flat register list
-``r`` — which CPython then executes natively. Memory accesses append
+module-level function per chain of basic blocks (the blocks and edges
+of :func:`~repro.sim.dataflow.build_cfg`), operating on a flat register
+list ``r`` — which CPython then executes natively. Memory accesses append
 ``(pc, addr, size, w)`` directly to the flat access buffer of the VM's
 :class:`~repro.sim.trace.TraceBuffer` with a single bound-method call.
 
@@ -511,62 +512,37 @@ class _Codegen:
     def emit_function(self, findex: int, name: str,
                       fn: "bc.BytecodeFunction") -> None:
         code = fn.code
-        n = len(code)
-        leaders = {0}
-        for i, ins in enumerate(code):
-            op = ins[0]
-            if op == bc.OP_JMP:
-                leaders.add(ins[1])
-                leaders.add(i + 1)
-            elif op == bc.OP_JZ or op == bc.OP_JNZ:
-                leaders.add(ins[2])
-                leaders.add(i + 1)
-            elif op == bc.OP_RET or op == bc.OP_RET0:
-                leaders.add(i + 1)
-        leaders.discard(n)
-        order = sorted(leaders)
-        ranges = [(start, order[j + 1] if j + 1 < len(order) else n)
-                  for j, start in enumerate(order)]
-        block_of = {start: j for j, start in enumerate(order)}
+        cfg = dataflow.build_cfg(code)
+        ranges = [(block.start, block.end) for block in cfg.blocks]
 
         # Superblock chaining: a block whose only way in is another
         # block's unconditional JMP is absorbed into that block, so the
         # transfer costs nothing and locals stay live across the join.
-        preds = {start: 0 for start in order}
-        preds[0] += 1
-        for start, end in ranges:
-            term = code[end - 1]
-            op = term[0]
-            if op == bc.OP_JMP:
-                preds[term[1]] += 1
-            elif op == bc.OP_JZ or op == bc.OP_JNZ:
-                preds[term[2]] += 1
-                preds[end] += 1
-            elif op != bc.OP_RET and op != bc.OP_RET0:
-                preds[end] += 1
+        preds = [0] * len(ranges)
+        preds[0] += 1  # the entry
+        for targets in cfg.succs:
+            for t in targets:
+                preds[t] += 1
         chains: list[list[int]] = []
         placed: set[int] = set()
-        for j in range(len(order)):
+        for j in range(len(ranges)):
             if j in placed:
                 continue
             placed.add(j)
             chain = [j]
-            while True:
-                _start, end = ranges[chain[-1]]
-                term = code[end - 1]
-                if term[0] != bc.OP_JMP:
-                    break
-                tj = block_of[term[1]]
-                if preds[term[1]] != 1 or tj in placed:
+            while code[ranges[chain[-1]][1] - 1][0] == bc.OP_JMP:
+                (tj,) = cfg.succs[chain[-1]]
+                if preds[tj] != 1 or tj in placed:
                     break
                 placed.add(tj)
                 chain.append(tj)
             chains.append(chain)
         # Only chain heads are ever jumped (or fallen through) to: an
         # interior block's single predecessor is the absorbed JMP.
-        blk = {order[chain[0]]: c for c, chain in enumerate(chains)}
+        chain_of = {chain[0]: c for c, chain in enumerate(chains)}
+        blk = {ranges[j][0]: c for j, c in chain_of.items()}
 
-        live_out = dataflow.liveness(code)
+        live_out = dataflow.liveness(code, cfg)
         rv = fn.n_slots
         pcs = fn.n_slots + 1
         mk = fn.n_slots + 2
@@ -576,21 +552,8 @@ class _Codegen:
         # through an internal dispatch ladder, so iterating costs no
         # trampoline round-trip; straight-line chains stay plain block
         # functions driven by the trampoline.
-        succ: dict[int, list[int]] = {}
-        for c, chain in enumerate(chains):
-            end = ranges[chain[-1]][1]
-            term = code[end - 1]
-            top = term[0]
-            targets: tuple[int, ...]
-            if top == bc.OP_JMP:
-                targets = (term[1],)
-            elif top == bc.OP_JZ or top == bc.OP_JNZ:
-                targets = (term[2], end)
-            elif top == bc.OP_RET or top == bc.OP_RET0:
-                targets = ()
-            else:
-                targets = (end,)
-            succ[c] = sorted({blk[t] for t in targets})
+        succ = {c: sorted({chain_of[t] for t in cfg.succs[chain[-1]]})
+                for c, chain in enumerate(chains)}
         counter = [0]
         straight, regions = _loop_forest(list(range(len(chains))), succ,
                                          counter)
