@@ -31,7 +31,13 @@ from typing import Iterable, Union
 from repro.foray.filters import FilterConfig
 from repro.foray.model import AffineExpression, ForayLoop, ForayReference
 from repro.lang import ast_nodes as ast
-from repro.lang.ctypes_ import ArrayType, StructType, fold_int_binary
+from repro.lang.ctypes_ import (
+    ArrayType,
+    CType,
+    IntType,
+    StructType,
+    fold_int_binary,
+)
 from repro.lang.semantics import Symbol
 from repro.sim.memory import STACK_TOP
 from repro.sim.trace import load_pc, store_pc
@@ -40,7 +46,6 @@ from repro.staticfar.detector import (
     StaticAnalysisResult,
     _const_value,
     detect,
-    wrap_to_ctype,
 )
 from repro.staticfar.layout import global_layout
 from repro.staticfar.model import StaticForayModel, StaticRefusal
@@ -310,7 +315,8 @@ class StaticAnalyzer:
                     return _wrapped(
                         expr, {k: v * rconst for k, v in left.items()})
                 if lconst is not None:
-                    return {k: v * lconst for k, v in right.items()}
+                    return _wrapped(
+                        expr, {k: v * lconst for k, v in right.items()})
                 return None
             if expr.op in ("/", "<<", ">>", "%"):
                 left = self._affine(expr.left, frame)
@@ -645,7 +651,7 @@ class StaticAnalyzer:
                 else:
                     form = {None: 0}  # fresh registers read as zero
                 if symbol.ctype.is_integer and form is not None:
-                    frame.env[symbol] = form
+                    frame.env[symbol] = _stored(symbol.ctype, form)
                 else:
                     frame.env.pop(symbol, None)
         return _LIVE, taint
@@ -926,7 +932,7 @@ class StaticAnalyzer:
                 if old is not None and value_form is not None:
                     form = _combine(old, source.op, value_form)
         if form is not None and symbol.ctype.is_integer:
-            frame.env[symbol] = form
+            frame.env[symbol] = _stored(symbol.ctype, form)
         else:
             frame.env.pop(symbol, None)
 
@@ -1024,7 +1030,7 @@ class StaticAnalyzer:
                 continue
             form = arg_forms[index] if index < len(arg_forms) else None
             if form is not None and symbol.ctype.is_integer:
-                frame.env[symbol] = form
+                frame.env[symbol] = _stored(symbol.ctype, form)
 
     # ------------------------------------------------------------------
     # model construction (mirrors ForayExtractor.finish)
@@ -1131,11 +1137,34 @@ def _declares_iterator(stmt: ast.For) -> bool:
 
 
 def _wrapped(expr: ast.Expr, form: AffineForm) -> AffineForm:
-    """``form``, wrapped to ``expr``'s integer type when it is a constant
-    (the engines wrap every integer result; iterator coefficients are
-    left as they are)."""
+    """``form`` wrapped to ``expr``'s integer type, as the engines wrap
+    every integer result.
+
+    A constant wraps to the type's own range: ``/``, ``%`` and the
+    shifts fold it as that value. A form over iterators only ever
+    reaches an element address, which the engines take modulo 2**32.
+    Wrapping commutes with ``+``, ``-`` and ``*`` modulo the type's
+    width (never below 32 bits once C has promoted the operands), so
+    every term wraps to the signed range of that width: its small
+    representatives are the address steps the extractor observes, also
+    for an unsigned index such as ``n - i``.
+    """
+    ctype = expr.ctype
+    if not isinstance(ctype, IntType):
+        return form
     if len(form) == 1 and None in form:
-        return {None: wrap_to_ctype(expr, form[None])}
+        return {None: ctype.wrap(form[None])}
+    half = 1 << (8 * ctype.byte_size - 1)
+    return {key: (val + half) % (2 * half) - half
+            for key, val in form.items()}
+
+
+def _stored(ctype: CType, form: AffineForm) -> AffineForm:
+    """``form`` as an integer register of type ``ctype`` holds it: a
+    constant wraps to the variable's type, as the engines store it; a
+    form over iterators is kept as it is."""
+    if len(form) == 1 and None in form and isinstance(ctype, IntType):
+        return {None: ctype.wrap(form[None])}
     return form
 
 

@@ -118,12 +118,12 @@ class TestFanOut:
         assert parallel == serial
 
 
-def _indexed(index: str, setup: str = "") -> str:
+def _indexed(index: str, setup: str = "", iterator: str = "int") -> str:
     """A 30-iteration loop reading ``a[index]``, after ``setup``."""
     return f"""
 int a[64];
 int main() {{
-    int i;
+    {iterator} i;
     int k;
     int s = 0;
     {setup}
@@ -168,21 +168,66 @@ class TestCConstantFolding:
     @pytest.mark.parametrize("index", [
         "i + 65536 * 65536 + 5",
         "i + (1 << 32) + 5",
+        "i * 65536 * 65536 + i + 5",
     ])
     def test_folded_constants_wrap_to_int(self, index):
         # Both engines wrap an int product or shift to 32 bits, so each
-        # index is a[i + 5]; folding on unbounded ints was a false
-        # MISMATCH.
+        # index is a[i + 5]; folding on unbounded ints, constants or
+        # iterator coefficients, was a false MISMATCH.
         report = static_workload("wrap", _indexed(index),
                                  config=self.RELAXED)
         assert report.ok, report.oracle.diff_lines()
         assert report.oracle.matched == 1
 
     def test_folded_constants_wrap_through_registers(self):
-        # The analyzer folds register constants too: k * k is 0 in int.
-        report = static_workload(
-            "wrap", _indexed("i + k * k + 5", setup="k = 65536;"),
-            config=self.RELAXED)
+        # The analyzer folds register constants too: k * k is 0 in int,
+        # as a constant term and as a coefficient of i.
+        for index in ("i + k * k + 5", "i * k * k + i + 5"):
+            report = static_workload(
+                "wrap", _indexed(index, setup="k = 65536;"),
+                config=self.RELAXED)
+            assert report.ok, (index, report.oracle.diff_lines())
+            assert report.oracle.matched == 1
+
+    @pytest.mark.parametrize("setup", [
+        "char c; c = 260;",
+        "unsigned char c; c = 260;",
+        "short c = 65541;",
+        "char c = 127; c++;",
+        "char c = 100; c += 60;",
+        "int c = 65536; c *= 65536;",
+    ])
+    def test_register_constants_wrap_to_their_type(self, setup):
+        # The engines store a value into a register at the variable's
+        # type (c holds 4, 4, 5, -128, -96 and 0), so a constant bound
+        # to it wraps the same way.
+        report = static_workload("narrow", _indexed("i + c", setup=setup),
+                                 config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 1
+
+    def test_constant_argument_wraps_to_parameter_type(self):
+        # f(260) binds 4 to a char parameter.
+        source = """
+int a[64];
+int f(char p) {
+    int i;
+    int s = 0;
+    for (i = 0; i < 30; i++) { s = s + a[i + p]; }
+    return s;
+}
+int main() { return f(260); }
+"""
+        report = static_workload("param", source, config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 1
+
+    @pytest.mark.parametrize("index", ["40 - i", "i * 4294967295u + 40"])
+    def test_unsigned_index_steps_keep_their_sign(self, index):
+        # An unsigned index wraps modulo 2**32, as the element address
+        # does: a[40 - i] steps down by one int, not up by 2**32 - 1.
+        report = static_workload("down", _indexed(index, iterator="unsigned"),
+                                 config=self.RELAXED)
         assert report.ok, report.oracle.diff_lines()
         assert report.oracle.matched == 1
 
