@@ -31,8 +31,9 @@ function:
   checkpoints.
 
 `verify_compiled` runs all of it once over every function of the
-lowered program, the code the specializer compiles. Tests enable it unconditionally via the
-``REPRO_VERIFY_IR`` environment variable; the CLI exposes ``--verify-ir``.
+lowered program, the code the specializer compiles. Tests enable it
+unconditionally via the ``REPRO_VERIFY_IR`` environment variable; the
+CLI exposes ``--verify-ir``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Unit tests for the generic dataflow framework (repro.sim.dataflow).
 
 The framework sits under three consumers — the specializer's
-liveness, the IR verifier and the MiniC linter — so these tests pin the solver and the
-analyses directly at the bytecode level: solver fixpoints, liveness
-equivalence with the naive per-instruction iteration, and definite
-assignment.
+liveness, the IR verifier and the MiniC linter — so these tests pin the
+solver and the analyses directly at the bytecode level: solver
+fixpoints, liveness equivalence with the naive per-instruction
+iteration, and definite assignment.
 """
 
 import pytest
