@@ -298,8 +298,8 @@ def _domain_findings(fn: "bc.BytecodeFunction") -> list[str]:
 
 #: Opcodes allowed in an unreachable block without a finding: the
 #: lowering appends a trailing return after user code that already
-#: returned on every path, and a loop that never falls through strands
-#: its exit epilogue.
+#: returned on every path, and the jumps, steps and checkpoints of such
+#: an epilogue are bookkeeping, not user code that went missing.
 _BENIGN_UNREACHABLE = frozenset((
     bc.OP_RET, bc.OP_RET0, bc.OP_JMP, bc.OP_STEP, bc.OP_CKPT,
 ))
