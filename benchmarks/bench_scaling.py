@@ -11,8 +11,9 @@ The second half benchmarks the staged execution engine itself:
 * the specialized fast path vs the AST oracle on simulated steps/sec,
   bare and with a live cache co-simulation attached, on every MiBench
   program;
-* serial vs multiprocess ``run_suite`` wall-clock (skipped on 1-CPU hosts,
-  where fan-out cannot beat serial by construction).
+* serial vs multiprocess ``run_suite`` wall-clock, the medians of
+  alternating pairs (skipped on 1-CPU hosts, where fan-out cannot beat
+  serial by construction).
 """
 
 import json
@@ -24,11 +25,16 @@ from statistics import geometric_mean
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import (
+    RESULTS_DIR,
+    WALLCLOCK_PAIRS,
+    alternating_medians,
+    write_result,
+)
 from repro.cachesim.model import CacheConfig, CacheHierarchy
 from repro.cachesim.sink import CacheSink
 from repro.foray.extractor import ForayExtractor
-from repro.pipeline import PipelineConfig, clear_caches, run_suite
+from repro.pipeline import PipelineConfig, run_suite
 from repro.sim.machine import (
     EngineConfig,
     compile_program,
@@ -276,22 +282,16 @@ def test_engine_steps_json(results_dir):
 
 def test_parallel_suite_speedup(results_dir):
     """run_suite over N worker processes must beat the serial suite
-    wall-clock (requires more than one CPU; fan-out cannot win on a
-    single core)."""
+    wall-clock, compared on the medians of alternating pairs (requires
+    more than one CPU; fan-out cannot win on a single core)."""
     config = PipelineConfig(cache=False)
-    clear_caches()
-    start = time.perf_counter()
-    serial = run_suite(config=config)
-    serial_time = time.perf_counter() - start
-
     cpus = os.cpu_count() or 1
     jobs = min(4, cpus)
     # cache=False still shares compiled programs within the process, and
-    # forked workers would inherit the serial run's: start both cold.
-    clear_caches()
-    start = time.perf_counter()
-    parallel = run_suite(config=replace(config, jobs=jobs))
-    parallel_time = time.perf_counter() - start
+    # forked workers would inherit the serial run's: every run starts cold.
+    serial, parallel, serial_time, parallel_time = alternating_medians(
+        lambda: run_suite(config=config),
+        lambda: run_suite(config=replace(config, jobs=jobs)))
 
     assert [r.name for r in parallel] == [r.name for r in serial]
     for left, right in zip(serial, parallel):
@@ -300,7 +300,8 @@ def test_parallel_suite_speedup(results_dir):
     write_result(
         results_dir, "parallel_suite.txt",
         f"suite serial: {serial_time:.2f}s, jobs={jobs}: {parallel_time:.2f}s "
-        f"({serial_time / parallel_time:.2f}x) on {cpus} CPU(s)",
+        f"({serial_time / parallel_time:.2f}x, medians of "
+        f"{WALLCLOCK_PAIRS} pairs) on {cpus} CPU(s)",
     )
     if cpus == 1:
         pytest.skip("single-CPU host: parallel fan-out cannot beat serial")

@@ -2,12 +2,13 @@
 
 The paper's motivation: doubling the analyzable references widens the
 reach of SPM optimization. This bench quantifies that on the mini-MiBench
-suite by running the same reuse-analysis + knapsack allocation twice per
+suite by running the allocation production makes (``allocate_graph`` over
+the reuse graph, as ``full_flow`` and the hierarchy cells do) twice per
 benchmark:
 
-* **with FORAY-GEN** — over the full extracted model;
-* **static only** — restricted to the references the static baseline
-  could already see in the source.
+* **with FORAY-GEN** — over the graph of the full extracted model;
+* **static only** — over the graph of the model restricted to the
+  references the static baseline could already see in the source.
 
 The energy saved by the extra (FORAY-GEN-only) references is the payoff
 the paper argues for. A capacity sweep per benchmark is also recorded,
@@ -15,25 +16,27 @@ plus two Phase II quality/performance benches:
 
 * **DP vs. greedy** — the exact allocator's saving vs. both greedy
   rankings over the whole capacity ladder (the DP must dominate);
-* **parallel sweep** — serial vs. multiprocess ``sweep_suite`` wall-clock
-  (the win assertion is skipped on 1-CPU hosts).
+* **parallel sweep** — serial vs. multiprocess ``sweep_suite`` wall-clock,
+  the medians of alternating pairs (the win assertion is skipped on
+  1-CPU hosts).
 
 Set ``SPM_BENCH_QUICK=1`` (the CI smoke step does) to trim the workload
 set and the ladder and skip the wall-clock comparison.
 """
 
 import os
-import time
 from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.pipeline import PipelineConfig, clear_caches
+from benchmarks.conftest import (
+    WALLCLOCK_PAIRS,
+    alternating_medians,
+    write_result,
+)
+from repro.pipeline import PipelineConfig, SpmConfig
 from repro.sim.trace import node_id_of_pc
-from repro.spm.allocator import AllocatorPolicy, allocate, allocate_graph
-from repro.spm.candidates import enumerate_candidates
-from repro.spm.energy import EnergyModel
+from repro.spm.allocator import AllocatorPolicy, allocate_graph
 from repro.spm.explore import DEFAULT_CAPACITIES, explore, sweep_suite
 from repro.spm.graph import ReuseGraph
 from repro.workloads.registry import workload_names
@@ -49,17 +52,16 @@ def bench_names() -> tuple[str, ...]:
 
 
 def split_allocations(report, capacity=SPM_BYTES):
-    energy = EnergyModel()
-    candidates = enumerate_candidates(report.model, energy)
-    static_ok = {
-        ref.pc
-        for ref in report.model.references
+    """The allocations over the full model and over its statically
+    analyzable references alone."""
+    model = report.model
+    static_model = replace(model, references=[
+        ref for ref in model.references
         if report.static_result.is_analyzable_ref(node_id_of_pc(ref.pc))
-    }
-    static_candidates = [c for c in candidates if c.reference.pc in static_ok]
+    ])
     return (
-        allocate(candidates, capacity),
-        allocate(static_candidates, capacity),
+        allocate_graph(ReuseGraph.from_model(model), capacity),
+        allocate_graph(ReuseGraph.from_model(static_model), capacity),
     )
 
 
@@ -209,31 +211,24 @@ def test_emit_dp_vs_greedy_table(suite_reports, results_dir, benchmark):
 
 def test_parallel_sweep_wallclock(results_dir):
     """``sweep_suite`` over N worker processes must beat the serial sweep
-    wall-clock
-    (requires more than one CPU; fan-out cannot win on a single core)."""
+    wall-clock, compared on the medians of alternating pairs (requires
+    more than one CPU; fan-out cannot win on a single core)."""
     if QUICK:
         pytest.skip("quick mode: wall-clock comparison skipped")
-    config = PipelineConfig(cache=False)
-    clear_caches()
-    start = time.perf_counter()
-    serial = sweep_suite(capacities=LADDER, config=config)
-    serial_time = time.perf_counter() - start
-
+    config = PipelineConfig(cache=False, spm=SpmConfig(capacities=LADDER))
     cpus = os.cpu_count() or 1
     jobs = min(4, cpus)
-    clear_caches()
-    start = time.perf_counter()
-    parallel = sweep_suite(capacities=LADDER,
-                           config=replace(config, jobs=jobs))
-    parallel_time = time.perf_counter() - start
+    serial, parallel, serial_time, parallel_time = alternating_medians(
+        lambda: sweep_suite(config=config),
+        lambda: sweep_suite(config=replace(config, jobs=jobs)))
 
     assert parallel == serial  # same frontiers regardless of fan-out
     write_result(
         results_dir, "spm_parallel_sweep.txt",
         f"capacity sweep ({len(LADDER)} capacities x {len(serial)} "
         f"workloads) serial: {serial_time:.2f}s, jobs={jobs}: "
-        f"{parallel_time:.2f}s ({serial_time / parallel_time:.2f}x) "
-        f"on {cpus} CPU(s)",
+        f"{parallel_time:.2f}s ({serial_time / parallel_time:.2f}x, "
+        f"medians of {WALLCLOCK_PAIRS} pairs) on {cpus} CPU(s)",
     )
     if cpus == 1:
         pytest.skip("single-CPU host: parallel fan-out cannot beat serial")

@@ -9,13 +9,20 @@ bench. Each bench also writes its regenerated table into
 from __future__ import annotations
 
 import pathlib
+import time
+from statistics import median
+from typing import Callable
 
 import pytest
 
-from repro.pipeline import WorkloadReport, run_workload
+from repro.pipeline import WorkloadReport, clear_caches, run_workload
 from repro.workloads.registry import MIBENCH_WORKLOADS
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Serial/parallel pairs a wall-clock comparison takes its medians over:
+#: on a 2-CPU host one pair's ratio ranged 0.98-2.57 for the same code.
+WALLCLOCK_PAIRS = 5
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +43,22 @@ def write_result(results_dir: pathlib.Path, name: str, text: str) -> None:
     (results_dir / name).write_text(text + "\n")
     print()
     print(text)
+
+
+def alternating_medians(
+    serial: Callable[[], object], parallel: Callable[[], object],
+    pairs: int = WALLCLOCK_PAIRS,
+) -> tuple[object, object, float, float]:
+    """Run ``serial`` and ``parallel`` alternately, ``pairs`` times each,
+    every run from cold in-process memos (forked workers would inherit a
+    warm parent's). Returns the last result of each and the median
+    wall-clock seconds of each."""
+    results: list[object] = [None, None]
+    times: tuple[list[float], list[float]] = ([], [])
+    for _ in range(pairs):
+        for index, call in enumerate((serial, parallel)):
+            clear_caches()
+            start = time.perf_counter()
+            results[index] = call()
+            times[index].append(time.perf_counter() - start)
+    return results[0], results[1], median(times[0]), median(times[1])

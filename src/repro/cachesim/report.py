@@ -113,23 +113,10 @@ def build_hierarchy_report(
 
     ``allocation`` is the :class:`~repro.spm.allocator.Allocation` whose
     address intervals the hybrid sink bypassed; its graph nodes supply
-    the DMA fill/write-back volumes. Flat legacy allocations (no graph
-    nodes) charge the same volumes from their selected candidates'
-    reuse levels — whatever the sink bypassed must pay its transfers,
-    or the hybrid's SPM contents would materialize for free.
+    the DMA fill/write-back volumes.
     """
-    if allocation.nodes:
-        fill_words = sum(node.fill_words for node in allocation.nodes)
-        writeback_words = sum(
-            node.writeback_words for node in allocation.nodes
-        )
-    else:
-        fill_words = writeback_words = 0
-        for candidate in allocation.selected:
-            words = candidate.level.fills * candidate.level.footprint_words
-            fill_words += words
-            if candidate.reference.writes:
-                writeback_words += words
+    fill_words = sum(node.fill_words for node in allocation.nodes)
+    writeback_words = sum(node.writeback_words for node in allocation.nodes)
     return HierarchyReport(
         workload=workload,
         scenario=scenario,

@@ -41,19 +41,14 @@ def merge_intervals(
 
 
 def allocation_intervals(allocation) -> tuple[tuple[int, int], ...]:
-    """The merged address intervals an SPM allocation keeps resident.
-
-    Every reference served by a selected reuse-graph node contributes its
-    :func:`~repro.spm.graph.reference_interval`; allocations produced by
-    the legacy flat :func:`~repro.spm.allocator.allocate` (no graph
-    nodes) fall back to the selected candidates' references.
-    """
-    references = [
-        reference
+    """The merged address intervals an SPM allocation keeps resident:
+    every reference served by a selected reuse-graph node contributes
+    its :func:`~repro.spm.graph.reference_interval`."""
+    return merge_intervals([
+        reference_interval(reference)
         for node in allocation.nodes
         for reference in node.references
-    ] or [candidate.reference for candidate in allocation.selected]
-    return merge_intervals([reference_interval(ref) for ref in references])
+    ])
 
 
 class CacheSink:

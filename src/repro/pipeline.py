@@ -143,13 +143,13 @@ class SpmConfig:
 class ValidationConfig:
     """Scenario-matrix knobs for cross-input validation.
 
-    ``scenarios=None`` replays every scenario the workload declares;
-    ``profile=None`` extracts the model on the workload's first (nominal)
-    scenario. ``threshold`` is the minimum acceptable cross-input overall
-    accuracy gated by ``WorkloadValidation.passes`` (the CLI exit code).
+    Validation replays every scenario the workload declares, up to
+    ``max_scenarios``; ``profile=None`` extracts the model on the
+    workload's first (nominal) scenario. ``threshold`` is the minimum
+    acceptable cross-input overall accuracy gated by
+    ``WorkloadValidation.passes`` (the CLI exit code).
     """
 
-    scenarios: tuple[str, ...] | None = None
     profile: str | None = None
     #: Truncate the scenario set to its first N entries (CLI --scenarios).
     max_scenarios: int | None = None
@@ -505,25 +505,23 @@ def cached_exploration(
     source: str,
     config: PipelineConfig,
     model: ForayModel,
-    capacities: tuple[int, ...] | None = None,
-    policy: "AllocatorPolicy | str | None" = None,
-    energy: EnergyModel | None = None,
+    *,
     graph: ReuseGraph | None = None,
 ) -> tuple["ExplorationPoint", ...]:
     """Memoized capacity sweep of ``model``, the model of ``source``'s
-    extraction under ``config``.
+    extraction under ``config``, over ``config.spm``'s capacity ladder,
+    allocator policy and energy model.
 
-    ``None`` arguments fall back to ``config.spm``, and the ladder is
-    normalized first, so spelling a default out and reordering a ladder
-    land on the same node. The artifact is a tuple — it is shared across
-    callers, so it must not be mutable through a returned reference.
+    The ladder is normalized first, so reordered ladders land on the
+    same node. ``graph``, the reuse graph of ``model`` under
+    ``config.spm.energy``, spares rebuilding one the caller holds. The
+    artifact is a tuple — it is shared across callers, so it must not be
+    mutable through a returned reference.
     """
     spm_config = config.spm
-    capacities = normalize_ladder(capacities if capacities is not None
-                                  else spm_config.capacities)
-    policy = AllocatorPolicy(policy if policy is not None
-                             else spm_config.allocator)
-    energy = spm_config.energy if energy is None else energy
+    capacities = normalize_ladder(spm_config.capacities)
+    policy = AllocatorPolicy(spm_config.allocator)
+    energy = spm_config.energy
     return _Node(
         "exploration", config,
         (_extraction_node(source, config), capacities, policy, energy),
@@ -954,10 +952,7 @@ def _select_scenarios(workload, validation: ValidationConfig) -> list:
             "max_scenarios must be >= 2 (the profile scenario plus at "
             f"least one replay), got {validation.max_scenarios}"
         )
-    scenarios = list(workload.scenarios)
-    if validation.scenarios:
-        scenarios = [workload.scenario(name) for name in validation.scenarios]
-    profile_name = validation.profile or scenarios[0].name
+    profile_name = validation.profile or workload.scenarios[0].name
     try:
         profile = workload.scenario(profile_name)
     except KeyError:
@@ -966,7 +961,8 @@ def _select_scenarios(workload, validation: ValidationConfig) -> list:
             f"{profile_name!r} to profile on; known: "
             f"{', '.join(workload.scenario_names())}"
         ) from None
-    scenarios = [profile] + [s for s in scenarios if s.name != profile.name]
+    scenarios = [profile] + [s for s in workload.scenarios
+                             if s.name != profile.name]
     if validation.max_scenarios is not None:
         scenarios = scenarios[: validation.max_scenarios]
     return scenarios

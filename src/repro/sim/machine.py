@@ -78,7 +78,7 @@ class EngineConfig:
 
 @dataclass
 class CompiledProgram:
-    """An analyzed (and optionally instrumented) program plus metadata.
+    """An analyzed and instrumented program plus metadata.
 
     Pickled, ``program`` and ``detector`` are one nested pickle that is
     unpickled on the first read of either, next to
@@ -89,9 +89,6 @@ class CompiledProgram:
     program: ast.Program
     checkpoint_map: CheckpointMap
     source: str
-    #: Set once the checkpoint pass has run, whatever it annotated: a
-    #: loop-free program is instrumented with an empty checkpoint map.
-    is_instrumented: bool = False
     #: Lazily populated bytecode lowering (see :func:`lower_compiled`).
     bytecode: object | None = field(default=None, repr=False, compare=False)
     #: Set once the IR verifier has passed this program (idempotence memo).
@@ -141,16 +138,13 @@ class RunResult:
     machine: object | None
 
 
-def compile_program(source: str, annotate: bool = True,
-                    filename: str = "<minic>") -> CompiledProgram:
-    """Parse, semantically analyze and (by default) instrument ``source``."""
+def compile_program(source: str) -> CompiledProgram:
+    """Parse, semantically analyze and instrument ``source``."""
     from repro.instrument.checkpoints import instrument
     from repro.lang.semantics import parse_and_analyze
 
-    program = parse_and_analyze(source, filename)
-    checkpoint_map = instrument(program) if annotate else CheckpointMap()
-    return CompiledProgram(program, checkpoint_map, source,
-                           is_instrumented=annotate)
+    program = parse_and_analyze(source)
+    return CompiledProgram(program, instrument(program), source)
 
 
 def lower_compiled(compiled: CompiledProgram):

@@ -3,9 +3,11 @@
 Implements the "Traditional SPM analysis and code transformation" box of
 the paper's Figure 3 (the design flow of reference [5]) so the value of
 FORAY-GEN — more references visible to this phase — can be measured end to
-end. The candidate space is organised as a reuse-graph IR
-(:mod:`repro.spm.graph`); allocators (exact DP and two greedy rankings)
-and the capacity-sweep explorer operate over it.
+end. The candidate space is a reuse-graph IR (:mod:`repro.spm.graph`), and
+buffers are selected only over it: :func:`allocate_graph` (exact DP and
+two greedy rankings) and the capacity-sweep explorer take a
+:class:`ReuseGraph`, and an :class:`Allocation` is the set of graph nodes
+it selected.
 """
 
 from typing import TYPE_CHECKING
@@ -17,14 +19,10 @@ if TYPE_CHECKING:
         ALLOCATOR_POLICIES,
         Allocation,
         AllocatorPolicy,
-        allocate,
         allocate_graph,
     )
     from repro.spm.candidates import (
         BufferCandidate,
-        candidate_benefit,
-        candidates_for_reference,
-        enumerate_candidates,
         served_saving,
         transfer_cost,
     )
@@ -32,7 +30,6 @@ if TYPE_CHECKING:
     from repro.spm.explore import (
         DEFAULT_CAPACITIES,
         ExplorationPoint,
-        best_allocation,
         explore,
         model_baseline_energy,
         pareto_frontier,
@@ -56,18 +53,13 @@ __all__ = [
     "ALLOCATOR_POLICIES",
     "Allocation",
     "AllocatorPolicy",
-    "allocate",
     "allocate_graph",
     "BufferCandidate",
-    "candidate_benefit",
-    "candidates_for_reference",
-    "enumerate_candidates",
     "served_saving",
     "transfer_cost",
     "EnergyModel",
     "DEFAULT_CAPACITIES",
     "ExplorationPoint",
-    "best_allocation",
     "explore",
     "model_baseline_energy",
     "pareto_frontier",
@@ -87,14 +79,11 @@ __all__ = [
 
 __getattr__, __dir__ = attach(__name__, {
     "allocator": ("ALLOCATOR_POLICIES", "Allocation", "AllocatorPolicy",
-                  "allocate", "allocate_graph"),
-    "candidates": ("BufferCandidate", "candidate_benefit",
-                   "candidates_for_reference", "enumerate_candidates",
-                   "served_saving", "transfer_cost"),
+                  "allocate_graph"),
+    "candidates": ("BufferCandidate", "served_saving", "transfer_cost"),
     "energy": ("EnergyModel",),
-    "explore": ("DEFAULT_CAPACITIES", "ExplorationPoint", "best_allocation",
-                "explore", "model_baseline_energy", "pareto_frontier",
-                "sweep_suite"),
+    "explore": ("DEFAULT_CAPACITIES", "ExplorationPoint", "explore",
+                "model_baseline_energy", "pareto_frontier", "sweep_suite"),
     "graph": ("ReuseEdge", "ReuseGraph", "ReuseNode", "reference_interval"),
     "reuse": ("ReuseLevel", "inner_footprint", "reuse_levels"),
     "transform": ("ReplayProgram", "emit_replay_source",

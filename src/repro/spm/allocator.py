@@ -1,8 +1,9 @@
 """Buffer selection under an SPM capacity (Phase II step 3).
 
-At most one candidate per mutual-exclusion group may be selected (two
-reuse levels of the same reference — or two windows of the same array in
-the reuse-graph IR — are redundant), which makes this a multiple-choice
+Selection runs over the reuse graph's exclusive groups
+(:meth:`~repro.spm.graph.ReuseGraph.exclusive_groups`): at most one node
+per group may be selected (two reuse levels of one reference, or two
+windows of one array, are redundant), which makes this a multiple-choice
 knapsack. Three policies are available via :class:`AllocatorPolicy`:
 
 * ``dp`` (default) — exact dynamic program over 4-byte-granular capacity;
@@ -21,19 +22,18 @@ so the exact solve dominates them at every capacity by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.spm.candidates import BufferCandidate
     from repro.spm.graph import ReuseGraph, ReuseNode
 
 _GRANULE = 4
 
 
 class AllocatorPolicy(str, Enum):
-    """Selection policy for :func:`allocate` / :func:`allocate_graph`."""
+    """Selection policy for :func:`allocate_graph`."""
 
     DP = "dp"
     GREEDY = "greedy"
@@ -49,19 +49,18 @@ class Allocation:
     """The outcome of design-space selection for one SPM capacity."""
 
     capacity_bytes: int
-    selected: list[BufferCandidate] = field(default_factory=list)
+    #: The selected reuse-graph nodes, largest benefit first.
+    nodes: tuple[ReuseNode, ...] = ()
     total_benefit_nj: float = 0.0
     policy: str = AllocatorPolicy.DP.value
-    #: Graph nodes behind ``selected`` (filled by :func:`allocate_graph`).
-    nodes: tuple = ()
 
     @property
     def used_bytes(self) -> int:
-        return sum(candidate.size_bytes for candidate in self.selected)
+        return sum(node.size_bytes for node in self.nodes)
 
     @property
     def buffer_count(self) -> int:
-        return len(self.selected)
+        return len(self.nodes)
 
 
 def _granules(item) -> int:
@@ -150,37 +149,6 @@ def _run_policy(
     return _greedy_select(groups, slots, rank)
 
 
-def allocate(
-    candidates: list[BufferCandidate],
-    capacity_bytes: int,
-    policy: AllocatorPolicy | str = AllocatorPolicy.DP,
-) -> Allocation:
-    """Select buffers from a flat candidate list.
-
-    Exclusion groups are per reference (buffering the same reference at
-    two levels is redundant). Prefer :func:`allocate_graph` where a
-    :class:`~repro.spm.graph.ReuseGraph` is available — its groups also
-    capture same-array exclusivity and shared windows.
-    """
-    policy = AllocatorPolicy(policy)
-    grouped: dict[int, list[BufferCandidate]] = {}
-    order: list[int] = []
-    for candidate in candidates:
-        key = id(candidate.reference)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(candidate)
-
-    benefit, chosen = _run_policy(
-        [grouped[key] for key in order], capacity_bytes, policy
-    )
-    allocation = Allocation(capacity_bytes, policy=policy.value)
-    allocation.selected = sorted(chosen, key=lambda cand: -cand.benefit_nj)
-    allocation.total_benefit_nj = benefit
-    return allocation
-
-
 def allocate_graph(
     graph: "ReuseGraph",
     capacity_bytes: int,
@@ -191,11 +159,5 @@ def allocate_graph(
     benefit, chosen = _run_policy(
         graph.exclusive_groups(), capacity_bytes, policy
     )
-    nodes: list["ReuseNode"] = sorted(
-        chosen, key=lambda node: -node.benefit_nj
-    )
-    allocation = Allocation(capacity_bytes, policy=policy.value,
-                            nodes=tuple(nodes))
-    allocation.selected = [node.candidate for node in nodes]
-    allocation.total_benefit_nj = benefit
-    return allocation
+    nodes = sorted(chosen, key=lambda node: -node.benefit_nj)
+    return Allocation(capacity_bytes, tuple(nodes), benefit, policy.value)

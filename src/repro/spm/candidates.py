@@ -1,19 +1,22 @@
 """Scratch-pad buffer candidates (paper Figure 3, Phase II step 2).
 
-For every FORAY reference and every split point of its loop nest we build a
-:class:`BufferCandidate`: a buffer that holds the data touched by the inner
-subnest, refilled each time the subnest is entered. The candidate's energy
-benefit compares serving all accesses from the SPM (plus the fill and
-write-back transfer traffic) against serving them from main memory.
+A :class:`BufferCandidate` is one FORAY reference buffered at one split
+point of its loop nest: a buffer that holds the data touched by the inner
+subnest, refilled each time the subnest is entered. The reuse graph
+(:mod:`repro.spm.graph`) builds one per reference and reuse level and
+groups them into nodes; a node's energy benefit is its members'
+:func:`served_saving` (all accesses served from the SPM instead of main
+memory) minus one :func:`transfer_cost` (the fill and write-back
+traffic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.foray.model import ForayModel, ForayReference
+from repro.foray.model import ForayReference
 from repro.spm.energy import EnergyModel
-from repro.spm.reuse import ReuseLevel, reuse_levels
+from repro.spm.reuse import ReuseLevel
 
 
 @dataclass(frozen=True)
@@ -26,12 +29,6 @@ class BufferCandidate:
     @property
     def name(self) -> str:
         return f"buf_{self.reference.array_name}_l{self.level.level}"
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: {self.size_bytes} B, reuse x{self.level.reuse_factor:.1f}, "
-            f"benefit {self.benefit_nj:.0f} nJ"
-        )
 
 
 def served_saving(reference: ForayReference, energy: EnergyModel) -> float:
@@ -51,36 +48,3 @@ def transfer_cost(
     if writes:
         cost += energy.writeback_energy(transfer_words)
     return cost
-
-
-def candidate_benefit(
-    reference: ForayReference, level: ReuseLevel, energy: EnergyModel
-) -> float:
-    """Energy saved by buffering ``reference`` at ``level`` (may be < 0)."""
-    return served_saving(reference, energy) - transfer_cost(
-        level, energy, bool(reference.writes))
-
-
-def candidates_for_reference(
-    reference: ForayReference, energy: EnergyModel
-) -> list[BufferCandidate]:
-    """All profitable buffer candidates of one reference."""
-    out: list[BufferCandidate] = []
-    for level in reuse_levels(reference):
-        benefit = candidate_benefit(reference, level, energy)
-        if benefit <= 0:
-            continue
-        size_bytes = level.footprint_words * reference.access_size
-        out.append(BufferCandidate(reference, level, size_bytes, benefit))
-    return out
-
-
-def enumerate_candidates(
-    model: ForayModel, energy: EnergyModel | None = None
-) -> list[BufferCandidate]:
-    """Profitable buffer candidates for every reference of the model."""
-    energy = energy or EnergyModel()
-    out: list[BufferCandidate] = []
-    for reference in model.references:
-        out.extend(candidates_for_reference(reference, energy))
-    return out

@@ -101,46 +101,26 @@ def pareto_frontier(points: list[ExplorationPoint]) -> list[ExplorationPoint]:
 
 
 def sweep_suite(
-    names: tuple[str, ...] | None = None,
-    capacities: tuple[int, ...] = DEFAULT_CAPACITIES,
-    policy: AllocatorPolicy | str = AllocatorPolicy.DP,
-    energy: EnergyModel | None = None,
-    config=None,
+    names: tuple[str, ...] | None = None, *, config=None,
 ) -> dict[str, tuple[ExplorationPoint, ...]]:
-    """Capacity sweep over a workload suite.
+    """Capacity sweep over a workload suite, over ``config.spm``'s
+    capacity ladder, allocator policy and energy model.
 
     Workload profiling (the expensive step) is fanned out over
     ``config.jobs`` worker processes through the pipeline's
     ``run_suite`` machinery; each per-workload sweep is the pipeline's
-    exploration node (``energy=None`` uses ``config.spm.energy``). With
-    ``config.cache_dir`` set, both the profiles and the sweeps persist
-    in the disk artifact store, so re-running a sweep — from this or
-    any other process — only computes the capacities/policies/workloads
-    not already covered: sweeps are incremental across invocations.
+    exploration node. With ``config.cache_dir`` set, both the profiles
+    and the sweeps persist in the disk artifact store, so re-running a
+    sweep — from this or any other process — only computes the
+    ladders/policies/workloads not already covered: sweeps are
+    incremental across invocations.
     """
     from repro import pipeline  # local import: pipeline imports this module
 
-    merged = config or pipeline.PipelineConfig()
-    reports = pipeline.run_suite(names, config=merged)
+    config = config or pipeline.PipelineConfig()
+    reports = pipeline.run_suite(names, config=config)
     return {
         report.name: pipeline.cached_exploration(
-            report.extraction.compiled.source, merged, report.model,
-            capacities, policy, energy,
-        )
+            report.extraction.compiled.source, config, report.model)
         for report in reports
     }
-
-
-def best_allocation(
-    model: ForayModel,
-    capacity_bytes: int,
-    energy: EnergyModel | None = None,
-    policy: AllocatorPolicy | str = AllocatorPolicy.DP,
-) -> Allocation:
-    """Single-capacity convenience wrapper over the reuse graph."""
-    from repro.spm.energy import EnergyModel
-    from repro.spm.graph import ReuseGraph
-
-    energy = energy or EnergyModel()
-    graph = ReuseGraph.from_model(model, energy)
-    return allocate_graph(graph, capacity_bytes, policy)

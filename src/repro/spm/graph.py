@@ -1,9 +1,7 @@
-"""Reuse-graph IR — the structured candidate space of Phase II.
+"""Reuse-graph IR — the candidate space of Phase II.
 
-Buffer candidates used to be a flat list (:func:`enumerate_candidates`)
-whose only structure — "at most one candidate per reference" — lived
-implicitly inside the allocator. The :class:`ReuseGraph` makes the design
-space explicit:
+Phase II selects buffers only over a :class:`ReuseGraph`, which spells
+the design space out:
 
 * **nodes** — one per viable buffering decision: a reuse level of one (or
   several) references, carrying the buffer footprint, the fill and
@@ -78,7 +76,7 @@ def _merged_benefit(
 ) -> float:
     """Benefit of serving every member from one shared buffer: the sum of
     the members' served savings minus a *single* transfer cost (for one
-    member this equals :func:`candidate_benefit`)."""
+    member, that reference's own saving minus its own transfers)."""
     served = sum(
         served_saving(member.reference, energy) for member in members
     )

@@ -2,9 +2,10 @@
 
 Produces the "Transformed FORAY model code" box of the paper's Figure 3:
 for every selected buffer, a buffer declaration, a fill loop at the right
-nesting level (annotated as a DMA transfer), the rewritten access, and an
-optional write-back loop. The designer then back-annotates this into the
-legacy code (Phase III, manual by design in the paper).
+nesting level (annotated as a DMA transfer), the rewritten access of each
+reference it serves, and an optional write-back loop. The designer then
+back-annotates this into the legacy code (Phase III, manual by design in
+the paper).
 """
 
 from __future__ import annotations
@@ -18,35 +19,42 @@ _INDENT = "    "
 
 
 def transform_model(allocation: Allocation) -> str:
-    """Render the SPM-transformed FORAY model as C-like text."""
+    """Render the SPM-transformed FORAY model as C-like text.
+
+    Each selected node gets one buffer declaration and one fill (and,
+    when a member writes, write-back) schedule, taken from its
+    representative candidate; every member's access is rewritten inside
+    it, members of one loop nest in one loop body.
+    """
     lines: list[str] = [
         f"/* SPM capacity: {allocation.capacity_bytes} bytes; "
         f"{allocation.buffer_count} buffers selected; "
         f"estimated saving {allocation.total_benefit_nj:.0f} nJ */",
         "",
     ]
-    for candidate in allocation.selected:
+    for node in allocation.nodes:
         lines.append(
-            f"char {candidate.name}[{candidate.size_bytes}];  "
-            f"/* SPM buffer for {candidate.reference.array_name} */"
+            f"char {node.candidate.name}[{node.size_bytes}];  "
+            f"/* SPM buffer for {node.candidate.reference.array_name} */"
         )
-    if allocation.selected:
+    if allocation.nodes:
         lines.append("")
 
-    for candidate in allocation.selected:
+    for node in allocation.nodes:
+        candidate = node.candidate
         reference = candidate.reference
-        level = candidate.level
-        loops = reference.effective_loops
-        outer_loops = loops[: len(loops) - level.level]
-        inner_loops = loops[len(loops) - level.level :]
+        split = len(reference.effective_loops) - node.level.level
+        outer_loops = reference.effective_loops[:split]
+        # Members share one window, so they nest equally deep; those
+        # with the same inner loops share one loop body.
+        bodies: dict[tuple, list] = {}
+        for member in node.members:
+            inner_loops = member.reference.effective_loops[split:]
+            bodies.setdefault(inner_loops, []).append(member.reference)
 
         depth = 0
         for loop in outer_loops:
-            lines.append(
-                _INDENT * depth
-                + f"for (int {loop.name} = 0; {loop.name} < {loop.max_trip}; "
-                  f"{loop.name}++) {{"
-            )
+            lines.append(_INDENT * depth + _loop_header(loop))
             depth += 1
         lines.append(
             _INDENT * depth
@@ -54,22 +62,21 @@ def transform_model(allocation: Allocation) -> str:
               f"[{_base_index(reference, outer_loops)}], "
               f"{candidate.size_bytes});  /* fill */"
         )
-        for loop in inner_loops:
-            lines.append(
-                _INDENT * depth
-                + f"for (int {loop.name} = 0; {loop.name} < {loop.max_trip}; "
-                  f"{loop.name}++) {{"
-            )
-            depth += 1
-        lines.append(
-            _INDENT * depth
-            + f"{candidate.name}[{_buffer_index(reference, inner_loops)}];  "
-              f"/* was {reference.array_name}[{reference.index_text()}] */"
-        )
-        for _ in inner_loops:
-            depth -= 1
-            lines.append(_INDENT * depth + "}")
-        if reference.writes:
+        for inner_loops, members in bodies.items():
+            for loop in inner_loops:
+                lines.append(_INDENT * depth + _loop_header(loop))
+                depth += 1
+            for member in members:
+                lines.append(
+                    _INDENT * depth
+                    + f"{candidate.name}"
+                      f"[{_buffer_index(member, inner_loops)}];  "
+                      f"/* was {member.array_name}[{member.index_text()}] */"
+                )
+            for _ in inner_loops:
+                depth -= 1
+                lines.append(_INDENT * depth + "}")
+        if node.writeback_words:
             lines.append(
                 _INDENT * depth
                 + f"dma_copy(&{reference.array_name}"
@@ -84,6 +91,11 @@ def transform_model(allocation: Allocation) -> str:
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _loop_header(loop) -> str:
+    return (f"for (int {loop.name} = 0; {loop.name} < {loop.max_trip}; "
+            f"{loop.name}++) {{")
 
 
 def _base_index(reference, outer_loops) -> str:
@@ -466,25 +478,11 @@ def emit_transformed_source(allocation: Allocation, model) -> ReplayProgram:
             layout.group_of[id(reference)], set()
         ).add(id(reference))
 
-    if allocation.nodes:
-        node_members = [
-            (node.members,
-             node.fill_words,
-             node.writeback_words)
-            for node in allocation.nodes
-        ]
-    else:  # flat allocation: every candidate is its own singleton node
-        node_members = []
-        for candidate in allocation.selected:
-            fill = candidate.level.fills * candidate.level.footprint_words
-            writeback = fill if candidate.reference.writes else 0
-            node_members.append(((candidate,), fill, writeback))
-
     plans: list[BufferPlan] = []
-    for members, fill_words, writeback_words in node_members:
+    for node in allocation.nodes:
         entries = []
         ok = True
-        for candidate in members:
+        for candidate in node.members:
             reference = candidate.reference
             index = index_of.get(id(reference))
             if index is None or not _buffer_eligible(
@@ -509,7 +507,7 @@ def emit_transformed_source(allocation: Allocation, model) -> ReplayProgram:
             if not full_depth or group_members[group] != covered:
                 continue
         plans.append(
-            BufferPlan(f"B{len(plans)}", tuple(entries), fill_words,
-                       writeback_words)
+            BufferPlan(f"B{len(plans)}", tuple(entries), node.fill_words,
+                       node.writeback_words)
         )
     return _emit_program(model, plans)

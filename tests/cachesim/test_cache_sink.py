@@ -121,33 +121,29 @@ class TestSpmBypass:
         pure, _ = _run_with_cache_sink(TWO_ARRAYS)
         assert pure.spm_accesses == 0
 
-    def test_flat_allocation_still_pays_its_transfers(self):
-        """Regression: a legacy flat allocate() allocation (no graph
-        nodes) gets the cache bypass, so it must charge the same DMA
-        fill/write-back volumes — SPM contents are never free."""
+    def test_allocation_pays_its_transfers(self):
+        """Whatever the sink bypasses pays its DMA fill/write-back
+        volumes: SPM contents are never free."""
         from repro.cachesim.report import build_hierarchy_report
-        from repro.spm.allocator import allocate
-        from repro.spm.candidates import enumerate_candidates
         from repro.spm.energy import EnergyModel
 
         model = extract_foray_model(TWO_ARRAYS).model
         energy = EnergyModel()
-        flat = allocate(enumerate_candidates(model, energy), 1 << 20)
-        assert flat.selected and not flat.nodes
-        intervals = allocation_intervals(flat)
+        allocation = allocate_graph(ReuseGraph.from_model(model, energy),
+                                    1 << 20)
+        assert any(node.writeback_words for node in allocation.nodes)
+        intervals = allocation_intervals(allocation)
         assert intervals
         hybrid, _ = _run_with_cache_sink(TWO_ARRAYS, intervals=intervals)
         pure, _ = _run_with_cache_sink(TWO_ARRAYS)
         report = build_hierarchy_report(
-            "two-arrays", "-", CacheConfig(sets=8), flat, pure, hybrid,
-            energy,
+            "two-arrays", "-", CacheConfig(sets=8), allocation, pure,
+            hybrid, energy,
         )
         expected = sum(
-            energy.fill_energy(c.level.fills * c.level.footprint_words)
-            + (energy.writeback_energy(
-                   c.level.fills * c.level.footprint_words)
-               if c.reference.writes else 0.0)
-            for c in flat.selected
+            energy.fill_energy(node.fill_words)
+            + energy.writeback_energy(node.writeback_words)
+            for node in allocation.nodes
         )
         assert report.spm_transfer_nj == pytest.approx(expected)
         assert report.spm_transfer_nj > 0

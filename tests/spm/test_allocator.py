@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.foray.model import AffineExpression, ForayReference
-from repro.spm.allocator import AllocatorPolicy, _dp_select, _granules, allocate
+from repro.spm.allocator import (
+    AllocatorPolicy,
+    _dp_select,
+    _granules,
+    allocate_graph,
+)
 from repro.spm.candidates import BufferCandidate
+from repro.spm.energy import EnergyModel
+from repro.spm.graph import ReuseGraph, ReuseNode
 from repro.spm.reuse import ReuseLevel
 
 
@@ -25,6 +32,24 @@ def make_candidate(ref_key, size_bytes, benefit, level=1):
     )
     reuse = ReuseLevel(level, size_bytes // 4, 1, 100.0, 1.0, False)
     return BufferCandidate(reference, reuse, size_bytes, benefit)
+
+
+def graph_of(candidates):
+    """A hand-built reuse graph: one single-member node per candidate
+    and one exclusion group per reference, in first-seen order."""
+    groups: dict[int, int] = {}
+    nodes = []
+    for candidate in candidates:
+        group = groups.setdefault(id(candidate.reference), len(groups))
+        words = candidate.level.fills * candidate.level.footprint_words
+        nodes.append(ReuseNode(len(nodes), group, candidate, (candidate,),
+                               fill_words=words, writeback_words=0))
+    return ReuseGraph(tuple(nodes), (), EnergyModel())
+
+
+def allocate_candidates(candidates, capacity, policy=AllocatorPolicy.DP):
+    """``allocate_graph`` over :func:`graph_of` the candidates."""
+    return allocate_graph(graph_of(candidates), capacity, policy)
 
 
 def brute_force(candidates, capacity):
@@ -114,13 +139,13 @@ class TestBackPointerDp:
 class TestAllocator:
     def test_fits_all_when_capacity_ample(self):
         candidates = [make_candidate(i, 100, 50.0) for i in range(4)]
-        allocation = allocate(candidates, 4096)
+        allocation = allocate_candidates(candidates, 4096)
         assert allocation.buffer_count == 4
         assert allocation.total_benefit_nj == 200.0
 
     def test_respects_capacity(self):
         candidates = [make_candidate(i, 1000, 10.0) for i in range(4)]
-        allocation = allocate(candidates, 2048)
+        allocation = allocate_candidates(candidates, 2048)
         assert allocation.used_bytes <= 2048
         assert allocation.buffer_count == 2
 
@@ -129,18 +154,18 @@ class TestAllocator:
             make_candidate(0, 1000, 10.0),
             make_candidate(1, 1000, 99.0),
         ]
-        allocation = allocate(candidates, 1024)
+        allocation = allocate_candidates(candidates, 1024)
         assert allocation.buffer_count == 1
-        assert allocation.selected[0].benefit_nj == 99.0
+        assert allocation.nodes[0].benefit_nj == 99.0
 
     def test_one_level_per_reference(self):
         base = make_candidate(0, 400, 10.0)
         alt = BufferCandidate(base.reference,
                               ReuseLevel(2, 200, 1, 100.0, 2.0, False),
                               800, 25.0)
-        allocation = allocate([base, alt], 4096)
+        allocation = allocate_candidates([base, alt], 4096)
         assert allocation.buffer_count == 1
-        assert allocation.selected[0].benefit_nj == 25.0
+        assert allocation.nodes[0].benefit_nj == 25.0
 
     def test_knapsack_tradeoff(self):
         # One big buffer (60) vs two small (40 + 35 = 75): DP must pick
@@ -150,16 +175,17 @@ class TestAllocator:
             make_candidate(1, 500, 40.0),
             make_candidate(2, 500, 35.0),
         ]
-        allocation = allocate(candidates, 1000)
+        allocation = allocate_candidates(candidates, 1000)
         assert allocation.total_benefit_nj == 75.0
 
     def test_zero_capacity(self):
-        allocation = allocate([make_candidate(0, 100, 10.0)], 0)
+        allocation = allocate_candidates([make_candidate(0, 100, 10.0)], 0)
         assert allocation.buffer_count == 0
         assert allocation.total_benefit_nj == 0.0
 
     def test_oversized_candidate_skipped(self):
-        allocation = allocate([make_candidate(0, 10_000, 99.0)], 1024)
+        allocation = allocate_candidates([make_candidate(0, 10_000, 99.0)],
+                                         1024)
         assert allocation.buffer_count == 0
 
     @given(
@@ -178,7 +204,7 @@ class TestAllocator:
             make_candidate(i, size, round(benefit, 2))
             for i, (size, benefit) in enumerate(zip(sizes, benefits))
         ]
-        allocation = allocate(candidates, capacity)
+        allocation = allocate_candidates(candidates, capacity)
         expected = brute_force(candidates, capacity)
         assert abs(allocation.total_benefit_nj - expected) < 1e-6
         assert allocation.used_bytes <= capacity
@@ -194,25 +220,25 @@ class TestPolicies:
         ]
 
     def test_greedy_ranks_by_density(self):
-        allocation = allocate(self.crowding_candidates(), 1000,
-                              AllocatorPolicy.GREEDY)
+        allocation = allocate_candidates(self.crowding_candidates(), 1000,
+                                         AllocatorPolicy.GREEDY)
         assert allocation.total_benefit_nj == 115.0
         assert allocation.policy == "greedy"
 
     def test_legacy_greedy_ranks_by_raw_benefit(self):
         # The historical ordering lets the big buffer crowd out the pair.
-        allocation = allocate(self.crowding_candidates(), 1000,
-                              AllocatorPolicy.GREEDY_BENEFIT)
+        allocation = allocate_candidates(self.crowding_candidates(), 1000,
+                                         AllocatorPolicy.GREEDY_BENEFIT)
         assert allocation.total_benefit_nj == 90.0
         assert allocation.policy == "greedy-benefit"
 
     def test_dp_dominates_both_greedies(self):
         candidates = self.crowding_candidates()
-        dp = allocate(candidates, 1000)  # default policy
+        dp = allocate_candidates(candidates, 1000)  # default policy
         assert dp.policy == "dp"
         for policy in (AllocatorPolicy.GREEDY,
                        AllocatorPolicy.GREEDY_BENEFIT):
-            other = allocate(candidates, 1000, policy)
+            other = allocate_candidates(candidates, 1000, policy)
             assert dp.total_benefit_nj >= other.total_benefit_nj
 
     def test_greedy_respects_group_exclusivity(self):
@@ -221,18 +247,20 @@ class TestPolicies:
                               ReuseLevel(2, 200, 1, 100.0, 2.0, False),
                               800, 25.0)
         for policy in AllocatorPolicy:
-            allocation = allocate([base, alt], 4096, policy)
+            allocation = allocate_candidates([base, alt], 4096, policy)
             assert allocation.buffer_count == 1
 
     def test_policy_accepts_plain_strings(self):
-        allocation = allocate(self.crowding_candidates(), 1000, "greedy")
+        allocation = allocate_candidates(self.crowding_candidates(), 1000,
+                                         "greedy")
         assert allocation.policy == "greedy"
 
     def test_greedy_charges_granule_aligned_capacity(self):
         # Two 6-byte buffers round up to 8 bytes each: only one fits in
         # 12 bytes, exactly as the DP would account it.
         candidates = [make_candidate(0, 6, 10.0), make_candidate(1, 6, 9.0)]
-        allocation = allocate(candidates, 12, AllocatorPolicy.GREEDY)
+        allocation = allocate_candidates(candidates, 12,
+                                         AllocatorPolicy.GREEDY)
         assert allocation.buffer_count == 1
 
     @given(
@@ -250,8 +278,8 @@ class TestPolicies:
             make_candidate(i, size, round(benefit, 2))
             for i, (size, benefit) in enumerate(zip(sizes, benefits))
         ]
-        dp = allocate(candidates, capacity)
+        dp = allocate_candidates(candidates, capacity)
         for policy in (AllocatorPolicy.GREEDY,
                        AllocatorPolicy.GREEDY_BENEFIT):
-            other = allocate(candidates, capacity, policy)
+            other = allocate_candidates(candidates, capacity, policy)
             assert dp.total_benefit_nj >= other.total_benefit_nj - 1e-9

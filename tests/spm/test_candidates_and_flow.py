@@ -3,18 +3,11 @@
 import pytest
 
 from repro.foray.extractor import extract_from_source
-from repro.spm.allocator import allocate
-from repro.spm.candidates import (
-    candidate_benefit,
-    candidates_for_reference,
-    enumerate_candidates,
-)
+from repro.spm.allocator import allocate_graph
+from repro.spm.candidates import served_saving, transfer_cost
 from repro.spm.energy import EnergyModel
-from repro.spm.explore import (
-    best_allocation,
-    explore,
-    model_baseline_energy,
-)
+from repro.spm.explore import explore, model_baseline_energy
+from repro.spm.graph import ReuseGraph
 from repro.spm.reuse import reuse_levels
 from repro.spm.transform import transform_model
 
@@ -39,6 +32,12 @@ def reuse_model():
     return model
 
 
+def benefit(reference, level, energy):
+    """Energy saved by buffering ``reference`` alone at ``level``."""
+    return served_saving(reference, energy) - transfer_cost(
+        level, energy, bool(reference.writes))
+
+
 class TestEnergyModel:
     def test_spm_cheaper_than_main(self):
         energy = EnergyModel()
@@ -61,9 +60,11 @@ class TestCandidates:
                       if r.footprint == 64 and r.reads > 0
                       and r.expression.used_coefficients()[1] == 0]
         assert table_refs
-        candidates = candidates_for_reference(table_refs[0], EnergyModel())
-        assert candidates
-        assert max(c.benefit_nj for c in candidates) > 0
+        graph = ReuseGraph.from_model(reuse_model)
+        nodes = [node for node in graph.nodes
+                 if table_refs[0] in node.references]
+        assert nodes
+        assert max(node.benefit_nj for node in nodes) > 0
 
     def test_streaming_write_not_profitable(self, reuse_model):
         # out[] is written once per element: staging it through the SPM
@@ -73,41 +74,55 @@ class TestCandidates:
         for ref in out_refs:
             for level in reuse_levels(ref):
                 if level.reuse_factor <= 1.0:
-                    assert candidate_benefit(ref, level, EnergyModel()) < 0
+                    assert benefit(ref, level, EnergyModel()) < 0
+
+    def test_single_member_node_benefit(self, reuse_model):
+        # A node serving one reference saves what buffering that
+        # reference alone saves.
+        graph = ReuseGraph.from_model(reuse_model)
+        singles = [node for node in graph.nodes if not node.is_shared]
+        assert singles
+        for node in singles:
+            assert node.benefit_nj == pytest.approx(
+                benefit(node.references[0], node.level, graph.energy))
 
     def test_enumerate_covers_model(self, reuse_model):
-        candidates = enumerate_candidates(reuse_model)
-        refs_with_candidates = {id(c.reference) for c in candidates}
-        assert refs_with_candidates  # at least the reused table
+        # The graph enumerates the reuse levels of every reference.
+        graph = ReuseGraph.from_model(reuse_model)
+        refs_with_nodes = {id(ref) for node in graph.nodes
+                           for ref in node.references}
+        assert refs_with_nodes  # at least the reused table
 
     def test_benefit_scales_with_main_energy(self, reuse_model):
         cheap = EnergyModel(main_read_nj=1.0, main_write_nj=1.0)
         pricey = EnergyModel(main_read_nj=50.0, main_write_nj=50.0)
         ref = max(reuse_model.references, key=lambda r: r.reads)
-        best_cheap = max((candidate_benefit(ref, lv, cheap)
+        best_cheap = max((benefit(ref, lv, cheap)
                           for lv in reuse_levels(ref)), default=0)
-        best_pricey = max((candidate_benefit(ref, lv, pricey)
+        best_pricey = max((benefit(ref, lv, pricey)
                            for lv in reuse_levels(ref)), default=0)
         assert best_pricey > best_cheap
 
 
 class TestTransform:
     def test_transform_text_structure(self, reuse_model):
-        allocation = best_allocation(reuse_model, 4096)
+        allocation = allocate_graph(ReuseGraph.from_model(reuse_model), 4096)
         text = transform_model(allocation)
         assert "SPM capacity: 4096" in text
-        for candidate in allocation.selected:
-            assert candidate.name in text
+        for node in allocation.nodes:
+            assert node.candidate.name in text
             assert "dma_copy" in text
 
     def test_writeback_only_for_written_refs(self, reuse_model):
-        allocation = best_allocation(reuse_model, 4096)
+        allocation = allocate_graph(ReuseGraph.from_model(reuse_model), 4096)
         text = transform_model(allocation)
-        if all(c.reference.writes == 0 for c in allocation.selected):
+        if all(ref.writes == 0 for node in allocation.nodes
+               for ref in node.references):
             assert "write back" not in text
 
     def test_empty_allocation(self):
-        text = transform_model(allocate([], 128))
+        empty = ReuseGraph((), (), EnergyModel())
+        text = transform_model(allocate_graph(empty, 128))
         assert "0 buffers" in text
 
 

@@ -18,6 +18,7 @@ from repro.spm.transform import (
     emit_replay_source,
     emit_transformed_source,
     replay_buffer_eligible,
+    transform_model,
 )
 
 # A re-read table (read-only reuse) plus a streaming output.
@@ -123,6 +124,24 @@ def test_shared_writeback_buffer_fills_once(engine):
     baseline_count, _ = run_counting(emit_replay_source(model), engine)
     transformed_count, _ = run_counting(transformed.source, engine)
     assert baseline_count - transformed_count == transformed.predicted_drop
+
+
+def test_transformed_model_writes_back_shared_buffer():
+    """The designer-facing text of the same shared hist buffer: one
+    fill, both accesses rewritten in one loop body, and the write-back
+    its writing member needs, whichever member represents the node."""
+    model, _, _ = extract_from_source(WRITEBACK_SOURCE)
+    allocation = allocate_graph(ReuseGraph.from_model(model), 4096)
+    shared = [node for node in allocation.nodes if node.is_shared]
+    assert len(shared) == 1 and shared[0].writeback_words
+    text = transform_model(allocation)
+    name = shared[0].candidate.name
+    assert text.count(f"dma_copy({name},") == 1
+    assert text.count("/* write back */") == 1
+    lines = text.splitlines()
+    accesses = [i for i, line in enumerate(lines)
+                if line.lstrip().startswith(f"{name}[")]
+    assert len(accesses) == 2 and accesses[1] == accesses[0] + 1
 
 
 @pytest.mark.parametrize("engine", ["bytecode", "ast"])

@@ -45,7 +45,7 @@ class TestStageRegistry:
     def test_full_run_populates_all_artifacts(self):
         flow = full_flow("demo", SOURCE, config=PipelineConfig())
         assert flow.report.name == "demo"
-        assert flow.report.extraction.compiled.is_instrumented
+        assert len(flow.report.extraction.compiled.checkpoint_map) > 0
         assert flow.graph is not None and flow.allocation is not None
         assert flow.transformed_source
 
@@ -173,10 +173,9 @@ class TestSpmThroughPipeline:
 
         names = ("adpcm", "mpeg2")
         ladder = (256, 1024, 4096, 16384)
-        config = PipelineConfig(cache=False)
-        serial = sweep_suite(names, ladder, config=config)
-        parallel = sweep_suite(names, ladder,
-                               config=replace(config, jobs=2))
+        config = PipelineConfig(cache=False, spm=SpmConfig(capacities=ladder))
+        serial = sweep_suite(names, config=config)
+        parallel = sweep_suite(names, config=replace(config, jobs=2))
         assert serial == parallel
         for name in names:
             assert [p.capacity_bytes for p in serial[name]] == list(ladder)
@@ -188,11 +187,14 @@ class TestSpmThroughPipeline:
 
         pricey = EnergyModel(main_read_nj=100.0, main_write_nj=120.0)
         config = PipelineConfig(spm=SpmConfig(energy=pricey, sweep=True))
-        boosted = sweep_suite(("mpeg2",), (4096,), config=config)
-        plain = sweep_suite(("mpeg2",), (4096,), config=PipelineConfig())
+        boosted = sweep_suite(("mpeg2",), config=replace(
+            config, spm=replace(config.spm, capacities=(4096,))))
+        plain = sweep_suite(("mpeg2",), config=PipelineConfig(
+            spm=SpmConfig(capacities=(4096,))))
         assert (boosted["mpeg2"][0].benefit_nj
                 > plain["mpeg2"][0].benefit_nj)
-        # A full_flow with the same config must agree with the sweep.
+        # A full_flow with the same energy, over the default ladder (its
+        # own exploration node), must agree with the sweep.
         from repro.workloads.registry import get_workload
 
         flow = full_flow("mpeg2", get_workload("mpeg2").source,

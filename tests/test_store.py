@@ -648,26 +648,26 @@ class TestEnergyKeyNormalization:
         config = PipelineConfig()
         model = extract_foray_model(SOURCE, config=config).model
         memo = _memos["exploration"]
-        cached_exploration(SOURCE, config, model, energy=None)
+        cached_exploration(SOURCE, config, model)
         assert len(memo) == 1
         hits = memo.hits
-        cached_exploration(SOURCE, config, model, energy=EnergyModel())
+        explicit = PipelineConfig(spm=SpmConfig(energy=EnergyModel()))
+        cached_exploration(SOURCE, explicit, model)
         assert len(memo) == 1  # no duplicate entry
         assert memo.hits == hits + 1
 
     def test_keys_resolve_through_the_config(self):
         memo = _memos["exploration"]
-        config = PipelineConfig()
+        config = PipelineConfig(spm=SpmConfig(capacities=(256,)))
         model = extract_foray_model(SOURCE, config=config).model
-        cached_exploration(SOURCE, config, model, (256,), "dp", None)
+        cached_exploration(SOURCE, config, model)
         hits = memo.hits
-        cached_exploration(SOURCE, config, model, (256,), "dp",
-                           EnergyModel())
+        explicit = _spm(allocator="dp", energy=EnergyModel())(config)
+        cached_exploration(SOURCE, explicit, model)
         assert (len(memo), memo.hits) == (1, hits + 1)
-        pricey = EnergyModel(main_read_nj=50.0)
-        custom = PipelineConfig(spm=SpmConfig(energy=pricey))
-        cached_exploration(SOURCE, custom, model, (256,), "dp", None)
-        cached_exploration(SOURCE, custom, model, (256,), "dp", pricey)
+        pricey = _spm(energy=EnergyModel(main_read_nj=50.0))
+        cached_exploration(SOURCE, pricey(config), model)
+        cached_exploration(SOURCE, pricey(explicit), model)
         # Distinct energies must still key distinct sweeps.
         assert (len(memo), memo.hits) == (2, hits + 2)
 

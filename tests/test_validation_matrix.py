@@ -114,8 +114,9 @@ class TestMatrixFanOut:
         assert len(result.cross) == 1
 
     def test_explicit_scenario_subset_and_profile(self):
+        # The profile comes first, then the declared scenarios in order.
         config = PipelineConfig(validation=ValidationConfig(
-            scenarios=("nominal", "silence"), profile="silence"))
+            profile="silence", max_scenarios=2))
         result = validate_workload("adpcm", config=config)
         assert result.profile == "silence"
         assert [cell.scenario for cell in result.cross] == ["nominal"]
@@ -230,6 +231,11 @@ class TestValidateStage:
         assert not result.passes()
 
 
+def ladder(config, *capacities):
+    """``config`` sweeping ``capacities``."""
+    return replace(config, spm=replace(config.spm, capacities=capacities))
+
+
 class TestLadderNormalization:
     def test_exploration_key_canonicalizes_ladders(self):
         clear_caches()
@@ -237,13 +243,12 @@ class TestLadderNormalization:
         source = "int main() { return 0; }"
         model = extract_foray_model(source, config=config).model
         memo = _memos["exploration"]
-        cached_exploration(source, config, model, (4096, 256, 256, 1024),
-                           "dp", None)
+        cached_exploration(source, ladder(config, 4096, 256, 256, 1024),
+                           model)
         hits = memo.hits
-        cached_exploration(source, config, model, (256, 1024, 4096),
-                           "dp", None)
+        cached_exploration(source, ladder(config, 256, 1024, 4096), model)
         assert (len(memo), memo.hits) == (1, hits + 1)
-        cached_exploration(source, config, model, (256, 1024), "dp", None)
+        cached_exploration(source, ladder(config, 256, 1024), model)
         assert len(memo) == 2
         clear_caches()
 
@@ -252,11 +257,11 @@ class TestLadderNormalization:
         config = PipelineConfig()
         workload = get_workload("adpcm")
         model = extract_foray_model(workload.source, config=config).model
-        first = cached_exploration(workload.source, config, model,
-                                   capacities=(1024, 256))
+        first = cached_exploration(workload.source,
+                                   ladder(config, 1024, 256), model)
         hits = _memos["exploration"].hits
-        second = cached_exploration(workload.source, config, model,
-                                    capacities=(256, 1024, 256))
+        second = cached_exploration(workload.source,
+                                    ladder(config, 256, 1024, 256), model)
         assert second is first  # one node for equivalent ladders
         assert _memos["exploration"].hits > hits
         assert [p.capacity_bytes for p in first] == [256, 1024]
