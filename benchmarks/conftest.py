@@ -47,15 +47,14 @@ def write_result(results_dir: pathlib.Path, name: str, text: str) -> None:
 
 def alternating_medians(
     serial: Callable[[], object], parallel: Callable[[], object],
-    pairs: int = WALLCLOCK_PAIRS,
 ) -> tuple[object, object, float, float]:
-    """Run ``serial`` and ``parallel`` alternately, ``pairs`` times each,
-    every run from cold in-process memos (forked workers would inherit a
-    warm parent's). Returns the last result of each and the median
-    wall-clock seconds of each."""
+    """Run ``serial`` and ``parallel`` alternately, ``WALLCLOCK_PAIRS``
+    times each, every run from cold in-process memos (forked workers
+    would inherit a warm parent's). Returns the last result of each and
+    the median wall-clock seconds of each."""
     results: list[object] = [None, None]
     times: tuple[list[float], list[float]] = ([], [])
-    for _ in range(pairs):
+    for _ in range(WALLCLOCK_PAIRS):
         for index, call in enumerate((serial, parallel)):
             clear_caches()
             start = time.perf_counter()
