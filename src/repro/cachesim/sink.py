@@ -68,7 +68,7 @@ class CacheSink:
         self._intervals = merge_intervals(spm_intervals)
         self._starts = [lo for lo, _hi in self._intervals]
         self._ends = [hi for _lo, hi in self._intervals]
-        import numpy as np  # loaded on first use (see ColumnBlock._array)
+        import numpy as np  # loaded on first use (see ColumnBlock)
 
         self._np_starts = np.array(self._starts, dtype=np.int64)
         self._np_ends = np.array(self._ends, dtype=np.int64)

@@ -163,14 +163,14 @@ def _add_filter_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _trace_block(text: str) -> int:
-    """``--trace-block``: a block holds at least one access, and engines
+    """``--trace-block``: a block holds at least one record, and engines
     reject blocks above ``MAX_TRACE_BLOCK``."""
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("at least 1 access per block")
+        raise argparse.ArgumentTypeError("at least 1 record per block")
     if value > MAX_TRACE_BLOCK:
         raise argparse.ArgumentTypeError(
-            f"at most {MAX_TRACE_BLOCK} accesses per block")
+            f"at most {MAX_TRACE_BLOCK} records per block")
     return value
 
 
@@ -188,8 +188,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         help="execution engine (default: %(default)s)")
     parser.add_argument("--trace-block", type=_trace_block, default=None,
                         metavar="N",
-                        help="accesses per columnar trace block "
-                             "(default: engine default)")
+                        help="trace records (accesses and checkpoints) "
+                             "per columnar trace block (default: engine "
+                             "default)")
     parser.add_argument("--verify-ir", action="store_true",
                         help="structurally verify the bytecode before "
                              "every run")

@@ -203,7 +203,7 @@ class ReferenceSolver:
         length ``k``; ``iterators`` is a ``(k, N)`` int64 array, innermost
         loop first. The resulting state equals ``k`` scalar calls.
         """
-        import numpy as np  # loaded on first use (see ColumnBlock._array)
+        import numpy as np  # loaded on first use (see ColumnBlock)
 
         k = addrs.shape[0]
         start = 0

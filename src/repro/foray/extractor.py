@@ -93,10 +93,10 @@ class ForayExtractor:
         solver's state depends only on its own accesses, in order.
         """
         n = block.n
-        contexts = self._tree.walk(block.checkpoints, n)
+        contexts = self._tree.walk(block.checkpoints, block.positions, n)
         if not n:
             return
-        import numpy as np  # loaded on first use (see ColumnBlock._array)
+        import numpy as np  # loaded on first use (see ColumnBlock)
 
         stats = self.stats
         pc_column = block.pc
@@ -152,16 +152,18 @@ class ForayExtractor:
                 node.references[pc] = solver
             rows = grouped[bounds[g]:bounds[g + 1]]
             if len(rows) < BULK_MIN_ROWS:
-                _pcs, addrs, sizes, writes = block.lists()  # memoized
                 if scalar is None:
                     scalar = (iteration.tolist(), ctx.tolist())
                 iterations, contexts_of = scalar
                 observe = solver.observe
-                for i in rows.tolist():
-                    observe(addrs[i],
+                for i, addr, write, size in zip(
+                        rows.tolist(), addr_column[rows].tolist(),
+                        block.is_write[rows].tolist(),
+                        block.size[rows].tolist()):
+                    observe(addr,
                             ((iterations[i],) + outers[contexts_of[i]]
                              if depth else ()),
-                            writes[i], sizes[i])
+                            write, size)
                 continue
             matrix = np.empty((len(rows), depth), dtype=np.int64)
             if depth:

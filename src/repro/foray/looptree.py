@@ -202,10 +202,14 @@ class LoopTreeBuilder:
         else:  # BODY_BEGIN or BODY_END
             self._on_body(self._owning_loop(checkpoint_id), kind_code)
 
-    def walk(self, checkpoints: list[int], n: int) -> BlockContexts:
-        """Apply one block's packed checkpoints (see
-        :func:`repro.sim.trace.pack_checkpoint`) and return the contexts
-        of its ``n`` accesses.
+    def walk(self, keys: np.ndarray, positions: np.ndarray,
+             n: int) -> BlockContexts:
+        """Apply one block's checkpoints and return the contexts of its
+        ``n`` accesses. ``keys`` holds each checkpoint's packed record,
+        ``checkpoint_id << 2 | kind_code`` (:func:`repro.sim.trace.
+        pack_checkpoint`), and ``positions`` the number of the block's
+        accesses before it, as the int64 arrays of
+        :class:`~repro.sim.trace.ColumnBlock`.
 
         Structural events — loop-begins, and events whose loop is not on
         top of the stack — go through the handlers of
@@ -217,7 +221,7 @@ class LoopTreeBuilder:
         run's body-begin count of iterations, and its body flag is the
         run's last event's.
         """
-        import numpy as np  # loaded on first use (see ColumnBlock._array)
+        import numpy as np  # loaded on first use (see ColumnBlock)
 
         stack = self._stack
         top = stack[-1]
@@ -226,27 +230,22 @@ class LoopTreeBuilder:
         nodes = [node]
         outers = [outer]
         starts = [0]
-        m = len(checkpoints)
+        m = len(keys)
         if not m:
             iterations = np.empty(n, dtype=np.int64)
             iterations.fill(node.iteration)
             return BlockContexts(np.zeros(n, dtype=np.int64), iterations,
                                  nodes, outers, starts)
-        # Event 0 is a stand-in for the top carried in: a loop-begin of
-        # its begin id at position 0 packs to the begin id itself.
-        packed = np.array([node.begin_id, *checkpoints], dtype=np.int64)
-        high = packed >> 32
-        code = high & 3
-        key = packed & 0xFFFFFFFF
-        key <<= 2
-        key |= code
+        code = keys & 3
         # Per event: the begin id it needs on top to be same-loop (its
         # loop's, for a body checkpoint of a known loop), and the begin id
-        # on top after it (see _owner_table).
-        owners = self._owner_table().take(key, axis=0, mode="clip")
-        structural = np.zeros(m + 1, dtype=bool)
+        # on top after it (see _owner_table). The first event compares
+        # with the top carried in.
+        owners = self._owner_table().take(keys, axis=0, mode="clip")
+        structural = np.empty(m, dtype=bool)
+        structural[0] = owners[0, 0] != node.begin_id
         np.not_equal(owners[1:, 0], owners[:-1, 1], out=structural[1:])
-        # counted[i]: same-loop body-begins among events 1..i.
+        # counted[i]: same-loop body-begins among events 0..i.
         counted = code == 1
         np.greater(counted, structural, out=counted)
         counted = counted.cumsum()
@@ -255,22 +254,23 @@ class LoopTreeBuilder:
         offsets = [node.iteration]
         on_code = self.on_checkpoint_code
         on_body = self._on_body
-        last = 0  # the previous structural event
+        codes = code.tolist()
+        last = -1  # the previous structural event
         done = 0  # body-begins applied so far
-        for index, before, owner in zip(events.tolist(),
-                                        counted[events].tolist(),
-                                        owners[events, 0].tolist()):
+        for index, before, owner, key, start in zip(
+                events.tolist(), counted[events].tolist(),
+                owners[events, 0].tolist(), keys[events].tolist(),
+                positions[events].tolist()):
             if index > last + 1:  # the same-loop run before this event
                 if before != done:
                     node.begin_iteration(before - done)
-                top[1] = (checkpoints[index - 2] >> 32) & 3 == 1
-            event = checkpoints[index - 1]
-            kind_code = (event >> 32) & 3
+                top[1] = codes[index - 1] == 1
+            kind_code = key & 3
             depth = len(stack)
             if owner >= 0:  # a body checkpoint of a known loop
                 on_body(owner, kind_code)
             else:  # a loop-begin, or an unknown id (which raises)
-                on_code(event & 0xFFFFFFFF, kind_code)
+                on_code(key >> 2, kind_code)
             top = stack[-1]
             node = top[0]
             # Outer iterators: a pop drops the innermost ones; a push adds
@@ -284,36 +284,39 @@ class LoopTreeBuilder:
                          + outer[depth + 1 - len(stack):])
             nodes.append(node)
             outers.append(outer)
-            starts.append(event >> 34)
+            starts.append(start)
             offsets.append(node.iteration - before)
             last = index
             done = before
-        if m > last:  # the trailing same-loop run
-            if counted[m] != done:
-                node.begin_iteration(int(counted[m]) - done)
-            top[1] = (checkpoints[m - 1] >> 32) & 3 == 1
+        if m - 1 > last:  # the trailing same-loop run
+            if counted[-1] != done:
+                node.begin_iteration(int(counted[-1]) - done)
+            top[1] = codes[-1] == 1
         if not n:
-            return BlockContexts(high[:0], high[:0], nodes, outers, starts)
+            return BlockContexts(counted[:0], counted[:0], nodes, outers,
+                                 starts)
         # Per event, the context and iterator after it; per access, those
-        # of the last event before it (runs[i] accesses follow event i).
-        context = structural.cumsum()
+        # of the last event before it. Slot 0 is the state carried in,
+        # which the accesses before the first event run under.
+        context = np.zeros(m + 1, dtype=np.int64)
+        structural.cumsum(out=context[1:])
         iterations = np.array(offsets, dtype=np.int64)[context]
-        iterations += counted
-        high >>= 2  # positions
+        iterations[1:] += counted
         runs = np.empty(m + 1, dtype=np.int64)
-        np.subtract(high[1:], high[:-1], out=runs[:m])
-        runs[m] = n - high[m]
+        runs[0] = positions[0]
+        np.subtract(positions[1:], positions[:-1], out=runs[1:m])
+        runs[m] = n - positions[-1]
         return BlockContexts(context.repeat(runs), iterations.repeat(runs),
                              nodes, outers, starts)
 
     def _owner_table(self) -> np.ndarray:
-        """The lookup table of :meth:`walk`, indexed by ``id << 2 | code``
-        of an event: column 0 is the begin id that must be on top for the
-        event to be same-loop (-1: never — a loop-begin, or an unknown
-        id), column 1 the begin id on top after it (-2: none an event can
-        need, for unknown ids). Ids past the table clip to its last row,
-        whose code 3 never occurs. Rebuilt when the map's begin-id cache
-        changes (:meth:`CheckpointMap.add` drops it)."""
+        """The lookup table of :meth:`walk`, indexed by an event's key
+        ``id << 2 | code``: column 0 is the begin id that must be on top
+        for the event to be same-loop (-1: never — a loop-begin, or an
+        unknown id), column 1 the begin id on top after it (-2: none an
+        event can need, for unknown ids). Ids past the table clip to its
+        last row, whose code 3 never occurs. Rebuilt when the map's
+        begin-id cache changes (:meth:`CheckpointMap.add` drops it)."""
         begin_ids = self._map.begin_ids()
         table = self._owners
         if table is None or self._owners_of is not begin_ids:

@@ -212,10 +212,11 @@ class ValidationSink:
         scoring). An iterator tuple is built only when the innermost
         iterator changes."""
         n = block.n
-        contexts = self._builder.walk(block.checkpoints, n)
+        contexts = self._builder.walk(block.checkpoints, block.positions, n)
         if not n:
             return
-        pcs, addrs, _sizes, _writes = block.lists()
+        pcs = block.pc.tolist()
+        addrs = block.addr.tolist()
         starts = contexts.starts
         last = len(starts) - 1
         iterations: list[int] | None = None

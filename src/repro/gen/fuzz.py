@@ -249,8 +249,8 @@ class _GlobalTrafficCounter:
         self.count = 0
 
     def emit_columns(self, block: ColumnBlock) -> None:
-        self.count += sum(GLOBAL_BASE <= addr < HEAP_BASE
-                          for addr in block.lists()[1])
+        addr = block.addr
+        self.count += int(((addr >= GLOBAL_BASE) & (addr < HEAP_BASE)).sum())
 
 
 def _check_parity(ctx: _CheckContext) -> CheckOutcome:
@@ -260,12 +260,11 @@ def _check_parity(ctx: _CheckContext) -> CheckOutcome:
         stream = StreamRecorder()
         result = run_compiled(ctx.compiled, sinks=(stream,), config=config)
         signature = (result.exit_code, result.stdout, result.stats.steps,
-                     result.stats.calls, stream.flat, stream.checkpoints)
+                     result.stats.calls, stream.records)
         if baseline is None:
             baseline_name, baseline = name, signature
         elif signature != baseline:
-            fields = ("exit_code", "stdout", "steps", "calls", "accesses",
-                      "checkpoints")
+            fields = ("exit_code", "stdout", "steps", "calls", "records")
             diverged = [f for f, a, b in zip(fields, signature, baseline)
                         if a != b]
             return CheckOutcome(

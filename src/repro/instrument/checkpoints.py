@@ -25,16 +25,20 @@ source-to-source annotation, and robust against re-parsing.
 
 The pass also produces the :class:`~repro.sim.trace.CheckpointMap` that the
 trace reader and Algorithm 2 use to recover checkpoint kinds and loop
-metadata from the id-only text trace. Each :class:`CheckpointInfo` carries
-the precomputed compact ``kind_code`` used by the batched trace protocol,
-so the engines and the extractor never translate enum kinds on the hot
-path.
+metadata from the id-only text trace. Ids stay below
+:data:`~repro.sim.trace.CHECKPOINT_ID_LIMIT`, which keeps every packed
+checkpoint record below the access records.
 """
 
 from __future__ import annotations
 
 from repro.lang import ast_nodes as ast
-from repro.sim.trace import CheckpointInfo, CheckpointKind, CheckpointMap
+from repro.sim.trace import (
+    CHECKPOINT_ID_LIMIT,
+    CheckpointInfo,
+    CheckpointKind,
+    CheckpointMap,
+)
 
 #: First checkpoint id handed out (mirrors the small ids of paper Figure 4).
 FIRST_CHECKPOINT_ID = 10
@@ -70,6 +74,9 @@ class CheckpointAnnotator:
 
     def _take_id(self) -> int:
         checkpoint_id = self._next_id
+        if not 0 <= checkpoint_id < CHECKPOINT_ID_LIMIT:
+            raise ValueError(f"checkpoint id {checkpoint_id} outside "
+                             f"[0, {CHECKPOINT_ID_LIMIT})")
         self._next_id += 1
         return checkpoint_id
 

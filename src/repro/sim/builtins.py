@@ -22,7 +22,7 @@ import struct
 from typing import Any, Callable
 
 from repro.lang.errors import MiniCRuntimeError
-from repro.sim.trace import LIB_PC_BASE
+from repro.sim.trace import LIB_PC_BASE, pack_access
 
 #: glibc-style LCG constants for the deterministic rand().
 _RAND_MULTIPLIER = 1103515245
@@ -67,28 +67,35 @@ class ExitSignal(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Trace record runs (flat interleaved [pc, addr, size, is_write] ints)
+# Trace record runs (packed access records, repro.sim.trace.pack_access)
 # ---------------------------------------------------------------------------
 
 
 def _run(pc: int, is_write: int, addr: int, nbytes: int,
          width: int) -> list[int]:
     """Records of a sweep over ``nbytes`` at ``addr`` in ``width``-byte
-    accesses, the last one shorter when ``width`` does not divide it."""
+    accesses, the last one shorter when ``width`` does not divide it.
+    Addresses wrap modulo ``2**32``, as the engines' do."""
     whole, tail = divmod(nbytes, width)
-    records = [pc, 0, width, is_write] * whole
-    records[1::4] = range(addr, addr + nbytes - tail, width)
+    end = addr + nbytes - tail
+    if end <= 1 << 32:
+        # The address is the record's low field, so the records of a
+        # sweep are an arithmetic progression.
+        first = pack_access(pc, addr, width, is_write)
+        records = list(range(first, first + end - addr, width))
+    else:
+        records = [pack_access(pc, a & 0xFFFFFFFF, width, is_write)
+                   for a in range(addr, end, width)]
     if tail:
-        records += (pc, addr + nbytes - tail, tail, is_write)
+        records.append(pack_access(pc, end & 0xFFFFFFFF, tail, is_write))
     return records
 
 
 def _interleave(first: list[int], second: list[int]) -> list[int]:
     """The records of two equally long runs, alternating one by one."""
     out = first + second
-    for field in range(4):
-        out[field::8] = first[field::4]
-        out[4 + field::8] = second[field::4]
+    out[0::2] = first
+    out[1::2] = second
     return out
 
 
@@ -208,7 +215,7 @@ def _copy(machine, args: list, pc: int) -> int:
             # Only the first word can fault: its load when src < 0,
             # otherwise its store, after the load was traced.
             word = memory.read_bytes(src, min(4, count))
-            machine.lib_trace(records[:4])
+            machine.lib_trace(records[:1])
             memory.write_bytes(dst, word)
         memory.copy(dst, src, count)
         machine.lib_trace(records)

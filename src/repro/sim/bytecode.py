@@ -11,8 +11,8 @@ instruction list per function, plus one for the global initializers:
   and expression temporaries;
 * control flow (``if``/loops/``break``/``continue``/``return``) is lowered
   to conditional jumps — no Python exceptions on the hot path;
-* checkpoints and memory accesses become instructions that append raw
-  ints to the shared :class:`~repro.sim.trace.TraceBuffer`.
+* checkpoints and memory accesses become instructions that append one
+  packed int each to the shared :class:`~repro.sim.trace.TraceBuffer`.
 
 Lowering drains each function's step counts backwards across pure
 instructions (:func:`_sink_steps`) and rewrites nothing else, so the
@@ -73,6 +73,7 @@ from repro.sim.trace import (
     TraceBuffer,
     TraceSink,
     load_pc,
+    pack_checkpoint,
     store_pc,
 )
 
@@ -1239,10 +1240,9 @@ class BytecodeVM:
             for start, end, body_end_id in regions
             if start <= frame_pc < end
         ]
-        # Packed as in repro.sim.trace.pack_checkpoint: len(acc) is 4·pos.
-        event = (len(trace.acc) | BODY_END_CODE) << 32
-        for _, body_end_id in sorted(open_regions, reverse=True):
-            trace.cps.append(event | body_end_id)
+        trace.records.extend(
+            pack_checkpoint(body_end_id, BODY_END_CODE)
+            for _, body_end_id in sorted(open_regions, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ from repro.sim.trace import (
     TraceBuffer,
     TraceSink,
     load_pc,
+    pack_access,
+    pack_checkpoint,
     store_pc,
 )
 
@@ -164,20 +166,16 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _emit_access(self, pc: int, addr: int, size: int, w: int) -> None:
-        trace = self._trace
-        acc = trace.acc
-        acc.extend((pc, addr, size, w))
-        if len(acc) >= trace.limit:
-            trace.flush()
+        self._emit(pack_access(pc, addr & _ADDR_MASK, size, w))
 
     def _emit_checkpoint(self, checkpoint_id: int, kind_code: int) -> None:
+        self._emit(pack_checkpoint(checkpoint_id, kind_code))
+
+    def _emit(self, record: int) -> None:
         trace = self._trace
-        cps = trace.cps
-        # Packed as in repro.sim.trace.pack_checkpoint: len(acc) is 4·pos.
-        cps.append((len(trace.acc) | kind_code) << 32 | checkpoint_id)
-        # Access-free loops still produce checkpoints; bound that
-        # buffer too so blocks stay constant-size.
-        if len(cps) >= trace.block_size:
+        records = trace.records
+        records.append(record)
+        if len(records) >= trace.limit:
             trace.flush()
 
     def _bump_steps(self, amount: int = 1) -> None:
@@ -439,8 +437,7 @@ class Interpreter:
     def _store_mem(self, addr: int, value: object, ctype: CType,
                    node: ast.Expr) -> None:
         self._store_raw(addr, value, ctype)
-        self._emit_access(store_pc(node.node_id), addr & _ADDR_MASK,
-                          ctype.size, 1)
+        self._emit_access(store_pc(node.node_id), addr, ctype.size, 1)
 
     def _store_raw(self, addr: int, value: object, ctype: CType) -> None:
         addr &= _ADDR_MASK

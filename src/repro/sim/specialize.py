@@ -6,9 +6,13 @@ bytecode.lower_program`), and the global initializers when they do
 more than return, is translated once into Python source — one
 module-level function per chain of basic blocks (the blocks and edges
 of :func:`~repro.sim.dataflow.build_cfg`), operating on a flat register
-list ``r`` — which CPython then executes natively. Memory accesses append
-``(pc, addr, size, w)`` directly to the flat access buffer of the VM's
-:class:`~repro.sim.trace.TraceBuffer` with a single bound-method call.
+list ``r`` — which CPython then executes natively. A memory access
+appends one int to the record list of the VM's
+:class:`~repro.sim.trace.TraceBuffer`, ``K | a_`` with the access site's
+fields folded into the literal ``K`` (:func:`~repro.sim.trace.
+pack_access`); a checkpoint appends its packed literal
+(:func:`~repro.sim.trace.pack_checkpoint`). Each chain exit that
+appended checks the buffer limit once.
 
 Generated code never reads the buffer's ``tracing`` flag: it appends
 accesses and checkpoints and calls ``_FLUSH()`` unconditionally, and a
@@ -90,6 +94,7 @@ from repro.sim import builtins as libc
 from repro.sim import bytecode as bc
 from repro.sim import dataflow
 from repro.sim.interpreter import ExecLimitExceeded
+from repro.sim.trace import pack_access, pack_checkpoint
 
 #: One lowered instruction: ``(op, *operands)``.
 _Ins = tuple[Any, ...]
@@ -244,13 +249,10 @@ class Specialization:
             "_WI": memory.write_int,
             "_WF": memory.write_float,
             "_WB": memory.write_bytes,
-            "_AB": trace.acc,
-            "_AX": trace.acc.extend,
-            "_CPB": trace.cps,
-            "_CPA": trace.cps.append,
+            "_AB": trace.records,
+            "_AA": trace.records.append,
             "_FLUSH": trace.flush,
             "_FL": trace.limit,
-            "_BS": trace.block_size,
             "_S": steps,
             "_D": [0],
             "_MAXS": max_steps,
@@ -352,13 +354,9 @@ class _Codegen:
         #: pc → bitmask of slots written strictly later in the chain
         #: (licenses MOV aliasing: the source must stay unchanged).
         self._written_after: dict[int, int] = {}
-        #: Trace traffic emitted by the current chain (one buffer-limit
-        #: check per exit instead of one per record).
-        self._n_acc = 0
-        self._n_cp = 0
-        #: Accesses since ``la_`` snapshotted ``len(_AB)`` (None: no
-        #: valid snapshot); checkpoint positions are computed from it.
-        self._snap: int | None = None
+        #: Whether the current chain appends trace records (one
+        #: buffer-limit check per exit instead of one per record).
+        self._traced = False
         #: Write counter per slot (versions pure computations for CSE).
         self._ver: dict[int, int] = {}
         #: Value numbering: (expr, mask, maxv, operand versions) → the
@@ -486,14 +484,9 @@ class _Codegen:
         return tuple(out)
 
     def _flush_trace_checks(self) -> None:
-        """The buffer-limit checks for everything the chain appended."""
-        if self._n_acc and self._n_cp:
-            self.lines.append(
-                "    if len(_AB) >= _FL or len(_CPB) >= _BS: _FLUSH()")
-        elif self._n_acc:
+        """The buffer-limit check for everything the chain appended."""
+        if self._traced:
             self.lines.append("    if len(_AB) >= _FL: _FLUSH()")
-        elif self._n_cp:
-            self.lines.append("    if len(_CPB) >= _BS: _FLUSH()")
 
     def _flush_steps(self) -> None:
         """Write the local step counter back before anything that can
@@ -596,9 +589,7 @@ class _Codegen:
         self._lits = {}
         self._ints = set()
         self._doms = {}
-        self._n_acc = 0
-        self._n_cp = 0
-        self._snap = None
+        self._traced = False
         self._ver = {}
         self._cse = {}
         chain_pcs = [pc for j in chain for pc in range(*ranges[j])]
@@ -908,11 +899,9 @@ class _Codegen:
 
     def _trace(self, w: _W, pc: int, size: int, is_write: bool) -> None:
         # The buffer-limit check is batched at the chain's exits (the
-        # overshoot is bounded by the chain's own access count).
-        w(f"    _AX(({pc}, a_, {size}, {1 if is_write else 0}))")
-        self._n_acc += 1
-        if self._snap is not None:
-            self._snap += 1
+        # overshoot is bounded by the chain's own record count).
+        w(f"    _AA({pack_access(pc, 0, size, is_write)} | a_)")
+        self._traced = True
 
     @staticmethod
     def _paged(size: int, fast: str, slow: str) -> str:
@@ -1111,18 +1100,8 @@ class _Codegen:
                                   self._goto(blk[fall], live_out[pc]))
             return True
         elif op == B.OP_CKPT:
-            # The access position only needs len(_AB) measured once per
-            # chain: accesses since the snapshot are counted statically.
-            # len(_AB) is 4·pos of the snapshot, so the packed event
-            # (repro.sim.trace.pack_checkpoint) is (la_ << 32) plus a
-            # constant folded here.
-            snap = self._snap
-            if snap is None:
-                w("    la_ = len(_AB)")
-                snap = self._snap = 0
-            packed = ((4 * snap + ins[2]) << 32) | ins[1]
-            w(f"    _CPA((la_ << 32) + {packed})")
-            self._n_cp += 1
+            w(f"    _AA({pack_checkpoint(ins[1], ins[2])})")
+            self._traced = True
         elif op == B.OP_ADDK_P:
             # Reads are resolved before the destination is localized, so
             # dst == src never references a not-yet-assigned local.
@@ -1268,13 +1247,11 @@ class _Codegen:
             if self._steps_local:
                 # The callee advanced the shared counter.
                 w("    s_ = _S[0]")
-            self._snap = None  # the callee may have flushed the buffer
         elif op == B.OP_CALLB:
             args = ", ".join(self._rd(slot) for slot in ins[3])
             self._flush_steps()
             w(f"    r[{pcs}] = {pc}")
             w(f"    {self._wr(ins[1])} = _CB(_VM, {ins[2]!r}, [{args}])")
-            self._snap = None  # builtins like puts() append to the trace
         elif op == B.OP_RET:
             result = self._rd(ins[1])
             self._flush_steps()

@@ -26,29 +26,27 @@ Block protocol
 --------------
 
 The engines do not hand sinks one record object at a time. Both append
-raw ints to one shared :class:`TraceBuffer` and flush it in blocks to
-each sink's ``emit_columns(block)``:
+one int per record, in stream order, to the list of a shared
+:class:`TraceBuffer` and flush it in blocks to each sink's
+``emit_columns(block)``:
 
-* accesses go into a single flat interleaved buffer
-  ``[pc0, addr0, size0, w0, pc1, ...]`` (``is_write`` encoded 0/1), one
-  C-level ``list.extend`` per access;
-* each checkpoint is one packed int (:func:`pack_checkpoint`),
-  ``((4·pos) | kind_code) << 32 | checkpoint_id``, where ``pos`` is the
-  index of the access *before which* the checkpoint fires (``pos == n``
-  for checkpoints trailing the block) and ``kind_code`` is the compact
-  :data:`KIND_TO_CODE` encoding. ``4·pos`` is the flat buffer's length
-  when the checkpoint fires, so an engine packs an event with one shift
-  and one add, and builds no tuple.
+* an access is ``site << 32 | addr`` (:func:`pack_access`), where
+  ``site = (pc << 1 | is_write) << 4 | size``. Every field but the
+  address is a constant of the access site, so the generated code
+  appends ``K | a_`` with ``K`` folded at code generation;
+* a checkpoint is ``checkpoint_id << 2 | kind_code``
+  (:func:`pack_checkpoint`, ``kind_code`` from :data:`KIND_TO_CODE`).
+  Ids stay below :data:`CHECKPOINT_ID_LIMIT`, so a checkpoint is below
+  ``2**32`` and an access, whose size is at least 1, is not.
 
-Each flush hands every sink the same :class:`ColumnBlock`, which reshapes
-the flat buffer into parallel ``int64`` columns (pc, addr, size,
-is_write) without per-access Python work and keeps the packed
-checkpoints (:meth:`ColumnBlock.checkpoint_tuples` decodes them). This
-keeps the hot path free of per-access object construction while
-preserving the exact interleaving of the two streams;
-:func:`expand_block` recovers the classic record sequence when needed.
-The per-record :meth:`TraceSink.emit` entry point remains for replaying
-stored text traces (:func:`parse_trace`) and as the tests' oracle.
+Each flush hands every sink the same :class:`ColumnBlock`, which decodes
+the block with NumPy: the access columns (pc, addr, size, is_write) and
+each checkpoint's key and position, the count of accesses before it.
+No engine builds an object or a tuple per record, and the stream keeps
+the exact interleaving of the two kinds; :func:`expand_block` recovers
+the classic record sequence when needed. The per-record
+:meth:`TraceSink.emit` entry point remains for replaying stored text
+traces (:func:`parse_trace`) and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -63,12 +61,18 @@ USER_PC_BASE = 0x400000
 #: Base pc for library-builtin memory access sites.
 LIB_PC_BASE = 0x500000
 
-#: Number of accesses an engine buffers before flushing a block.
-DEFAULT_TRACE_BLOCK = 4096
-#: Largest block size: it keeps ``4·pos`` of a packed checkpoint below
-#: ``2**30`` (a chain may overshoot the block a little), so every packed
-#: value fits an int64.
+#: Number of records (accesses and checkpoints) an engine buffers before
+#: flushing a block.
+DEFAULT_TRACE_BLOCK = 6400
+#: Largest block size an engine accepts; it bounds the memory one
+#: buffered block can take.
 MAX_TRACE_BLOCK = 2**26
+#: Checkpoint ids stay below this bound, so a packed checkpoint stays
+#: below ``2**32``, under every access record.
+CHECKPOINT_ID_LIMIT = 2**30
+#: The smallest access record: its site is at least 1.
+_ACCESS_MIN = 1 << 32
+_ADDR_MASK = 0xFFFFFFFF
 
 
 def is_library_pc(pc: int) -> bool:
@@ -151,11 +155,6 @@ class CheckpointInfo:
     loop_node_id: int
     #: "for" | "while" | "do"
     loop_kind: str
-    #: Compact batched-protocol encoding of ``kind`` (see KIND_TO_CODE).
-    kind_code: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind_code", KIND_TO_CODE[self.kind])
 
 
 @dataclass
@@ -214,10 +213,25 @@ class CheckpointMap:
         return {info.loop_node_id for info in self.infos.values()}
 
 
-def pack_checkpoint(pos: int, checkpoint_id: int, kind_code: int) -> int:
-    """One checkpoint event as a block stores it (see the module
-    docstring): it fires before access ``pos`` of its block."""
-    return ((4 * pos) | kind_code) << 32 | checkpoint_id
+def pack_access(pc: int, addr: int, size: int, is_write: int) -> int:
+    """One access as a trace record (see the module docstring): a 32-bit
+    ``addr`` under the site of ``pc``, ``is_write`` (0/1) and ``size``
+    (1 to 15 bytes). Every pc is below ``2**26``, so a record fits an
+    int64."""
+    return ((pc << 1 | is_write) << 4 | size) << 32 | addr
+
+
+def pack_checkpoint(checkpoint_id: int, kind_code: int) -> int:
+    """One checkpoint as a trace record (see the module docstring)."""
+    return checkpoint_id << 2 | kind_code
+
+
+def unpack(record: int) -> TraceRecord:
+    """The record object one packed trace record stands for."""
+    if record < _ACCESS_MIN:
+        return Checkpoint(record >> 2, CODE_TO_KIND[record & 3])
+    return Access(record >> 37, record & _ADDR_MASK, (record >> 32) & 15,
+                  bool(record >> 36 & 1))
 
 
 #: The four parallel access columns (pcs, addrs, sizes, writes) as plain
@@ -226,68 +240,69 @@ _Columns = tuple[list[int], list[int], list[int], list[int]]
 
 
 class ColumnBlock:
-    """One flushed trace block as parallel columns (struct-of-arrays).
+    """One flushed trace block, decoded into columns.
 
-    Access data lives in four parallel ``int64`` columns (``pc``,
-    ``addr``, ``size``, ``is_write`` — the latter 0/1); ``checkpoints``
-    is the list of packed checkpoint ints (:func:`pack_checkpoint`;
-    their ``pos`` indexes into the columns). Column arrays, plain-list
-    views and the decoded checkpoint tuples are built lazily and
-    memoized, so a flush serving several sinks pays each conversion at
-    most once.
+    ``records`` is the block's stream as the engine buffered it (see the
+    module docstring). Over its checkpoints, in stream order,
+    ``checkpoints`` holds each one's record ``checkpoint_id << 2 |
+    kind_code`` and ``positions`` the number of accesses before it, as
+    int64 arrays. Over its ``n`` accesses, the ``pc``, ``addr``,
+    ``size`` and ``is_write`` (0/1) properties are int64 columns; each
+    column, the plain lists and the checkpoint tuples are built on
+    first use and kept, so a flush serving several sinks pays for each
+    at most once.
     """
 
-    __slots__ = ("n", "checkpoints", "_flat", "_arr", "_lists", "_tuples")
+    __slots__ = ("records", "n", "checkpoints", "positions", "_accesses",
+                 "_fields", "_lists", "_tuples")
 
-    def __init__(self, flat: list[int], checkpoints: list[int]) -> None:
-        self._flat = flat
-        self.checkpoints: list[int] = checkpoints
+    def __init__(self, records: list[int]) -> None:
+        # NumPy loads with the first block, so processes that never
+        # simulate (``--help``, warm store reads) never pay for it.
+        import numpy as np
+
+        self.records = records
+        stream = np.fromiter(records, dtype=np.int64, count=len(records))
+        is_access = stream >= _ACCESS_MIN
+        index = (~is_access).nonzero()[0]
+        self.checkpoints = stream[index]
+        # The records before a checkpoint that are not checkpoints.
+        index -= np.arange(len(index))
+        self.positions = index
         #: Number of accesses in the block.
-        self.n = len(flat) >> 2
-        self._arr: Any = None
+        self.n = len(records) - len(index)
+        self._accesses = stream[is_access] if len(index) else stream
+        self._fields: dict[int, Any] = {}
         self._lists: _Columns | None = None
         self._tuples: list[tuple[int, int, int]] | None = None
-
-    @classmethod
-    def from_flat(cls, flat: list[int],
-                  checkpoints: list[int]) -> "ColumnBlock":
-        """Snapshot an engine's flat interleaved buffer (copies both, so
-        the engine may clear its buffers in place afterwards)."""
-        return cls(list(flat), list(checkpoints))
 
     def __len__(self) -> int:
         return self.n
 
     # -- columnar views ---------------------------------------------------
 
-    def _array(self) -> Any:
-        """The (n, 4) int64 matrix backing the column properties."""
-        arr = self._arr
-        if arr is None:
-            # NumPy loads with the first columnar block, so processes that
-            # never simulate (``--help``, warm store reads) never pay for it.
-            import numpy as np
-
-            arr = np.fromiter(self._flat, dtype=np.int64,
-                              count=len(self._flat)).reshape(-1, 4)
-            self._arr = arr
-        return arr
+    def _field(self, shift: int, mask: int) -> Any:
+        """``record >> shift & mask`` over the block's access records."""
+        column = self._fields.get(shift)
+        if column is None:
+            column = self._fields[shift] = (self._accesses >> shift) & mask
+        return column
 
     @property
     def pc(self) -> Any:
-        return self._array()[:, 0]
+        return self._field(37, 0x3FFFFFF)
 
     @property
     def addr(self) -> Any:
-        return self._array()[:, 1]
+        return self._field(0, _ADDR_MASK)
 
     @property
     def size(self) -> Any:
-        return self._array()[:, 2]
+        return self._field(32, 15)
 
     @property
     def is_write(self) -> Any:
-        return self._array()[:, 3]
+        return self._field(36, 1)
 
     def lists(self) -> _Columns:
         """``(pcs, addrs, sizes, writes)`` as plain Python lists.
@@ -297,8 +312,8 @@ class ColumnBlock:
         """
         lists = self._lists
         if lists is None:
-            flat = self._flat
-            lists = (flat[0::4], flat[1::4], flat[2::4], flat[3::4])
+            lists = (self.pc.tolist(), self.addr.tolist(),
+                     self.size.tolist(), self.is_write.tolist())
             self._lists = lists
         return lists
 
@@ -307,8 +322,9 @@ class ColumnBlock:
         in stream order."""
         tuples = self._tuples
         if tuples is None:
-            tuples = [(packed >> 34, packed & 0xFFFFFFFF, (packed >> 32) & 3)
-                      for packed in self.checkpoints]
+            keys = self.checkpoints
+            tuples = list(zip(self.positions.tolist(), (keys >> 2).tolist(),
+                              (keys & 3).tolist()))
             self._tuples = tuples
         return tuples
 
@@ -340,12 +356,12 @@ class RunStats:
 class TraceBuffer:
     """The trace buffer and flush both engines share.
 
-    ``acc`` is the flat interleaved access buffer and ``cps`` the list
-    of packed checkpoints (see the module docstring). Engines append to
-    both directly and call :meth:`flush` once ``len(acc) >= limit`` or
-    ``len(cps) >= block_size``. Both lists are cleared in place, so the
-    bound ``extend``/``append`` methods engines cache stay valid. A
-    block size above :data:`MAX_TRACE_BLOCK` is a ``ValueError``.
+    ``records`` holds the packed records in stream order (see the module
+    docstring). Engines append to it directly and call :meth:`flush`
+    once ``len(records) >= limit``, the block size in records. The list
+    is cleared in place, so the bound ``append`` method engines cache
+    stays valid. A block size above :data:`MAX_TRACE_BLOCK` is a
+    ``ValueError``.
 
     Appending never reads :attr:`tracing`: a flush while tracing is off
     discards its records (no sink call, no stats). Engines therefore run
@@ -354,8 +370,7 @@ class TraceBuffer:
     the last block *before* switching it off.
     """
 
-    __slots__ = ("acc", "cps", "block_size", "limit", "tracing", "_sinks",
-                 "_stats")
+    __slots__ = ("records", "limit", "tracing", "_sinks", "_stats")
 
     def __init__(self, sinks: Iterable[TraceSink], block_size: int,
                  stats: RunStats) -> None:
@@ -369,68 +384,51 @@ class TraceBuffer:
         if block_size > MAX_TRACE_BLOCK:
             raise ValueError(
                 f"trace block size {block_size} exceeds {MAX_TRACE_BLOCK}")
-        self.block_size = max(1, block_size)
-        #: Flush threshold of the flat buffer (4 ints per access).
-        self.limit = 4 * self.block_size
-        self.acc: list[int] = []
-        self.cps: list[int] = []
+        #: Flush threshold: records per block.
+        self.limit = max(1, block_size)
+        self.records: list[int] = []
         self.tracing = False
 
     def flush(self) -> None:
         """Hand the buffered block to every sink (or drop it while
-        tracing is off) and clear the buffers."""
-        acc, cps = self.acc, self.cps
-        if not acc and not cps:
+        tracing is off) and clear the buffer."""
+        records = self.records
+        if not records:
             return
         if self.tracing:
-            self._stats.accesses += len(acc) >> 2
-            self._stats.checkpoints += len(cps)
-            if self._sinks:
-                block = ColumnBlock.from_flat(acc, cps)
-                for sink in self._sinks:
-                    sink.emit_columns(block)
-        del acc[:]
-        del cps[:]
+            block = ColumnBlock(records.copy())
+            self._stats.accesses += block.n
+            self._stats.checkpoints += len(records) - block.n
+            for sink in self._sinks:
+                sink.emit_columns(block)
+        del records[:]
 
     def lib_trace(self, records: Sequence[int]) -> None:
-        """Append a builtin's records (flat ``[pc, addr, size, is_write]``
-        ints) as one run, flushing exactly where appending them one at a
-        time would: whenever an append brings the buffer to the limit.
-        The specialized code checks the limit once per chain, so the
-        buffer may already be past it; the first record then flushes."""
+        """Append a builtin's access records as one run, flushing exactly
+        where appending them one at a time would: whenever an append
+        brings the buffer to the limit. The specialized code checks the
+        limit once per chain, so the buffer may already be past it; the
+        first record then flushes."""
         if not self.tracing:
             return
-        acc = self.acc
+        buffer = self.records
         limit = self.limit
-        if len(acc) + len(records) < limit:
-            acc.extend(records)
+        if len(buffer) + len(records) < limit:
+            buffer.extend(records)
             return
-        cut = max(4, limit - len(acc))
+        cut = max(1, limit - len(buffer))
         pos = 0
         while len(records) - pos >= cut:
-            acc.extend(records[pos:pos + cut])
+            buffer.extend(records[pos:pos + cut])
             self.flush()
             pos += cut
             cut = limit
-        acc.extend(records[pos:])
+        buffer.extend(records[pos:])
 
 
 def expand_block(block: ColumnBlock) -> Iterator[TraceRecord]:
-    """Interleave one block back into classic record objects."""
-    checkpoints = block.checkpoint_tuples()
-    pcs, addrs, sizes, writes = block.lists()
-    ci = 0
-    ncp = len(checkpoints)
-    for i, (pc, addr, size, w) in enumerate(zip(pcs, addrs, sizes, writes)):
-        while ci < ncp and checkpoints[ci][0] <= i:
-            _, checkpoint_id, code = checkpoints[ci]
-            ci += 1
-            yield Checkpoint(checkpoint_id, CODE_TO_KIND[code])
-        yield Access(pc, addr, size, bool(w))
-    while ci < ncp:
-        _, checkpoint_id, code = checkpoints[ci]
-        ci += 1
-        yield Checkpoint(checkpoint_id, CODE_TO_KIND[code])
+    """The block's records as classic record objects, in stream order."""
+    return map(unpack, block.records)
 
 
 class TraceCollector:
@@ -460,20 +458,15 @@ class TraceCollector:
 
 class StreamRecorder:
     """A sink keeping a run's trace as one stream, whatever its block
-    cuts: ``flat`` concatenates the blocks' ``[pc, addr, size, is_write]``
-    ints, and ``checkpoints`` their packed checkpoints with each position
-    rebased onto that concatenation. Two runs with equal streams emitted
-    the same records in the same order, access sizes included."""
+    cuts: ``records`` concatenates the blocks' packed records. Two runs
+    with equal streams emitted the same records in the same order,
+    access sizes and write flags included."""
 
     def __init__(self) -> None:
-        self.flat: list[int] = []
-        self.checkpoints: list[int] = []
+        self.records: list[int] = []
 
     def emit_columns(self, block: ColumnBlock) -> None:
-        # The position is the packed int's high field (bits 34 and up).
-        base = (len(self.flat) >> 2) << 34
-        self.checkpoints.extend(packed + base for packed in block.checkpoints)
-        self.flat.extend(block._flat)
+        self.records.extend(block.records)
 
 
 class TraceWriter:
@@ -490,21 +483,8 @@ class TraceWriter:
             self._stream.write(f"Instr: {record.pc:x} addr: {record.addr:x} {kind}\n")
 
     def emit_columns(self, block: ColumnBlock) -> None:
-        # Text lines are written straight from the columns; no record
-        # objects are constructed on the flush path.
-        write = self._stream.write
-        checkpoints = block.checkpoint_tuples()
-        pcs, addrs, _sizes, writes = block.lists()
-        ci = 0
-        ncp = len(checkpoints)
-        for i, (pc, addr, w) in enumerate(zip(pcs, addrs, writes)):
-            while ci < ncp and checkpoints[ci][0] <= i:
-                write(f"Checkpoint: {checkpoints[ci][1]}\n")
-                ci += 1
-            write(f"Instr: {pc:x} addr: {addr:x} {'wr' if w else 'rd'}\n")
-        while ci < ncp:
-            write(f"Checkpoint: {checkpoints[ci][1]}\n")
-            ci += 1
+        for record in expand_block(block):
+            self.emit(record)
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:

@@ -406,6 +406,9 @@ class StaticAnalyzer:
         top = self.stack[-1][0]
         assert isinstance(top, _MirrorNode)
         # Constant term: real address at all-zero open iteration counters.
+        # The engines take every element address modulo 2**32; each step
+        # is the signed representative the extractor observes (as in
+        # _wrapped, an unsigned ``a[40 - i]`` steps down).
         const = base
         for sym, coeff in coeffs.items():
             node = self.live_iters.get(sym)
@@ -414,6 +417,7 @@ class StaticAnalyzer:
                               f"iterator {sym.name!r} not live")
             assert node.info is not None
             const += coeff * node.info.start
+        const &= 0xFFFFFFFF
         # Dimensions, innermost (stack top) first, as the solver sees them.
         dims: list[int | None] = []
         enum: list[tuple[int, int]] = []  # (coefficient, trip) to enumerate
@@ -426,7 +430,8 @@ class StaticAnalyzer:
                 dims.append(None)
                 continue
             assert dim_node.info is not None
-            coeff = coeffs.get(dim_node.info.iterator, 0) * dim_node.info.step
+            coeff = _signed32(
+                coeffs.get(dim_node.info.iterator, 0) * dim_node.info.step)
             dims.append(coeff)
             if coeff:
                 enum.append((coeff, dim_node.trip))
@@ -435,7 +440,7 @@ class StaticAnalyzer:
             if len(addresses) * trip > _ENUM_LIMIT:
                 raise _Refuse("footprint-too-large",
                               f"> {_ENUM_LIMIT} distinct addresses")
-            addresses = {addr + coeff * k
+            addresses = {(addr + coeff * k) & 0xFFFFFFFF
                          for addr in addresses for k in range(trip)}
         pc = store_pc(node_id) if is_write else load_pc(node_id)
         expression = AffineExpression(const=const, coefficients=tuple(dims),
@@ -1134,6 +1139,11 @@ def _assigned_symbols(node: ast.Node) -> set[Symbol]:
 
 def _declares_iterator(stmt: ast.For) -> bool:
     return isinstance(stmt.init, ast.DeclStmt)
+
+
+def _signed32(value: int) -> int:
+    """The signed 32-bit representative of ``value`` modulo 2**32."""
+    return (value + 2**31) % 2**32 - 2**31
 
 
 def _wrapped(expr: ast.Expr, form: AffineForm) -> AffineForm:

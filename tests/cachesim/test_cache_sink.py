@@ -10,7 +10,7 @@ from repro.cachesim.sink import (
 )
 from repro.pipeline import extract_foray_model
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
-from repro.sim.trace import ColumnBlock, TraceCollector
+from repro.sim.trace import ColumnBlock, TraceCollector, pack_access
 from repro.spm.allocator import allocate_graph
 from repro.spm.graph import ReuseGraph, reference_interval
 from repro.workloads.registry import MIBENCH_WORKLOADS
@@ -151,6 +151,6 @@ class TestSpmBypass:
     def test_interval_membership_is_half_open(self):
         sink = CacheSink(CacheHierarchy(CacheConfig()),
                          ((100, 200),))
-        sink.emit_columns(ColumnBlock.from_flat(
-            [0, 99, 4, 0, 0, 100, 4, 0, 0, 199, 4, 0, 0, 200, 4, 0], []))
+        sink.emit_columns(ColumnBlock(
+            [pack_access(0, addr, 4, 0) for addr in (99, 100, 199, 200)]))
         assert (sink.spm_reads, sink.reads) == (2, 2)

@@ -18,30 +18,33 @@ import pytest
 from repro.foray.extractor import ForayExtractor
 from repro.foray.validate import ValidationSink, validate_model
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
-from repro.sim.trace import DEFAULT_TRACE_BLOCK, TraceCollector
+from repro.sim.trace import TraceCollector
 from repro.workloads.registry import (
     ALL_WORKLOADS,
     MIBENCH_WORKLOADS,
     get_workload,
 )
 
-#: Programs cheap enough to run with one access per block.
+#: Programs cheap enough to run with one record per block.
 SMALL_PROGRAMS = ("adpcm", "mpeg2", "fig1a", "fig1b", "fig4a", "fig7a",
                   "fig7b", "fig9")
 GEN_PROGRAMS = tuple(f"gen:small:{seed}" for seed in range(20))
+#: A large block (in records) that the small programs fit in whole; the
+#: pipeline tests run at the engines' default size.
+LARGE_BLOCK = 4096
 
 EXTRACTION_CASES = (
-    [(name, "bytecode", DEFAULT_TRACE_BLOCK) for name in ALL_WORKLOADS]
-    + [(name, "ast", DEFAULT_TRACE_BLOCK) for name in ALL_WORKLOADS]
+    [(name, "bytecode", LARGE_BLOCK) for name in ALL_WORKLOADS]
+    + [(name, "ast", LARGE_BLOCK) for name in ALL_WORKLOADS]
     + [(name, "bytecode", 7) for name in ALL_WORKLOADS]
     + [(name, "bytecode", 1) for name in SMALL_PROGRAMS]
     + [(name, "bytecode", block) for name in GEN_PROGRAMS
-       for block in (DEFAULT_TRACE_BLOCK, 7, 1)]
+       for block in (LARGE_BLOCK, 7, 1)]
 )
 VALIDATION_CASES = (
-    [(name, DEFAULT_TRACE_BLOCK) for name in MIBENCH_WORKLOADS]
+    [(name, LARGE_BLOCK) for name in MIBENCH_WORKLOADS]
     + [(name, block) for name in GEN_PROGRAMS
-       for block in (DEFAULT_TRACE_BLOCK, 7, 1)]
+       for block in (LARGE_BLOCK, 7, 1)]
 )
 
 

@@ -11,6 +11,7 @@ every access in the same node under the same iterators. A property test
 does the same for random well-nested streams split into random blocks.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,16 @@ def snapshot(builder):
     return nodes, stack
 
 
+def walk(builder, events, n):
+    """Walk one block of ``(pos, checkpoint_id, kind_code)`` events with
+    ``n`` accesses, as :class:`~repro.sim.trace.ColumnBlock` hands them
+    over: packed keys and positions as int64 arrays."""
+    keys = np.array([pack_checkpoint(checkpoint_id, code)
+                     for _, checkpoint_id, code in events], dtype=np.int64)
+    positions = np.array([pos for pos, _, _ in events], dtype=np.int64)
+    return builder.walk(keys, positions, n)
+
+
 def block_of(events, with_accesses):
     """One block of ``events``. With accesses, one follows every event
     but the last, so the last checkpoint trails the block (pos == n);
@@ -63,7 +74,7 @@ def block_of(events, with_accesses):
     checkpoints = []
     n = 0
     for index, (checkpoint_id, kind) in enumerate(events):
-        checkpoints.append(pack_checkpoint(n, checkpoint_id, KIND_TO_CODE[kind]))
+        checkpoints.append((n, checkpoint_id, KIND_TO_CODE[kind]))
         if with_accesses and index < len(events) - 1:
             n += 1
     return checkpoints, n
@@ -97,7 +108,7 @@ def build(cmap, events):
             states = []
             for part in (events[:split], events[split:]):
                 checkpoints, n = block_of(part, with_accesses)
-                states += access_states(walked.walk(checkpoints, n))
+                states += access_states(walk(walked, checkpoints, n))
             assert snapshot(walked) == snapshot(builder), (split,
                                                            with_accesses)
             if with_accesses:
@@ -264,24 +275,22 @@ class TestBlockWalk:
             feed(LoopTreeBuilder(make_map(2)), events)
         checkpoints, n = block_of(events, with_accesses=True)
         with pytest.raises(ValueError) as walk_error:
-            LoopTreeBuilder(make_map(2)).walk(checkpoints, n)
+            walk(LoopTreeBuilder(make_map(2)), checkpoints, n)
         assert str(walk_error.value) == str(record_error.value)
         assert "body-begin checkpoint for loop 13" in str(walk_error.value)
 
     def test_checkpoint_only_block(self):
         builder = LoopTreeBuilder(make_map(2))
-        contexts = builder.walk(
-            [pack_checkpoint(0, 10, 0), pack_checkpoint(0, 11, 1),
-             pack_checkpoint(0, 13, 0), pack_checkpoint(0, 14, 1)], 0)
+        contexts = walk(builder, [(0, 10, 0), (0, 11, 1),
+                                  (0, 13, 0), (0, 14, 1)], 0)
         assert access_states(contexts) == []
         assert builder.current_iterators() == (0, 0)
 
     def test_trailing_checkpoints(self):
         # Checkpoints at pos == n fire after the block's last access.
         builder = LoopTreeBuilder(make_map(1))
-        contexts = builder.walk(
-            [pack_checkpoint(0, 10, 0), pack_checkpoint(0, 11, 1),
-             pack_checkpoint(2, 12, 2), pack_checkpoint(2, 11, 1)], 2)
+        contexts = walk(builder, [(0, 10, 0), (0, 11, 1),
+                                  (2, 12, 2), (2, 11, 1)], 2)
         uid = builder.root.children[10].uid
         assert access_states(contexts) == [(uid, (0,)), (uid, (0,))]
         assert builder.current_iterators() == (1,)
@@ -291,9 +300,7 @@ class TestBlockWalk:
         # under iteration -1; the loop still counts one entry, and the
         # next loop-begin pops it (its body never opened).
         builder = LoopTreeBuilder(make_map(2))
-        contexts = builder.walk([pack_checkpoint(0, 10, 0),
-                                 pack_checkpoint(1, 13, 0),
-                                 pack_checkpoint(2, 14, 1)], 3)
+        contexts = walk(builder, [(0, 10, 0), (1, 13, 0), (2, 14, 1)], 3)
         states = access_states(contexts)
         assert [iterators for _, iterators in states] == [(-1,), (-1,), (0,)]
         root = builder.root
@@ -308,8 +315,7 @@ class TestBlockWalk:
 
     def test_access_at_root_has_no_iterators(self):
         builder = LoopTreeBuilder(make_map(1))
-        contexts = builder.walk(
-            [pack_checkpoint(1, 10, 0), pack_checkpoint(2, 11, 1)], 3)
+        contexts = walk(builder, [(1, 10, 0), (2, 11, 1)], 3)
         assert [iterators for _, iterators in access_states(contexts)] == [
             (), (-1,), (0,)]
 
@@ -342,9 +348,8 @@ class TestIterators:
         with pytest.raises(ValueError, match="unknown checkpoint id 99"):
             feed(builder, [(99, S)])
         with pytest.raises(ValueError, match="unknown checkpoint id 99"):
-            LoopTreeBuilder(make_map(1)).walk(
-                [pack_checkpoint(0, 10, KIND_TO_CODE[B]),
-                 pack_checkpoint(1, 99, KIND_TO_CODE[S])], 2)
+            walk(LoopTreeBuilder(make_map(1)),
+                 [(0, 10, KIND_TO_CODE[B]), (1, 99, KIND_TO_CODE[S])], 2)
 
     def test_kind_recorded_from_map(self):
         builder = build(make_map(1, kind="do"), [(10, B), (11, S), (12, E)])
@@ -453,9 +458,9 @@ class TestRandomStreams:
                     if item is None:
                         n += 1
                     else:
-                        checkpoints.append(pack_checkpoint(
-                            n, item[0], KIND_TO_CODE[item[1]]))
-                contexts = walked.walk(checkpoints, n)
+                        checkpoints.append(
+                            (n, item[0], KIND_TO_CODE[item[1]]))
+                contexts = walk(walked, checkpoints, n)
                 states += access_states(contexts)
         except ValueError as walk_error:
             error = str(walk_error)

@@ -16,7 +16,7 @@ from repro.sim.builtins import BUILTIN_PC, LIBDATA_BASE
 from repro.sim.bytecode import BytecodeVM
 from repro.sim.interpreter import Interpreter
 from repro.sim.machine import compile_program, lower_compiled, run_and_trace
-from repro.sim.trace import DEFAULT_TRACE_BLOCK, LIB_PC_BASE
+from repro.sim.trace import DEFAULT_TRACE_BLOCK, LIB_PC_BASE, pack_access
 
 
 #: Execution tier name → engine configuration.
@@ -256,8 +256,9 @@ def _ref_trace(machine, pc, addr, size, is_write):
     """Append one record the way the engines append a single access."""
     trace = machine._trace
     if trace.tracing:
-        trace.acc.extend((pc, addr, size, 1 if is_write else 0))
-        if len(trace.acc) >= trace.limit:
+        trace.records.append(
+            pack_access(pc, addr, size, 1 if is_write else 0))
+        if len(trace.records) >= trace.limit:
             trace.flush()
 
 
@@ -423,7 +424,7 @@ class _BlockRecorder:
         self.blocks = []
 
     def emit_columns(self, block):
-        self.blocks.append((block.lists(), list(block.checkpoints)))
+        self.blocks.append((block.lists(), block.checkpoint_tuples()))
 
 
 def _make_machine(compiled, config, block, sinks):
@@ -580,7 +581,9 @@ PROGRAMS.update(
     (f"fault_{name}", f"{_PREFIX}int main() {{ {_FILL} {body} return 0; }}")
     for name, body in FAULT_PROGRAMS.items())
 
-BLOCK_SIZES = (1, 7, DEFAULT_TRACE_BLOCK)
+#: Block sizes in records: 1 and 7 cut inside nearly every run, and
+#: 4096 and the default are large blocks whose cuts fall elsewhere.
+BLOCK_SIZES = (1, 7, 4096, DEFAULT_TRACE_BLOCK)
 
 
 @functools.lru_cache(maxsize=None)
@@ -612,7 +615,7 @@ def test_past_limit_program_reaches_a_builtin_past_the_limit():
     seen = []
 
     def spy(machine, name, args):
-        seen.append(len(machine._trace.acc) >= machine._trace.limit)
+        seen.append(len(machine._trace.records) >= machine._trace.limit)
         return BULK_CALL(machine, name, args)
 
     observe(_compiled("past_limit"), TIERS["specialized"], 7,

@@ -61,9 +61,8 @@ class GlobalRangeCounter:
         self.count = 0
 
     def emit_columns(self, block):
-        for addr in block.lists()[1]:
-            if GLOBAL_BASE <= addr < HEAP_BASE:
-                self.count += 1
+        addr = block.addr
+        self.count += int(((addr >= GLOBAL_BASE) & (addr < HEAP_BASE)).sum())
 
     def emit(self, record):  # pragma: no cover - block protocol is used
         addr = getattr(record, "addr", None)

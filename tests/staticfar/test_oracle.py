@@ -232,6 +232,22 @@ int main() { return f(260); }
         assert report.oracle.matched == 1
 
 
+    @pytest.mark.parametrize("index", [
+        "i * 65536 * 65536 + i + 5",
+        "i * 4294967297 + 5",
+        "4294967296 + i",
+    ])
+    def test_long_index_addresses_wrap_to_32_bits(self, index):
+        # With a 64-bit index the products stay unwrapped, but both
+        # engines take every element address modulo 2**32, so these
+        # read a[i + 5], a[i + 5] and a[i]: a byte constant or stride
+        # kept unreduced was a false MISMATCH.
+        report = static_workload("long", _indexed(index, iterator="long"),
+                                 config=self.RELAXED)
+        assert report.ok, report.oracle.diff_lines()
+        assert report.oracle.matched == 1
+
+
 class TestCrossEngine:
     @pytest.mark.parametrize("name", sorted(MIBENCH_WORKLOADS))
     def test_oracle_verdict_identical_on_ast_engine(self, name):

@@ -316,20 +316,20 @@ class TestParser:
             main(["frobnicate"])
 
     def test_oversized_trace_block_rejected(self, capsys):
-        # Engines raise ValueError above 2**26 accesses per block; the
+        # Engines raise ValueError above 2**26 records per block; the
         # option is refused before anything runs.
         with pytest.raises(SystemExit):
             main(["suite", "adpcm", "--trace-block", str(2**26 + 1)])
-        assert "at most 67108864 accesses per block" in capsys.readouterr().err
+        assert "at most 67108864 records per block" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block", ["0", "-5"])
     def test_empty_trace_block_rejected(self, block, capsys):
-        # A block holds at least one access: 0 used to run at the
-        # default block size and -5 at one access per block, each under
+        # A block holds at least one record: 0 used to run at the
+        # default block size and -5 at one record per block, each under
         # an extraction key of its own.
         with pytest.raises(SystemExit):
             main(["suite", "adpcm", "--trace-block", block])
-        assert "at least 1 access per block" in capsys.readouterr().err
+        assert "at least 1 record per block" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(POOL_RUNS))
     def test_negative_jobs_rejected(self, command, capsys):

@@ -178,7 +178,7 @@ def assert_tier_parity(source: str) -> None:
                               config=config)
         observed[tier] = (result.exit_code, result.stdout,
                           result.stats.steps, result.stats.calls,
-                          stream.flat, stream.checkpoints)
+                          stream.records)
     for tier, signature in observed.items():
         assert signature == observed["ast"], f"{tier} vs ast"
 
@@ -335,6 +335,22 @@ def test_call_depth_headroom_counts_caller_frames():
     assert nested(400).exit_code == 254
 
 
+@pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
+def test_specialized_trace_appends(name):
+    """Each trace record is one append of a literal, ``K | a_`` for an
+    access, and each chain exit that appended checks the buffer limit
+    once: between two checks the code always leaves a chain."""
+    source = get_specialization(lower_compiled(compile_program(
+        get_workload(name).source))).source
+    appends = re.findall(r"_AA\((.*)\)$", source, re.M)
+    assert appends
+    assert all(re.fullmatch(r"\d+( \| a_)?", arg) for arg in appends)
+    checks = source.split("if len(_AB) >= _FL: _FLUSH()")
+    assert len(checks) > 1
+    for between in checks[1:-1]:
+        assert re.search(r"^\s+(return|continue|b_ = )", between, re.M)
+
+
 def test_specialization_cached_per_program():
     program = lower_compiled(compile_program(_recursion_source(3, 4)))
     assert get_specialization(program) is get_specialization(program)
@@ -416,7 +432,7 @@ class _BlockRecorder:
         self.blocks = []
 
     def emit_columns(self, block):
-        self.blocks.append((block.lists(), list(block.checkpoints)))
+        self.blocks.append((block.lists(), block.checkpoint_tuples()))
 
 
 def _observe_run(source: str, tier: str, block: int) -> dict:
@@ -440,7 +456,9 @@ def _observe_run(source: str, tier: str, block: int) -> dict:
             "stats": machine.stats, "blocks": recorder.blocks}
 
 
-@pytest.mark.parametrize("block", (1, 7, DEFAULT_TRACE_BLOCK))
+# Block sizes in records: 1 and 7 cut everywhere, 4096 and the default
+# are large blocks.
+@pytest.mark.parametrize("block", (1, 7, 4096, DEFAULT_TRACE_BLOCK))
 @pytest.mark.parametrize("name", sorted(INITIALIZER_PROGRAMS))
 def test_global_initializer_parity(name, block):
     source, expected, traced = INITIALIZER_PROGRAMS[name]
@@ -477,9 +495,9 @@ int main(void) {
 
 def _run_ending(compiled, program, tier: str, max_steps: int) -> tuple:
     """How a run ends on ``tier``: its fault or exit code, stdout, step,
-    call, access and checkpoint counts, access stream and checkpoint
-    stream rebased onto it (the engine is built directly so that its
-    stats stay readable after a fault)."""
+    call, access and checkpoint counts, and its record stream (the
+    engine is built directly so that its stats stay readable after a
+    fault)."""
     recorder = StreamRecorder()
     options = dict(sinks=(recorder,), max_steps=max_steps)
     machine = (Interpreter(compiled.program, **options)
@@ -492,8 +510,7 @@ def _run_ending(compiled, program, tier: str, max_steps: int) -> tuple:
         outcome = (type(error).__name__, str(error))
     stats = machine.stats
     return (outcome, machine.stdout, stats.steps, stats.calls,
-            stats.accesses, stats.checkpoints, recorder.flat,
-            recorder.checkpoints)
+            stats.accesses, stats.checkpoints, recorder.records)
 
 
 @pytest.mark.parametrize("name", ["nest", "gen:small:3"])
@@ -557,8 +574,8 @@ def test_fault_in_each_iteration_parity():
         seen = {tier: _run_ending(compiled, program, tier, 5000)
                 for tier in TIERS}
         assert seen["specialized"] == seen["ast"], f"fault {fault}"
-        outcome, *_rest, checkpoints = seen["ast"]
-        kinds = [(packed >> 32) & 3 for packed in checkpoints]
+        outcome, *_rest, records = seen["ast"]
+        kinds = [record & 3 for record in records if record < 2**32]
         open_bodies = (kinds.count(BODY_BEGIN_CODE)
                        - kinds.count(BODY_END_CODE))
         if fault <= len(FAULT_DEPTHS):
