@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.cachesim.model import CacheHierarchy, CacheSimResult
+from repro.cachesim.model import WORD_BYTES, CacheHierarchy, CacheSimResult
 from repro.sim.trace import Access, ColumnBlock, TraceRecord
 from repro.spm.graph import reference_interval
 
@@ -87,9 +87,12 @@ class CacheSink:
         tallies, then — for the dominant single-level write-back case —
         an inlined LRU walk over plain line-number lists with run
         skipping (consecutive accesses to one line collapse to counter
-        bumps). Counter-for-counter identical to per-record :meth:`emit`:
-        write-through, L2 and line-crossing accesses take the exact
-        per-access path through :meth:`CacheHierarchy.access`.
+        bumps). A miss evicts in place, counting evictions and dirty
+        evictions; the fills, write-backs and main-memory words they
+        imply are added once per block. Counter-for-counter identical to
+        per-record :meth:`emit`: write-through, L2 and line-crossing
+        blocks take the exact per-access path through
+        :meth:`CacheHierarchy.access`.
         """
         if block.n == 0:
             return
@@ -131,12 +134,15 @@ class CacheSink:
             return
         # Single-level write-back, no line crossings: every access is
         # exactly one _touch on its line, and addr/size no longer matter.
+        # A miss is CacheLevel._fill inlined: one fill per miss, and a
+        # write-back per dirty eviction.
         lines_list = (addrs >> l1._shift).tolist()
         writes_list = w.tolist()
         sets = l1._sets
         nsets = l1._nsets
-        fill = l1._fill
+        ways = l1._ways
         reads_c = writes_c = read_misses = write_misses = 0
+        evictions = writebacks = 0
         prev_line = -1
         prev_set: dict | None = None
         prev_dirty = False
@@ -154,29 +160,38 @@ class CacheSink:
                 continue
             lset = sets[line % nsets]
             dirty = lset.pop(line, None)
+            if dirty is None:
+                while len(lset) >= ways:
+                    evictions += 1
+                    if lset.pop(next(iter(lset))):
+                        writebacks += 1
+                if is_write:
+                    write_misses += 1
+                else:
+                    read_misses += 1
+                dirty = False
             if is_write:
                 writes_c += 1
-                if dirty is None:
-                    write_misses += 1
-                    fill(line, lset)
-                lset[line] = True
-                prev_dirty = True
+                dirty = True
             else:
                 reads_c += 1
-                if dirty is None:
-                    read_misses += 1
-                    fill(line, lset)
-                    lset[line] = False
-                    prev_dirty = False
-                else:
-                    lset[line] = dirty
-                    prev_dirty = dirty
+            lset[line] = dirty  # reinsert at MRU
+            prev_dirty = dirty
             prev_line = line
             prev_set = lset
         l1.reads += reads_c
         l1.writes += writes_c
         l1.read_misses += read_misses
         l1.write_misses += write_misses
+        l1.evictions += evictions
+        l1.fills += read_misses + write_misses
+        l1.writebacks += writebacks
+        # Each fill reads one line from main memory and each write-back
+        # writes one, in words as MainMemory.request counts them.
+        line_words = (line_bytes + WORD_BYTES - 1) // WORD_BYTES
+        main = hierarchy.main
+        main.read_words += (read_misses + write_misses) * line_words
+        main.write_words += writebacks * line_words
 
     def _route(self, addr: int, size: int, is_write: bool) -> None:
         index = bisect_right(self._starts, addr) - 1

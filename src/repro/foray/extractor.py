@@ -27,12 +27,11 @@ pipeline (annotate → profile → analyze → purge) on MiniC source text.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable
 
 from repro.foray.affine import BULK_MIN_ROWS, ReferenceSolver
 from repro.foray.filters import FilterConfig
-from repro.foray.looptree import LoopNode, LoopTreeBuilder
+from repro.foray.looptree import LoopNode, LoopTreeBuilder, group_rows
 from repro.foray.model import (
     ForayLoop,
     ForayModel,
@@ -48,8 +47,6 @@ from repro.sim.trace import (
     TraceRecord,
     is_library_pc,
 )
-
-_uid = attrgetter("uid")
 
 
 class ForayExtractor:
@@ -103,9 +100,7 @@ class ForayExtractor:
         addr_column = block.addr
         nodes = contexts.nodes
         ctx = contexts.ctx
-        uids = np.fromiter(map(_uid, nodes), dtype=np.int64, count=len(nodes))
-        # (node uid, pc) packed into one int64; pcs stay below 2**32.
-        keys = (uids[ctx] << 32) | pc_column
+        keys = contexts.keys(pc_column)
         is_lib = pc_column >= LIB_PC_BASE
         lib_count = int(np.count_nonzero(is_lib))
         stats.total_accesses += n
@@ -121,30 +116,20 @@ class ForayExtractor:
             stats.lib_addresses.update(addr_column[is_lib].tolist())
             if lib_count == n:
                 return
-            user = (~is_lib).nonzero()[0]
-            grouped = user[keys[user].argsort(kind="stable")]
+            grouped, bounds = group_rows(keys, (~is_lib).nonzero()[0])
         else:
-            grouped = keys.argsort(kind="stable")
-        # ``grouped``: the user accesses' indices, group after group, in
-        # stream order within each group.
-        sorted_keys = keys[grouped]
-        cuts = (sorted_keys[1:] != sorted_keys[:-1]).nonzero()[0] + 1
-        bounds = [0, *cuts.tolist(), len(grouped)]
+            grouped, bounds = group_rows(keys)
         firsts = grouped[bounds[:-1]]
         user_refs = stats.user_refs
         iteration = contexts.iteration
         outers = contexts.outers
         # The iterator and context columns as lists, for short groups.
         scalar: tuple[list[int], list[int]] | None = None
-        # uid -> (contexts, depth - 1) outer-iterator matrix, built for
-        # the nodes deeper than 1 that own a long group.
-        outer_tables: dict[int, np.ndarray] = {}
         for g in firsts.argsort().tolist():
             first = int(firsts[g])
             node = nodes[ctx[first]]
-            uid = node.uid
             pc = int(pc_column[first])
-            user_refs.add((uid, pc))
+            user_refs.add((node.uid, pc))
             depth = node.depth
             solver = node.references.get(pc)
             if solver is None:
@@ -165,18 +150,8 @@ class ForayExtractor:
                              if depth else ()),
                             write, size)
                 continue
-            matrix = np.empty((len(rows), depth), dtype=np.int64)
-            if depth:
-                matrix[:, 0] = iteration[rows]
-            if depth > 1:
-                table = outer_tables.get(uid)
-                if table is None:
-                    owned = np.flatnonzero(uids == uid).tolist()
-                    table = np.zeros((len(nodes), depth - 1), dtype=np.int64)
-                    table[owned] = [outers[k] for k in owned]
-                    outer_tables[uid] = table
-                matrix[:, 1:] = table[ctx[rows]]
-            solver.observe_rows(addr_column[rows], matrix,
+            solver.observe_rows(addr_column[rows],
+                                contexts.iterators(rows, node),
                                 block.is_write[rows], block.size[rows])
 
     # -- record processing ---------------------------------------------------

@@ -41,6 +41,7 @@ its innermost iterator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.sim.trace import CheckpointKind, CheckpointMap
@@ -134,26 +135,84 @@ class BlockContexts:
     A *context* is a stretch of the block between two structural events:
     one loop node under fixed outer iterators. Context ``k`` runs in
     ``nodes[k]``, inside enclosing loops whose iterators, innermost
-    first, are ``outers[k]``, from access ``starts[k]`` up to the next
-    context's start (or the end of the block). Context 0 is the state
-    carried in from the previous block; a context may hold no access.
+    first, are ``outers[k]``. Context 0 is the state carried in from the
+    previous block; a context may hold no access.
 
     Per access, ``ctx`` is its context index (never decreasing along the
     block) and ``iteration`` the iterator of its context's node, both
     int64 arrays. The paper's IT1..ITN of access ``j`` is
-    ``(iteration[j],) + outers[ctx[j]]``, or ``()`` at the root.
+    ``(iteration[j],) + outers[ctx[j]]``, or ``()`` at the root;
+    :meth:`iterators` gives them for many accesses of one node at once.
     """
 
-    __slots__ = ("ctx", "iteration", "nodes", "outers", "starts")
+    __slots__ = ("ctx", "iteration", "nodes", "outers", "_uids", "_tables")
 
     def __init__(self, ctx: np.ndarray, iteration: np.ndarray,
-                 nodes: list[LoopNode], outers: list[tuple[int, ...]],
-                 starts: list[int]) -> None:
+                 nodes: list[LoopNode],
+                 outers: list[tuple[int, ...]]) -> None:
         self.ctx = ctx
         self.iteration = iteration
         self.nodes = nodes
         self.outers = outers
-        self.starts = starts
+        self._uids: np.ndarray | None = None
+        #: node uid -> (contexts, depth - 1) outer-iterator table.
+        self._tables: dict[int, np.ndarray] = {}
+
+    def _node_uids(self) -> np.ndarray:
+        """Per context, its node's uid (int64; built on first use)."""
+        uids = self._uids
+        if uids is None:
+            import numpy as np
+
+            uids = self._uids = np.fromiter(
+                map(attrgetter("uid"), self.nodes), dtype=np.int64,
+                count=len(self.nodes))
+        return uids
+
+    def keys(self, pc: np.ndarray) -> np.ndarray:
+        """Per access, its (node uid, pc) packed into one int64,
+        ``uid << 32 | pc`` (pcs stay below 2**32): the key the sinks
+        group a block's accesses by (:func:`group_rows`)."""
+        return (self._node_uids()[self.ctx] << 32) | pc
+
+    def iterators(self, rows: np.ndarray, node: LoopNode) -> np.ndarray:
+        """IT1..ITN of the accesses ``rows``, all run in ``node``, as a
+        ``(len(rows), node.depth)`` int64 array, innermost first. The
+        outer columns come from one table per node, indexed by context
+        and built on first use."""
+        import numpy as np
+
+        depth = node.depth
+        matrix = np.empty((len(rows), depth), dtype=np.int64)
+        if depth:
+            matrix[:, 0] = self.iteration[rows]
+        if depth > 1:
+            table = self._tables.get(node.uid)
+            if table is None:
+                owned = np.flatnonzero(
+                    self._node_uids() == node.uid).tolist()
+                table = np.zeros((len(self.nodes), depth - 1),
+                                 dtype=np.int64)
+                table[owned] = [self.outers[k] for k in owned]
+                self._tables[node.uid] = table
+            matrix[:, 1:] = table[self.ctx[rows]]
+        return matrix
+
+
+def group_rows(keys: np.ndarray,
+               rows: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+    """Group the accesses ``rows`` (all of them by default) of a block by
+    ``keys``, one stable argsort: returns ``(grouped, bounds)``, where
+    group ``g`` is ``grouped[bounds[g]:bounds[g + 1]]``, its accesses in
+    stream order, and the groups come in key order. The sinks key an
+    access by its (node uid, pc), :meth:`BlockContexts.keys`."""
+    if rows is None:
+        grouped = keys.argsort(kind="stable")
+    else:
+        grouped = rows[keys[rows].argsort(kind="stable")]
+    sorted_keys = keys[grouped]
+    cuts = (sorted_keys[1:] != sorted_keys[:-1]).nonzero()[0] + 1
+    return grouped, [0, *cuts.tolist(), len(grouped)]
 
 
 class LoopTreeBuilder:
@@ -229,13 +288,12 @@ class LoopTreeBuilder:
         outer = tuple([entry[0].iteration for entry in stack[-2:0:-1]])
         nodes = [node]
         outers = [outer]
-        starts = [0]
         m = len(keys)
         if not m:
             iterations = np.empty(n, dtype=np.int64)
             iterations.fill(node.iteration)
             return BlockContexts(np.zeros(n, dtype=np.int64), iterations,
-                                 nodes, outers, starts)
+                                 nodes, outers)
         code = keys & 3
         # Per event: the begin id it needs on top to be same-loop (its
         # loop's, for a body checkpoint of a known loop), and the begin id
@@ -257,10 +315,9 @@ class LoopTreeBuilder:
         codes = code.tolist()
         last = -1  # the previous structural event
         done = 0  # body-begins applied so far
-        for index, before, owner, key, start in zip(
+        for index, before, owner, key in zip(
                 events.tolist(), counted[events].tolist(),
-                owners[events, 0].tolist(), keys[events].tolist(),
-                positions[events].tolist()):
+                owners[events, 0].tolist(), keys[events].tolist()):
             if index > last + 1:  # the same-loop run before this event
                 if before != done:
                     node.begin_iteration(before - done)
@@ -284,7 +341,6 @@ class LoopTreeBuilder:
                          + outer[depth + 1 - len(stack):])
             nodes.append(node)
             outers.append(outer)
-            starts.append(start)
             offsets.append(node.iteration - before)
             last = index
             done = before
@@ -293,8 +349,7 @@ class LoopTreeBuilder:
                 node.begin_iteration(int(counted[-1]) - done)
             top[1] = codes[-1] == 1
         if not n:
-            return BlockContexts(counted[:0], counted[:0], nodes, outers,
-                                 starts)
+            return BlockContexts(counted[:0], counted[:0], nodes, outers)
         # Per event, the context and iterator after it; per access, those
         # of the last event before it. Slot 0 is the state carried in,
         # which the accesses before the first event run under.
@@ -307,7 +362,7 @@ class LoopTreeBuilder:
         np.subtract(positions[1:], positions[:-1], out=runs[1:m])
         runs[m] = n - positions[-1]
         return BlockContexts(context.repeat(runs), iterations.repeat(runs),
-                             nodes, outers, starts)
+                             nodes, outers)
 
     def _owner_table(self) -> np.ndarray:
         """The lookup table of :meth:`walk`, indexed by an event's key

@@ -14,8 +14,12 @@ the model's affine expression predicts exactly.
 :class:`ValidationSink` implements the engines' batched trace-sink
 protocol, so a replay can be scored *online* while the program runs —
 the replayed trace is never materialized. Its columnar entry point shares
-the extractor's loop-tree walk (:meth:`LoopTreeBuilder.walk`) and scores
-each context, one contiguous range of accesses, in order. The
+the extractor's loop-tree walk (:meth:`LoopTreeBuilder.walk`) and its
+grouping of a block's accesses per (loop node, pc), and scores each
+group with a few NumPy operations (:func:`_score_rows`), where the
+re-anchoring of partial references is a segmented scan. The per-record
+entry point scores one access at a time (:func:`_score_access`), the
+plain reading of the rule and the columnar path's oracle. The
 pipeline's validation cells (:mod:`repro.pipeline`) drive it over a
 workload's whole input scenario matrix; :func:`validate_model` is the
 classic offline entry point for stored record streams.
@@ -38,9 +42,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.foray.looptree import LoopNode, LoopTreeBuilder
+from repro.foray.affine import _INT64_BOUND
+from repro.foray.looptree import LoopNode, LoopTreeBuilder, group_rows
 from repro.foray.model import ForayModel, ForayReference
 from repro.sim.trace import (
     KIND_TO_CODE,
@@ -51,6 +56,9 @@ from repro.sim.trace import (
     TraceRecord,
     is_library_pc,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -159,14 +167,19 @@ class ValidationReport:
 
 
 class _RefState:
-    __slots__ = ("validation", "expression", "coefficients", "rebase",
-                 "offset", "anchor_iters")
+    __slots__ = ("validation", "expression", "coefficients", "weight",
+                 "vector", "rebase", "offset", "anchor_iters")
 
     def __init__(self, validation: ReferenceValidation):
         self.validation = validation
         self.expression = validation.reference.expression
         #: C1..CM, computed once instead of once per scored access.
         self.coefficients = self.expression.used_coefficients()
+        #: Σ|Ci|, for the int64 guard of :func:`_score_rows`.
+        self.weight = sum(map(abs, self.coefficients))
+        #: C1..CM as an int64 array, built by the first group scored in
+        #: bulk (the guard has shown by then that they fit).
+        self.vector: np.ndarray | None = None
         #: Partial expressions may re-anchor their constant per context.
         self.rebase = not validation.reference.is_full
         self.offset: int | None = None
@@ -206,48 +219,37 @@ class ValidationSink:
 
     def emit_columns(self, block: ColumnBlock) -> None:
         """Columnar sink entry point: one :meth:`LoopTreeBuilder.walk`
-        per block, then the accesses context by context (each is one
-        contiguous range), skipping the contexts of nodes no model
-        reference lives in (sizes and write flags are never consulted by
-        scoring). An iterator tuple is built only when the innermost
-        iterator changes."""
+        per block, then the user accesses grouped by (node uid, pc) as the
+        extractor groups them (:func:`~repro.foray.looptree.group_rows`).
+        A group is one reference's accesses in stream order, so each
+        scored group goes to :func:`_score_rows` whole; groups of nodes
+        or pcs no model reference lives at are skipped (sizes and write
+        flags are never consulted by scoring)."""
         n = block.n
         contexts = self._builder.walk(block.checkpoints, block.positions, n)
         if not n:
             return
-        pcs = block.pc.tolist()
-        addrs = block.addr.tolist()
-        starts = contexts.starts
-        last = len(starts) - 1
-        iterations: list[int] | None = None
-        for k, node in enumerate(contexts.nodes):
-            start = starts[k]
-            end = starts[k + 1] if k < last else n
-            if start == end:
-                continue
-            states = self._node_states.get(node.uid)
+        pc_column = block.pc
+        user = (pc_column < LIB_PC_BASE).nonzero()[0]
+        if not len(user):
+            return
+        ctx = contexts.ctx
+        grouped, bounds = group_rows(contexts.keys(pc_column), user)
+        firsts = grouped[bounds[:-1]]
+        nodes = contexts.nodes
+        node_states = self._node_states
+        addr_column = block.addr
+        for g, (k, pc) in enumerate(zip(ctx[firsts].tolist(),
+                                        pc_column[firsts].tolist())):
+            node = nodes[k]
+            states = node_states.get(node.uid)
             if states is None:
                 states = self._states_of(node)
-            if not states:
-                continue
-            if node.parent is None:
-                for i in range(start, end):
-                    state = states.get(pcs[i])
-                    if state is not None:
-                        _score_access(state, addrs[i], ())
-                continue
-            if iterations is None:
-                iterations = contexts.iteration.tolist()
-            outer = contexts.outers[k]
-            current = None
-            iterators: tuple[int, ...] = ()
-            for i in range(start, end):
-                state = states.get(pcs[i])
-                if state is not None:
-                    if iterations[i] != current:
-                        current = iterations[i]
-                        iterators = (current,) + outer
-                    _score_access(state, addrs[i], iterators)
+            state = states.get(pc)
+            if state is not None:
+                rows = grouped[bounds[g]:bounds[g + 1]]
+                _score_rows(state, addr_column[rows],
+                            contexts.iterators(rows, node))
 
     def _states_of(self, node: LoopNode) -> dict[int, _RefState]:
         path_key = tuple(loop.begin_id for loop in node.path_from_root())
@@ -283,6 +285,74 @@ def validate_model(
     for record in records:
         sink.emit(record)
     return sink.finish()
+
+
+def _score_rows(state: _RefState, addrs: np.ndarray,
+                iterators: np.ndarray) -> None:
+    """:func:`_score_access` over one group's accesses, in order: the
+    int64 ``addrs`` and the ``(k, depth)`` int64 ``iterators`` (innermost
+    first) of ``k`` accesses of one reference in one loop node.
+
+    With ``R = addr − Σ Ci·ITi``, an access is predicted exactly when
+    ``R`` equals the constant in force. A full reference's constant is
+    the expression's. A partial reference re-anchors at an access whose
+    outer iterators (past the first M) differ from the previous
+    access's, or from the carried anchor for the first; a re-anchoring
+    access is not scored and sets the constant to its own ``R``. So the
+    constant in force at each access is the ``R`` of the last
+    re-anchoring access at or before it (or the carried offset): a
+    running maximum over anchor indices, a segmented scan. A group whose
+    values could overflow int64 goes row by row through
+    :func:`_score_access`, under the guard of
+    :meth:`~repro.foray.affine.ReferenceSolver.observe_rows`.
+    """
+    import numpy as np  # loaded on first use (see ColumnBlock)
+
+    validation = state.validation
+    k, depth = iterators.shape
+    m = state.expression.num_iterators
+    if depth < m:  # see _score_access
+        validation.checked += k
+        return
+    const = state.offset if state.rebase else state.expression.const
+    # Addresses are unsigned. An iterator magnitude of at least 1 makes
+    # the bound cover each coefficient on its own as well.
+    bound = (int(addrs.max()) + state.weight
+             * int(np.abs(iterators).max(initial=1)))
+    if (bound >= _INT64_BOUND or
+            (const is not None and abs(const) >= _INT64_BOUND)):
+        for addr, row in zip(addrs.tolist(), iterators.tolist()):
+            _score_access(state, addr, tuple(row))
+        return
+    vector = state.vector
+    if vector is None:
+        vector = state.vector = np.array(state.coefficients, dtype=np.int64)
+    residuals = addrs - iterators[:, :len(vector)] @ vector
+    if not state.rebase:
+        validation.checked += k
+        validation.predicted += int(np.count_nonzero(residuals == const))
+        return
+    outer = iterators[:, m:]
+    anchors = np.empty(k, dtype=bool)
+    anchors[0] = (const is None
+                  or tuple(outer[0].tolist()) != state.anchor_iters)
+    np.any(outer[1:] != outer[:-1], axis=1, out=anchors[1:])
+    # Slot 0 holds the carried offset; slot j + 1 the R of access j.
+    # source[j]: the slot of the constant in force at access j.
+    values = np.empty(k + 1, dtype=np.int64)
+    values[0] = const or 0
+    values[1:] = residuals
+    source = np.where(anchors, np.arange(1, k + 1), 0)
+    np.maximum.accumulate(source, out=source)
+    reanchored = int(np.count_nonzero(anchors))
+    validation.checked += k - reanchored
+    # Each re-anchoring access matches its own R: take those back out.
+    validation.predicted += (
+        int(np.count_nonzero(values[source] == residuals)) - reanchored)
+    if reanchored:
+        last = int(source[-1])
+        state.offset = int(values[last])
+        state.anchor_iters = tuple(outer[last - 1].tolist())
 
 
 def _score_access(state: _RefState, addr: int, iterators: tuple[int, ...]) -> None:

@@ -11,7 +11,9 @@ below ``0x80000000``):
 ====================  =========================================
 
 Memory is organised in 4 KiB pages allocated on demand, so sparse address
-use stays cheap. All multi-byte values are little-endian.
+use stays cheap. All multi-byte values are little-endian. Addresses wrap
+at ``2**32`` as on a 32-bit target: a multi-byte access that runs past
+``0xFFFFFFFF`` continues at address 0.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ STACK_LIMIT = 8 * 1024 * 1024
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
 _PAGE_MASK = _PAGE_SIZE - 1
+#: Pages of the 32-bit address space; page indices wrap modulo this.
+_PAGE_COUNT = 1 << (32 - _PAGE_SHIFT)
 
 
 class Memory:
@@ -40,6 +44,7 @@ class Memory:
     # -- raw byte access -------------------------------------------------
 
     def _page(self, page_index: int) -> bytearray:
+        page_index %= _PAGE_COUNT
         page = self._pages.get(page_index)
         if page is None:
             page = bytearray(_PAGE_SIZE)

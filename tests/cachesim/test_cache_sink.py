@@ -1,6 +1,8 @@
 """CacheSink correctness: batched-vs-replay parity and SPM bypass."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cachesim.model import CacheConfig, CacheHierarchy
 from repro.cachesim.sink import (
@@ -10,7 +12,7 @@ from repro.cachesim.sink import (
 )
 from repro.pipeline import extract_foray_model
 from repro.sim.machine import EngineConfig, compile_program, run_compiled
-from repro.sim.trace import ColumnBlock, TraceCollector, pack_access
+from repro.sim.trace import Access, ColumnBlock, TraceCollector, pack_access
 from repro.spm.allocator import allocate_graph
 from repro.spm.graph import ReuseGraph, reference_interval
 from repro.workloads.registry import MIBENCH_WORKLOADS
@@ -154,3 +156,41 @@ class TestSpmBypass:
         sink.emit_columns(ColumnBlock(
             [pack_access(0, addr, 4, 0) for addr in (99, 100, 199, 200)]))
         assert (sink.spm_reads, sink.reads) == (2, 2)
+
+
+#: ``(addr, size, is_write)`` accesses over 12 words (three to six
+#: lines), so lines are revisited, evicted and refilled often; an access
+#: stays inside its word and so never crosses a line.
+ACCESSES = st.lists(
+    st.tuples(st.integers(0, 11), st.sampled_from((1, 2, 4)),
+              st.integers(0, 3), st.booleans()).map(
+        lambda a: (4 * a[0] + min(a[2], 4 - a[1]), a[1], a[3])),
+    max_size=120)
+
+
+class TestFastPathProperty:
+    """The columnar single-level write-back walk (misses counted inline)
+    against per-record :meth:`CacheSink.emit`, over random streams and
+    random block cuts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(accesses=ACCESSES,
+           cuts=st.lists(st.integers(0, 120), max_size=6),
+           line_bytes=st.sampled_from((8, 16)),
+           sets=st.integers(1, 8),
+           ways=st.sampled_from((1, 2, 4)),
+           spm=st.sampled_from(((), ((8, 16),), ((0, 4), (20, 32)))))
+    def test_columns_match_records(self, accesses, cuts, line_bytes, sets,
+                                   ways, spm):
+        config = CacheConfig(line_bytes=line_bytes, sets=sets, ways=ways)
+        by_record = CacheSink(CacheHierarchy(config), spm)
+        for addr, size, is_write in accesses:
+            by_record.emit(Access(0x400000, addr, size, is_write))
+        by_block = CacheSink(CacheHierarchy(config), spm)
+        packed = [pack_access(0x400000, addr, size, int(is_write))
+                  for addr, size, is_write in accesses]
+        bounds = sorted({0, len(packed),
+                         *(cut for cut in cuts if cut < len(packed))})
+        for start, end in zip(bounds, bounds[1:]):
+            by_block.emit_columns(ColumnBlock(packed[start:end]))
+        assert by_block.finish() == by_record.finish()

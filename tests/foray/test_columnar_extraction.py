@@ -43,6 +43,7 @@ EXTRACTION_CASES = (
 )
 VALIDATION_CASES = (
     [(name, LARGE_BLOCK) for name in MIBENCH_WORKLOADS]
+    + [(name, block) for name in ("adpcm", "mpeg2") for block in (7, 1)]
     + [(name, block) for name in GEN_PROGRAMS
        for block in (LARGE_BLOCK, 7, 1)]
 )

@@ -1,5 +1,8 @@
 """Tests for model validation / cross-input prediction accuracy."""
 
+import pytest
+
+import repro.foray.validate as validate_module
 from repro.foray.extractor import ForayExtractor
 from repro.foray.filters import FilterConfig
 from repro.foray.model import (
@@ -11,12 +14,17 @@ from repro.foray.model import (
 from repro.foray.validate import ValidationSink, validate_model
 from repro.sim.machine import compile_program, run_compiled
 from repro.sim.trace import (
+    KIND_TO_CODE,
+    LIB_PC_BASE,
     Access,
     Checkpoint,
     CheckpointInfo,
     CheckpointKind,
     CheckpointMap,
+    ColumnBlock,
     TraceCollector,
+    pack_access,
+    pack_checkpoint,
 )
 
 RELAXED = FilterConfig(nexec=1, nloc=1)
@@ -133,6 +141,30 @@ class TestCrossInputValidation:
         assert report.total_checked == 64  # only the user store
 
 
+def _pack(record) -> int:
+    if isinstance(record, Access):
+        return pack_access(record.pc, record.addr, record.size,
+                           int(record.is_write))
+    return pack_checkpoint(record.checkpoint_id, KIND_TO_CODE[record.kind])
+
+
+def validate_columns(model, records, checkpoint_map, cuts=()):
+    """Replay ``records`` through :meth:`ValidationSink.emit_columns`,
+    one block between consecutive ``cuts`` (record indices)."""
+    packed = [_pack(record) for record in records]
+    bounds = sorted({0, len(packed),
+                     *(cut for cut in cuts if cut < len(packed))})
+    sink = ValidationSink(model, checkpoint_map)
+    for start, end in zip(bounds, bounds[1:]):
+        sink.emit_columns(ColumnBlock(packed[start:end]))
+    return sink.finish()
+
+
+def report_rows(report):
+    return ([(v.reference.pc, v.checked, v.predicted)
+             for v in report.per_reference], report.unexercised)
+
+
 def _one_loop_map() -> CheckpointMap:
     cmap = CheckpointMap()
     cmap.add(CheckpointInfo(1, CheckpointKind.LOOP_BEGIN, 10, "for"))
@@ -156,6 +188,10 @@ class TestShallowTraceRegression:
 
     PC = 0x400008
 
+    @staticmethod
+    def replay(model, records, checkpoint_map):
+        return validate_model(model, records, checkpoint_map)
+
     def _deep_model(self):
         loop = ForayLoop(begin_id=1, kind="for", depth=1, max_trip=4,
                          min_trip=4, entries=1, total_iterations=4)
@@ -174,7 +210,7 @@ class TestShallowTraceRegression:
         # first access (4*0 == 0) even though the second iterator is
         # missing entirely.
         records = _one_loop_trace(self.PC, [1000, 1004, 1008, 1012])
-        report = validate_model(model, records, _one_loop_map())
+        report = self.replay(model, records, _one_loop_map())
         validation = report.per_reference[0]
         assert validation.checked == 4
         assert validation.predicted == 0
@@ -191,8 +227,166 @@ class TestShallowTraceRegression:
                                    footprint=16, reads=0, writes=4)
         model = ForayModel(references=[reference])
         records = _one_loop_trace(self.PC, [1000, 1004, 1008, 1012])
-        report = validate_model(model, records, _one_loop_map())
+        report = self.replay(model, records, _one_loop_map())
         assert report.overall_accuracy == 1.0
+
+
+class TestShallowTraceRegressionColumns(TestShallowTraceRegression):
+    """The same cases through the columnar entry point, the trace whole
+    and one record per block, each against the record path."""
+
+    @staticmethod
+    def replay(model, records, checkpoint_map):
+        expected = report_rows(validate_model(model, records,
+                                              checkpoint_map))
+        whole = validate_columns(model, records, checkpoint_map)
+        assert report_rows(whole) == expected
+        single = validate_columns(model, records, checkpoint_map,
+                                  range(len(records)))
+        assert report_rows(single) == expected
+        return whole
+
+
+def _nest_map() -> CheckpointMap:
+    """An outer loop (checkpoints 1-3) around an inner one (4-6)."""
+    cmap = CheckpointMap()
+    for begin, loop_node in ((1, 10), (4, 20)):
+        for offset, kind in enumerate((CheckpointKind.LOOP_BEGIN,
+                                       CheckpointKind.BODY_BEGIN,
+                                       CheckpointKind.BODY_END)):
+            cmap.add(CheckpointInfo(begin + offset, kind, loop_node, "for"))
+    return cmap
+
+
+def _nest_trace(rows):
+    """``rows[r][i]``: the accesses of outer iteration ``r``, inner
+    iteration ``i``."""
+    records = [Checkpoint(1, CheckpointKind.LOOP_BEGIN)]
+    for row in rows:
+        records += [Checkpoint(2, CheckpointKind.BODY_BEGIN),
+                    Checkpoint(4, CheckpointKind.LOOP_BEGIN)]
+        for accesses in row:
+            records.append(Checkpoint(5, CheckpointKind.BODY_BEGIN))
+            records += accesses
+            records.append(Checkpoint(6, CheckpointKind.BODY_END))
+        records.append(Checkpoint(3, CheckpointKind.BODY_END))
+    return records
+
+
+def _nest_model(*expressions):
+    """One reference per ``(pc, expression, mispredictions)``, all in the
+    inner loop of :func:`_nest_map`."""
+    outer = ForayLoop(begin_id=1, kind="for", depth=1, max_trip=4,
+                      min_trip=4, entries=1, total_iterations=4)
+    inner = ForayLoop(begin_id=4, kind="for", depth=2, max_trip=4,
+                      min_trip=4, entries=4, total_iterations=16)
+    return ForayModel(references=[
+        ForayReference(pc=pc, loop_path=(outer, inner),
+                       expression=expression, exec_count=16, footprint=16,
+                       reads=16, writes=0, mispredictions=mispredictions)
+        for pc, expression, mispredictions in expressions])
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts the calls of ``_score_access`` (the record path's scorer,
+    and the columnar path's row-by-row fallback)."""
+    calls = []
+    score = validate_module._score_access
+
+    def counted(*args):
+        calls.append(args)
+        score(*args)
+
+    monkeypatch.setattr(validate_module, "_score_access", counted)
+    return calls
+
+
+class TestColumnarReanchoring:
+    """Partial references re-anchor when an outer iterator changes, in
+    the middle of a block or exactly at a block boundary; the anchor a
+    block carries in must hold until then. Every cut of the stream into
+    two blocks, and one record per block, must score as the record path
+    does."""
+
+    PARTIAL = 0x400010  # const + 4*i within each outer iteration
+    FULL = 0x400018  # 5000 + 8*i + 200*r throughout
+    BARE = 0x400020  # M = 0: every iterator is outer
+    BASES = (1000, 1000, 3000, 2200)  # the partial's base per outer r
+
+    def _case(self):
+        model = _nest_model(
+            (self.PARTIAL, AffineExpression(1000, (4, 0), 1), 3),
+            (self.FULL, AffineExpression(5000, (8, 200), 2), 0),
+            (self.BARE, AffineExpression(7000, (None, None), 0), 16))
+        rows = []
+        for r, base in enumerate(self.BASES):
+            row = []
+            for i in range(4):
+                glitch = 4 if (r, i) == (2, 2) else 0
+                bare = 7000 + 16 * r + 4 * i
+                row.append([
+                    Access(self.PARTIAL, base + 4 * i + glitch, 4, False),
+                    Access(LIB_PC_BASE, 64 + i, 4, False),
+                    Access(self.FULL, 5000 + 8 * i + 200 * r, 4, True),
+                    Access(self.BARE, bare, 4, False),
+                    Access(self.BARE, bare, 4, True)])
+            rows.append(row)
+        return model, _nest_trace(rows), _nest_map()
+
+    def test_record_path_counts(self):
+        model, records, cmap = self._case()
+        # PARTIAL re-anchors once per outer iteration (4 unscored), and
+        # mispredicts the glitch; BARE re-anchors at every first access.
+        assert report_rows(validate_model(model, records, cmap)) == (
+            [(self.PARTIAL, 12, 11), (self.FULL, 16, 16),
+             (self.BARE, 16, 16)], 0)
+
+    def test_every_cut_matches_the_record_path(self, fallback_calls):
+        model, records, cmap = self._case()
+        expected = report_rows(validate_model(model, records, cmap))
+        del fallback_calls[:]
+        for cut in range(len(records) + 1):
+            assert report_rows(
+                validate_columns(model, records, cmap, (cut,))) == expected
+        assert report_rows(validate_columns(
+            model, records, cmap, range(len(records)))) == expected
+        # Every group fits int64: nothing was scored row by row.
+        assert not fallback_calls
+
+    @pytest.mark.parametrize("coefficient,first", [
+        (2**62, 1),  # the carried offset fits int64
+        (2**62, 3),  # the carried offset does not
+        (2**64 + 4, 1),  # a coefficient beyond int64
+    ], ids=["2**62-offset-fits", "2**62-offset-beyond", "beyond-int64"])
+    def test_int64_edges_match_the_record_path(self, coefficient, first,
+                                               fallback_calls):
+        huge = 0x400028  # a full reference, its constant beyond int64
+        model = _nest_model(
+            (self.PARTIAL, AffineExpression(4096, (coefficient, 0), 1), 1),
+            (self.FULL, AffineExpression(64, (coefficient, 1), 2), 0),
+            (huge, AffineExpression(2**63 + 8, (4, 64), 2), 0))
+        # Outer iteration 0 runs five inner iterations, the partial from
+        # inner iteration ``first`` on; iteration 1 runs two. FULL always
+        # reads its constant, which only (i, r) = (0, 0) predicts: at
+        # i = 4, 2**62 * i wraps to 0 in int64.
+        rows = [[[Access(pc, 4096 + 4 * i, 4, False)
+                  for pc in (self.PARTIAL, huge)
+                  if pc != self.PARTIAL or i >= first]
+                 + [Access(self.FULL, 64, 4, False)]
+                 for i in range(5)],
+                [[Access(self.PARTIAL, 8192 + 4 * i, 4, False),
+                  Access(huge, 8192 + 4 * i, 4, False),
+                  Access(self.FULL, 64, 4, False)]
+                 for i in range(2)]]
+        records = _nest_trace(rows)
+        cmap = _nest_map()
+        expected = report_rows(validate_model(model, records, cmap))
+        del fallback_calls[:]
+        for cut in range(len(records) + 1):
+            assert report_rows(
+                validate_columns(model, records, cmap, (cut,))) == expected
+        assert fallback_calls  # the guard routed some groups row by row
 
 
 class TestValidationSinkProtocol:

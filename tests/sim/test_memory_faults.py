@@ -4,7 +4,8 @@
 the failure behavior the specialized fast path leans on: unmapped
 pages read as zeros (pages are demand-created and never replaced),
 multi-byte accesses straddling a page boundary stay coherent, negative
-addresses fault, and runaway frames hit the simulated stack limit.
+addresses fault, runaway frames hit the simulated stack limit, and an
+access across ``0xFFFFFFFF`` wraps to address 0 as on a 32-bit target.
 """
 
 import pytest
@@ -84,3 +85,26 @@ class TestStackLimit:
         """)
         with pytest.raises(MemoryFault, match="stack overflow"):
             run_compiled(compiled, config=EngineConfig(engine=engine))
+
+
+class TestAddressWrap:
+    def test_bytes_past_the_top_wrap_to_zero(self):
+        memory = Memory()
+        memory.write_int(0xFFFF_FFFE, 0x01020304, 4)
+        assert memory.read_bytes(0, 2) == bytes([2, 1])
+        assert memory.read_int(0xFFFF_FFFE, 4, signed=False) == 0x01020304
+
+    @pytest.mark.parametrize("engine", ["bytecode", "ast"])
+    @pytest.mark.parametrize("body,expected", [
+        ("char *top = (char *)4294967294u; *(int *)top = 16909060; "
+         "return low[0] + 256 * low[1];", 258),
+        ("char *top = (char *)4294967295u; low[0] = 5; "
+         "return *(short *)top;", 1280),
+        ("char *top = (char *)4294967294u; memset(top, 7, 4); "
+         "return low[0] + 256 * low[1];", 1799),
+    ], ids=["int-store", "short-load", "memset"])
+    def test_access_across_the_top_wraps(self, engine, body, expected):
+        compiled = compile_program(
+            "int main(void) { char *low = (char *)0; " + body + " }")
+        result = run_compiled(compiled, config=EngineConfig(engine=engine))
+        assert result.exit_code == expected
